@@ -12,20 +12,25 @@ and every representation volume of the fibration equals
 
 in units of 4*pi^2 for some such tuple.  Shifting any n_i by a_i while
 shifting n by 1 changes neither the constraints nor the value, so the
-whole spectrum is already produced by the residues 0 <= r_i < a_i
-together with a bounded offset m; that finite enumeration is what
-``volume_set`` runs.  ``volume_set_bruteforce`` checks the same
-constraints over a plain integer window and exists only to cross-check
-the reduction.
+residues 0 <= r_i < a_i with 2 - 2g <= m <= 2g - 2 + #{i : r_i > 0}
+already give the whole spectrum.  The value sees the residues only
+through s = sum(r_i * lcm/a_i), so ``volume_set`` folds the fibres into
+a sumset mapping each s to the most nonzero residues reaching it; that
+is exact, since only the upper end of the m range depends on the count
+and grows with it.  ``witnesses_for`` backtracks through the same layers
+and prunes branches that cannot reach the count they still need, so its
+cost follows the output.  ``volume_set_bruteforce`` tests the defining
+constraints over a plain integer window and shares no code with either.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterator, Sequence
 
 from .exact import rat_ceil, rat_floor
 from .seifert import (
@@ -65,32 +70,35 @@ def _require_volume_input(inv: SeifertInvariants) -> None:
         raise ValueError("volume spectrum requires base genus >= 1")
 
 
-def _canonical_tuples(inv: SeifertInvariants) -> Iterable[tuple[tuple[int, ...], int, Fraction]]:
-    """Yield (residues, m, value) over the canonical enumeration.
-
-    With n_i = r_i and n = m the constraints collapse to
-    2 - 2g <= m <= 2g - 2 + #{i : r_i > 0}.
-    """
-    g = inv.genus
-    a_list = [a for a, _ in inv.pairs]
-    lcm = math.lcm(*a_list) if a_list else 1
+def _spectrum_data(inv: SeifertInvariants) -> tuple[int, int, int, list[range]]:
+    """(lcm, scale, denom, steps): each value is t^2 * scale / denom with
+    integer t = s - m * lcm; steps[i] holds r * lcm/a_i for r = 1..a_i-1."""
+    _require_volume_input(inv)
+    lcm = math.lcm(*(a for a, _ in inv.pairs))
     e = euler_number(inv)
-    # value = (s/lcm - m)^2 / |e| with integer s; build each Fraction once.
-    denom = lcm * lcm * abs(e.numerator)
-    scale = e.denominator
-    weights = [lcm // a for a in a_list]
-    for residues in itertools.product(*(range(a) for a in a_list)):
-        s = sum(r * w for r, w in zip(residues, weights))
-        positive = sum(1 for r in residues if r > 0)
-        for m in range(2 - 2 * g, 2 * g - 2 + positive + 1):
-            t = s - m * lcm
-            yield residues, m, Fraction(t * t * scale, denom)
+    steps = [range(lcm // a, lcm, lcm // a) for a, _ in inv.pairs]
+    return lcm, e.denominator, lcm * lcm * abs(e.numerator), steps
+
+
+def _add_fibre(layer: dict[int, int], offsets: range) -> dict[int, int]:
+    """Next sumset layer: residue sum s -> most nonzero residues reaching s."""
+    out = dict(layer)  # residue 0 keeps both the sum and the count
+    for s, count in layer.items():
+        count += 1
+        for d in offsets:
+            if out.get(s + d, -1) < count:
+                out[s + d] = count
+    return out
 
 
 def volume_set(inv: SeifertInvariants) -> list[Fraction]:
     """All volume coefficients (units of 4*pi^2), ascending and exact."""
-    _require_volume_input(inv)
-    return sorted({value for _, _, value in _canonical_tuples(inv)})
+    lcm, scale, denom, steps = _spectrum_data(inv)
+    sums = functools.reduce(_add_fibre, steps, {0: 0})
+    lo, hi = 2 - 2 * inv.genus, 2 * inv.genus - 2
+    t_abs = {abs(s - m * lcm) for s, count in sums.items() for m in range(lo, hi + count + 1)}
+    # the value grows with |t|, so ascending |t| is ascending value
+    return [Fraction(t * t * scale, denom) for t in sorted(t_abs)]
 
 
 def volume_set_bruteforce(inv: SeifertInvariants, bound: int | None = None) -> list[Fraction]:
@@ -189,29 +197,44 @@ class VolumeWitness:
 
 def witnesses_for(inv: SeifertInvariants, coeff: Fraction) -> list[VolumeWitness]:
     """All canonical tuples attaining ``coeff``, as full witnesses."""
-    _require_volume_input(inv)
+    lcm, scale, denom, steps = _spectrum_data(inv)
     coeff = Fraction(coeff)
+    t_sq = coeff * denom / scale
+    t_abs = math.isqrt(max(t_sq.numerator, 0))
+    roots = {t_abs, -t_abs} if t_sq == t_abs * t_abs else set()
+    layers = list(itertools.accumulate(steps, _add_fibre, initial={0: 0}))
+
+    def tuples(k: int, s: int, need: int) -> Iterator[tuple[int, ...]]:
+        # residues of the first k fibres summing to s, >= need of them nonzero
+        if s not in layers[k] or layers[k][s] < need:
+            return
+        if k == 0:
+            yield ()
+            return
+        for r, d in enumerate((0, *steps[k - 1])):
+            for head in tuples(k - 1, s - d, need - (r > 0)):
+                yield (*head, r)
+
     e = euler_number(inv)
+    lo, hi = 2 - 2 * inv.genus, 2 * inv.genus - 2
     found = []
-    for residues, m, value in _canonical_tuples(inv):
-        if value != coeff:
-            continue
-        slopes = [Fraction(r, a) for r, (a, _) in zip(residues, inv.pairs)]
-        total = sum(slopes, Fraction(0)) - m
-        zeta = total / e
-        z_values = tuple(
-            s - Fraction(b, a) * zeta for s, (a, b) in zip(slopes, inv.pairs)
-        )
-        found.append(
-            VolumeWitness(
-                inv=inv,
-                n_values=tuple(residues),
-                n=m,
-                zeta=zeta,
-                z_values=z_values,
-                coeff=value,
+    for t, m in itertools.product(roots, range(lo, hi + len(steps) + 1)):
+        for residues in tuples(len(steps), t + m * lcm, m - hi):
+            slopes = [Fraction(r, a) for r, (a, _) in zip(residues, inv.pairs)]
+            zeta = (sum(slopes, Fraction(0)) - m) / e
+            z_values = tuple(
+                s - Fraction(b, a) * zeta for s, (a, b) in zip(slopes, inv.pairs)
             )
-        )
+            found.append(
+                VolumeWitness(
+                    inv=inv,
+                    n_values=residues,
+                    n=m,
+                    zeta=zeta,
+                    z_values=z_values,
+                    coeff=coeff,
+                )
+            )
     if not found:
         raise ValueError(f"coefficient {coeff} is not in the volume spectrum")
     found.sort(key=lambda w: (w.n, w.n_values))

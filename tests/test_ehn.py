@@ -1,6 +1,7 @@
 """Volume spectra: foliation criterion, canonical enumeration versus the
 brute-force window oracle, maxima, and witnesses."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -179,3 +180,64 @@ def test_every_spectrum_value_has_a_witness(inv):
     for coeff in rng.sample(spectrum, min(3, len(spectrum))):
         for w in witnesses_for(inv, coeff):
             assert w.coeff == coeff  # __post_init__ re-validated everything
+
+
+def residue_product_witnesses(inv):
+    """Coefficient -> sorted (n_values, n) pairs, by walking every residue
+    tuple with every allowed offset.  A plain test oracle for the sumset
+    path; it shares no code with ``repvol.ehn``."""
+    g = inv.genus
+    e = euler_number(inv)
+    moduli = [a for a, _ in inv.pairs]
+    by_coeff = {}
+    for residues in itertools.product(*(range(a) for a in moduli)):
+        slope_sum = sum(Fraction(r, a) for r, a in zip(residues, moduli))
+        positive = sum(1 for r in residues if r > 0)
+        for m in range(2 - 2 * g, 2 * g - 2 + positive + 1):
+            coeff = (slope_sum - m) ** 2 / abs(e)
+            by_coeff.setdefault(coeff, []).append((residues, m))
+    return {c: sorted(pairs, key=lambda p: (p[1], p[0])) for c, pairs in by_coeff.items()}
+
+
+@settings(max_examples=30, deadline=None)
+@given(sl2r_invariants(max_genus=2, max_fibers=3, max_a=5))
+def test_witnesses_match_residue_product_oracle(inv):
+    oracle = residue_product_witnesses(inv)
+    assert volume_set(inv) == sorted(oracle)
+    for coeff, expected in oracle.items():
+        found = witnesses_for(inv, coeff)
+        assert [(w.n_values, w.n) for w in found] == expected
+        assert all(w.coeff == coeff for w in found)
+
+
+@pytest.mark.parametrize(
+    "coeff",
+    [Fraction(-1, 4), Fraction(1, 2)],
+    ids=["negative", "not_a_perfect_square"],
+)
+def test_witnesses_reject_coefficient_off_the_square_lattice(coeff):
+    # (1; 1/2, 1/2) has e = 1 and lcm = 2, so a coefficient c needs 4c = t^2
+    inv = parse_seifert("(1; 1/2, 1/2)")
+    with pytest.raises(ValueError, match="not in the volume spectrum"):
+        witnesses_for(inv, coeff)
+
+
+def test_roadmap_symbol_spectrum_and_witnesses():
+    inv = parse_seifert("(2; 1/4, 1/4, 1/4, 1/6, 1/6, 1/6, 1/12)")
+    chi = orbifold_chi(inv)
+    spectrum = volume_set(inv)
+    assert len(spectrum) == 93
+    assert spectrum[-1] == seifert_volume_max(inv) == chi * chi / abs(euler_number(inv))
+    assert len(witnesses_for(inv, spectrum[-1])) == 2
+
+
+def test_forty_fibres_finish_through_the_sumset():
+    # 2^40 residue tuples: only a path that never walks them can return
+    inv = parse_seifert("(1; " + ", ".join(["1/2"] * 40) + ")")
+    chi = orbifold_chi(inv)
+    spectrum = volume_set(inv)
+    assert spectrum[-1] == seifert_volume_max(inv) == chi * chi / abs(euler_number(inv))
+    assert [(w.n_values, w.n) for w in witnesses_for(inv, spectrum[-1])] == [
+        ((1,) * 40, 0),
+        ((1,) * 40, 40),
+    ]
