@@ -4,12 +4,20 @@ Rational arithmetic is stdlib ``fractions.Fraction`` (already normalized,
 positive denominator, arbitrary precision).  On top of that this module
 provides Gaussian rationals, rational multiples of integer powers of pi,
 and the tagged volume values produced by the enumeration code.
+
+``GaussianRational`` and ``PiScalar`` are immutable ``__slots__`` classes.
+``__post_init__`` is the single place their values are normalized (parts
+to ``Fraction``, coefficients to ``GaussianRational``, zero to pi power
+0), and every construction route goes through it: the public
+constructors, ``of()``, and the internal constructors ``_gaussian`` and
+``_pi`` that arithmetic uses.  Values that are already normalized pass
+through it untouched, so arithmetic pays no re-normalization.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -44,60 +52,97 @@ def rat_ceil(x: RationalLike) -> int:
     return math.ceil(Fraction(x))
 
 
-@dataclass(frozen=True)
-class GaussianRational:
+_ZERO = Fraction(0)
+_new = object.__new__
+_set = object.__setattr__
+
+
+class _Frozen:
+    """Immutable ``__slots__`` base: fields are written once, by ``_set``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class GaussianRational(_Frozen):
     """Complex number with exact rational real and imaginary parts."""
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: RationalLike = _ZERO, im: RationalLike = _ZERO) -> None:
+        _set(self, "re", re)
+        _set(self, "im", im)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "re", Fraction(self.re))
-        object.__setattr__(self, "im", Fraction(self.im))
+        if type(self.re) is not Fraction:
+            _set(self, "re", Fraction(self.re))
+        if type(self.im) is not Fraction:
+            _set(self, "im", Fraction(self.im))
 
     @staticmethod
     def of(value: "GaussianLike") -> "GaussianRational":
         if isinstance(value, GaussianRational):
             return value
-        return GaussianRational(Fraction(value))
+        return _gaussian(value, _ZERO)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.re == other.re and self.im == other.im
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.re, self.im))
+
+    def __repr__(self) -> str:
+        return f"GaussianRational(re={self.re!r}, im={self.im!r})"
+
+    def __reduce__(self):
+        return GaussianRational, (self.re, self.im)
 
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)
 
     def __add__(self, other: "GaussianLike") -> "GaussianRational":
         o = GaussianRational.of(other)
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        return _gaussian(self.re + o.re, self.im + o.im)
 
     __radd__ = __add__
 
     def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
+        return _gaussian(-self.re, -self.im)
 
     def __sub__(self, other: "GaussianLike") -> "GaussianRational":
-        return self + (-GaussianRational.of(other))
+        o = GaussianRational.of(other)
+        return _gaussian(self.re - o.re, self.im - o.im)
 
     def __rsub__(self, other: "GaussianLike") -> "GaussianRational":
-        return GaussianRational.of(other) + (-self)
+        return GaussianRational.of(other) - self
 
     def __mul__(self, other: "GaussianLike") -> "GaussianRational":
         o = GaussianRational.of(other)
-        return GaussianRational(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
+        a, b, c, d = self.re, self.im, o.re, o.im
+        if not b and not d:
+            return _gaussian(a * c, _ZERO)
+        return _gaussian(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _gaussian(self.re, -self.im)
 
     def __truediv__(self, other: "GaussianLike") -> "GaussianRational":
         o = GaussianRational.of(other)
-        norm = o.re * o.re + o.im * o.im
-        if norm == 0:
+        a, b, c, d = self.re, self.im, o.re, o.im
+        norm = c * c + d * d
+        if not norm:
             raise ZeroDivisionError("division by zero gaussian rational")
-        num = self * o.conjugate()
-        return GaussianRational(num.re / norm, num.im / norm)
+        return _gaussian((a * c + b * d) / norm, (b * c - a * d) / norm)
 
     def __rtruediv__(self, other: "GaussianLike") -> "GaussianRational":
         return GaussianRational.of(other) / self
@@ -111,6 +156,15 @@ class GaussianRational:
         return f"({self.re}{sign}{abs(self.im)}i)"
 
 
+def _gaussian(re: RationalLike, im: RationalLike) -> GaussianRational:
+    """Internal constructor: no argument parsing, still through ``__post_init__``."""
+    g = _new(GaussianRational)
+    _set(g, "re", re)
+    _set(g, "im", im)
+    g.__post_init__()
+    return g
+
+
 GaussianLike = Union[int, Fraction, GaussianRational]
 
 GAUSSIAN_ZERO = GaussianRational()
@@ -118,8 +172,7 @@ GAUSSIAN_ONE = GaussianRational(Fraction(1))
 GAUSSIAN_I = GaussianRational(Fraction(0), Fraction(1))
 
 
-@dataclass(frozen=True)
-class PiScalar:
+class PiScalar(_Frozen):
     """A gaussian-rational coefficient times an integer power of pi.
 
     Zero is canonical: its pi power is normalized to 0 so equality and
@@ -128,13 +181,20 @@ class PiScalar:
     identity for any power.
     """
 
-    coeff: GaussianRational = GAUSSIAN_ZERO
-    pi_power: int = 0
+    __slots__ = ("coeff", "pi_power")
+
+    def __init__(self, coeff: "GaussianLike" = GAUSSIAN_ZERO, pi_power: int = 0) -> None:
+        _set(self, "coeff", coeff)
+        _set(self, "pi_power", pi_power)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coeff", GaussianRational.of(self.coeff))
-        if not self.coeff:
-            object.__setattr__(self, "pi_power", 0)
+        coeff = self.coeff
+        if type(coeff) is not GaussianRational:
+            coeff = GaussianRational.of(coeff)
+            _set(self, "coeff", coeff)
+        if not coeff:
+            _set(self, "pi_power", 0)
 
     @staticmethod
     def of(value: "PiLike", pi_power: int = 0) -> "PiScalar":
@@ -142,7 +202,21 @@ class PiScalar:
             if pi_power:
                 raise ValueError("cannot re-tag an existing PiScalar with a power")
             return value
-        return PiScalar(GaussianRational.of(value), pi_power)
+        return _pi(GaussianRational.of(value), pi_power)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.pi_power == other.pi_power and self.coeff == other.coeff
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.coeff, self.pi_power))
+
+    def __repr__(self) -> str:
+        return f"PiScalar(coeff={self.coeff!r}, pi_power={self.pi_power!r})"
+
+    def __reduce__(self):
+        return PiScalar, (self.coeff, self.pi_power)
 
     def __bool__(self) -> bool:
         return bool(self.coeff)
@@ -157,12 +231,12 @@ class PiScalar:
             raise ValueError(
                 f"pi-power mismatch in addition: {self.pi_power} vs {o.pi_power}"
             )
-        return PiScalar(self.coeff + o.coeff, self.pi_power)
+        return _pi(self.coeff + o.coeff, self.pi_power)
 
     __radd__ = __add__
 
     def __neg__(self) -> "PiScalar":
-        return PiScalar(-self.coeff, self.pi_power)
+        return _pi(-self.coeff, self.pi_power)
 
     def __sub__(self, other: "PiLike") -> "PiScalar":
         return self + (-PiScalar.of(other))
@@ -172,7 +246,7 @@ class PiScalar:
 
     def __mul__(self, other: "PiLike") -> "PiScalar":
         o = PiScalar.of(other)
-        return PiScalar(self.coeff * o.coeff, self.pi_power + o.pi_power)
+        return _pi(self.coeff * o.coeff, self.pi_power + o.pi_power)
 
     __rmul__ = __mul__
 
@@ -180,7 +254,7 @@ class PiScalar:
         o = PiScalar.of(other)
         if not o:
             raise ZeroDivisionError("division by zero PiScalar")
-        return PiScalar(self.coeff / o.coeff, self.pi_power - o.pi_power)
+        return _pi(self.coeff / o.coeff, self.pi_power - o.pi_power)
 
     def __str__(self) -> str:
         if self.pi_power == 0:
@@ -189,6 +263,15 @@ class PiScalar:
         if self.coeff == GAUSSIAN_ONE:
             return power
         return f"{self.coeff}*{power}"
+
+
+def _pi(coeff: GaussianLike, pi_power: int) -> PiScalar:
+    """Internal constructor: no argument parsing, still through ``__post_init__``."""
+    p = _new(PiScalar)
+    _set(p, "coeff", coeff)
+    _set(p, "pi_power", pi_power)
+    p.__post_init__()
+    return p
 
 
 PiLike = Union[int, Fraction, GaussianRational, PiScalar]

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
@@ -27,6 +27,7 @@ from . import linalg
 from .exact import (
     GAUSSIAN_ZERO,
     GaussianRational,
+    PI_ONE,
     PI_ZERO,
     PiScalar,
 )
@@ -59,6 +60,10 @@ def _scalar(x: ScalarLike) -> PiScalar:
     return PiScalar.of(x)
 
 
+# The empty column of the structure table: a zero bracket.
+_NO_TERMS: Mapping[int, PiScalar] = {}
+
+
 class JacobiViolation(ValueError):
     """Raised or reported when a bracket table fails the Jacobi identity."""
 
@@ -77,11 +82,20 @@ class LieAlgebraSpec:
     must be pi-free scalars.  The Jacobi identity is checked on
     construction unless ``check_jacobi=False`` (used when loading
     untrusted tables that a caller wants to diagnose).
+
+    ``table`` is derived once from ``brackets``: the sparse antisymmetric
+    map (j, k) -> {i: c^i_jk} over both index orders, holding only
+    nonzero constants.  Every bracket, Jacobi, invariance and
+    differential computation reads it, so their cost follows the nonzero
+    structure constants rather than powers of the dimension.
     """
 
     basis: tuple[str, ...]
     brackets: tuple[tuple[tuple[int, int], tuple[PiScalar, ...]], ...]
     check_jacobi: bool = True
+    table: dict[tuple[int, int], dict[int, PiScalar]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         names = tuple(self.basis)
@@ -106,6 +120,12 @@ class LieAlgebraSpec:
         object.__setattr__(
             self, "brackets", tuple(sorted(table.items()))
         )
+        structure: dict[tuple[int, int], dict[int, PiScalar]] = {}
+        for (j, k), coeffs in self.brackets:
+            column = {i: c for i, c in enumerate(coeffs) if c}
+            structure[(j, k)] = column
+            structure[(k, j)] = {i: -c for i, c in column.items()}
+        object.__setattr__(self, "table", structure)
         if self.check_jacobi:
             violation = validate_jacobi(self)
             if violation is not None:
@@ -117,13 +137,8 @@ class LieAlgebraSpec:
 
     def bracket(self, j: int, k: int) -> tuple[PiScalar, ...]:
         """Coordinates of [X_j, X_k] for any index order."""
-        if j == k:
-            return (PI_ZERO,) * self.dim
-        lookup = dict(self.brackets)
-        if j < k:
-            return lookup.get((j, k), (PI_ZERO,) * self.dim)
-        vec = lookup.get((k, j), (PI_ZERO,) * self.dim)
-        return tuple(-c for c in vec)
+        column = self.table.get((j, k), _NO_TERMS)
+        return tuple(column.get(i, PI_ZERO) for i in range(self.dim))
 
     def bracket_vectors(self, v: Sequence[PiScalar], w: Sequence[PiScalar]) -> tuple[PiScalar, ...]:
         """[v, w] for arbitrary coordinate vectors."""
@@ -146,23 +161,23 @@ class LieAlgebraSpec:
             raise ValueError(f"unknown basis element {name!r}") from None
 
 
-def _basis_vector(dim: int, i: int) -> tuple[PiScalar, ...]:
-    return tuple(PiScalar.of(1) if j == i else PI_ZERO for j in range(dim))
-
-
 def validate_jacobi(spec: LieAlgebraSpec) -> Optional[JacobiViolation]:
-    """None when the Jacobi identity holds; otherwise the first violation."""
+    """None when the Jacobi identity holds; otherwise the first violation.
+
+    Basis triples a < b < c are scanned in order; the residual of the
+    cyclic sum [[x,y],z] has m-th coordinate sum_l c^l_xy c^m_lz.
+    """
     n = spec.dim
+    table = spec.table
     for a, b, c in itertools.combinations(range(n), 3):
-        va, vb, vc = (_basis_vector(n, i) for i in (a, b, c))
-        res = [PI_ZERO] * n
-        for left, right, outer in ((va, vb, vc), (vb, vc, va), (vc, va, vb)):
-            inner = spec.bracket_vectors(left, right)
-            term = spec.bracket_vectors(inner, outer)
-            res = [x + y for x, y in zip(res, term)]
-        if any(res):
+        res: dict[int, PiScalar] = {}
+        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+            for l, c_xy in table.get((x, y), _NO_TERMS).items():
+                for m, c_lz in table.get((l, z), _NO_TERMS).items():
+                    res[m] = res.get(m, PI_ZERO) + c_xy * c_lz
+        if any(res.values()):
             names = (spec.basis[a], spec.basis[b], spec.basis[c])
-            return JacobiViolation(names, tuple(res))
+            return JacobiViolation(names, tuple(res.get(m, PI_ZERO) for m in range(n)))
     return None
 
 
@@ -209,8 +224,8 @@ class ExteriorForm:
         return not self.terms
 
     def coefficient(self, indices: Sequence[int]) -> PiScalar:
-        lookup = dict(self.terms)
-        return lookup.get(tuple(indices), PI_ZERO)
+        key = tuple(indices)
+        return next((c for i, c in self.terms if i == key), PI_ZERO)
 
     def _check_compatible(self, other: "ExteriorForm") -> None:
         if self.dim != other.dim:
@@ -284,11 +299,41 @@ def mc_differential(spec: LieAlgebraSpec, i: int) -> ExteriorForm:
     """d(phi^i) = - sum_{j<k} c^i_jk phi^j ^ phi^k."""
     if not 0 <= i < spec.dim:
         raise ValueError(f"basis index {i} out of range")
-    terms = []
-    for (j, k), vec in spec.brackets:
-        if vec[i]:
-            terms.append(((j, k), -vec[i]))
-    return ExteriorForm(spec.dim, 2, tuple(terms))
+    terms = tuple((pair, -c) for pair, c in _structure_by_target(spec)[i])
+    return ExteriorForm(spec.dim, 2, terms)
+
+
+def _structure_by_target(
+    spec: LieAlgebraSpec,
+) -> list[list[tuple[tuple[int, int], PiScalar]]]:
+    """The pairs ((j, k), c^i_jk) with j < k, listed per target index i."""
+    out: list[list[tuple[tuple[int, int], PiScalar]]] = [[] for _ in range(spec.dim)]
+    for (j, k), column in spec.table.items():
+        if j < k:
+            for i, c in column.items():
+                out[i].append(((j, k), c))
+    return out
+
+
+def _add_d_monomial(
+    acc: dict[tuple[int, ...], PiScalar],
+    by_target: list[list[tuple[tuple[int, int], PiScalar]]],
+    indices: tuple[int, ...],
+    coeff: PiScalar,
+) -> None:
+    """acc += coeff * d(phi^I), where d(phi^I) = sum_t (-1)^t
+    d(phi^{I_t}) ^ phi^{I minus I_t} and d(phi^i) = - sum c^i_jk phi^jk."""
+    for t, idx in enumerate(indices):
+        rest = indices[:t] + indices[t + 1 :]
+        for pair, c in by_target[idx]:
+            merged = _merge_indices(pair, rest)
+            if merged is None:
+                continue
+            key, sign = merged
+            value = c * coeff
+            if sign * (-1) ** t > 0:
+                value = -value
+            acc[key] = acc.get(key, PI_ZERO) + value
 
 
 def bracket_two_form(spec: LieAlgebraSpec, i: int) -> ExteriorForm:
@@ -308,16 +353,11 @@ def d(spec: LieAlgebraSpec, form: ExteriorForm) -> ExteriorForm:
         raise ValueError("form dimension does not match the algebra")
     if form.degree >= spec.dim:
         return ExteriorForm.zero(spec.dim, min(form.degree + 1, spec.dim))
-    result = ExteriorForm.zero(spec.dim, form.degree + 1)
+    by_target = _structure_by_target(spec)
+    acc: dict[tuple[int, ...], PiScalar] = {}
     for indices, coeff in form.terms:
-        for t, idx in enumerate(indices):
-            rest = indices[:t] + indices[t + 1 :]
-            piece = mc_differential(spec, idx).wedge(
-                ExteriorForm.monomial(spec.dim, rest)
-            )
-            signed = coeff if t % 2 == 0 else -coeff
-            result = result + piece.scaled(signed)
-    return result
+        _add_d_monomial(acc, by_target, indices, coeff)
+    return ExteriorForm(spec.dim, form.degree + 1, tuple(acc.items()))
 
 
 @dataclass(frozen=True)
@@ -352,21 +392,29 @@ class GramForm:
         return total
 
 
+def _sparse_rows(gram: GramForm) -> list[dict[int, PiScalar]]:
+    return [{j: g for j, g in enumerate(row) if g} for row in gram.entries]
+
+
 def is_ad_invariant(spec: LieAlgebraSpec, gram: GramForm) -> bool:
-    """f([a,b],c) + f(b,[a,c]) = 0 on all basis triples."""
+    """f([a,b],c) + f(b,[a,c]) = 0 on all basis triples.
+
+    For each a this is the matrix identity ad_a^T G + G ad_a = 0.  With
+    N = ad_a^T G, that is N_bc = sum_i c^i_ab G_ic, and since G is
+    symmetric the identity reads N + N^T = 0.
+    """
     if gram.dim != spec.dim:
         raise ValueError("Gram dimension does not match the algebra")
-    n = spec.dim
-    for a in range(n):
-        ea = _basis_vector(n, a)
-        for b in range(n):
-            eb = _basis_vector(n, b)
-            ab = spec.bracket(a, b)
-            for c in range(n):
-                ec = _basis_vector(n, c)
-                ac = spec.bracket(a, c)
-                if gram.pair(ab, ec) + gram.pair(eb, ac):
-                    return False
+    rows = _sparse_rows(gram)
+    for a in range(spec.dim):
+        ad_t_g: dict[tuple[int, int], PiScalar] = {}
+        for b in range(spec.dim):
+            for i, c_ab in spec.table.get((a, b), _NO_TERMS).items():
+                for c, g in rows[i].items():
+                    ad_t_g[(b, c)] = ad_t_g.get((b, c), PI_ZERO) + c_ab * g
+        for (b, c), value in ad_t_g.items():
+            if value + ad_t_g.get((c, b), PI_ZERO):
+                return False
     return True
 
 
@@ -383,21 +431,25 @@ def cs_three_form(spec: LieAlgebraSpec, gram: GramForm) -> ExteriorForm:
             "Gram form is not ad-invariant; the 3-form is basis-dependent",
             stacklevel=2,
         )
-    third = PiScalar.of(Fraction(1, 3))
-    n = spec.dim
-    first = ExteriorForm.zero(n, 3)
-    second = ExteriorForm.zero(n, 3)
-    for i in range(n):
-        dphi = mc_differential(spec, i)
-        brk = bracket_two_form(spec, i)
-        for l in range(n):
-            f_il = gram.entries[i][l]
-            if not f_il:
-                continue
-            phi_l = ExteriorForm.monomial(n, (l,))
-            first = first + dphi.wedge(phi_l).scaled(f_il)
-            second = second + phi_l.wedge(brk).scaled(f_il)
-    return first.scaled(third) + second.scaled(third * third)
+    # Both pairings are multiples of S = sum f_il c^i_jk phi^j^phi^k^phi^l
+    # (a 2-form and a 1-form commute): d(phi^i) carries -c^i_jk and
+    # [omega, omega] carries +2 c^i_jk, each pairing averages with 1/3,
+    # so T = (1/3)(-S) + (1/3)(1/3)(2 S) = -(1/9) S.
+    rows = _sparse_rows(gram)
+    acc: dict[tuple[int, ...], PiScalar] = {}
+    for (j, k), column in spec.table.items():
+        if j > k:
+            continue
+        for i, c in column.items():
+            for l, f_il in rows[i].items():
+                merged = _merge_indices((j, k), (l,))
+                if merged is None:
+                    continue
+                key, sign = merged
+                value = c * f_il
+                acc[key] = acc.get(key, PI_ZERO) + (value if sign > 0 else -value)
+    scale = PiScalar.of(Fraction(-1, 9))
+    return ExteriorForm(spec.dim, 3, tuple((key, v * scale) for key, v in acc.items()))
 
 
 def _three_basis(n: int) -> list[tuple[int, ...]]:
@@ -426,9 +478,11 @@ def exactness_split(
     # Column j holds d(phi^{two_basis[j]}); structure constants are pi-free,
     # so every entry is a plain gaussian rational.
     matrix = [[GAUSSIAN_ZERO] * len(two_basis) for _ in three_basis]
+    by_target = _structure_by_target(spec)
     for col, pair in enumerate(two_basis):
-        image = d(spec, ExteriorForm.monomial(n, pair))
-        for indices, coeff in image.terms:
+        image: dict[tuple[int, ...], PiScalar] = {}
+        _add_d_monomial(image, by_target, pair, PI_ONE)
+        for indices, coeff in image.items():
             matrix[three_pos[indices]][col] = coeff.coeff
     strata: dict[int, list[GaussianRational]] = {}
     for indices, coeff in difference.terms:
@@ -564,14 +618,16 @@ def sl2c_gram() -> GramForm:
     return GramForm(entries)
 
 
-def _coeff_from_json(value) -> PiScalar:
-    if isinstance(value, bool):
-        raise ValueError(f"bad structure constant {value!r}")
-    if isinstance(value, int):
+def _coeff_from_json(value, path: str) -> PiScalar:
+    if isinstance(value, int) and not isinstance(value, bool):
         return PiScalar.of(value)
-    if isinstance(value, str):
-        return PiScalar.of(Fraction(value))
-    raise ValueError(f"bad structure constant {value!r} (use int or 'p/q')")
+    # An exponent such as '1e999999999' would build a huge integer.
+    if isinstance(value, str) and "e" not in value.lower():
+        try:
+            return PiScalar.of(Fraction(value))
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f"{path}: bad structure constant {value!r} (use int or 'p/q')")
 
 
 def algebra_from_json(doc: Mapping) -> LieAlgebraSpec:
@@ -580,30 +636,49 @@ def algebra_from_json(doc: Mapping) -> LieAlgebraSpec:
         {"basis": ["X", "Y"], "brackets": [["X", "Y", {"X": 1}], ...]}
 
     Brackets not listed are zero.  Run ``validate_jacobi`` on the result;
-    loading does not reject non-Lie tables so they can be diagnosed.
+    loading does not reject non-Lie tables so they can be diagnosed.  A
+    malformed document raises ``ValueError`` naming the path of the bad
+    part, such as ``brackets[0][2]: expected an object of coefficients``.
     """
-    basis = tuple(doc["basis"])
+    if not isinstance(doc, Mapping):
+        raise ValueError("document: expected an object with 'basis' and 'brackets'")
+    if "basis" not in doc:
+        raise ValueError("basis: missing")
+    names = doc["basis"]
+    if not isinstance(names, (list, tuple)):
+        raise ValueError("basis: expected a list of names")
+    for i, name in enumerate(names):
+        if not isinstance(name, str):
+            raise ValueError(f"basis[{i}]: expected a string, got {name!r}")
+    basis = tuple(names)
     if not basis:
         raise ValueError("basis must not be empty")
     index = {name: i for i, name in enumerate(basis)}
+    entries = doc.get("brackets", [])
+    if not isinstance(entries, (list, tuple)):
+        raise ValueError("brackets: expected a list of [left, right, coeffs] entries")
     table: dict[tuple[int, int], list[PiScalar]] = {}
-    for entry in doc.get("brackets", []):
-        if len(entry) != 3:
-            raise ValueError(f"bracket entry {entry!r} must be [left, right, coeffs]")
+    for e, entry in enumerate(entries):
+        path = f"brackets[{e}]"
+        if not isinstance(entry, (list, tuple)) or len(entry) != 3:
+            raise ValueError(f"{path}: bracket entry {entry!r} must be [left, right, coeffs]")
         left, right, coeffs = entry
-        if left not in index or right not in index:
-            raise ValueError(f"bracket entry {entry!r} uses unknown basis names")
+        for pos, name in ((0, left), (1, right)):
+            if not isinstance(name, str) or name not in index:
+                raise ValueError(f"{path}[{pos}]: entry uses unknown basis names ({name!r})")
+        if not isinstance(coeffs, Mapping):
+            raise ValueError(f"{path}[2]: expected an object of coefficients")
         j, k = index[left], index[right]
         if j == k:
-            raise ValueError(f"bracket [{left}, {left}] must be zero, not listed")
+            raise ValueError(f"{path}: bracket [{left}, {left}] must be zero, not listed")
         sign = 1
         if j > k:
             j, k, sign = k, j, -1
         vec = table.setdefault((j, k), [PI_ZERO] * len(basis))
         for name, value in coeffs.items():
             if name not in index:
-                raise ValueError(f"bracket entry {entry!r} uses unknown basis names")
-            coeff = _coeff_from_json(value)
+                raise ValueError(f"{path}[2]: entry uses unknown basis names ({name!r})")
+            coeff = _coeff_from_json(value, f"{path}[2].{name}")
             vec[index[name]] = vec[index[name]] + (coeff if sign > 0 else -coeff)
     return LieAlgebraSpec(
         basis=basis,

@@ -1,8 +1,13 @@
 """Exact Gaussian elimination over any field-like scalar type.
 
-Scalars only need +, -, *, / and truthiness as the zero test, which
-covers ``Fraction`` and ``GaussianRational``.  Pivoting scans columns in
-order and free variables are set to zero, so results are deterministic.
+Scalars only need +, -, *, /, unary minus and truthiness as the zero
+test, which covers ``Fraction`` and ``GaussianRational``.  Pivoting scans
+columns in order and free variables are set to zero, so results are
+deterministic.
+
+Rows are sparse while they are reduced: each is a ``{column: nonzero}``
+dict, and an elimination step touches only the nonzero entries of the
+pivot row.  Inputs and outputs stay dense lists.
 """
 
 from __future__ import annotations
@@ -15,22 +20,35 @@ F = TypeVar("F")
 __all__ = ["solve", "nullspace", "invert"]
 
 
-def _echelon(rows: list[list[F]], width: int) -> list[int]:
-    """Reduce ``rows`` in place to reduced row echelon form over the first
-    ``width`` columns (extra columns ride along).  Returns pivot columns."""
+def _sparse(row: Sequence[F]) -> dict[int, F]:
+    return {c: x for c, x in enumerate(row) if x}
+
+
+def _echelon(rows: list[dict[int, F]], width: int) -> list[int]:
+    """Reduce the sparse ``rows`` in place to reduced row echelon form over
+    columns ``0 .. width - 1`` (higher columns ride along).  Returns the
+    pivot columns; row ``r`` holds the pivot of ``pivots[r]``."""
     pivots: list[int] = []
     r = 0
     for c in range(width):
-        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        pivot_row = next((i for i in range(r, len(rows)) if c in rows[i]), None)
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
         inv = rows[r][c]
-        rows[r] = [x / inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                factor = rows[i][c]
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
+        pivot = {k: x / inv for k, x in rows[r].items()}
+        rows[r] = pivot
+        for i, row in enumerate(rows):
+            if i == r or c not in row:
+                continue
+            factor = row[c]
+            for k, y in pivot.items():
+                x = row.get(k)
+                value = -(factor * y) if x is None else x - factor * y
+                if value:
+                    row[k] = value
+                else:
+                    del row[k]
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -49,14 +67,16 @@ def solve(
     if not matrix:
         return []
     width = len(matrix[0])
-    rows = [list(row) + [b] for row, b in zip(matrix, rhs)]
+    rows = [_sparse(row) for row in matrix]
+    for row, b in zip(rows, rhs):
+        if b:
+            row[width] = b
     pivots = _echelon(rows, width)
-    for i in range(len(pivots), len(rows)):
-        if rows[i][width]:
-            return None
+    if any(width in row for row in rows[len(pivots):]):
+        return None
     solution = [zero] * width
-    for r, c in enumerate(pivots):
-        solution[c] = rows[r][width]
+    for row, c in zip(rows, pivots):
+        solution[c] = row.get(width, zero)
     return solution
 
 
@@ -69,7 +89,7 @@ def nullspace(
     if not matrix:
         return []
     width = len(matrix[0])
-    rows = [list(row) for row in matrix]
+    rows = [_sparse(row) for row in matrix]
     pivots = _echelon(rows, width)
     pivot_set = set(pivots)
     basis = []
@@ -78,8 +98,9 @@ def nullspace(
             continue
         vec = [zero] * width
         vec[free] = one
-        for r, c in enumerate(pivots):
-            vec[c] = zero - rows[r][free]
+        for row, c in zip(rows, pivots):
+            if free in row:
+                vec[c] = zero - row[free]
         basis.append(vec)
     return basis
 
@@ -93,8 +114,10 @@ def invert(
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("matrix is not square")
-    rows = [list(row) + [one if i == j else zero for j in range(n)] for i, row in enumerate(matrix)]
+    rows = [_sparse(row) for row in matrix]
+    for i, row in enumerate(rows):
+        row[n + i] = one
     pivots = _echelon(rows, n)
     if len(pivots) != n:
         return None
-    return [row[n:] for row in rows]
+    return [[row.get(n + j, zero) for j in range(n)] for row in rows]

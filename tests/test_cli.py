@@ -154,6 +154,28 @@ def test_cs_jacobi_missing_file(capsys):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ([1, 2], "document: expected an object"),
+        (
+            {"basis": ["X", "Y"], "brackets": [["X", "Y", 5]]},
+            "brackets[0][2]: expected an object of coefficients",
+        ),
+        ({"basis": "XY"}, "basis: expected a list of names"),
+    ],
+    ids=["top_level_list", "coefficients_not_an_object", "basis_a_string"],
+)
+def test_cs_jacobi_malformed_document(capsys, tmp_path, doc, message):
+    bad = tmp_path / "algebra.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "cs", "jacobi", str(bad))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {message}")
+    assert err.count("\n") == 1
+
+
 # ---------------------------------------------------------------- graph
 
 

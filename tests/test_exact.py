@@ -1,6 +1,8 @@
 """Tests for the exact scalar tower: gaussian rationals, pi-scalars,
 and the volume value types."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -72,6 +74,9 @@ def test_pi_scalar_zero_is_canonical():
     assert z == PI_ZERO
     assert z.pi_power == 0
     assert not z
+    assert PiScalar(0, 5) == PI_ZERO
+    assert len({z, PiScalar(0, 5), PI_ZERO, PiScalar(GAUSSIAN_ZERO, -3)}) == 1
+    assert hash(PiScalar(0, 5)) == hash(PI_ZERO)
 
 
 def test_pi_scalar_add_same_power():
@@ -159,3 +164,68 @@ def test_volume_sum_mixes_to_numeric():
 
 def test_volume_sum_empty_is_exact_zero():
     assert volume_sum([]) == ExactVolume(Fraction(0))
+
+
+# ---------------------------------------------------------------- scalar contract
+
+
+def test_int_fraction_and_gaussian_inputs_normalize_alike():
+    gaussians = [GaussianRational(2), GaussianRational(Fraction(2)), GaussianRational.of(2)]
+    assert all(g == gaussians[0] and hash(g) == hash(gaussians[0]) for g in gaussians)
+    assert all(type(g.re) is Fraction and type(g.im) is Fraction for g in gaussians)
+    scalars = [
+        PiScalar(2, 1),
+        PiScalar(Fraction(2), 1),
+        PiScalar(GaussianRational(2), 1),
+        PiScalar.of(2, pi_power=1),
+        PiScalar.of(Fraction(2), pi_power=1),
+        PiScalar.of(GaussianRational(2), pi_power=1),
+    ]
+    assert all(s == scalars[0] and hash(s) == hash(scalars[0]) for s in scalars)
+    assert all(type(s.coeff) is GaussianRational for s in scalars)
+
+
+def test_scalars_are_immutable():
+    g = GaussianRational(1, 2)
+    p = PiScalar(g, 1)
+    for obj, field in ((g, "re"), (g, "im"), (p, "coeff"), (p, "pi_power")):
+        with pytest.raises(AttributeError):
+            setattr(obj, field, 0)
+        with pytest.raises(AttributeError):
+            delattr(obj, field)
+    with pytest.raises(AttributeError):
+        g.extra = 1
+    assert g == GaussianRational(1, 2) and p == PiScalar(GaussianRational(1, 2), 1)
+
+
+def test_scalar_repr_copy_and_pickle():
+    g = GaussianRational(Fraction(1, 2), -3)
+    p = PiScalar(g, -2)
+    assert repr(g) == "GaussianRational(re=Fraction(1, 2), im=Fraction(-3, 1))"
+    assert repr(p) == f"PiScalar(coeff={g!r}, pi_power=-2)"
+    for value in (g, p):
+        assert copy.copy(value) == value
+        assert copy.deepcopy(value) == value
+        assert pickle.loads(pickle.dumps(value)) == value
+
+
+def test_post_init_hook_sees_every_arithmetic_result(monkeypatch):
+    # The benchmark counts scalar constructions by patching __post_init__
+    # on the class; every result must be built through it.
+    seen = set()
+    for cls in (GaussianRational, PiScalar):
+        original = cls.__post_init__
+
+        def counted(self, _original=original):
+            seen.add(id(self))
+            _original(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    x, y = GaussianRational(1, 2), GaussianRational(Fraction(1, 3))
+    a, b = PiScalar(x, 1), PiScalar(y, 2)
+    results = [
+        x + y, x - y, x * y, x / y, -x, 1 - x, 2 / x, GaussianRational.of(3), x.conjugate(),
+        a + a, a - a, a * b, a / b, -a, 1 - PiScalar(y), PiScalar.of(Fraction(1, 2)), PiScalar.of(2, pi_power=1),
+    ]
+    for value in results:
+        assert id(value) in seen, value

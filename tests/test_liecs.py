@@ -6,7 +6,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repvol.exact import GaussianRational, PI_ZERO, PiScalar
@@ -142,6 +142,25 @@ def test_algebra_from_json_rejects_unknown_names():
         algebra_from_json({"basis": ["A"], "brackets": [["A", "Q", {"A": 1}]]})
 
 
+@pytest.mark.parametrize(
+    "doc, path",
+    [
+        ({"brackets": []}, "basis: missing"),
+        ({"basis": ["A", 1]}, "basis[1]: expected a string"),
+        ({"basis": ["A", "B"], "brackets": {"A": 1}}, "brackets: expected a list"),
+        ({"basis": ["A", "B"], "brackets": [["A", "B"]]}, "brackets[0]: bracket entry"),
+        ({"basis": ["A", "B"], "brackets": [[["A"], "B", {}]]}, "brackets[0][0]: entry uses unknown"),
+        ({"basis": ["A", "B"], "brackets": [["A", "B", {"A": "1/0"}]]}, "brackets[0][2].A: bad structure constant"),
+        ({"basis": ["A", "B"], "brackets": [["A", "B", {"A": "1e999999999"}]]}, "brackets[0][2].A: bad"),
+        ({"basis": ["A", "B"], "brackets": [["A", "B", {"A": True}]]}, "brackets[0][2].A: bad"),
+    ],
+)
+def test_algebra_from_json_names_the_bad_path(doc, path):
+    with pytest.raises(ValueError) as info:
+        algebra_from_json(doc)
+    assert str(info.value).startswith(path)
+
+
 # ---------------------------------------------------------------- forms
 
 
@@ -274,6 +293,145 @@ def test_cs_three_form_warns_on_non_invariant_gram():
     assert not is_ad_invariant(spec, bad)
     with pytest.warns(UserWarning, match="not ad-invariant"):
         cs_three_form(spec, bad)
+
+
+# ---------------------------------------------------------------- dense oracles
+
+
+def dense_constants(n, brackets):
+    """c[i][j][k] = c^i_jk over all index orders, from {(j, k): {i: c}}, j < k."""
+    c = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for (j, k), vec in brackets.items():
+        for i, value in vec.items():
+            c[i][j][k] = value
+            c[i][k][j] = -value
+    return c
+
+
+def dense_first_jacobi_violation(n, c):
+    """First triple x < y < z, with the residual sum_l c^l_pq c^m_lr summed
+    over the three cyclic orders (p, q, r), where the residual is nonzero."""
+    for x, y, z in itertools.combinations(range(n), 3):
+        residual = [
+            sum(
+                c[l][p][q] * c[m][l][r]
+                for p, q, r in ((x, y, z), (y, z, x), (z, x, y))
+                for l in range(n)
+            )
+            for m in range(n)
+        ]
+        if any(residual):
+            return (x, y, z), residual
+    return None
+
+
+def dense_ad_invariant(n, c, f):
+    """f([a,b],c) + f(b,[a,c]) = 0 on every basis triple, by full sums."""
+
+    def pair(v, w):
+        return sum(v[i] * f[i][j] * w[j] for i in range(n) for j in range(n))
+
+    basis = [[int(i == j) for j in range(n)] for i in range(n)]
+    bracket = [[[c[i][a][b] for i in range(n)] for b in range(n)] for a in range(n)]
+    return all(
+        pair(bracket[a][b], basis[e]) + pair(basis[b], bracket[a][e]) == 0
+        for a in range(n)
+        for b in range(n)
+        for e in range(n)
+    )
+
+
+def killing(n, c):
+    """B(a, b) = tr(ad_a ad_b) = sum c^i_ak c^k_bi: ad-invariant on a Lie algebra."""
+    return [
+        [sum(c[i][a][k] * c[k][b][i] for i in range(n) for k in range(n)) for b in range(n)]
+        for a in range(n)
+    ]
+
+
+def table_spec(n, brackets):
+    return LieAlgebraSpec(
+        basis=tuple(f"e{i}" for i in range(n)),
+        brackets=tuple(
+            (pair, tuple(vec.get(i, 0) for i in range(n))) for pair, vec in sorted(brackets.items())
+        ),
+        check_jacobi=False,
+    )
+
+
+SL2 = {(0, 1): {1: -2}, (0, 2): {2: 2}, (1, 2): {0: -1}}
+LIE_TABLES = [
+    (3, SL2),
+    (4, {(0, 1): {1: -2}, (0, 2): {2: 2}, (0, 3): {1: 2, 2: 2}, (1, 2): {0: -1}, (1, 3): {0: -1}, (2, 3): {0: -1}}),
+    (6, {**SL2, **{(j + 3, k + 3): {i + 3: v for i, v in vec.items()} for (j, k), vec in SL2.items()}}),
+]
+
+
+@st.composite
+def bracket_tables(draw):
+    """Random small integer tables; most of them fail the Jacobi identity."""
+    n = draw(st.integers(3, 5))
+    brackets = {}
+    for pair in itertools.combinations(range(n), 2):
+        vec = draw(st.dictionaries(st.integers(0, n - 1), st.integers(-2, 2).filter(bool), max_size=2))
+        if vec:
+            brackets[pair] = vec
+    return n, brackets
+
+
+@settings(max_examples=100, deadline=None)
+@given(bracket_tables())
+def test_validate_jacobi_matches_dense_oracle(table):
+    n, brackets = table
+    spec = table_spec(n, brackets)
+    c = dense_constants(n, brackets)
+    for j in range(n):
+        for k in range(n):
+            assert spec.bracket(j, k) == tuple(PiScalar.of(c[i][j][k]) for i in range(n))
+    violation = validate_jacobi(spec)
+    expected = dense_first_jacobi_violation(n, c)
+    if expected is None:
+        assert violation is None
+    else:
+        triple, residual = expected
+        assert violation.triple == tuple(f"e{i}" for i in triple)
+        assert violation.residual == tuple(PiScalar.of(r) for r in residual)
+
+
+@st.composite
+def algebras_with_grams(draw):
+    """A Lie algebra or a random table, with a multiple of its Killing
+    form (invariant by construction on a Lie algebra), that form with
+    one symmetric pair of entries changed, or a random symmetric matrix."""
+    lie = draw(st.booleans())
+    n, brackets = draw(st.sampled_from(LIE_TABLES)) if lie else draw(bracket_tables())
+    c = dense_constants(n, brackets)
+    kind = draw(st.sampled_from(["killing", "perturbed", "random"]))
+    if kind == "random":
+        f = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                f[i][j] = f[j][i] = draw(st.integers(-2, 2))
+    else:
+        scale = draw(st.integers(-3, 3).filter(bool))
+        f = [[scale * x for x in row] for row in killing(n, c)]
+        if kind == "perturbed":
+            i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            delta = draw(st.integers(-2, 2).filter(bool))
+            f[i][j] += delta
+            if i != j:
+                f[j][i] += delta
+    return n, brackets, f, lie and kind == "killing"
+
+
+@settings(max_examples=100, deadline=None)
+@given(algebras_with_grams())
+def test_is_ad_invariant_matches_dense_oracle(drawn):
+    n, brackets, f, invariant_by_construction = drawn
+    got = is_ad_invariant(table_spec(n, brackets), GramForm(f))
+    assert got == dense_ad_invariant(n, dense_constants(n, brackets), f)
+    if invariant_by_construction:
+        assert got
 
 
 # ---------------------------------------------------------------- 3-form identities
