@@ -70,6 +70,14 @@ def _witness_payload(witnesses) -> list[dict]:
 
 def _cmd_seifert(args: argparse.Namespace) -> int:
     inv = seifert.parse_seifert(args.notation)
+    if args.coeff is not None:
+        found = ehn.witnesses_for(inv, args.coeff)
+        if args.json:
+            _emit_json({"witnesses": _witness_payload(found)})
+        else:
+            _emit(_witness_lines(found))
+        return 0
+
     if args.action == "info":
         payload = {
             "notation": seifert.format_seifert(inv),
@@ -84,13 +92,6 @@ def _cmd_seifert(args: argparse.Namespace) -> int:
         return 0
 
     if args.action == "volumes":
-        if args.witnesses is not None:
-            found = ehn.witnesses_for(inv, args.witnesses)
-            if args.json:
-                _emit_json({"witnesses": _witness_payload(found)})
-            else:
-                _emit(_witness_lines(found))
-            return 0
         spectrum = ehn.volume_set(inv)
         oracle_note = None
         if args.oracle:
@@ -140,14 +141,6 @@ def _cmd_seifert(args: argparse.Namespace) -> int:
             _emit_json({"exists": exists})
         else:
             print("yes" if exists else "no")
-        return 0
-
-    if args.action == "witnesses":
-        found = ehn.witnesses_for(inv, args.coeff)
-        if args.json:
-            _emit_json({"witnesses": _witness_payload(found)})
-        else:
-            _emit(_witness_lines(found))
         return 0
 
     raise AssertionError(f"unhandled seifert action {args.action}")
@@ -362,8 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--decimal", action="store_true")
         if action == "volumes":
             p.add_argument("--oracle", action="store_true")
-            p.add_argument("--witnesses", type=_fraction_arg, metavar="COEFF")
-        p.set_defaults(handler=_cmd_seifert)
+            p.add_argument("--witnesses", type=_fraction_arg, metavar="COEFF", dest="coeff")
+        p.set_defaults(handler=_cmd_seifert, coeff=None)
 
     p_cs = sub.add_parser("cs", help="symbolic 3-form identities")
     cs_sub = p_cs.add_subparsers(dest="action", required=True)

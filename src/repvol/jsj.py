@@ -10,7 +10,7 @@ checks the bookkeeping of that statement and evaluates the sum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Hashable, Mapping, Optional, Sequence, Union
 
@@ -122,11 +122,12 @@ def _is_primitive(slope: Slope) -> bool:
 def validate_spec(spec: GraphManifoldSpec) -> list[str]:
     """All structural problems, as human-readable strings; empty means ok."""
     problems: list[str] = []
-    seen_ids = set()
+    first_with_id: dict[str, Piece] = {}
     for piece in spec.pieces:
-        if piece.id in seen_ids:
+        if piece.id in first_with_id:
             problems.append(f"duplicate piece id {piece.id!r}")
-        seen_ids.add(piece.id)
+        else:
+            first_with_id[piece.id] = piece
         if piece.kind == "seifert":
             if piece.seifert is None:
                 problems.append(f"piece {piece.id}: seifert piece without invariants")
@@ -143,7 +144,7 @@ def validate_spec(spec: GraphManifoldSpec) -> list[str]:
         where = f"edge {n}"
         for endpoint in (edge.a, edge.b):
             pid, slot = endpoint
-            piece = next((p for p in spec.pieces if p.id == pid), None)
+            piece = first_with_id.get(pid)
             if piece is None:
                 problems.append(f"{where}: unknown piece {pid!r}")
                 continue
@@ -221,25 +222,6 @@ def _normalize_slope(slope: Slope) -> Slope:
     return (c_s, c_h)
 
 
-def _killed_slope_at(spec: GraphManifoldSpec, piece_id: str, slot: str) -> Slope:
-    """The declared killed slope in the (section, fiber) basis of the
-    given slot's side."""
-    for edge in spec.edges:
-        if edge.a == (piece_id, slot):
-            if edge.killed_slope is None:
-                raise ValueError(
-                    f"edge at {piece_id}.{slot} declares no killed slope"
-                )
-            return edge.killed_slope
-        if edge.b == (piece_id, slot):
-            if edge.killed_slope_b is not None:
-                return edge.killed_slope_b
-            if edge.killed_slope is not None:
-                return edge.push_to_b(edge.killed_slope)
-            raise ValueError(f"edge at {piece_id}.{slot} declares no killed slope")
-    raise ValueError(f"slot {piece_id}.{slot} is not glued by any edge")
-
-
 def additivity_sum(
     spec: GraphManifoldSpec, assignments: Sequence[PieceAssignment]
 ) -> VolumeValue:
@@ -254,22 +236,34 @@ def additivity_sum(
     problems = validate_spec(spec)
     if problems:
         raise ValueError("invalid spec: " + "; ".join(problems))
-    glued = {endpoint for edge in spec.edges for endpoint in (edge.a, edge.b)}
+    # A valid spec puts every slot on at most one edge, so one pass finds
+    # each glued slot's killed slope in its own side's coordinates.
+    killed: dict[Endpoint, Optional[Slope]] = {}
+    for edge in spec.edges:
+        killed[edge.a] = edge.killed_slope
+        if edge.killed_slope_b is not None:
+            killed[edge.b] = edge.killed_slope_b
+        elif edge.killed_slope is not None:
+            killed[edge.b] = edge.push_to_b(edge.killed_slope)
+        else:
+            killed[edge.b] = None
+    pieces: dict[str, Piece] = {}
     for piece in spec.pieces:
+        pieces[piece.id] = piece
         for slot in piece.slots:
-            if (piece.id, slot) not in glued:
+            if (piece.id, slot) not in killed:
                 raise ValueError(
                     f"slot {piece.id}.{slot} is unglued; additivity needs a closed manifold"
                 )
     assigned = [a.piece_id for a in assignments]
-    expected = sorted(p.id for p in spec.pieces)
+    expected = sorted(pieces)
     if sorted(assigned) != expected:
         raise ValueError(
             f"assignments cover {sorted(assigned)}, expected exactly {expected}"
         )
     contributions: list[VolumeValue] = []
     for assignment in assignments:
-        piece = spec.piece(assignment.piece_id)
+        piece = pieces[assignment.piece_id]
         if isinstance(assignment, SmallImage):
             contributions.append(ExactVolume(Fraction(0)))
         elif isinstance(assignment, DirectVolume):
@@ -283,12 +277,14 @@ def additivity_sum(
                     f"piece {piece.id}: fillings must cover slots {sorted(piece.slots)}"
                 )
             for slot in piece.slots:
-                killed = _normalize_slope(_killed_slope_at(spec, piece.id, slot))
-                filling = _normalize_slope(filled_slots[slot])
-                if filling != killed:
+                slope = killed[(piece.id, slot)]
+                if slope is None:
+                    raise ValueError(f"edge at {piece.id}.{slot} declares no killed slope")
+                slope = _normalize_slope(slope)
+                if _normalize_slope(filled_slots[slot]) != slope:
                     raise ValueError(
                         f"piece {piece.id}.{slot}: filling {filled_slots[slot]} "
-                        f"does not match the killed slope {killed}"
+                        f"does not match the killed slope {slope}"
                     )
             inv = piece.seifert
             # slopes are unoriented; fill with the positive representative
@@ -491,6 +487,62 @@ class GraphDocument:
     cases: tuple[tuple[str, GraphManifoldSpec, tuple[PieceAssignment, ...]], ...]
 
 
+def _field(entry: Mapping, key: str, path: str):
+    """``entry[key]``; a missing key is a ``ValueError`` naming its path."""
+    if key not in entry:
+        raise ValueError(f"{path}.{key}: missing")
+    return entry[key]
+
+
+def _entries(value, path: str, parse) -> tuple:
+    """``parse(entry, path)`` for each object in the JSON list at ``path``.
+
+    A value of the wrong type or shape inside an entry is reported as a
+    ``ValueError`` naming that entry, not as a traceback.
+    """
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{path}: expected a list of objects")
+    parsed = []
+    for i, entry in enumerate(value):
+        at = f"{path}[{i}]"
+        if not isinstance(entry, Mapping):
+            raise ValueError(f"{at}: expected an object, got {entry!r}")
+        try:
+            parsed.append(parse(entry, at))
+        except (TypeError, LookupError, ZeroDivisionError) as exc:
+            raise ValueError(f"{at}: malformed entry ({exc})") from None
+    return tuple(parsed)
+
+
+def _piece_from_json(entry: Mapping, path: str) -> Piece:
+    kind = _field(entry, "kind", path)
+    slots = _field(entry, "slots", path)
+    seifert = None
+    if kind == "seifert":
+        seifert = SeifertInvariants(
+            genus=int(_field(entry, "genus", path)),
+            pairs=entry.get("pairs", ()),
+            boundary_count=len(slots),
+        )
+    return Piece(
+        id=str(_field(entry, "id", path)),
+        kind=str(kind),
+        slots=tuple(str(s) for s in slots),
+        seifert=seifert,
+        label=entry.get("label"),
+    )
+
+
+def _edge_from_json(entry: Mapping, path: str) -> Edge:
+    return Edge(
+        a=_field(entry, "a", path),
+        b=_field(entry, "b", path),
+        gluing=_field(entry, "gluing", path),
+        killed_slope=entry.get("killed_slope") or None,
+        killed_slope_b=entry.get("killed_slope_b") or None,
+    )
+
+
 def _volume_from_json(entry: Mapping) -> VolumeValue:
     if "exact" in entry:
         return ExactVolume(Fraction(str(entry["exact"])))
@@ -499,87 +551,60 @@ def _volume_from_json(entry: Mapping) -> VolumeValue:
     raise ValueError(f"direct assignment {entry!r} needs 'exact' or 'numeric'")
 
 
-def _assignment_from_json(entry: Mapping) -> PieceAssignment:
-    piece_id = str(entry["piece"])
+def _assignment_from_json(entry: Mapping, path: str) -> PieceAssignment:
+    piece_id = str(_field(entry, "piece", path))
     kind = entry.get("assign")
     if kind == "small_image":
         return SmallImage(piece_id)
     if kind == "direct":
         return DirectVolume(piece_id, _volume_from_json(entry))
     if kind == "filled":
-        fillings = {
-            str(slot): (int(pair[0]), int(pair[1]))
-            for slot, pair in entry["fillings"].items()
-        }
-        return FilledSeifert(piece_id, tuple(fillings.items()), Fraction(str(entry["coeff"])))
+        fillings = _field(entry, "fillings", path)
+        coeff = Fraction(str(_field(entry, "coeff", path)))
+        return FilledSeifert(piece_id, fillings, coeff)
     raise ValueError(f"assignment {entry!r} needs assign: small_image|direct|filled")
 
 
+def _case_from_json(spec: GraphManifoldSpec, case: Mapping, path: str):
+    name = str(_field(case, "name", path))
+    edges = spec.edges
+    slopes = case.get("killed_slopes")
+    if slopes is not None:
+        if len(slopes) != len(edges):
+            raise ValueError(
+                f"case {name}: {len(slopes)} killed slopes for {len(edges)} edges"
+            )
+        edges = tuple(
+            replace(edge, killed_slope=slope or None, killed_slope_b=None)
+            for edge, slope in zip(edges, slopes)
+        )
+    assignments = _entries(
+        case.get("assignments", []), f"{path}.assignments", _assignment_from_json
+    )
+    return (name, GraphManifoldSpec(pieces=spec.pieces, edges=edges), assignments)
+
+
 def load_graph_document(doc: Mapping) -> GraphDocument:
-    """Parse the JSON graph-manifold format (see the README for the schema)."""
-    pieces = []
-    for entry in doc["pieces"]:
-        kind = entry["kind"]
-        seifert = None
-        if kind == "seifert":
-            seifert = SeifertInvariants(
-                genus=int(entry["genus"]),
-                pairs=tuple((int(a), int(b)) for a, b in entry.get("pairs", [])),
-                boundary_count=len(entry["slots"]),
-            )
-        pieces.append(
-            Piece(
-                id=str(entry["id"]),
-                kind=str(kind),
-                slots=tuple(str(s) for s in entry["slots"]),
-                seifert=seifert,
-                label=entry.get("label"),
-            )
-        )
-    edges = []
-    for entry in doc.get("edges", []):
-        killed = entry.get("killed_slope")
-        killed_b = entry.get("killed_slope_b")
-        edges.append(
-            Edge(
-                a=(str(entry["a"][0]), str(entry["a"][1])),
-                b=(str(entry["b"][0]), str(entry["b"][1])),
-                gluing=tuple(tuple(int(x) for x in row) for row in entry["gluing"]),
-                killed_slope=tuple(int(x) for x in killed) if killed else None,
-                killed_slope_b=tuple(int(x) for x in killed_b) if killed_b else None,
-            )
-        )
-    spec = GraphManifoldSpec(pieces=tuple(pieces), edges=tuple(edges))
-    cases = []
+    """Parse the JSON graph-manifold format (see the README for the schema).
+
+    A malformed document raises ``ValueError`` naming the path of the bad
+    part, such as ``pieces[0].kind: missing``.
+    """
+    if not isinstance(doc, Mapping):
+        raise ValueError("document: expected an object with 'pieces' and 'edges'")
+    if "pieces" not in doc:
+        raise ValueError("pieces: missing")
+    spec = GraphManifoldSpec(
+        pieces=_entries(doc["pieces"], "pieces", _piece_from_json),
+        edges=_entries(doc.get("edges", []), "edges", _edge_from_json),
+    )
     if "cases" in doc:
-        for case in doc["cases"]:
-            name = str(case["name"])
-            case_edges = list(spec.edges)
-            slopes = case.get("killed_slopes")
-            if slopes is not None:
-                if len(slopes) != len(case_edges):
-                    raise ValueError(
-                        f"case {name}: {len(slopes)} killed slopes for "
-                        f"{len(case_edges)} edges"
-                    )
-                case_edges = [
-                    Edge(
-                        a=edge.a,
-                        b=edge.b,
-                        gluing=edge.gluing,
-                        killed_slope=tuple(int(x) for x in slope) if slope else None,
-                        killed_slope_b=None,
-                    )
-                    for edge, slope in zip(case_edges, slopes)
-                ]
-            case_spec = GraphManifoldSpec(pieces=spec.pieces, edges=tuple(case_edges))
-            assignments = tuple(
-                _assignment_from_json(a) for a in case.get("assignments", [])
-            )
-            cases.append((name, case_spec, assignments))
+        cases = _entries(
+            doc["cases"], "cases", lambda case, path: _case_from_json(spec, case, path)
+        )
     elif "assignments" in doc:
-        assignments = tuple(_assignment_from_json(a) for a in doc["assignments"])
-        cases.append(("default", spec, assignments))
+        assignments = _entries(doc["assignments"], "assignments", _assignment_from_json)
+        cases = (("default", spec, assignments),)
     else:
-        cases.append(("default", spec, ()))
-    return GraphDocument(spec=spec, cases=tuple(cases))
+        cases = (("default", spec, ()),)
+    return GraphDocument(spec=spec, cases=cases)

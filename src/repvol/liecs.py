@@ -140,20 +140,6 @@ class LieAlgebraSpec:
         column = self.table.get((j, k), _NO_TERMS)
         return tuple(column.get(i, PI_ZERO) for i in range(self.dim))
 
-    def bracket_vectors(self, v: Sequence[PiScalar], w: Sequence[PiScalar]) -> tuple[PiScalar, ...]:
-        """[v, w] for arbitrary coordinate vectors."""
-        out = [PI_ZERO] * self.dim
-        for j, cj in enumerate(v):
-            if not cj:
-                continue
-            for k, ck in enumerate(w):
-                if not ck:
-                    continue
-                for i, c in enumerate(self.bracket(j, k)):
-                    if c:
-                        out[i] = out[i] + cj * ck * c
-        return tuple(out)
-
     def index_of(self, name: str) -> int:
         try:
             return self.basis.index(name)
@@ -380,16 +366,6 @@ class GramForm:
     @property
     def dim(self) -> int:
         return len(self.entries)
-
-    def pair(self, v: Sequence[PiScalar], w: Sequence[PiScalar]) -> PiScalar:
-        total = PI_ZERO
-        for i, vi in enumerate(v):
-            if not vi:
-                continue
-            for j, wj in enumerate(w):
-                if wj and self.entries[i][j]:
-                    total = total + vi * wj * self.entries[i][j]
-        return total
 
 
 def _sparse_rows(gram: GramForm) -> list[dict[int, PiScalar]]:

@@ -210,6 +210,145 @@ def test_graph_additivity_prop73_cases(capsys):
     assert (code, out) == (0, "s_kill: 0\nh_kill: 0\n")
 
 
+def _graph_doc():
+    """One Seifert piece glued to a hyperbolic piece, with one filled case."""
+    return {
+        "pieces": [
+            {"id": "P", "kind": "seifert", "genus": 1, "pairs": [[2, 1]], "slots": ["t"]},
+            {"id": "H", "kind": "hyperbolic", "label": "cusped", "slots": ["t"]},
+        ],
+        "edges": [
+            {"a": ["P", "t"], "b": ["H", "t"], "gluing": [[3, -4], [2, -3]],
+             "killed_slope": [2, 1]},
+        ],
+        "cases": [
+            {
+                "name": "filled",
+                "assignments": [
+                    {"piece": "P", "assign": "filled", "fillings": {"t": [2, 1]},
+                     "coeff": "1/4"},
+                    {"piece": "H", "assign": "direct", "exact": "0"},
+                ],
+            }
+        ],
+    }
+
+
+def _top_level_assignments(doc):
+    doc["assignments"] = doc.pop("cases")[0]["assignments"]
+    return doc
+
+
+def _fillings_as_pairs(doc):
+    # the README's form: a list of [slot, slope] pairs instead of an object
+    doc["cases"][0]["assignments"][0]["fillings"] = [["t", [2, 1]]]
+    return doc
+
+
+def test_graph_additivity_accepts_document_forms(capsys, tmp_path):
+    for doc in (
+        _graph_doc(),
+        _top_level_assignments(_graph_doc()),
+        _fillings_as_pairs(_graph_doc()),
+    ):
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "graph", "additivity", str(path))
+        assert (code, err) == (0, "")
+        assert out.endswith("1/4 * 4*pi^2\n")
+
+
+def _parent(doc, keys):
+    for key in keys[:-1]:
+        doc = doc[key]
+    return doc
+
+
+def _delete(*keys):
+    def mutate(doc):
+        del _parent(doc, keys)[keys[-1]]
+        return doc
+
+    return mutate
+
+
+def _set(value, *keys):
+    def mutate(doc):
+        _parent(doc, keys)[keys[-1]] = value
+        return doc
+
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda doc: [doc], "document: expected an object"),
+        (lambda doc: {"pieces": [{"name": "a"}], "edges": []}, "pieces[0].kind: missing"),
+        (_delete("pieces"), "pieces: missing"),
+        (_delete("pieces", 0, "id"), "pieces[0].id: missing"),
+        (_delete("pieces", 1, "kind"), "pieces[1].kind: missing"),
+        (_delete("pieces", 0, "slots"), "pieces[0].slots: missing"),
+        (_delete("pieces", 0, "genus"), "pieces[0].genus: missing"),
+        (_delete("edges", 0, "a"), "edges[0].a: missing"),
+        (_delete("edges", 0, "b"), "edges[0].b: missing"),
+        (_delete("edges", 0, "gluing"), "edges[0].gluing: missing"),
+        (_delete("cases", 0, "name"), "cases[0].name: missing"),
+        (_delete("cases", 0, "assignments", 1, "piece"), "cases[0].assignments[1].piece: missing"),
+        (_delete("cases", 0, "assignments", 0, "fillings"), "cases[0].assignments[0].fillings: missing"),
+        (_delete("cases", 0, "assignments", 0, "coeff"), "cases[0].assignments[0].coeff: missing"),
+        (_set("P", "pieces", 0), "pieces[0]: expected an object"),
+        (_set(["P", "t"], "edges", 0), "edges[0]: expected an object"),
+        (_set("H", "cases", 0, "assignments", 1), "cases[0].assignments[1]: expected an object"),
+        (
+            lambda doc: _set("H", "assignments", 1)(_top_level_assignments(doc)),
+            "assignments[1]: expected an object",
+        ),
+        (_set("P", "cases"), "cases: expected a list of objects"),
+        (_set(None, "pieces", 0, "genus"), "pieces[0]: malformed entry"),
+        (_set(["P"], "edges", 0, "a"), "edges[0]: malformed entry"),
+        (_set([[1, None], [0, 1]], "edges", 0, "gluing"), "edges[0]: malformed entry"),
+        (_set("1/0", "cases", 0, "assignments", 0, "coeff"), "cases[0].assignments[0]: malformed entry"),
+        (_set(3, "cases", 0, "killed_slopes"), "cases[0]: malformed entry"),
+    ],
+    ids=[
+        "top_level_list",
+        "piece_without_kind",
+        "pieces",
+        "piece_id",
+        "piece_kind",
+        "piece_slots",
+        "seifert_genus",
+        "edge_a",
+        "edge_b",
+        "edge_gluing",
+        "case_name",
+        "assignment_piece",
+        "assignment_fillings",
+        "assignment_coeff",
+        "piece_not_an_object",
+        "edge_not_an_object",
+        "case_assignment_not_an_object",
+        "top_level_assignment_not_an_object",
+        "cases_not_a_list",
+        "genus_null",
+        "endpoint_too_short",
+        "gluing_entry_null",
+        "coeff_division_by_zero",
+        "killed_slopes_not_a_list",
+    ],
+)
+@pytest.mark.parametrize("action", ["validate", "additivity"])
+def test_graph_malformed_document(capsys, tmp_path, action, mutate, message):
+    bad = tmp_path / "graph.json"
+    bad.write_text(json.dumps(mutate(_graph_doc())))
+    code, out, err = run(capsys, "graph", action, str(bad))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {message}")
+    assert err.count("\n") == 1
+
+
 def test_graph_rw(capsys, tmp_path):
     good = tmp_path / "good.json"
     good.write_text(

@@ -126,6 +126,26 @@ def test_validate_cross_edge_killed_slopes():
     assert any("declares" in p for p in problems)
 
 
+def test_validate_duplicate_ids_resolve_against_first_piece():
+    seifert = SeifertInvariants(genus=1, pairs=(), boundary_count=1)
+    pieces = (
+        Piece(id="P", kind="seifert", slots=("t",), seifert=seifert),
+        Piece(id="P", kind="seifert", slots=("u",), seifert=seifert),
+        Piece(id="P", kind="seifert", slots=("v",), seifert=seifert),
+        Piece(id="Q", kind="seifert", slots=("t",), seifert=seifert),
+    )
+    edges = (
+        Edge(a=("P", "t"), b=("Q", "t"), gluing=((0, 1), (1, 0))),
+        Edge(a=("P", "u"), b=("P", "v"), gluing=((0, 1), (1, 0))),
+    )
+    assert validate_spec(GraphManifoldSpec(pieces=pieces, edges=edges)) == [
+        "duplicate piece id 'P'",
+        "duplicate piece id 'P'",
+        "edge 1: piece P has no slot 'u'",
+        "edge 1: piece P has no slot 'v'",
+    ]
+
+
 def test_edge_push_to_b():
     edge = Edge(a=("P", "t"), b=("Q", "t"), gluing=((0, 1), (1, 0)))
     assert edge.push_to_b((2, 3)) == (3, 2)
@@ -181,6 +201,41 @@ def test_additivity_rejects_coefficient_outside_spectrum():
     ]
     with pytest.raises(ValueError, match="not in"):
         additivity_sum(spec, assignments)
+
+
+@pytest.mark.parametrize("filled, small", [("P", "Q"), ("Q", "P")])
+def test_additivity_rejects_filled_piece_on_edge_without_slope(filled, small):
+    spec = two_piece_spec(killed=None)
+    assignments = [
+        FilledSeifert(piece_id=filled, fillings=(("t", (2, 1)),), coeff=Fraction(0)),
+        SmallImage(piece_id=small),
+    ]
+    with pytest.raises(ValueError, match=f"edge at {filled}.t declares no killed slope"):
+        additivity_sum(spec, assignments)
+
+
+def test_additivity_uses_side_b_slope():
+    spec = two_piece_spec(killed=None)
+    edge = spec.edges[0]
+    # side a declares no slope: side b's can only come from killed_slope_b
+    only_b = GraphManifoldSpec(
+        spec.pieces,
+        (Edge(a=edge.a, b=edge.b, gluing=edge.gluing, killed_slope_b=(2, 1)),),
+    )
+    assert validate_spec(only_b) == []
+    filled_q = [
+        SmallImage(piece_id="P"),
+        FilledSeifert(piece_id="Q", fillings=(("t", (2, 1)),), coeff=Fraction(1, 4)),
+    ]
+    assert additivity_sum(only_b, filled_q) == ExactVolume(Fraction(1, 4))
+    with pytest.raises(ValueError, match="edge at P.t declares no killed slope"):
+        additivity_sum(
+            only_b,
+            [
+                FilledSeifert(piece_id="P", fillings=(("t", (2, 1)),), coeff=Fraction(0)),
+                SmallImage(piece_id="Q"),
+            ],
+        )
 
 
 def test_additivity_requires_full_assignment():
