@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 from . import covers as covers_mod
 from . import ehn, jsj, liecs, seifert
-from .exact import ExactVolume, render_volume
+from .exact import ExactVolume, parse_rational, render_volume
 
 
 def _fraction_arg(text: str) -> Fraction:
@@ -216,6 +216,31 @@ def _load_graph_file(path: str) -> jsj.GraphDocument:
         return jsj.load_graph_document(json.load(handle))
 
 
+def _load_ratio_file(path: str) -> tuple[list[str], list[tuple[str, str, Fraction]]]:
+    """The vertices and edges of a ``graph rw`` document.
+
+    A malformed document raises ``ValueError`` naming the path of the bad
+    part, such as ``edges[1]: expected [u, v, ratio]``.
+    """
+    with open(path, "r", encoding="utf-8") as handle:
+        doc = json.load(handle)
+    if not isinstance(doc, dict):
+        raise ValueError("document: expected an object with 'vertices' and 'edges'")
+    for key, entries in (("vertices", "names"), ("edges", "[u, v, ratio] rows")):
+        if key not in doc:
+            raise ValueError(f"{key}: missing")
+        if not isinstance(doc[key], list):
+            raise ValueError(f"{key}: expected a list of {entries}")
+    edges = []
+    for i, row in enumerate(doc["edges"]):
+        if not isinstance(row, list) or len(row) != 3:
+            raise ValueError(f"edges[{i}]: expected [u, v, ratio], got {row!r}")
+        u, v, ratio = row
+        ratio = parse_rational(str(ratio), f"edges[{i}][2]", "bad ratio {!r}")
+        edges.append((str(u), str(v), ratio))
+    return [str(v) for v in doc["vertices"]], edges
+
+
 def _cmd_graph(args: argparse.Namespace) -> int:
     if args.action == "validate":
         document = _load_graph_file(args.file)
@@ -252,13 +277,7 @@ def _cmd_graph(args: argparse.Namespace) -> int:
         return 0
 
     if args.action == "rw":
-        with open(args.file, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
-        vertices = [str(v) for v in doc["vertices"]]
-        edges = [
-            (str(u), str(v), Fraction(str(ratio))) for u, v, ratio in doc["edges"]
-        ]
-        result = jsj.rw_consistency(vertices, edges)
+        result = jsj.rw_consistency(*_load_ratio_file(args.file))
         if result.consistent:
             print("consistent")
             return 0

@@ -52,6 +52,23 @@ def rat_ceil(x: RationalLike) -> int:
     return math.ceil(Fraction(x))
 
 
+def parse_rational(value: object, path: str, problem: str) -> Fraction:
+    """The rational number that the string ``value`` spells: an integer,
+    a decimal or ``p/q``.
+
+    Anything else is a ``ValueError`` reading ``<path>: <problem>``, with
+    ``value`` formatted into ``problem``.  Exponent forms such as
+    ``'1e999999999'`` are refused too: ``Fraction`` would compute
+    ``10**999999999``, which never finishes.
+    """
+    if isinstance(value, str) and "e" not in value.lower():
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f"{path}: " + problem.format(value))
+
+
 _ZERO = Fraction(0)
 _new = object.__new__
 _set = object.__setattr__

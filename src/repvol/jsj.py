@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Hashable, Mapping, Optional, Sequence, Union
 
 from .ehn import volume_set
-from .exact import ExactVolume, NumericVolume, VolumeValue, volume_sum
+from .exact import ExactVolume, NumericVolume, VolumeValue, parse_rational, volume_sum
 from .seifert import SeifertInvariants, dehn_fill
 
 __all__ = [
@@ -323,97 +323,65 @@ def rw_consistency(
 
     Each directed edge (u, v, ratio) implicitly carries the reverse edge
     with the inverse ratio.  Ratios are multiplicative, so consistency
-    means every cycle multiplies to exactly 1; the check builds a
-    spanning forest of potentials and tests the remaining edges.  On
-    failure the fundamental cycle of the offending edge is returned with
-    its product, which is then necessarily != 1.
+    means every cycle multiplies to exactly 1; the check grows a
+    breadth-first spanning forest of potentials, each tree rooted at the
+    first vertex of its component in input order, and tests every edge
+    in input order.  On failure the fundamental cycle of the first
+    offending edge is returned with its product, which is then
+    necessarily != 1.  The cycle runs through the tree only, so it has at
+    most 2 * (eccentricity of its root) + 1 steps.
     """
-    vertex_list = list(vertices)
-    vertex_set = set(vertex_list)
+    # adjacency[u] lists (neighbour, ratio, whether u is the edge's tail)
+    adjacency: dict[Hashable, list[tuple[Hashable, Fraction, bool]]] = {
+        v: [] for v in vertices
+    }
     checked: list[tuple[Hashable, Hashable, Fraction]] = []
     for u, v, ratio in edges:
         ratio = Fraction(ratio)
-        if u not in vertex_set or v not in vertex_set:
+        if u not in adjacency or v not in adjacency:
             raise ValueError(f"edge ({u!r}, {v!r}) uses unknown vertices")
         if ratio <= 0:
             raise ValueError(f"edge ratio must be positive, got {ratio}")
         checked.append((u, v, ratio))
-
-    adjacency: dict[Hashable, list[tuple[Hashable, Fraction]]] = {
-        v: [] for v in vertex_list
-    }
-    for u, v, ratio in checked:
-        if u != v:
-            adjacency[u].append((v, ratio))
-            adjacency[v].append((u, 1 / ratio))
+        adjacency[u].append((v, ratio, True))
+        adjacency[v].append((u, ratio, False))
 
     potential: dict[Hashable, Fraction] = {}
-    # parent[v] = (parent vertex, ratio of the tree step parent -> v)
-    parent: dict[Hashable, Optional[tuple[Hashable, Fraction]]] = {}
-    for root in vertex_list:
+    # into[v] = (parent, v, ratio of the tree step parent -> v); roots have none
+    into: dict[Hashable, tuple[Hashable, Hashable, Fraction]] = {}
+    for root in adjacency:
         if root in potential:
             continue
         potential[root] = Fraction(1)
-        parent[root] = None
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            for v, ratio in adjacency[u]:
+        queue = [root]
+        for u in queue:
+            for v, ratio, forward in adjacency[u]:
                 if v in potential:
                     continue
-                potential[v] = potential[u] * ratio
-                parent[v] = (u, ratio)
-                stack.append(v)
+                step = ratio if forward else 1 / ratio
+                potential[v] = potential[u] * step
+                into[v] = (u, v, step)
+                queue.append(v)
 
     for u, v, ratio in checked:
         if potential[u] * ratio == potential[v]:
             continue
-        cycle = [(u, v, ratio)] + _tree_path(parent, v, u)
-        product = Fraction(1)
-        for _, _, step in cycle:
-            product *= step
+        v_steps, u_steps = [], []
+        for x, steps in ((v, v_steps), (u, u_steps)):
+            while x in into:
+                steps.append(into[x])
+                x = into[x][0]
+        # both walks end at the same root; the shared tail lies above the
+        # two endpoints' lowest common ancestor
+        while v_steps and u_steps and v_steps[-1] is u_steps[-1]:
+            v_steps.pop()
+            u_steps.pop()
+        cycle = [(u, v, ratio)]
+        cycle += [(child, parent, 1 / step) for parent, child, step in v_steps]
+        cycle += reversed(u_steps)
+        product = math.prod(step for _, _, step in cycle)
         return RWResult(consistent=False, witness_cycle=tuple(cycle), product=product)
     return RWResult(consistent=True)
-
-
-def _tree_path(
-    parent: Mapping[Hashable, Optional[tuple[Hashable, Fraction]]],
-    start: Hashable,
-    end: Hashable,
-) -> list[tuple[Hashable, Hashable, Fraction]]:
-    """Traversal steps start -> end inside the spanning forest."""
-
-    def path_to_root(x):
-        out = [x]
-        while parent[x] is not None:
-            x = parent[x][0]
-            out.append(x)
-        return out
-
-    up_start = path_to_root(start)
-    up_end = path_to_root(end)
-    common = None
-    in_start = {v: i for i, v in enumerate(up_start)}
-    for v in up_end:
-        if v in in_start:
-            common = v
-            break
-    if common is None:
-        raise ValueError(f"{start!r} and {end!r} lie in different components")
-    steps: list[tuple[Hashable, Hashable, Fraction]] = []
-    x = start
-    while x != common:
-        p, ratio = parent[x]
-        steps.append((x, p, 1 / ratio))
-        x = p
-    descend = []
-    x = end
-    while x != common:
-        p, ratio = parent[x]
-        descend.append((p, x, ratio))
-        x = p
-    steps.extend(reversed(descend))
-    return steps
 
 
 @dataclass(frozen=True)
@@ -543,9 +511,11 @@ def _edge_from_json(entry: Mapping, path: str) -> Edge:
     )
 
 
-def _volume_from_json(entry: Mapping) -> VolumeValue:
+def _volume_from_json(entry: Mapping, path: str) -> VolumeValue:
     if "exact" in entry:
-        return ExactVolume(Fraction(str(entry["exact"])))
+        return ExactVolume(
+            parse_rational(str(entry["exact"]), path, "malformed entry (bad exact {!r})")
+        )
     if "numeric" in entry:
         return NumericVolume(float(entry["numeric"]))
     raise ValueError(f"direct assignment {entry!r} needs 'exact' or 'numeric'")
@@ -557,10 +527,12 @@ def _assignment_from_json(entry: Mapping, path: str) -> PieceAssignment:
     if kind == "small_image":
         return SmallImage(piece_id)
     if kind == "direct":
-        return DirectVolume(piece_id, _volume_from_json(entry))
+        return DirectVolume(piece_id, _volume_from_json(entry, path))
     if kind == "filled":
         fillings = _field(entry, "fillings", path)
-        coeff = Fraction(str(_field(entry, "coeff", path)))
+        coeff = parse_rational(
+            str(_field(entry, "coeff", path)), path, "malformed entry (bad coeff {!r})"
+        )
         return FilledSeifert(piece_id, fillings, coeff)
     raise ValueError(f"assignment {entry!r} needs assign: small_image|direct|filled")
 

@@ -30,6 +30,7 @@ from .exact import (
     PI_ONE,
     PI_ZERO,
     PiScalar,
+    parse_rational,
 )
 
 __all__ = [
@@ -597,13 +598,9 @@ def sl2c_gram() -> GramForm:
 def _coeff_from_json(value, path: str) -> PiScalar:
     if isinstance(value, int) and not isinstance(value, bool):
         return PiScalar.of(value)
-    # An exponent such as '1e999999999' would build a huge integer.
-    if isinstance(value, str) and "e" not in value.lower():
-        try:
-            return PiScalar.of(Fraction(value))
-        except (ValueError, ZeroDivisionError):
-            pass
-    raise ValueError(f"{path}: bad structure constant {value!r} (use int or 'p/q')")
+    return PiScalar.of(
+        parse_rational(value, path, "bad structure constant {!r} (use int or 'p/q')")
+    )
 
 
 def algebra_from_json(doc: Mapping) -> LieAlgebraSpec:

@@ -377,6 +377,87 @@ def test_graph_rw(capsys, tmp_path):
     assert err.startswith("error: ")
 
 
+def _ratio_doc(*edges):
+    return {"vertices": ["a", "b"], "edges": [list(edge) for edge in edges]}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ([1], "document: expected an object"),
+        ({"edges": []}, "vertices: missing"),
+        ({"vertices": ["a"]}, "edges: missing"),
+        ({"vertices": "ab", "edges": []}, "vertices: expected a list of names"),
+        ({"vertices": ["a"], "edges": 5}, "edges: expected a list of [u, v, ratio] rows"),
+        (_ratio_doc(("a", "b", "2"), ("a", "b")), "edges[1]: expected [u, v, ratio]"),
+        (_ratio_doc(("a", "b", "2"), "ab"), "edges[1]: expected [u, v, ratio]"),
+        (_ratio_doc(("a", "b", "1/0")), "edges[0][2]: bad ratio '1/0'"),
+        (_ratio_doc(("a", "b", "two")), "edges[0][2]: bad ratio 'two'"),
+        (_ratio_doc(("a", "b", 1e-07)), "edges[0][2]: bad ratio '1e-07'"),
+    ],
+    ids=[
+        "top_level_list",
+        "vertices",
+        "edges",
+        "vertices_a_string",
+        "edges_not_a_list",
+        "row_too_short",
+        "row_not_a_list",
+        "ratio_division_by_zero",
+        "ratio_not_a_number",
+        "ratio_float_in_exponent_form",
+    ],
+)
+def test_graph_rw_malformed_document(capsys, tmp_path, doc, message):
+    bad = tmp_path / "ratios.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "graph", "rw", str(bad))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {message}")
+    assert err.count("\n") == 1
+
+
+# An exponent string: Fraction would compute 10**999999999 and never finish.
+HUGE = "1e999999999"
+
+
+@pytest.mark.parametrize(
+    "argv, doc, message",
+    [
+        (
+            ("cs", "jacobi"),
+            {"basis": ["A", "B"], "brackets": [["A", "B", {"A": HUGE}]]},
+            f"brackets[0][2].A: bad structure constant '{HUGE}' (use int or 'p/q')",
+        ),
+        (
+            ("graph", "validate"),
+            _set(HUGE, "cases", 0, "assignments", 0, "coeff")(_graph_doc()),
+            f"cases[0].assignments[0]: malformed entry (bad coeff '{HUGE}')",
+        ),
+        (
+            ("graph", "additivity"),
+            _set(HUGE, "cases", 0, "assignments", 1, "exact")(_graph_doc()),
+            f"cases[0].assignments[1]: malformed entry (bad exact '{HUGE}')",
+        ),
+        (
+            ("graph", "additivity"),
+            _set(1e-07, "cases", 0, "assignments", 0, "coeff")(_graph_doc()),
+            "cases[0].assignments[0]: malformed entry (bad coeff '1e-07')",
+        ),
+        (("graph", "rw"), _ratio_doc(("a", "b", HUGE)), f"edges[0][2]: bad ratio '{HUGE}'"),
+    ],
+    ids=["structure_constant", "coeff", "exact", "coeff_float_in_exponent_form", "ratio"],
+)
+def test_exponent_rationals_are_refused(capsys, tmp_path, argv, doc, message):
+    bad = tmp_path / "doc.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, *argv, str(bad))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 # ---------------------------------------------------------------- covers
 
 

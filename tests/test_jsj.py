@@ -3,6 +3,7 @@ cycle consistency, and the torus-knot gluing family."""
 
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 from importlib import resources
@@ -453,3 +454,42 @@ def test_rw_matches_exhaustive_oracle_randomized():
             for _, _, ratio in result.witness_cycle:
                 product *= ratio
             assert product == result.product != 1
+
+
+def test_rw_witness_is_a_short_fundamental_cycle():
+    # A ratio graph like the planted ones of the benchmark: a random
+    # spanning tree plus V extra edges, ratios read off vertex potentials,
+    # and one extra edge scaled so that it closes an inconsistent cycle.
+    rng = random.Random(20261018)
+    v = 2000
+    potential = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(v)]
+    pairs = [(rng.randrange(i), i) for i in range(1, v)]
+    pairs += [tuple(rng.sample(range(v), 2)) for _ in range(v)]
+    edges = [(a, b, potential[b] / potential[a]) for a, b in pairs]
+    k = rng.randrange(v - 1, len(edges))
+    a, b, ratio = edges[k]
+    edges[k] = (a, b, ratio * Fraction(3, 2))
+
+    result = rw_consistency(list(range(v)), edges)
+    assert not result.consistent
+    cycle = result.witness_cycle
+    steps = {(a, b, r) for a, b, r in edges} | {(b, a, 1 / r) for a, b, r in edges}
+    for (u, w, r), (following, _, _) in zip(cycle, cycle[1:] + cycle[:1]):
+        assert w == following
+        assert (u, w, r) in steps
+    assert math.prod(r for _, _, r in cycle) == result.product != 1
+
+    # The forest is breadth-first from vertex 0, so the cycle climbs from
+    # each end of the offending edge at most ecc(0) tree steps.
+    neighbours = {x: [] for x in range(v)}
+    for a, b, _ in edges:
+        neighbours[a].append(b)
+        neighbours[b].append(a)
+    distance = {0: 0}
+    queue = [0]
+    for x in queue:
+        for y in neighbours[x]:
+            if y not in distance:
+                distance[y] = distance[x] + 1
+                queue.append(y)
+    assert len(cycle) <= 2 * max(distance.values()) + 1
