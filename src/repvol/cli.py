@@ -68,8 +68,21 @@ def _witness_payload(witnesses) -> list[dict]:
     ]
 
 
+# Spectra whose value bound exceeds this are refused unless --max-values
+# raises it.  The cost grows with the bound: (1; 1/571, 1/577), bound
+# 988401, prints its 493627 values in about 7 s on a 2-CPU machine.
+MAX_VALUES = 1_000_000
+
+
 def _cmd_seifert(args: argparse.Namespace) -> int:
     inv = seifert.parse_seifert(args.notation)
+    if args.action in ("volumes", "witnesses"):
+        estimate = ehn.spectrum_size_bound(inv)
+        if estimate > args.max_values:
+            raise ValueError(
+                f"spectrum too large: up to {estimate} values, over the limit of "
+                f"{args.max_values} (raise it with --max-values)"
+            )
     if args.coeff is not None:
         found = ehn.witnesses_for(inv, args.coeff)
         if args.json:
@@ -216,6 +229,12 @@ def _load_graph_file(path: str) -> jsj.GraphDocument:
         return jsj.load_graph_document(json.load(handle))
 
 
+def _require_name(value, path: str) -> None:
+    # names stay strings: JSON 1, "1" and null would all read as one vertex
+    if not isinstance(value, str):
+        raise ValueError(f"{path}: expected a string, got {value!r}")
+
+
 def _load_ratio_file(path: str) -> tuple[list[str], list[tuple[str, str, Fraction]]]:
     """The vertices and edges of a ``graph rw`` document.
 
@@ -231,14 +250,18 @@ def _load_ratio_file(path: str) -> tuple[list[str], list[tuple[str, str, Fractio
             raise ValueError(f"{key}: missing")
         if not isinstance(doc[key], list):
             raise ValueError(f"{key}: expected a list of {entries}")
+    for i, name in enumerate(doc["vertices"]):
+        _require_name(name, f"vertices[{i}]")
     edges = []
     for i, row in enumerate(doc["edges"]):
         if not isinstance(row, list) or len(row) != 3:
             raise ValueError(f"edges[{i}]: expected [u, v, ratio], got {row!r}")
+        for j in (0, 1):
+            _require_name(row[j], f"edges[{i}][{j}]")
         u, v, ratio = row
         ratio = parse_rational(str(ratio), f"edges[{i}][2]", "bad ratio {!r}")
-        edges.append((str(u), str(v), ratio))
-    return [str(v) for v in doc["vertices"]], edges
+        edges.append((u, v, ratio))
+    return doc["vertices"], edges
 
 
 def _cmd_graph(args: argparse.Namespace) -> int:
@@ -370,6 +393,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true")
         if action == "witnesses":
             p.add_argument("coeff", type=_fraction_arg, help="coefficient of 4*pi^2")
+        if action in ("volumes", "witnesses"):
+            p.add_argument(
+                "--max-values",
+                type=int,
+                default=MAX_VALUES,
+                metavar="N",
+                help=f"refuse spectra that may exceed N values (default {MAX_VALUES})",
+            )
         if action in ("volumes", "sv"):
             p.add_argument("--decimal", action="store_true")
         if action == "volumes":

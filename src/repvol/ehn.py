@@ -14,13 +14,23 @@ in units of 4*pi^2 for some such tuple.  Shifting any n_i by a_i while
 shifting n by 1 changes neither the constraints nor the value, so the
 residues 0 <= r_i < a_i with 2 - 2g <= m <= 2g - 2 + #{i : r_i > 0}
 already give the whole spectrum.  The value sees the residues only
-through s = sum(r_i * lcm/a_i), so ``volume_set`` folds the fibres into
-a sumset mapping each s to the most nonzero residues reaching it; that
-is exact, since only the upper end of the m range depends on the count
-and grows with it.  ``witnesses_for`` backtracks through the same layers
-and prunes branches that cannot reach the count they still need, so its
-cost follows the output.  ``volume_set_bruteforce`` tests the defining
-constraints over a plain integer window and shares no code with either.
+through s = sum(r_i * lcm/a_i), as t^2 * E_den / (lcm^2 * |E_num|) with
+t = s - m * lcm and e = E_num / E_den, so ``volume_set`` folds the fibres
+into a sumset mapping each s to the most nonzero residues reaching it;
+that is exact, since only the upper end of the m range depends on the
+count and grows with it.  One lookup per m in that sumset decides
+whether a coefficient is in the spectrum (``spectrum_contains``).
+``witnesses_for`` backtracks through the same layers and prunes branches
+that cannot reach the count they still need, so its cost follows the
+output; each witness is derived once, in integers over the common
+denominator lcm * E_num, and checked by integer tests.
+
+The maximum needs no enumeration: the largest |t| is |chi| * lcm,
+attained by the residues a_i - 1 with m = 2 - 2g, so
+``seifert_volume_max`` builds that one witness through the validating
+constructor, in O(p), and checks its coefficient against chi^2/|e|.
+``volume_set_bruteforce`` tests the defining constraints over a plain
+integer window and shares no code with any of these.
 """
 
 from __future__ import annotations
@@ -101,6 +111,46 @@ def volume_set(inv: SeifertInvariants) -> list[Fraction]:
     return [Fraction(t * t * scale, denom) for t in sorted(t_abs)]
 
 
+def spectrum_size_bound(inv: SeifertInvariants) -> int:
+    """Upper bound on ``len(volume_set(inv))``, in O(p) and without the sumset.
+
+    The sumset holds at most min(prod(a_i), sum((a_i - 1) * lcm/a_i) + 1)
+    residue sums, and each gives at most 4g - 3 + p offsets m.  Not in
+    ``__all__``; the CLI reads it to refuse a spectrum too large to build.
+    """
+    lcm = _spectrum_data(inv)[0]
+    moduli = [a for a, _ in inv.pairs]
+    sums = min(math.prod(moduli), sum((a - 1) * (lcm // a) for a in moduli) + 1)
+    return sums * (4 * inv.genus - 3 + len(moduli))
+
+
+def _offsets(
+    inv: SeifertInvariants, coeff: Fraction, lcm: int, scale: int, denom: int, sums: dict[int, int]
+) -> list[tuple[int, int]]:
+    """The pairs (t, m) attaining ``coeff``: t^2 * scale / denom == coeff and
+    s = t + m * lcm is in ``sums`` with at least m - (2g - 2) nonzero residues."""
+    t_sq, rest = divmod(coeff.numerator * denom, coeff.denominator * scale)
+    t_abs = math.isqrt(max(t_sq, 0))
+    roots = {t_abs, -t_abs} if rest == 0 and t_sq == t_abs * t_abs else set()
+    lo, hi = 2 - 2 * inv.genus, 2 * inv.genus - 2
+    return [
+        (t, m)
+        for t, m in itertools.product(roots, range(lo, hi + len(inv.pairs) + 1))
+        if sums.get(t + m * lcm, m - hi - 1) >= m - hi
+    ]
+
+
+def spectrum_contains(inv: SeifertInvariants, coeff: Fraction) -> bool:
+    """Whether ``coeff`` is in ``volume_set(inv)``, without building it.
+
+    It is the t^2 lattice test plus one sumset lookup per offset m.  Not
+    in ``__all__``; ``jsj.additivity_sum`` checks assignments with it.
+    """
+    lcm, scale, denom, steps = _spectrum_data(inv)
+    sums = functools.reduce(_add_fibre, steps, {0: 0})
+    return bool(_offsets(inv, Fraction(coeff), lcm, scale, denom, sums))
+
+
 def volume_set_bruteforce(inv: SeifertInvariants, bound: int | None = None) -> list[Fraction]:
     """Same spectrum from the defining constraints over a finite window.
 
@@ -142,12 +192,46 @@ def volume_set_bruteforce(inv: SeifertInvariants, bound: int | None = None) -> l
     return sorted(values)
 
 
+def _witness_fields(
+    inv: SeifertInvariants, lcm: int, e: Fraction, n_values: tuple[int, ...], n: int
+) -> tuple[int, dict]:
+    """t and every ``VolumeWitness`` field but ``coeff`` of the data (n_values, n).
+
+    With t = sum(n_i * lcm/a_i) - n * lcm, so that sum(n_i/a_i) - n = t/lcm,
+    and e = E_num / E_den, each field is an integer over the common
+    denominator lcm * E_num: zeta = t * E_den / (lcm * E_num) and
+    z_i = (n_i * lcm * E_num - b_i * t * E_den) / (a_i * lcm * E_num).  The
+    coefficient is t^2 * E_den / (lcm^2 * |E_num|).
+    """
+    t = sum(ni * (lcm // a) for ni, (a, _) in zip(n_values, inv.pairs)) - n * lcm
+    common = lcm * e.numerator
+    shift = t * e.denominator
+    return t, {
+        "inv": inv,
+        "n_values": n_values,
+        "n": n,
+        "zeta": Fraction(shift, common),
+        "z_values": tuple(
+            Fraction(ni * common - b * shift, a * common) for ni, (a, b) in zip(n_values, inv.pairs)
+        ),
+    }
+
+
 def seifert_volume_max(inv: SeifertInvariants) -> Fraction:
-    """Largest coefficient; must agree with chi^2/|e| or something is wrong."""
-    spectrum = volume_set(inv)
-    enumerated = spectrum[-1]
+    """Largest coefficient; must agree with chi^2/|e| or something is wrong.
+
+    It is read off one witness, in O(p): the residues a_i - 1 with
+    m = 2 - 2g give the largest |t| = |chi| * lcm.  That witness goes
+    through the validating constructor.
+    """
+    _require_volume_input(inv)
+    lcm = math.lcm(*(a for a, _ in inv.pairs))
+    e = euler_number(inv)
+    t, fields = _witness_fields(inv, lcm, e, tuple(a - 1 for a, _ in inv.pairs), 2 - 2 * inv.genus)
+    coeff = Fraction(t * t * e.denominator, lcm * lcm * abs(e.numerator))
+    enumerated = VolumeWitness(**fields, coeff=coeff).coeff
     chi = orbifold_chi(inv)
-    closed_form = chi * chi / abs(euler_number(inv))
+    closed_form = chi * chi / abs(e)
     if enumerated != closed_form:
         raise RuntimeError(
             f"volume maximum mismatch: enumeration gives {enumerated}, "
@@ -176,22 +260,19 @@ class VolumeWitness:
         inv = self.inv
         if len(self.n_values) != len(inv.pairs):
             raise ValueError("witness length does not match exceptional data")
-        slopes = [Fraction(ni, a) for ni, (a, _) in zip(self.n_values, inv.pairs)]
         g = inv.genus
-        if sum(rat_floor(s) for s in slopes) - self.n > 2 * g - 2:
+        if sum(ni // a for ni, (a, _) in zip(self.n_values, inv.pairs)) - self.n > 2 * g - 2:
             raise ValueError("witness violates the floor inequality")
-        if sum(rat_ceil(s) for s in slopes) - self.n < 2 - 2 * g:
+        if sum(-(-ni // a) for ni, (a, _) in zip(self.n_values, inv.pairs)) - self.n < 2 - 2 * g:
             raise ValueError("witness violates the ceiling inequality")
         e = euler_number(inv)
-        total = sum(slopes, Fraction(0)) - self.n
-        if self.zeta != total / e:
+        lcm = math.lcm(*(a for a, _ in inv.pairs))
+        t, fields = _witness_fields(inv, lcm, e, self.n_values, self.n)
+        if self.zeta != fields["zeta"]:
             raise ValueError("witness zeta does not match its data")
-        expected_z = tuple(
-            s - Fraction(b, a) * self.zeta for s, (a, b) in zip(slopes, inv.pairs)
-        )
-        if tuple(self.z_values) != expected_z:
+        if tuple(self.z_values) != fields["z_values"]:
             raise ValueError("witness z-values do not match its data")
-        if self.coeff != total * total / abs(e):
+        if self.coeff != Fraction(t * t * e.denominator, lcm * lcm * abs(e.numerator)):
             raise ValueError("witness coefficient does not match its data")
 
 
@@ -199,10 +280,10 @@ def witnesses_for(inv: SeifertInvariants, coeff: Fraction) -> list[VolumeWitness
     """All canonical tuples attaining ``coeff``, as full witnesses."""
     lcm, scale, denom, steps = _spectrum_data(inv)
     coeff = Fraction(coeff)
-    t_sq = coeff * denom / scale
-    t_abs = math.isqrt(max(t_sq.numerator, 0))
-    roots = {t_abs, -t_abs} if t_sq == t_abs * t_abs else set()
     layers = list(itertools.accumulate(steps, _add_fibre, initial={0: 0}))
+    offsets = _offsets(inv, coeff, lcm, scale, denom, layers[-1])
+    if not offsets:
+        raise ValueError(f"coefficient {coeff} is not in the volume spectrum")
 
     def tuples(k: int, s: int, need: int) -> Iterator[tuple[int, ...]]:
         # residues of the first k fibres summing to s, >= need of them nonzero
@@ -218,24 +299,17 @@ def witnesses_for(inv: SeifertInvariants, coeff: Fraction) -> list[VolumeWitness
     e = euler_number(inv)
     lo, hi = 2 - 2 * inv.genus, 2 * inv.genus - 2
     found = []
-    for t, m in itertools.product(roots, range(lo, hi + len(steps) + 1)):
+    for t, m in offsets:
         for residues in tuples(len(steps), t + m * lcm, m - hi):
-            slopes = [Fraction(r, a) for r, (a, _) in zip(residues, inv.pairs)]
-            zeta = (sum(slopes, Fraction(0)) - m) / e
-            z_values = tuple(
-                s - Fraction(b, a) * zeta for s, (a, b) in zip(slopes, inv.pairs)
-            )
-            found.append(
-                VolumeWitness(
-                    inv=inv,
-                    n_values=residues,
-                    n=m,
-                    zeta=zeta,
-                    z_values=z_values,
-                    coeff=coeff,
-                )
-            )
-    if not found:
-        raise ValueError(f"coefficient {coeff} is not in the volume spectrum")
+            # canonical residues: floor(r_i/a_i) = 0 and ceil(r_i/a_i) = [r_i > 0]
+            count = len(residues) - residues.count(0)
+            t_w, fields = _witness_fields(inv, lcm, e, residues, m)
+            if m < lo or count - m < lo or t_w * t_w * scale * coeff.denominator != coeff.numerator * denom:
+                raise RuntimeError(f"witness {residues}, {m} fails its own constraints")
+            # built past __post_init__: the integer tests above check what it
+            # would re-derive in Fractions
+            witness = object.__new__(VolumeWitness)
+            witness.__dict__.update(fields, coeff=coeff)
+            found.append(witness)
     found.sort(key=lambda w: (w.n, w.n_values))
     return found

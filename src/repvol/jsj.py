@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Hashable, Mapping, Optional, Sequence, Union
 
-from .ehn import volume_set
+from .ehn import spectrum_contains
 from .exact import ExactVolume, NumericVolume, VolumeValue, parse_rational, volume_sum
 from .seifert import SeifertInvariants, dehn_fill
 
@@ -294,8 +294,7 @@ def additivity_sum(
                 [_normalize_slope(filled_slots[slot]) for slot in piece.slots],
                 existing_pairs=inv.pairs,
             )
-            spectrum = volume_set(closed)
-            if assignment.coeff not in spectrum:
+            if not spectrum_contains(closed, assignment.coeff):
                 raise ValueError(
                     f"piece {piece.id}: coefficient {assignment.coeff} is not in "
                     f"the spectrum of the filled piece {closed}"

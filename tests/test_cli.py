@@ -2,7 +2,12 @@
 JSON mode, and error-stream behavior."""
 
 import json
+import os
+import subprocess
+import sys
+import time
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -78,6 +83,54 @@ def test_sv(capsys):
         "max (enumeration) 1 * 4*pi^2\n"
         "max (closed form) 1 * 4*pi^2\n"
     )
+
+
+# Two fibres of prime order near 10^6: the sumset would hold about 10^12
+# residue sums, while the maximum is one closed-form witness.
+HUGE_FIBRES = "(1; 1/1000003, 1/1000033)"
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("sv", HUGE_FIBRES), 0),
+        (("volumes", HUGE_FIBRES), 1),
+        (("witnesses", HUGE_FIBRES, "0"), 1),
+        (("volumes", HUGE_FIBRES, "--witnesses", "0"), 1),
+    ],
+    ids=["sv", "volumes", "witnesses", "volumes_witnesses_flag"],
+)
+def test_huge_spectrum_answers_or_fails_fast(argv, code):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "repvol.cli", "seifert", *argv],
+        capture_output=True, text=True, env=env, timeout=30,
+    )
+    elapsed = time.perf_counter() - start
+    assert done.returncode == code, done.stderr
+    if code == 0:
+        assert done.stdout.startswith("max (enumeration) ") and done.stderr == ""
+    else:
+        assert done.stdout == ""
+        assert done.stderr == (
+            "error: spectrum too large: up to 3000108000297 values, over the limit "
+            "of 1000000 (raise it with --max-values)\n"
+        )
+    assert elapsed < 0.5
+
+
+def test_max_values_sets_the_budget(capsys):
+    # (1; 1/2, 1/2): at most min(2 * 2, 1 + 1 + 1) = 3 sums, times
+    # 4g - 3 + p = 3 offsets, bound 9 values (the spectrum has 3)
+    code, out, err = run(capsys, "seifert", "volumes", "(1; 1/2, 1/2)", "--max-values", "8")
+    assert (code, out) == (1, "")
+    assert err == "error: spectrum too large: up to 9 values, over the limit of 8 (raise it with --max-values)\n"
+    code, out, _ = run(capsys, "seifert", "witnesses", "(1; 1/2, 1/2)", "1", "--max-values", "8")
+    assert code == 1
+    code, out, _ = run(capsys, "seifert", "volumes", "(1; 1/2, 1/2)", "--max-values", "9")
+    assert (code, out) == (0, "0\n1/4 * 4*pi^2\n1 * 4*pi^2\n")
 
 
 def test_foliation(capsys):
@@ -394,6 +447,9 @@ def _ratio_doc(*edges):
         (_ratio_doc(("a", "b", "1/0")), "edges[0][2]: bad ratio '1/0'"),
         (_ratio_doc(("a", "b", "two")), "edges[0][2]: bad ratio 'two'"),
         (_ratio_doc(("a", "b", 1e-07)), "edges[0][2]: bad ratio '1e-07'"),
+        ({"vertices": [1, "1", None], "edges": []}, "vertices[0]: expected a string, got 1"),
+        ({"vertices": ["1", "2"], "edges": [[1, "1", "2"]]}, "edges[0][0]: expected a string, got 1"),
+        ({"vertices": ["1", "2"], "edges": [["1", None, "2"]]}, "edges[0][1]: expected a string, got None"),
     ],
     ids=[
         "top_level_list",
@@ -406,6 +462,9 @@ def _ratio_doc(*edges):
         "ratio_division_by_zero",
         "ratio_not_a_number",
         "ratio_float_in_exponent_form",
+        "vertex_name_not_a_string",
+        "edge_start_not_a_string",
+        "edge_end_not_a_string",
     ],
 )
 def test_graph_rw_malformed_document(capsys, tmp_path, doc, message):

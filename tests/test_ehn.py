@@ -10,10 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repvol import ehn
 from repvol.ehn import (
     VolumeWitness,
     foliation_exists,
     seifert_volume_max,
+    spectrum_contains,
+    spectrum_size_bound,
     volume_set,
     volume_set_bruteforce,
     witnesses_for,
@@ -26,14 +29,14 @@ from repvol.seifert import (
 )
 
 
-def sl2r_invariants(max_genus=2, max_fibers=3, max_a=4):
+def sl2r_invariants(max_genus=2, max_fibers=3, max_a=4, min_a=2):
     """Strategy for closed invariants carrying the relevant geometry."""
 
     def pair(a_b):
         a, b = a_b
         return math.gcd(a, abs(b)) == 1
 
-    pairs = st.tuples(st.integers(2, max_a), st.integers(-max_a, max_a)).filter(pair)
+    pairs = st.tuples(st.integers(min_a, max_a), st.integers(-max_a, max_a)).filter(pair)
     return (
         st.builds(
             SeifertInvariants,
@@ -114,6 +117,32 @@ def test_maximum_closed_form(inv):
     expected = chi * chi / abs(euler_number(inv))
     assert seifert_volume_max(inv) == expected
     assert volume_set(inv)[-1] == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(sl2r_invariants(max_genus=3, max_fibers=5, max_a=9, min_a=1))
+def test_maximum_is_the_top_of_the_spectrum(inv):
+    # fibres with a_i = 1 put the closed-form witness's residue at 0
+    assert seifert_volume_max(inv) == volume_set(inv)[-1]
+
+
+def test_maximum_mismatch_raises(monkeypatch):
+    inv = parse_seifert("(2; 1/4, 1/4, 1/4, 1/6, 1/6, 1/6, 1/12)")
+    monkeypatch.setattr(ehn, "orbifold_chi", lambda inv: orbifold_chi(inv) - 1)
+    with pytest.raises(RuntimeError, match="volume maximum mismatch"):
+        seifert_volume_max(inv)
+
+
+@settings(max_examples=40, deadline=None)
+@given(sl2r_invariants(max_genus=3, max_fibers=4, max_a=6), st.data())
+def test_spectrum_contains_matches_volume_set(inv, data):
+    spectrum = volume_set(inv)
+    assert len(spectrum) <= spectrum_size_bound(inv)
+    members = set(spectrum)
+    near = [c + delta for c in spectrum for delta in (Fraction(-1, 7), Fraction(1, 2), Fraction(1))]
+    probes = data.draw(st.lists(st.sampled_from(spectrum + near), min_size=1, max_size=12))
+    for coeff in probes + [Fraction(-1), spectrum[-1] * 4]:
+        assert spectrum_contains(inv, coeff) == (coeff in members)
 
 
 def test_zero_always_in_spectrum():
@@ -241,3 +270,80 @@ def test_forty_fibres_finish_through_the_sumset():
         ((1,) * 40, 0),
         ((1,) * 40, 40),
     ]
+
+
+def _fraction_witness_fields(inv, n_values, n):
+    """zeta, z-values and coefficient of (n_values, n) from the defining
+    formulas, in Fractions; shares no code with ``repvol.ehn``."""
+    e = sum((Fraction(b, a) for a, b in inv.pairs), Fraction(0))
+    total = sum((Fraction(r, a) for r, (a, _) in zip(n_values, inv.pairs)), Fraction(0)) - n
+    zeta = total / e
+    z_values = tuple(Fraction(r, a) - Fraction(b, a) * zeta for r, (a, b) in zip(n_values, inv.pairs))
+    return zeta, z_values, total * total / abs(e)
+
+
+def _assert_witnesses_exact(inv, coeff):
+    found = witnesses_for(inv, coeff)
+    assert found
+    for w in found:
+        zeta, z_values, value = _fraction_witness_fields(inv, w.n_values, w.n)
+        assert (w.inv, w.zeta, w.z_values, w.coeff, value) == (inv, zeta, z_values, coeff, coeff)
+        assert type(w.n) is int and all(type(r) is int for r in w.n_values)
+        assert all(type(x) is Fraction for x in (w.zeta, w.coeff, *w.z_values))
+        # the public constructor re-derives and checks every field
+        assert VolumeWitness(
+            inv=inv, n_values=w.n_values, n=w.n, zeta=w.zeta, z_values=w.z_values, coeff=w.coeff
+        ) == w
+
+
+@settings(max_examples=25, deadline=None)
+@given(sl2r_invariants(max_genus=2, max_fibers=4, max_a=6), st.data())
+def test_integer_witnesses_match_fraction_formulas(inv, data):
+    spectrum = volume_set(inv)
+    for coeff in data.draw(st.lists(st.sampled_from(spectrum), min_size=1, max_size=3, unique=True)):
+        _assert_witnesses_exact(inv, coeff)
+
+
+@pytest.mark.parametrize(
+    "text, coeff, count",
+    [
+        ("(1; " + ", ".join(["1/2"] * 14) + ")", Fraction(121, 28), 756),
+        ("(2; 1/4, 1/4, 1/4, 1/6, 1/6, 1/6, 1/12)", Fraction(507, 16), 1268),
+    ],
+    ids=["fourteen_halves", "roadmap_symbol"],
+)
+def test_integer_witnesses_match_fraction_formulas_on_large_sets(text, coeff, count):
+    inv = parse_seifert(text)
+    assert len(witnesses_for(inv, coeff)) == count
+    _assert_witnesses_exact(inv, coeff)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sl2r_invariants(max_genus=2, max_fibers=3, max_a=6),
+    st.data(),
+    st.sampled_from(["none", "zeta", "z_values", "coeff"]),
+)
+def test_constructor_accepts_exactly_the_defining_data(inv, data, corrupt):
+    # any integers, not only canonical residues; the oracle is written here
+    n_values = tuple(data.draw(st.integers(-2 * a, 2 * a)) for a, _ in inv.pairs)
+    n = data.draw(st.integers(-6, 6))
+    zeta, z_values, coeff = _fraction_witness_fields(inv, n_values, n)
+    g = inv.genus
+    admissible = (
+        sum(math.floor(Fraction(r, a)) for r, (a, _) in zip(n_values, inv.pairs)) - n <= 2 * g - 2
+        and sum(math.ceil(Fraction(r, a)) for r, (a, _) in zip(n_values, inv.pairs)) - n >= 2 - 2 * g
+    )
+    if corrupt == "zeta":
+        zeta += Fraction(1, 3)
+    elif corrupt == "z_values" and z_values:
+        z_values = (z_values[0] - 1, *z_values[1:])
+    elif corrupt == "coeff":
+        coeff += 1
+    valid = admissible and (corrupt == "none" or (corrupt == "z_values" and not z_values))
+    fields = dict(inv=inv, n_values=n_values, n=n, zeta=zeta, z_values=z_values, coeff=coeff)
+    if valid:
+        assert VolumeWitness(**fields).coeff == coeff
+    else:
+        with pytest.raises(ValueError, match="witness"):
+            VolumeWitness(**fields)
