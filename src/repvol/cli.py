@@ -4,7 +4,8 @@ Subcommands mirror the library: ``seifert`` for invariants and volume
 spectra, ``cs`` for the symbolic form identities, ``graph`` for JSJ
 specs, ``covers`` for elevation arithmetic, ``cases`` for worked
 families.  Exit codes: 0 success, 1 domain error (one line on stderr),
-2 usage error.  All output is computed before anything is printed.
+2 usage error, 3 internal invariant failure (one line on stderr).  All
+output is computed before anything is printed.
 """
 
 from __future__ import annotations
@@ -17,14 +18,14 @@ from typing import Optional, Sequence
 
 from . import covers as covers_mod
 from . import ehn, jsj, liecs, seifert
-from .exact import ExactVolume, parse_rational, render_volume
+from .exact import ExactVolume, _document, _field, _list, _name, parse_rational, render_volume
 
 
 def _fraction_arg(text: str) -> Fraction:
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
+        return parse_rational(text, "not a rational number", "{!r}")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _int_list(text: str) -> list[int]:
@@ -32,6 +33,11 @@ def _int_list(text: str) -> list[int]:
         return [int(part) for part in text.split(",") if part.strip() != ""]
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}")
+
+
+def _read_json(path: str):
+    with open(path, "r", encoding="utf-8") as handle:
+        return json.load(handle)
 
 
 def _emit(lines: Sequence[str]) -> None:
@@ -68,21 +74,13 @@ def _witness_payload(witnesses) -> list[dict]:
     ]
 
 
-# Spectra whose value bound exceeds this are refused unless --max-values
-# raises it.  The cost grows with the bound: (1; 1/571, 1/577), bound
-# 988401, prints its 493627 values in about 7 s on a 2-CPU machine.
-MAX_VALUES = 1_000_000
+_MAX_VALUES_HINT = " (raise it with --max-values)"
 
 
 def _cmd_seifert(args: argparse.Namespace) -> int:
     inv = seifert.parse_seifert(args.notation)
     if args.action in ("volumes", "witnesses"):
-        estimate = ehn.spectrum_size_bound(inv)
-        if estimate > args.max_values:
-            raise ValueError(
-                f"spectrum too large: up to {estimate} values, over the limit of "
-                f"{args.max_values} (raise it with --max-values)"
-            )
+        ehn._check_budget(ehn.spectrum_size_bound(inv), args.max_values, hint=_MAX_VALUES_HINT)
     if args.coeff is not None:
         found = ehn.witnesses_for(inv, args.coeff)
         if args.json:
@@ -105,6 +103,8 @@ def _cmd_seifert(args: argparse.Namespace) -> int:
         return 0
 
     if args.action == "volumes":
+        if args.oracle:
+            ehn._check_budget(ehn._oracle_window(inv), args.max_values, "oracle tuples", _MAX_VALUES_HINT)
         spectrum = ehn.volume_set(inv)
         oracle_note = None
         if args.oracle:
@@ -208,9 +208,7 @@ def _cmd_cs(args: argparse.Namespace) -> int:
             _emit(_verify_psl2c())
         return 0
     if args.action == "jacobi":
-        with open(args.file, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
-        spec = liecs.algebra_from_json(doc)
+        spec = liecs.algebra_from_json(_read_json(args.file))
         violation = liecs.validate_jacobi(spec)
         if violation is None:
             print("ok")
@@ -224,49 +222,39 @@ def _cmd_cs(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- graph
 
 
-def _load_graph_file(path: str) -> jsj.GraphDocument:
-    with open(path, "r", encoding="utf-8") as handle:
-        return jsj.load_graph_document(json.load(handle))
-
-
-def _require_name(value, path: str) -> None:
-    # names stay strings: JSON 1, "1" and null would all read as one vertex
-    if not isinstance(value, str):
-        raise ValueError(f"{path}: expected a string, got {value!r}")
-
-
-def _load_ratio_file(path: str) -> tuple[list[str], list[tuple[str, str, Fraction]]]:
+def _ratio_graph(doc) -> tuple[list[str], list[tuple[str, str, Fraction]]]:
     """The vertices and edges of a ``graph rw`` document.
 
     A malformed document raises ``ValueError`` naming the path of the bad
     part, such as ``edges[1]: expected [u, v, ratio]``.
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        doc = json.load(handle)
-    if not isinstance(doc, dict):
-        raise ValueError("document: expected an object with 'vertices' and 'edges'")
-    for key, entries in (("vertices", "names"), ("edges", "[u, v, ratio] rows")):
-        if key not in doc:
-            raise ValueError(f"{key}: missing")
-        if not isinstance(doc[key], list):
-            raise ValueError(f"{key}: expected a list of {entries}")
-    for i, name in enumerate(doc["vertices"]):
-        _require_name(name, f"vertices[{i}]")
+    doc = _document(doc, "vertices", "edges")
+    vertices = _list(_field(doc, "vertices"), "vertices", "names")
+    rows = _list(_field(doc, "edges"), "edges", "[u, v, ratio] rows")
+    vertices = [_name(name, f"vertices[{i}]") for i, name in enumerate(vertices)]
     edges = []
-    for i, row in enumerate(doc["edges"]):
+    for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != 3:
             raise ValueError(f"edges[{i}]: expected [u, v, ratio], got {row!r}")
-        for j in (0, 1):
-            _require_name(row[j], f"edges[{i}][{j}]")
-        u, v, ratio = row
-        ratio = parse_rational(str(ratio), f"edges[{i}][2]", "bad ratio {!r}")
-        edges.append((u, v, ratio))
-    return doc["vertices"], edges
+        u, v = (_name(row[j], f"edges[{i}][{j}]") for j in (0, 1))
+        edges.append((u, v, parse_rational(str(row[2]), f"edges[{i}][2]", "bad ratio {!r}")))
+    return vertices, edges
 
 
 def _cmd_graph(args: argparse.Namespace) -> int:
+    doc = _read_json(args.file)
+    if args.action == "rw":
+        result = jsj.rw_consistency(*_ratio_graph(doc))
+        if result.consistent:
+            print("consistent")
+            return 0
+        steps = " ".join(f"{u}->{v}[{r}]" for u, v, r in result.witness_cycle)
+        print(f"inconsistent: cycle {steps} product {result.product}")
+        print("error: edge ratios are inconsistent", file=sys.stderr)
+        return 1
+
+    document = jsj.load_graph_document(doc)
     if args.action == "validate":
-        document = _load_graph_file(args.file)
         problems = []
         for name, case_spec, _ in document.cases:
             for problem in jsj.validate_spec(case_spec):
@@ -281,7 +269,6 @@ def _cmd_graph(args: argparse.Namespace) -> int:
         return 1
 
     if args.action == "additivity":
-        document = _load_graph_file(args.file)
         results = []
         for name, case_spec, assignments in document.cases:
             total = jsj.additivity_sum(case_spec, assignments)
@@ -298,16 +285,6 @@ def _cmd_graph(args: argparse.Namespace) -> int:
                 for name, total in results
             )
         return 0
-
-    if args.action == "rw":
-        result = jsj.rw_consistency(*_load_ratio_file(args.file))
-        if result.consistent:
-            print("consistent")
-            return 0
-        steps = " ".join(f"{u}->{v}[{r}]" for u, v, r in result.witness_cycle)
-        print(f"inconsistent: cycle {steps} product {result.product}")
-        print("error: edge ratios are inconsistent", file=sys.stderr)
-        return 1
 
     raise AssertionError(f"unhandled graph action {args.action}")
 
@@ -378,8 +355,15 @@ def _cmd_cases(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are one stderr line too; ``-h`` prints the usage."""
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repvol",
         description="Exact volume data for Seifert and graph manifolds.",
     )
@@ -394,12 +378,15 @@ def build_parser() -> argparse.ArgumentParser:
         if action == "witnesses":
             p.add_argument("coeff", type=_fraction_arg, help="coefficient of 4*pi^2")
         if action in ("volumes", "witnesses"):
+            refused = "spectra that may exceed N values"
+            if action == "volumes":
+                refused += ", and --oracle windows of more than N tuples"
             p.add_argument(
                 "--max-values",
                 type=int,
-                default=MAX_VALUES,
+                default=ehn.MAX_VALUES,
                 metavar="N",
-                help=f"refuse spectra that may exceed N values (default {MAX_VALUES})",
+                help=f"refuse {refused} (default {ehn.MAX_VALUES})",
             )
         if action in ("volumes", "sv"):
             p.add_argument("--decimal", action="store_true")
@@ -463,9 +450,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ValueError, RuntimeError, OSError) as exc:
+    except (ValueError, OSError, RecursionError) as exc:
+        # a RecursionError here comes from input, such as JSON nested too deep
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except RuntimeError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 def entry() -> None:

@@ -19,11 +19,13 @@ t = s - m * lcm and e = E_num / E_den, so ``volume_set`` folds the fibres
 into a sumset mapping each s to the most nonzero residues reaching it;
 that is exact, since only the upper end of the m range depends on the
 count and grows with it.  One lookup per m in that sumset decides
-whether a coefficient is in the spectrum (``spectrum_contains``).
-``witnesses_for`` backtracks through the same layers and prunes branches
-that cannot reach the count they still need, so its cost follows the
-output; each witness is derived once, in integers over the common
-denominator lcm * E_num, and checked by integer tests.
+whether a coefficient is in the spectrum (``spectrum_contains``), which
+refuses a space whose spectrum may exceed ``MAX_VALUES``.
+``witnesses_for`` walks back through the same layers on an explicit
+stack and only steps to residue sums that can still reach the count
+they need, so its cost follows the output; each witness is derived
+once, in integers over the common denominator lcm * E_num, and checked
+by integer tests.
 
 The maximum needs no enumeration: the largest |t| is |chi| * lcm,
 attained by the residues a_i - 1 with m = 2 - 2g, so
@@ -43,13 +45,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .exact import rat_ceil, rat_floor
-from .seifert import (
-    GeometryTag,
-    SeifertInvariants,
-    classify_geometry,
-    euler_number,
-    orbifold_chi,
-)
+from .seifert import SeifertInvariants, euler_number, orbifold_chi
 
 __all__ = [
     "VolumeWitness",
@@ -70,24 +66,44 @@ def foliation_exists(genus: int, slopes: Sequence[Fraction]) -> bool:
     return floor_sum <= 2 * genus - 2 and ceil_sum >= 2 - 2 * genus
 
 
-def _require_volume_input(inv: SeifertInvariants) -> None:
-    if classify_geometry(inv) is not GeometryTag.SL2R_TILDE:
+# Work that may exceed this many values (or brute-force tuples) is refused
+# unless the caller raises the limit.  The cost grows with the count:
+# (1; 1/571, 1/577), bound 988401, prints its 493627 values in about 7 s
+# on a 2-CPU machine.
+MAX_VALUES = 1_000_000
+
+
+def _check_budget(count: int, limit: int = MAX_VALUES, unit: str = "values", hint: str = "") -> None:
+    """Refuse work that may exceed ``limit``: a ``ValueError`` reading
+    ``spectrum too large: up to <count> <unit>, over the limit of <limit>``
+    and then ``hint``."""
+    if count > limit:
+        # str() refuses ints of more than 4300 digits, so a huge count is
+        # shown by the power of two above it
+        shown = count if count.bit_length() <= 4096 else f"2^{count.bit_length()}"
         raise ValueError(
-            f"volume spectrum needs sl2r-tilde geometry "
-            f"(e = {euler_number(inv)}, chi = {orbifold_chi(inv)})"
+            f"spectrum too large: up to {shown} {unit}, over the limit of {limit}{hint}"
         )
+
+
+def _require_volume_input(inv: SeifertInvariants) -> tuple[Fraction, Fraction]:
+    """(e, chi) of ``inv``; a ``ValueError`` unless its geometry is
+    sl2r-tilde (e != 0 and chi < 0) and its base genus is at least 1."""
+    e, chi = euler_number(inv), orbifold_chi(inv)
+    if e == 0 or chi >= 0:
+        raise ValueError(f"volume spectrum needs sl2r-tilde geometry (e = {e}, chi = {chi})")
     if inv.genus < 1:
         raise ValueError("volume spectrum requires base genus >= 1")
+    return e, chi
 
 
-def _spectrum_data(inv: SeifertInvariants) -> tuple[int, int, int, list[range]]:
-    """(lcm, scale, denom, steps): each value is t^2 * scale / denom with
+def _spectrum_data(inv: SeifertInvariants) -> tuple[Fraction, int, int, int, list[range]]:
+    """(e, lcm, scale, denom, steps): each value is t^2 * scale / denom with
     integer t = s - m * lcm; steps[i] holds r * lcm/a_i for r = 1..a_i-1."""
-    _require_volume_input(inv)
+    e, _ = _require_volume_input(inv)
     lcm = math.lcm(*(a for a, _ in inv.pairs))
-    e = euler_number(inv)
     steps = [range(lcm // a, lcm, lcm // a) for a, _ in inv.pairs]
-    return lcm, e.denominator, lcm * lcm * abs(e.numerator), steps
+    return e, lcm, e.denominator, lcm * lcm * abs(e.numerator), steps
 
 
 def _add_fibre(layer: dict[int, int], offsets: range) -> dict[int, int]:
@@ -103,7 +119,7 @@ def _add_fibre(layer: dict[int, int], offsets: range) -> dict[int, int]:
 
 def volume_set(inv: SeifertInvariants) -> list[Fraction]:
     """All volume coefficients (units of 4*pi^2), ascending and exact."""
-    lcm, scale, denom, steps = _spectrum_data(inv)
+    _, lcm, scale, denom, steps = _spectrum_data(inv)
     sums = functools.reduce(_add_fibre, steps, {0: 0})
     lo, hi = 2 - 2 * inv.genus, 2 * inv.genus - 2
     t_abs = {abs(s - m * lcm) for s, count in sums.items() for m in range(lo, hi + count + 1)}
@@ -118,7 +134,10 @@ def spectrum_size_bound(inv: SeifertInvariants) -> int:
     residue sums, and each gives at most 4g - 3 + p offsets m.  Not in
     ``__all__``; the CLI reads it to refuse a spectrum too large to build.
     """
-    lcm = _spectrum_data(inv)[0]
+    return _size_bound(inv, _spectrum_data(inv)[1])
+
+
+def _size_bound(inv: SeifertInvariants, lcm: int) -> int:
     moduli = [a for a, _ in inv.pairs]
     sums = min(math.prod(moduli), sum((a - 1) * (lcm // a) for a in moduli) + 1)
     return sums * (4 * inv.genus - 3 + len(moduli))
@@ -143,10 +162,13 @@ def _offsets(
 def spectrum_contains(inv: SeifertInvariants, coeff: Fraction) -> bool:
     """Whether ``coeff`` is in ``volume_set(inv)``, without building it.
 
-    It is the t^2 lattice test plus one sumset lookup per offset m.  Not
-    in ``__all__``; ``jsj.additivity_sum`` checks assignments with it.
+    It is the t^2 lattice test plus one sumset lookup per offset m.  A
+    space whose ``spectrum_size_bound`` is over ``MAX_VALUES`` is refused
+    with a ``ValueError``.  Not in ``__all__``; ``jsj.additivity_sum``
+    checks assignments with it.
     """
-    lcm, scale, denom, steps = _spectrum_data(inv)
+    _, lcm, scale, denom, steps = _spectrum_data(inv)
+    _check_budget(_size_bound(inv, lcm))
     sums = functools.reduce(_add_fibre, steps, {0: 0})
     return bool(_offsets(inv, Fraction(coeff), lcm, scale, denom, sums))
 
@@ -192,6 +214,12 @@ def volume_set_bruteforce(inv: SeifertInvariants, bound: int | None = None) -> l
     return sorted(values)
 
 
+def _oracle_window(inv: SeifertInvariants) -> int:
+    """How many tuples ``volume_set_bruteforce`` tests at its default bound."""
+    bound = 2 + 2 * inv.genus + sum(a for a, _ in inv.pairs)
+    return (2 * bound + 1) ** len(inv.pairs)
+
+
 def _witness_fields(
     inv: SeifertInvariants, lcm: int, e: Fraction, n_values: tuple[int, ...], n: int
 ) -> tuple[int, dict]:
@@ -224,13 +252,11 @@ def seifert_volume_max(inv: SeifertInvariants) -> Fraction:
     m = 2 - 2g give the largest |t| = |chi| * lcm.  That witness goes
     through the validating constructor.
     """
-    _require_volume_input(inv)
+    e, chi = _require_volume_input(inv)
     lcm = math.lcm(*(a for a, _ in inv.pairs))
-    e = euler_number(inv)
     t, fields = _witness_fields(inv, lcm, e, tuple(a - 1 for a, _ in inv.pairs), 2 - 2 * inv.genus)
     coeff = Fraction(t * t * e.denominator, lcm * lcm * abs(e.numerator))
     enumerated = VolumeWitness(**fields, coeff=coeff).coeff
-    chi = orbifold_chi(inv)
     closed_form = chi * chi / abs(e)
     if enumerated != closed_form:
         raise RuntimeError(
@@ -278,29 +304,38 @@ class VolumeWitness:
 
 def witnesses_for(inv: SeifertInvariants, coeff: Fraction) -> list[VolumeWitness]:
     """All canonical tuples attaining ``coeff``, as full witnesses."""
-    lcm, scale, denom, steps = _spectrum_data(inv)
+    e, lcm, scale, denom, steps = _spectrum_data(inv)
     coeff = Fraction(coeff)
     layers = list(itertools.accumulate(steps, _add_fibre, initial={0: 0}))
     offsets = _offsets(inv, coeff, lcm, scale, denom, layers[-1])
     if not offsets:
         raise ValueError(f"coefficient {coeff} is not in the volume spectrum")
+    p = len(steps)
 
-    def tuples(k: int, s: int, need: int) -> Iterator[tuple[int, ...]]:
-        # residues of the first k fibres summing to s, >= need of them nonzero
-        if s not in layers[k] or layers[k][s] < need:
-            return
-        if k == 0:
-            yield ()
-            return
-        for r, d in enumerate((0, *steps[k - 1])):
-            for head in tuples(k - 1, s - d, need - (r > 0)):
-                yield (*head, r)
+    def tuples(s: int, need: int) -> Iterator[tuple[int, ...]]:
+        # residues summing to s, >= need of them nonzero, walked back on an
+        # explicit stack: one Python frame per fibre would overflow at a few
+        # thousand fibres.  A frame (k, s, need, r) still has the first k
+        # fibres to choose, has given fibre k residue r (slot p is a dummy),
+        # and is only pushed when layers[k] reaches s with >= need nonzero.
+        residues = [0] * (p + 1)
+        stack = [(p, s, need, 0)]
+        while stack:
+            k, s, need, r = stack.pop()
+            residues[k] = r
+            if k == 0:
+                yield tuple(residues[:p])
+                continue
+            below = layers[k - 1]
+            for r, d in enumerate((0, *steps[k - 1])):
+                left = need - (r > 0)
+                if below.get(s - d, left - 1) >= left:
+                    stack.append((k - 1, s - d, left, r))
 
-    e = euler_number(inv)
     lo, hi = 2 - 2 * inv.genus, 2 * inv.genus - 2
     found = []
     for t, m in offsets:
-        for residues in tuples(len(steps), t + m * lcm, m - hi):
+        for residues in tuples(t + m * lcm, m - hi):
             # canonical residues: floor(r_i/a_i) = 0 and ceil(r_i/a_i) = [r_i > 0]
             count = len(residues) - residues.count(0)
             t_w, fields = _witness_fields(inv, lcm, e, residues, m)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 __all__ = [
     "Rational",
@@ -67,6 +67,57 @@ def parse_rational(value: object, path: str, problem: str) -> Fraction:
         except (ValueError, ZeroDivisionError):
             pass
     raise ValueError(f"{path}: " + problem.format(value))
+
+
+def _document(doc: object, first: str, second: str) -> Mapping:
+    """``doc`` if it is a JSON object; otherwise a ``ValueError`` naming
+    the two keys it should hold."""
+    if not isinstance(doc, Mapping):
+        raise ValueError(f"document: expected an object with {first!r} and {second!r}")
+    return doc
+
+
+def _field(entry: Mapping, key: str, path: str = ""):
+    """``entry[key]``; a missing key is a ``ValueError`` naming its path
+    (just ``key`` at the top level, where ``path`` is empty)."""
+    if key not in entry:
+        raise ValueError(f"{path}.{key}: missing" if path else f"{key}: missing")
+    return entry[key]
+
+
+def _list(value: object, path: str, of: str) -> Sequence:
+    """``value`` if it is a JSON list; otherwise a ``ValueError`` reading
+    ``<path>: expected a list of <of>``."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{path}: expected a list of {of}")
+    return value
+
+
+def _name(value: object, path: str) -> str:
+    """``value`` if it is a string.  Names are never coerced, so JSON
+    ``1``, ``"1"`` and ``null`` cannot read as one name."""
+    if not isinstance(value, str):
+        raise ValueError(f"{path}: expected a string, got {value!r}")
+    return value
+
+
+def _entries(value: object, path: str, parse: Callable[[Mapping, str], object]) -> tuple:
+    """``parse(entry, path)`` for each object in the JSON list at ``path``.
+
+    A value of the wrong type or shape inside an entry is reported as a
+    ``ValueError`` naming that entry, not as a traceback.
+    """
+    parsed = []
+    for i, entry in enumerate(_list(value, path, "objects")):
+        at = f"{path}[{i}]"
+        if not isinstance(entry, Mapping):
+            raise ValueError(f"{at}: expected an object, got {entry!r}")
+        try:
+            parsed.append(parse(entry, at))
+        except (TypeError, LookupError, ArithmeticError) as exc:
+            # ArithmeticError: a zero denominator, or int() of a JSON Infinity
+            raise ValueError(f"{at}: malformed entry ({exc})") from None
+    return tuple(parsed)
 
 
 _ZERO = Fraction(0)

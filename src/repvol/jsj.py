@@ -15,7 +15,16 @@ from fractions import Fraction
 from typing import Hashable, Mapping, Optional, Sequence, Union
 
 from .ehn import spectrum_contains
-from .exact import ExactVolume, NumericVolume, VolumeValue, parse_rational, volume_sum
+from .exact import (
+    ExactVolume,
+    NumericVolume,
+    VolumeValue,
+    _document,
+    _entries,
+    _field,
+    parse_rational,
+    volume_sum,
+)
 from .seifert import SeifertInvariants, dehn_fill
 
 __all__ = [
@@ -454,33 +463,6 @@ class GraphDocument:
     cases: tuple[tuple[str, GraphManifoldSpec, tuple[PieceAssignment, ...]], ...]
 
 
-def _field(entry: Mapping, key: str, path: str):
-    """``entry[key]``; a missing key is a ``ValueError`` naming its path."""
-    if key not in entry:
-        raise ValueError(f"{path}.{key}: missing")
-    return entry[key]
-
-
-def _entries(value, path: str, parse) -> tuple:
-    """``parse(entry, path)`` for each object in the JSON list at ``path``.
-
-    A value of the wrong type or shape inside an entry is reported as a
-    ``ValueError`` naming that entry, not as a traceback.
-    """
-    if not isinstance(value, (list, tuple)):
-        raise ValueError(f"{path}: expected a list of objects")
-    parsed = []
-    for i, entry in enumerate(value):
-        at = f"{path}[{i}]"
-        if not isinstance(entry, Mapping):
-            raise ValueError(f"{at}: expected an object, got {entry!r}")
-        try:
-            parsed.append(parse(entry, at))
-        except (TypeError, LookupError, ZeroDivisionError) as exc:
-            raise ValueError(f"{at}: malformed entry ({exc})") from None
-    return tuple(parsed)
-
-
 def _piece_from_json(entry: Mapping, path: str) -> Piece:
     kind = _field(entry, "kind", path)
     slots = _field(entry, "slots", path)
@@ -561,12 +543,9 @@ def load_graph_document(doc: Mapping) -> GraphDocument:
     A malformed document raises ``ValueError`` naming the path of the bad
     part, such as ``pieces[0].kind: missing``.
     """
-    if not isinstance(doc, Mapping):
-        raise ValueError("document: expected an object with 'pieces' and 'edges'")
-    if "pieces" not in doc:
-        raise ValueError("pieces: missing")
+    doc = _document(doc, "pieces", "edges")
     spec = GraphManifoldSpec(
-        pieces=_entries(doc["pieces"], "pieces", _piece_from_json),
+        pieces=_entries(_field(doc, "pieces"), "pieces", _piece_from_json),
         edges=_entries(doc.get("edges", []), "edges", _edge_from_json),
     )
     if "cases" in doc:

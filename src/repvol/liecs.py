@@ -30,6 +30,10 @@ from .exact import (
     PI_ONE,
     PI_ZERO,
     PiScalar,
+    _document,
+    _field,
+    _list,
+    _name,
     parse_rational,
 )
 
@@ -613,23 +617,13 @@ def algebra_from_json(doc: Mapping) -> LieAlgebraSpec:
     malformed document raises ``ValueError`` naming the path of the bad
     part, such as ``brackets[0][2]: expected an object of coefficients``.
     """
-    if not isinstance(doc, Mapping):
-        raise ValueError("document: expected an object with 'basis' and 'brackets'")
-    if "basis" not in doc:
-        raise ValueError("basis: missing")
-    names = doc["basis"]
-    if not isinstance(names, (list, tuple)):
-        raise ValueError("basis: expected a list of names")
-    for i, name in enumerate(names):
-        if not isinstance(name, str):
-            raise ValueError(f"basis[{i}]: expected a string, got {name!r}")
-    basis = tuple(names)
+    doc = _document(doc, "basis", "brackets")
+    names = _list(_field(doc, "basis"), "basis", "names")
+    basis = tuple(_name(name, f"basis[{i}]") for i, name in enumerate(names))
     if not basis:
         raise ValueError("basis must not be empty")
     index = {name: i for i, name in enumerate(basis)}
-    entries = doc.get("brackets", [])
-    if not isinstance(entries, (list, tuple)):
-        raise ValueError("brackets: expected a list of [left, right, coeffs] entries")
+    entries = _list(doc.get("brackets", []), "brackets", "[left, right, coeffs] entries")
     table: dict[tuple[int, int], list[PiScalar]] = {}
     for e, entry in enumerate(entries):
         path = f"brackets[{e}]"

@@ -595,3 +595,120 @@ def test_determinism_byte_identical(capsys):
     first = run(capsys, "seifert", "volumes", "(2; 1)", "--oracle")
     second = run(capsys, "seifert", "volumes", "(2; 1)", "--oracle")
     assert first == second
+
+
+# ---------------------------------------------------------------- boundary
+
+BIG_PIECE = {
+    "pieces": [
+        {"id": "P", "kind": "seifert", "genus": 1, "pairs": [[1000003, 1]], "slots": ["T1", "T2"]}
+    ],
+    "edges": [
+        {"a": ["P", "T1"], "b": ["P", "T2"], "gluing": [[0, 1], [1, 0]], "killed_slope": [1000033, 1]}
+    ],
+    "assignments": [
+        {"piece": "P", "assign": "filled", "fillings": {"T1": [1000033, 1], "T2": [1, 1000033]}, "coeff": "0"}
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "argv, doc, code, err",
+    [
+        (
+            ("seifert", "witnesses", "(1; 1/2, 1/2)", HUGE),
+            None,
+            2,
+            f"repvol seifert witnesses: error: argument coeff: not a rational number: '{HUGE}'\n",
+        ),
+        (
+            ("seifert", "volumes", "(1; 1/2, 1/2)", "--witnesses", "1e99999999"),
+            None,
+            2,
+            "repvol seifert volumes: error: argument --witnesses: not a rational number: '1e99999999'\n",
+        ),
+        (
+            ("graph", "additivity"),
+            BIG_PIECE,
+            1,
+            "error: spectrum too large: up to 4000144000396 values, over the limit of 1000000\n",
+        ),
+        (
+            ("seifert", "volumes", "(1; 1/13, 1/11, 1/7, 1/5)", "--oracle"),
+            None,
+            1,
+            "error: spectrum too large: up to 43046721 oracle tuples, over the limit of 1000000 "
+            "(raise it with --max-values)\n",
+        ),
+    ],
+    ids=["witnesses_exponent", "witnesses_flag_exponent", "filled_piece_budget", "oracle_window_budget"],
+)
+def test_boundary_refusals_end_fast(tmp_path, argv, doc, code, err):
+    if doc is not None:
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        argv = (*argv, str(path))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "repvol.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=30,
+    )
+    elapsed = time.perf_counter() - start
+    assert (done.returncode, done.stdout, done.stderr) == (code, "", err)
+    assert elapsed < 0.5
+
+
+def test_oracle_window_counts_against_max_values(capsys):
+    # (1; 1/2, 1/2): B = 2 + 2 + 4 = 8, so the window is 17^2 = 289 tuples
+    code, _, err = run(capsys, "seifert", "volumes", "(1; 1/2, 1/2)", "--oracle", "--max-values", "288")
+    assert code == 1
+    assert err == "error: spectrum too large: up to 289 oracle tuples, over the limit of 288 (raise it with --max-values)\n"
+    code, out, _ = run(capsys, "seifert", "volumes", "(1; 1/2, 1/2)", "--oracle", "--max-values", "289")
+    assert (code, out.splitlines()[-1]) == (0, "oracle agreement: 3 values")
+
+
+def test_witnesses_of_two_thousand_unit_fibres(capsys):
+    # one Python frame per fibre used to overflow the recursion limit here;
+    # the spectrum bound is only 6 * (4 - 3 + 2002) = 12018 values
+    units = ", ".join(["1"] * 2000)
+    code, out, err = run(capsys, "seifert", "witnesses", f"(1; 1/2, 1/3, {units})", "1/1470")
+    assert (code, err) == (0, "")
+    zeros = ",".join(["0"] * 2000)
+    assert [line.split(" zeta=")[0] for line in out.splitlines()] == [
+        f"n=(1,2,{zeros}) n=0",
+        f"n=(1,1,{zeros}) n=2",
+    ]
+
+
+def test_internal_failure_exits_three(capsys, monkeypatch):
+    from repvol import ehn
+    from repvol.seifert import orbifold_chi
+
+    monkeypatch.setattr(ehn, "orbifold_chi", lambda inv: orbifold_chi(inv) - 1)
+    code, out, err = run(capsys, "seifert", "sv", "(1; 1/2, 1/2)")
+    assert (code, out) == (3, "")
+    assert err.startswith("internal error: volume maximum mismatch: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [("cs", "jacobi"), ("graph", "validate"), ("graph", "rw")])
+def test_deeply_nested_file_exits_one(capsys, tmp_path, argv):
+    # RecursionError is a RuntimeError, but here it comes from the input
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 10**5 + "]" * 10**5)
+    code, out, err = run(capsys, *argv, str(deep))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: maximum recursion depth exceeded while decoding a JSON array")
+    assert err.count("\n") == 1
+
+
+def test_graph_infinite_genus_is_malformed(capsys, tmp_path):
+    doc = _graph_doc()
+    doc["pieces"][0]["genus"] = float("inf")  # json writes Infinity, which it reads back
+    bad = tmp_path / "graph.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "graph", "validate", str(bad))
+    assert (code, out) == (1, "")
+    assert err == "error: pieces[0]: malformed entry (cannot convert float infinity to integer)\n"

@@ -347,3 +347,40 @@ def test_constructor_accepts_exactly_the_defining_data(inv, data, corrupt):
     else:
         with pytest.raises(ValueError, match="witness"):
             VolumeWitness(**fields)
+
+
+# ---------------------------------------------------------------- budget and geometry
+
+
+def test_spectrum_contains_refuses_a_spectrum_over_the_budget():
+    inv = parse_seifert("(1; 1/1000003, 1/1000033)")
+    with pytest.raises(ValueError, match=r"^spectrum too large: up to 3000108000297 values, over the limit of 1000000$"):
+        spectrum_contains(inv, Fraction(0))
+    # just under the budget it answers: (1; 1/2) has bound 2 * 2 = 4
+    assert spectrum_contains(parse_seifert("(1; 1/2)"), Fraction(0))
+
+
+@pytest.mark.parametrize(
+    "call, derived",
+    [
+        (lambda inv: volume_set(inv), ["euler_number", "orbifold_chi"]),
+        (lambda inv: spectrum_contains(inv, Fraction(0)), ["euler_number", "orbifold_chi"]),
+        (lambda inv: witnesses_for(inv, Fraction(0)), ["euler_number", "orbifold_chi"]),
+        # the validating constructor of the maximum's witness derives e again
+        (lambda inv: seifert_volume_max(inv), ["euler_number", "euler_number", "orbifold_chi"]),
+    ],
+    ids=["volume_set", "spectrum_contains", "witnesses_for", "seifert_volume_max"],
+)
+def test_geometry_is_derived_once_per_call(monkeypatch, call, derived):
+    from repvol import seifert
+
+    calls = []
+    for name in ("euler_number", "orbifold_chi"):
+        def counted(inv, _name=name, _real=getattr(seifert, name)):
+            calls.append(_name)
+            return _real(inv)
+        # classify_geometry reads seifert's names, the ehn paths their own
+        monkeypatch.setattr(seifert, name, counted)
+        monkeypatch.setattr(ehn, name, counted)
+    call(parse_seifert("(1; 1/2, 1/3)"))
+    assert sorted(calls) == derived
