@@ -463,16 +463,33 @@ class GraphDocument:
     cases: tuple[tuple[str, GraphManifoldSpec, tuple[PieceAssignment, ...]], ...]
 
 
+# The JSON values that unpack by iterating.  A tuple of concrete types,
+# since isinstance against typing.Sized made loading a third slower.
+_ITERABLE = (list, tuple, str, dict)
+
+
+def _two_each(rows) -> bool:
+    """Whether every list, tuple, string or object in ``rows`` has two items.
+
+    Unpacking such an item of another length into two names raises a bare
+    ``ValueError``, so the loaders test this first and raise ``TypeError``,
+    which ``_entries`` reports as a malformed entry at its path.  Other
+    values fail to unpack with a ``TypeError`` already.
+    """
+    return all(len(row) == 2 for row in rows if isinstance(row, _ITERABLE))
+
+
 def _piece_from_json(entry: Mapping, path: str) -> Piece:
     kind = _field(entry, "kind", path)
     slots = _field(entry, "slots", path)
     seifert = None
     if kind == "seifert":
-        seifert = SeifertInvariants(
-            genus=int(_field(entry, "genus", path)),
-            pairs=entry.get("pairs", ()),
-            boundary_count=len(slots),
-        )
+        genus = int(_field(entry, "genus", path))
+        pairs = entry.get("pairs", ())
+        boundary_count = len(slots)
+        if not _two_each(pairs):
+            raise TypeError(f"pairs {pairs!r} are not all [a, b]")
+        seifert = SeifertInvariants(genus=genus, pairs=pairs, boundary_count=boundary_count)
     return Piece(
         id=str(_field(entry, "id", path)),
         kind=str(kind),
@@ -483,10 +500,15 @@ def _piece_from_json(entry: Mapping, path: str) -> Piece:
 
 
 def _edge_from_json(entry: Mapping, path: str) -> Edge:
+    a = _field(entry, "a", path)
+    b = _field(entry, "b", path)
+    gluing = _field(entry, "gluing", path)
+    if isinstance(gluing, _ITERABLE) and not _two_each([gluing, *gluing]):
+        raise TypeError(f"gluing {gluing!r} is not a 2x2 matrix")
     return Edge(
-        a=_field(entry, "a", path),
-        b=_field(entry, "b", path),
-        gluing=_field(entry, "gluing", path),
+        a=a,
+        b=b,
+        gluing=gluing,
         killed_slope=entry.get("killed_slope") or None,
         killed_slope_b=entry.get("killed_slope_b") or None,
     )
@@ -511,6 +533,10 @@ def _assignment_from_json(entry: Mapping, path: str) -> PieceAssignment:
         return DirectVolume(piece_id, _volume_from_json(entry, path))
     if kind == "filled":
         fillings = _field(entry, "fillings", path)
+        rows = list(fillings.items() if isinstance(fillings, Mapping) else fillings)
+        slopes = [list(row)[1] for row in rows if isinstance(row, _ITERABLE) and len(row) == 2]
+        if not _two_each(rows + slopes):
+            raise TypeError(f"fillings {fillings!r} are not all [slot, [a, b]]")
         coeff = parse_rational(
             str(_field(entry, "coeff", path)), path, "malformed entry (bad coeff {!r})"
         )

@@ -25,7 +25,6 @@ from typing import Mapping, Optional, Sequence, Union
 
 from . import linalg
 from .exact import (
-    GAUSSIAN_ZERO,
     GaussianRational,
     PI_ONE,
     PI_ZERO,
@@ -61,10 +60,6 @@ __all__ = [
 ScalarLike = Union[int, Fraction, GaussianRational, PiScalar]
 
 
-def _scalar(x: ScalarLike) -> PiScalar:
-    return PiScalar.of(x)
-
-
 # The empty column of the structure table: a zero bracket.
 _NO_TERMS: Mapping[int, PiScalar] = {}
 
@@ -88,17 +83,25 @@ class LieAlgebraSpec:
     construction unless ``check_jacobi=False`` (used when loading
     untrusted tables that a caller wants to diagnose).
 
-    ``table`` is derived once from ``brackets``: the sparse antisymmetric
-    map (j, k) -> {i: c^i_jk} over both index orders, holding only
-    nonzero constants.  Every bracket, Jacobi, invariance and
-    differential computation reads it, so their cost follows the nonzero
-    structure constants rather than powers of the dimension.
+    Two tables are derived once from ``brackets``, holding only nonzero
+    constants: ``table``, the sparse antisymmetric map
+    (j, k) -> {i: c^i_jk} over both index orders, and ``_by_target``,
+    the pairs ((j, k), c^i_jk) with j < k listed per target index i.
+    Invariance, the three-form and the differential read them, so their
+    cost follows the nonzero structure constants rather than powers of
+    the dimension.  The Jacobi scan visits only triples holding a pair
+    with a nonzero bracket, at most ``dim`` per such pair.  The
+    exactness system of ``exactness_split`` keeps one column per 2-index
+    but stores only the nonzero entries of its rows.
     """
 
     basis: tuple[str, ...]
     brackets: tuple[tuple[tuple[int, int], tuple[PiScalar, ...]], ...]
     check_jacobi: bool = True
     table: dict[tuple[int, int], dict[int, PiScalar]] = field(
+        init=False, repr=False, compare=False
+    )
+    _by_target: list[list[tuple[tuple[int, int], PiScalar]]] = field(
         init=False, repr=False, compare=False
     )
 
@@ -116,7 +119,7 @@ class LieAlgebraSpec:
                 raise ValueError(f"duplicate bracket entry for ({j}, {k})")
             if len(vec) != dim:
                 raise ValueError(f"bracket vector for ({j}, {k}) has wrong length")
-            coeffs = tuple(_scalar(c) for c in vec)
+            coeffs = tuple(PiScalar.of(c) for c in vec)
             for c in coeffs:
                 if c and c.pi_power != 0:
                     raise ValueError("structure constants must be pi-free")
@@ -126,11 +129,15 @@ class LieAlgebraSpec:
             self, "brackets", tuple(sorted(table.items()))
         )
         structure: dict[tuple[int, int], dict[int, PiScalar]] = {}
+        by_target: list[list[tuple[tuple[int, int], PiScalar]]] = [[] for _ in range(dim)]
         for (j, k), coeffs in self.brackets:
             column = {i: c for i, c in enumerate(coeffs) if c}
             structure[(j, k)] = column
             structure[(k, j)] = {i: -c for i, c in column.items()}
+            for i, c in column.items():
+                by_target[i].append(((j, k), c))
         object.__setattr__(self, "table", structure)
+        object.__setattr__(self, "_by_target", by_target)
         if self.check_jacobi:
             violation = validate_jacobi(self)
             if violation is not None:
@@ -156,11 +163,14 @@ def validate_jacobi(spec: LieAlgebraSpec) -> Optional[JacobiViolation]:
     """None when the Jacobi identity holds; otherwise the first violation.
 
     Basis triples a < b < c are scanned in order; the residual of the
-    cyclic sum [[x,y],z] has m-th coordinate sum_l c^l_xy c^m_lz.
+    cyclic sum [[x,y],z] has m-th coordinate sum_l c^l_xy c^m_lz.  It
+    vanishes unless one of the three pairs has a nonzero bracket, so only
+    those triples are visited.
     """
     n = spec.dim
     table = spec.table
-    for a, b, c in itertools.combinations(range(n), 3):
+    triples = {tuple(sorted((j, k, c))) for (j, k), _ in spec.brackets for c in range(n) if c not in (j, k)}
+    for a, b, c in sorted(triples):
         res: dict[int, PiScalar] = {}
         for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
             for l, c_xy in table.get((x, y), _NO_TERMS).items():
@@ -188,7 +198,7 @@ class ExteriorForm:
         cleaned = {}
         for indices, coeff in self.terms:
             indices = tuple(indices)
-            coeff = _scalar(coeff)
+            coeff = PiScalar.of(coeff)
             if len(indices) != self.degree:
                 raise ValueError(f"index tuple {indices} has wrong degree")
             if any(not 0 <= i < self.dim for i in indices):
@@ -209,7 +219,7 @@ class ExteriorForm:
 
     @staticmethod
     def monomial(dim: int, indices: Sequence[int], coeff: ScalarLike = 1) -> "ExteriorForm":
-        return ExteriorForm(dim, len(tuple(indices)), ((tuple(indices), _scalar(coeff)),))
+        return ExteriorForm(dim, len(tuple(indices)), ((tuple(indices), PiScalar.of(coeff)),))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -244,7 +254,7 @@ class ExteriorForm:
         return self + (-other)
 
     def scaled(self, factor: ScalarLike) -> "ExteriorForm":
-        f = _scalar(factor)
+        f = PiScalar.of(factor)
         return ExteriorForm(
             self.dim, self.degree, tuple((i, c * f) for i, c in self.terms)
         )
@@ -290,20 +300,8 @@ def mc_differential(spec: LieAlgebraSpec, i: int) -> ExteriorForm:
     """d(phi^i) = - sum_{j<k} c^i_jk phi^j ^ phi^k."""
     if not 0 <= i < spec.dim:
         raise ValueError(f"basis index {i} out of range")
-    terms = tuple((pair, -c) for pair, c in _structure_by_target(spec)[i])
+    terms = tuple((pair, -c) for pair, c in spec._by_target[i])
     return ExteriorForm(spec.dim, 2, terms)
-
-
-def _structure_by_target(
-    spec: LieAlgebraSpec,
-) -> list[list[tuple[tuple[int, int], PiScalar]]]:
-    """The pairs ((j, k), c^i_jk) with j < k, listed per target index i."""
-    out: list[list[tuple[tuple[int, int], PiScalar]]] = [[] for _ in range(spec.dim)]
-    for (j, k), column in spec.table.items():
-        if j < k:
-            for i, c in column.items():
-                out[i].append(((j, k), c))
-    return out
 
 
 def _add_d_monomial(
@@ -344,21 +342,22 @@ def d(spec: LieAlgebraSpec, form: ExteriorForm) -> ExteriorForm:
         raise ValueError("form dimension does not match the algebra")
     if form.degree >= spec.dim:
         return ExteriorForm.zero(spec.dim, min(form.degree + 1, spec.dim))
-    by_target = _structure_by_target(spec)
     acc: dict[tuple[int, ...], PiScalar] = {}
     for indices, coeff in form.terms:
-        _add_d_monomial(acc, by_target, indices, coeff)
+        _add_d_monomial(acc, spec._by_target, indices, coeff)
     return ExteriorForm(spec.dim, form.degree + 1, tuple(acc.items()))
 
 
 @dataclass(frozen=True)
 class GramForm:
-    """Symmetric bilinear form on the algebra, as a matrix of scalars."""
+    """Symmetric bilinear form on the algebra, as a matrix of scalars;
+    ``_rows``, derived once, holds row i as ``{j: nonzero entry}``."""
 
     entries: tuple[tuple[PiScalar, ...], ...]
+    _rows: list[dict[int, PiScalar]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(_scalar(x) for x in row) for row in self.entries)
+        rows = tuple(tuple(PiScalar.of(x) for x in row) for row in self.entries)
         n = len(rows)
         if any(len(row) != n for row in rows):
             raise ValueError("Gram matrix must be square")
@@ -367,14 +366,11 @@ class GramForm:
                 if rows[i][j] != rows[j][i]:
                     raise ValueError(f"Gram matrix is not symmetric at ({i}, {j})")
         object.__setattr__(self, "entries", rows)
+        object.__setattr__(self, "_rows", [{j: g for j, g in enumerate(row) if g} for row in rows])
 
     @property
     def dim(self) -> int:
         return len(self.entries)
-
-
-def _sparse_rows(gram: GramForm) -> list[dict[int, PiScalar]]:
-    return [{j: g for j, g in enumerate(row) if g} for row in gram.entries]
 
 
 def is_ad_invariant(spec: LieAlgebraSpec, gram: GramForm) -> bool:
@@ -386,17 +382,17 @@ def is_ad_invariant(spec: LieAlgebraSpec, gram: GramForm) -> bool:
     """
     if gram.dim != spec.dim:
         raise ValueError("Gram dimension does not match the algebra")
-    rows = _sparse_rows(gram)
-    for a in range(spec.dim):
-        ad_t_g: dict[tuple[int, int], PiScalar] = {}
-        for b in range(spec.dim):
-            for i, c_ab in spec.table.get((a, b), _NO_TERMS).items():
-                for c, g in rows[i].items():
-                    ad_t_g[(b, c)] = ad_t_g.get((b, c), PI_ZERO) + c_ab * g
-        for (b, c), value in ad_t_g.items():
-            if value + ad_t_g.get((c, b), PI_ZERO):
-                return False
-    return True
+    ad_t_g: dict[int, dict[tuple[int, int], PiScalar]] = {}
+    for (a, b), column in spec.table.items():
+        n_a = ad_t_g.setdefault(a, {})
+        for i, c_ab in column.items():
+            for c, g in gram._rows[i].items():
+                n_a[(b, c)] = n_a.get((b, c), PI_ZERO) + c_ab * g
+    return not any(
+        value + n_a.get((c, b), PI_ZERO)
+        for n_a in ad_t_g.values()
+        for (b, c), value in n_a.items()
+    )
 
 
 def cs_three_form(spec: LieAlgebraSpec, gram: GramForm) -> ExteriorForm:
@@ -416,13 +412,10 @@ def cs_three_form(spec: LieAlgebraSpec, gram: GramForm) -> ExteriorForm:
     # (a 2-form and a 1-form commute): d(phi^i) carries -c^i_jk and
     # [omega, omega] carries +2 c^i_jk, each pairing averages with 1/3,
     # so T = (1/3)(-S) + (1/3)(1/3)(2 S) = -(1/9) S.
-    rows = _sparse_rows(gram)
     acc: dict[tuple[int, ...], PiScalar] = {}
-    for (j, k), column in spec.table.items():
-        if j > k:
-            continue
-        for i, c in column.items():
-            for l, f_il in rows[i].items():
+    for i, pairs in enumerate(spec._by_target):
+        for (j, k), c in pairs:
+            for l, f_il in gram._rows[i].items():
                 merged = _merge_indices((j, k), (l,))
                 if merged is None:
                     continue
@@ -433,53 +426,45 @@ def cs_three_form(spec: LieAlgebraSpec, gram: GramForm) -> ExteriorForm:
     return ExteriorForm(spec.dim, 3, tuple((key, v * scale) for key, v in acc.items()))
 
 
-def _three_basis(n: int) -> list[tuple[int, ...]]:
-    return list(itertools.combinations(range(n), 3))
-
-
-def _two_basis(n: int) -> list[tuple[int, ...]]:
-    return list(itertools.combinations(range(n), 2))
-
-
 def exactness_split(
     spec: LieAlgebraSpec, form: ExteriorForm, target: ExteriorForm
 ) -> Optional[ExteriorForm]:
     """A 2-form beta with d(beta) = form - target, or None if there is none.
 
     The linear system is solved exactly; free coefficients are pinned to
-    zero in a fixed basis order, so the primitive is deterministic.
+    zero in a fixed basis order, so the primitive is deterministic.  The
+    system has one sparse row per 3-index that some d(phi^jk) or the
+    difference touches, one column per 2-index in ``combinations`` order,
+    and one right-hand column per pi power of the difference, so a single
+    elimination solves every power.
     """
     n = spec.dim
     difference = form - target
     if difference.degree != 3 and not difference.is_zero():
         raise ValueError("exactness_split expects 3-forms")
-    two_basis = _two_basis(n)
-    three_basis = _three_basis(n)
-    three_pos = {idx: r for r, idx in enumerate(three_basis)}
-    # Column j holds d(phi^{two_basis[j]}); structure constants are pi-free,
-    # so every entry is a plain gaussian rational.
-    matrix = [[GAUSSIAN_ZERO] * len(two_basis) for _ in three_basis]
-    by_target = _structure_by_target(spec)
-    for col, pair in enumerate(two_basis):
+    pairs = list(itertools.combinations(range(n), 2))
+    width = len(pairs)
+    powers = sorted({coeff.pi_power for _, coeff in difference.terms})
+    # Structure constants are pi-free, so every entry is a plain gaussian
+    # rational.
+    rows: dict[tuple[int, ...], dict[int, GaussianRational]] = {}
+    for col, pair in enumerate(pairs):
         image: dict[tuple[int, ...], PiScalar] = {}
-        _add_d_monomial(image, by_target, pair, PI_ONE)
+        _add_d_monomial(image, spec._by_target, pair, PI_ONE)
         for indices, coeff in image.items():
-            matrix[three_pos[indices]][col] = coeff.coeff
-    strata: dict[int, list[GaussianRational]] = {}
+            if coeff:
+                rows.setdefault(indices, {})[col] = coeff.coeff
     for indices, coeff in difference.terms:
-        stratum = strata.setdefault(coeff.pi_power, [GAUSSIAN_ZERO] * len(three_basis))
-        stratum[three_pos[indices]] = coeff.coeff
-    solution_terms: dict[tuple[int, ...], PiScalar] = {}
-    for power in sorted(strata):
-        rhs = strata[power]
-        sol = linalg.solve(matrix, rhs, zero=GAUSSIAN_ZERO)
-        if sol is None:
-            return None
-        for pair, value in zip(two_basis, sol):
-            if value:
-                existing = solution_terms.get(pair, PI_ZERO)
-                solution_terms[pair] = existing + PiScalar(value, power)
-    beta = ExteriorForm(n, 2, tuple(solution_terms.items()))
+        rows.setdefault(indices, {})[width + powers.index(coeff.pi_power)] = coeff.coeff
+    # Shortest rows first: each pivot then comes from a short row, which
+    # fills in less.  The reduced form, so the primitive, is the same in
+    # any row order.
+    system = [rows[t] for t in sorted(rows, key=lambda t: (len(rows[t]), t))]
+    solutions = linalg._solutions(system, linalg._echelon(system, width), width, len(powers))
+    if solutions is None:
+        return None
+    terms = [(pairs[c], PiScalar(x, p)) for p, sol in zip(powers, solutions) for c, x in sol.items()]
+    beta = ExteriorForm(n, 2, tuple(terms))
     if d(spec, beta) != difference:
         raise RuntimeError("primitive verification failed after solving")
     return beta
@@ -667,7 +652,7 @@ def chern_poly_coeffs(
     det(lambda I - A/(2 pi)) = lambda^3 + P1 lambda, checks the two other
     coefficients vanish and P1 = -Tr(A^2)/(8 pi^2), and returns (P1,).
     """
-    rows = [[_scalar(x) for x in row] for row in matrix]
+    rows = [[PiScalar.of(x) for x in row] for row in matrix]
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("matrix must be square")

@@ -7,7 +7,9 @@ deterministic.
 
 Rows are sparse while they are reduced: each is a ``{column: nonzero}``
 dict, and an elimination step touches only the nonzero entries of the
-pivot row.  Inputs and outputs stay dense lists.
+pivot row.  The public functions take and return dense lists; a caller
+holding sparse rows (``liecs.exactness_split``) calls ``_echelon`` and
+``_solutions`` itself, with one column per right-hand side.
 """
 
 from __future__ import annotations
@@ -56,6 +58,19 @@ def _echelon(rows: list[dict[int, F]], width: int) -> list[int]:
     return pivots
 
 
+def _solutions(
+    rows: list[dict[int, F]], pivots: list[int], width: int, count: int
+) -> Optional[list[dict[int, F]]]:
+    """Read ``rows`` after ``_echelon(rows, width)``, with right-hand sides
+    in columns ``width .. width + count - 1``.  None when a non-pivot row
+    keeps a right-hand entry (the system is inconsistent); otherwise one
+    ``{unknown: nonzero value}`` solution per right-hand side, with every
+    free unknown zero."""
+    if any(rows[len(pivots):]):
+        return None
+    return [{c: row[k] for row, c in zip(rows, pivots) if k in row} for k in range(width, width + count)]
+
+
 def solve(
     matrix: Sequence[Sequence[F]],
     rhs: Sequence[F],
@@ -71,13 +86,10 @@ def solve(
     for row, b in zip(rows, rhs):
         if b:
             row[width] = b
-    pivots = _echelon(rows, width)
-    if any(width in row for row in rows[len(pivots):]):
+    solutions = _solutions(rows, _echelon(rows, width), width, 1)
+    if solutions is None:
         return None
-    solution = [zero] * width
-    for row, c in zip(rows, pivots):
-        solution[c] = row.get(width, zero)
-    return solution
+    return [solutions[0].get(c, zero) for c in range(width)]
 
 
 def nullspace(

@@ -229,6 +229,27 @@ def test_cs_jacobi_malformed_document(capsys, tmp_path, doc, message):
     assert err.count("\n") == 1
 
 
+def test_cs_jacobi_wide_table_ends_fast(tmp_path):
+    # Only triples holding a pair with a nonzero bracket can fail the
+    # identity: about 6000 of them here, against C(3000, 3) ~ 4.5e9.
+    doc = {
+        "basis": [f"e{i}" for i in range(3000)],
+        "brackets": [["e0", "e1", {"e1": -2}], ["e0", "e2", {"e2": 2}]],
+    }
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "repvol.cli", "cs", "jacobi", str(path)],
+        capture_output=True, text=True, env=env, timeout=30,
+    )
+    elapsed = time.perf_counter() - start
+    assert (done.returncode, done.stdout, done.stderr) == (0, "ok\n", "")
+    assert elapsed < 1
+
+
 # ---------------------------------------------------------------- graph
 
 
@@ -363,6 +384,23 @@ def _set(value, *keys):
         (_set([[1, None], [0, 1]], "edges", 0, "gluing"), "edges[0]: malformed entry"),
         (_set("1/0", "cases", 0, "assignments", 0, "coeff"), "cases[0].assignments[0]: malformed entry"),
         (_set(3, "cases", 0, "killed_slopes"), "cases[0]: malformed entry"),
+        (
+            _set([[3, -4]], "edges", 0, "gluing"),
+            "edges[0]: malformed entry (gluing [[3, -4]] is not a 2x2 matrix)",
+        ),
+        (
+            _set([[0, 1, 2], [1, 0, 0]], "edges", 0, "gluing"),
+            "edges[0]: malformed entry (gluing [[0, 1, 2], [1, 0, 0]] is not a 2x2 matrix)",
+        ),
+        (_set([[2]], "pieces", 0, "pairs"), "pieces[0]: malformed entry (pairs [[2]] are not all [a, b])"),
+        (
+            _set([["t", [2]]], "cases", 0, "assignments", 0, "fillings"),
+            "cases[0].assignments[0]: malformed entry (fillings [['t', [2]]] are not all [slot, [a, b]])",
+        ),
+        (
+            lambda doc: _set([["t", [2]]], "assignments", 0, "fillings")(_top_level_assignments(doc)),
+            "assignments[0]: malformed entry (fillings [['t', [2]]] are not all [slot, [a, b]])",
+        ),
     ],
     ids=[
         "top_level_list",
@@ -389,6 +427,11 @@ def _set(value, *keys):
         "gluing_entry_null",
         "coeff_division_by_zero",
         "killed_slopes_not_a_list",
+        "gluing_one_row",
+        "gluing_rows_too_long",
+        "seifert_pair_too_short",
+        "filling_slope_too_short",
+        "top_level_filling_slope_too_short",
     ],
 )
 @pytest.mark.parametrize("action", ["validate", "additivity"])

@@ -117,6 +117,30 @@ def test_rescaled_bracket_still_satisfies_jacobi():
     assert validate_jacobi(algebra_from_json(doc)) is None
 
 
+def test_jacobi_violation_found_in_a_wide_table():
+    # the scan skips triples whose three pairs all bracket to zero, and
+    # still reports the first failing triple: sl2 on e1000..e1002 with
+    # [X, Z] scaled, as in the three-dimensional case above
+    n = 2000
+
+    def vec(**named):
+        return tuple(named.get(f"e{i}", 0) for i in range(n))
+
+    spec = LieAlgebraSpec(
+        basis=tuple(f"e{i}" for i in range(n)),
+        brackets=(
+            ((0, 1), vec(e1=-2)),
+            ((1000, 1001), vec(e1001=-2)),
+            ((1000, 1002), vec(e1002=3)),
+            ((1001, 1002), vec(e1000=-1)),
+        ),
+        check_jacobi=False,
+    )
+    violation = validate_jacobi(spec)
+    assert violation.triple == ("e1000", "e1001", "e1002")
+    assert violation.residual == tuple(PiScalar.of(-1 if i == 1000 else 0) for i in range(n))
+
+
 def test_lie_algebra_spec_rejects_non_jacobi_by_default():
     with pytest.raises(JacobiViolation):
         LieAlgebraSpec(
@@ -490,6 +514,166 @@ def test_exactness_split_returns_none_not_raise_on_gap():
     form = cs_three_form(spec, iso_sl2r_gram())
     target = mono(4, (X, Y, Z), Fraction(1, 3))
     assert exactness_split(spec, form, target) is None
+
+
+# ---------------------------------------------------------------- exactness across pi powers
+
+
+ISO_SL2R = LIE_TABLES[1][1]
+# name -> (dimension, bracket table, Gram matrix): sl2 with its pi^-2 trace
+# form, iso-sl2r with its pi-free form.
+BLOCKS = {
+    "sl2": (3, SL2, sl2c_gram().entries),
+    "iso": (4, ISO_SL2R, iso_sl2r_gram().entries),
+}
+
+
+def unimodular(draw, n):
+    """An integer matrix P of determinant +-1 and its integer inverse Q,
+    as a product of drawn elementary column operations."""
+    p = [[int(i == j) for j in range(n)] for i in range(n)]
+    q = [row[:] for row in p]
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(0, n - 1))
+        j = draw(st.integers(0, n - 1).filter(lambda j: j != i))
+        t = draw(st.integers(-2, 2))
+        # P <- P (I + t e_ij) adds t * column i to column j;
+        # Q <- (I - t e_ij) Q subtracts t * row j from row i.
+        for row in p:
+            row[j] += t * row[i]
+        q[i] = [x - t * y for x, y in zip(q[i], q[j])]
+    assert all(
+        sum(p[i][k] * q[k][j] for k in range(n)) == int(i == j) for i in range(n) for j in range(n)
+    )
+    return p, q
+
+
+def changed_block(n, brackets, gram, p, q):
+    """The bracket table and Gram matrix of a block in the basis
+    Y_a = sum_b p[b][a] X_b."""
+    c = dense_constants(n, brackets)
+    table = {}
+    for a, b in itertools.combinations(range(n), 2):
+        image = [
+            sum(p[j][a] * p[k][b] * c[i][j][k] for j in range(n) for k in range(n))
+            for i in range(n)
+        ]
+        vec = {m: sum(q[m][i] * image[i] for i in range(n)) for m in range(n)}
+        vec = {m: v for m, v in vec.items() if v}
+        if vec:
+            table[(a, b)] = vec
+    entries = [
+        [
+            sum((gram[j][k] * (p[j][a] * p[k][b]) for j in range(n) for k in range(n)), PI_ZERO)
+            for b in range(n)
+        ]
+        for a in range(n)
+    ]
+    return table, entries
+
+
+def gaussians():
+    part = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    return st.builds(GaussianRational, part, part | st.just(Fraction(0)))
+
+
+@st.composite
+def multi_stratum_cases(draw):
+    """A sum of three sl2 / iso-sl2r blocks, each optionally in a
+    unimodular basis, with its Chern-Simons form T and a 2-form per
+    stratum: beta_0 (pi^0) on the pairs between two blocks and beta_-2
+    (pi^-2) on the pairs between another two, so the images d(beta_0)
+    and d(beta_-2) share no 3-index with each other or with T.  Some
+    cases add a monomial gamma to one stratum's part of the difference."""
+    kinds = [draw(st.sampled_from(sorted(BLOCKS))) for _ in range(3)]
+    brackets, blocks, offset = {}, [], 0
+    n = sum(BLOCKS[kind][0] for kind in kinds)
+    gram = [[PI_ZERO] * n for _ in range(n)]
+    for kind in kinds:
+        size, table, entries = BLOCKS[kind]
+        if draw(st.booleans()):
+            table, entries = changed_block(size, table, entries, *unimodular(draw, size))
+        for (j, k), vec in table.items():
+            brackets[(j + offset, k + offset)] = {i + offset: v for i, v in vec.items()}
+        for a in range(size):
+            for b in range(size):
+                gram[a + offset][b + offset] = entries[a][b]
+        blocks.append(range(offset, offset + size))
+        offset += size
+    spec = table_spec(n, brackets)
+    block_pairs = list(itertools.combinations(range(3), 2))
+    first, second = draw(st.permutations(block_pairs))[:2]
+    strata = {}
+    for power, (u, v) in ((0, first), (-2, second)):
+        pairs = [(x, y) for x in blocks[u] for y in blocks[v]]
+        coeffs = draw(st.dictionaries(st.sampled_from(pairs), gaussians(), min_size=1, max_size=4))
+        strata[power] = d(spec, ExteriorForm(n, 2, tuple((pair, PiScalar(c, power)) for pair, c in coeffs.items())))
+    gamma_power = draw(st.sampled_from([None, 0, -2]))
+    if gamma_power is not None:
+        u, v = first if gamma_power == 0 else second
+        if draw(st.booleans()):
+            u, v = v, u
+        x, z = draw(st.lists(st.sampled_from(blocks[u]), min_size=2, max_size=2, unique=True))
+        indices = tuple(sorted((x, z, draw(st.sampled_from(blocks[v])))))
+        coeff = draw(gaussians().filter(bool))
+        strata[gamma_power] = strata[gamma_power] + mono(n, indices, PiScalar(coeff, gamma_power))
+    return spec, GramForm(gram), strata, gamma_power
+
+
+def dense_primitive(spec, rhs):
+    """Dense Gauss-Jordan oracle for d(sum x_jk phi^jk) = rhs over
+    gaussian rationals: one column per 2-index and one row per 3-index,
+    both in ``combinations`` order, free unknowns zero.  Returns
+    {pair: nonzero x_jk}, or None when rhs is not exact."""
+    n = spec.dim
+    zero = GaussianRational(0)
+    pairs = list(itertools.combinations(range(n), 2))
+    images = [dict(d(spec, mono(n, pair)).terms) for pair in pairs]
+    rows = [
+        [images[c].get(t, PI_ZERO).coeff for c in range(len(pairs))] + [rhs.get(t, zero)]
+        for t in itertools.combinations(range(n), 3)
+    ]
+    width, pivots = len(pairs), []
+    for c in range(width):
+        r = len(pivots)
+        found = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if found is None:
+            continue
+        rows[r], rows[found] = rows[found], rows[r]
+        inv = rows[r][c]
+        pivot = [x / inv if x else x for x in rows[r]]
+        rows[r] = pivot
+        for i, row in enumerate(rows):
+            if i != r and row[c]:
+                f = row[c]
+                rows[i] = [x - f * y if y else x for x, y in zip(row, pivot)]
+        pivots.append(c)
+    if any(row[width] for row in rows[len(pivots):]):
+        return None
+    return {pairs[c]: rows[r][width] for r, c in enumerate(pivots) if rows[r][width]}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(multi_stratum_cases())
+def test_exactness_split_solves_each_pi_power_like_the_dense_oracle(case):
+    spec, gram, strata, gamma_power = case
+    three = cs_three_form(spec, gram)
+    difference = strata[0] + strata[-2]
+    expected = {}
+    for power, part in strata.items():
+        solution = dense_primitive(spec, {t: c.coeff for t, c in part.terms})
+        expected[power] = solution
+        if gamma_power != power:
+            # an exact part d(beta) always has a primitive
+            assert solution is not None
+    got = exactness_split(spec, three + difference, three)
+    if None in expected.values():
+        assert got is None
+        return
+    assert not set(expected[0]) & set(expected[-2])
+    terms = [(pair, PiScalar(c, power)) for power, solution in expected.items() for pair, c in solution.items()]
+    assert got == ExteriorForm(spec.dim, 2, tuple(terms))
+    assert d(spec, got) == difference
 
 
 def test_format_form():
