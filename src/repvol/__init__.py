@@ -3,152 +3,111 @@
 Everything is computed in exact arithmetic: volume coefficients are
 ``fractions.Fraction`` multiples of 4*pi^2, and the symbolic 3-form
 machinery works over Gaussian rationals times integer powers of pi.
+
+Every name in ``__all__`` resolves on first use: ``import repvol`` loads
+none of the submodules, and ``repvol.X`` or ``from repvol import X``
+imports the one module that defines ``X`` (PEP 562) and keeps ``X`` in
+the package namespace, so later uses are plain lookups.  A short-lived
+process, such as one ``repvol`` command, pays only for what it uses.
 """
 
-from .exact import (
-    ExactVolume,
-    GaussianRational,
-    NumericVolume,
-    PiScalar,
-    Rational,
-    VolumeValue,
-    render_volume,
-    volume_sum,
-)
-from .seifert import (
-    GeometryTag,
-    ParseError,
-    SeifertInvariants,
-    base_cover,
-    circle_bundle,
-    classify_geometry,
-    dehn_fill,
-    euler_number,
-    fiber_cover,
-    format_seifert,
-    orbifold_chi,
-    parse_seifert,
-)
-from .ehn import (
-    VolumeWitness,
-    foliation_exists,
-    seifert_volume_max,
-    volume_set,
-    volume_set_bruteforce,
-    witnesses_for,
-)
-from .liecs import (
-    ExteriorForm,
-    GramForm,
-    JacobiViolation,
-    LieAlgebraSpec,
-    algebra_from_json,
-    bracket_two_form,
-    chern_poly_coeffs,
-    cs_three_form,
-    d,
-    exactness_split,
-    format_form,
-    is_ad_invariant,
-    iso_sl2r_algebra,
-    iso_sl2r_gram,
-    mc_differential,
-    sl2c_algebra,
-    sl2c_gram,
-    validate_jacobi,
-)
-from .jsj import (
-    DirectVolume,
-    Edge,
-    FilledSeifert,
-    GraphManifoldSpec,
-    MotegiResult,
-    Piece,
-    RWResult,
-    SmallImage,
-    additivity_sum,
-    load_graph_document,
-    motegi_case,
-    motegi_spec,
-    rw_consistency,
-    validate_spec,
-)
-from .covers import (
-    ColoredMergeCounts,
-    MergeCounts,
-    TorusCoverDatum,
-    colored_merge_counts,
-    cover_intersection,
-    elevation_count,
-    merge_copy_counts,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ColoredMergeCounts",
-    "DirectVolume",
-    "Edge",
-    "ExactVolume",
-    "ExteriorForm",
-    "FilledSeifert",
-    "GaussianRational",
-    "GeometryTag",
-    "GramForm",
-    "GraphManifoldSpec",
-    "JacobiViolation",
-    "LieAlgebraSpec",
-    "MergeCounts",
-    "MotegiResult",
-    "NumericVolume",
-    "ParseError",
-    "PiScalar",
-    "Piece",
-    "RWResult",
-    "Rational",
-    "SeifertInvariants",
-    "SmallImage",
-    "TorusCoverDatum",
-    "VolumeValue",
-    "VolumeWitness",
-    "additivity_sum",
-    "algebra_from_json",
-    "base_cover",
-    "bracket_two_form",
-    "chern_poly_coeffs",
-    "circle_bundle",
-    "classify_geometry",
-    "colored_merge_counts",
-    "cover_intersection",
-    "cs_three_form",
-    "d",
-    "dehn_fill",
-    "elevation_count",
-    "euler_number",
-    "exactness_split",
-    "fiber_cover",
-    "foliation_exists",
-    "format_form",
-    "format_seifert",
-    "is_ad_invariant",
-    "iso_sl2r_algebra",
-    "iso_sl2r_gram",
-    "load_graph_document",
-    "mc_differential",
-    "merge_copy_counts",
-    "motegi_case",
-    "motegi_spec",
-    "orbifold_chi",
-    "parse_seifert",
-    "render_volume",
-    "rw_consistency",
-    "seifert_volume_max",
-    "sl2c_algebra",
-    "sl2c_gram",
-    "validate_jacobi",
-    "validate_spec",
-    "volume_set",
-    "volume_set_bruteforce",
-    "volume_sum",
-    "witnesses_for",
-]
+# The home module of each public name.
+_HOMES = {
+    "exact": (
+        "ExactVolume",
+        "GaussianRational",
+        "NumericVolume",
+        "PiScalar",
+        "Rational",
+        "VolumeValue",
+        "render_volume",
+        "volume_sum",
+    ),
+    "seifert": (
+        "GeometryTag",
+        "ParseError",
+        "SeifertInvariants",
+        "base_cover",
+        "circle_bundle",
+        "classify_geometry",
+        "dehn_fill",
+        "euler_number",
+        "fiber_cover",
+        "format_seifert",
+        "orbifold_chi",
+        "parse_seifert",
+    ),
+    "ehn": (
+        "VolumeWitness",
+        "foliation_exists",
+        "seifert_volume_max",
+        "volume_set",
+        "volume_set_bruteforce",
+        "witnesses_for",
+    ),
+    "liecs": (
+        "ExteriorForm",
+        "GramForm",
+        "JacobiViolation",
+        "LieAlgebraSpec",
+        "algebra_from_json",
+        "bracket_two_form",
+        "chern_poly_coeffs",
+        "cs_three_form",
+        "d",
+        "exactness_split",
+        "format_form",
+        "is_ad_invariant",
+        "iso_sl2r_algebra",
+        "iso_sl2r_gram",
+        "mc_differential",
+        "sl2c_algebra",
+        "sl2c_gram",
+        "validate_jacobi",
+    ),
+    "jsj": (
+        "DirectVolume",
+        "Edge",
+        "FilledSeifert",
+        "GraphManifoldSpec",
+        "MotegiResult",
+        "Piece",
+        "RWResult",
+        "SmallImage",
+        "additivity_sum",
+        "load_graph_document",
+        "motegi_case",
+        "motegi_spec",
+        "rw_consistency",
+        "validate_spec",
+    ),
+    "covers": (
+        "ColoredMergeCounts",
+        "MergeCounts",
+        "TorusCoverDatum",
+        "colored_merge_counts",
+        "cover_intersection",
+        "elevation_count",
+        "merge_copy_counts",
+    ),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list:
+    return sorted(set(globals()) | set(__all__))

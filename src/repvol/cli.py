@@ -6,19 +6,28 @@ specs, ``covers`` for elevation arithmetic, ``cases`` for worked
 families.  Exit codes: 0 success, 1 domain error (one line on stderr),
 2 usage error, 3 internal invariant failure (one line on stderr).  All
 output is computed before anything is printed.
+
+Each handler imports the modules it runs, so a process loads only its
+own command family: ``covers`` never loads ``liecs`` or ``jsj``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from . import covers as covers_mod
-from . import ehn, jsj, liecs, seifert
-from .exact import ExactVolume, _document, _field, _list, _name, parse_rational, render_volume
+from .exact import (
+    MAX_VALUES,
+    ExactVolume,
+    _document,
+    _field,
+    _list,
+    _name,
+    parse_rational,
+    render_volume,
+)
 
 
 def _fraction_arg(text: str) -> Fraction:
@@ -35,7 +44,20 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}")
 
 
+def _printed(value: object, what: str) -> str:
+    """``str(value)``; a number with more digits than Python converts to
+    text (4300 by default) is a ``ValueError`` naming ``what``.  The limit
+    itself is left alone: it is process-wide."""
+    try:
+        return str(value)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(f"{what} is too large to print: over {limit} digits") from None
+
+
 def _read_json(path: str):
+    import json
+
     with open(path, "r", encoding="utf-8") as handle:
         return json.load(handle)
 
@@ -46,6 +68,8 @@ def _emit(lines: Sequence[str]) -> None:
 
 
 def _emit_json(payload) -> None:
+    import json
+
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
@@ -78,6 +102,8 @@ _MAX_VALUES_HINT = " (raise it with --max-values)"
 
 
 def _cmd_seifert(args: argparse.Namespace) -> int:
+    from . import ehn, seifert
+
     inv = seifert.parse_seifert(args.notation)
     if args.action in ("volumes", "witnesses"):
         ehn._check_budget(ehn.spectrum_size_bound(inv), args.max_values, hint=_MAX_VALUES_HINT)
@@ -92,8 +118,8 @@ def _cmd_seifert(args: argparse.Namespace) -> int:
     if args.action == "info":
         payload = {
             "notation": seifert.format_seifert(inv),
-            "euler": str(seifert.euler_number(inv)),
-            "chi": str(seifert.orbifold_chi(inv)),
+            "euler": _printed(seifert.euler_number(inv), "Euler number"),
+            "chi": _printed(seifert.orbifold_chi(inv), "orbifold Euler characteristic"),
             "geometry": seifert.classify_geometry(inv).value,
         }
         if args.json:
@@ -134,10 +160,11 @@ def _cmd_seifert(args: argparse.Namespace) -> int:
         maximum = ehn.seifert_volume_max(inv)
         chi = seifert.orbifold_chi(inv)
         closed_form = chi * chi / abs(seifert.euler_number(inv))
+        # seifert_volume_max has checked that the two are equal, so if one
+        # is too large to print, so is the other
+        coefficient = _printed(maximum, "maximum volume coefficient")
         if args.json:
-            _emit_json(
-                {"coefficient": str(maximum), "closed_form": str(closed_form)}
-            )
+            _emit_json({"coefficient": coefficient, "closed_form": str(closed_form)})
         else:
             _emit(
                 [
@@ -163,6 +190,8 @@ def _cmd_seifert(args: argparse.Namespace) -> int:
 
 
 def _verify_iso_sl2r() -> list[str]:
+    from . import liecs
+
     spec = liecs.iso_sl2r_algebra()
     gram = liecs.iso_sl2r_gram()
     form = liecs.cs_three_form(spec, gram)
@@ -186,6 +215,8 @@ def _verify_iso_sl2r() -> list[str]:
 
 
 def _verify_psl2c() -> list[str]:
+    from . import liecs
+
     spec = liecs.sl2c_algebra()
     gram = liecs.sl2c_gram()
     form = liecs.cs_three_form(spec, gram)
@@ -208,6 +239,8 @@ def _cmd_cs(args: argparse.Namespace) -> int:
             _emit(_verify_psl2c())
         return 0
     if args.action == "jacobi":
+        from . import liecs
+
         spec = liecs.algebra_from_json(_read_json(args.file))
         violation = liecs.validate_jacobi(spec)
         if violation is None:
@@ -242,6 +275,8 @@ def _ratio_graph(doc) -> tuple[list[str], list[tuple[str, str, Fraction]]]:
 
 
 def _cmd_graph(args: argparse.Namespace) -> int:
+    from . import jsj
+
     doc = _read_json(args.file)
     if args.action == "rw":
         result = jsj.rw_consistency(*_ratio_graph(doc))
@@ -293,6 +328,8 @@ def _cmd_graph(args: argparse.Namespace) -> int:
 
 
 def _cmd_covers(args: argparse.Namespace) -> int:
+    from . import covers as covers_mod
+
     if args.action == "merge":
         counts = covers_mod.merge_copy_counts(args.degrees, args.m)
         payload = {
@@ -334,6 +371,8 @@ def _cmd_covers(args: argparse.Namespace) -> int:
 
 
 def _cmd_cases(args: argparse.Namespace) -> int:
+    from . import jsj
+
     result = jsj.motegi_case(args.p1, args.q1, args.p2, args.q2)
     if args.json:
         _emit_json(
@@ -384,9 +423,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--max-values",
                 type=int,
-                default=ehn.MAX_VALUES,
+                default=MAX_VALUES,
                 metavar="N",
-                help=f"refuse {refused} (default {ehn.MAX_VALUES})",
+                help=f"refuse {refused} (default {MAX_VALUES})",
             )
         if action in ("volumes", "sv"):
             p.add_argument("--decimal", action="store_true")

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .exact import rat_ceil, rat_floor
+from .exact import MAX_VALUES, rat_ceil, rat_floor
 from .seifert import SeifertInvariants, euler_number, orbifold_chi
 
 __all__ = [
@@ -64,13 +64,6 @@ def foliation_exists(genus: int, slopes: Sequence[Fraction]) -> bool:
     floor_sum = sum(rat_floor(s) for s in slopes)
     ceil_sum = sum(rat_ceil(s) for s in slopes)
     return floor_sum <= 2 * genus - 2 and ceil_sum >= 2 - 2 * genus
-
-
-# Work that may exceed this many values (or brute-force tuples) is refused
-# unless the caller raises the limit.  The cost grows with the count:
-# (1; 1/571, 1/577), bound 988401, prints its 493627 values in about 7 s
-# on a 2-CPU machine.
-MAX_VALUES = 1_000_000
 
 
 def _check_budget(count: int, limit: int = MAX_VALUES, unit: str = "values", hint: str = "") -> None:

@@ -69,6 +69,24 @@ def parse_rational(value: object, path: str, problem: str) -> Fraction:
     raise ValueError(f"{path}: " + problem.format(value))
 
 
+def _integer(value: object) -> int:
+    """``int(value)``, with a value it cannot read, such as ``'x'`` or a
+    float NaN, raised as a ``TypeError``: a wrong value inside a document
+    entry, which ``_entries`` reports at the entry's path."""
+    try:
+        return int(value)
+    except ValueError as exc:
+        raise TypeError(str(exc)) from None
+
+
+# Work that may exceed this many values (or brute-force tuples) is refused
+# unless the caller raises the limit.  The cost grows with the count:
+# (1; 1/571, 1/577), bound 988401, prints its 493627 values in about 7 s
+# on a 2-CPU machine.  It lives here, with the rest of the input boundary,
+# so the CLI parser can show it without loading ``ehn``.
+MAX_VALUES = 1_000_000
+
+
 def _document(doc: object, first: str, second: str) -> Mapping:
     """``doc`` if it is a JSON object; otherwise a ``ValueError`` naming
     the two keys it should hold."""

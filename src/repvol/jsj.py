@@ -22,6 +22,7 @@ from .exact import (
     _document,
     _entries,
     _field,
+    _integer,
     parse_rational,
     volume_sum,
 )
@@ -92,12 +93,12 @@ class Edge:
         object.__setattr__(self, "b", (str(self.b[0]), str(self.b[1])))
         (m00, m01), (m10, m11) = self.gluing
         object.__setattr__(
-            self, "gluing", ((int(m00), int(m01)), (int(m10), int(m11)))
+            self, "gluing", ((_integer(m00), _integer(m01)), (_integer(m10), _integer(m11)))
         )
         for attr in ("killed_slope", "killed_slope_b"):
             value = getattr(self, attr)
             if value is not None:
-                object.__setattr__(self, attr, (int(value[0]), int(value[1])))
+                object.__setattr__(self, attr, (_integer(value[0]), _integer(value[1])))
 
     def push_to_b(self, slope: Slope) -> Slope:
         (m00, m01), (m10, m11) = self.gluing
@@ -200,7 +201,7 @@ class FilledSeifert:
         object.__setattr__(
             self,
             "fillings",
-            tuple(sorted((str(slot), (int(a), int(b))) for slot, (a, b) in items)),
+            tuple(sorted((str(slot), (_integer(a), _integer(b))) for slot, (a, b) in items)),
         )
         object.__setattr__(self, "coeff", Fraction(self.coeff))
 
@@ -484,7 +485,7 @@ def _piece_from_json(entry: Mapping, path: str) -> Piece:
     slots = _field(entry, "slots", path)
     seifert = None
     if kind == "seifert":
-        genus = int(_field(entry, "genus", path))
+        genus = _integer(_field(entry, "genus", path))
         pairs = entry.get("pairs", ())
         boundary_count = len(slots)
         if not _two_each(pairs):

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .exact import _integer
+
 __all__ = [
     "SeifertInvariants",
     "GeometryTag",
@@ -60,7 +62,7 @@ class SeifertInvariants:
     boundary_count: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "pairs", tuple((int(a), int(b)) for a, b in self.pairs))
+        object.__setattr__(self, "pairs", tuple((_integer(a), _integer(b)) for a, b in self.pairs))
         if self.genus < 0:
             raise ValueError(f"base genus must be >= 0, got {self.genus}")
         if self.boundary_count < 0:

@@ -85,6 +85,30 @@ def test_sv(capsys):
     )
 
 
+def _primes_above(n, count):
+    small = [p for p in range(2, 1100) if all(p % q for q in range(2, p))]
+    primes, candidate = [], n + 1
+    while len(primes) < count:
+        if all(candidate % p for p in small if p * p <= candidate):
+            primes.append(candidate)
+        candidate += 1
+    return primes
+
+
+def test_info_too_large_to_print(capsys):
+    # The Euler number of (1; 1/p_1, ..., 1/p_800), the p_i the 800 primes
+    # above 10^6, has their product, about 4800 digits, as its denominator:
+    # more than str() converts.  The answer is refused by name, and the
+    # process-wide limit is left as it was.
+    limit = sys.get_int_max_str_digits()
+    notation = "(1; " + ", ".join(f"1/{p}" for p in _primes_above(10**6, 800)) + ")"
+    for argv in (("seifert", "info", notation), ("seifert", "info", notation, "--json")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: Euler number is too large to print: over {limit} digits\n"
+    assert sys.get_int_max_str_digits() == limit
+
+
 # Two fibres of prime order near 10^6: the sumset would hold about 10^12
 # residue sums, while the maximum is one closed-form witness.
 HUGE_FIBRES = "(1; 1/1000003, 1/1000033)"
@@ -401,6 +425,34 @@ def _set(value, *keys):
             lambda doc: _set([["t", [2]]], "assignments", 0, "fillings")(_top_level_assignments(doc)),
             "assignments[0]: malformed entry (fillings [['t', [2]]] are not all [slot, [a, b]])",
         ),
+        (
+            _set([["a", 1], [1, 0]], "edges", 0, "gluing"),
+            "edges[0]: malformed entry (invalid literal for int() with base 10: 'a')",
+        ),
+        (
+            _set(["x", 1], "edges", 0, "killed_slope"),
+            "edges[0]: malformed entry (invalid literal for int() with base 10: 'x')",
+        ),
+        (
+            _set([["x", 1]], "pieces", 0, "pairs"),
+            "pieces[0]: malformed entry (invalid literal for int() with base 10: 'x')",
+        ),
+        (
+            _set("one", "pieces", 0, "genus"),
+            "pieces[0]: malformed entry (invalid literal for int() with base 10: 'one')",
+        ),
+        (
+            _set(float("nan"), "pieces", 0, "genus"),
+            "pieces[0]: malformed entry (cannot convert float NaN to integer)",
+        ),
+        (
+            _set({"t": [2, "x"]}, "cases", 0, "assignments", 0, "fillings"),
+            "cases[0].assignments[0]: malformed entry (invalid literal for int() with base 10: 'x')",
+        ),
+        (
+            _set([["x", 1]], "cases", 0, "killed_slopes"),
+            "cases[0]: malformed entry (invalid literal for int() with base 10: 'x')",
+        ),
     ],
     ids=[
         "top_level_list",
@@ -432,6 +484,13 @@ def _set(value, *keys):
         "seifert_pair_too_short",
         "filling_slope_too_short",
         "top_level_filling_slope_too_short",
+        "gluing_entry_not_an_integer",
+        "killed_slope_not_an_integer",
+        "seifert_pair_not_an_integer",
+        "genus_not_an_integer",
+        "genus_nan",
+        "filling_slope_not_an_integer",
+        "case_killed_slope_not_an_integer",
     ],
 )
 @pytest.mark.parametrize("action", ["validate", "additivity"])

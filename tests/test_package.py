@@ -1,0 +1,87 @@
+"""The lazy package: ``import repvol`` loads no submodule, every public
+name resolves to its home module's object, and each CLI command family
+loads only the modules it runs."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import repvol
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+GRAPH = str(SRC / "repvol" / "data" / "motegi_2_3_2_5.json")
+
+
+def _loaded(code):
+    """The ``repvol`` modules in ``sys.modules`` after a fresh interpreter
+    runs ``code``."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    script = code + "\nimport json, sys\nprint(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'repvol')))"
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+def test_import_loads_no_submodule():
+    assert _loaded("import repvol") == {"repvol"}
+
+
+def test_every_public_name_is_its_home_modules_object():
+    # The home of a name is the one submodule whose own __all__ lists it.
+    homes = {}
+    for module in ("exact", "seifert", "ehn", "linalg", "liecs", "jsj", "covers"):
+        home = importlib.import_module(f"repvol.{module}")
+        for name in set(home.__all__) & set(repvol.__all__):
+            assert name not in homes, name
+            homes[name] = home
+    assert set(homes) == set(repvol.__all__)
+    for name, home in homes.items():
+        assert getattr(repvol, name) is getattr(home, name), name
+
+
+def test_dir_lists_every_public_name():
+    assert set(repvol.__all__) <= set(dir(repvol))
+
+
+def test_star_import_binds_every_name():
+    namespace = {}
+    exec("from repvol import *", namespace)
+    assert set(repvol.__all__) <= set(namespace)
+    assert all(namespace[name] is getattr(repvol, name) for name in repvol.__all__)
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match=r"^module 'repvol' has no attribute 'nope'$"):
+        repvol.nope
+
+
+@pytest.mark.parametrize(
+    "argv, absent, only",
+    [
+        (["seifert", "info", "(1; 1/2, 1/3)"], {"repvol.liecs", "repvol.jsj", "repvol.covers"}, None),
+        (["cs", "verify", "psl2c"], {"repvol.seifert", "repvol.ehn", "repvol.jsj", "repvol.covers"}, None),
+        (["covers", "merge", "--degrees", "2,4", "--m", "2"], set(), {"repvol", "repvol.cli", "repvol.exact", "repvol.covers"}),
+        (["graph", "rw", "RATIO_FILE"], {"repvol.liecs", "repvol.linalg", "repvol.covers"}, None),
+        (["graph", "validate", GRAPH], {"repvol.liecs", "repvol.linalg", "repvol.covers"}, None),
+    ],
+    ids=["seifert", "cs", "covers", "graph_rw", "graph_validate"],
+)
+def test_command_family_loads_only_its_modules(tmp_path, argv, absent, only):
+    ratio = tmp_path / "ratios.json"
+    ratio.write_text(json.dumps({"vertices": ["a", "b"], "edges": [["a", "b", "2"]]}))
+    argv = [str(ratio) if arg == "RATIO_FILE" else arg for arg in argv]
+    loaded = _loaded(
+        "import contextlib, io\n"
+        "from repvol import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main({argv!r}) == 0\n"
+    )
+    assert "repvol.cli" in loaded
+    assert not loaded & absent
+    if only is not None:
+        assert loaded == only
