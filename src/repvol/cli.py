@@ -157,21 +157,15 @@ def _cmd_seifert(args: argparse.Namespace) -> int:
         return 0
 
     if args.action == "sv":
+        # seifert_volume_max has checked the maximum against chi^2/|e|, so
+        # both lines print that one value
         maximum = ehn.seifert_volume_max(inv)
-        chi = seifert.orbifold_chi(inv)
-        closed_form = chi * chi / abs(seifert.euler_number(inv))
-        # seifert_volume_max has checked that the two are equal, so if one
-        # is too large to print, so is the other
         coefficient = _printed(maximum, "maximum volume coefficient")
         if args.json:
-            _emit_json({"coefficient": coefficient, "closed_form": str(closed_form)})
+            _emit_json({"coefficient": coefficient, "closed_form": coefficient})
         else:
-            _emit(
-                [
-                    f"max (enumeration) {render_volume(ExactVolume(maximum), decimal=args.decimal)}",
-                    f"max (closed form) {render_volume(ExactVolume(closed_form), decimal=args.decimal)}",
-                ]
-            )
+            shown = render_volume(ExactVolume(maximum), decimal=args.decimal)
+            _emit([f"max (enumeration) {shown}", f"max (closed form) {shown}"])
         return 0
 
     if args.action == "foliation":

@@ -29,10 +29,10 @@ by integer tests.
 
 The maximum needs no enumeration: the largest |t| is |chi| * lcm,
 attained by the residues a_i - 1 with m = 2 - 2g, so
-``seifert_volume_max`` builds that one witness through the validating
-constructor, in O(p), and checks its coefficient against chi^2/|e|.
-``volume_set_bruteforce`` tests the defining constraints over a plain
-integer window and shares no code with any of these.
+``seifert_volume_max`` computes that one integer t, in O(p), and checks
+its coefficient against chi^2/|e|.  ``volume_set_bruteforce`` tests the
+defining constraints over a plain integer window and shares no code
+with any of these.
 """
 
 from __future__ import annotations
@@ -79,24 +79,21 @@ def _check_budget(count: int, limit: int = MAX_VALUES, unit: str = "values", hin
         )
 
 
-def _require_volume_input(inv: SeifertInvariants) -> tuple[Fraction, Fraction]:
-    """(e, chi) of ``inv``; a ``ValueError`` unless its geometry is
-    sl2r-tilde (e != 0 and chi < 0) and its base genus is at least 1."""
+def _spectrum_data(inv: SeifertInvariants) -> tuple[Fraction, Fraction, int, int, int, list[range]]:
+    """(e, chi, lcm, scale, denom, steps): each value is t^2 * scale / denom
+    with integer t = s - m * lcm; steps[i] holds r * lcm/a_i for r = 1..a_i-1.
+
+    A ``ValueError`` unless the geometry of ``inv`` is sl2r-tilde (e != 0
+    and chi < 0) and its base genus is at least 1.
+    """
     e, chi = euler_number(inv), orbifold_chi(inv)
     if e == 0 or chi >= 0:
         raise ValueError(f"volume spectrum needs sl2r-tilde geometry (e = {e}, chi = {chi})")
     if inv.genus < 1:
         raise ValueError("volume spectrum requires base genus >= 1")
-    return e, chi
-
-
-def _spectrum_data(inv: SeifertInvariants) -> tuple[Fraction, int, int, int, list[range]]:
-    """(e, lcm, scale, denom, steps): each value is t^2 * scale / denom with
-    integer t = s - m * lcm; steps[i] holds r * lcm/a_i for r = 1..a_i-1."""
-    e, _ = _require_volume_input(inv)
     lcm = math.lcm(*(a for a, _ in inv.pairs))
     steps = [range(lcm // a, lcm, lcm // a) for a, _ in inv.pairs]
-    return e, lcm, e.denominator, lcm * lcm * abs(e.numerator), steps
+    return e, chi, lcm, e.denominator, lcm * lcm * abs(e.numerator), steps
 
 
 def _add_fibre(layer: dict[int, int], offsets: range) -> dict[int, int]:
@@ -112,7 +109,7 @@ def _add_fibre(layer: dict[int, int], offsets: range) -> dict[int, int]:
 
 def volume_set(inv: SeifertInvariants) -> list[Fraction]:
     """All volume coefficients (units of 4*pi^2), ascending and exact."""
-    _, lcm, scale, denom, steps = _spectrum_data(inv)
+    _, _, lcm, scale, denom, steps = _spectrum_data(inv)
     sums = functools.reduce(_add_fibre, steps, {0: 0})
     lo, hi = 2 - 2 * inv.genus, 2 * inv.genus - 2
     t_abs = {abs(s - m * lcm) for s, count in sums.items() for m in range(lo, hi + count + 1)}
@@ -127,7 +124,7 @@ def spectrum_size_bound(inv: SeifertInvariants) -> int:
     residue sums, and each gives at most 4g - 3 + p offsets m.  Not in
     ``__all__``; the CLI reads it to refuse a spectrum too large to build.
     """
-    return _size_bound(inv, _spectrum_data(inv)[1])
+    return _size_bound(inv, _spectrum_data(inv)[2])
 
 
 def _size_bound(inv: SeifertInvariants, lcm: int) -> int:
@@ -160,7 +157,7 @@ def spectrum_contains(inv: SeifertInvariants, coeff: Fraction) -> bool:
     with a ``ValueError``.  Not in ``__all__``; ``jsj.additivity_sum``
     checks assignments with it.
     """
-    _, lcm, scale, denom, steps = _spectrum_data(inv)
+    _, _, lcm, scale, denom, steps = _spectrum_data(inv)
     _check_budget(_size_bound(inv, lcm))
     sums = functools.reduce(_add_fibre, steps, {0: 0})
     return bool(_offsets(inv, Fraction(coeff), lcm, scale, denom, sums))
@@ -174,13 +171,12 @@ def volume_set_bruteforce(inv: SeifertInvariants, bound: int | None = None) -> l
     which is wide enough to contain every canonical representative.  This
     path deliberately shares no code with ``volume_set``.
     """
-    _require_volume_input(inv)
+    e = _spectrum_data(inv)[0]
     g = inv.genus
     a_list = [a for a, _ in inv.pairs]
     if bound is None:
         bound = 2 + 2 * g + sum(a_list)
     lcm = math.lcm(*a_list) if a_list else 1
-    e = euler_number(inv)
     denom = lcm * lcm * abs(e.numerator)
     scale = e.denominator
     window = range(-bound, bound + 1)
@@ -213,43 +209,44 @@ def _oracle_window(inv: SeifertInvariants) -> int:
     return (2 * bound + 1) ** len(inv.pairs)
 
 
-def _witness_fields(
-    inv: SeifertInvariants, lcm: int, e: Fraction, n_values: tuple[int, ...], n: int
-) -> tuple[int, dict]:
-    """t and every ``VolumeWitness`` field but ``coeff`` of the data (n_values, n).
+def _witness(
+    inv: SeifertInvariants, e: Fraction, lcm: int, n_values: tuple[int, ...], n: int, coeff: Fraction
+) -> tuple[int, VolumeWitness]:
+    """t and the witness of the data (n_values, n) with coefficient ``coeff``.
 
     With t = sum(n_i * lcm/a_i) - n * lcm, so that sum(n_i/a_i) - n = t/lcm,
     and e = E_num / E_den, each field is an integer over the common
     denominator lcm * E_num: zeta = t * E_den / (lcm * E_num) and
     z_i = (n_i * lcm * E_num - b_i * t * E_den) / (a_i * lcm * E_num).  The
-    coefficient is t^2 * E_den / (lcm^2 * |E_num|).
+    coefficient is t^2 * E_den / (lcm^2 * |E_num|); the caller checks
+    ``coeff`` against it, and the witness is built past ``__post_init__``.
     """
     t = sum(ni * (lcm // a) for ni, (a, _) in zip(n_values, inv.pairs)) - n * lcm
     common = lcm * e.numerator
     shift = t * e.denominator
-    return t, {
-        "inv": inv,
-        "n_values": n_values,
-        "n": n,
-        "zeta": Fraction(shift, common),
-        "z_values": tuple(
+    witness = object.__new__(VolumeWitness)
+    witness.__dict__.update(
+        inv=inv,
+        n_values=n_values,
+        n=n,
+        zeta=Fraction(shift, common),
+        z_values=tuple(
             Fraction(ni * common - b * shift, a * common) for ni, (a, b) in zip(n_values, inv.pairs)
         ),
-    }
+        coeff=coeff,
+    )
+    return t, witness
 
 
 def seifert_volume_max(inv: SeifertInvariants) -> Fraction:
     """Largest coefficient; must agree with chi^2/|e| or something is wrong.
 
-    It is read off one witness, in O(p): the residues a_i - 1 with
-    m = 2 - 2g give the largest |t| = |chi| * lcm.  That witness goes
-    through the validating constructor.
+    It is read off one integer, in O(p): the residues a_i - 1 with
+    m = 2 - 2g give the largest |t| = |chi| * lcm.
     """
-    e, chi = _require_volume_input(inv)
-    lcm = math.lcm(*(a for a, _ in inv.pairs))
-    t, fields = _witness_fields(inv, lcm, e, tuple(a - 1 for a, _ in inv.pairs), 2 - 2 * inv.genus)
-    coeff = Fraction(t * t * e.denominator, lcm * lcm * abs(e.numerator))
-    enumerated = VolumeWitness(**fields, coeff=coeff).coeff
+    e, chi, lcm, scale, denom, _ = _spectrum_data(inv)
+    t = sum((a - 1) * (lcm // a) for a, _ in inv.pairs) - (2 - 2 * inv.genus) * lcm
+    enumerated = Fraction(t * t * scale, denom)
     closed_form = chi * chi / abs(e)
     if enumerated != closed_form:
         raise RuntimeError(
@@ -265,7 +262,8 @@ class VolumeWitness:
 
     ``n_values``/``n`` satisfy the two defining inequalities, ``zeta`` is
     the common translation length (sum(n_i/a_i) - n) / e, and each
-    ``z_values[i]`` equals n_i/a_i - (b_i/a_i) * zeta.
+    ``z_values[i]`` equals n_i/a_i - (b_i/a_i) * zeta.  ``inv`` must have
+    sl2r-tilde geometry and base genus >= 1.
     """
 
     inv: SeifertInvariants
@@ -277,6 +275,7 @@ class VolumeWitness:
 
     def __post_init__(self) -> None:
         inv = self.inv
+        e, _, lcm, scale, denom, _ = _spectrum_data(inv)
         if len(self.n_values) != len(inv.pairs):
             raise ValueError("witness length does not match exceptional data")
         g = inv.genus
@@ -284,20 +283,18 @@ class VolumeWitness:
             raise ValueError("witness violates the floor inequality")
         if sum(-(-ni // a) for ni, (a, _) in zip(self.n_values, inv.pairs)) - self.n < 2 - 2 * g:
             raise ValueError("witness violates the ceiling inequality")
-        e = euler_number(inv)
-        lcm = math.lcm(*(a for a, _ in inv.pairs))
-        t, fields = _witness_fields(inv, lcm, e, self.n_values, self.n)
-        if self.zeta != fields["zeta"]:
+        t, built = _witness(inv, e, lcm, self.n_values, self.n, self.coeff)
+        if self.zeta != built.zeta:
             raise ValueError("witness zeta does not match its data")
-        if tuple(self.z_values) != fields["z_values"]:
+        if tuple(self.z_values) != built.z_values:
             raise ValueError("witness z-values do not match its data")
-        if self.coeff != Fraction(t * t * e.denominator, lcm * lcm * abs(e.numerator)):
+        if self.coeff != Fraction(t * t * scale, denom):
             raise ValueError("witness coefficient does not match its data")
 
 
 def witnesses_for(inv: SeifertInvariants, coeff: Fraction) -> list[VolumeWitness]:
     """All canonical tuples attaining ``coeff``, as full witnesses."""
-    e, lcm, scale, denom, steps = _spectrum_data(inv)
+    e, _, lcm, scale, denom, steps = _spectrum_data(inv)
     coeff = Fraction(coeff)
     layers = list(itertools.accumulate(steps, _add_fibre, initial={0: 0}))
     offsets = _offsets(inv, coeff, lcm, scale, denom, layers[-1])
@@ -331,13 +328,11 @@ def witnesses_for(inv: SeifertInvariants, coeff: Fraction) -> list[VolumeWitness
         for residues in tuples(t + m * lcm, m - hi):
             # canonical residues: floor(r_i/a_i) = 0 and ceil(r_i/a_i) = [r_i > 0]
             count = len(residues) - residues.count(0)
-            t_w, fields = _witness_fields(inv, lcm, e, residues, m)
+            # the integer tests here check what __post_init__ would
+            # re-derive in Fractions
+            t_w, witness = _witness(inv, e, lcm, residues, m, coeff)
             if m < lo or count - m < lo or t_w * t_w * scale * coeff.denominator != coeff.numerator * denom:
                 raise RuntimeError(f"witness {residues}, {m} fails its own constraints")
-            # built past __post_init__: the integer tests above check what it
-            # would re-derive in Fractions
-            witness = object.__new__(VolumeWitness)
-            witness.__dict__.update(fields, coeff=coeff)
             found.append(witness)
     found.sort(key=lambda w: (w.n, w.n_values))
     return found

@@ -437,6 +437,11 @@ def exactness_split(
     difference touches, one column per 2-index in ``combinations`` order,
     and one right-hand column per pi power of the difference, so a single
     elimination solves every power.
+
+    An ``ExteriorForm`` holds one pi power per index, so when the pinned
+    primitives of two powers share a 2-index, beta cannot be written down:
+    a ``ValueError`` names that index and both powers, and no other
+    primitive is searched for.
     """
     n = spec.dim
     difference = form - target
@@ -463,8 +468,17 @@ def exactness_split(
     solutions = linalg._solutions(system, linalg._echelon(system, width), width, len(powers))
     if solutions is None:
         return None
-    terms = [(pairs[c], PiScalar(x, p)) for p, sol in zip(powers, solutions) for c, x in sol.items()]
-    beta = ExteriorForm(n, 2, tuple(terms))
+    terms: dict[int, PiScalar] = {}
+    for p, sol in zip(powers, solutions):
+        for c, x in sol.items():
+            if c in terms:
+                index = "^".join(f"phi{spec.basis[i]}" for i in pairs[c])
+                raise ValueError(
+                    f"primitive needs pi powers {terms[c].pi_power} and {p} on the 2-index {index}; "
+                    "a form holds one pi power per index"
+                )
+            terms[c] = PiScalar(x, p)
+    beta = ExteriorForm(n, 2, tuple((pairs[c], x) for c, x in terms.items()))
     if d(spec, beta) != difference:
         raise RuntimeError("primitive verification failed after solving")
     return beta

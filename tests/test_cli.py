@@ -3,6 +3,8 @@ JSON mode, and error-stream behavior."""
 
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -14,12 +16,46 @@ import pytest
 from repvol.cli import main
 
 DATA = resources.files("repvol").joinpath("data")
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# ---------------------------------------------------------------- README
+
+
+def _readme_console_examples():
+    """(argv, expected output) for every ``$ repvol ...`` line of the
+    README's console blocks; the output is the lines up to the next
+    command, without trailing blank lines."""
+    text = (ROOT / "README.md").read_text("utf-8")
+    examples = []
+    for block in re.findall(r"```console\n(.*?)```", text, re.S):
+        for chunk in re.split(r"^\$ repvol ", block, flags=re.M)[1:]:
+            command, _, output = chunk.partition("\n")
+            examples.append((shlex.split(command), output.rstrip("\n") + "\n"))
+    return examples
+
+
+README_EXAMPLES = _readme_console_examples()
+
+
+@pytest.mark.parametrize("argv, expected", README_EXAMPLES, ids=[" ".join(a) for a, _ in README_EXAMPLES])
+def test_readme_console_example(capsys, monkeypatch, argv, expected):
+    monkeypatch.chdir(ROOT)  # the examples name data files relative to the repository
+    _, out, err = run(capsys, *argv)
+    assert out + err == expected
+
+
+def test_readme_console_examples_are_found():
+    # a parser that found nothing would leave the test above vacuous
+    assert len(README_EXAMPLES) == 13
+    sv = "max (enumeration) 4 * 4*pi^2\nmax (closed form) 4 * 4*pi^2\n"
+    assert (["seifert", "sv", "(2; 1)"], sv) in README_EXAMPLES
 
 
 # ---------------------------------------------------------------- seifert
@@ -97,20 +133,22 @@ def _primes_above(n, count):
 
 def test_info_too_large_to_print(capsys):
     # The Euler number of (1; 1/p_1, ..., 1/p_800), the p_i the 800 primes
-    # above 10^6, has their product, about 4800 digits, as its denominator:
-    # more than str() converts.  The answer is refused by name, and the
-    # process-wide limit is left as it was.
+    # above 10^6, has their product, about 4800 digits, as its denominator,
+    # and the maximum volume coefficient is larger still: more than str()
+    # converts.  The answer is refused by name, and the process-wide limit
+    # is left as it was.
     limit = sys.get_int_max_str_digits()
     notation = "(1; " + ", ".join(f"1/{p}" for p in _primes_above(10**6, 800)) + ")"
-    for argv in (("seifert", "info", notation), ("seifert", "info", notation, "--json")):
-        code, out, err = run(capsys, *argv)
-        assert (code, out) == (1, "")
-        assert err == f"error: Euler number is too large to print: over {limit} digits\n"
+    for action, what in (("info", "Euler number"), ("sv", "maximum volume coefficient")):
+        for argv in (("seifert", action, notation), ("seifert", action, notation, "--json")):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (1, "")
+            assert err == f"error: {what} is too large to print: over {limit} digits\n"
     assert sys.get_int_max_str_digits() == limit
 
 
 # Two fibres of prime order near 10^6: the sumset would hold about 10^12
-# residue sums, while the maximum is one closed-form witness.
+# residue sums, while the maximum is one integer.
 HUGE_FIBRES = "(1; 1/1000003, 1/1000033)"
 
 

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repvol import ehn
+from repvol.cli import main
 from repvol.ehn import (
     VolumeWitness,
     foliation_exists,
@@ -122,7 +123,7 @@ def test_maximum_closed_form(inv):
 @settings(max_examples=40, deadline=None)
 @given(sl2r_invariants(max_genus=3, max_fibers=5, max_a=9, min_a=1))
 def test_maximum_is_the_top_of_the_spectrum(inv):
-    # fibres with a_i = 1 put the closed-form witness's residue at 0
+    # fibres with a_i = 1 put the maximum's residue a_i - 1 at 0
     assert seifert_volume_max(inv) == volume_set(inv)[-1]
 
 
@@ -366,10 +367,10 @@ def test_spectrum_contains_refuses_a_spectrum_over_the_budget():
         (lambda inv: volume_set(inv), ["euler_number", "orbifold_chi"]),
         (lambda inv: spectrum_contains(inv, Fraction(0)), ["euler_number", "orbifold_chi"]),
         (lambda inv: witnesses_for(inv, Fraction(0)), ["euler_number", "orbifold_chi"]),
-        # the validating constructor of the maximum's witness derives e again
-        (lambda inv: seifert_volume_max(inv), ["euler_number", "euler_number", "orbifold_chi"]),
+        (lambda inv: seifert_volume_max(inv), ["euler_number", "orbifold_chi"]),
+        (lambda inv: main(["seifert", "sv", "(1; 1/2, 1/3)"]), ["euler_number", "orbifold_chi"]),
     ],
-    ids=["volume_set", "spectrum_contains", "witnesses_for", "seifert_volume_max"],
+    ids=["volume_set", "spectrum_contains", "witnesses_for", "seifert_volume_max", "cli_sv"],
 )
 def test_geometry_is_derived_once_per_call(monkeypatch, call, derived):
     from repvol import seifert
@@ -384,3 +385,15 @@ def test_geometry_is_derived_once_per_call(monkeypatch, call, derived):
         monkeypatch.setattr(ehn, name, counted)
     call(parse_seifert("(1; 1/2, 1/3)"))
     assert sorted(calls) == derived
+
+
+@pytest.mark.parametrize(
+    "text, n_values, z_values",
+    [("(1; 1/2, -1/2)", (0, 0), (0, 0)), ("(2;)", (), ())],
+    ids=["cancelling_fibres", "no_fibres"],
+)
+def test_witness_constructor_refuses_zero_euler_number(text, n_values, z_values):
+    # e = 0: the field formulas divide by e, so the geometry is refused first
+    inv = parse_seifert(text)
+    with pytest.raises(ValueError, match=r"^volume spectrum needs sl2r-tilde geometry \(e = 0, "):
+        VolumeWitness(inv=inv, n_values=n_values, n=0, zeta=0, z_values=z_values, coeff=0)

@@ -516,6 +516,22 @@ def test_exactness_split_returns_none_not_raise_on_gap():
     assert exactness_split(spec, form, target) is None
 
 
+def test_exactness_split_refuses_two_pi_powers_on_one_index():
+    # d(phi^XY + phi^YW) + pi^-2 * d(phi^YZ + phi^YW): the two parts touch
+    # disjoint 3-indices, but the zero-pinned primitives of both powers use
+    # phi^YW, and a form holds one pi power per index
+    spec = iso_sl2r_algebra()
+    low = PiScalar(1, -2)
+    beta_0 = mono(4, (X, Y)) + mono(4, (Y, W))
+    beta_low = mono(4, (Y, Z), low) + mono(4, (Y, W), low)
+    difference = d(spec, beta_0) + d(spec, beta_low)
+    with pytest.raises(
+        ValueError,
+        match=r"^primitive needs pi powers -2 and 0 on the 2-index phiY\^phiW; a form holds one pi power per index$",
+    ):
+        exactness_split(spec, difference, ExteriorForm.zero(4, 3))
+
+
 # ---------------------------------------------------------------- exactness across pi powers
 
 
