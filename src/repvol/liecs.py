@@ -441,9 +441,12 @@ def exactness_split(
     An ``ExteriorForm`` holds one pi power per index, so when the pinned
     primitives of two powers share a 2-index, beta cannot be written down:
     a ``ValueError`` names that index and both powers, and no other
-    primitive is searched for.
+    primitive is searched for.  A ``form`` or ``target`` on an algebra of
+    another dimension is a ``ValueError`` too, as in ``d``.
     """
     n = spec.dim
+    if form.dim != n or target.dim != n:
+        raise ValueError("form dimension does not match the algebra")
     difference = form - target
     if difference.degree != 3 and not difference.is_zero():
         raise ValueError("exactness_split expects 3-forms")
@@ -465,7 +468,7 @@ def exactness_split(
     # fills in less.  The reduced form, so the primitive, is the same in
     # any row order.
     system = [rows[t] for t in sorted(rows, key=lambda t: (len(rows[t]), t))]
-    solutions = linalg._solutions(system, linalg._echelon(system, width), width, len(powers))
+    solutions = linalg.solve_sparse(system, width, len(powers))
     if solutions is None:
         return None
     terms: dict[int, PiScalar] = {}

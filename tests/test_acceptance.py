@@ -11,7 +11,9 @@ import random
 from fractions import Fraction
 from importlib import resources
 
-from repvol import cli, linalg
+from dense_linalg import dense_invert, dense_nullspace, dense_solve
+
+from repvol import cli
 from repvol.exact import ExactVolume, GaussianRational, PI_ZERO, PiScalar
 from repvol.covers import (
     TorusCoverDatum,
@@ -174,7 +176,7 @@ def _conjugate(rng, dim, table):
         c = rng.choice([-2, -1, 1, 2])
         for row in range(dim):
             p[row][i] += c * p[row][j]
-    p_inv = linalg.invert(p)
+    p_inv = dense_invert(p, Fraction(0), Fraction(1))
     assert p_inv is not None
 
     def old_bracket(a, b):
@@ -234,7 +236,7 @@ def _random_invariant_gram(rng, spec):
                     if ac[k]:
                         row[slot(b, k)] += ac[k].coeff.re
                 rows.append(row)
-    basis = linalg.nullspace(rows)
+    basis = dense_nullspace(rows, Fraction(0), Fraction(1))
     if not basis:
         return None
     coeffs = [Fraction(rng.randint(-3, 3)) for _ in basis]
@@ -404,7 +406,7 @@ def _linear_oracle(vertices, edges):
                     - _factor(ratio.denominator).get(p, 0)
                 )
             )
-        if linalg.solve(matrix, rhs) is None:
+        if dense_solve(matrix, rhs, Fraction(0)) is None:
             return False
     return True
 

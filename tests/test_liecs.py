@@ -6,6 +6,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from dense_linalg import dense_echelon
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -532,6 +533,20 @@ def test_exactness_split_refuses_two_pi_powers_on_one_index():
         exactness_split(spec, difference, ExteriorForm.zero(4, 3))
 
 
+@pytest.mark.parametrize(
+    "form, target",
+    [
+        # forms of a 3-dim algebra against the 4-dim iso-sl2r
+        (ExteriorForm.zero(3, 3), ExteriorForm.zero(3, 3)),
+        (mono(5, (0, 1, 4)), ExteriorForm.zero(5, 3)),
+        (ExteriorForm.zero(4, 3), mono(5, (0, 1, 4))),
+    ],
+)
+def test_exactness_split_rejects_forms_of_another_dimension(form, target):
+    with pytest.raises(ValueError, match="^form dimension does not match the algebra$"):
+        exactness_split(iso_sl2r_algebra(), form, target)
+
+
 # ---------------------------------------------------------------- exactness across pi powers
 
 
@@ -639,31 +654,19 @@ def multi_stratum_cases(draw):
 def dense_primitive(spec, rhs):
     """Dense Gauss-Jordan oracle for d(sum x_jk phi^jk) = rhs over
     gaussian rationals: one column per 2-index and one row per 3-index,
-    both in ``combinations`` order, free unknowns zero.  Returns
-    {pair: nonzero x_jk}, or None when rhs is not exact."""
+    both in ``combinations`` order, reduced by the shared
+    ``dense_echelon``, free unknowns zero.  Returns {pair: nonzero x_jk},
+    or None when rhs is not exact."""
     n = spec.dim
     zero = GaussianRational(0)
     pairs = list(itertools.combinations(range(n), 2))
+    width = len(pairs)
     images = [dict(d(spec, mono(n, pair)).terms) for pair in pairs]
     rows = [
-        [images[c].get(t, PI_ZERO).coeff for c in range(len(pairs))] + [rhs.get(t, zero)]
+        [images[c].get(t, PI_ZERO).coeff for c in range(width)] + [rhs.get(t, zero)]
         for t in itertools.combinations(range(n), 3)
     ]
-    width, pivots = len(pairs), []
-    for c in range(width):
-        r = len(pivots)
-        found = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if found is None:
-            continue
-        rows[r], rows[found] = rows[found], rows[r]
-        inv = rows[r][c]
-        pivot = [x / inv if x else x for x in rows[r]]
-        rows[r] = pivot
-        for i, row in enumerate(rows):
-            if i != r and row[c]:
-                f = row[c]
-                rows[i] = [x - f * y if y else x for x, y in zip(row, pivot)]
-        pivots.append(c)
+    pivots = dense_echelon(rows, width)
     if any(row[width] for row in rows[len(pivots):]):
         return None
     return {pairs[c]: rows[r][width] for r, c in enumerate(pivots) if rows[r][width]}

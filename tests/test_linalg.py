@@ -1,78 +1,17 @@
-"""Sparse exact elimination against a dense Gauss-Jordan oracle.
+"""Sparse exact elimination against the dense Gauss-Jordan oracle.
 
-The oracle below reduces full dense rows, scanning columns in order,
-swapping in the first row with a nonzero entry and pinning free
-variables to zero.  ``solve``, ``nullspace`` and ``invert`` must return
-exactly what it returns: the same pinned solution, the same kernel basis
-and the same inverse, not merely some valid answer."""
+``solve_sparse`` must return exactly what ``dense_linalg.dense_solve``
+returns for each right-hand column: the same pinned solution, not merely
+some valid answer, and None as soon as one column is inconsistent."""
 
 from fractions import Fraction
 
+from dense_linalg import dense_solve
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repvol import linalg
-from repvol.exact import GAUSSIAN_ONE, GAUSSIAN_ZERO, GaussianRational
-
-# ---------------------------------------------------------------- oracle
-
-
-def dense_echelon(rows, width):
-    pivots = []
-    r = 0
-    for c in range(width):
-        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = rows[r][c]
-        rows[r] = [x / inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                factor = rows[i][c]
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return pivots
-
-
-def dense_solve(matrix, rhs, zero):
-    width = len(matrix[0])
-    rows = [list(row) + [b] for row, b in zip(matrix, rhs)]
-    pivots = dense_echelon(rows, width)
-    if any(row[width] for row in rows[len(pivots):]):
-        return None
-    solution = [zero] * width
-    for r, c in enumerate(pivots):
-        solution[c] = rows[r][width]
-    return solution
-
-
-def dense_nullspace(matrix, zero, one):
-    width = len(matrix[0])
-    rows = [list(row) for row in matrix]
-    pivots = dense_echelon(rows, width)
-    basis = []
-    for free in range(width):
-        if free in pivots:
-            continue
-        vec = [zero] * width
-        vec[free] = one
-        for r, c in enumerate(pivots):
-            vec[c] = zero - rows[r][free]
-        basis.append(vec)
-    return basis
-
-
-def dense_invert(matrix, zero, one):
-    n = len(matrix)
-    rows = [list(row) + [one if i == j else zero for j in range(n)] for i, row in enumerate(matrix)]
-    if len(dense_echelon(rows, n)) != n:
-        return None
-    return [row[n:] for row in rows]
-
+from repvol.exact import GAUSSIAN_ZERO, GaussianRational
 
 # ---------------------------------------------------------------- inputs
 
@@ -82,8 +21,8 @@ rationals = st.one_of(
     st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)),
 )
 FIELDS = {
-    "rational": (rationals, Fraction(0), Fraction(1)),
-    "gaussian": (st.builds(GaussianRational, rationals, rationals), GAUSSIAN_ZERO, GAUSSIAN_ONE),
+    "rational": (rationals, Fraction(0)),
+    "gaussian": (st.builds(GaussianRational, rationals, rationals), GAUSSIAN_ZERO),
 }
 
 
@@ -99,7 +38,7 @@ def matrices(draw, rows, cols):
     """(matrix, field): drawn entrywise, or as a product through a
     narrower inner dimension so the rank is at most that width."""
     field = draw(st.sampled_from(sorted(FIELDS)))
-    scalars, zero, _ = FIELDS[field]
+    scalars, zero = FIELDS[field]
     if draw(st.booleans()):
         matrix = [[draw(scalars) for _ in range(cols)] for _ in range(rows)]
     else:
@@ -112,18 +51,31 @@ def matrices(draw, rows, cols):
 
 @st.composite
 def systems(draw):
-    """Wide, tall and square systems; the right-hand side is either in
-    the column space by construction or drawn freely, which makes the
-    rank-deficient ones mostly inconsistent."""
+    """Wide, tall and square systems with one to three right-hand
+    columns; each column is either in the column space by construction
+    or drawn freely, which makes the rank-deficient ones mostly
+    inconsistent."""
     rows, cols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
     matrix, field = draw(matrices(rows, cols))
-    scalars, zero, _ = FIELDS[field]
-    if draw(st.booleans()):
-        x = [[draw(scalars)] for _ in range(cols)]
-        rhs = [row[0] for row in _product(matrix, x, zero)]
-    else:
-        rhs = [draw(scalars) for _ in range(rows)]
-    return matrix, rhs, field
+    scalars, zero = FIELDS[field]
+    columns = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            x = [[draw(scalars)] for _ in range(cols)]
+            columns.append([row[0] for row in _product(matrix, x, zero)])
+        else:
+            columns.append([draw(scalars) for _ in range(rows)])
+    return matrix, columns, field
+
+
+def _sparse_rows(matrix, columns):
+    width = len(matrix[0])
+    rows = [{c: x for c, x in enumerate(row) if x} for row in matrix]
+    for k, rhs in enumerate(columns):
+        for row, b in zip(rows, rhs):
+            if b:
+                row[width + k] = b
+    return rows
 
 
 # ---------------------------------------------------------------- tests
@@ -131,49 +83,32 @@ def systems(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(systems())
-def test_solve_matches_dense_oracle(system):
-    matrix, rhs, field = system
-    _, zero, _ = FIELDS[field]
-    got = linalg.solve(matrix, rhs, zero=zero)
-    assert got == dense_solve(matrix, rhs, zero)
-    if got is not None:
-        assert _product(matrix, [[x] for x in got], zero) == [[b] for b in rhs]
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.integers(1, 7).flatmap(lambda r: st.integers(1, 7).flatmap(lambda c: matrices(r, c))))
-def test_nullspace_matches_dense_oracle(drawn):
-    matrix, field = drawn
-    _, zero, one = FIELDS[field]
-    basis = linalg.nullspace(matrix, zero=zero, one=one)
-    assert basis == dense_nullspace(matrix, zero, one)
-    for vec in basis:
-        assert all(not x for row in _product(matrix, [[x] for x in vec], zero) for x in row)
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.integers(1, 6).flatmap(lambda n: matrices(n, n)))
-def test_invert_matches_dense_oracle(drawn):
-    matrix, field = drawn
-    _, zero, one = FIELDS[field]
-    got = linalg.invert(matrix, zero=zero, one=one)
-    assert got == dense_invert(matrix, zero, one)
-    if got is not None:
-        n = len(matrix)
-        assert _product(matrix, got, zero) == [[one if i == j else zero for j in range(n)] for i in range(n)]
+def test_solve_sparse_matches_dense_oracle(system):
+    matrix, columns, field = system
+    _, zero = FIELDS[field]
+    width = len(matrix[0])
+    got = linalg.solve_sparse(_sparse_rows(matrix, columns), width, len(columns))
+    dense = [dense_solve(matrix, rhs, zero) for rhs in columns]
+    if None in dense:
+        assert got is None
+        return
+    assert got == [{c: x for c, x in enumerate(solution) if x} for solution in dense]
+    for solution, rhs in zip(got, columns):
+        x = [[solution.get(c, zero)] for c in range(width)]
+        assert _product(matrix, x, zero) == [[b] for b in rhs]
 
 
 def test_inconsistent_system_is_none():
-    matrix = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
-    assert linalg.solve(matrix, [Fraction(1), Fraction(3)]) is None
-    assert linalg.solve(matrix, [Fraction(1), Fraction(2)]) == [Fraction(1), Fraction(0)]
+    one, two = Fraction(1), Fraction(2)
+    matrix = [[one, two], [two, Fraction(4)]]
+    assert linalg.solve_sparse(_sparse_rows(matrix, [[one, Fraction(3)]]), 2, 1) is None
+    assert linalg.solve_sparse(_sparse_rows(matrix, [[one, two]]), 2, 1) == [{0: one}]
+    # one inconsistent column makes the whole answer None
+    assert linalg.solve_sparse(_sparse_rows(matrix, [[one, two], [one, Fraction(3)]]), 2, 2) is None
 
 
 def test_empty_and_singular_edges():
-    assert linalg.solve([], []) == []
-    assert linalg.nullspace([]) == []
-    assert linalg.invert([[Fraction(0)]]) is None
-    assert linalg.nullspace([[Fraction(0), Fraction(0)]]) == [
-        [Fraction(1), Fraction(0)],
-        [Fraction(0), Fraction(1)],
-    ]
+    assert linalg.solve_sparse([], 3, 2) == [{}, {}]
+    # a zero matrix: every unknown is free, so only zero right-hand sides solve
+    assert linalg.solve_sparse([{}, {}], 2, 1) == [{}]
+    assert linalg.solve_sparse([{2: Fraction(1)}, {}], 2, 1) is None
