@@ -335,59 +335,85 @@ def rw_consistency(
     means every cycle multiplies to exactly 1; the check grows a
     breadth-first spanning forest of potentials, each tree rooted at the
     first vertex of its component in input order, and tests every edge
-    in input order.  On failure the fundamental cycle of the first
-    offending edge is returned with its product, which is then
-    necessarily != 1.  The cycle runs through the tree only, so it has at
-    most 2 * (eccentricity of its root) + 1 steps.
+    in input order.  A repeated vertex name names one vertex.  Potentials
+    are kept as integer numerators and denominators in lowest terms, and
+    an edge u -> v with ratio p/q is tested by comparing cross products,
+    so no ``Fraction`` is built unless an edge fails.  On failure the
+    fundamental cycle of the first offending edge is returned with its
+    ratios and product as ``Fraction``s; the product is then necessarily
+    != 1.  The cycle runs through the tree only, so it has at most
+    2 * (eccentricity of its root) + 1 steps.
     """
-    # adjacency[u] lists (neighbour, ratio, whether u is the edge's tail)
-    adjacency: dict[Hashable, list[tuple[Hashable, Fraction, bool]]] = {
-        v: [] for v in vertices
-    }
-    checked: list[tuple[Hashable, Hashable, Fraction]] = []
+    index = {name: i for i, name in enumerate(dict.fromkeys(vertices))}
+    names = list(index)
+    # Edge k is stored once: end[2k] and end[2k + 1] are its tail and
+    # head, term[2k] and term[2k + 1] its ratio's numerator and
+    # denominator.  Side s (2k or 2k + 1) is edge k seen from end[s]: the
+    # step to end[s ^ 1] multiplies the potential by term[s] / term[s ^ 1].
+    end: list[int] = []
+    term: list[int] = []
+    adjacency: list[list[int]] = [[] for _ in names]
     for u, v, ratio in edges:
-        ratio = Fraction(ratio)
-        if u not in adjacency or v not in adjacency:
-            raise ValueError(f"edge ({u!r}, {v!r}) uses unknown vertices")
-        if ratio <= 0:
+        if type(ratio) is not Fraction:
+            ratio = Fraction(ratio)
+        try:
+            tail, head = index[u], index[v]
+        except KeyError:
+            raise ValueError(f"edge ({u!r}, {v!r}) uses unknown vertices") from None
+        numerator = ratio.numerator
+        if numerator <= 0:
             raise ValueError(f"edge ratio must be positive, got {ratio}")
-        checked.append((u, v, ratio))
-        adjacency[u].append((v, ratio, True))
-        adjacency[v].append((u, ratio, False))
+        side = len(end)
+        adjacency[tail].append(side)
+        adjacency[head].append(side + 1)
+        end += (tail, head)
+        term += (numerator, ratio.denominator)
 
-    potential: dict[Hashable, Fraction] = {}
-    # into[v] = (parent, v, ratio of the tree step parent -> v); roots have none
-    into: dict[Hashable, tuple[Hashable, Hashable, Fraction]] = {}
-    for root in adjacency:
-        if root in potential:
+    # potential of vertex i = num[i] / den[i]; num[i] == 0 means unreached
+    num = [0] * len(names)
+    den = [0] * len(names)
+    # into[i] = the side its parent sees i's tree edge from; roots have -1
+    into = [-1] * len(names)
+    gcd = math.gcd
+    for root in range(len(names)):
+        if num[root]:
             continue
-        potential[root] = Fraction(1)
+        num[root] = den[root] = 1
         queue = [root]
         for u in queue:
-            for v, ratio, forward in adjacency[u]:
-                if v in potential:
+            for side in adjacency[u]:
+                v = end[side ^ 1]
+                if num[v]:
                     continue
-                step = ratio if forward else 1 / ratio
-                potential[v] = potential[u] * step
-                into[v] = (u, v, step)
+                a = num[u] * term[side]
+                b = den[u] * term[side ^ 1]
+                g = gcd(a, b)
+                num[v] = a // g
+                den[v] = b // g
+                into[v] = side
                 queue.append(v)
 
-    for u, v, ratio in checked:
-        if potential[u] * ratio == potential[v]:
+    for side in range(0, len(end), 2):
+        u, v = end[side], end[side + 1]
+        if num[u] * term[side] * den[v] == num[v] * den[u] * term[side + 1]:
             continue
         v_steps, u_steps = [], []
         for x, steps in ((v, v_steps), (u, u_steps)):
-            while x in into:
-                steps.append(into[x])
-                x = into[x][0]
+            while into[x] >= 0:
+                steps.append(x)
+                x = end[into[x]]
         # both walks end at the same root; the shared tail lies above the
         # two endpoints' lowest common ancestor
-        while v_steps and u_steps and v_steps[-1] is u_steps[-1]:
+        while v_steps and u_steps and v_steps[-1] == u_steps[-1]:
             v_steps.pop()
             u_steps.pop()
-        cycle = [(u, v, ratio)]
-        cycle += [(child, parent, 1 / step) for parent, child, step in v_steps]
-        cycle += reversed(u_steps)
+        cycle = [(names[u], names[v], Fraction(term[side], term[side + 1]))]
+        for x in v_steps:
+            s = into[x]
+            cycle.append((names[x], names[end[s]], Fraction(term[s ^ 1], term[s])))
+        for x in reversed(u_steps):
+            s = into[x]
+            cycle.append((names[end[s]], names[x], Fraction(term[s], term[s ^ 1])))
         product = math.prod(step for _, _, step in cycle)
         return RWResult(consistent=False, witness_cycle=tuple(cycle), product=product)
     return RWResult(consistent=True)
@@ -500,18 +526,32 @@ def _piece_from_json(entry: Mapping, path: str) -> Piece:
     )
 
 
+def _require_pair(value, name: str, shape: str) -> None:
+    """A ``TypeError`` if ``value`` is a list, tuple, string or object
+    without exactly two items: ``Edge`` reads only the first two, so a
+    longer one would otherwise be cut short without a word."""
+    if isinstance(value, _ITERABLE) and len(value) != 2:
+        raise TypeError(f"{name} {value!r} is not {shape}")
+
+
 def _edge_from_json(entry: Mapping, path: str) -> Edge:
     a = _field(entry, "a", path)
     b = _field(entry, "b", path)
     gluing = _field(entry, "gluing", path)
     if isinstance(gluing, _ITERABLE) and not _two_each([gluing, *gluing]):
         raise TypeError(f"gluing {gluing!r} is not a 2x2 matrix")
+    killed_slope = entry.get("killed_slope") or None
+    killed_slope_b = entry.get("killed_slope_b") or None
+    _require_pair(a, "a", "[piece, slot]")
+    _require_pair(b, "b", "[piece, slot]")
+    _require_pair(killed_slope, "killed_slope", "[a, b]")
+    _require_pair(killed_slope_b, "killed_slope_b", "[a, b]")
     return Edge(
         a=a,
         b=b,
         gluing=gluing,
-        killed_slope=entry.get("killed_slope") or None,
-        killed_slope_b=entry.get("killed_slope_b") or None,
+        killed_slope=killed_slope,
+        killed_slope_b=killed_slope_b,
     )
 
 
@@ -521,7 +561,14 @@ def _volume_from_json(entry: Mapping, path: str) -> VolumeValue:
             parse_rational(str(entry["exact"]), path, "malformed entry (bad exact {!r})")
         )
     if "numeric" in entry:
-        return NumericVolume(float(entry["numeric"]))
+        raw = entry["numeric"]
+        try:
+            value = float(raw)
+        except ValueError:
+            value = math.nan  # an unreadable string is refused like "nan"
+        if not math.isfinite(value):
+            raise TypeError(f"bad numeric {raw!r}")
+        return NumericVolume(value)
     raise ValueError(f"direct assignment {entry!r} needs 'exact' or 'numeric'")
 
 
@@ -554,6 +601,8 @@ def _case_from_json(spec: GraphManifoldSpec, case: Mapping, path: str):
             raise ValueError(
                 f"case {name}: {len(slopes)} killed slopes for {len(edges)} edges"
             )
+        for i, slope in enumerate(slopes):
+            _require_pair(slope or None, f"killed_slopes[{i}]", "[a, b]")
         edges = tuple(
             replace(edge, killed_slope=slope or None, killed_slope_b=None)
             for edge, slope in zip(edges, slopes)

@@ -657,6 +657,79 @@ def test_exponent_rationals_are_refused(capsys, tmp_path, argv, doc, message):
     assert err == f"error: {message}\n"
 
 
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (_set(["P", "t", "junk"], "edges", 0, "a"), "a ['P', 't', 'junk'] is not [piece, slot]"),
+        (_set(["H", "t", "junk"], "edges", 0, "b"), "b ['H', 't', 'junk'] is not [piece, slot]"),
+        (_set([2, 1, 7], "edges", 0, "killed_slope"), "killed_slope [2, 1, 7] is not [a, b]"),
+        (_set([2], "edges", 0, "killed_slope"), "killed_slope [2] is not [a, b]"),
+        (_set([2, 1, 0], "edges", 0, "killed_slope_b"), "killed_slope_b [2, 1, 0] is not [a, b]"),
+    ],
+    ids=["endpoint_a_too_long", "endpoint_b_too_long", "slope_too_long", "slope_too_short", "slope_b_too_long"],
+)
+@pytest.mark.parametrize("action", ["validate", "additivity"])
+def test_graph_edge_pairs_of_other_lengths_are_refused(capsys, tmp_path, action, mutate, message):
+    # these loaded before, cut short to their first two items
+    bad = tmp_path / "graph.json"
+    bad.write_text(json.dumps(mutate(_graph_doc())))
+    code, out, err = run(capsys, "graph", action, str(bad))
+    assert (code, out) == (1, "")
+    assert err == f"error: edges[0]: malformed entry ({message})\n"
+
+
+@pytest.mark.parametrize("action", ["validate", "additivity"])
+def test_graph_case_killed_slopes_of_other_lengths_are_refused(capsys, tmp_path, action):
+    bad = tmp_path / "graph.json"
+    bad.write_text(json.dumps(_set([[2, 1, 7]], "cases", 0, "killed_slopes")(_graph_doc())))
+    code, out, err = run(capsys, "graph", action, str(bad))
+    assert (code, out) == (1, "")
+    assert err == "error: cases[0]: malformed entry (killed_slopes[0] [2, 1, 7] is not [a, b])\n"
+
+
+def _numeric_doc(numeric):
+    doc = _graph_doc()
+    doc["cases"][0]["assignments"][1] = {"piece": "H", "assign": "direct", "numeric": numeric}
+    return doc
+
+
+@pytest.mark.parametrize(
+    "numeric, shown",
+    [("nan", "'nan'"), ("inf", "'inf'"), ("-Infinity", "'-Infinity'"), (float("inf"), "inf"), ("x", "'x'")],
+    ids=["nan_string", "inf_string", "minus_infinity_string", "infinity_literal", "not_a_number"],
+)
+@pytest.mark.parametrize("action", ["validate", "additivity"])
+def test_graph_non_finite_numeric_volumes_are_refused(capsys, tmp_path, action, numeric, shown):
+    # "nan" and "inf" loaded before, and additivity printed nan with exit 0
+    bad = tmp_path / "graph.json"
+    bad.write_text(json.dumps(_numeric_doc(numeric)))
+    code, out, err = run(capsys, "graph", action, str(bad))
+    assert (code, out) == (1, "")
+    assert err == f"error: cases[0].assignments[1]: malformed entry (bad numeric {shown})\n"
+
+
+def test_graph_numeric_volume_still_loads(capsys, tmp_path):
+    good = tmp_path / "graph.json"
+    good.write_text(json.dumps(_numeric_doc("2.5")))
+    code, out, err = run(capsys, "graph", "additivity", str(good))
+    # 1/4 * 4*pi^2 + 2.5
+    assert (code, out, err) == (0, "filled: 12.3696044011\n", "")
+
+
+def test_graph_rw_repeated_vertex_name_names_one_vertex(capsys, tmp_path):
+    doc = tmp_path / "ratios.json"
+    doc.write_text(json.dumps({"vertices": ["a", "b", "a"], "edges": [["a", "b", "2"], ["b", "a", "1/2"]]}))
+    code, out, _ = run(capsys, "graph", "rw", str(doc))
+    assert (code, out) == (0, "consistent\n")
+
+    doc.write_text(json.dumps({"vertices": ["b", "a", "b"], "edges": [["a", "b", "2"], ["b", "a", "2"]]}))
+    code, out, err = run(capsys, "graph", "rw", str(doc))
+    assert code == 1
+    assert out == "inconsistent: cycle b->a[2] a->b[2] product 4\n"
+    assert err == "error: edge ratios are inconsistent\n"
+
+
 # ---------------------------------------------------------------- covers
 
 

@@ -493,3 +493,126 @@ def test_rw_witness_is_a_short_fundamental_cycle():
                 distance[y] = distance[x] + 1
                 queue.append(y)
     assert len(cycle) <= 2 * max(distance.values()) + 1
+
+
+def _fraction_forest(vertices, edges):
+    """Oracle: the breadth-first forest of ``Fraction`` potentials, first
+    offending edge and fundamental cycle, written out independently of the
+    integer potentials in ``rw_consistency``."""
+    adjacency = {v: [] for v in vertices}
+    checked = []
+    for u, v, ratio in edges:
+        ratio = Fraction(ratio)
+        if u not in adjacency or v not in adjacency:
+            raise ValueError(f"edge ({u!r}, {v!r}) uses unknown vertices")
+        if ratio <= 0:
+            raise ValueError(f"edge ratio must be positive, got {ratio}")
+        checked.append((u, v, ratio))
+        adjacency[u].append((v, ratio))
+        adjacency[v].append((u, 1 / ratio))
+    potential, into = {}, {}
+    for root in adjacency:
+        if root in potential:
+            continue
+        potential[root] = Fraction(1)
+        queue = [root]
+        for u in queue:
+            for v, step in adjacency[u]:
+                if v not in potential:
+                    potential[v] = potential[u] * step
+                    into[v] = (u, v, step)
+                    queue.append(v)
+    for u, v, ratio in checked:
+        if potential[u] * ratio == potential[v]:
+            continue
+        up_v, up_u = [], []
+        for x, up in ((v, up_v), (u, up_u)):
+            while x in into:
+                up.append(into[x])
+                x = into[x][0]
+        while up_v and up_u and up_v[-1] == up_u[-1]:
+            up_v.pop()
+            up_u.pop()
+        cycle = [(u, v, ratio)] + [(b, a, 1 / r) for a, b, r in up_v] + up_u[::-1]
+        return False, tuple(cycle), math.prod(r for _, _, r in cycle)
+    return True, None, None
+
+
+def _random_ratio_graph(rng):
+    """A small multigraph with self-loops, parallel edges, disconnected
+    parts and repeated vertex names; ratios are ``Fraction``, ``int`` or
+    ``"p/q"``, and a few edges are malformed on purpose."""
+    names = [f"v{i}" for i in range(rng.randint(1, 7))]
+    vertices = names + rng.choices(names, k=rng.randint(0, 2))
+    rng.shuffle(vertices)
+    # potentials on a few classes, so most graphs are consistent or nearly so
+    potential = {name: Fraction(rng.randint(1, 4), rng.randint(1, 4)) for name in names}
+    edges = []
+    for _ in range(rng.randint(0, 10)):
+        u, v = rng.choice(names), rng.choice(names)
+        ratio = potential[v] / potential[u]
+        if rng.random() < 0.15:
+            ratio *= rng.choice((2, 3, Fraction(1, 2)))
+        form = rng.random()
+        if ratio.denominator == 1 and form < 0.3:
+            ratio = int(ratio)
+        elif form < 0.6:
+            ratio = f"{ratio.numerator}/{ratio.denominator}"
+        edges.append((u, v, ratio))
+    if edges and rng.random() < 0.04:
+        # each part may be bad at once, so the order of the checks shows
+        k = rng.randrange(len(edges))
+        u, v, ratio = edges[k]
+        edges[k] = (
+            rng.choice((u, "w", ("w",), ["w"])),
+            rng.choice((v, "w", ["w"])),
+            rng.choice((ratio, 0, "-3/2", "x/2", None)),
+        )
+    return vertices, edges
+
+
+def _outcome(check, vertices, edges):
+    try:
+        return check(vertices, edges)
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+def test_rw_matches_fraction_forest_on_random_multigraphs():
+    rng = random.Random(20261019)
+    inconsistent = refused = 0
+    for _ in range(20000):
+        vertices, edges = _random_ratio_graph(rng)
+        expected = _outcome(_fraction_forest, vertices, edges)
+        result = _outcome(rw_consistency, vertices, edges)
+        if isinstance(expected, tuple) and isinstance(expected[0], type):
+            refused += 1
+            assert result == expected
+            continue
+        assert (result.consistent, result.witness_cycle, result.product) == expected
+        if not result.consistent:
+            inconsistent += 1
+            assert type(result.product) is Fraction
+            assert all(type(r) is Fraction for _, _, r in result.witness_cycle)
+    # the generator reaches every branch
+    assert 2000 < inconsistent < 18000
+    assert refused > 100
+
+
+def test_rw_deep_chain_with_big_integer_potentials():
+    v = 5000
+    path = [(i, i + 1, 2) for i in range(v - 1)]
+    closed = rw_consistency(range(v), path + [(v - 1, 0, Fraction(1, 2**4999))])
+    assert closed.consistent
+
+    result = rw_consistency(range(v), path + [(v - 1, 0, Fraction(1, 2**4998))])
+    assert not result.consistent
+    cycle = result.witness_cycle
+    assert len(cycle) == v
+    assert {u for u, _, _ in cycle} == set(range(v))
+    for (_, w, _), (following, _, _) in zip(cycle, cycle[1:] + cycle[:1]):
+        assert w == following
+    assert result.product == 2 == math.prod(r for _, _, r in cycle)
+    assert (False, cycle, result.product) == _fraction_forest(
+        range(v), path + [(v - 1, 0, Fraction(1, 2**4998))]
+    )
