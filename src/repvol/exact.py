@@ -6,17 +6,24 @@ provides Gaussian rationals, rational multiples of integer powers of pi,
 and the tagged volume values produced by the enumeration code.
 
 ``GaussianRational`` and ``PiScalar`` are immutable ``__slots__`` classes.
-``__post_init__`` is the single place their values are normalized (parts
-to ``Fraction``, coefficients to ``GaussianRational``, zero to pi power
-0), and every construction route goes through it: the public
-constructors, ``of()``, and the internal constructors ``_gaussian`` and
-``_pi`` that arithmetic uses.  Values that are already normalized pass
-through it untouched, so arithmetic pays no re-normalization.
+A ``GaussianRational`` holds three ints ``(a, b, den)``, the value
+``(a + b*i) / den``, with ``den > 0`` and ``gcd(a, b, den) == 1``, so
+each value has one representation (zero is ``(0, 0, 1)``).  Arithmetic
+works on the ints, with one ``math.gcd`` per result; ``re`` and ``im``
+are ``Fraction``s built on demand.  A ``PiScalar`` holds a
+``GaussianRational`` coefficient and an int power of pi.
+
+``__post_init__`` is the single place values are normalized (the triple
+divided by its gcd; a ``PiScalar`` coefficient made a ``GaussianRational``
+and zero given pi power 0), and every construction route goes through
+it: the public constructors, ``of()``, and the internal constructors
+``_gaussian`` and ``_pi`` that arithmetic uses.
 """
 
 from __future__ import annotations
 
 import math
+from math import gcd as _gcd
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence, Union
@@ -156,30 +163,45 @@ class _Frozen:
 
 
 class GaussianRational(_Frozen):
-    """Complex number with exact rational real and imaginary parts."""
+    """Complex number with exact rational real and imaginary parts, held
+    as three ints: the value is ``(_a + _b*i) / _den``."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_den")
 
     def __init__(self, re: RationalLike = _ZERO, im: RationalLike = _ZERO) -> None:
-        _set(self, "re", re)
-        _set(self, "im", im)
+        p, q = _ratio(re)
+        r, s = _ratio(im)
+        _set(self, "_a", p * s)
+        _set(self, "_b", r * q)
+        _set(self, "_den", q * s)
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        if type(self.re) is not Fraction:
-            _set(self, "re", Fraction(self.re))
-        if type(self.im) is not Fraction:
-            _set(self, "im", Fraction(self.im))
+        a, b, den = self._a, self._b, self._den
+        g = _gcd(a, b, den)
+        if g != 1:
+            _set(self, "_a", a // g)
+            _set(self, "_b", b // g)
+            _set(self, "_den", den // g)
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._den)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._den)
 
     @staticmethod
     def of(value: "GaussianLike") -> "GaussianRational":
         if isinstance(value, GaussianRational):
             return value
-        return _gaussian(value, _ZERO)
+        p, q = _ratio(value)
+        return _gaussian(p, 0, q)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
-            return self.re == other.re and self.im == other.im
+            return self._a == other._a and self._b == other._b and self._den == other._den
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -192,61 +214,86 @@ class GaussianRational(_Frozen):
         return GaussianRational, (self.re, self.im)
 
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+        return bool(self._a or self._b)
 
     def __add__(self, other: "GaussianLike") -> "GaussianRational":
-        o = GaussianRational.of(other)
-        return _gaussian(self.re + o.re, self.im + o.im)
+        if type(other) is not GaussianRational:
+            other = GaussianRational.of(other)
+        d, f = self._den, other._den
+        if d == f:
+            return _gaussian(self._a + other._a, self._b + other._b, d)
+        return _gaussian(self._a * f + other._a * d, self._b * f + other._b * d, d * f)
 
     __radd__ = __add__
 
     def __neg__(self) -> "GaussianRational":
-        return _gaussian(-self.re, -self.im)
+        return _gaussian(-self._a, -self._b, self._den)
 
     def __sub__(self, other: "GaussianLike") -> "GaussianRational":
-        o = GaussianRational.of(other)
-        return _gaussian(self.re - o.re, self.im - o.im)
+        if type(other) is not GaussianRational:
+            other = GaussianRational.of(other)
+        d, f = self._den, other._den
+        if d == f:
+            return _gaussian(self._a - other._a, self._b - other._b, d)
+        return _gaussian(self._a * f - other._a * d, self._b * f - other._b * d, d * f)
 
     def __rsub__(self, other: "GaussianLike") -> "GaussianRational":
         return GaussianRational.of(other) - self
 
     def __mul__(self, other: "GaussianLike") -> "GaussianRational":
-        o = GaussianRational.of(other)
-        a, b, c, d = self.re, self.im, o.re, o.im
-        if not b and not d:
-            return _gaussian(a * c, _ZERO)
-        return _gaussian(a * c - b * d, a * d + b * c)
+        if type(other) is not GaussianRational:
+            other = GaussianRational.of(other)
+        a, b, c, e = self._a, self._b, other._a, other._b
+        if not b and not e:
+            return _gaussian(a * c, 0, self._den * other._den)
+        return _gaussian(a * c - b * e, a * e + b * c, self._den * other._den)
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "GaussianRational":
-        return _gaussian(self.re, -self.im)
+        return _gaussian(self._a, -self._b, self._den)
 
     def __truediv__(self, other: "GaussianLike") -> "GaussianRational":
-        o = GaussianRational.of(other)
-        a, b, c, d = self.re, self.im, o.re, o.im
-        norm = c * c + d * d
-        if not norm:
-            raise ZeroDivisionError("division by zero gaussian rational")
-        return _gaussian((a * c + b * d) / norm, (b * c - a * d) / norm)
+        # ((a + b i) / d) / ((c + e i) / f) = (a + b i)(c - e i) f / (d (c^2 + e^2))
+        if type(other) is not GaussianRational:
+            other = GaussianRational.of(other)
+        a, b, c, e, f = self._a, self._b, other._a, other._b, other._den
+        if not e:
+            if not c:
+                raise ZeroDivisionError("division by zero gaussian rational")
+            if c < 0:
+                a, b, c = -a, -b, -c
+            return _gaussian(a * f, b * f, self._den * c)
+        return _gaussian((a * c + b * e) * f, (b * c - a * e) * f, self._den * (c * c + e * e))
 
     def __rtruediv__(self, other: "GaussianLike") -> "GaussianRational":
         return GaussianRational.of(other) / self
 
     def __str__(self) -> str:
-        if not self.im:
+        if not self._b:
             return str(self.re)
-        if not self.re:
+        if not self._a:
             return f"{self.im}i"
-        sign = "+" if self.im > 0 else "-"
+        sign = "+" if self._b > 0 else "-"
         return f"({self.re}{sign}{abs(self.im)}i)"
 
 
-def _gaussian(re: RationalLike, im: RationalLike) -> GaussianRational:
-    """Internal constructor: no argument parsing, still through ``__post_init__``."""
+def _ratio(value: RationalLike) -> tuple[int, int]:
+    """Numerator and positive denominator of a rational, in lowest terms."""
+    if type(value) is int:
+        return value, 1
+    if type(value) is not Fraction:
+        value = Fraction(value)
+    return value.numerator, value.denominator
+
+
+def _gaussian(a: int, b: int, den: int) -> GaussianRational:
+    """Internal constructor from ints with ``den > 0``: no argument
+    parsing, still through ``__post_init__``."""
     g = _new(GaussianRational)
-    _set(g, "re", re)
-    _set(g, "im", im)
+    _set(g, "_a", a)
+    _set(g, "_b", b)
+    _set(g, "_den", den)
     g.__post_init__()
     return g
 

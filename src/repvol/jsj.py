@@ -89,6 +89,10 @@ class Edge:
     killed_slope_b: Optional[Slope] = None
 
     def __post_init__(self) -> None:
+        for attr in ("a", "b", "killed_slope", "killed_slope_b"):
+            value = getattr(self, attr)
+            if isinstance(value, _ITERABLE) and len(value) != 2:
+                raise ValueError(f"edge {attr}: expected two items, got {value!r}")
         object.__setattr__(self, "a", (str(self.a[0]), str(self.a[1])))
         object.__setattr__(self, "b", (str(self.b[0]), str(self.b[1])))
         (m00, m01), (m10, m11) = self.gluing
@@ -496,14 +500,18 @@ _ITERABLE = (list, tuple, str, dict)
 
 
 def _two_each(rows) -> bool:
-    """Whether every list, tuple, string or object in ``rows`` has two items.
+    """Whether every list, tuple or object in ``rows`` has two items, and
+    no item is a string.
 
     Unpacking such an item of another length into two names raises a bare
-    ``ValueError``, so the loaders test this first and raise ``TypeError``,
-    which ``_entries`` reports as a malformed entry at its path.  Other
-    values fail to unpack with a ``TypeError`` already.
+    ``ValueError``, and a two-character string would unpack as a pair, so
+    the loaders test this first and raise ``TypeError``, which
+    ``_entries`` reports as a malformed entry at its path.  Other values
+    fail to unpack with a ``TypeError`` already.
     """
-    return all(len(row) == 2 for row in rows if isinstance(row, _ITERABLE))
+    return all(
+        len(row) == 2 and not isinstance(row, str) for row in rows if isinstance(row, _ITERABLE)
+    )
 
 
 def _piece_from_json(entry: Mapping, path: str) -> Piece:
@@ -527,10 +535,10 @@ def _piece_from_json(entry: Mapping, path: str) -> Piece:
 
 
 def _require_pair(value, name: str, shape: str) -> None:
-    """A ``TypeError`` if ``value`` is a list, tuple, string or object
-    without exactly two items: ``Edge`` reads only the first two, so a
-    longer one would otherwise be cut short without a word."""
-    if isinstance(value, _ITERABLE) and len(value) != 2:
+    """A ``TypeError`` if ``value`` is a string, or a list, tuple or
+    object without exactly two items: a string such as ``"Pt"`` would
+    otherwise read as the pair ``("P", "t")``."""
+    if isinstance(value, _ITERABLE) and (len(value) != 2 or isinstance(value, str)):
         raise TypeError(f"{name} {value!r} is not {shape}")
 
 

@@ -25,14 +25,15 @@ from typing import Mapping, Optional, Sequence, Union
 
 from . import linalg
 from .exact import (
+    GAUSSIAN_ONE,
     GaussianRational,
-    PI_ONE,
     PI_ZERO,
     PiScalar,
     _document,
     _field,
     _list,
     _name,
+    _pi,
     parse_rational,
 )
 
@@ -61,7 +62,7 @@ ScalarLike = Union[int, Fraction, GaussianRational, PiScalar]
 
 
 # The empty column of the structure table: a zero bracket.
-_NO_TERMS: Mapping[int, PiScalar] = {}
+_NO_TERMS: Mapping[int, GaussianRational] = {}
 
 
 class JacobiViolation(ValueError):
@@ -84,12 +85,13 @@ class LieAlgebraSpec:
     untrusted tables that a caller wants to diagnose).
 
     Two tables are derived once from ``brackets``, holding only nonzero
-    constants: ``table``, the sparse antisymmetric map
-    (j, k) -> {i: c^i_jk} over both index orders, and ``_by_target``,
-    the pairs ((j, k), c^i_jk) with j < k listed per target index i.
-    Invariance, the three-form and the differential read them, so their
-    cost follows the nonzero structure constants rather than powers of
-    the dimension.  The Jacobi scan visits only triples holding a pair
+    constants as pi-free ``GaussianRational``s: ``_table``, the sparse
+    antisymmetric map (j, k) -> {i: c^i_jk} over both index orders, and
+    ``_by_target``, the pairs ((j, k), c^i_jk) with j < k listed per
+    target index i.  Invariance, the three-form and the differential read
+    them, so their cost follows the nonzero structure constants rather
+    than powers of the dimension, and no ``PiScalar`` is built inside
+    their loops.  The Jacobi scan visits only triples holding a pair
     with a nonzero bracket, at most ``dim`` per such pair.  The
     exactness system of ``exactness_split`` keeps one column per 2-index
     but stores only the nonzero entries of its rows.
@@ -98,10 +100,10 @@ class LieAlgebraSpec:
     basis: tuple[str, ...]
     brackets: tuple[tuple[tuple[int, int], tuple[PiScalar, ...]], ...]
     check_jacobi: bool = True
-    table: dict[tuple[int, int], dict[int, PiScalar]] = field(
+    _table: dict[tuple[int, int], dict[int, GaussianRational]] = field(
         init=False, repr=False, compare=False
     )
-    _by_target: list[list[tuple[tuple[int, int], PiScalar]]] = field(
+    _by_target: list[list[tuple[tuple[int, int], GaussianRational]]] = field(
         init=False, repr=False, compare=False
     )
 
@@ -128,15 +130,15 @@ class LieAlgebraSpec:
         object.__setattr__(
             self, "brackets", tuple(sorted(table.items()))
         )
-        structure: dict[tuple[int, int], dict[int, PiScalar]] = {}
-        by_target: list[list[tuple[tuple[int, int], PiScalar]]] = [[] for _ in range(dim)]
+        structure: dict[tuple[int, int], dict[int, GaussianRational]] = {}
+        by_target: list[list[tuple[tuple[int, int], GaussianRational]]] = [[] for _ in range(dim)]
         for (j, k), coeffs in self.brackets:
-            column = {i: c for i, c in enumerate(coeffs) if c}
+            column = {i: c.coeff for i, c in enumerate(coeffs) if c}
             structure[(j, k)] = column
             structure[(k, j)] = {i: -c for i, c in column.items()}
             for i, c in column.items():
                 by_target[i].append(((j, k), c))
-        object.__setattr__(self, "table", structure)
+        object.__setattr__(self, "_table", structure)
         object.__setattr__(self, "_by_target", by_target)
         if self.check_jacobi:
             violation = validate_jacobi(self)
@@ -149,8 +151,8 @@ class LieAlgebraSpec:
 
     def bracket(self, j: int, k: int) -> tuple[PiScalar, ...]:
         """Coordinates of [X_j, X_k] for any index order."""
-        column = self.table.get((j, k), _NO_TERMS)
-        return tuple(column.get(i, PI_ZERO) for i in range(self.dim))
+        column = self._table.get((j, k), _NO_TERMS)
+        return tuple(_pi(column[i], 0) if i in column else PI_ZERO for i in range(self.dim))
 
     def index_of(self, name: str) -> int:
         try:
@@ -168,17 +170,18 @@ def validate_jacobi(spec: LieAlgebraSpec) -> Optional[JacobiViolation]:
     those triples are visited.
     """
     n = spec.dim
-    table = spec.table
+    table = spec._table
     triples = {tuple(sorted((j, k, c))) for (j, k), _ in spec.brackets for c in range(n) if c not in (j, k)}
     for a, b, c in sorted(triples):
-        res: dict[int, PiScalar] = {}
+        res: dict[int, GaussianRational] = {}
         for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
             for l, c_xy in table.get((x, y), _NO_TERMS).items():
                 for m, c_lz in table.get((l, z), _NO_TERMS).items():
-                    res[m] = res.get(m, PI_ZERO) + c_xy * c_lz
+                    old = res.get(m)
+                    res[m] = c_xy * c_lz if old is None else old + c_xy * c_lz
         if any(res.values()):
             names = (spec.basis[a], spec.basis[b], spec.basis[c])
-            return JacobiViolation(names, tuple(res.get(m, PI_ZERO) for m in range(n)))
+            return JacobiViolation(names, tuple(_pi(res[m], 0) if m in res else PI_ZERO for m in range(n)))
     return None
 
 
@@ -206,7 +209,7 @@ class ExteriorForm:
             if list(indices) != sorted(set(indices)):
                 raise ValueError(f"index tuple {indices} must be strictly increasing")
             if coeff:
-                cleaned[indices] = cleaned.get(indices, PI_ZERO) + coeff
+                cleaned[indices] = cleaned[indices] + coeff if indices in cleaned else coeff
         object.__setattr__(
             self,
             "terms",
@@ -282,18 +285,18 @@ def _merge_indices(
 ) -> Optional[tuple[tuple[int, ...], int]]:
     """Merge two increasing tuples; None when they share an index.
 
-    The sign is the parity of the permutation sorting the concatenation.
+    The sign is the parity of the permutation sorting the concatenation:
+    since both parts increase, its inversions are the pairs x in
+    ``left``, y in ``right`` with x > y.
     """
-    if set(left) & set(right):
-        return None
-    combined = left + right
-    inversions = sum(
-        1
-        for a in range(len(combined))
-        for b in range(a + 1, len(combined))
-        if combined[a] > combined[b]
-    )
-    return tuple(sorted(combined)), (-1) ** inversions
+    inversions = 0
+    for y in right:
+        for x in left:
+            if x == y:
+                return None
+            if x > y:
+                inversions += 1
+    return tuple(sorted(left + right)), -1 if inversions & 1 else 1
 
 
 def mc_differential(spec: LieAlgebraSpec, i: int) -> ExteriorForm:
@@ -304,25 +307,50 @@ def mc_differential(spec: LieAlgebraSpec, i: int) -> ExteriorForm:
     return ExteriorForm(spec.dim, 2, terms)
 
 
+def _pi_sum(x: GaussianRational, p: int, y: GaussianRational, q: int) -> tuple[GaussianRational, int]:
+    """x * pi^p + y * pi^q as ``PiScalar`` addition computes it, as a
+    (coefficient, pi power) pair: a zero term takes no part, and two
+    nonzero terms with different powers are refused."""
+    if p == q:
+        return x + y, p
+    if not x:
+        return y, q
+    if not y:
+        return x, p
+    raise ValueError(f"pi-power mismatch in addition: {p} vs {q}")
+
+
+# Sums keyed by index tuple, each a (coefficient, pi power) pair.
+_Sums = dict[tuple[int, ...], tuple[GaussianRational, int]]
+
+
+def _accumulate(acc: _Sums, key: tuple[int, ...], value: GaussianRational, power: int) -> None:
+    """acc[key] += value * pi^power, by ``_pi_sum``."""
+    old = acc.get(key)
+    acc[key] = (value, power) if old is None else _pi_sum(*old, value, power)
+
+
 def _add_d_monomial(
-    acc: dict[tuple[int, ...], PiScalar],
-    by_target: list[list[tuple[tuple[int, int], PiScalar]]],
+    acc: _Sums,
+    by_target: list[list[tuple[tuple[int, int], GaussianRational]]],
     indices: tuple[int, ...],
-    coeff: PiScalar,
+    coeff: GaussianRational,
+    power: int,
 ) -> None:
-    """acc += coeff * d(phi^I), where d(phi^I) = sum_t (-1)^t
-    d(phi^{I_t}) ^ phi^{I minus I_t} and d(phi^i) = - sum c^i_jk phi^jk."""
+    """acc += coeff * pi^power * d(phi^I), summed by ``_accumulate``,
+    where d(phi^I) = sum_t (-1)^t d(phi^{I_t}) ^ phi^{I minus I_t} and
+    d(phi^i) = - sum c^i_jk phi^jk."""
+    negated = -coeff
     for t, idx in enumerate(indices):
         rest = indices[:t] + indices[t + 1 :]
+        parity = -1 if t % 2 else 1
         for pair, c in by_target[idx]:
             merged = _merge_indices(pair, rest)
             if merged is None:
                 continue
             key, sign = merged
-            value = c * coeff
-            if sign * (-1) ** t > 0:
-                value = -value
-            acc[key] = acc.get(key, PI_ZERO) + value
+            # the term is -sign * (-1)^t * c * coeff
+            _accumulate(acc, key, c * (negated if sign == parity else coeff), power)
 
 
 def bracket_two_form(spec: LieAlgebraSpec, i: int) -> ExteriorForm:
@@ -342,19 +370,20 @@ def d(spec: LieAlgebraSpec, form: ExteriorForm) -> ExteriorForm:
         raise ValueError("form dimension does not match the algebra")
     if form.degree >= spec.dim:
         return ExteriorForm.zero(spec.dim, min(form.degree + 1, spec.dim))
-    acc: dict[tuple[int, ...], PiScalar] = {}
+    acc: _Sums = {}
     for indices, coeff in form.terms:
-        _add_d_monomial(acc, spec._by_target, indices, coeff)
-    return ExteriorForm(spec.dim, form.degree + 1, tuple(acc.items()))
+        _add_d_monomial(acc, spec._by_target, indices, coeff.coeff, coeff.pi_power)
+    return ExteriorForm(spec.dim, form.degree + 1, tuple((key, _pi(*total)) for key, total in acc.items()))
 
 
 @dataclass(frozen=True)
 class GramForm:
     """Symmetric bilinear form on the algebra, as a matrix of scalars;
-    ``_rows``, derived once, holds row i as ``{j: nonzero entry}``."""
+    ``_rows``, derived once, holds row i as ``{j: (coefficient, pi
+    power)}`` over the nonzero entries."""
 
     entries: tuple[tuple[PiScalar, ...], ...]
-    _rows: list[dict[int, PiScalar]] = field(init=False, repr=False, compare=False)
+    _rows: list[dict[int, tuple[GaussianRational, int]]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         rows = tuple(tuple(PiScalar.of(x) for x in row) for row in self.entries)
@@ -366,7 +395,8 @@ class GramForm:
                 if rows[i][j] != rows[j][i]:
                     raise ValueError(f"Gram matrix is not symmetric at ({i}, {j})")
         object.__setattr__(self, "entries", rows)
-        object.__setattr__(self, "_rows", [{j: g for j, g in enumerate(row) if g} for row in rows])
+        row_terms = [{j: (g.coeff, g.pi_power) for j, g in enumerate(row) if g} for row in rows]
+        object.__setattr__(self, "_rows", row_terms)
 
     @property
     def dim(self) -> int:
@@ -382,17 +412,19 @@ def is_ad_invariant(spec: LieAlgebraSpec, gram: GramForm) -> bool:
     """
     if gram.dim != spec.dim:
         raise ValueError("Gram dimension does not match the algebra")
-    ad_t_g: dict[int, dict[tuple[int, int], PiScalar]] = {}
-    for (a, b), column in spec.table.items():
+    ad_t_g: dict[int, _Sums] = {}
+    for (a, b), column in spec._table.items():
         n_a = ad_t_g.setdefault(a, {})
         for i, c_ab in column.items():
-            for c, g in gram._rows[i].items():
-                n_a[(b, c)] = n_a.get((b, c), PI_ZERO) + c_ab * g
-    return not any(
-        value + n_a.get((c, b), PI_ZERO)
-        for n_a in ad_t_g.values()
-        for (b, c), value in n_a.items()
-    )
+            for c, (g, p) in gram._rows[i].items():
+                _accumulate(n_a, (b, c), c_ab * g, p)
+    for n_a in ad_t_g.values():
+        for (b, c), total in n_a.items():
+            if (c, b) in n_a:
+                total = _pi_sum(*total, *n_a[(c, b)])
+            if total[0]:
+                return False
+    return True
 
 
 def cs_three_form(spec: LieAlgebraSpec, gram: GramForm) -> ExteriorForm:
@@ -412,18 +444,18 @@ def cs_three_form(spec: LieAlgebraSpec, gram: GramForm) -> ExteriorForm:
     # (a 2-form and a 1-form commute): d(phi^i) carries -c^i_jk and
     # [omega, omega] carries +2 c^i_jk, each pairing averages with 1/3,
     # so T = (1/3)(-S) + (1/3)(1/3)(2 S) = -(1/9) S.
-    acc: dict[tuple[int, ...], PiScalar] = {}
+    acc: _Sums = {}
     for i, pairs in enumerate(spec._by_target):
         for (j, k), c in pairs:
-            for l, f_il in gram._rows[i].items():
+            for l, (f_il, p) in gram._rows[i].items():
                 merged = _merge_indices((j, k), (l,))
                 if merged is None:
                     continue
                 key, sign = merged
                 value = c * f_il
-                acc[key] = acc.get(key, PI_ZERO) + (value if sign > 0 else -value)
-    scale = PiScalar.of(Fraction(-1, 9))
-    return ExteriorForm(spec.dim, 3, tuple((key, v * scale) for key, v in acc.items()))
+                _accumulate(acc, key, value if sign > 0 else -value, p)
+    scale = GaussianRational(Fraction(-1, 9))
+    return ExteriorForm(spec.dim, 3, tuple((key, _pi(v * scale, p)) for key, (v, p) in acc.items()))
 
 
 def exactness_split(
@@ -457,11 +489,11 @@ def exactness_split(
     # rational.
     rows: dict[tuple[int, ...], dict[int, GaussianRational]] = {}
     for col, pair in enumerate(pairs):
-        image: dict[tuple[int, ...], PiScalar] = {}
-        _add_d_monomial(image, spec._by_target, pair, PI_ONE)
-        for indices, coeff in image.items():
+        image: _Sums = {}
+        _add_d_monomial(image, spec._by_target, pair, GAUSSIAN_ONE, 0)
+        for indices, (coeff, _) in image.items():
             if coeff:
-                rows.setdefault(indices, {})[col] = coeff.coeff
+                rows.setdefault(indices, {})[col] = coeff
     for indices, coeff in difference.terms:
         rows.setdefault(indices, {})[width + powers.index(coeff.pi_power)] = coeff.coeff
     # Shortest rows first: each pivot then comes from a short row, which
@@ -480,7 +512,7 @@ def exactness_split(
                     f"primitive needs pi powers {terms[c].pi_power} and {p} on the 2-index {index}; "
                     "a form holds one pi power per index"
                 )
-            terms[c] = PiScalar(x, p)
+            terms[c] = _pi(x, p)
     beta = ExteriorForm(n, 2, tuple((pairs[c], x) for c, x in terms.items()))
     if d(spec, beta) != difference:
         raise RuntimeError("primitive verification failed after solving")

@@ -542,6 +542,41 @@ def test_graph_malformed_document(capsys, tmp_path, action, mutate, message):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (_set("Pt", "edges", 0, "a"), "edges[0]: malformed entry (a 'Pt' is not [piece, slot])"),
+        (_set("Ht", "edges", 0, "b"), "edges[0]: malformed entry (b 'Ht' is not [piece, slot])"),
+        (_set("21", "edges", 0, "killed_slope"), "edges[0]: malformed entry (killed_slope '21' is not [a, b])"),
+        (
+            _set("21", "edges", 0, "killed_slope_b"),
+            "edges[0]: malformed entry (killed_slope_b '21' is not [a, b])",
+        ),
+        (
+            _set(["34", "23"], "edges", 0, "gluing"),
+            "edges[0]: malformed entry (gluing ['34', '23'] is not a 2x2 matrix)",
+        ),
+        (_set(["21"], "pieces", 0, "pairs"), "pieces[0]: malformed entry (pairs ['21'] are not all [a, b])"),
+        (
+            _set({"t": "21"}, "cases", 0, "assignments", 0, "fillings"),
+            "cases[0].assignments[0]: malformed entry (fillings {'t': '21'} are not all [slot, [a, b]])",
+        ),
+        (
+            _set(["21"], "cases", 0, "killed_slopes"),
+            "cases[0]: malformed entry (killed_slopes[0] '21' is not [a, b])",
+        ),
+    ],
+    ids=["edge_a", "edge_b", "killed_slope", "killed_slope_b", "gluing_rows", "seifert_pair", "filling_slope", "case_killed_slope"],
+)
+@pytest.mark.parametrize("action", ["validate", "additivity"])
+def test_graph_two_character_string_is_not_a_pair(capsys, tmp_path, action, mutate, message):
+    # "Pt" has two characters, but no JSON string stands for a pair
+    bad = tmp_path / "graph.json"
+    bad.write_text(json.dumps(mutate(_graph_doc())))
+    code, out, err = run(capsys, "graph", action, str(bad))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_graph_rw(capsys, tmp_path):
     good = tmp_path / "good.json"
     good.write_text(

@@ -229,3 +229,111 @@ def test_post_init_hook_sees_every_arithmetic_result(monkeypatch):
     ]
     for value in results:
         assert id(value) in seen, value
+
+
+# ---------------------------------------------------------------- differential check of GaussianRational
+#
+# A GaussianRational is held as three ints; the reference below is the
+# plain (re, im) pair of Fractions, with the operations written out.
+
+
+def ref_add(x, y):
+    return x[0] + y[0], x[1] + y[1]
+
+
+def ref_sub(x, y):
+    return x[0] - y[0], x[1] - y[1]
+
+
+def ref_mul(x, y):
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def ref_div(x, y):
+    norm = y[0] * y[0] + y[1] * y[1]
+    if not norm:
+        raise ZeroDivisionError
+    return (x[0] * y[0] + x[1] * y[1]) / norm, (x[1] * y[0] - x[0] * y[1]) / norm
+
+
+def ref_str(x):
+    re, im = x
+    if not im:
+        return str(re)
+    if not re:
+        return f"{im}i"
+    return f"({re}{'+' if im > 0 else '-'}{abs(im)}i)"
+
+
+def pair(g):
+    """The (re, im) pair of a result, checking that it is a normalized
+    GaussianRational: equal, with an equal hash, to the value built from
+    that pair."""
+    assert type(g) is GaussianRational
+    assert type(g.re) is Fraction and type(g.im) is Fraction
+    twin = GaussianRational(g.re, g.im)
+    assert g == twin and hash(g) == hash(twin)
+    return g.re, g.im
+
+
+wide_rationals = st.fractions(max_denominator=10**6) | st.integers(-(10**9), 10**9).map(Fraction)
+wide_gaussians = st.tuples(wide_rationals, wide_rationals)
+# an int or a Fraction operand, possibly zero
+plain_operands = st.integers(-(10**6), 10**6) | st.fractions(max_denominator=10**4) | st.just(0)
+
+
+@given(wide_gaussians, wide_gaussians)
+def test_gaussian_arithmetic_matches_fraction_pairs(x, y):
+    gx, gy = GaussianRational(*x), GaussianRational(*y)
+    assert pair(gx) == x and pair(gy) == y
+    assert pair(gx + gy) == ref_add(x, y)
+    assert pair(gx - gy) == ref_sub(x, y)
+    assert pair(gx * gy) == ref_mul(x, y)
+    assert pair(-gx) == (-x[0], -x[1])
+    assert pair(gx.conjugate()) == (x[0], -x[1])
+    if y == (0, 0):
+        with pytest.raises(ZeroDivisionError, match="^division by zero gaussian rational$"):
+            gx / gy
+    else:
+        assert pair(gx / gy) == ref_div(x, y)
+
+
+@given(wide_gaussians, plain_operands)
+def test_gaussian_mixed_operands_match_fraction_pairs(x, k):
+    g, r = GaussianRational(*x), (Fraction(k), Fraction(0))
+    assert pair(g + k) == pair(k + g) == ref_add(x, r)
+    assert pair(g - k) == ref_sub(x, r)
+    assert pair(k - g) == ref_sub(r, x)
+    assert pair(g * k) == pair(k * g) == ref_mul(x, r)
+    for divide, num, den in ((lambda: g / k, x, r), (lambda: k / g, r, x)):
+        if den == (0, 0):
+            with pytest.raises(ZeroDivisionError, match="^division by zero gaussian rational$"):
+                divide()
+        else:
+            assert pair(divide()) == ref_div(num, den)
+
+
+@given(wide_gaussians, wide_gaussians)
+def test_gaussian_equality_hash_and_text_match_fraction_pairs(x, y):
+    gx, gy = GaussianRational(*x), GaussianRational(*y)
+    assert (gx == gy) == (x == y)
+    assert gx == GaussianRational.of(x[0]) + GaussianRational(0, x[1])
+    assert hash(gx) == hash(x)
+    assert bool(gx) == (x != (0, 0))
+    assert repr(gx) == f"GaussianRational(re={x[0]!r}, im={x[1]!r})"
+    assert str(gx) == ref_str(x)
+    for clone in (pickle.loads(pickle.dumps(gx)), copy.copy(gx), copy.deepcopy(gx)):
+        assert clone == gx and hash(clone) == hash(gx) and repr(clone) == repr(gx)
+    # a GaussianRational never equals a plain number, even an equal one
+    assert not gx == x[0] and not x[0] == gx
+
+
+@given(wide_gaussians)
+def test_gaussian_fields_cannot_be_set(x):
+    g = GaussianRational(*x)
+    for name in ("re", "im", "_a", "_b", "_den", "other"):
+        with pytest.raises(AttributeError):
+            setattr(g, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(g, name)
+    assert pair(g) == x

@@ -152,6 +152,26 @@ def test_edge_push_to_b():
     assert edge.push_to_b((2, 3)) == (3, 2)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("a", ("P", "t", "x")),
+        ("a", ("P",)),
+        ("b", ["H", "t", "x"]),
+        ("b", ()),
+        ("killed_slope", (1, 0, 7)),
+        ("killed_slope", [1]),
+        ("killed_slope_b", (0, 1, 0)),
+    ],
+)
+def test_edge_refuses_pairs_without_two_items(field, value):
+    fields = {"a": ("P", "t"), "b": ("H", "t"), "gluing": ((0, 1), (1, 0)), "killed_slope": (1, 0)}
+    fields[field] = value
+    # a longer tuple was once cut to its first two items without a word
+    with pytest.raises(ValueError, match=rf"^edge {field}: expected two items, got "):
+        Edge(**fields)
+
+
 # ---------------------------------------------------------------- additivity
 
 

@@ -307,6 +307,49 @@ def test_canned_grams_are_ad_invariant():
     assert is_ad_invariant(sl2c_algebra(), sl2c_gram())
 
 
+def _mixed_power_gram():
+    # f(X, X) = 2 carries no pi while f(Y, Z) = pi does
+    pi = PiScalar.of(1, pi_power=1)
+    return GramForm(((2, 0, 0), (0, 0, pi), (0, pi, 0)))
+
+
+@pytest.mark.parametrize("compute", [is_ad_invariant, cs_three_form])
+def test_mixed_power_gram_is_refused(compute):
+    with pytest.raises(ValueError, match=r"^pi-power mismatch in addition: 1 vs 0$"):
+        compute(sl2c_algebra(), _mixed_power_gram())
+
+
+def test_d_of_a_mixed_power_form_is_refused():
+    pi = PiScalar.of(1, pi_power=1)
+    beta = mono(4, (X, Y)) + mono(4, (X, Z), pi)
+    with pytest.raises(ValueError, match=r"^pi-power mismatch in addition: 0 vs 1$"):
+        d(iso_sl2r_algebra(), beta)
+
+
+def test_public_scalars_stay_pi_scalars():
+    spec = iso_sl2r_algebra()
+    assert all(type(c) is PiScalar for c in spec.bracket(X, W))
+    assert all(type(c) is PiScalar for c in spec.bracket(W, X))
+    assert all(type(c) is PiScalar for _, vec in spec.brackets for c in vec)
+    violation = validate_jacobi(
+        algebra_from_json(
+            {"basis": ["X", "Y", "Z"], "brackets": [["X", "Y", {"Y": -2}], ["X", "Z", {"Z": 3}], ["Y", "Z", {"X": -1}]]}
+        )
+    )
+    assert violation.residual == (PiScalar.of(-1), PI_ZERO, PI_ZERO)
+    assert all(type(r) is PiScalar for r in violation.residual)
+    # d carries each term's pi power onto the terms it produces
+    low = d(spec, mono(4, (X, Y), PiScalar.of(3, pi_power=-2)))
+    assert {c.pi_power for _, c in low.terms} == {-2}
+    for form in (
+        cs_three_form(spec, iso_sl2r_gram()),
+        cs_three_form(sl2c_algebra(), sl2c_gram()),
+        low,
+        mc_differential(spec, X),
+    ):
+        assert form.terms and all(type(c) is PiScalar for _, c in form.terms)
+
+
 def test_cs_three_form_warns_on_non_invariant_gram():
     spec = sl2c_algebra()
     bad = GramForm(
