@@ -37,6 +37,17 @@ def _fraction_arg(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _budget_arg(text: str) -> int:
+    """A ``--max-values`` N: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _int_list(text: str) -> list[int]:
     try:
         return [int(part) for part in text.split(",") if part.strip() != ""]
@@ -416,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
                 refused += ", and --oracle windows of more than N tuples"
             p.add_argument(
                 "--max-values",
-                type=int,
+                type=_budget_arg,
                 default=MAX_VALUES,
                 metavar="N",
                 help=f"refuse {refused} (default {MAX_VALUES})",

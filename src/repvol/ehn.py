@@ -24,15 +24,19 @@ refuses a space whose spectrum may exceed ``MAX_VALUES``.
 ``witnesses_for`` walks back through the same layers on an explicit
 stack and only steps to residue sums that can still reach the count
 they need, so its cost follows the output; each witness is derived
-once, in integers over the common denominator lcm * E_num, and checked
-by integer tests.
+once, in integers over the common denominator lcm * |E_num|, and checked
+by integer tests.  Every witness under one root t shares zeta, and z_i
+depends only on t and (i, n_i), so ``witnesses_for`` keeps one field
+table per t and builds each of those ``Fraction``s once.  Values and
+fields come from ``exact._fraction``, one ``gcd`` per value.
 
 The maximum needs no enumeration: the largest |t| is |chi| * lcm,
 attained by the residues a_i - 1 with m = 2 - 2g, so
 ``seifert_volume_max`` computes that one integer t, in O(p), and checks
 its coefficient against chi^2/|e|.  ``volume_set_bruteforce`` tests the
 defining constraints over a plain integer window and shares no code
-with any of these.
+with any of these: it sums e and chi as plain ``Fraction``s itself,
+collects the integers |t|, and builds one ``Fraction`` per distinct |t|.
 """
 
 from __future__ import annotations
@@ -44,8 +48,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .exact import MAX_VALUES, rat_ceil, rat_floor
-from .seifert import SeifertInvariants, euler_number, orbifold_chi
+from .exact import MAX_VALUES, _fraction, rat_ceil, rat_floor
+from .seifert import SeifertInvariants, _require_closed, euler_number, orbifold_chi
 
 __all__ = [
     "VolumeWitness",
@@ -87,13 +91,18 @@ def _spectrum_data(inv: SeifertInvariants) -> tuple[Fraction, Fraction, int, int
     and chi < 0) and its base genus is at least 1.
     """
     e, chi = euler_number(inv), orbifold_chi(inv)
+    _require_volume_geometry(inv, e, chi)
+    lcm = math.lcm(*(a for a, _ in inv.pairs))
+    steps = [range(lcm // a, lcm, lcm // a) for a, _ in inv.pairs]
+    return e, chi, lcm, e.denominator, lcm * lcm * abs(e.numerator), steps
+
+
+def _require_volume_geometry(inv: SeifertInvariants, e: Fraction, chi: Fraction) -> None:
+    """A ``ValueError`` unless e != 0, chi < 0 and the base genus is >= 1."""
     if e == 0 or chi >= 0:
         raise ValueError(f"volume spectrum needs sl2r-tilde geometry (e = {e}, chi = {chi})")
     if inv.genus < 1:
         raise ValueError("volume spectrum requires base genus >= 1")
-    lcm = math.lcm(*(a for a, _ in inv.pairs))
-    steps = [range(lcm // a, lcm, lcm // a) for a, _ in inv.pairs]
-    return e, chi, lcm, e.denominator, lcm * lcm * abs(e.numerator), steps
 
 
 def _add_fibre(layer: dict[int, int], offsets: range) -> dict[int, int]:
@@ -114,7 +123,7 @@ def volume_set(inv: SeifertInvariants) -> list[Fraction]:
     lo, hi = 2 - 2 * inv.genus, 2 * inv.genus - 2
     t_abs = {abs(s - m * lcm) for s, count in sums.items() for m in range(lo, hi + count + 1)}
     # the value grows with |t|, so ascending |t| is ascending value
-    return [Fraction(t * t * scale, denom) for t in sorted(t_abs)]
+    return [_fraction(t * t * scale, denom) for t in sorted(t_abs)]
 
 
 def spectrum_size_bound(inv: SeifertInvariants) -> int:
@@ -168,24 +177,29 @@ def volume_set_bruteforce(inv: SeifertInvariants, bound: int | None = None) -> l
 
     Every tuple (n_1, ..., n_p, n) with all entries in [-B, B] is tested
     against the two inequalities directly; B defaults to 2 + 2g + sum(a_i),
-    which is wide enough to contain every canonical representative.  This
-    path deliberately shares no code with ``volume_set``.
+    which is wide enough to contain every canonical representative.  Each
+    admissible tuple gives the integer t = sum(n_i * lcm/a_i) - n * lcm,
+    and each distinct |t| the value t^2 / (lcm^2 * |e|).  This path
+    deliberately shares no code with ``volume_set``: e and chi are summed
+    here as plain ``Fraction``s, and each value is built as one.
     """
-    e = _spectrum_data(inv)[0]
+    # volume_set's refusals, word for word
+    _require_closed(inv, "euler_number")
     g = inv.genus
     a_list = [a for a, _ in inv.pairs]
+    e = sum((Fraction(b, a) for a, b in inv.pairs), Fraction(0))
+    chi = 2 - 2 * g - sum((Fraction(a - 1, a) for a in a_list), Fraction(0))
+    _require_volume_geometry(inv, e, chi)
     if bound is None:
         bound = 2 + 2 * g + sum(a_list)
     lcm = math.lcm(*a_list) if a_list else 1
-    denom = lcm * lcm * abs(e.numerator)
-    scale = e.denominator
     window = range(-bound, bound + 1)
     # Per coordinate: (floor(v/a), ceil(v/a), v scaled to the common denominator).
     tables = [
         [(v // a, -((-v) // a), v * (lcm // a)) for v in window]
         for a in a_list
     ]
-    values: set[Fraction] = set()
+    t_values: set[int] = set()
     hi_shift = 2 * g - 2
     for combo in itertools.product(*tables):
         floor_sum = 0
@@ -197,10 +211,11 @@ def volume_set_bruteforce(inv: SeifertInvariants, bound: int | None = None) -> l
             s += sv
         n_lo = max(floor_sum - hi_shift, -bound)
         n_hi = min(ceil_sum + hi_shift, bound)
-        for n in range(n_lo, n_hi + 1):
-            t = s - n * lcm
-            values.add(Fraction(t * t * scale, denom))
-    return sorted(values)
+        # t = s - n * lcm for n = n_hi, ..., n_lo
+        t_values.update(range(s - n_hi * lcm, s - n_lo * lcm + 1, lcm))
+    # the value grows with |t|, so ascending |t| is ascending value
+    scale, denom = e.denominator, lcm * lcm * abs(e.numerator)
+    return [Fraction(t * t * scale, denom) for t in sorted({abs(t) for t in t_values})]
 
 
 def _oracle_window(inv: SeifertInvariants) -> int:
@@ -210,30 +225,44 @@ def _oracle_window(inv: SeifertInvariants) -> int:
 
 
 def _witness(
-    inv: SeifertInvariants, e: Fraction, lcm: int, n_values: tuple[int, ...], n: int, coeff: Fraction
+    inv: SeifertInvariants,
+    e: Fraction,
+    lcm: int,
+    n_values: tuple[int, ...],
+    n: int,
+    coeff: Fraction,
+    fields: dict[int, tuple[Fraction, dict[tuple[int, int], Fraction]]],
 ) -> tuple[int, VolumeWitness]:
     """t and the witness of the data (n_values, n) with coefficient ``coeff``.
 
     With t = sum(n_i * lcm/a_i) - n * lcm, so that sum(n_i/a_i) - n = t/lcm,
     and e = E_num / E_den, each field is an integer over the common
-    denominator lcm * E_num: zeta = t * E_den / (lcm * E_num) and
-    z_i = (n_i * lcm * E_num - b_i * t * E_den) / (a_i * lcm * E_num).  The
-    coefficient is t^2 * E_den / (lcm^2 * |E_num|); the caller checks
-    ``coeff`` against it, and the witness is built past ``__post_init__``.
+    denominator c = lcm * |E_num|: with u = sign(E_num) * t * E_den,
+    zeta = u / c and z_i = (n_i * c - b_i * u) / (a_i * c).  So zeta
+    depends only on t and z_i only on t and (i, n_i): ``fields`` maps each
+    t met so far to its zeta and its z_i by (i, n_i), and each is built
+    once.  The coefficient is t^2 * E_den / (lcm^2 * |E_num|); the caller
+    checks ``coeff`` against it, and the witness is built past
+    ``__post_init__``.
     """
     t = sum(ni * (lcm // a) for ni, (a, _) in zip(n_values, inv.pairs)) - n * lcm
-    common = lcm * e.numerator
-    shift = t * e.denominator
+    common = lcm * abs(e.numerator)
+    shift = t * e.denominator if e.numerator > 0 else -t * e.denominator
+    row = fields.get(t)
+    if row is None:
+        row = fields[t] = (_fraction(shift, common), {})
+    zeta, z_of = row
+    z_values = []
+    for key in enumerate(n_values):
+        z = z_of.get(key)
+        if z is None:
+            i, ni = key
+            a, b = inv.pairs[i]
+            z = z_of[key] = _fraction(ni * common - b * shift, a * common)
+        z_values.append(z)
     witness = object.__new__(VolumeWitness)
     witness.__dict__.update(
-        inv=inv,
-        n_values=n_values,
-        n=n,
-        zeta=Fraction(shift, common),
-        z_values=tuple(
-            Fraction(ni * common - b * shift, a * common) for ni, (a, b) in zip(n_values, inv.pairs)
-        ),
-        coeff=coeff,
+        inv=inv, n_values=n_values, n=n, zeta=zeta, z_values=tuple(z_values), coeff=coeff
     )
     return t, witness
 
@@ -246,7 +275,7 @@ def seifert_volume_max(inv: SeifertInvariants) -> Fraction:
     """
     e, chi, lcm, scale, denom, _ = _spectrum_data(inv)
     t = sum((a - 1) * (lcm // a) for a, _ in inv.pairs) - (2 - 2 * inv.genus) * lcm
-    enumerated = Fraction(t * t * scale, denom)
+    enumerated = _fraction(t * t * scale, denom)
     closed_form = chi * chi / abs(e)
     if enumerated != closed_form:
         raise RuntimeError(
@@ -274,6 +303,9 @@ class VolumeWitness:
     coeff: Fraction
 
     def __post_init__(self) -> None:
+        # tuples, as witnesses_for builds them, so that equality and hash hold
+        object.__setattr__(self, "n_values", tuple(self.n_values))
+        object.__setattr__(self, "z_values", tuple(self.z_values))
         inv = self.inv
         e, _, lcm, scale, denom, _ = _spectrum_data(inv)
         if len(self.n_values) != len(inv.pairs):
@@ -283,12 +315,12 @@ class VolumeWitness:
             raise ValueError("witness violates the floor inequality")
         if sum(-(-ni // a) for ni, (a, _) in zip(self.n_values, inv.pairs)) - self.n < 2 - 2 * g:
             raise ValueError("witness violates the ceiling inequality")
-        t, built = _witness(inv, e, lcm, self.n_values, self.n, self.coeff)
+        t, built = _witness(inv, e, lcm, self.n_values, self.n, self.coeff, {})
         if self.zeta != built.zeta:
             raise ValueError("witness zeta does not match its data")
-        if tuple(self.z_values) != built.z_values:
+        if self.z_values != built.z_values:
             raise ValueError("witness z-values do not match its data")
-        if self.coeff != Fraction(t * t * scale, denom):
+        if self.coeff != _fraction(t * t * scale, denom):
             raise ValueError("witness coefficient does not match its data")
 
 
@@ -324,13 +356,14 @@ def witnesses_for(inv: SeifertInvariants, coeff: Fraction) -> list[VolumeWitness
 
     lo, hi = 2 - 2 * inv.genus, 2 * inv.genus - 2
     found = []
+    fields = {}  # t -> (zeta, {(i, n_i): z_i}), shared by every witness
     for t, m in offsets:
         for residues in tuples(t + m * lcm, m - hi):
             # canonical residues: floor(r_i/a_i) = 0 and ceil(r_i/a_i) = [r_i > 0]
             count = len(residues) - residues.count(0)
             # the integer tests here check what __post_init__ would
             # re-derive in Fractions
-            t_w, witness = _witness(inv, e, lcm, residues, m, coeff)
+            t_w, witness = _witness(inv, e, lcm, residues, m, coeff, fields)
             if m < lo or count - m < lo or t_w * t_w * scale * coeff.denominator != coeff.numerator * denom:
                 raise RuntimeError(f"witness {residues}, {m} fails its own constraints")
             found.append(witness)

@@ -18,6 +18,11 @@ divided by its gcd; a ``PiScalar`` coefficient made a ``GaussianRational``
 and zero given pi power 0), and every construction route goes through
 it: the public constructors, ``of()``, and the internal constructors
 ``_gaussian`` and ``_pi`` that arithmetic uses.
+
+``_fraction(n, d)`` is the matching internal constructor of a plain
+``Fraction`` from ints with ``d > 0``: one ``math.gcd`` and the two
+slots, without ``Fraction``'s argument parsing.  ``seifert`` and ``ehn``
+build e, chi, every spectrum value and every witness field with it.
 """
 
 from __future__ import annotations
@@ -296,6 +301,21 @@ def _gaussian(a: int, b: int, den: int) -> GaussianRational:
     _set(g, "_den", den)
     g.__post_init__()
     return g
+
+
+def _fraction(n: int, d: int) -> Fraction:
+    """Internal constructor of the ``Fraction`` n/d from ints with ``d > 0``.
+
+    One ``math.gcd`` reduces the pair, which is then written into the two
+    slots ``Fraction`` declares, as Python 3.12's
+    ``Fraction._from_coprime_ints`` does; ``Fraction(n, d)`` costs about
+    three times as much.  The caller folds any sign into ``n``.
+    """
+    g = _gcd(n, d)
+    f = _new(Fraction)
+    f._numerator = n // g
+    f._denominator = d // g
+    return f
 
 
 GaussianLike = Union[int, Fraction, GaussianRational]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import _integer
+from .exact import _fraction, _integer
 
 __all__ = [
     "SeifertInvariants",
@@ -103,17 +103,19 @@ def _require_closed(inv: SeifertInvariants, what: str) -> None:
 
 
 def euler_number(inv: SeifertInvariants) -> Fraction:
-    """Euler number e = sum(b_i / a_i) of a closed Seifert fibration."""
+    """Euler number e = sum(b_i / a_i) of a closed Seifert fibration,
+    summed in integers over lcm(a_i)."""
     _require_closed(inv, "euler_number")
-    return sum((Fraction(b, a) for a, b in inv.pairs), Fraction(0))
+    lcm = math.lcm(*(a for a, _ in inv.pairs))
+    return _fraction(sum(b * (lcm // a) for a, b in inv.pairs), lcm)
 
 
 def orbifold_chi(inv: SeifertInvariants) -> Fraction:
-    """Orbifold Euler characteristic 2 - 2g - sum(1 - 1/a_i) of the base."""
+    """Orbifold Euler characteristic 2 - 2g - sum(1 - 1/a_i) of the base,
+    summed in integers over lcm(a_i)."""
     _require_closed(inv, "orbifold_chi")
-    return Fraction(2 - 2 * inv.genus) - sum(
-        (Fraction(a - 1, a) for a, _ in inv.pairs), Fraction(0)
-    )
+    lcm = math.lcm(*(a for a, _ in inv.pairs))
+    return _fraction((2 - 2 * inv.genus) * lcm - sum((a - 1) * (lcm // a) for a, _ in inv.pairs), lcm)
 
 
 def classify_geometry(inv: SeifertInvariants) -> GeometryTag:

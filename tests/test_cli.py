@@ -195,6 +195,16 @@ def test_max_values_sets_the_budget(capsys):
     assert (code, out) == (0, "0\n1/4 * 4*pi^2\n1 * 4*pi^2\n")
 
 
+@pytest.mark.parametrize("action", [("volumes",), ("witnesses", "0")], ids=["volumes", "witnesses"])
+@pytest.mark.parametrize("value", ["-5", "-1", "0"])
+def test_max_values_below_one_is_a_usage_error(capsys, action, value):
+    with pytest.raises(SystemExit) as info:
+        main(["seifert", action[0], "(1; 1/2, 1/3)", *action[1:], "--max-values", value])
+    out, err = capsys.readouterr()
+    assert (info.value.code, out) == (2, "")
+    assert err == f"repvol seifert {action[0]}: error: argument --max-values: must be at least 1, got {int(value)}\n"
+
+
 def test_foliation(capsys):
     code, out, _ = run(capsys, "seifert", "foliation", "(1; 1/2, 1/2)")
     assert (code, out) == (0, "yes\n")

@@ -4,6 +4,7 @@ brute-force window oracle, maxima, and witnesses."""
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -109,6 +110,66 @@ def test_bruteforce_matches_worked_example():
 @given(sl2r_invariants())
 def test_canonical_equals_bruteforce(inv):
     assert volume_set(inv) == volume_set_bruteforce(inv)
+
+
+def _window_spectrum(inv):
+    """The spectrum over the oracle's default window, from the defining
+    inequalities and (sum(n_i/a_i) - n)^2 / |e| in Fractions; shares no
+    code with ``repvol.ehn``."""
+    g = inv.genus
+    bound = 2 + 2 * g + sum(a for a, _ in inv.pairs)
+    e = sum((Fraction(b, a) for a, b in inv.pairs), Fraction(0))
+    window = range(-bound, bound + 1)
+    values = set()
+    for n_values in itertools.product(window, repeat=len(inv.pairs)):
+        slopes = [Fraction(r, a) for r, (a, _) in zip(n_values, inv.pairs)]
+        floor_sum = sum(math.floor(x) for x in slopes)
+        ceil_sum = sum(math.ceil(x) for x in slopes)
+        for n in window:
+            if floor_sum - n <= 2 * g - 2 and ceil_sum - n >= 2 - 2 * g:
+                values.add((sum(slopes, Fraction(0)) - n) ** 2 / abs(e))
+    return sorted(values)
+
+
+@settings(max_examples=20, deadline=None)
+@given(sl2r_invariants(max_genus=2, max_fibers=2, max_a=3))
+def test_bruteforce_matches_the_window_formula(inv):
+    found = volume_set_bruteforce(inv)
+    assert found == _window_spectrum(inv)
+    assert all(type(v) is Fraction for v in found)
+
+
+def test_bruteforce_builds_no_value_through_the_runtime_constructor(monkeypatch):
+    from repvol import seifert
+
+    inv = parse_seifert("(2; 1/2, -2/3, 1/5)")
+    expected = volume_set(inv)
+
+    def refuse(n, d):
+        raise AssertionError("exact._fraction called")
+
+    monkeypatch.setattr(ehn, "_fraction", refuse)
+    monkeypatch.setattr(seifert, "_fraction", refuse)
+    with pytest.raises(AssertionError):
+        volume_set(inv)
+    assert volume_set_bruteforce(inv) == expected
+
+
+@pytest.mark.parametrize(
+    "inv",
+    [
+        parse_seifert("(1; 1/2, -1/2)"),
+        parse_seifert("(0; 1/2, 1/2, 1/2)"),
+        parse_seifert("(0; 1/2, 1/3, 1/7)"),
+        SeifertInvariants(genus=1, pairs=((2, 1),), boundary_count=1),
+    ],
+    ids=["zero_euler_number", "positive_chi", "genus_zero", "open_boundary"],
+)
+def test_bruteforce_refuses_what_volume_set_refuses(inv):
+    with pytest.raises(ValueError) as refused:
+        volume_set(inv)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(refused.value))}$"):
+        volume_set_bruteforce(inv)
 
 
 @settings(max_examples=40, deadline=None)
@@ -303,6 +364,36 @@ def test_integer_witnesses_match_fraction_formulas(inv, data):
     spectrum = volume_set(inv)
     for coeff in data.draw(st.lists(st.sampled_from(spectrum), min_size=1, max_size=3, unique=True)):
         _assert_witnesses_exact(inv, coeff)
+
+
+def test_witnesses_on_seeded_symbols_match_fraction_formulas():
+    # the fields share one table per root t, and e < 0 folds its sign
+    # into the numerators; half of the symbols here have e < 0
+    rng = random.Random("witness fields")
+    signs = []
+    while len(signs) < 40:
+        pairs = []
+        for _ in range(rng.randint(1, 4)):
+            a = rng.randint(2, 7)
+            pairs.append((a, rng.choice([b for b in range(-2 * a, 2 * a + 1) if math.gcd(a, abs(b)) == 1])))
+        inv = SeifertInvariants(genus=rng.randint(1, 2), pairs=tuple(pairs))
+        e = sum((Fraction(b, a) for a, b in pairs), Fraction(0))
+        if e == 0:
+            continue
+        spectrum = volume_set(inv)
+        for coeff in {spectrum[-1], *rng.sample(spectrum, min(2, len(spectrum)))}:
+            _assert_witnesses_exact(inv, coeff)
+        signs.append(e < 0)
+    assert 10 <= sum(signs) <= 30
+
+
+def test_witness_from_lists_equals_and_hashes_like_the_enumerated_one():
+    inv = parse_seifert("(1; 1/2, 1/3)")
+    (enumerated,) = [w for w in witnesses_for(inv, Fraction(0)) if w.n_values == (0, 0)]
+    built = VolumeWitness(inv=inv, n_values=[0, 0], n=0, zeta=Fraction(0), z_values=[0, 0], coeff=Fraction(0))
+    assert type(built.n_values) is tuple and type(built.z_values) is tuple
+    assert built == enumerated and hash(built) == hash(enumerated)
+    assert len({built, enumerated}) == 1
 
 
 @pytest.mark.parametrize(

@@ -19,6 +19,7 @@ from repvol.exact import (
     GaussianRational,
     NumericVolume,
     PiScalar,
+    _fraction,
     rat_ceil,
     rat_floor,
     render_volume,
@@ -337,3 +338,36 @@ def test_gaussian_fields_cannot_be_set(x):
         with pytest.raises(AttributeError):
             delattr(g, name)
     assert pair(g) == x
+
+
+# ---------------------------------------------------------------- _fraction
+
+# negative, zero and beyond-64-bit ints; the denominator is positive
+wide_ints = st.one_of(st.integers(-50, 50), st.integers(-(2**130), 2**130))
+wide_denominators = st.one_of(st.integers(1, 50), st.integers(1, 2**130))
+
+
+@given(wide_ints, wide_denominators, wide_ints, wide_denominators)
+def test_fraction_constructor_matches_fraction(n, d, m, k):
+    built, plain = _fraction(n, d), Fraction(n, d)
+    assert type(built) is Fraction
+    assert built == plain and hash(built) == hash(plain)
+    assert (repr(built), str(built)) == (repr(plain), str(plain))
+    assert (built.numerator, built.denominator) == (plain.numerator, plain.denominator)
+    for clone in (pickle.loads(pickle.dumps(built)), copy.copy(built), copy.deepcopy(built)):
+        assert type(clone) is Fraction and repr(clone) == repr(plain)
+    other = Fraction(m, k)
+    for result, expected in (
+        (built + other, plain + other),
+        (built - other, plain - other),
+        (built * other, plain * other),
+        (-built, -plain),
+        (abs(built), abs(plain)),
+        (built + m, plain + m),
+        (m * built, m * plain),
+    ):
+        assert repr(result) == repr(expected)
+    if m:
+        assert repr(built / other) == repr(plain / other)
+    assert (built < other, built == other, bool(built)) == (plain < other, plain == other, bool(plain))
+    assert (rat_floor(built), rat_ceil(built), float(built)) == (rat_floor(plain), rat_ceil(plain), float(plain))

@@ -144,6 +144,38 @@ def test_orbifold_chi():
     )
 
 
+def _primes_from(start, count):
+    primes = []
+    k = start
+    while len(primes) < count:
+        if all(k % q for q in range(2, math.isqrt(k) + 1)):
+            primes.append(k)
+        k += 1
+    return primes
+
+
+@pytest.mark.parametrize(
+    "genus, pairs",
+    [
+        (0, ()),
+        (3, ()),
+        (1, ((1, 5),)),
+        (2, ((1, -3), (2, 1), (1, 1))),
+        (1, ((3, -2), (5, -4), (7, 3))),
+        (2, ((4, 1), (4, 3), (4, -1), (6, 5), (6, 1))),
+        (1, ((6, 1), (10, -3), (15, 7))),
+        (4, tuple((p, (-1) ** k * (k + 1)) for k, p in enumerate(_primes_from(10**6, 40)))),
+    ],
+    ids=["no_pairs", "no_pairs_genus_three", "a_one", "a_one_mixed", "negative_b", "repeated_moduli", "shared_factors", "large_lcm"],
+)
+def test_euler_number_and_chi_match_fraction_sums(genus, pairs):
+    inv = SeifertInvariants(genus=genus, pairs=pairs)
+    e = sum((Fraction(b, a) for a, b in pairs), Fraction(0))
+    chi = 2 - 2 * genus - sum((1 - Fraction(1, a) for a, _ in pairs), Fraction(0))
+    for got, expected in ((euler_number(inv), e), (orbifold_chi(inv), chi)):
+        assert type(got) is Fraction and repr(got) == repr(expected) and hash(got) == hash(expected)
+
+
 def test_classify_geometry():
     assert classify_geometry(parse_seifert("(1; 1/2, 1/2)")) is GeometryTag.SL2R_TILDE
     # e = 0: not sl2r-tilde
@@ -158,6 +190,10 @@ def test_invariants_require_closed():
         euler_number(inv)
     with pytest.raises(ValueError, match="closed"):
         classify_geometry(inv)
+    inv = SeifertInvariants(genus=2, pairs=((2, 1), (3, 1)), boundary_count=2)
+    for derive in (euler_number, orbifold_chi):
+        with pytest.raises(ValueError, match=rf"^{derive.__name__} requires a closed space, got boundary count 2$"):
+            derive(inv)
 
 
 # ---------------------------------------------------------------- fillings
