@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -336,21 +337,9 @@ def _cmd_covers(args: argparse.Namespace) -> int:
     from . import covers as covers_mod
 
     if args.action == "merge":
-        counts = covers_mod.merge_copy_counts(args.degrees, args.m)
-        payload = {
-            "common_degree": counts.common_degree,
-            "copies": list(counts.copies),
-            "per_torus_elevations": counts.per_torus_elevations,
-        }
+        payload = asdict(covers_mod.merge_copy_counts(args.degrees, args.m))
     elif args.action == "colored":
-        counts = covers_mod.colored_merge_counts(args.k, args.l)
-        payload = {
-            "common_degree": counts.common_degree,
-            "central_positive": counts.central_positive,
-            "central_negative": counts.central_negative,
-            "corridor_copies": list(counts.corridor_copies),
-            "matched_elevations": list(counts.matched_elevations),
-        }
+        payload = asdict(covers_mod.colored_merge_counts(args.k, args.l))
     elif args.action == "elevations":
         datum = covers_mod.TorusCoverDatum(args.torus, args.curve)
         payload = {"elevations": covers_mod.elevation_count(datum)}
@@ -366,7 +355,7 @@ def _cmd_covers(args: argparse.Namespace) -> int:
     else:
         width = max(len(key) for key in payload)
         for key, value in payload.items():
-            if isinstance(value, list):
+            if isinstance(value, tuple):
                 value = ",".join(str(x) for x in value)
             print(f"{key.ljust(width)}  {value}")
     return 0

@@ -172,12 +172,12 @@ def spectrum_contains(inv: SeifertInvariants, coeff: Fraction) -> bool:
     return bool(_offsets(inv, Fraction(coeff), lcm, scale, denom, sums))
 
 
-def volume_set_bruteforce(inv: SeifertInvariants, bound: int | None = None) -> list[Fraction]:
+def volume_set_bruteforce(inv: SeifertInvariants) -> list[Fraction]:
     """Same spectrum from the defining constraints over a finite window.
 
     Every tuple (n_1, ..., n_p, n) with all entries in [-B, B] is tested
-    against the two inequalities directly; B defaults to 2 + 2g + sum(a_i),
-    which is wide enough to contain every canonical representative.  Each
+    against the two inequalities directly; B = ``_oracle_bound(inv)`` is
+    wide enough to contain every canonical representative.  Each
     admissible tuple gives the integer t = sum(n_i * lcm/a_i) - n * lcm,
     and each distinct |t| the value t^2 / (lcm^2 * |e|).  This path
     deliberately shares no code with ``volume_set``: e and chi are summed
@@ -190,8 +190,7 @@ def volume_set_bruteforce(inv: SeifertInvariants, bound: int | None = None) -> l
     e = sum((Fraction(b, a) for a, b in inv.pairs), Fraction(0))
     chi = 2 - 2 * g - sum((Fraction(a - 1, a) for a in a_list), Fraction(0))
     _require_volume_geometry(inv, e, chi)
-    if bound is None:
-        bound = 2 + 2 * g + sum(a_list)
+    bound = _oracle_bound(inv)
     lcm = math.lcm(*a_list) if a_list else 1
     window = range(-bound, bound + 1)
     # Per coordinate: (floor(v/a), ceil(v/a), v scaled to the common denominator).
@@ -218,10 +217,14 @@ def volume_set_bruteforce(inv: SeifertInvariants, bound: int | None = None) -> l
     return [Fraction(t * t * scale, denom) for t in sorted({abs(t) for t in t_values})]
 
 
+def _oracle_bound(inv: SeifertInvariants) -> int:
+    """B = 2 + 2g + sum(a_i): ``volume_set_bruteforce`` tests every entry in [-B, B]."""
+    return 2 + 2 * inv.genus + sum(a for a, _ in inv.pairs)
+
+
 def _oracle_window(inv: SeifertInvariants) -> int:
-    """How many tuples ``volume_set_bruteforce`` tests at its default bound."""
-    bound = 2 + 2 * inv.genus + sum(a for a, _ in inv.pairs)
-    return (2 * bound + 1) ** len(inv.pairs)
+    """How many tuples ``volume_set_bruteforce`` tests."""
+    return (2 * _oracle_bound(inv) + 1) ** len(inv.pairs)
 
 
 def _witness(

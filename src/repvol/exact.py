@@ -23,15 +23,19 @@ it: the public constructors, ``of()``, and the internal constructors
 ``Fraction`` from ints with ``d > 0``: one ``math.gcd`` and the two
 slots, without ``Fraction``'s argument parsing.  ``seifert`` and ``ehn``
 build e, chi, every spectrum value and every witness field with it.
+
+``_pi_sum`` owns the pi-power addition rule: ``PiScalar.__add__`` and
+the (coefficient, pi power) sums of ``liecs`` both add by it.
 """
 
 from __future__ import annotations
 
 import math
 from math import gcd as _gcd
+from collections.abc import Mapping
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 __all__ = [
     "Rational",
@@ -376,15 +380,7 @@ class PiScalar(_Frozen):
 
     def __add__(self, other: "PiLike") -> "PiScalar":
         o = PiScalar.of(other)
-        if not self:
-            return o
-        if not o:
-            return self
-        if self.pi_power != o.pi_power:
-            raise ValueError(
-                f"pi-power mismatch in addition: {self.pi_power} vs {o.pi_power}"
-            )
-        return _pi(self.coeff + o.coeff, self.pi_power)
+        return _pi(*_pi_sum(self.coeff, self.pi_power, o.coeff, o.pi_power))
 
     __radd__ = __add__
 
@@ -418,6 +414,19 @@ class PiScalar(_Frozen):
         return f"{self.coeff}*{power}"
 
 
+def _pi_sum(x: GaussianRational, p: int, y: GaussianRational, q: int) -> tuple[GaussianRational, int]:
+    """x * pi^p + y * pi^q as a (coefficient, pi power) pair: a zero term
+    takes no part, and two nonzero terms with different powers are
+    refused.  ``PiScalar`` addition and the ``liecs`` sums both add by it."""
+    if p == q:
+        return x + y, p
+    if not x:
+        return y, q
+    if not y:
+        return x, p
+    raise ValueError(f"pi-power mismatch in addition: {p} vs {q}")
+
+
 def _pi(coeff: GaussianLike, pi_power: int) -> PiScalar:
     """Internal constructor: no argument parsing, still through ``__post_init__``."""
     p = _new(PiScalar)
@@ -440,7 +449,8 @@ class ExactVolume:
     coeff: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coeff", Fraction(self.coeff))
+        if type(self.coeff) is not Fraction:
+            object.__setattr__(self, "coeff", Fraction(self.coeff))
         if self.coeff < 0:
             raise ValueError(f"exact volume coefficient must be >= 0, got {self.coeff}")
 

@@ -10,9 +10,10 @@ checks the bookkeeping of that statement and evaluates the sum.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Hashable, Mapping, Optional, Sequence, Union
+from typing import Hashable, Optional, Sequence, Union
 
 from .ehn import spectrum_contains
 from .exact import (

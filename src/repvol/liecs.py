@@ -13,20 +13,25 @@ Conventions, fixed once and covered by golden-value tests:
   T_f(omega) = f(d omega ^ omega) + (1/3) f(omega ^ [omega, omega]) of the
   Maurer-Cartan form decomposes as (2/3) * (volume form) + (exact form)
   for the unit-tangent-bundle geometry, the classical normalization.
+
+Sums inside the loops are (coefficient, pi power) pairs added by
+``exact._pi_sum``, the rule ``PiScalar`` addition follows too.
 """
 
 from __future__ import annotations
 
 import itertools
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from . import linalg
 from .exact import (
     GAUSSIAN_ONE,
     GaussianRational,
+    PI_ONE,
     PI_ZERO,
     PiScalar,
     _document,
@@ -34,6 +39,7 @@ from .exact import (
     _list,
     _name,
     _pi,
+    _pi_sum,
     parse_rational,
 )
 
@@ -187,7 +193,9 @@ def validate_jacobi(spec: LieAlgebraSpec) -> Optional[JacobiViolation]:
 
 @dataclass(frozen=True)
 class ExteriorForm:
-    """Left-invariant form: scalar coefficients on increasing index tuples."""
+    """Left-invariant form: scalar coefficients on increasing index tuples.
+    The constructor is where terms on one index are summed; ``+`` and
+    ``wedge`` hand it theirs unmerged."""
 
     dim: int
     degree: int
@@ -243,10 +251,7 @@ class ExteriorForm:
             return other
         if other.is_zero():
             return self
-        merged = dict(self.terms)
-        for indices, coeff in other.terms:
-            merged[indices] = merged.get(indices, PI_ZERO) + coeff
-        return ExteriorForm(self.dim, self.degree, tuple(merged.items()))
+        return ExteriorForm(self.dim, self.degree, self.terms + other.terms)
 
     def __neg__(self) -> "ExteriorForm":
         return ExteriorForm(
@@ -268,16 +273,15 @@ class ExteriorForm:
         degree = self.degree + other.degree
         if degree > self.dim:
             return ExteriorForm.zero(self.dim, min(degree, self.dim))
-        acc: dict[tuple[int, ...], PiScalar] = {}
+        terms = []
         for left, cl in self.terms:
             for right, cr in other.terms:
                 merged = _merge_indices(left, right)
                 if merged is None:
                     continue
                 indices, sign = merged
-                coeff = cl * cr if sign > 0 else -(cl * cr)
-                acc[indices] = acc.get(indices, PI_ZERO) + coeff
-        return ExteriorForm(self.dim, degree, tuple(acc.items()))
+                terms.append((indices, cl * cr if sign > 0 else -(cl * cr)))
+        return ExteriorForm(self.dim, degree, tuple(terms))
 
 
 def _merge_indices(
@@ -300,24 +304,11 @@ def _merge_indices(
 
 
 def mc_differential(spec: LieAlgebraSpec, i: int) -> ExteriorForm:
-    """d(phi^i) = - sum_{j<k} c^i_jk phi^j ^ phi^k."""
+    """d(phi^i) = - sum_{j<k} c^i_jk phi^j ^ phi^k: ``d`` of the monomial
+    phi^i, but a 2-form even when dim = 1, where ``d`` caps the degree."""
     if not 0 <= i < spec.dim:
         raise ValueError(f"basis index {i} out of range")
-    terms = tuple((pair, -c) for pair, c in spec._by_target[i])
-    return ExteriorForm(spec.dim, 2, terms)
-
-
-def _pi_sum(x: GaussianRational, p: int, y: GaussianRational, q: int) -> tuple[GaussianRational, int]:
-    """x * pi^p + y * pi^q as ``PiScalar`` addition computes it, as a
-    (coefficient, pi power) pair: a zero term takes no part, and two
-    nonzero terms with different powers are refused."""
-    if p == q:
-        return x + y, p
-    if not x:
-        return y, q
-    if not y:
-        return x, p
-    raise ValueError(f"pi-power mismatch in addition: {p} vs {q}")
+    return _d(spec, (((i,), PI_ONE),), 2)
 
 
 # Sums keyed by index tuple, each a (coefficient, pi power) pair.
@@ -370,10 +361,15 @@ def d(spec: LieAlgebraSpec, form: ExteriorForm) -> ExteriorForm:
         raise ValueError("form dimension does not match the algebra")
     if form.degree >= spec.dim:
         return ExteriorForm.zero(spec.dim, min(form.degree + 1, spec.dim))
+    return _d(spec, form.terms, form.degree + 1)
+
+
+def _d(spec: LieAlgebraSpec, terms: Sequence[tuple[tuple[int, ...], PiScalar]], degree: int) -> ExteriorForm:
+    """The ``degree``-form sum of coeff * d(phi^I) over ``terms``."""
     acc: _Sums = {}
-    for indices, coeff in form.terms:
+    for indices, coeff in terms:
         _add_d_monomial(acc, spec._by_target, indices, coeff.coeff, coeff.pi_power)
-    return ExteriorForm(spec.dim, form.degree + 1, tuple((key, _pi(*total)) for key, total in acc.items()))
+    return ExteriorForm(spec.dim, degree, tuple((key, _pi(*total)) for key, total in acc.items()))
 
 
 @dataclass(frozen=True)

@@ -811,6 +811,18 @@ def test_covers_colored_json(capsys):
     }
 
 
+def test_covers_colored_plain_text(capsys):
+    code, out, err = run(capsys, "covers", "colored", "--k", "2,3", "--l", "1,5")
+    assert (code, err) == (0, "")
+    assert out == (
+        "common_degree       6\n"
+        "central_positive    6\n"
+        "central_negative    6\n"
+        "corridor_copies     3,10\n"
+        "matched_elevations  6,30\n"
+    )
+
+
 def test_covers_elevations(capsys):
     code, out, _ = run(capsys, "covers", "elevations", "--torus", "4", "--curve", "2")
     assert code == 0

@@ -326,6 +326,27 @@ def test_d_of_a_mixed_power_form_is_refused():
         d(iso_sl2r_algebra(), beta)
 
 
+def test_sum_of_two_pi_powers_on_one_index_is_refused():
+    pi = PiScalar.of(1, pi_power=1)
+    plain, tagged = mono(4, (X, Y)), mono(4, (X, Y), pi)
+    with pytest.raises(ValueError, match=r"^pi-power mismatch in addition: 0 vs 1$"):
+        plain + tagged
+    with pytest.raises(ValueError, match=r"^pi-power mismatch in addition: 1 vs 0$"):
+        tagged + plain
+
+
+def test_wedge_with_two_pi_powers_on_one_index_is_refused():
+    # (phi^X + phi^Y) ^ (phi^X + pi phi^Y) = pi phi^XY - phi^XY: the product
+    # met first on XY is the pi one, and with the operands swapped the
+    # pi-free one
+    pi = PiScalar.of(1, pi_power=1)
+    plain, tagged = mono(4, (X,)) + mono(4, (Y,)), mono(4, (X,)) + mono(4, (Y,), pi)
+    with pytest.raises(ValueError, match=r"^pi-power mismatch in addition: 1 vs 0$"):
+        plain.wedge(tagged)
+    with pytest.raises(ValueError, match=r"^pi-power mismatch in addition: 0 vs 1$"):
+        tagged.wedge(plain)
+
+
 def test_public_scalars_stay_pi_scalars():
     spec = iso_sl2r_algebra()
     assert all(type(c) is PiScalar for c in spec.bracket(X, W))
