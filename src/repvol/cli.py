@@ -350,14 +350,17 @@ def _cmd_covers(args: argparse.Namespace) -> int:
         payload = {"intersection": value}
     else:
         raise AssertionError(f"unhandled covers action {args.action}")
+    # --json prints every count too, so each is checked first
+    shown = {}
+    for key, value in payload.items():
+        items = value if isinstance(value, tuple) else (value,)
+        shown[key] = ",".join(_printed(x, key.replace("_", " ")) for x in items)
     if args.json:
         _emit_json(payload)
     else:
         width = max(len(key) for key in payload)
-        for key, value in payload.items():
-            if isinstance(value, tuple):
-                value = ",".join(str(x) for x in value)
-            print(f"{key.ljust(width)}  {value}")
+        for key, text in shown.items():
+            print(f"{key.ljust(width)}  {text}")
     return 0
 
 

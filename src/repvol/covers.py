@@ -101,9 +101,6 @@ def merge_copy_counts(degrees: Sequence[int], m: int) -> MergeCounts:
     common = math.lcm(*degs)
     copies = tuple(common // x for x in degs)
     per_torus = common // m
-    # Each of the D/d_i copies contributes d_i/m elevations.
-    for x, c in zip(degs, copies):
-        assert c * (x // m) == per_torus
     return MergeCounts(common_degree=common, copies=copies, per_torus_elevations=per_torus)
 
 
@@ -136,8 +133,6 @@ def colored_merge_counts(k: Sequence[int], l: Sequence[int]) -> ColoredMergeCoun
     common = math.lcm(*ks)
     corridor = tuple(li * (common // ki) for ki, li in zip(ks, ls))
     matched = tuple(c * ki for c, ki in zip(corridor, ks))
-    for ki, li, mt in zip(ks, ls, matched):
-        assert mt == li * common
     return ColoredMergeCounts(
         common_degree=common,
         central_positive=common,

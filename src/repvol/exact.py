@@ -95,6 +95,34 @@ def _integer(value: object) -> int:
         raise TypeError(str(exc)) from None
 
 
+# The JSON values that unpack by iterating.  A tuple of concrete types,
+# since isinstance against typing.Sized made loading a third slower.
+_ITERABLE = (list, tuple, str, dict)
+
+
+def _two_each(rows) -> bool:
+    """Whether every list, tuple or object in ``rows`` has two items, and
+    no item is a string.
+
+    Unpacking such an item of another length into two names raises a bare
+    ``ValueError``, and a two-character string would unpack as a pair, so
+    the record constructors test this first and raise ``TypeError``,
+    which ``_entries`` reports as a malformed entry at its path.  Other
+    values fail to unpack with a ``TypeError`` already.
+    """
+    return all(
+        len(row) == 2 and not isinstance(row, str) for row in rows if isinstance(row, _ITERABLE)
+    )
+
+
+def _require_pair(value, name: str, shape: str) -> None:
+    """A ``TypeError`` if ``value`` is a string, or a list, tuple or
+    object without exactly two items: a string such as ``"Pt"`` would
+    otherwise read as the pair ``("P", "t")``."""
+    if isinstance(value, _ITERABLE) and (len(value) != 2 or isinstance(value, str)):
+        raise TypeError(f"{name} {value!r} is not {shape}")
+
+
 # Work that may exceed this many values (or brute-force tuples) is refused
 # unless the caller raises the limit.  The cost grows with the count:
 # (1; 1/571, 1/577), bound 988401, prints its 493627 values in about 7 s

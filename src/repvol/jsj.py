@@ -5,6 +5,11 @@ boundary slots, and edges carrying the gluing matrix in (section, fiber)
 coordinates.  When a representation kills one slope on every gluing
 torus, its volume is the sum of the closed pieces' volumes; this module
 checks the bookkeeping of that statement and evaluates the sum.
+
+Each record's constructor checks the shapes of its own fields, such as
+"two items, never a string" for an endpoint, and raises ``TypeError``.
+The JSON loader hands it the values unchanged, so the library and the
+CLI refuse the same shapes with the same text.
 """
 
 from __future__ import annotations
@@ -21,9 +26,12 @@ from .exact import (
     NumericVolume,
     VolumeValue,
     _document,
+    _ITERABLE,
     _entries,
     _field,
     _integer,
+    _require_pair,
+    _two_each,
     parse_rational,
     volume_sum,
 )
@@ -65,7 +73,9 @@ class Piece:
     label: Optional[str] = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "slots", tuple(self.slots))
+        if isinstance(self.slots, str):
+            raise TypeError(f"slots {self.slots!r} is not a list of names")
+        object.__setattr__(self, "slots", tuple(str(s) for s in self.slots))
         if self.kind not in ("seifert", "hyperbolic"):
             raise ValueError(f"piece {self.id}: unknown kind {self.kind!r}")
         if len(set(self.slots)) != len(self.slots):
@@ -90,13 +100,16 @@ class Edge:
     killed_slope_b: Optional[Slope] = None
 
     def __post_init__(self) -> None:
-        for attr in ("a", "b", "killed_slope", "killed_slope_b"):
-            value = getattr(self, attr)
-            if isinstance(value, _ITERABLE) and len(value) != 2:
-                raise ValueError(f"edge {attr}: expected two items, got {value!r}")
+        gluing = self.gluing
+        if isinstance(gluing, _ITERABLE) and not _two_each([gluing, *gluing]):
+            raise TypeError(f"gluing {gluing!r} is not a 2x2 matrix")
+        _require_pair(self.a, "a", "[piece, slot]")
+        _require_pair(self.b, "b", "[piece, slot]")
+        _require_pair(self.killed_slope, "killed_slope", "[a, b]")
+        _require_pair(self.killed_slope_b, "killed_slope_b", "[a, b]")
         object.__setattr__(self, "a", (str(self.a[0]), str(self.a[1])))
         object.__setattr__(self, "b", (str(self.b[0]), str(self.b[1])))
-        (m00, m01), (m10, m11) = self.gluing
+        (m00, m01), (m10, m11) = gluing
         object.__setattr__(
             self, "gluing", ((_integer(m00), _integer(m01)), (_integer(m10), _integer(m11)))
         )
@@ -199,14 +212,15 @@ class FilledSeifert:
     coeff: Fraction
 
     def __post_init__(self) -> None:
-        if isinstance(self.fillings, Mapping):
-            items = self.fillings.items()
-        else:
-            items = self.fillings
+        fillings = self.fillings
+        rows = list(fillings.items() if isinstance(fillings, Mapping) else fillings)
+        slopes = [list(row)[1] for row in rows if isinstance(row, _ITERABLE) and len(row) == 2]
+        if not _two_each(rows + slopes):
+            raise TypeError(f"fillings {fillings!r} are not all [slot, [a, b]]")
         object.__setattr__(
             self,
             "fillings",
-            tuple(sorted((str(slot), (_integer(a), _integer(b))) for slot, (a, b) in items)),
+            tuple(sorted((str(slot), (_integer(a), _integer(b))) for slot, (a, b) in rows)),
         )
         object.__setattr__(self, "coeff", Fraction(self.coeff))
 
@@ -436,7 +450,6 @@ def _torus_knot_pairs(p: int, q: int) -> tuple[Slope, Slope]:
     fibers whose coefficients solve q*b1 + p*b2 = 1."""
     b1 = pow(q, -1, p) if p > 1 else 0
     b2 = (1 - q * b1) // p
-    assert q * b1 + p * b2 == 1
     return ((p, b1), (q, b2))
 
 
@@ -495,26 +508,6 @@ class GraphDocument:
     cases: tuple[tuple[str, GraphManifoldSpec, tuple[PieceAssignment, ...]], ...]
 
 
-# The JSON values that unpack by iterating.  A tuple of concrete types,
-# since isinstance against typing.Sized made loading a third slower.
-_ITERABLE = (list, tuple, str, dict)
-
-
-def _two_each(rows) -> bool:
-    """Whether every list, tuple or object in ``rows`` has two items, and
-    no item is a string.
-
-    Unpacking such an item of another length into two names raises a bare
-    ``ValueError``, and a two-character string would unpack as a pair, so
-    the loaders test this first and raise ``TypeError``, which
-    ``_entries`` reports as a malformed entry at its path.  Other values
-    fail to unpack with a ``TypeError`` already.
-    """
-    return all(
-        len(row) == 2 and not isinstance(row, str) for row in rows if isinstance(row, _ITERABLE)
-    )
-
-
 def _piece_from_json(entry: Mapping, path: str) -> Piece:
     kind = _field(entry, "kind", path)
     slots = _field(entry, "slots", path)
@@ -522,45 +515,23 @@ def _piece_from_json(entry: Mapping, path: str) -> Piece:
     if kind == "seifert":
         genus = _integer(_field(entry, "genus", path))
         pairs = entry.get("pairs", ())
-        boundary_count = len(slots)
-        if not _two_each(pairs):
-            raise TypeError(f"pairs {pairs!r} are not all [a, b]")
-        seifert = SeifertInvariants(genus=genus, pairs=pairs, boundary_count=boundary_count)
+        seifert = SeifertInvariants(genus=genus, pairs=pairs, boundary_count=len(slots))
     return Piece(
         id=str(_field(entry, "id", path)),
         kind=str(kind),
-        slots=tuple(str(s) for s in slots),
+        slots=slots,
         seifert=seifert,
         label=entry.get("label"),
     )
 
 
-def _require_pair(value, name: str, shape: str) -> None:
-    """A ``TypeError`` if ``value`` is a string, or a list, tuple or
-    object without exactly two items: a string such as ``"Pt"`` would
-    otherwise read as the pair ``("P", "t")``."""
-    if isinstance(value, _ITERABLE) and (len(value) != 2 or isinstance(value, str)):
-        raise TypeError(f"{name} {value!r} is not {shape}")
-
-
 def _edge_from_json(entry: Mapping, path: str) -> Edge:
-    a = _field(entry, "a", path)
-    b = _field(entry, "b", path)
-    gluing = _field(entry, "gluing", path)
-    if isinstance(gluing, _ITERABLE) and not _two_each([gluing, *gluing]):
-        raise TypeError(f"gluing {gluing!r} is not a 2x2 matrix")
-    killed_slope = entry.get("killed_slope") or None
-    killed_slope_b = entry.get("killed_slope_b") or None
-    _require_pair(a, "a", "[piece, slot]")
-    _require_pair(b, "b", "[piece, slot]")
-    _require_pair(killed_slope, "killed_slope", "[a, b]")
-    _require_pair(killed_slope_b, "killed_slope_b", "[a, b]")
     return Edge(
-        a=a,
-        b=b,
-        gluing=gluing,
-        killed_slope=killed_slope,
-        killed_slope_b=killed_slope_b,
+        a=_field(entry, "a", path),
+        b=_field(entry, "b", path),
+        gluing=_field(entry, "gluing", path),
+        killed_slope=entry.get("killed_slope") or None,
+        killed_slope_b=entry.get("killed_slope_b") or None,
     )
 
 
@@ -590,10 +561,6 @@ def _assignment_from_json(entry: Mapping, path: str) -> PieceAssignment:
         return DirectVolume(piece_id, _volume_from_json(entry, path))
     if kind == "filled":
         fillings = _field(entry, "fillings", path)
-        rows = list(fillings.items() if isinstance(fillings, Mapping) else fillings)
-        slopes = [list(row)[1] for row in rows if isinstance(row, _ITERABLE) and len(row) == 2]
-        if not _two_each(rows + slopes):
-            raise TypeError(f"fillings {fillings!r} are not all [slot, [a, b]]")
         coeff = parse_rational(
             str(_field(entry, "coeff", path)), path, "malformed entry (bad coeff {!r})"
         )

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import _fraction, _integer
+from .exact import _fraction, _integer, _two_each
 
 __all__ = [
     "SeifertInvariants",
@@ -62,7 +62,10 @@ class SeifertInvariants:
     boundary_count: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "pairs", tuple((_integer(a), _integer(b)) for a, b in self.pairs))
+        rows = list(self.pairs)
+        if not _two_each(rows):
+            raise TypeError(f"pairs {self.pairs!r} are not all [a, b]")
+        object.__setattr__(self, "pairs", tuple((_integer(a), _integer(b)) for a, b in rows))
         if self.genus < 0:
             raise ValueError(f"base genus must be >= 0, got {self.genus}")
         if self.boundary_count < 0:

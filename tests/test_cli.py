@@ -587,6 +587,15 @@ def test_graph_two_character_string_is_not_a_pair(capsys, tmp_path, action, muta
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("action", ["validate", "additivity"])
+def test_graph_slots_string_is_not_a_list_of_names(capsys, tmp_path, action):
+    # no JSON string stands for a list of names: "tu" would read as t and u
+    bad = tmp_path / "graph.json"
+    bad.write_text(json.dumps(_set("t", "pieces", 0, "slots")(_graph_doc())))
+    code, out, err = run(capsys, "graph", action, str(bad))
+    assert (code, out, err) == (1, "", "error: pieces[0]: malformed entry (slots 't' is not a list of names)\n")
+
+
 def test_graph_rw(capsys, tmp_path):
     good = tmp_path / "good.json"
     good.write_text(
@@ -821,6 +830,21 @@ def test_covers_colored_plain_text(capsys):
         "corridor_copies     3,10\n"
         "matched_elevations  6,30\n"
     )
+
+
+def test_covers_too_large_to_print(capsys):
+    # The lcm of the 800 primes above 10^6 has about 4800 digits: more than
+    # str() converts.  Every count is refused by name, in --json too, and
+    # the process-wide limit is left as it was.
+    limit = sys.get_int_max_str_digits()
+    primes = ",".join(str(p) for p in _primes_above(10**6, 800))
+    ones = ",".join("1" for _ in range(800))
+    for argv in (("merge", "--degrees", primes, "--m", "1"), ("colored", "--k", primes, "--l", ones)):
+        for extra in ((), ("--json",)):
+            code, out, err = run(capsys, "covers", *argv, *extra)
+            assert (code, out) == (1, "")
+            assert err == f"error: common degree is too large to print: over {limit} digits\n"
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_covers_elevations(capsys):

@@ -167,9 +167,60 @@ def test_edge_push_to_b():
 def test_edge_refuses_pairs_without_two_items(field, value):
     fields = {"a": ("P", "t"), "b": ("H", "t"), "gluing": ((0, 1), (1, 0)), "killed_slope": (1, 0)}
     fields[field] = value
+    shape = "[piece, slot]" if field in ("a", "b") else "[a, b]"
     # a longer tuple was once cut to its first two items without a word
-    with pytest.raises(ValueError, match=rf"^edge {field}: expected two items, got "):
+    with pytest.raises(TypeError) as info:
         Edge(**fields)
+    assert str(info.value) == f"{field} {value!r} is not {shape}"
+
+
+def _edge(**fields):
+    return Edge(**{"a": ("P", "t"), "b": ("H", "t"), "gluing": ((0, 1), (1, 0)), **fields})
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: _edge(a="Pt"), "a 'Pt' is not [piece, slot]"),
+        (lambda: _edge(b="Ht"), "b 'Ht' is not [piece, slot]"),
+        (lambda: _edge(killed_slope="21"), "killed_slope '21' is not [a, b]"),
+        (lambda: _edge(killed_slope_b="21"), "killed_slope_b '21' is not [a, b]"),
+        (lambda: _edge(gluing=["34", "23"]), "gluing ['34', '23'] is not a 2x2 matrix"),
+        (lambda: _edge(gluing=((3, -4),)), "gluing ((3, -4),) is not a 2x2 matrix"),
+        (lambda: SeifertInvariants(1, ["21"], 1), "pairs ['21'] are not all [a, b]"),
+        (lambda: FilledSeifert("P", {"t": "21"}, 0), "fillings {'t': '21'} are not all [slot, [a, b]]"),
+        (lambda: _edge(a=["P", "t", "junk"]), "a ['P', 't', 'junk'] is not [piece, slot]"),
+        (lambda: _edge(b=["H", "t", "junk"]), "b ['H', 't', 'junk'] is not [piece, slot]"),
+        (lambda: _edge(killed_slope=[2, 1, 7]), "killed_slope [2, 1, 7] is not [a, b]"),
+        (lambda: _edge(killed_slope=[2]), "killed_slope [2] is not [a, b]"),
+        (lambda: _edge(killed_slope_b=[2, 1, 0]), "killed_slope_b [2, 1, 0] is not [a, b]"),
+        (lambda: Piece(id="P", kind="seifert", slots="tu"), "slots 'tu' is not a list of names"),
+    ],
+    ids=[
+        "edge_a",
+        "edge_b",
+        "killed_slope",
+        "killed_slope_b",
+        "gluing_rows",
+        "gluing_one_row",
+        "seifert_pair",
+        "filling_slope",
+        "endpoint_a_too_long",
+        "endpoint_b_too_long",
+        "slope_too_long",
+        "slope_too_short",
+        "slope_b_too_long",
+        "slots_a_string",
+    ],
+)
+def test_records_refuse_the_shapes_the_loader_refuses(build, message):
+    # The loader passes JSON values to these constructors unchanged, so
+    # each text is the one that graph validate prints inside "malformed
+    # entry (...)" (test_cli.py).  A case's killed_slopes[i] is checked by
+    # the loader itself, which names the index.
+    with pytest.raises(TypeError) as info:
+        build()
+    assert str(info.value) == message
 
 
 # ---------------------------------------------------------------- additivity
