@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -337,9 +336,9 @@ def _cmd_covers(args: argparse.Namespace) -> int:
     from . import covers as covers_mod
 
     if args.action == "merge":
-        payload = asdict(covers_mod.merge_copy_counts(args.degrees, args.m))
+        payload = vars(covers_mod.merge_copy_counts(args.degrees, args.m))
     elif args.action == "colored":
-        payload = asdict(covers_mod.colored_merge_counts(args.k, args.l))
+        payload = vars(covers_mod.colored_merge_counts(args.k, args.l))
     elif args.action == "elevations":
         datum = covers_mod.TorusCoverDatum(args.torus, args.curve)
         payload = {"elevations": covers_mod.elevation_count(datum)}

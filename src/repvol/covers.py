@@ -8,9 +8,10 @@ piece are needed so that matching curves elevate with a common degree.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
+
+from .exact import _Record
 
 __all__ = [
     "TorusCoverDatum",
@@ -30,8 +31,7 @@ def _positive(value: int, name: str) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class TorusCoverDatum:
+class TorusCoverDatum(_Record):
     """Covering degrees at one torus: the torus cover and a curve cover."""
 
     torus_degree: int
@@ -74,8 +74,7 @@ def cover_intersection(
     return int(value)
 
 
-@dataclass(frozen=True)
-class MergeCounts:
+class MergeCounts(_Record):
     """Copy counts merging covers of degrees d_i over a common torus."""
 
     common_degree: int
@@ -104,8 +103,7 @@ def merge_copy_counts(degrees: Sequence[int], m: int) -> MergeCounts:
     return MergeCounts(common_degree=common, copies=copies, per_torus_elevations=per_torus)
 
 
-@dataclass(frozen=True)
-class ColoredMergeCounts:
+class ColoredMergeCounts(_Record):
     """Copy counts for a two-colored merge around a central piece."""
 
     common_degree: int

@@ -44,11 +44,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .exact import MAX_VALUES, _fraction, rat_ceil, rat_floor
+from .exact import MAX_VALUES, _Record, _fraction, rat_ceil, rat_floor
 from .seifert import SeifertInvariants, _require_closed, euler_number, orbifold_chi
 
 __all__ = [
@@ -288,8 +287,7 @@ def seifert_volume_max(inv: SeifertInvariants) -> Fraction:
     return enumerated
 
 
-@dataclass(frozen=True)
-class VolumeWitness:
+class VolumeWitness(_Record):
     """Foliation data certifying one volume coefficient.
 
     ``n_values``/``n`` satisfy the two defining inequalities, ``zeta`` is

@@ -33,7 +33,6 @@ from __future__ import annotations
 import math
 from math import gcd as _gcd
 from collections.abc import Mapping
-from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence, Union
 
@@ -98,28 +97,31 @@ def _integer(value: object) -> int:
 # The JSON values that unpack by iterating.  A tuple of concrete types,
 # since isinstance against typing.Sized made loading a third slower.
 _ITERABLE = (list, tuple, str, dict)
+# Those that never stand for a pair: "Pt" would unpack as ("P", "t"),
+# and {"P": 1, "t": 2} as its keys.
+_NOT_PAIR = (str, dict)
 
 
 def _two_each(rows) -> bool:
-    """Whether every list, tuple or object in ``rows`` has two items, and
-    no item is a string.
+    """Whether every list or tuple in ``rows`` has two items, and no item
+    is a string or an object.
 
     Unpacking such an item of another length into two names raises a bare
-    ``ValueError``, and a two-character string would unpack as a pair, so
-    the record constructors test this first and raise ``TypeError``,
-    which ``_entries`` reports as a malformed entry at its path.  Other
-    values fail to unpack with a ``TypeError`` already.
+    ``ValueError``, and a two-character string or a two-key object would
+    unpack as a pair, so the record constructors test this first and
+    raise ``TypeError``, which ``_entries`` reports as a malformed entry
+    at its path.  Other values fail to unpack with a ``TypeError`` already.
     """
     return all(
-        len(row) == 2 and not isinstance(row, str) for row in rows if isinstance(row, _ITERABLE)
+        len(row) == 2 and not isinstance(row, _NOT_PAIR) for row in rows if isinstance(row, _ITERABLE)
     )
 
 
 def _require_pair(value, name: str, shape: str) -> None:
-    """A ``TypeError`` if ``value`` is a string, or a list, tuple or
-    object without exactly two items: a string such as ``"Pt"`` would
+    """A ``TypeError`` if ``value`` is a string, an object, or a list or
+    tuple without exactly two items: a string such as ``"Pt"`` would
     otherwise read as the pair ``("P", "t")``."""
-    if isinstance(value, _ITERABLE) and (len(value) != 2 or isinstance(value, str)):
+    if isinstance(value, _ITERABLE) and (len(value) != 2 or isinstance(value, _NOT_PAIR)):
         raise TypeError(f"{name} {value!r} is not {shape}")
 
 
@@ -188,15 +190,64 @@ _set = object.__setattr__
 
 
 class _Frozen:
-    """Immutable ``__slots__`` base: fields are written once, by ``_set``."""
+    """Immutable ``__slots__`` base: fields are written once, by ``_set``.
+    ``dataclasses`` is imported only to raise its ``FrozenInstanceError``:
+    it loads ``inspect``, which costs every command several milliseconds."""
 
     __slots__ = ()
 
     def __setattr__(self, name: str, value: object) -> None:
+        from dataclasses import FrozenInstanceError
+
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
+
         raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class _Record(_Frozen):
+    """Base of the public record classes, behaving as a frozen dataclass.
+
+    The annotated fields, in order, are the ``__init__`` parameters, and
+    class attributes are their defaults; ``__init__`` writes each with
+    ``_set`` and then runs ``__post_init__`` if the class has one.  The
+    same fields, as ``__match_args__``, make up ``repr``, ``==`` (only
+    between records of one class) and ``hash``.  A field named with a
+    leading underscore is derived: ``__post_init__`` writes it, and it
+    takes no part in any of these.  Instances keep a ``__dict__``, so
+    pickle and ``copy`` need no hooks.
+    """
+
+    def __init_subclass__(cls) -> None:
+        names = tuple(name for name in cls.__annotations__ if not name.startswith("_"))
+        params = ", ".join(f"{name}=_d[{name!r}]" if name in cls.__dict__ else name for name in names)
+        body = "".join(f"\n    _set(self, {name!r}, {name})" for name in names)
+        if hasattr(cls, "__post_init__"):
+            body += "\n    self.__post_init__()"
+        # A generated def, as in dataclasses, keeps each class's signature
+        # and Python's own missing-argument TypeError text.
+        scope = {"_set": _set, "_d": cls.__dict__}
+        exec(f"def __init__(self, {params}):{body}", scope)
+        scope["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
+        cls.__init__ = scope["__init__"]
+        cls.__match_args__ = names
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
 
 
 class GaussianRational(_Frozen):
@@ -470,8 +521,7 @@ PI_ZERO = PiScalar()
 PI_ONE = PiScalar(GAUSSIAN_ONE)
 
 
-@dataclass(frozen=True)
-class ExactVolume:
+class ExactVolume(_Record):
     """A volume known exactly as a nonnegative rational multiple of 4*pi^2."""
 
     coeff: Fraction
@@ -486,8 +536,7 @@ class ExactVolume:
         return float(self.coeff) * FOUR_PI_SQUARED
 
 
-@dataclass(frozen=True)
-class NumericVolume:
+class NumericVolume(_Record):
     """A volume known only as a float (e.g. hyperbolic pieces)."""
 
     value: float

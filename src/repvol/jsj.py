@@ -7,16 +7,15 @@ torus, its volume is the sum of the closed pieces' volumes; this module
 checks the bookkeeping of that statement and evaluates the sum.
 
 Each record's constructor checks the shapes of its own fields, such as
-"two items, never a string" for an endpoint, and raises ``TypeError``.
-The JSON loader hands it the values unchanged, so the library and the
-CLI refuse the same shapes with the same text.
+"two items, never a string or an object" for an endpoint, and raises
+``TypeError``.  The JSON loader hands it the values unchanged, so the
+library and the CLI refuse the same shapes with the same text.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Hashable, Optional, Sequence, Union
 
@@ -25,6 +24,7 @@ from .exact import (
     ExactVolume,
     NumericVolume,
     VolumeValue,
+    _Record,
     _document,
     _ITERABLE,
     _entries,
@@ -61,8 +61,7 @@ GluingMatrix = tuple[tuple[int, int], tuple[int, int]]
 Endpoint = tuple[str, str]
 
 
-@dataclass(frozen=True)
-class Piece:
+class Piece(_Record):
     """One JSJ piece: a Seifert piece with invariants, or a labeled
     hyperbolic piece whose volume data is supplied externally."""
 
@@ -73,7 +72,7 @@ class Piece:
     label: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if isinstance(self.slots, str):
+        if isinstance(self.slots, (str, dict)):
             raise TypeError(f"slots {self.slots!r} is not a list of names")
         object.__setattr__(self, "slots", tuple(str(s) for s in self.slots))
         if self.kind not in ("seifert", "hyperbolic"):
@@ -82,8 +81,7 @@ class Piece:
             raise ValueError(f"piece {self.id}: duplicate slot names")
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(_Record):
     """A gluing torus between two slots.
 
     ``gluing`` maps side-a (section, fiber) coordinates to side-b ones
@@ -123,8 +121,7 @@ class Edge:
         return (m00 * slope[0] + m01 * slope[1], m10 * slope[0] + m11 * slope[1])
 
 
-@dataclass(frozen=True)
-class GraphManifoldSpec:
+class GraphManifoldSpec(_Record):
     pieces: tuple[Piece, ...]
     edges: tuple[Edge, ...]
 
@@ -202,8 +199,7 @@ def validate_spec(spec: GraphManifoldSpec) -> list[str]:
     return problems
 
 
-@dataclass(frozen=True)
-class FilledSeifert:
+class FilledSeifert(_Record):
     """The piece stays Seifert after killing the boundary slopes; its
     contribution is a chosen coefficient from the closed piece's spectrum."""
 
@@ -225,16 +221,14 @@ class FilledSeifert:
         object.__setattr__(self, "coeff", Fraction(self.coeff))
 
 
-@dataclass(frozen=True)
-class DirectVolume:
+class DirectVolume(_Record):
     """Externally supplied contribution (e.g. a hyperbolic piece)."""
 
     piece_id: str
     volume: VolumeValue
 
 
-@dataclass(frozen=True)
-class SmallImage:
+class SmallImage(_Record):
     """Restriction has finite or infinite cyclic image, so it contributes 0."""
 
     piece_id: str
@@ -334,8 +328,7 @@ def additivity_sum(
     return volume_sum(contributions)
 
 
-@dataclass(frozen=True)
-class RWResult:
+class RWResult(_Record):
     """Outcome of the edge-ratio consistency check."""
 
     consistent: bool
@@ -438,8 +431,7 @@ def rw_consistency(
     return RWResult(consistent=True)
 
 
-@dataclass(frozen=True)
-class MotegiResult:
+class MotegiResult(_Record):
     h1_order: int
     nontrivial: bool
     sv_coeff: Fraction
@@ -500,8 +492,7 @@ def motegi_spec(p1: int, q1: int, p2: int, q2: int) -> GraphManifoldSpec:
     return GraphManifoldSpec(pieces=tuple(pieces), edges=(edge,))
 
 
-@dataclass(frozen=True)
-class GraphDocument:
+class GraphDocument(_Record):
     """A graph spec plus one or more named assignment cases."""
 
     spec: GraphManifoldSpec
@@ -580,7 +571,7 @@ def _case_from_json(spec: GraphManifoldSpec, case: Mapping, path: str):
         for i, slope in enumerate(slopes):
             _require_pair(slope or None, f"killed_slopes[{i}]", "[a, b]")
         edges = tuple(
-            replace(edge, killed_slope=slope or None, killed_slope_b=None)
+            Edge(edge.a, edge.b, edge.gluing, slope or None)
             for edge, slope in zip(edges, slopes)
         )
     assignments = _entries(

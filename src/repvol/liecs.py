@@ -23,7 +23,6 @@ from __future__ import annotations
 import itertools
 import warnings
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -34,6 +33,7 @@ from .exact import (
     PI_ONE,
     PI_ZERO,
     PiScalar,
+    _Record,
     _document,
     _field,
     _list,
@@ -80,8 +80,7 @@ class JacobiViolation(ValueError):
         super().__init__(f"Jacobi identity fails on {triple}")
 
 
-@dataclass(frozen=True)
-class LieAlgebraSpec:
+class LieAlgebraSpec(_Record):
     """Finite-dimensional Lie algebra given by its structure constants.
 
     ``brackets`` maps an index pair (j, k) with j < k to the coordinate
@@ -106,12 +105,8 @@ class LieAlgebraSpec:
     basis: tuple[str, ...]
     brackets: tuple[tuple[tuple[int, int], tuple[PiScalar, ...]], ...]
     check_jacobi: bool = True
-    _table: dict[tuple[int, int], dict[int, GaussianRational]] = field(
-        init=False, repr=False, compare=False
-    )
-    _by_target: list[list[tuple[tuple[int, int], GaussianRational]]] = field(
-        init=False, repr=False, compare=False
-    )
+    _table: dict[tuple[int, int], dict[int, GaussianRational]]
+    _by_target: list[list[tuple[tuple[int, int], GaussianRational]]]
 
     def __post_init__(self) -> None:
         names = tuple(self.basis)
@@ -191,8 +186,7 @@ def validate_jacobi(spec: LieAlgebraSpec) -> Optional[JacobiViolation]:
     return None
 
 
-@dataclass(frozen=True)
-class ExteriorForm:
+class ExteriorForm(_Record):
     """Left-invariant form: scalar coefficients on increasing index tuples.
     The constructor is where terms on one index are summed; ``+`` and
     ``wedge`` hand it theirs unmerged."""
@@ -372,14 +366,13 @@ def _d(spec: LieAlgebraSpec, terms: Sequence[tuple[tuple[int, ...], PiScalar]], 
     return ExteriorForm(spec.dim, degree, tuple((key, _pi(*total)) for key, total in acc.items()))
 
 
-@dataclass(frozen=True)
-class GramForm:
+class GramForm(_Record):
     """Symmetric bilinear form on the algebra, as a matrix of scalars;
     ``_rows``, derived once, holds row i as ``{j: (coefficient, pi
     power)}`` over the nonzero entries."""
 
     entries: tuple[tuple[PiScalar, ...], ...]
-    _rows: list[dict[int, tuple[GaussianRational, int]]] = field(init=False, repr=False, compare=False)
+    _rows: list[dict[int, tuple[GaussianRational, int]]]
 
     def __post_init__(self) -> None:
         rows = tuple(tuple(PiScalar.of(x) for x in row) for row in self.entries)

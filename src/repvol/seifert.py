@@ -12,11 +12,10 @@ from __future__ import annotations
 import enum
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import _fraction, _integer, _two_each
+from .exact import _Record, _fraction, _integer, _two_each
 
 __all__ = [
     "SeifertInvariants",
@@ -49,8 +48,7 @@ def _check_pair(a: int, b: int, where: str) -> None:
         raise ValueError(f"{where}: {b}/{a} is not in lowest terms")
 
 
-@dataclass(frozen=True, eq=False)
-class SeifertInvariants:
+class SeifertInvariants(_Record):
     """Unnormalized invariants (genus; pairs) plus open boundary count.
 
     Equality treats the pair list as a multiset: two records differing

@@ -596,6 +596,23 @@ def test_graph_slots_string_is_not_a_list_of_names(capsys, tmp_path, action):
     assert (code, out, err) == (1, "", "error: pieces[0]: malformed entry (slots 't' is not a list of names)\n")
 
 
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (_set({"P": 1, "t": 2}, "edges", 0, "a"), "edges[0]: malformed entry (a {'P': 1, 't': 2} is not [piece, slot])"),
+        (_set({"t": 1}, "pieces", 0, "slots"), "pieces[0]: malformed entry (slots {'t': 1} is not a list of names)"),
+    ],
+    ids=["edge_a", "slots"],
+)
+@pytest.mark.parametrize("action", ["validate", "additivity"])
+def test_graph_json_object_is_not_a_pair_or_a_list_of_names(capsys, tmp_path, action, mutate, message):
+    # an object would read as its keys: the endpoint ('P', 't'), the slot t
+    bad = tmp_path / "graph.json"
+    bad.write_text(json.dumps(mutate(_graph_doc())))
+    code, out, err = run(capsys, "graph", action, str(bad))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_graph_rw(capsys, tmp_path):
     good = tmp_path / "good.json"
     good.write_text(

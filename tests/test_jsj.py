@@ -195,6 +195,8 @@ def _edge(**fields):
         (lambda: _edge(killed_slope=[2]), "killed_slope [2] is not [a, b]"),
         (lambda: _edge(killed_slope_b=[2, 1, 0]), "killed_slope_b [2, 1, 0] is not [a, b]"),
         (lambda: Piece(id="P", kind="seifert", slots="tu"), "slots 'tu' is not a list of names"),
+        (lambda: _edge(a={"P": 1, "t": 2}), "a {'P': 1, 't': 2} is not [piece, slot]"),
+        (lambda: Piece(id="P", kind="seifert", slots={"t": 1}), "slots {'t': 1} is not a list of names"),
     ],
     ids=[
         "edge_a",
@@ -211,6 +213,8 @@ def _edge(**fields):
         "slope_too_short",
         "slope_b_too_long",
         "slots_a_string",
+        "edge_a_object",
+        "slots_an_object",
     ],
 )
 def test_records_refuse_the_shapes_the_loader_refuses(build, message):

@@ -1,6 +1,7 @@
 """The lazy package: ``import repvol`` loads no submodule, every public
 name resolves to its home module's object, and each CLI command family
-loads only the modules it runs."""
+loads only the modules it runs, and neither ``dataclasses`` nor
+``inspect``."""
 
 import importlib
 import json
@@ -17,18 +18,30 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 GRAPH = str(SRC / "repvol" / "data" / "motegi_2_3_2_5.json")
 
 
+# Slow stdlib imports that no command needs; some interpreters load
+# ``inspect`` at start-up already (from ``site``).
+STDLIB = ("dataclasses", "inspect")
+
+
 def _loaded(code):
-    """The ``repvol`` modules in ``sys.modules`` after a fresh interpreter
-    runs ``code``."""
+    """The ``repvol`` and ``STDLIB`` modules in ``sys.modules`` after a
+    fresh interpreter runs ``code``."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
-    script = code + "\nimport json, sys\nprint(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'repvol')))"
+    roots = ("repvol", *STDLIB)
+    script = code + f"\nimport json, sys\nprint(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in {roots!r})))"
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 0, done.stderr
     return set(json.loads(done.stdout.splitlines()[-1]))
 
 
-def test_import_loads_no_submodule():
-    assert _loaded("import repvol") == {"repvol"}
+@pytest.fixture(scope="module")
+def bare():
+    """The ``STDLIB`` modules a bare interpreter has already loaded."""
+    return _loaded("pass")
+
+
+def test_import_loads_no_submodule(bare):
+    assert _loaded("import repvol") - bare == {"repvol"}
 
 
 def test_every_public_name_is_its_home_modules_object():
@@ -68,10 +81,11 @@ def test_unknown_name_is_an_attribute_error():
         (["covers", "merge", "--degrees", "2,4", "--m", "2"], set(), {"repvol", "repvol.cli", "repvol.exact", "repvol.covers"}),
         (["graph", "rw", "RATIO_FILE"], {"repvol.liecs", "repvol.linalg", "repvol.covers"}, None),
         (["graph", "validate", GRAPH], {"repvol.liecs", "repvol.linalg", "repvol.covers"}, None),
+        (["cases", "motegi", "2", "3", "2", "5"], {"repvol.liecs", "repvol.linalg", "repvol.covers"}, None),
     ],
-    ids=["seifert", "cs", "covers", "graph_rw", "graph_validate"],
+    ids=["seifert", "cs", "covers", "graph_rw", "graph_validate", "cases"],
 )
-def test_command_family_loads_only_its_modules(tmp_path, argv, absent, only):
+def test_command_family_loads_only_its_modules(tmp_path, bare, argv, absent, only):
     ratio = tmp_path / "ratios.json"
     ratio.write_text(json.dumps({"vertices": ["a", "b"], "edges": [["a", "b", "2"]]}))
     argv = [str(ratio) if arg == "RATIO_FILE" else arg for arg in argv]
@@ -83,5 +97,7 @@ def test_command_family_loads_only_its_modules(tmp_path, argv, absent, only):
     )
     assert "repvol.cli" in loaded
     assert not loaded & absent
+    assert "dataclasses" not in loaded
+    assert "inspect" in bare or "inspect" not in loaded
     if only is not None:
-        assert loaded == only
+        assert loaded - bare == only
