@@ -15,7 +15,9 @@ Conventions, fixed once and covered by golden-value tests:
   for the unit-tangent-bundle geometry, the classical normalization.
 
 Sums inside the loops are (coefficient, pi power) pairs added by
-``exact._pi_sum``, the rule ``PiScalar`` addition follows too.
+``exact._pi_sum``, the rule ``PiScalar`` addition follows too.  ``_form``
+builds every derived form from such sums and ``_terms`` makes its terms;
+only caller input is checked by ``ExteriorForm(...)``.
 """
 
 from __future__ import annotations
@@ -38,8 +40,10 @@ from .exact import (
     _field,
     _list,
     _name,
+    _new,
     _pi,
     _pi_sum,
+    _set,
     parse_rational,
 )
 
@@ -112,7 +116,7 @@ class LieAlgebraSpec(_Record):
         names = tuple(self.basis)
         if len(set(names)) != len(names):
             raise ValueError("basis names must be distinct")
-        object.__setattr__(self, "basis", names)
+        _set(self, "basis", names)
         dim = len(names)
         table: dict[tuple[int, int], tuple[PiScalar, ...]] = {}
         for (j, k), vec in self.brackets:
@@ -128,9 +132,7 @@ class LieAlgebraSpec(_Record):
                     raise ValueError("structure constants must be pi-free")
             if any(coeffs):
                 table[(j, k)] = coeffs
-        object.__setattr__(
-            self, "brackets", tuple(sorted(table.items()))
-        )
+        _set(self, "brackets", tuple(sorted(table.items())))
         structure: dict[tuple[int, int], dict[int, GaussianRational]] = {}
         by_target: list[list[tuple[tuple[int, int], GaussianRational]]] = [[] for _ in range(dim)]
         for (j, k), coeffs in self.brackets:
@@ -139,8 +141,8 @@ class LieAlgebraSpec(_Record):
             structure[(k, j)] = {i: -c for i, c in column.items()}
             for i, c in column.items():
                 by_target[i].append(((j, k), c))
-        object.__setattr__(self, "_table", structure)
-        object.__setattr__(self, "_by_target", by_target)
+        _set(self, "_table", structure)
+        _set(self, "_by_target", by_target)
         if self.check_jacobi:
             violation = validate_jacobi(self)
             if violation is not None:
@@ -186,10 +188,35 @@ def validate_jacobi(spec: LieAlgebraSpec) -> Optional[JacobiViolation]:
     return None
 
 
+# Sums keyed by index tuple, each a (coefficient, pi power) pair.
+_Sums = dict[tuple[int, ...], tuple[GaussianRational, int]]
+
+
+def _accumulate(acc: _Sums, key: tuple[int, ...], value: GaussianRational, power: int) -> None:
+    """acc[key] += value * pi^power, by ``_pi_sum``."""
+    old = acc.get(key)
+    acc[key] = (value, power) if old is None else _pi_sum(*old, value, power)
+
+
+def _terms(sums: _Sums) -> tuple[tuple[tuple[int, ...], PiScalar], ...]:
+    """Form terms: zero totals dropped, one ``PiScalar`` per index, by index."""
+    return tuple(sorted((key, _pi(v, p)) for key, (v, p) in sums.items() if v))
+
+
+def _form(dim: int, degree: int, sums: _Sums) -> "ExteriorForm":
+    """Internal constructor from sums on valid, increasing keys: no ``__post_init__``."""
+    form = _new(ExteriorForm)
+    _set(form, "dim", dim)
+    _set(form, "degree", degree)
+    _set(form, "terms", _terms(sums))
+    return form
+
+
 class ExteriorForm(_Record):
     """Left-invariant form: scalar coefficients on increasing index tuples.
-    The constructor is where terms on one index are summed; ``+`` and
-    ``wedge`` hand it theirs unmerged."""
+    The constructor checks caller input and sums the terms on one index;
+    the operators, ``d`` and the other derived forms sum their own terms
+    and are built by ``_form`` without the checks."""
 
     dim: int
     degree: int
@@ -200,7 +227,7 @@ class ExteriorForm(_Record):
             raise ValueError(f"degree {self.degree} must be non-negative")
         # degree > dim is allowed; such a form is necessarily zero since no
         # strictly increasing index tuple of that length fits in range.
-        cleaned = {}
+        acc: _Sums = {}
         for indices, coeff in self.terms:
             indices = tuple(indices)
             coeff = PiScalar.of(coeff)
@@ -210,13 +237,8 @@ class ExteriorForm(_Record):
                 raise ValueError(f"index tuple {indices} out of range")
             if list(indices) != sorted(set(indices)):
                 raise ValueError(f"index tuple {indices} must be strictly increasing")
-            if coeff:
-                cleaned[indices] = cleaned[indices] + coeff if indices in cleaned else coeff
-        object.__setattr__(
-            self,
-            "terms",
-            tuple(sorted((i, c) for i, c in cleaned.items() if c)),
-        )
+            _accumulate(acc, indices, coeff.coeff, coeff.pi_power)
+        _set(self, "terms", _terms(acc))
 
     @staticmethod
     def zero(dim: int, degree: int) -> "ExteriorForm":
@@ -224,7 +246,8 @@ class ExteriorForm(_Record):
 
     @staticmethod
     def monomial(dim: int, indices: Sequence[int], coeff: ScalarLike = 1) -> "ExteriorForm":
-        return ExteriorForm(dim, len(tuple(indices)), ((tuple(indices), PiScalar.of(coeff)),))
+        indices = tuple(indices)
+        return ExteriorForm(dim, len(indices), ((indices, PiScalar.of(coeff)),))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -233,49 +256,42 @@ class ExteriorForm(_Record):
         key = tuple(indices)
         return next((c for i, c in self.terms if i == key), PI_ZERO)
 
-    def _check_compatible(self, other: "ExteriorForm") -> None:
+    def __add__(self, other: "ExteriorForm") -> "ExteriorForm":
         if self.dim != other.dim:
             raise ValueError("forms live on algebras of different dimension")
         if self.degree != other.degree and not (self.is_zero() or other.is_zero()):
             raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
-
-    def __add__(self, other: "ExteriorForm") -> "ExteriorForm":
-        self._check_compatible(other)
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        return ExteriorForm(self.dim, self.degree, self.terms + other.terms)
+        acc: _Sums = {}
+        for indices, c in self.terms + other.terms:
+            _accumulate(acc, indices, c.coeff, c.pi_power)
+        return _form(self.dim, self.degree if self.terms else other.degree, acc)
 
     def __neg__(self) -> "ExteriorForm":
-        return ExteriorForm(
-            self.dim, self.degree, tuple((i, -c) for i, c in self.terms)
-        )
+        return _form(self.dim, self.degree, {i: (-c.coeff, c.pi_power) for i, c in self.terms})
 
     def __sub__(self, other: "ExteriorForm") -> "ExteriorForm":
         return self + (-other)
 
     def scaled(self, factor: ScalarLike) -> "ExteriorForm":
         f = PiScalar.of(factor)
-        return ExteriorForm(
-            self.dim, self.degree, tuple((i, c * f) for i, c in self.terms)
+        return _form(
+            self.dim, self.degree, {i: (c.coeff * f.coeff, c.pi_power + f.pi_power) for i, c in self.terms}
         )
 
     def wedge(self, other: "ExteriorForm") -> "ExteriorForm":
         if self.dim != other.dim:
             raise ValueError("forms live on algebras of different dimension")
-        degree = self.degree + other.degree
-        if degree > self.dim:
-            return ExteriorForm.zero(self.dim, min(degree, self.dim))
-        terms = []
+        # past the top degree no merge fits, so the result is zero
+        acc: _Sums = {}
         for left, cl in self.terms:
             for right, cr in other.terms:
                 merged = _merge_indices(left, right)
                 if merged is None:
                     continue
                 indices, sign = merged
-                terms.append((indices, cl * cr if sign > 0 else -(cl * cr)))
-        return ExteriorForm(self.dim, degree, tuple(terms))
+                value = cl.coeff * cr.coeff
+                _accumulate(acc, indices, value if sign > 0 else -value, cl.pi_power + cr.pi_power)
+        return _form(self.dim, min(self.degree + other.degree, self.dim), acc)
 
 
 def _merge_indices(
@@ -305,16 +321,6 @@ def mc_differential(spec: LieAlgebraSpec, i: int) -> ExteriorForm:
     return _d(spec, (((i,), PI_ONE),), 2)
 
 
-# Sums keyed by index tuple, each a (coefficient, pi power) pair.
-_Sums = dict[tuple[int, ...], tuple[GaussianRational, int]]
-
-
-def _accumulate(acc: _Sums, key: tuple[int, ...], value: GaussianRational, power: int) -> None:
-    """acc[key] += value * pi^power, by ``_pi_sum``."""
-    old = acc.get(key)
-    acc[key] = (value, power) if old is None else _pi_sum(*old, value, power)
-
-
 def _add_d_monomial(
     acc: _Sums,
     by_target: list[list[tuple[tuple[int, int], GaussianRational]]],
@@ -342,20 +348,14 @@ def bracket_two_form(spec: LieAlgebraSpec, i: int) -> ExteriorForm:
     """i-th coordinate of [omega, omega] as a 2-form (shuffle sum, so the
     coefficient on phi^j^phi^k is 2 c^i_jk).  Independent route used to
     cross-check ``mc_differential`` against the structure equation."""
-    terms = []
-    for (j, k), vec in spec.brackets:
-        if vec[i]:
-            terms.append(((j, k), vec[i] * 2))
-    return ExteriorForm(spec.dim, 2, tuple(terms))
+    return _form(spec.dim, 2, {pair: (vec[i].coeff * 2, vec[i].pi_power) for pair, vec in spec.brackets})
 
 
 def d(spec: LieAlgebraSpec, form: ExteriorForm) -> ExteriorForm:
-    """Exterior derivative of a left-invariant form."""
+    """Exterior derivative of a left-invariant form, zero from the top degree on."""
     if form.dim != spec.dim:
         raise ValueError("form dimension does not match the algebra")
-    if form.degree >= spec.dim:
-        return ExteriorForm.zero(spec.dim, min(form.degree + 1, spec.dim))
-    return _d(spec, form.terms, form.degree + 1)
+    return _d(spec, form.terms, min(form.degree + 1, spec.dim))
 
 
 def _d(spec: LieAlgebraSpec, terms: Sequence[tuple[tuple[int, ...], PiScalar]], degree: int) -> ExteriorForm:
@@ -363,7 +363,7 @@ def _d(spec: LieAlgebraSpec, terms: Sequence[tuple[tuple[int, ...], PiScalar]], 
     acc: _Sums = {}
     for indices, coeff in terms:
         _add_d_monomial(acc, spec._by_target, indices, coeff.coeff, coeff.pi_power)
-    return ExteriorForm(spec.dim, degree, tuple((key, _pi(*total)) for key, total in acc.items()))
+    return _form(spec.dim, degree, acc)
 
 
 class GramForm(_Record):
@@ -383,9 +383,9 @@ class GramForm(_Record):
             for j in range(i + 1, n):
                 if rows[i][j] != rows[j][i]:
                     raise ValueError(f"Gram matrix is not symmetric at ({i}, {j})")
-        object.__setattr__(self, "entries", rows)
+        _set(self, "entries", rows)
         row_terms = [{j: (g.coeff, g.pi_power) for j, g in enumerate(row) if g} for row in rows]
-        object.__setattr__(self, "_rows", row_terms)
+        _set(self, "_rows", row_terms)
 
     @property
     def dim(self) -> int:
@@ -444,7 +444,7 @@ def cs_three_form(spec: LieAlgebraSpec, gram: GramForm) -> ExteriorForm:
                 value = c * f_il
                 _accumulate(acc, key, value if sign > 0 else -value, p)
     scale = GaussianRational(Fraction(-1, 9))
-    return ExteriorForm(spec.dim, 3, tuple((key, _pi(v * scale, p)) for key, (v, p) in acc.items()))
+    return _form(spec.dim, 3, {key: (v * scale, p) for key, (v, p) in acc.items()})
 
 
 def exactness_split(
@@ -492,17 +492,17 @@ def exactness_split(
     solutions = linalg.solve_sparse(system, width, len(powers))
     if solutions is None:
         return None
-    terms: dict[int, PiScalar] = {}
+    sums: _Sums = {}
     for p, sol in zip(powers, solutions):
         for c, x in sol.items():
-            if c in terms:
+            if pairs[c] in sums:
                 index = "^".join(f"phi{spec.basis[i]}" for i in pairs[c])
                 raise ValueError(
-                    f"primitive needs pi powers {terms[c].pi_power} and {p} on the 2-index {index}; "
+                    f"primitive needs pi powers {sums[pairs[c]][1]} and {p} on the 2-index {index}; "
                     "a form holds one pi power per index"
                 )
-            terms[c] = _pi(x, p)
-    beta = ExteriorForm(n, 2, tuple((pairs[c], x) for c, x in terms.items()))
+            sums[pairs[c]] = (x, p)
+    beta = _form(n, 2, sums)
     if d(spec, beta) != difference:
         raise RuntimeError("primitive verification failed after solving")
     return beta

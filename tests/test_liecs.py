@@ -3,7 +3,11 @@ identity for both canned algebras, and the characteristic-polynomial
 coefficients."""
 
 import itertools
+import operator
+import pickle
+import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from dense_linalg import dense_echelon
@@ -223,6 +227,27 @@ def test_degree_beyond_dimension_is_zero():
     top = mono(3, (0, 1, 2))
     assert d(sl2c_algebra(), top).is_zero()
     assert ExteriorForm.zero(3, 4).is_zero()
+
+
+def test_zero_forms_past_the_top_degree_keep_their_degree():
+    # d and wedge cap the degree at the dimension; mc_differential is a
+    # 2-form even on a line
+    top = d(sl2c_algebra(), mono(3, (0, 1, 2)))
+    assert top == ExteriorForm(3, 3)
+    assert repr(top) == "ExteriorForm(dim=3, degree=3, terms=())"
+    past = mono(3, (0, 1)).wedge(mono(3, (1, 2)))
+    assert past == ExteriorForm(3, 3)
+    assert repr(past) == "ExteriorForm(dim=3, degree=3, terms=())"
+    assert repr(mono(4, (0, 1)).wedge(mono(4, (1, 2, 3)))) == "ExteriorForm(dim=4, degree=4, terms=())"
+    line = LieAlgebraSpec(basis=("X",), brackets=())
+    assert mc_differential(line, 0) == ExteriorForm(1, 2)
+    assert repr(mc_differential(line, 0)) == "ExteriorForm(dim=1, degree=2, terms=())"
+
+
+def test_monomial_reads_its_indices_once():
+    form = ExteriorForm.monomial(3, (i for i in (0, 1)))
+    assert form == mono(3, (0, 1))
+    assert repr(form) == repr(mono(3, [0, 1]))
 
 
 # ---------------------------------------------------------------- golden MC
@@ -757,6 +782,203 @@ def test_exactness_split_solves_each_pi_power_like_the_dense_oracle(case):
     terms = [(pair, PiScalar(c, power)) for power, solution in expected.items() for pair, c in solution.items()]
     assert got == ExteriorForm(spec.dim, 2, tuple(terms))
     assert d(spec, got) == difference
+
+
+# ---------------------------------------------------------------- derived forms
+
+
+def checked(dim, degree, terms):
+    """The unmerged terms summed by the public constructor, or the
+    ValueError it raises."""
+    try:
+        return ExteriorForm(dim, degree, tuple(terms))
+    except ValueError as exc:
+        return exc
+
+
+def sorting_sign(left, right):
+    """The increasing tuple of left + right and the sign of the
+    permutation sorting it, or None when they share an index."""
+    joined = left + right
+    if len(set(joined)) < len(joined):
+        return None
+    inversions = sum(1 for x, y in itertools.combinations(joined, 2) if x > y)
+    return tuple(sorted(joined)), -1 if inversions % 2 else 1
+
+
+def wedge_terms(a, b):
+    for left, cl in a.terms:
+        for right, cr in b.terms:
+            merged = sorting_sign(left, right)
+            if merged is not None:
+                yield merged[0], cl * cr * merged[1]
+
+
+def d_terms(spec, form):
+    """d(phi^I) = sum_t (-1)^t d(phi^{I_t}) ^ phi^{I minus I_t}, with
+    d(phi^i) = - sum_{j<k} c^i_jk phi^j ^ phi^k, from ``spec.bracket``."""
+    for indices, coeff in form.terms:
+        for t, i in enumerate(indices):
+            rest = indices[:t] + indices[t + 1 :]
+            for pair in itertools.combinations(range(spec.dim), 2):
+                merged = sorting_sign(pair, rest)
+                if merged is not None:
+                    yield merged[0], -spec.bracket(*pair)[i] * coeff * ((-1) ** t * merged[1])
+
+
+def three_form_terms(spec, gram):
+    """-(1/9) sum f_il c^i_jk phi^j ^ phi^k ^ phi^l over i, j < k and l."""
+    ninth = PiScalar.of(Fraction(-1, 9))
+    for i, l in itertools.product(range(spec.dim), repeat=2):
+        for pair in itertools.combinations(range(spec.dim), 2):
+            merged = sorting_sign(pair, (l,))
+            if merged is not None:
+                yield merged[0], gram.entries[i][l] * spec.bracket(*pair)[i] * ninth * merged[1]
+
+
+def checked_primitive(spec, part):
+    """The dense oracle's primitive of ``part``, one pi power at a time,
+    summed by ``checked``; None when some power has none."""
+    terms = []
+    for power in sorted({c.pi_power for _, c in part.terms}):
+        solution = dense_primitive(spec, {t: c.coeff for t, c in part.terms if c.pi_power == power})
+        if solution is None:
+            return None
+        terms += [(pair, PiScalar(x, power)) for pair, x in solution.items()]
+    return checked(spec.dim, 2, terms)
+
+
+def seeded_unimodular(rng, n):
+    """An integer matrix P of determinant +-1 and its inverse Q, from
+    seeded elementary column operations."""
+    p = [[int(i == j) for j in range(n)] for i in range(n)]
+    q = [row[:] for row in p]
+    for _ in range(rng.randint(1, 4)):
+        i, j = rng.sample(range(n), 2)
+        t = rng.randint(-2, 2)
+        for row in p:
+            row[j] += t * row[i]
+        q[i] = [x - t * y for x, y in zip(q[i], q[j])]
+    return p, q
+
+
+def seeded_sl2_sum(rng):
+    """sl2 + sl2, each block in a seeded unimodular basis and the six
+    basis vectors shuffled.  The Gram form is sl2c_gram (pi^-2) on one
+    block and the pi-free trace form on the other, so T mixes pi powers."""
+    trace = [[PiScalar.of(x) for x in row] for row in ((2, 0, 0), (0, 0, 1), (0, 1, 0))]
+    blocks = [
+        changed_block(3, SL2, entries, *seeded_unimodular(rng, 3)) for entries in (sl2c_gram().entries, trace)
+    ]
+    position = {old: new for new, old in enumerate(rng.sample(range(6), 6))}
+    brackets, gram = {}, [[PI_ZERO] * 6 for _ in range(6)]
+    for offset, (table, entries) in zip((0, 3), blocks):
+        for (j, k), vec in table.items():
+            a, b = position[j + offset], position[k + offset]
+            sign = 1 if a < b else -1
+            brackets[(min(a, b), max(a, b))] = {position[i + offset]: sign * v for i, v in vec.items()}
+        for j, k in itertools.product(range(3), repeat=2):
+            gram[position[j + offset]][position[k + offset]] = entries[j][k]
+    spec = table_spec(6, brackets)
+    assert validate_jacobi(spec) is None
+    return spec, GramForm(gram)
+
+
+def seeded_form(rng, dim, degree, power_of):
+    """Up to four terms, repeats and zeros included, each with the pi
+    power ``power_of`` gives its indices."""
+    keys = list(itertools.combinations(range(dim), degree))
+    terms = []
+    for key in [rng.choice(keys) for _ in range(rng.randint(0, 4))] if keys else []:
+        coeff = GaussianRational(Fraction(rng.randint(-3, 3), rng.randint(1, 3)), rng.choice((0, 0, 1, -2)))
+        terms.append((key, PiScalar(coeff, power_of(key))))
+    return ExteriorForm(dim, degree, tuple(terms))
+
+
+def derived_cases(kind, rng):
+    """(name, derived route, checked result) on one algebra: every form
+    the package derives, as a call not yet made, and the same terms
+    unmerged and summed by the public constructor."""
+    if kind == "sl2c":
+        spec, gram = sl2c_algebra(), sl2c_gram()
+    elif kind == "iso":
+        spec, gram = iso_sl2r_algebra(), iso_sl2r_gram()
+    else:
+        spec, gram = seeded_sl2_sum(rng)
+    n = spec.dim
+    powers = {}
+
+    def power_of(key):
+        return powers.setdefault(key, rng.choice((0, 0, -2, 1)))
+
+    cases = []
+    for degree in range(n + 2):
+        a, b = seeded_form(rng, n, degree, power_of), seeded_form(rng, n, degree, power_of)
+        other = seeded_form(rng, n, rng.randint(0, n), power_of)
+        top, zero = min(degree + other.degree, n), ExteriorForm.zero(n, degree + 1)
+        negated = tuple((i, -c) for i, c in b.terms)
+        cases += [
+            ("a + b", partial(operator.add, a, b), checked(n, degree, a.terms + b.terms)),
+            # a sum with a zero form takes the other's degree
+            ("0 + a", partial(operator.add, zero, a), checked(n, degree, a.terms)),
+            ("a + 0", partial(operator.add, a, zero), checked(n, degree if a.terms else degree + 1, a.terms)),
+            ("-b", b.__neg__, checked(n, degree, negated)),
+            ("a - b", partial(operator.sub, a, b), checked(n, degree, a.terms + negated)),
+            ("wedge", partial(a.wedge, other), checked(n, top, wedge_terms(a, other))),
+            ("d", partial(d, spec, a), checked(n, min(degree + 1, n), d_terms(spec, a))),
+        ]
+        pi_power = PiScalar(GaussianRational(Fraction(rng.randint(1, 5), 2)), rng.choice((-2, 1)))
+        for f in (0, pi_power, Fraction(-2, 3)):
+            scaled = checked(n, degree, ((i, c * f) for i, c in a.terms))
+            cases.append(("scaled", partial(a.scaled, f), scaled))
+    for i in range(n):
+        column = [(pair, spec.bracket(*pair)[i]) for pair in itertools.combinations(range(n), 2)]
+        cases += [
+            ("mc_differential", partial(mc_differential, spec, i), checked(n, 2, ((p, -x) for p, x in column))),
+            ("bracket_two_form", partial(bracket_two_form, spec, i), checked(n, 2, ((p, x * 2) for p, x in column))),
+        ]
+    three, zero = checked(n, 3, three_form_terms(spec, gram)), ExteriorForm.zero(n, 3)
+    cases.append(("cs_three_form", partial(cs_three_form, spec, gram), three))
+    cases.append(
+        ("exactness_split", partial(exactness_split, spec, three, zero), checked_primitive(spec, three))
+    )
+    for power in (0, -2, 1):
+        exact_part = checked(n, 3, d_terms(spec, seeded_form(rng, n, 2, lambda key, power=power: power)))
+        # T - (T - d(beta)) where T and d(beta) agree in pi power, else d(beta) - 0
+        target = checked(n, 3, three.terms + tuple((i, -c) for i, c in exact_part.terms))
+        form, target = (exact_part, zero) if isinstance(target, ValueError) else (three, target)
+        split = partial(exactness_split, spec, form, target)
+        cases.append(("exactness_split", split, checked_primitive(spec, exact_part)))
+    return cases
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("kind", ["sl2c", "iso", "sl2+sl2"])
+def test_derived_forms_skip_the_checks_and_match_the_checked_route(kind, seed, monkeypatch):
+    cases = derived_cases(kind, random.Random(seed))
+    checks = []
+    check = ExteriorForm.__post_init__
+
+    def counted(self):
+        checks.append(self)
+        check(self)
+
+    monkeypatch.setattr(ExteriorForm, "__post_init__", counted)
+    got = []
+    for _, route, _ in cases:
+        try:
+            got.append(route())
+        except ValueError as exc:
+            got.append(exc)
+    monkeypatch.undo()
+    assert checks == []
+    for (name, _, want), form in zip(cases, got):
+        if not isinstance(want, ExteriorForm):
+            assert type(form) is type(want), name
+            continue
+        for twin in (want, ExteriorForm(form.dim, form.degree, form.terms), pickle.loads(pickle.dumps(form))):
+            assert form == twin, name
+            assert repr(form) == repr(twin), name
 
 
 def test_format_form():
