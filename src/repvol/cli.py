@@ -288,8 +288,9 @@ def _cmd_graph(args: argparse.Namespace) -> int:
         if result.consistent:
             print("consistent")
             return 0
+        product = _printed(result.product, "cycle product")
         steps = " ".join(f"{u}->{v}[{r}]" for u, v, r in result.witness_cycle)
-        print(f"inconsistent: cycle {steps} product {result.product}")
+        print(f"inconsistent: cycle {steps} product {product}")
         print("error: edge ratios are inconsistent", file=sys.stderr)
         return 1
 
@@ -313,6 +314,10 @@ def _cmd_graph(args: argparse.Namespace) -> int:
         for name, case_spec, assignments in document.cases:
             total = jsj.additivity_sum(case_spec, assignments)
             results.append((name, total))
+        # every total is checked before any line is printed
+        for _, total in results:
+            if isinstance(total, ExactVolume):
+                _printed(total.coeff, "volume coefficient")
         if args.json:
             _emit_json(
                 {name: render_volume(total, decimal=args.decimal) for name, total in results}
@@ -370,6 +375,7 @@ def _cmd_cases(args: argparse.Namespace) -> int:
     from . import jsj
 
     result = jsj.motegi_case(args.p1, args.q1, args.p2, args.q2)
+    order = _printed(result.h1_order, "H1 order")
     if args.json:
         _emit_json(
             {
@@ -381,7 +387,7 @@ def _cmd_cases(args: argparse.Namespace) -> int:
     else:
         answer = "yes" if result.nontrivial else "no"
         print(
-            f"H1 order {result.h1_order}; nontrivial graph manifold: {answer}; "
+            f"H1 order {order}; nontrivial graph manifold: {answer}; "
             f"SV = {result.sv_coeff}"
         )
     return 0

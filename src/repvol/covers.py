@@ -25,9 +25,10 @@ __all__ = [
 
 
 def _positive(value: int, name: str) -> int:
-    value = int(value)
-    if value <= 0:
-        raise ValueError(f"{name} must be a positive integer, got {value}")
+    """``value`` itself, if it is a positive ``int``; anything else, such
+    as 2.5 or "3", is a ``ValueError`` rather than a value cut to an int."""
+    if not isinstance(value, int) or value <= 0:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
     return value
 
 

@@ -348,7 +348,9 @@ def bracket_two_form(spec: LieAlgebraSpec, i: int) -> ExteriorForm:
     """i-th coordinate of [omega, omega] as a 2-form (shuffle sum, so the
     coefficient on phi^j^phi^k is 2 c^i_jk).  Independent route used to
     cross-check ``mc_differential`` against the structure equation."""
-    return _form(spec.dim, 2, {pair: (vec[i].coeff * 2, vec[i].pi_power) for pair, vec in spec.brackets})
+    if not 0 <= i < spec.dim:
+        raise ValueError(f"basis index {i} out of range")
+    return _form(spec.dim, 2, {pair: (c * 2, 0) for pair, c in spec._by_target[i]})
 
 
 def d(spec: LieAlgebraSpec, form: ExteriorForm) -> ExteriorForm:

@@ -189,94 +189,67 @@ def base_cover(inv: SeifertInvariants, degree: int) -> SeifertInvariants:
     return circle_bundle(degree * (inv.genus - 1) + 1, degree * e)
 
 
-_TOKEN = re.compile(r"\s*(-?\d+|[();,/])")
-
-
-def _tokenize(text: str) -> list[tuple[str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            raise ParseError(f"unexpected character {stripped[0]!r}", len(text) - len(stripped))
-        tokens.append((m.group(1), m.start(1)))
-        pos = m.end()
-    return tokens
-
-
-class _TokenStream:
-    def __init__(self, tokens: list[tuple[str, int]], length: int):
-        self.tokens = tokens
-        self.i = 0
-        self.length = length
-
-    def peek(self) -> tuple[str, int]:
-        if self.i >= len(self.tokens):
-            return ("", self.length)
-        return self.tokens[self.i]
-
-    def take(self) -> tuple[str, int]:
-        tok = self.peek()
-        self.i += 1
-        return tok
-
-    def expect(self, literal: str) -> int:
-        tok, pos = self.take()
-        if tok != literal:
-            shown = tok if tok else "end of input"
-            raise ParseError(f"expected {literal!r}, found {shown}", pos)
-        return pos
-
-    def integer(self, what: str) -> tuple[int, int]:
-        tok, pos = self.take()
-        if not re.fullmatch(r"-?\d+", tok or ""):
-            shown = tok if tok else "end of input"
-            raise ParseError(f"expected {what}, found {shown}", pos)
-        return int(tok), pos
+# One token per match: an integer, a punctuation mark, or (group 3) any
+# other visible character, which the notation refuses.
+_TOKEN = re.compile(r"\s*(?:(-?\d+)|([();,/])|(\S))")
 
 
 def parse_seifert(text: str) -> SeifertInvariants:
     """Parse ``(g; b1/a1, b2/a2, ...)`` notation for a closed space.
 
     A bare integer entry means b/1.  The base must be orientable, so a
-    negative genus is rejected.
+    negative genus is rejected.  A character outside the notation is
+    refused before the grammar is read.
     """
-    stream = _TokenStream(_tokenize(text), len(text))
-    stream.expect("(")
-    genus, gpos = stream.integer("genus")
+    tokens = []
+    for m in _TOKEN.finditer(text):
+        if m[3]:
+            raise ParseError(f"unexpected character {m[3]!r}", m.start(3))
+        tokens.append((m[m.lastindex], m.start(m.lastindex)))
+    # The end of input is the token "", which every rule below refuses,
+    # so no read passes it.  A token not in "();,/" is an integer.
+    tokens.append(("", len(text)))
+    tok, pos = tokens[0]
+    if tok != "(":
+        raise ParseError(f"expected '(', found {tok or 'end of input'}", pos)
+    tok, pos = tokens[1]
+    if tok in "();,/":
+        raise ParseError(f"expected genus, found {tok or 'end of input'}", pos)
+    genus = int(tok)
     if genus < 0:
-        raise ParseError("negative genus (non-orientable bases are not supported)", gpos)
-    stream.expect(";")
+        raise ParseError("negative genus (non-orientable bases are not supported)", pos)
+    tok, pos = tokens[2]
+    if tok != ";":
+        raise ParseError(f"expected ';', found {tok or 'end of input'}", pos)
+    i = 3
     pairs: list[tuple[int, int]] = []
-    tok, _ = stream.peek()
-    while tok != ")":
-        b, bpos = stream.integer(f"numerator of pair {len(pairs) + 1}")
-        a = 1
-        tok, _ = stream.peek()
-        if tok == "/":
-            stream.take()
-            a, apos = stream.integer(f"multiplicity of pair {len(pairs) + 1}")
-        else:
-            apos = bpos
+    while tokens[i][0] != ")":
+        k = len(pairs) + 1
+        tok, pos = tokens[i]
+        if tok in "();,/":
+            raise ParseError(f"expected numerator of pair {k}, found {tok or 'end of input'}", pos)
+        b, a = int(tok), 1
+        i += 1
+        if tokens[i][0] == "/":
+            tok, pos = tokens[i + 1]
+            if tok in "();,/":
+                raise ParseError(f"expected multiplicity of pair {k}, found {tok or 'end of input'}", pos)
+            a = int(tok)
+            i += 2
+        # pos is the multiplicity's, or the numerator's when there is none
         try:
-            _check_pair(a, b, f"pair {len(pairs) + 1}")
+            _check_pair(a, b, f"pair {k}")
         except ValueError as exc:
-            raise ParseError(str(exc), apos) from None
+            raise ParseError(str(exc), pos) from None
         pairs.append((a, b))
-        tok, pos = stream.peek()
+        tok, pos = tokens[i]
         if tok == ",":
-            stream.take()
-            tok, _ = stream.peek()
-            if tok == ")":
+            i += 1
+            if tokens[i][0] == ")":
                 raise ParseError("trailing comma", pos)
         elif tok != ")":
-            shown = tok if tok else "end of input"
-            raise ParseError(f"expected ',' or ')', found {shown}", pos)
-    stream.expect(")")
-    tok, pos = stream.peek()
+            raise ParseError(f"expected ',' or ')', found {tok or 'end of input'}", pos)
+    tok, pos = tokens[i + 1]
     if tok:
         raise ParseError(f"unexpected trailing {tok!r}", pos)
     return SeifertInvariants(genus=genus, pairs=tuple(pairs))

@@ -864,6 +864,44 @@ def test_covers_too_large_to_print(capsys):
     assert sys.get_int_max_str_digits() == limit
 
 
+def test_graph_and_cases_too_large_to_print(capsys, tmp_path):
+    # Each answer below has about 6000 digits, built from inputs short
+    # enough to read; it is refused by name, before any line is printed.
+    limit = sys.get_int_max_str_digits()
+    pieces = tmp_path / "pieces.json"
+    pieces.write_text(
+        json.dumps(
+            {
+                "pieces": [
+                    {"id": "A", "kind": "hyperbolic", "label": "a", "slots": ["t"]},
+                    {"id": "B", "kind": "hyperbolic", "label": "b", "slots": ["t"]},
+                ],
+                "edges": [{"a": ["A", "t"], "b": ["B", "t"], "gluing": [[0, 1], [1, 0]]}],
+                "assignments": [
+                    {"piece": "A", "assign": "direct", "exact": "1/" + "7" * 3000 + "1"},
+                    {"piece": "B", "assign": "direct", "exact": "1/" + "3" * 3000 + "1"},
+                ],
+            }
+        )
+    )
+    ratios = tmp_path / "ratios.json"
+    ratio = 10**3000
+    ratios.write_text(json.dumps({"vertices": ["u", "v"], "edges": [["u", "v", ratio], ["v", "u", ratio]]}))
+    factor = "1" + "0" * 1499
+    for argv, what in (
+        (("cases", "motegi", factor, factor, factor, factor), "H1 order"),
+        (("graph", "additivity", str(pieces)), "volume coefficient"),
+        (("graph", "additivity", str(pieces), "--decimal"), "volume coefficient"),
+        (("graph", "rw", str(ratios)), "cycle product"),
+    ):
+        extras = ((), ("--json",)) if argv[1] != "rw" else ((),)
+        for extra in extras:
+            code, out, err = run(capsys, *argv, *extra)
+            assert (code, out) == (1, "")
+            assert err == f"error: {what} is too large to print: over {limit} digits\n"
+    assert sys.get_int_max_str_digits() == limit
+
+
 def test_covers_elevations(capsys):
     code, out, _ = run(capsys, "covers", "elevations", "--torus", "4", "--curve", "2")
     assert code == 0

@@ -54,6 +54,25 @@ def test_cover_intersection_rejects_nonpositive():
         cover_intersection(1, -2, 1, 1)
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: merge_copy_counts([2.5, 4], 1), "cover degree must be a positive integer, got 2.5"),
+        (lambda: merge_copy_counts([2, 4], "1"), "curve degree must be a positive integer, got '1'"),
+        (lambda: colored_merge_counts([2.9], [1]), "k must be a positive integer, got 2.9"),
+        (lambda: colored_merge_counts([2], [1.5]), "l must be a positive integer, got 1.5"),
+        (lambda: TorusCoverDatum(2.5, 1), "torus degree must be a positive integer, got 2.5"),
+        (lambda: TorusCoverDatum(4, "3"), "curve degree must be a positive integer, got '3'"),
+        (lambda: cover_intersection(1.5, 2, 2, 4), "intersection number must be a positive integer, got 1.5"),
+        (lambda: cover_intersection(1, 2, 2, 4.0), "degree of the torus cover must be a positive integer, got 4.0"),
+    ],
+)
+def test_non_integers_are_refused_not_truncated(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
+
+
 @given(
     st.integers(1, 6),
     st.integers(1, 6),

@@ -282,6 +282,20 @@ def test_bracket_two_form_cross_check():
             assert bracket_two_form(spec, i) == mc_differential(spec, i).scaled(-2)
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [sl2c_algebra(), LieAlgebraSpec(basis=("A", "B"), brackets=())],
+    ids=["sl2c", "abelian"],
+)
+def test_bracket_two_form_refuses_an_index_out_of_range(spec):
+    for i in (-1, spec.dim):
+        for build in (bracket_two_form, mc_differential):
+            with pytest.raises(ValueError, match=rf"^basis index {i} out of range$"):
+                build(spec, i)
+    if not spec.brackets:
+        assert bracket_two_form(spec, spec.dim - 1) == ExteriorForm.zero(spec.dim, 2)
+
+
 def test_d_squares_to_zero_on_basis():
     for spec in (iso_sl2r_algebra(), sl2c_algebra()):
         for i in range(spec.dim):

@@ -111,6 +111,45 @@ def test_parse_error_carries_position():
     assert "position" in str(info.value)
 
 
+@pytest.mark.parametrize(
+    "text, message, position",
+    [
+        ("(1; x)", "unexpected character 'x'", 4),
+        ("(1;\t1/2) x", "unexpected character 'x'", 9),
+        ("1 - 2", "unexpected character '-'", 2),
+        ("1; 1/2", "expected '(', found 1", 0),
+        ("", "expected '(', found end of input", 0),
+        ("   ", "expected '(', found end of input", 3),
+        ("(; 1/2)", "expected genus, found ;", 1),
+        ("(", "expected genus, found end of input", 1),
+        ("(-1; 1/2)", "negative genus (non-orientable bases are not supported)", 1),
+        ("(1 1/2)", "expected ';', found 1", 3),
+        ("(1", "expected ';', found end of input", 2),
+        ("(1; /2)", "expected numerator of pair 1, found /", 4),
+        ("(1; 1/2, /3)", "expected numerator of pair 2, found /", 9),
+        ("(1;", "expected numerator of pair 1, found end of input", 3),
+        ("(1; 1/2,", "expected numerator of pair 2, found end of input", 8),
+        ("(1; 1/)", "expected multiplicity of pair 1, found )", 6),
+        ("(1; 1/", "expected multiplicity of pair 1, found end of input", 6),
+        ("(1; 2/4)", "pair 1: 2/4 is not in lowest terms", 6),
+        ("(1; 1/3, 0/2)", "pair 2: 0/2 is not in lowest terms", 11),
+        ("(1; 1/0)", "pair 1: multiplicity must be positive, got 0", 6),
+        ("(1; 1/-2)", "pair 1: multiplicity must be positive, got -2", 6),
+        ("(1; 1/2,)", "trailing comma", 7),
+        ("(1; 1/2 1/3)", "expected ',' or ')', found 1", 8),
+        ("(1; 3/4/5)", "expected ',' or ')', found /", 7),
+        ("(1; 1/2", "expected ',' or ')', found end of input", 7),
+        ("(1; 1/2))", "unexpected trailing ')'", 8),
+        ("(1;) 2", "unexpected trailing '2'", 5),
+    ],
+)
+def test_parse_error_text_and_position(text, message, position):
+    with pytest.raises(ParseError) as info:
+        parse_seifert(text)
+    assert str(info.value) == f"{message} (at position {position})"
+    assert info.value.position == position
+
+
 def test_format_round_trip_worked_example():
     assert format_seifert(parse_seifert("(1; 1/2, 1/2)")) == "(1; 1/2, 1/2)"
     assert format_seifert(parse_seifert("(3;)")) == "(3;)"
