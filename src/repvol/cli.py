@@ -314,10 +314,13 @@ def _cmd_graph(args: argparse.Namespace) -> int:
         for name, case_spec, assignments in document.cases:
             total = jsj.additivity_sum(case_spec, assignments)
             results.append((name, total))
-        # every total is checked before any line is printed
+        # every total is checked before any line is printed, and with
+        # --decimal refused beyond the float range
         for _, total in results:
             if isinstance(total, ExactVolume):
                 _printed(total.coeff, "volume coefficient")
+                if args.decimal:
+                    total.to_float()
         if args.json:
             _emit_json(
                 {name: render_volume(total, decimal=args.decimal) for name, total in results}

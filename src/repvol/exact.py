@@ -24,13 +24,15 @@ it: the public constructors, ``of()``, and the internal constructors
 slots, without ``Fraction``'s argument parsing.  ``seifert`` and ``ehn``
 build e, chi, every spectrum value and every witness field with it.
 
-``_pi_sum`` owns the pi-power addition rule: ``PiScalar.__add__`` and
-the (coefficient, pi power) sums of ``liecs`` both add by it.
+``_pi_power`` owns the pi-power addition rule: ``PiScalar.__add__``
+adds by ``_pi_sum``, which follows it, and so do the Gaussian-integer
+sums of ``liecs``.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from math import gcd as _gcd
 from collections.abc import Mapping
 from fractions import Fraction
@@ -494,15 +496,24 @@ class PiScalar(_Frozen):
 
 
 def _pi_sum(x: GaussianRational, p: int, y: GaussianRational, q: int) -> tuple[GaussianRational, int]:
-    """x * pi^p + y * pi^q as a (coefficient, pi power) pair: a zero term
-    takes no part, and two nonzero terms with different powers are
-    refused.  ``PiScalar`` addition and the ``liecs`` sums both add by it."""
+    """x * pi^p + y * pi^q as a (coefficient, pi power) pair, the power
+    by ``_pi_power``."""
+    power = _pi_power(x, p, y, q)
+    return (x + y if p == q else x or y), power
+
+
+def _pi_power(x: object, p: int, y: object, q: int) -> int:
+    """The pi power of x * pi^p + y * pi^q, where x and y are read only
+    for being nonzero: a zero term takes no part, and two nonzero terms
+    with different powers are refused.  This is the one pi-power rule:
+    ``PiScalar`` addition (by ``_pi_sum``) and the Gaussian-integer sums
+    of ``liecs``, which pass each coefficient's truth value, follow it."""
     if p == q:
-        return x + y, p
+        return p
     if not x:
-        return y, q
+        return q
     if not y:
-        return x, p
+        return p
     raise ValueError(f"pi-power mismatch in addition: {p} vs {q}")
 
 
@@ -533,7 +544,16 @@ class ExactVolume(_Record):
             raise ValueError(f"exact volume coefficient must be >= 0, got {self.coeff}")
 
     def to_float(self) -> float:
-        return float(self.coeff) * FOUR_PI_SQUARED
+        """The volume as a float.  One beyond the float range is a
+        ``ValueError`` naming that range, where Python would raise an
+        ``OverflowError`` or return infinity."""
+        try:
+            value = float(self.coeff) * FOUR_PI_SQUARED
+        except OverflowError:
+            value = math.inf
+        if value == math.inf:
+            raise ValueError(f"volume is too large for a float: over {sys.float_info.max:.6g}")
+        return value
 
 
 class NumericVolume(_Record):
@@ -562,7 +582,7 @@ def volume_sum(values: Iterable[VolumeValue]) -> VolumeValue:
         else:
             raise TypeError(f"not a volume value: {v!r}")
     if saw_numeric:
-        return NumericVolume(float(exact) * FOUR_PI_SQUARED + numeric)
+        return NumericVolume(ExactVolume(exact).to_float() + numeric)
     return ExactVolume(exact)
 
 

@@ -14,15 +14,16 @@ Conventions, fixed once and covered by golden-value tests:
   Maurer-Cartan form decomposes as (2/3) * (volume form) + (exact form)
   for the unit-tangent-bundle geometry, the classical normalization.
 
-Sums inside the loops are (coefficient, pi power) pairs added by
-``exact._pi_sum``, the rule ``PiScalar`` addition follows too.  ``_form``
-builds every derived form from such sums and ``_terms`` makes its terms;
-only caller input is checked by ``ExteriorForm(...)``.
+Inside, scalars are Gaussian integers (re, im) over one denominator per
+table or sum, summed by ``_add`` under the pi-power rule of ``exact._pi_power``.
+Scalar objects are built only for public values: ``_terms`` makes the
+terms of derived forms, which ``_form`` builds without the checks.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from collections.abc import Mapping
 from fractions import Fraction
@@ -30,7 +31,6 @@ from typing import Optional, Sequence, Union
 
 from . import linalg
 from .exact import (
-    GAUSSIAN_ONE,
     GaussianRational,
     PI_ONE,
     PI_ZERO,
@@ -38,14 +38,16 @@ from .exact import (
     _Record,
     _document,
     _field,
+    _gaussian,
     _list,
     _name,
     _new,
     _pi,
-    _pi_sum,
+    _pi_power,
     _set,
     parse_rational,
 )
+from .linalg import Pair
 
 __all__ = [
     "LieAlgebraSpec",
@@ -69,10 +71,29 @@ __all__ = [
 ]
 
 ScalarLike = Union[int, Fraction, GaussianRational, PiScalar]
+_Sums = dict[tuple[int, ...], list[int]]  # index tuple -> [re, im, pi power]
+_NO_TERMS: Mapping[int, Pair] = {}  # a zero bracket's column
 
 
-# The empty column of the structure table: a zero bracket.
-_NO_TERMS: Mapping[int, GaussianRational] = {}
+def _pair(g: GaussianRational, den: int) -> Pair:
+    """g * den as an int pair; ``den`` is a multiple of g's denominator."""
+    f = den // g._den
+    return g._a * f, g._b * f
+
+
+def _ints(terms: Sequence[tuple[tuple[int, ...], PiScalar]]) -> tuple[int, list]:
+    """(lcm of the denominators, [(indices, re, im, pi power)] over it)."""
+    den = math.lcm(*[c.coeff._den for _, c in terms])
+    return den, [(i, *_pair(c.coeff, den), c.pi_power) for i, c in terms]
+
+
+def _add(acc: _Sums, key: tuple[int, ...], re: int, im: int, power: int) -> None:
+    """acc[key] += (re + im*i) * pi^power, the power by ``_pi_power``."""
+    old = acc.setdefault(key, [0, 0, power])
+    if old[2] != power:
+        old[2] = _pi_power(old[0] or old[1], old[2], re or im, power)
+    old[0] += re
+    old[1] += im
 
 
 class JacobiViolation(ValueError):
@@ -93,24 +114,19 @@ class LieAlgebraSpec(_Record):
     construction unless ``check_jacobi=False`` (used when loading
     untrusted tables that a caller wants to diagnose).
 
-    Two tables are derived once from ``brackets``, holding only nonzero
-    constants as pi-free ``GaussianRational``s: ``_table``, the sparse
-    antisymmetric map (j, k) -> {i: c^i_jk} over both index orders, and
-    ``_by_target``, the pairs ((j, k), c^i_jk) with j < k listed per
-    target index i.  Invariance, the three-form and the differential read
-    them, so their cost follows the nonzero structure constants rather
-    than powers of the dimension, and no ``PiScalar`` is built inside
-    their loops.  The Jacobi scan visits only triples holding a pair
-    with a nonzero bracket, at most ``dim`` per such pair.  The
-    exactness system of ``exactness_split`` keeps one column per 2-index
-    but stores only the nonzero entries of its rows.
+    Two tables derived once hold the nonzero constants as int pairs over
+    the shared denominator ``_den``: ``_table``, (j, k) -> {i: c^i_jk} for
+    both index orders, and ``_by_target``, the pairs ((j, k), c^i_jk) with
+    j < k per target i.  So the checks, the three-form and ``d`` cost what
+    the nonzero constants do.
     """
 
     basis: tuple[str, ...]
     brackets: tuple[tuple[tuple[int, int], tuple[PiScalar, ...]], ...]
     check_jacobi: bool = True
-    _table: dict[tuple[int, int], dict[int, GaussianRational]]
-    _by_target: list[list[tuple[tuple[int, int], GaussianRational]]]
+    _den: int
+    _table: dict[tuple[int, int], dict[int, Pair]]
+    _by_target: list[list[tuple[tuple[int, int], Pair]]]
 
     def __post_init__(self) -> None:
         names = tuple(self.basis)
@@ -133,14 +149,16 @@ class LieAlgebraSpec(_Record):
             if any(coeffs):
                 table[(j, k)] = coeffs
         _set(self, "brackets", tuple(sorted(table.items())))
-        structure: dict[tuple[int, int], dict[int, GaussianRational]] = {}
-        by_target: list[list[tuple[tuple[int, int], GaussianRational]]] = [[] for _ in range(dim)]
+        den = math.lcm(*[c.coeff._den for _, coeffs in self.brackets for c in coeffs])
+        structure: dict[tuple[int, int], dict[int, Pair]] = {}
+        by_target: list[list[tuple[tuple[int, int], Pair]]] = [[] for _ in range(dim)]
         for (j, k), coeffs in self.brackets:
-            column = {i: c.coeff for i, c in enumerate(coeffs) if c}
+            column = {i: _pair(c.coeff, den) for i, c in enumerate(coeffs) if c}
             structure[(j, k)] = column
-            structure[(k, j)] = {i: -c for i, c in column.items()}
+            structure[(k, j)] = {i: (-a, -b) for i, (a, b) in column.items()}
             for i, c in column.items():
                 by_target[i].append(((j, k), c))
+        _set(self, "_den", den)
         _set(self, "_table", structure)
         _set(self, "_by_target", by_target)
         if self.check_jacobi:
@@ -154,8 +172,8 @@ class LieAlgebraSpec(_Record):
 
     def bracket(self, j: int, k: int) -> tuple[PiScalar, ...]:
         """Coordinates of [X_j, X_k] for any index order."""
-        column = self._table.get((j, k), _NO_TERMS)
-        return tuple(_pi(column[i], 0) if i in column else PI_ZERO for i in range(self.dim))
+        den, column = self._den, self._table.get((j, k), _NO_TERMS)
+        return tuple(_pi(_gaussian(*column[i], den), 0) if i in column else PI_ZERO for i in range(self.dim))
 
     def index_of(self, name: str) -> int:
         try:
@@ -168,47 +186,37 @@ def validate_jacobi(spec: LieAlgebraSpec) -> Optional[JacobiViolation]:
     """None when the Jacobi identity holds; otherwise the first violation.
 
     Basis triples a < b < c are scanned in order; the residual of the
-    cyclic sum [[x,y],z] has m-th coordinate sum_l c^l_xy c^m_lz.  It
-    vanishes unless one of the three pairs has a nonzero bracket, so only
-    those triples are visited.
+    cyclic sum [[x,y],z] has m-th coordinate sum_l c^l_xy c^m_lz, over
+    the table's denominator squared.  It vanishes unless one of the three
+    pairs has a nonzero bracket, so only those triples are visited.
     """
     n = spec.dim
     table = spec._table
     triples = {tuple(sorted((j, k, c))) for (j, k), _ in spec.brackets for c in range(n) if c not in (j, k)}
     for a, b, c in sorted(triples):
-        res: dict[int, GaussianRational] = {}
+        res: dict[int, Pair] = {}
         for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-            for l, c_xy in table.get((x, y), _NO_TERMS).items():
-                for m, c_lz in table.get((l, z), _NO_TERMS).items():
-                    old = res.get(m)
-                    res[m] = c_xy * c_lz if old is None else old + c_xy * c_lz
-        if any(res.values()):
-            names = (spec.basis[a], spec.basis[b], spec.basis[c])
-            return JacobiViolation(names, tuple(_pi(res[m], 0) if m in res else PI_ZERO for m in range(n)))
+            for l, (p, q) in table.get((x, y), _NO_TERMS).items():
+                for m, (r, s) in table.get((l, z), _NO_TERMS).items():
+                    re, im = res.get(m, (0, 0))
+                    res[m] = (re + p * r - q * s, im + p * s + q * r)
+        if any(re or im for re, im in res.values()):
+            vec = tuple(_pi(_gaussian(*res[m], spec._den**2), 0) if m in res else PI_ZERO for m in range(n))
+            return JacobiViolation((spec.basis[a], spec.basis[b], spec.basis[c]), vec)
     return None
 
 
-# Sums keyed by index tuple, each a (coefficient, pi power) pair.
-_Sums = dict[tuple[int, ...], tuple[GaussianRational, int]]
+def _terms(sums: _Sums, den: int) -> tuple[tuple[tuple[int, ...], PiScalar], ...]:
+    """Form terms of sums over ``den``: zero totals dropped, by index."""
+    return tuple((i, _pi(_gaussian(re, im, den), p)) for i, (re, im, p) in sorted(sums.items()) if re or im)
 
 
-def _accumulate(acc: _Sums, key: tuple[int, ...], value: GaussianRational, power: int) -> None:
-    """acc[key] += value * pi^power, by ``_pi_sum``."""
-    old = acc.get(key)
-    acc[key] = (value, power) if old is None else _pi_sum(*old, value, power)
-
-
-def _terms(sums: _Sums) -> tuple[tuple[tuple[int, ...], PiScalar], ...]:
-    """Form terms: zero totals dropped, one ``PiScalar`` per index, by index."""
-    return tuple(sorted((key, _pi(v, p)) for key, (v, p) in sums.items() if v))
-
-
-def _form(dim: int, degree: int, sums: _Sums) -> "ExteriorForm":
-    """Internal constructor from sums on valid, increasing keys: no ``__post_init__``."""
+def _form(dim: int, degree: int, terms: tuple) -> "ExteriorForm":
+    """Internal constructor from sorted, nonzero, valid terms: no ``__post_init__``."""
     form = _new(ExteriorForm)
     _set(form, "dim", dim)
     _set(form, "degree", degree)
-    _set(form, "terms", _terms(sums))
+    _set(form, "terms", terms)
     return form
 
 
@@ -227,7 +235,7 @@ class ExteriorForm(_Record):
             raise ValueError(f"degree {self.degree} must be non-negative")
         # degree > dim is allowed; such a form is necessarily zero since no
         # strictly increasing index tuple of that length fits in range.
-        acc: _Sums = {}
+        acc, den = {}, 1
         for indices, coeff in self.terms:
             indices = tuple(indices)
             coeff = PiScalar.of(coeff)
@@ -237,8 +245,11 @@ class ExteriorForm(_Record):
                 raise ValueError(f"index tuple {indices} out of range")
             if list(indices) != sorted(set(indices)):
                 raise ValueError(f"index tuple {indices} must be strictly increasing")
-            _accumulate(acc, indices, coeff.coeff, coeff.pi_power)
-        _set(self, "terms", _terms(acc))
+            grow = coeff.coeff._den // math.gcd(den, coeff.coeff._den)
+            if grow > 1:  # terms are added as read: move the sums so far
+                acc, den = {k: [re * grow, im * grow, p] for k, (re, im, p) in acc.items()}, den * grow
+            _add(acc, indices, *_pair(coeff.coeff, den), coeff.pi_power)
+        _set(self, "terms", _terms(acc, den))
 
     @staticmethod
     def zero(dim: int, degree: int) -> "ExteriorForm":
@@ -257,46 +268,49 @@ class ExteriorForm(_Record):
         return next((c for i, c in self.terms if i == key), PI_ZERO)
 
     def __add__(self, other: "ExteriorForm") -> "ExteriorForm":
+        return self._plus(other, 1)
+
+    def __neg__(self) -> "ExteriorForm":
+        return _form(self.dim, self.degree, tuple((i, -c) for i, c in self.terms))
+
+    def __sub__(self, other: "ExteriorForm") -> "ExteriorForm":
+        return self._plus(other, -1)
+
+    def _plus(self, other: "ExteriorForm", sign: int) -> "ExteriorForm":
+        """self + sign * other, with the terms added in that order."""
         if self.dim != other.dim:
             raise ValueError("forms live on algebras of different dimension")
         if self.degree != other.degree and not (self.is_zero() or other.is_zero()):
             raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
+        den, terms = _ints(self.terms + other.terms)
         acc: _Sums = {}
-        for indices, c in self.terms + other.terms:
-            _accumulate(acc, indices, c.coeff, c.pi_power)
-        return _form(self.dim, self.degree if self.terms else other.degree, acc)
-
-    def __neg__(self) -> "ExteriorForm":
-        return _form(self.dim, self.degree, {i: (-c.coeff, c.pi_power) for i, c in self.terms})
-
-    def __sub__(self, other: "ExteriorForm") -> "ExteriorForm":
-        return self + (-other)
+        for t, (indices, re, im, p) in enumerate(terms):
+            s = 1 if t < len(self.terms) else sign
+            _add(acc, indices, s * re, s * im, p)
+        return _form(self.dim, self.degree if self.terms else other.degree, _terms(acc, den))
 
     def scaled(self, factor: ScalarLike) -> "ExteriorForm":
         f = PiScalar.of(factor)
-        return _form(
-            self.dim, self.degree, {i: (c.coeff * f.coeff, c.pi_power + f.pi_power) for i, c in self.terms}
-        )
+        x, y, power = f.coeff._a, f.coeff._b, f.pi_power
+        den, terms = _ints(self.terms)
+        sums = {i: [a * x - b * y, a * y + b * x, p + power] for i, a, b, p in terms}
+        return _form(self.dim, self.degree, _terms(sums, den * f.coeff._den))
 
     def wedge(self, other: "ExteriorForm") -> "ExteriorForm":
         if self.dim != other.dim:
             raise ValueError("forms live on algebras of different dimension")
         # past the top degree no merge fits, so the result is zero
+        (left_den, left), (right_den, right) = _ints(self.terms), _ints(other.terms)
         acc: _Sums = {}
-        for left, cl in self.terms:
-            for right, cr in other.terms:
-                merged = _merge_indices(left, right)
-                if merged is None:
-                    continue
-                indices, sign = merged
-                value = cl.coeff * cr.coeff
-                _accumulate(acc, indices, value if sign > 0 else -value, cl.pi_power + cr.pi_power)
-        return _form(self.dim, min(self.degree + other.degree, self.dim), acc)
+        for li, a, b, p in left:
+            for ri, c, e, q in right:
+                merged = _merge_indices(li, ri)
+                if merged is not None:
+                    _add(acc, merged[0], merged[1] * (a * c - b * e), merged[1] * (a * e + b * c), p + q)
+        return _form(self.dim, min(self.degree + other.degree, self.dim), _terms(acc, left_den * right_den))
 
 
-def _merge_indices(
-    left: tuple[int, ...], right: tuple[int, ...]
-) -> Optional[tuple[tuple[int, ...], int]]:
+def _merge_indices(left: tuple[int, ...], right: tuple[int, ...]) -> Optional[tuple[tuple[int, ...], int]]:
     """Merge two increasing tuples; None when they share an index.
 
     The sign is the parity of the permutation sorting the concatenation:
@@ -321,27 +335,18 @@ def mc_differential(spec: LieAlgebraSpec, i: int) -> ExteriorForm:
     return _d(spec, (((i,), PI_ONE),), 2)
 
 
-def _add_d_monomial(
-    acc: _Sums,
-    by_target: list[list[tuple[tuple[int, int], GaussianRational]]],
-    indices: tuple[int, ...],
-    coeff: GaussianRational,
-    power: int,
-) -> None:
-    """acc += coeff * pi^power * d(phi^I), summed by ``_accumulate``,
-    where d(phi^I) = sum_t (-1)^t d(phi^{I_t}) ^ phi^{I minus I_t} and
-    d(phi^i) = - sum c^i_jk phi^jk."""
-    negated = -coeff
+def _add_d_monomial(acc: _Sums, by_target: list, indices: tuple, re: int, im: int, power: int) -> None:
+    """acc += (re + im*i) * pi^power * d(phi^I), where d(phi^i) = - sum
+    c^i_jk phi^jk and d(phi^I) = sum_t (-1)^t d(phi^{I_t}) ^ phi^{I - I_t}."""
     for t, idx in enumerate(indices):
         rest = indices[:t] + indices[t + 1 :]
         parity = -1 if t % 2 else 1
-        for pair, c in by_target[idx]:
+        for pair, (a, b) in by_target[idx]:
             merged = _merge_indices(pair, rest)
-            if merged is None:
-                continue
-            key, sign = merged
-            # the term is -sign * (-1)^t * c * coeff
-            _accumulate(acc, key, c * (negated if sign == parity else coeff), power)
+            if merged is not None:
+                # the term is -sign * (-1)^t * c * coeff
+                s = -1 if merged[1] == parity else 1
+                _add(acc, merged[0], s * (a * re - b * im), s * (a * im + b * re), power)
 
 
 def bracket_two_form(spec: LieAlgebraSpec, i: int) -> ExteriorForm:
@@ -350,7 +355,8 @@ def bracket_two_form(spec: LieAlgebraSpec, i: int) -> ExteriorForm:
     cross-check ``mc_differential`` against the structure equation."""
     if not 0 <= i < spec.dim:
         raise ValueError(f"basis index {i} out of range")
-    return _form(spec.dim, 2, {pair: (c * 2, 0) for pair, c in spec._by_target[i]})
+    sums = {pair: [2 * a, 2 * b, 0] for pair, (a, b) in spec._by_target[i]}
+    return _form(spec.dim, 2, _terms(sums, spec._den))
 
 
 def d(spec: LieAlgebraSpec, form: ExteriorForm) -> ExteriorForm:
@@ -362,19 +368,21 @@ def d(spec: LieAlgebraSpec, form: ExteriorForm) -> ExteriorForm:
 
 def _d(spec: LieAlgebraSpec, terms: Sequence[tuple[tuple[int, ...], PiScalar]], degree: int) -> ExteriorForm:
     """The ``degree``-form sum of coeff * d(phi^I) over ``terms``."""
+    den, ints = _ints(terms)
     acc: _Sums = {}
-    for indices, coeff in terms:
-        _add_d_monomial(acc, spec._by_target, indices, coeff.coeff, coeff.pi_power)
-    return _form(spec.dim, degree, acc)
+    for indices, re, im, p in ints:
+        _add_d_monomial(acc, spec._by_target, indices, re, im, p)
+    return _form(spec.dim, degree, _terms(acc, spec._den * den))
 
 
 class GramForm(_Record):
     """Symmetric bilinear form on the algebra, as a matrix of scalars;
-    ``_rows``, derived once, holds row i as ``{j: (coefficient, pi
-    power)}`` over the nonzero entries."""
+    ``_rows``, derived once, holds row i as ``{j: (re, im, pi power)}``
+    over the nonzero entries, over the shared denominator ``_den``."""
 
     entries: tuple[tuple[PiScalar, ...], ...]
-    _rows: list[dict[int, tuple[GaussianRational, int]]]
+    _den: int
+    _rows: list[dict[int, tuple[int, int, int]]]
 
     def __post_init__(self) -> None:
         rows = tuple(tuple(PiScalar.of(x) for x in row) for row in self.entries)
@@ -386,8 +394,10 @@ class GramForm(_Record):
                 if rows[i][j] != rows[j][i]:
                     raise ValueError(f"Gram matrix is not symmetric at ({i}, {j})")
         _set(self, "entries", rows)
-        row_terms = [{j: (g.coeff, g.pi_power) for j, g in enumerate(row) if g} for row in rows]
-        _set(self, "_rows", row_terms)
+        den = math.lcm(*[g.coeff._den for row in rows for g in row])
+        _set(self, "_den", den)
+        table = [{j: (*_pair(g.coeff, den), g.pi_power) for j, g in enumerate(row) if g} for row in rows]
+        _set(self, "_rows", table)
 
     @property
     def dim(self) -> int:
@@ -406,14 +416,14 @@ def is_ad_invariant(spec: LieAlgebraSpec, gram: GramForm) -> bool:
     ad_t_g: dict[int, _Sums] = {}
     for (a, b), column in spec._table.items():
         n_a = ad_t_g.setdefault(a, {})
-        for i, c_ab in column.items():
-            for c, (g, p) in gram._rows[i].items():
-                _accumulate(n_a, (b, c), c_ab * g, p)
+        for i, (p, q) in column.items():
+            for c, (r, s, power) in gram._rows[i].items():
+                _add(n_a, (b, c), p * r - q * s, p * s + q * r, power)
     for n_a in ad_t_g.values():
-        for (b, c), total in n_a.items():
-            if (c, b) in n_a:
-                total = _pi_sum(*total, *n_a[(c, b)])
-            if total[0]:
+        for (b, c), (re, im, power) in n_a.items():
+            o_re, o_im, o_power = n_a.get((c, b), (0, 0, power))
+            _pi_power(re or im, power, o_re or o_im, o_power)
+            if re + o_re or im + o_im:
                 return False
     return True
 
@@ -427,31 +437,22 @@ def cs_three_form(spec: LieAlgebraSpec, gram: GramForm) -> ExteriorForm:
     if gram.dim != spec.dim:
         raise ValueError("Gram dimension does not match the algebra")
     if not is_ad_invariant(spec, gram):
-        warnings.warn(
-            "Gram form is not ad-invariant; the 3-form is basis-dependent",
-            stacklevel=2,
-        )
+        warnings.warn("Gram form is not ad-invariant; the 3-form is basis-dependent", stacklevel=2)
     # Both pairings are multiples of S = sum f_il c^i_jk phi^j^phi^k^phi^l
     # (a 2-form and a 1-form commute): d(phi^i) carries -c^i_jk and
     # [omega, omega] carries +2 c^i_jk, each pairing averages with 1/3,
-    # so T = (1/3)(-S) + (1/3)(1/3)(2 S) = -(1/9) S.
+    # so T = (1/3)(-S) + (1/3)(1/3)(2 S) = -(1/9) S: S negated, over 9.
     acc: _Sums = {}
     for i, pairs in enumerate(spec._by_target):
-        for (j, k), c in pairs:
-            for l, (f_il, p) in gram._rows[i].items():
+        for (j, k), (a, b) in pairs:
+            for l, (r, s, p) in gram._rows[i].items():
                 merged = _merge_indices((j, k), (l,))
-                if merged is None:
-                    continue
-                key, sign = merged
-                value = c * f_il
-                _accumulate(acc, key, value if sign > 0 else -value, p)
-    scale = GaussianRational(Fraction(-1, 9))
-    return _form(spec.dim, 3, {key: (v * scale, p) for key, (v, p) in acc.items()})
+                if merged is not None:
+                    _add(acc, merged[0], -merged[1] * (a * r - b * s), -merged[1] * (a * s + b * r), p)
+    return _form(spec.dim, 3, _terms(acc, 9 * spec._den * gram._den))
 
 
-def exactness_split(
-    spec: LieAlgebraSpec, form: ExteriorForm, target: ExteriorForm
-) -> Optional[ExteriorForm]:
+def exactness_split(spec: LieAlgebraSpec, form: ExteriorForm, target: ExteriorForm) -> Optional[ExteriorForm]:
     """A 2-form beta with d(beta) = form - target, or None if there is none.
 
     The linear system is solved exactly; free coefficients are pinned to
@@ -476,35 +477,35 @@ def exactness_split(
     pairs = list(itertools.combinations(range(n), 2))
     width = len(pairs)
     powers = sorted({coeff.pi_power for _, coeff in difference.terms})
-    # Structure constants are pi-free, so every entry is a plain gaussian
-    # rational.
-    rows: dict[tuple[int, ...], dict[int, GaussianRational]] = {}
+    # With d(phi^jk) = A / s and the difference b / f, solve (f A) x = s b.
+    den, terms = _ints(difference.terms)
+    rows: dict[tuple[int, ...], dict[int, Pair]] = {}
     for col, pair in enumerate(pairs):
         image: _Sums = {}
-        _add_d_monomial(image, spec._by_target, pair, GAUSSIAN_ONE, 0)
-        for indices, (coeff, _) in image.items():
-            if coeff:
-                rows.setdefault(indices, {})[col] = coeff
-    for indices, coeff in difference.terms:
-        rows.setdefault(indices, {})[width + powers.index(coeff.pi_power)] = coeff.coeff
+        _add_d_monomial(image, spec._by_target, pair, den, 0, 0)
+        for indices, (re, im, _) in image.items():
+            if re or im:
+                rows.setdefault(indices, {})[col] = (re, im)
+    for indices, re, im, p in terms:
+        rows.setdefault(indices, {})[width + powers.index(p)] = (re * spec._den, im * spec._den)
     # Shortest rows first: each pivot then comes from a short row, which
-    # fills in less.  The reduced form, so the primitive, is the same in
-    # any row order.
-    system = [rows[t] for t in sorted(rows, key=lambda t: (len(rows[t]), t))]
+    # fills in less; the primitive is the same in any row order.  The rows
+    # are popped, so the ones the solver replaces are freed at once.
+    system = [rows.pop(t) for t in sorted(rows, key=lambda t: (len(rows[t]), t))]
     solutions = linalg.solve_sparse(system, width, len(powers))
     if solutions is None:
         return None
-    sums: _Sums = {}
+    found: dict[tuple[int, int], PiScalar] = {}
     for p, sol in zip(powers, solutions):
         for c, x in sol.items():
-            if pairs[c] in sums:
+            if pairs[c] in found:
                 index = "^".join(f"phi{spec.basis[i]}" for i in pairs[c])
                 raise ValueError(
-                    f"primitive needs pi powers {sums[pairs[c]][1]} and {p} on the 2-index {index}; "
+                    f"primitive needs pi powers {found[pairs[c]].pi_power} and {p} on the 2-index {index}; "
                     "a form holds one pi power per index"
                 )
-            sums[pairs[c]] = (x, p)
-    beta = _form(n, 2, sums)
+            found[pairs[c]] = _pi(x, p)
+    beta = _form(n, 2, tuple(sorted(found.items())))
     if d(spec, beta) != difference:
         raise RuntimeError("primitive verification failed after solving")
     return beta

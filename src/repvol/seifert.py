@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import math
 import re
+import sys
 from fractions import Fraction
 from typing import Sequence
 
@@ -194,6 +195,16 @@ def base_cover(inv: SeifertInvariants, degree: int) -> SeifertInvariants:
 _TOKEN = re.compile(r"\s*(?:(-?\d+)|([();,/])|(\S))")
 
 
+def _read_int(token: str, pos: int, what: str) -> int:
+    """``int(token)``; a token longer than Python converts (4300 digits
+    by default) is a ``ParseError`` naming ``what`` at its position."""
+    try:
+        return int(token)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ParseError(f"{what} is too long to read: over {limit} digits", pos) from None
+
+
 def parse_seifert(text: str) -> SeifertInvariants:
     """Parse ``(g; b1/a1, b2/a2, ...)`` notation for a closed space.
 
@@ -215,7 +226,7 @@ def parse_seifert(text: str) -> SeifertInvariants:
     tok, pos = tokens[1]
     if tok in "();,/":
         raise ParseError(f"expected genus, found {tok or 'end of input'}", pos)
-    genus = int(tok)
+    genus = _read_int(tok, pos, "genus")
     if genus < 0:
         raise ParseError("negative genus (non-orientable bases are not supported)", pos)
     tok, pos = tokens[2]
@@ -228,13 +239,13 @@ def parse_seifert(text: str) -> SeifertInvariants:
         tok, pos = tokens[i]
         if tok in "();,/":
             raise ParseError(f"expected numerator of pair {k}, found {tok or 'end of input'}", pos)
-        b, a = int(tok), 1
+        b, a = _read_int(tok, pos, f"numerator of pair {k}"), 1
         i += 1
         if tokens[i][0] == "/":
             tok, pos = tokens[i + 1]
             if tok in "();,/":
                 raise ParseError(f"expected multiplicity of pair {k}, found {tok or 'end of input'}", pos)
-            a = int(tok)
+            a = _read_int(tok, pos, f"multiplicity of pair {k}")
             i += 2
         # pos is the multiplicity's, or the numerator's when there is none
         try:

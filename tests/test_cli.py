@@ -959,6 +959,17 @@ BIG_PIECE = {
         {"piece": "P", "assign": "filled", "fillings": {"T1": [1000033, 1], "T2": [1, 1000033]}, "coeff": "0"}
     ],
 }
+# An exact volume of 10^400 * 4*pi^2 prints, but its decimal is past the
+# float range, and so is its sum with a numeric volume.
+HYPERBOLIC = [{"id": "H", "kind": "hyperbolic", "label": "h", "slots": []}]
+HUGE_EXACT = {"piece": "H", "assign": "direct", "exact": "1" + "0" * 400}
+HUGE_VOLUME = {"pieces": HYPERBOLIC, "edges": [], "assignments": [HUGE_EXACT]}
+HUGE_MIXED = {
+    "pieces": HYPERBOLIC + [{"id": "K", "kind": "hyperbolic", "label": "k", "slots": []}],
+    "edges": [],
+    "assignments": [HUGE_EXACT, {"piece": "K", "assign": "direct", "numeric": 1.5}],
+}
+PAST_FLOAT = "error: volume is too large for a float: over 1.79769e+308\n"
 
 
 @pytest.mark.parametrize(
@@ -989,8 +1000,28 @@ BIG_PIECE = {
             "error: spectrum too large: up to 43046721 oracle tuples, over the limit of 1000000 "
             "(raise it with --max-values)\n",
         ),
+        (
+            ("seifert", "info", "(" + "9" * 5000 + ";)"),
+            None,
+            1,
+            f"error: genus is too long to read: over {sys.get_int_max_str_digits()} digits (at position 1)\n",
+        ),
+        (("seifert", "sv", "(1" + "0" * 200 + "; 1/2, 1/3)", "--decimal"), None, 1, PAST_FLOAT),
+        (("graph", "additivity", "--decimal"), HUGE_VOLUME, 1, PAST_FLOAT),
+        (("graph", "additivity", "--decimal", "--json"), HUGE_VOLUME, 1, PAST_FLOAT),
+        (("graph", "additivity"), HUGE_MIXED, 1, PAST_FLOAT),
     ],
-    ids=["witnesses_exponent", "witnesses_flag_exponent", "filled_piece_budget", "oracle_window_budget"],
+    ids=[
+        "witnesses_exponent",
+        "witnesses_flag_exponent",
+        "filled_piece_budget",
+        "oracle_window_budget",
+        "genus_over_digit_limit",
+        "sv_decimal_past_float",
+        "additivity_decimal_past_float",
+        "additivity_decimal_json_past_float",
+        "additivity_mixed_past_float",
+    ],
 )
 def test_boundary_refusals_end_fast(tmp_path, argv, doc, code, err):
     if doc is not None:

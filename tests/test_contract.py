@@ -1,0 +1,33 @@
+"""Replay of the library contract corpus, ``tests/contract/library.json``.
+
+The corpus is written by ``tests/contract/make.py`` and changed only as
+a deliberate contract change; see that module's docstring."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from contract import make
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def test_forms_corpus_replays():
+    stored = json.loads(make.LIBRARY.read_text("utf-8"))["forms"]
+    got = make.forms_digests()
+    assert sorted(got) == sorted(stored)
+    assert [name for name in stored if got[name] != stored[name]] == []
+
+
+def test_generator_is_deterministic(tmp_path):
+    # another process, with another string hash seed, writes the same bytes
+    out = tmp_path / "library.json"
+    env = {
+        **os.environ,
+        "PYTHONHASHSEED": "1",
+        "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])),
+    }
+    subprocess.run([sys.executable, make.__file__, "--out", str(out)], check=True, env=env)
+    assert out.read_bytes() == make.LIBRARY.read_bytes()

@@ -9,8 +9,10 @@ README's example documents.  Every run must end with exit code 0, 1 or
 The strategies reach every refusal path: the spectrum and oracle budget
 (fibre orders from 10^6 up, a huge genus), exponent rationals such as
 ``1e999999999``, non-finite JSON numbers, and JSON nested too deep to
-decode.  Random draws reach some of these only now and then, so each
-also has an explicit example that always runs.  Example counts are fixed and derandomized, so a failure
+decode, as well as an integer over Python's 4300-digit limit in a Seifert
+symbol and ``--decimal`` on an answer past the float range.  Random
+draws reach some of these only now and then, so each also has an
+explicit example that always runs.  Example counts are fixed and derandomized, so a failure
 reproduces.  Each in-process run is stopped after ``LIMIT_S`` seconds,
 so a hang in Python code fails the test instead of stalling the suite;
 the limit sits above the slowest run the budget lets through, an
@@ -191,9 +193,13 @@ command_argv = st.one_of(
 @example(["seifert", "volumes", "(1000000000000000000000; 1/2, 1/3)"])
 @example(["seifert", "witnesses", "(1; 1/2, 1/2)", "1e999999999"])
 @example(["seifert", "volumes", "(1; 1/2, 1/2)", "--witnesses", "1e99999999"])
+@example(["seifert", "sv", "(1" + "0" * 200 + "; 1/2, 1/3)", "--decimal"])
+@example(["seifert", "info", "(" + "9" * 5000 + ";)"])
 def test_fuzzed_argv_keeps_the_exit_contract(argv):
     code, err = run_cli(argv)
     check_outcome(argv, code, err)
+    # an integer too long to read is named, not left to Python's own text
+    assert "Exceeds the limit" not in err, (argv, err)
 
 
 # ---------------------------------------------------------------- documents

@@ -140,7 +140,7 @@ def test_repr_leaves_out_derived_fields():
     gram = GramForm(entries=((PiScalar(1),),))
     assert repr(spec) == "LieAlgebraSpec(basis=('X',), brackets=(), check_jacobi=True)"
     assert repr(gram) == "GramForm(entries=((PiScalar(coeff=GaussianRational(re=Fraction(1, 1), im=Fraction(0, 1)), pi_power=0),),))"
-    assert (spec._table, spec._by_target, gram._rows) == ({}, [[]], [{0: (PiScalar(1).coeff, 0)}])
+    assert (spec._den, spec._table, spec._by_target, gram._den, gram._rows) == (1, {}, [[]], 1, [{0: (1, 0, 0)}])
 
 
 @pytest.mark.parametrize("index", range(len(RECORDS)), ids=IDS)

@@ -2,6 +2,7 @@
 orbifold characteristic, geometry classification, fillings, covers."""
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,10 @@ from repvol.seifert import (
     orbifold_chi,
     parse_seifert,
 )
+
+
+# Python's limit on the digits of an integer it converts from text.
+DIGITS = sys.get_int_max_str_digits()
 
 
 def pair_strategy():
@@ -141,6 +146,14 @@ def test_parse_error_carries_position():
         ("(1; 1/2", "expected ',' or ')', found end of input", 7),
         ("(1; 1/2))", "unexpected trailing ')'", 8),
         ("(1;) 2", "unexpected trailing '2'", 5),
+        # integers longer than Python converts, named at their position
+        pytest.param("(" + "9" * 5000 + ";)", f"genus is too long to read: over {DIGITS} digits", 1, id="long-genus"),
+        pytest.param(
+            "(1; -" + "9" * 5000 + "/2)", f"numerator of pair 1 is too long to read: over {DIGITS} digits", 4, id="long-numerator"
+        ),
+        pytest.param(
+            "(1; 1/2, 1/" + "9" * 5000 + ")", f"multiplicity of pair 2 is too long to read: over {DIGITS} digits", 11, id="long-multiplicity"
+        ),
     ],
 )
 def test_parse_error_text_and_position(text, message, position):
