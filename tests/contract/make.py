@@ -13,6 +13,15 @@ warning), ``mc_differential``, ``bracket_two_form``, ``d``, the form
 operators and ``exactness_split`` (the primitive, ``None``, or the
 refusal text).
 
+The ``graphs`` key covers ``repvol.jsj``: seeded chain, tree and cycle
+documents with top-level assignments, named ``cases`` with
+``killed_slopes``, or none, whose pieces are filled, direct (exact or
+numeric) or small-image, some with one planted fault; one malformed
+document per loader refusal; and seeded ratio graphs.  For each it
+records ``load_graph_document`` (the records' repr or the refusal
+text), and per case ``validate_spec`` and ``additivity_sum``, or
+``rw_consistency``.
+
 Inputs are built with ``GaussianRational`` arithmetic from
 ``random.Random`` seeded by name, so the same code always writes the
 same file.  The corpus is written once and read through; a later change
@@ -27,12 +36,14 @@ import argparse
 import hashlib
 import itertools
 import json
+import math
 import random
 import warnings
 from fractions import Fraction
 from pathlib import Path
 
 from repvol.exact import GaussianRational, PiScalar
+from repvol.jsj import additivity_sum, load_graph_document, rw_consistency, validate_spec
 from repvol.liecs import (
     ExteriorForm,
     GramForm,
@@ -178,7 +189,7 @@ def _outcome(call, *args):
         warnings.simplefilter("always")
         try:
             text = repr(call(*args))
-        except (ValueError, RuntimeError) as exc:
+        except (ValueError, TypeError, RuntimeError) as exc:
             text = f"{type(exc).__name__}: {exc}"
     return text + "".join(f"\nwarning: {w.message}" for w in caught)
 
@@ -303,11 +314,376 @@ def forms_digests() -> dict[str, str]:
     return dict(sorted(out.items()))
 
 
+# ---------------------------------------------------------------- graphs
+
+# Determinant -1 gluings, (section, fiber) coordinates side a -> side b.
+GLUINGS = ([[1, 0], [0, -1]], [[-1, 0], [0, 1]], [[0, 1], [1, 0]], [[3, -4], [2, -3]], [[2, 1], [1, 0]])
+# One in four documents plants one of these faults.
+FAULTS = (
+    "determinant", "nonprimitive", "slope_b_mismatch", "duplicate_id", "self_glue", "unknown_piece",
+    "unlabeled", "unglued", "missing_assignment", "wrong_filling", "no_slope", "coeff_off",
+    "filled_hyperbolic", "genus0", "budget", "zero_multiplicity", "negative_exact",
+)
+
+
+def _slope(rng, gluing):
+    """A primitive slope (a, b) whose section coordinate is nonzero on
+    both sides of ``gluing``, so that it fills to a multiplicity."""
+    while True:
+        a, b = rng.randint(1, 3), rng.randint(-3, 3)
+        if math.gcd(a, abs(b)) == 1 and _pushed(gluing, [a, b])[0]:
+            return [a, b]
+
+
+def _pushed(gluing, slope):
+    (m00, m01), (m10, m11) = gluing
+    return [m00 * slope[0] + m01 * slope[1], m10 * slope[0] + m11 * slope[1]]
+
+
+def _topology(rng, shape, n):
+    if shape == "chain":
+        return [(i, i + 1) for i in range(n - 1)]
+    if shape == "cycle":
+        # n = 1 is one piece glued to itself along two slots
+        return [(i, (i + 1) % n) for i in range(n)] if n != 2 else [(0, 1)]
+    return [(rng.randrange(i), i) for i in range(1, n)]
+
+
+def _assignments(rng, pieces, edges, slopes, declared_b=True):
+    """One assignment per piece for these killed slopes (side a), with a
+    spectrum member as the coefficient of each filled piece that has one.
+    A case's ``killed_slopes`` replace the edges' side-b slopes too, so
+    ``declared_b`` is false for them."""
+    fill = {}
+    for edge, slope in zip(edges, slopes):
+        if slope:
+            fill[tuple(edge["a"])] = slope
+            fill[tuple(edge["b"])] = declared_b and edge.get("killed_slope_b") or _pushed(edge["gluing"], slope)
+    out = []
+    for piece in pieces:
+        pid = piece["id"]
+        if piece["kind"] == "hyperbolic":
+            if rng.random() < 0.3:
+                out.append({"piece": pid, "assign": "direct", "numeric": round(rng.uniform(0.5, 4.0), 6)})
+            else:
+                out.append({"piece": pid, "assign": "direct", "exact": str(Fraction(rng.randint(0, 9), rng.randint(1, 5)))})
+            continue
+        slopes_here = {slot: fill.get((pid, slot)) for slot in piece["slots"]}
+        if rng.random() < 0.35 or None in slopes_here.values():
+            out.append({"piece": pid, "assign": "small_image"})
+            continue
+        # a filling is given up to sign, so flip some
+        fillings = {slot: [-x for x in s] if rng.random() < 0.3 else list(s) for slot, s in slopes_here.items()}
+        pairs = [tuple(p) for p in piece["pairs"]] + [(abs(a), b if a >= 0 else -b) for a, b in slopes_here.values()]
+        coeff = Fraction(rng.randint(0, 7), rng.randint(1, 4))
+        if piece["genus"] >= 1 and all(a > 0 for a, _ in pairs):
+            e = sum((Fraction(b, a) for a, b in pairs), Fraction(0))
+            residues = [rng.randrange(a) for a, _ in pairs]
+            m = rng.randint(2 - 2 * piece["genus"], 2 * piece["genus"] - 2 + sum(1 for r in residues if r))
+            t = sum((Fraction(r, a) for r, (a, _) in zip(residues, pairs)), Fraction(0)) - m
+            if e:
+                coeff = t * t / abs(e)
+        form = rng.random()
+        shown = [[slot, s] for slot, s in fillings.items()] if form < 0.3 else fillings
+        out.append({"piece": pid, "assign": "filled", "fillings": shown, "coeff": str(coeff)})
+    rng.shuffle(out)
+    return out
+
+
+def _graph_document(rng, shape, n, form, fault):
+    """A seeded graph document; ``form`` is "assignments", "cases" or
+    "bare", and ``fault`` one of ``FAULTS`` or None."""
+
+    def pairs_of():
+        moduli = rng.sample(range(1, 6), rng.randint(0, 2))
+        return [[a, rng.choice([b for b in range(-a, a + 1) if math.gcd(a, abs(b)) == 1])] for a in moduli]
+
+    slots = [[] for _ in range(n)]
+    edges = []
+    for u, v in _topology(rng, shape, n):
+        for end in (u, v):
+            slots[end].append(f"s{len(slots[end])}")
+        su, sv = slots[u][-2 if u == v else -1], slots[v][-1]
+        gluing = rng.choice(GLUINGS)
+        edge = {"a": [f"P{u}", su], "b": [f"P{v}", sv], "gluing": gluing}
+        roll = rng.random()
+        if roll < 0.85:
+            edge["killed_slope"] = _slope(rng, gluing)
+            if roll < 0.25:
+                edge["killed_slope_b"] = [-x for x in _pushed(gluing, edge["killed_slope"])]
+        edges.append(edge)
+    pieces = []
+    for i in range(n):
+        if rng.random() < 0.3:
+            pieces.append({"id": f"P{i}", "kind": "hyperbolic", "label": f"cusped {i}", "slots": slots[i]})
+        else:
+            genus = rng.choice((1, 1, 1, 2))
+            pieces.append({"id": f"P{i}", "kind": "seifert", "genus": genus, "pairs": pairs_of(), "slots": slots[i]})
+    seifert = [p for p in pieces if p["kind"] == "seifert"] or pieces
+    target = rng.choice(seifert)
+    if fault == "determinant" and edges:
+        rng.choice(edges)["gluing"] = [[1, 0], [0, 1]]
+    elif fault == "nonprimitive" and edges:
+        rng.choice(edges)["killed_slope"] = [2, 4]
+    elif fault == "slope_b_mismatch" and edges:
+        edge = rng.choice(edges)
+        edge["killed_slope"], edge["killed_slope_b"] = [1, 0], [1, 1]
+    elif fault == "duplicate_id":
+        pieces.append({"id": pieces[0]["id"], "kind": "hyperbolic", "label": "twin", "slots": []})
+    elif fault == "self_glue" and edges:
+        rng.choice(edges)["b"] = list(edges[0]["a"])
+    elif fault == "unknown_piece" and edges:
+        rng.choice(edges)["a"] = ["Nowhere", "s0"]
+    elif fault == "unlabeled":
+        pieces.append({"id": "U", "kind": "hyperbolic", "slots": []})
+    elif fault == "unglued":
+        target["slots"] = target["slots"] + ["loose"]
+    elif fault == "genus0" and target["kind"] == "seifert":
+        target["genus"] = 0
+    elif fault == "budget" and target["kind"] == "seifert":
+        target["pairs"] = [[1000003, 1], [1000033, 1]]
+    elif fault == "no_slope" and edges:
+        rng.choice(edges).pop("killed_slope", None)
+    elif fault == "zero_multiplicity" and edges:
+        edge = rng.choice(edges)
+        edge["killed_slope"] = [0, 1]
+        edge.pop("killed_slope_b", None)
+    doc = {"pieces": pieces, "edges": edges}
+    slopes = [edge.get("killed_slope") for edge in edges]
+    if form == "cases":
+        cases = [{"name": "declared", "assignments": _assignments(rng, pieces, edges, slopes)}]
+        other = [_slope(rng, edge["gluing"]) if rng.random() < 0.9 else None for edge in edges]
+        cases.append({"name": "other", "killed_slopes": other, "assignments": _assignments(rng, pieces, edges, other, False)})
+        doc["cases"] = cases
+        assignments = cases[0]["assignments"]
+    elif form == "assignments":
+        doc["assignments"] = assignments = _assignments(rng, pieces, edges, slopes)
+    else:
+        assignments = []
+    if fault == "missing_assignment" and assignments:
+        assignments.pop()
+    filled = [a for a in assignments if a["assign"] == "filled"]
+    if fault == "wrong_filling" and filled:
+        fillings = filled[0]["fillings"]
+        if isinstance(fillings, dict) and fillings:
+            fillings[next(iter(fillings))] = [7, 1]
+    elif fault == "coeff_off" and filled:
+        filled[0]["coeff"] = str(Fraction(filled[0]["coeff"]) + Fraction(1, 7))
+    elif fault == "filled_hyperbolic":
+        direct = [a for a in assignments if a["assign"] == "direct"]
+        if direct:
+            direct[0].update(assign="filled", fillings={}, coeff="0")
+    elif fault == "negative_exact":
+        direct = [a for a in assignments if "exact" in a]
+        if direct:
+            direct[0]["exact"] = "-1/2"
+    return doc
+
+
+def _set_in(doc, value, *keys):
+    """A copy of ``doc`` with the value at ``keys`` replaced, or deleted
+    when ``value`` is ``_DELETE``."""
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in keys[:-1]:
+        parent = parent[key]
+    if value is _DELETE:
+        del parent[keys[-1]]
+    else:
+        parent[keys[-1]] = value
+    return doc
+
+
+_DELETE = object()
+LONG = "9" * 5000  # over Python's 4300-digit limit for int(str)
+
+
+def _malformed():
+    """(name, document): one malformed document per loader refusal, each
+    made from one small valid document."""
+    base = {
+        "pieces": [
+            {"id": "P", "kind": "seifert", "genus": 1, "pairs": [[2, 1]], "slots": ["t"]},
+            {"id": "H", "kind": "hyperbolic", "label": "cusped", "slots": ["t"]},
+        ],
+        "edges": [{"a": ["P", "t"], "b": ["H", "t"], "gluing": [[3, -4], [2, -3]], "killed_slope": [2, 1]}],
+        "cases": [
+            {
+                "name": "filled",
+                "killed_slopes": [[2, 1]],
+                "assignments": [
+                    {"piece": "P", "assign": "filled", "fillings": {"t": [2, 1]}, "coeff": "1/4"},
+                    {"piece": "H", "assign": "direct", "exact": "0"},
+                ],
+            }
+        ],
+    }
+    top = json.loads(json.dumps(base))
+    top["assignments"] = top.pop("cases")[0]["assignments"]
+    a0 = ("cases", 0, "assignments", 0)
+    a1 = ("cases", 0, "assignments", 1)
+    rows = [
+        ("valid", base),
+        ("valid_top_level", top),
+        ("document_list", [base]),
+        ("document_string", "pieces"),
+        ("pieces_missing", _set_in(base, _DELETE, "pieces")),
+        ("pieces_not_a_list", _set_in(base, {"id": "P"}, "pieces")),
+        ("edges_not_a_list", _set_in(base, "e", "edges")),
+        ("cases_not_a_list", _set_in(base, "c", "cases")),
+        ("assignments_not_a_list", _set_in(top, 3, "assignments")),
+        ("case_assignments_not_a_list", _set_in(base, {"piece": "P"}, "cases", 0, "assignments")),
+        ("piece_not_an_object", _set_in(base, "P", "pieces", 0)),
+        ("edge_not_an_object", _set_in(base, ["P", "t"], "edges", 0)),
+        ("case_not_an_object", _set_in(base, 1, "cases", 0)),
+        ("assignment_not_an_object", _set_in(base, None, *a1)),
+        ("piece_id_missing", _set_in(base, _DELETE, "pieces", 0, "id")),
+        ("piece_kind_missing", _set_in(base, _DELETE, "pieces", 1, "kind")),
+        ("piece_slots_missing", _set_in(base, _DELETE, "pieces", 0, "slots")),
+        ("piece_genus_missing", _set_in(base, _DELETE, "pieces", 0, "genus")),
+        ("piece_kind_unknown", _set_in(base, "torus", "pieces", 1, "kind")),
+        ("piece_slots_string", _set_in(base, "tu", "pieces", 1, "slots")),
+        ("piece_slots_object", _set_in(base, {"t": 1}, "pieces", 1, "slots")),
+        ("piece_slots_int", _set_in(base, 4, "pieces", 0, "slots")),
+        ("piece_slots_duplicate", _set_in(base, ["t", "t"], "pieces", 1, "slots")),
+        ("genus_null", _set_in(base, None, "pieces", 0, "genus")),
+        ("genus_string", _set_in(base, "one", "pieces", 0, "genus")),
+        ("genus_nan", _set_in(base, float("nan"), "pieces", 0, "genus")),
+        ("genus_infinite", _set_in(base, float("inf"), "pieces", 0, "genus")),
+        ("genus_negative", _set_in(base, -1, "pieces", 0, "genus")),
+        ("genus_over_digit_limit", _set_in(base, LONG, "pieces", 0, "genus")),
+        ("pairs_string", _set_in(base, "21", "pieces", 0, "pairs")),
+        ("pairs_row_short", _set_in(base, [[2]], "pieces", 0, "pairs")),
+        ("pairs_row_string", _set_in(base, ["21"], "pieces", 0, "pairs")),
+        ("pairs_row_int", _set_in(base, [5], "pieces", 0, "pairs")),
+        ("pairs_not_an_integer", _set_in(base, [["x", 1]], "pieces", 0, "pairs")),
+        ("pairs_not_coprime", _set_in(base, [[2, 1], [4, 2]], "pieces", 0, "pairs")),
+        ("pairs_zero_multiplicity", _set_in(base, [[0, 1]], "pieces", 0, "pairs")),
+        ("pairs_multiplicity_over_digit_limit", _set_in(base, [[LONG, 1]], "pieces", 0, "pairs")),
+        ("pairs_numerator_over_digit_limit", _set_in(base, [[2, 1], [1, "-" + LONG]], "pieces", 0, "pairs")),
+        ("edge_a_missing", _set_in(base, _DELETE, "edges", 0, "a")),
+        ("edge_b_missing", _set_in(base, _DELETE, "edges", 0, "b")),
+        ("edge_gluing_missing", _set_in(base, _DELETE, "edges", 0, "gluing")),
+        ("edge_a_string", _set_in(base, "Pt", "edges", 0, "a")),
+        ("edge_a_object", _set_in(base, {"P": 1, "t": 2}, "edges", 0, "a")),
+        ("edge_a_short", _set_in(base, ["P"], "edges", 0, "a")),
+        ("edge_b_long", _set_in(base, ["H", "t", "x"], "edges", 0, "b")),
+        ("edge_a_int", _set_in(base, 7, "edges", 0, "a")),
+        ("gluing_one_row", _set_in(base, [[3, -4]], "edges", 0, "gluing")),
+        ("gluing_rows_long", _set_in(base, [[0, 1, 2], [1, 0, 0]], "edges", 0, "gluing")),
+        ("gluing_strings", _set_in(base, ["34", "23"], "edges", 0, "gluing")),
+        ("gluing_int", _set_in(base, 5, "edges", 0, "gluing")),
+        ("gluing_entry_null", _set_in(base, [[1, None], [0, 1]], "edges", 0, "gluing")),
+        ("gluing_entry_string", _set_in(base, [["a", 1], [1, 0]], "edges", 0, "gluing")),
+        ("gluing_row_int", _set_in(base, [1, [1, 0]], "edges", 0, "gluing")),
+        ("gluing_over_digit_limit", _set_in(base, [[1, 0], [LONG, -1]], "edges", 0, "gluing")),
+        ("killed_slope_string", _set_in(base, "21", "edges", 0, "killed_slope")),
+        ("killed_slope_long", _set_in(base, [2, 1, 7], "edges", 0, "killed_slope")),
+        ("killed_slope_not_an_integer", _set_in(base, ["x", 1], "edges", 0, "killed_slope")),
+        ("killed_slope_over_digit_limit", _set_in(base, [2, LONG], "edges", 0, "killed_slope")),
+        ("killed_slope_b_string", _set_in(base, "21", "edges", 0, "killed_slope_b")),
+        ("killed_slope_b_over_digit_limit", _set_in(base, [LONG, 1], "edges", 0, "killed_slope_b")),
+        ("case_name_missing", _set_in(base, _DELETE, "cases", 0, "name")),
+        ("case_killed_slopes_count", _set_in(base, [[2, 1], [1, 0]], "cases", 0, "killed_slopes")),
+        ("case_killed_slopes_int", _set_in(base, 3, "cases", 0, "killed_slopes")),
+        ("case_killed_slope_string", _set_in(base, ["21"], "cases", 0, "killed_slopes")),
+        ("case_killed_slope_short", _set_in(base, [[2]], "cases", 0, "killed_slopes")),
+        ("case_killed_slope_not_an_integer", _set_in(base, [["x", 1]], "cases", 0, "killed_slopes")),
+        ("case_killed_slope_over_digit_limit", _set_in(base, [[LONG, 1]], "cases", 0, "killed_slopes")),
+        ("assignment_piece_missing", _set_in(base, _DELETE, *a1, "piece")),
+        ("assignment_kind_missing", _set_in(base, _DELETE, *a1, "assign")),
+        ("assignment_kind_unknown", _set_in(base, "mystery", *a1, "assign")),
+        ("direct_without_volume", _set_in(base, _DELETE, *a1, "exact")),
+        ("direct_exact_bad", _set_in(base, "x", *a1, "exact")),
+        ("direct_exact_exponent", _set_in(base, "1e999999999", *a1, "exact")),
+        ("direct_exact_zero_denominator", _set_in(base, "1/0", *a1, "exact")),
+        ("direct_exact_negative", _set_in(base, "-1/2", *a1, "exact")),
+        ("direct_exact_over_digit_limit", _set_in(base, LONG, *a1, "exact")),
+        ("direct_numeric_string", _set_in(_set_in(base, _DELETE, *a1, "exact"), "x", *a1, "numeric")),
+        ("direct_numeric_infinite", _set_in(_set_in(base, _DELETE, *a1, "exact"), float("inf"), *a1, "numeric")),
+        ("direct_numeric_list", _set_in(_set_in(base, _DELETE, *a1, "exact"), [1], *a1, "numeric")),
+        ("filled_fillings_missing", _set_in(base, _DELETE, *a0, "fillings")),
+        ("filled_coeff_missing", _set_in(base, _DELETE, *a0, "coeff")),
+        ("filled_coeff_bad", _set_in(base, "a/b", *a0, "coeff")),
+        ("filled_coeff_zero_denominator", _set_in(base, "1/0", *a0, "coeff")),
+        ("filled_coeff_exponent", _set_in(base, "1e999999999", *a0, "coeff")),
+        ("fillings_string", _set_in(base, "t", *a0, "fillings")),
+        ("fillings_slope_string", _set_in(base, {"t": "21"}, *a0, "fillings")),
+        ("fillings_slope_short", _set_in(base, [["t", [2]]], *a0, "fillings")),
+        ("fillings_row_long", _set_in(base, [["t", [2, 1], 0]], *a0, "fillings")),
+        ("fillings_row_int", _set_in(base, [5], *a0, "fillings")),
+        ("fillings_slope_int", _set_in(base, [["t", 5]], *a0, "fillings")),
+        ("fillings_not_an_integer", _set_in(base, {"t": [2, "x"]}, *a0, "fillings")),
+        ("fillings_over_digit_limit", _set_in(base, {"t": [LONG, 1]}, *a0, "fillings")),
+        ("fillings_list_over_digit_limit", _set_in(base, [["t", [2, LONG]]], *a0, "fillings")),
+    ]
+    return rows
+
+
+def _graph_outcomes(name, doc):
+    """Digests of loading ``doc`` and of each case's validation and sum."""
+    seen = json.dumps(doc, sort_keys=True)
+    try:
+        document = load_graph_document(doc)
+    except ValueError as exc:
+        return {f"{name}/load": _digest(seen, f"ValueError: {exc}")}
+    out = {f"{name}/load": _digest(seen, repr(document))}
+    for i, (case, spec, assignments) in enumerate(document.cases):
+        out[f"{name}/case{i}/validate"] = _digest(seen, case, repr(validate_spec(spec)))
+        out[f"{name}/case{i}/additivity"] = _digest(seen, case, _outcome(additivity_sum, spec, assignments))
+    return out
+
+
+def _ratio_graph(rng, v, planted):
+    """Vertices and edges with ratios read off seeded potentials; the
+    planted copy scales one ratio."""
+    potential = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(v)]
+    names = [f"v{i}" for i in range(v)]
+    pairs = [(rng.randrange(i), i) for i in range(1, v)]
+    pairs += [(rng.randrange(v), rng.randrange(v)) for _ in range(rng.randint(0, v))]
+    edges = [(names[a], names[b], potential[b] / potential[a]) for a, b in pairs]
+    if planted and edges:
+        k = rng.randrange(len(edges))
+        a, b, r = edges[k]
+        edges[k] = (a, b, r * rng.choice((Fraction(3, 2), Fraction(2, 3), Fraction(5, 4))))
+    rng.shuffle(edges)
+    return names + names[: rng.randint(0, 2)], edges
+
+
+def graphs_digests() -> dict[str, str]:
+    out = {}
+    for shape in ("chain", "tree", "cycle"):
+        for n in (1, 2, 3, 5, 8, 13, 21):
+            for form in ("assignments", "cases", "bare"):
+                for variant in range(3):
+                    name = f"graph-{shape}{n}-{form}-{variant}"
+                    rng = random.Random(name)
+                    fault = rng.choice(FAULTS) if variant == 2 else None
+                    out.update(_graph_outcomes(name, _graph_document(rng, shape, n, form, fault)))
+    for name, doc in _malformed():
+        out.update(_graph_outcomes(f"malformed-{name}", doc))
+    for v in (1, 2, 3, 5, 8, 13, 40):
+        for planted in (False, True):
+            name = f"rw{v}-{'planted' if planted else 'consistent'}"
+            vertices, edges = _ratio_graph(random.Random(name), v, planted)
+            out[f"{name}"] = _digest(repr((vertices, edges)), _outcome(rw_consistency, vertices, edges))
+    refused = {
+        "rw-unknown-vertex": (["u"], [("u", "w", Fraction(2))]),
+        "rw-zero-ratio": (["u", "w"], [("u", "w", Fraction(0))]),
+        "rw-negative-ratio": (["u", "w"], [("u", "w", Fraction(-1, 2))]),
+        "rw-int-ratios": (["u", "w", "x"], [("u", "w", 2), ("w", "x", 3), ("u", "x", 5)]),
+        "rw-self-loop": (["u"], [("u", "u", Fraction(2))]),
+    }
+    for name, (vertices, edges) in refused.items():
+        out[name] = _digest(repr((vertices, edges)), _outcome(rw_consistency, vertices, edges))
+    return dict(sorted(out.items()))
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default=str(LIBRARY))
     args = parser.parse_args(argv)
-    corpus = {"forms": forms_digests()}
+    corpus = {"forms": forms_digests(), "graphs": graphs_digests()}
     Path(args.out).write_text(json.dumps(corpus, indent=1, sort_keys=True) + "\n", "utf-8")
 
 
