@@ -70,7 +70,14 @@ def _read_json(path: str):
     import json
 
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        return json.load(handle, parse_int=_json_int)
+
+
+def _json_int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:  # more digits than Python converts, 4300 by default
+        raise ValueError(f"a JSON number is too long to read: over {sys.get_int_max_str_digits()} digits") from None
 
 
 def _emit(lines: Sequence[str]) -> None:

@@ -82,18 +82,22 @@ def _check_budget(count: int, limit: int = MAX_VALUES, unit: str = "values", hin
         )
 
 
-def _spectrum_data(inv: SeifertInvariants) -> tuple[Fraction, Fraction, int, int, int, list[range]]:
-    """(e, chi, lcm, scale, denom, steps): each value is t^2 * scale / denom
+def _spectrum_data(inv: SeifertInvariants) -> tuple[Fraction, int, int, int, list[range]]:
+    """(e, lcm, scale, denom, steps): each value is t^2 * scale / denom
     with integer t = s - m * lcm; steps[i] holds r * lcm/a_i for r = 1..a_i-1.
 
-    A ``ValueError`` unless the geometry of ``inv`` is sl2r-tilde (e != 0
-    and chi < 0) and its base genus is at least 1.
+    A ``ValueError`` unless the geometry of ``inv`` is sl2r-tilde (the
+    integers lcm * e != 0 and lcm * chi < 0) and its base genus is >= 1.
     """
-    e, chi = euler_number(inv), orbifold_chi(inv)
-    _require_volume_geometry(inv, e, chi)
-    lcm = math.lcm(*(a for a, _ in inv.pairs))
-    steps = [range(lcm // a, lcm, lcm // a) for a, _ in inv.pairs]
-    return e, chi, lcm, e.denominator, lcm * lcm * abs(e.numerator), steps
+    _require_closed(inv, "euler_number")
+    lcm = math.lcm(*[a for a, _ in inv.pairs])
+    steps = [lcm // a for a, _ in inv.pairs]
+    e_lcm = sum([b * step for (_, b), step in zip(inv.pairs, steps)])
+    chi_lcm = (2 - 2 * inv.genus - len(steps)) * lcm + sum(steps)
+    if not e_lcm or chi_lcm >= 0 or inv.genus < 1:
+        _require_volume_geometry(inv, _fraction(e_lcm, lcm), _fraction(chi_lcm, lcm))
+    e = _fraction(e_lcm, lcm)
+    return e, lcm, e.denominator, lcm * lcm * abs(e.numerator), [range(step, lcm, step) for step in steps]
 
 
 def _require_volume_geometry(inv: SeifertInvariants, e: Fraction, chi: Fraction) -> None:
@@ -117,7 +121,7 @@ def _add_fibre(layer: dict[int, int], offsets: range) -> dict[int, int]:
 
 def volume_set(inv: SeifertInvariants) -> list[Fraction]:
     """All volume coefficients (units of 4*pi^2), ascending and exact."""
-    _, _, lcm, scale, denom, steps = _spectrum_data(inv)
+    _, lcm, scale, denom, steps = _spectrum_data(inv)
     sums = functools.reduce(_add_fibre, steps, {0: 0})
     lo, hi = 2 - 2 * inv.genus, 2 * inv.genus - 2
     t_abs = {abs(s - m * lcm) for s, count in sums.items() for m in range(lo, hi + count + 1)}
@@ -132,7 +136,7 @@ def spectrum_size_bound(inv: SeifertInvariants) -> int:
     residue sums, and each gives at most 4g - 3 + p offsets m.  Not in
     ``__all__``; the CLI reads it to refuse a spectrum too large to build.
     """
-    return _size_bound(inv, _spectrum_data(inv)[2])
+    return _size_bound(inv, _spectrum_data(inv)[1])
 
 
 def _size_bound(inv: SeifertInvariants, lcm: int) -> int:
@@ -165,10 +169,10 @@ def spectrum_contains(inv: SeifertInvariants, coeff: Fraction) -> bool:
     with a ``ValueError``.  Not in ``__all__``; ``jsj.additivity_sum``
     checks assignments with it.
     """
-    _, _, lcm, scale, denom, steps = _spectrum_data(inv)
+    _, lcm, scale, denom, steps = _spectrum_data(inv)
     _check_budget(_size_bound(inv, lcm))
     sums = functools.reduce(_add_fibre, steps, {0: 0})
-    return bool(_offsets(inv, Fraction(coeff), lcm, scale, denom, sums))
+    return bool(_offsets(inv, coeff if type(coeff) is Fraction else Fraction(coeff), lcm, scale, denom, sums))
 
 
 def volume_set_bruteforce(inv: SeifertInvariants) -> list[Fraction]:
@@ -262,11 +266,7 @@ def _witness(
             a, b = inv.pairs[i]
             z = z_of[key] = _fraction(ni * common - b * shift, a * common)
         z_values.append(z)
-    witness = object.__new__(VolumeWitness)
-    witness.__dict__.update(
-        inv=inv, n_values=n_values, n=n, zeta=zeta, z_values=tuple(z_values), coeff=coeff
-    )
-    return t, witness
+    return t, VolumeWitness._trusted(inv=inv, n_values=n_values, n=n, zeta=zeta, z_values=tuple(z_values), coeff=coeff)
 
 
 def seifert_volume_max(inv: SeifertInvariants) -> Fraction:
@@ -275,10 +275,12 @@ def seifert_volume_max(inv: SeifertInvariants) -> Fraction:
     It is read off one integer, in O(p): the residues a_i - 1 with
     m = 2 - 2g give the largest |t| = |chi| * lcm.
     """
-    e, chi, lcm, scale, denom, _ = _spectrum_data(inv)
+    _, lcm, scale, denom, _ = _spectrum_data(inv)
     t = sum((a - 1) * (lcm // a) for a, _ in inv.pairs) - (2 - 2 * inv.genus) * lcm
     enumerated = _fraction(t * t * scale, denom)
-    closed_form = chi * chi / abs(e)
+    # the closed form reads seifert's own e and chi, not the integers above
+    chi = orbifold_chi(inv)
+    closed_form = chi * chi / abs(euler_number(inv))
     if enumerated != closed_form:
         raise RuntimeError(
             f"volume maximum mismatch: enumeration gives {enumerated}, "
@@ -308,7 +310,7 @@ class VolumeWitness(_Record):
         object.__setattr__(self, "n_values", tuple(self.n_values))
         object.__setattr__(self, "z_values", tuple(self.z_values))
         inv = self.inv
-        e, _, lcm, scale, denom, _ = _spectrum_data(inv)
+        e, lcm, scale, denom, _ = _spectrum_data(inv)
         if len(self.n_values) != len(inv.pairs):
             raise ValueError("witness length does not match exceptional data")
         g = inv.genus
@@ -327,7 +329,7 @@ class VolumeWitness(_Record):
 
 def witnesses_for(inv: SeifertInvariants, coeff: Fraction) -> list[VolumeWitness]:
     """All canonical tuples attaining ``coeff``, as full witnesses."""
-    e, _, lcm, scale, denom, steps = _spectrum_data(inv)
+    e, lcm, scale, denom, steps = _spectrum_data(inv)
     coeff = Fraction(coeff)
     layers = list(itertools.accumulate(steps, _add_fibre, initial={0: 0}))
     offsets = _offsets(inv, coeff, lcm, scale, denom, layers[-1])

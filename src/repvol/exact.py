@@ -86,13 +86,17 @@ def parse_rational(value: object, path: str, problem: str) -> Fraction:
     raise ValueError(f"{path}: " + problem.format(value))
 
 
-def _integer(value: object) -> int:
-    """``int(value)``, with a value it cannot read, such as ``'x'`` or a
-    float NaN, raised as a ``TypeError``: a wrong value inside a document
-    entry, which ``_entries`` reports at the entry's path."""
+def _integer(value: object, what: str, *at: object) -> int:
+    """``int(value)``, with a value it cannot read, such as ``'x'``, a float
+    NaN or more digits than Python converts (then named by ``what``, which
+    is formatted with ``at`` only then), raised as a ``TypeError``: a wrong
+    value inside a document entry, reported at the entry's path."""
     try:
         return int(value)
     except ValueError as exc:
+        limit = sys.get_int_max_str_digits()
+        if isinstance(value, str) and 0 < limit < sum(c.isdigit() for c in value):
+            raise TypeError(f"{what.format(*at)} is too long to read: over {limit} digits") from None
         raise TypeError(str(exc)) from None
 
 
@@ -114,9 +118,10 @@ def _two_each(rows) -> bool:
     raise ``TypeError``, which ``_entries`` reports as a malformed entry
     at its path.  Other values fail to unpack with a ``TypeError`` already.
     """
-    return all(
-        len(row) == 2 and not isinstance(row, _NOT_PAIR) for row in rows if isinstance(row, _ITERABLE)
-    )
+    for row in rows:
+        if isinstance(row, _ITERABLE) and (len(row) != 2 or isinstance(row, _NOT_PAIR)):
+            return False
+    return True
 
 
 def _require_pair(value, name: str, shape: str) -> None:
@@ -176,7 +181,7 @@ def _entries(value: object, path: str, parse: Callable[[Mapping, str], object]) 
     parsed = []
     for i, entry in enumerate(_list(value, path, "objects")):
         at = f"{path}[{i}]"
-        if not isinstance(entry, Mapping):
+        if type(entry) is not dict and not isinstance(entry, Mapping):  # the ABC check is slow
             raise ValueError(f"{at}: expected an object, got {entry!r}")
         try:
             parsed.append(parse(entry, at))
@@ -217,9 +222,9 @@ class _Record(_Frozen):
     ``_set`` and then runs ``__post_init__`` if the class has one.  The
     same fields, as ``__match_args__``, make up ``repr``, ``==`` (only
     between records of one class) and ``hash``.  A field named with a
-    leading underscore is derived: ``__post_init__`` writes it, and it
-    takes no part in any of these.  Instances keep a ``__dict__``, so
-    pickle and ``copy`` need no hooks.
+    leading underscore is derived, written by ``__post_init__`` or by the
+    function that derives it, and takes no part in any of these.
+    Instances keep a ``__dict__``, so pickle and ``copy`` need no hooks.
     """
 
     def __init_subclass__(cls) -> None:
@@ -235,6 +240,14 @@ class _Record(_Frozen):
         scope["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
         cls.__init__ = scope["__init__"]
         cls.__match_args__ = names
+
+    @classmethod
+    def _trusted(cls, **fields: object):
+        """The instance with these fields, each named, built past
+        ``__post_init__``: for values the package has checked."""
+        record = _new(cls)
+        record.__dict__.update(fields)
+        return record
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__match_args__])
@@ -569,21 +582,24 @@ VolumeValue = Union[ExactVolume, NumericVolume]
 
 
 def volume_sum(values: Iterable[VolumeValue]) -> VolumeValue:
-    """Sum volume values, staying exact when every summand is exact."""
-    exact = Fraction(0)
+    """Sum volume values, staying exact when every summand is exact; the
+    exact ones are added as integers over the lcm of their denominators."""
+    coeffs = []
     numeric = 0.0
     saw_numeric = False
     for v in values:
         if isinstance(v, ExactVolume):
-            exact += v.coeff
+            coeffs.append(v.coeff)
         elif isinstance(v, NumericVolume):
             numeric += v.value
             saw_numeric = True
         else:
             raise TypeError(f"not a volume value: {v!r}")
+    den = math.lcm(*[c.denominator for c in coeffs])
+    exact = ExactVolume(_fraction(sum([c.numerator * (den // c.denominator) for c in coeffs]), den))
     if saw_numeric:
-        return NumericVolume(ExactVolume(exact).to_float() + numeric)
-    return ExactVolume(exact)
+        return NumericVolume(exact.to_float() + numeric)
+    return exact
 
 
 def render_volume(value: VolumeValue, decimal: bool = False) -> str:

@@ -31,11 +31,12 @@ from .exact import (
     _field,
     _integer,
     _require_pair,
+    _set,
     _two_each,
     parse_rational,
     volume_sum,
 )
-from .seifert import SeifertInvariants, dehn_fill
+from .seifert import SeifertInvariants, _fill
 
 __all__ = [
     "Piece",
@@ -74,10 +75,10 @@ class Piece(_Record):
     def __post_init__(self) -> None:
         if isinstance(self.slots, (str, dict)):
             raise TypeError(f"slots {self.slots!r} is not a list of names")
-        object.__setattr__(self, "slots", tuple(str(s) for s in self.slots))
+        _set(self, "slots", slots := tuple(map(str, self.slots)))
         if self.kind not in ("seifert", "hyperbolic"):
             raise ValueError(f"piece {self.id}: unknown kind {self.kind!r}")
-        if len(set(self.slots)) != len(self.slots):
+        if len(set(slots)) != len(slots):
             raise ValueError(f"piece {self.id}: duplicate slot names")
 
 
@@ -98,23 +99,22 @@ class Edge(_Record):
     killed_slope_b: Optional[Slope] = None
 
     def __post_init__(self) -> None:
-        gluing = self.gluing
-        if isinstance(gluing, _ITERABLE) and not _two_each([gluing, *gluing]):
+        a, b, gluing = self.a, self.b, self.gluing
+        if isinstance(gluing, _ITERABLE) and not _two_each((gluing, *gluing)):
             raise TypeError(f"gluing {gluing!r} is not a 2x2 matrix")
-        _require_pair(self.a, "a", "[piece, slot]")
-        _require_pair(self.b, "b", "[piece, slot]")
+        _require_pair(a, "a", "[piece, slot]")
+        _require_pair(b, "b", "[piece, slot]")
         _require_pair(self.killed_slope, "killed_slope", "[a, b]")
         _require_pair(self.killed_slope_b, "killed_slope_b", "[a, b]")
-        object.__setattr__(self, "a", (str(self.a[0]), str(self.a[1])))
-        object.__setattr__(self, "b", (str(self.b[0]), str(self.b[1])))
+        _set(self, "a", (str(a[0]), str(a[1])))
+        _set(self, "b", (str(b[0]), str(b[1])))
         (m00, m01), (m10, m11) = gluing
-        object.__setattr__(
-            self, "gluing", ((_integer(m00), _integer(m01)), (_integer(m10), _integer(m11)))
-        )
-        for attr in ("killed_slope", "killed_slope_b"):
-            value = getattr(self, attr)
-            if value is not None:
-                object.__setattr__(self, attr, (_integer(value[0]), _integer(value[1])))
+        first = (_integer(m00, "gluing[0][0]"), _integer(m01, "gluing[0][1]"))
+        _set(self, "gluing", (first, (_integer(m10, "gluing[1][0]"), _integer(m11, "gluing[1][1]"))))
+        for name in ("killed_slope", "killed_slope_b"):
+            slope = getattr(self, name)
+            if slope is not None:
+                _set(self, name, (_integer(slope[0], "{}[0]", name), _integer(slope[1], "{}[1]", name)))
 
     def push_to_b(self, slope: Slope) -> Slope:
         (m00, m01), (m10, m11) = self.gluing
@@ -124,6 +124,8 @@ class Edge(_Record):
 class GraphManifoldSpec(_Record):
     pieces: tuple[Piece, ...]
     edges: tuple[Edge, ...]
+    # validate_spec's answer, kept from its first call on this spec
+    _problems: Optional[tuple[str, ...]] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "pieces", tuple(self.pieces))
@@ -136,16 +138,19 @@ class GraphManifoldSpec(_Record):
         raise ValueError(f"unknown piece {piece_id!r}")
 
 
-def _det(m: GluingMatrix) -> int:
-    return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-
-
-def _is_primitive(slope: Slope) -> bool:
-    return math.gcd(abs(slope[0]), abs(slope[1])) == 1
-
-
 def validate_spec(spec: GraphManifoldSpec) -> list[str]:
-    """All structural problems, as human-readable strings; empty means ok."""
+    """All structural problems, as human-readable strings; empty means ok.
+
+    A spec is frozen, so its problems are found once, by the first call,
+    and kept with it; each call returns a new list.
+    """
+    if spec._problems is None:
+        _set(spec, "_problems", _spec_problems(spec))
+    return list(spec._problems)
+
+
+def _spec_problems(spec: GraphManifoldSpec) -> tuple[str, ...]:
+    """``validate_spec``'s walk over the pieces and then the edges."""
     problems: list[str] = []
     first_with_id: dict[str, Piece] = {}
     for piece in spec.pieces:
@@ -157,46 +162,42 @@ def validate_spec(spec: GraphManifoldSpec) -> list[str]:
             if piece.seifert is None:
                 problems.append(f"piece {piece.id}: seifert piece without invariants")
             elif piece.seifert.boundary_count != len(piece.slots):
-                problems.append(
-                    f"piece {piece.id}: boundary count "
-                    f"{piece.seifert.boundary_count} != {len(piece.slots)} slots"
-                )
-        else:
-            if not piece.label:
-                problems.append(f"piece {piece.id}: hyperbolic piece without label")
+                count = piece.seifert.boundary_count
+                problems.append(f"piece {piece.id}: boundary count {count} != {len(piece.slots)} slots")
+        elif not piece.label:
+            problems.append(f"piece {piece.id}: hyperbolic piece without label")
     used: set[Endpoint] = set()
     for n, edge in enumerate(spec.edges):
-        where = f"edge {n}"
         for endpoint in (edge.a, edge.b):
             pid, slot = endpoint
             piece = first_with_id.get(pid)
             if piece is None:
-                problems.append(f"{where}: unknown piece {pid!r}")
+                problems.append(f"edge {n}: unknown piece {pid!r}")
                 continue
             if slot not in piece.slots:
-                problems.append(f"{where}: piece {pid} has no slot {slot!r}")
+                problems.append(f"edge {n}: piece {pid} has no slot {slot!r}")
             if endpoint in used:
-                problems.append(f"{where}: slot {pid}.{slot} used more than once")
+                problems.append(f"edge {n}: slot {pid}.{slot} used more than once")
             used.add(endpoint)
         if edge.a == edge.b:
-            problems.append(f"{where}: glues a slot to itself")
-        if _det(edge.gluing) != -1:
-            problems.append(
-                f"{where}: gluing determinant is {_det(edge.gluing)}, expected -1"
-            )
-        for attr in ("killed_slope", "killed_slope_b"):
-            slope = getattr(edge, attr)
-            if slope is not None and not _is_primitive(slope):
-                problems.append(f"{where}: {attr} {slope} is not primitive")
-        if edge.killed_slope is not None and edge.killed_slope_b is not None:
-            pushed = edge.push_to_b(edge.killed_slope)
-            ks_b = edge.killed_slope_b
-            if pushed != ks_b and pushed != (-ks_b[0], -ks_b[1]):
+            problems.append(f"edge {n}: glues a slot to itself")
+        (m00, m01), (m10, m11) = edge.gluing
+        det = m00 * m11 - m01 * m10
+        if det != -1:
+            problems.append(f"edge {n}: gluing determinant is {det}, expected -1")
+        slope, slope_b = edge.killed_slope, edge.killed_slope_b
+        if slope is not None and math.gcd(*slope) != 1:
+            problems.append(f"edge {n}: killed_slope {slope} is not primitive")
+        if slope_b is not None and math.gcd(*slope_b) != 1:
+            problems.append(f"edge {n}: killed_slope_b {slope_b} is not primitive")
+        if slope is not None and slope_b is not None:
+            pushed = edge.push_to_b(slope)
+            if pushed != slope_b and pushed != (-slope_b[0], -slope_b[1]):
                 problems.append(
-                    f"{where}: killed slope {edge.killed_slope} maps to {pushed}, "
-                    f"but side b declares {ks_b}"
+                    f"edge {n}: killed slope {slope} maps to {pushed}, "
+                    f"but side b declares {slope_b}"
                 )
-    return problems
+    return tuple(problems)
 
 
 class FilledSeifert(_Record):
@@ -209,16 +210,17 @@ class FilledSeifert(_Record):
 
     def __post_init__(self) -> None:
         fillings = self.fillings
-        rows = list(fillings.items() if isinstance(fillings, Mapping) else fillings)
-        slopes = [list(row)[1] for row in rows if isinstance(row, _ITERABLE) and len(row) == 2]
-        if not _two_each(rows + slopes):
+        rows = list(fillings.items() if type(fillings) is dict or isinstance(fillings, Mapping) else fillings)
+        # a string or object row fails the test below whatever its slope
+        slopes = [row[1] for row in rows if isinstance(row, (list, tuple)) and len(row) == 2]
+        if not (_two_each(rows) and _two_each(slopes)):
             raise TypeError(f"fillings {fillings!r} are not all [slot, [a, b]]")
-        object.__setattr__(
-            self,
-            "fillings",
-            tuple(sorted((str(slot), (_integer(a), _integer(b))) for slot, (a, b) in rows)),
-        )
-        object.__setattr__(self, "coeff", Fraction(self.coeff))
+        filled = []
+        for slot, (a, b) in rows:
+            filled.append((str(slot), (_integer(a, "fillings[{!r}][0]", slot), _integer(b, "fillings[{!r}][1]", slot))))
+        _set(self, "fillings", tuple(sorted(filled)))
+        if type(self.coeff) is not Fraction:
+            _set(self, "coeff", Fraction(self.coeff))
 
 
 class DirectVolume(_Record):
@@ -245,9 +247,7 @@ def _normalize_slope(slope: Slope) -> Slope:
     return (c_s, c_h)
 
 
-def additivity_sum(
-    spec: GraphManifoldSpec, assignments: Sequence[PieceAssignment]
-) -> VolumeValue:
+def additivity_sum(spec: GraphManifoldSpec, assignments: Sequence[PieceAssignment]) -> VolumeValue:
     """Sum of per-piece contributions for a representation that kills the
     declared slope on every gluing torus.
 
@@ -275,20 +275,16 @@ def additivity_sum(
         pieces[piece.id] = piece
         for slot in piece.slots:
             if (piece.id, slot) not in killed:
-                raise ValueError(
-                    f"slot {piece.id}.{slot} is unglued; additivity needs a closed manifold"
-                )
+                raise ValueError(f"slot {piece.id}.{slot} is unglued; additivity needs a closed manifold")
     assigned = [a.piece_id for a in assignments]
     expected = sorted(pieces)
     if sorted(assigned) != expected:
-        raise ValueError(
-            f"assignments cover {sorted(assigned)}, expected exactly {expected}"
-        )
+        raise ValueError(f"assignments cover {sorted(assigned)}, expected exactly {expected}")
     contributions: list[VolumeValue] = []
     for assignment in assignments:
         piece = pieces[assignment.piece_id]
         if isinstance(assignment, SmallImage):
-            contributions.append(ExactVolume(Fraction(0)))
+            continue  # it contributes 0
         elif isinstance(assignment, DirectVolume):
             contributions.append(assignment.volume)
         elif isinstance(assignment, FilledSeifert):
@@ -296,27 +292,21 @@ def additivity_sum(
                 raise ValueError(f"piece {piece.id} is not a Seifert piece")
             filled_slots = dict(assignment.fillings)
             if sorted(filled_slots) != sorted(piece.slots):
-                raise ValueError(
-                    f"piece {piece.id}: fillings must cover slots {sorted(piece.slots)}"
-                )
+                raise ValueError(f"piece {piece.id}: fillings must cover slots {sorted(piece.slots)}")
+            # slopes are unoriented; fill with the positive representative
+            fills = []
             for slot in piece.slots:
                 slope = killed[(piece.id, slot)]
                 if slope is None:
                     raise ValueError(f"edge at {piece.id}.{slot} declares no killed slope")
-                slope = _normalize_slope(slope)
-                if _normalize_slope(filled_slots[slot]) != slope:
+                slope, filling = _normalize_slope(slope), _normalize_slope(filled_slots[slot])
+                if filling != slope:
                     raise ValueError(
                         f"piece {piece.id}.{slot}: filling {filled_slots[slot]} "
                         f"does not match the killed slope {slope}"
                     )
-            inv = piece.seifert
-            # slopes are unoriented; fill with the positive representative
-            closed = dehn_fill(
-                inv.genus,
-                inv.boundary_count,
-                [_normalize_slope(filled_slots[slot]) for slot in piece.slots],
-                existing_pairs=inv.pairs,
-            )
+                fills.append(filling)
+            closed = _fill(piece.seifert, fills)
             if not spectrum_contains(closed, assignment.coeff):
                 raise ValueError(
                     f"piece {piece.id}: coefficient {assignment.coeff} is not in "
@@ -504,33 +494,20 @@ def _piece_from_json(entry: Mapping, path: str) -> Piece:
     slots = _field(entry, "slots", path)
     seifert = None
     if kind == "seifert":
-        genus = _integer(_field(entry, "genus", path))
+        genus = _integer(_field(entry, "genus", path), "genus")
         pairs = entry.get("pairs", ())
-        seifert = SeifertInvariants(genus=genus, pairs=pairs, boundary_count=len(slots))
-    return Piece(
-        id=str(_field(entry, "id", path)),
-        kind=str(kind),
-        slots=slots,
-        seifert=seifert,
-        label=entry.get("label"),
-    )
+        seifert = SeifertInvariants(genus, pairs, len(slots))
+    return Piece(str(_field(entry, "id", path)), str(kind), slots, seifert, entry.get("label"))
 
 
 def _edge_from_json(entry: Mapping, path: str) -> Edge:
-    return Edge(
-        a=_field(entry, "a", path),
-        b=_field(entry, "b", path),
-        gluing=_field(entry, "gluing", path),
-        killed_slope=entry.get("killed_slope") or None,
-        killed_slope_b=entry.get("killed_slope_b") or None,
-    )
+    a, b, gluing = _field(entry, "a", path), _field(entry, "b", path), _field(entry, "gluing", path)
+    return Edge(a, b, gluing, entry.get("killed_slope") or None, entry.get("killed_slope_b") or None)
 
 
 def _volume_from_json(entry: Mapping, path: str) -> VolumeValue:
     if "exact" in entry:
-        return ExactVolume(
-            parse_rational(str(entry["exact"]), path, "malformed entry (bad exact {!r})")
-        )
+        return ExactVolume(parse_rational(str(entry["exact"]), path, "malformed entry (bad exact {!r})"))
     if "numeric" in entry:
         raw = entry["numeric"]
         try:
@@ -552,9 +529,7 @@ def _assignment_from_json(entry: Mapping, path: str) -> PieceAssignment:
         return DirectVolume(piece_id, _volume_from_json(entry, path))
     if kind == "filled":
         fillings = _field(entry, "fillings", path)
-        coeff = parse_rational(
-            str(_field(entry, "coeff", path)), path, "malformed entry (bad coeff {!r})"
-        )
+        coeff = parse_rational(str(_field(entry, "coeff", path)), path, "malformed entry (bad coeff {!r})")
         return FilledSeifert(piece_id, fillings, coeff)
     raise ValueError(f"assignment {entry!r} needs assign: small_image|direct|filled")
 
@@ -565,18 +540,11 @@ def _case_from_json(spec: GraphManifoldSpec, case: Mapping, path: str):
     slopes = case.get("killed_slopes")
     if slopes is not None:
         if len(slopes) != len(edges):
-            raise ValueError(
-                f"case {name}: {len(slopes)} killed slopes for {len(edges)} edges"
-            )
+            raise ValueError(f"case {name}: {len(slopes)} killed slopes for {len(edges)} edges")
         for i, slope in enumerate(slopes):
             _require_pair(slope or None, f"killed_slopes[{i}]", "[a, b]")
-        edges = tuple(
-            Edge(edge.a, edge.b, edge.gluing, slope or None)
-            for edge, slope in zip(edges, slopes)
-        )
-    assignments = _entries(
-        case.get("assignments", []), f"{path}.assignments", _assignment_from_json
-    )
+        edges = tuple(Edge(edge.a, edge.b, edge.gluing, slope or None) for edge, slope in zip(edges, slopes))
+    assignments = _entries(case.get("assignments", []), f"{path}.assignments", _assignment_from_json)
     return (name, GraphManifoldSpec(pieces=spec.pieces, edges=edges), assignments)
 
 
@@ -587,14 +555,10 @@ def load_graph_document(doc: Mapping) -> GraphDocument:
     part, such as ``pieces[0].kind: missing``.
     """
     doc = _document(doc, "pieces", "edges")
-    spec = GraphManifoldSpec(
-        pieces=_entries(_field(doc, "pieces"), "pieces", _piece_from_json),
-        edges=_entries(doc.get("edges", []), "edges", _edge_from_json),
-    )
+    pieces = _entries(_field(doc, "pieces"), "pieces", _piece_from_json)
+    spec = GraphManifoldSpec(pieces, _entries(doc.get("edges", []), "edges", _edge_from_json))
     if "cases" in doc:
-        cases = _entries(
-            doc["cases"], "cases", lambda case, path: _case_from_json(spec, case, path)
-        )
+        cases = _entries(doc["cases"], "cases", lambda case, path: _case_from_json(spec, case, path))
     elif "assignments" in doc:
         assignments = _entries(doc["assignments"], "assignments", _assignment_from_json)
         cases = (("default", spec, assignments),)

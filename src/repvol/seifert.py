@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import _Record, _fraction, _integer, _two_each
+from .exact import _Record, _fraction, _integer, _set, _two_each
 
 __all__ = [
     "SeifertInvariants",
@@ -42,11 +42,11 @@ class ParseError(ValueError):
         self.position = position
 
 
-def _check_pair(a: int, b: int, where: str) -> None:
+def _check_pair(a: int, b: int, what: str, k: int) -> None:
     if a <= 0:
-        raise ValueError(f"{where}: multiplicity must be positive, got {a}")
+        raise ValueError(f"{what} {k}: multiplicity must be positive, got {a}")
     if math.gcd(a, abs(b)) != 1:
-        raise ValueError(f"{where}: {b}/{a} is not in lowest terms")
+        raise ValueError(f"{what} {k}: {b}/{a} is not in lowest terms")
 
 
 class SeifertInvariants(_Record):
@@ -64,13 +64,16 @@ class SeifertInvariants(_Record):
         rows = list(self.pairs)
         if not _two_each(rows):
             raise TypeError(f"pairs {self.pairs!r} are not all [a, b]")
-        object.__setattr__(self, "pairs", tuple((_integer(a), _integer(b)) for a, b in rows))
+        pairs = []
+        for i, (a, b) in enumerate(rows):
+            pairs.append((_integer(a, "pairs[{}][0]", i), _integer(b, "pairs[{}][1]", i)))
+        _set(self, "pairs", tuple(pairs))
         if self.genus < 0:
             raise ValueError(f"base genus must be >= 0, got {self.genus}")
         if self.boundary_count < 0:
             raise ValueError(f"boundary count must be >= 0, got {self.boundary_count}")
-        for k, (a, b) in enumerate(self.pairs, start=1):
-            _check_pair(a, b, f"pair {k}")
+        for k, (a, b) in enumerate(pairs, start=1):
+            _check_pair(a, b, "pair", k)
 
     @property
     def is_closed(self) -> bool:
@@ -140,17 +143,23 @@ def dehn_fill(
     a > 0 and be in lowest terms.  The result is closed when every
     boundary is filled.
     """
+    _check_fillings(open_boundary, fillings)
+    return SeifertInvariants(genus, tuple(existing_pairs) + tuple(fillings), open_boundary - len(fillings))
+
+
+def _check_fillings(open_boundary: int, fillings: Sequence[tuple[int, int]]) -> None:
     if len(fillings) > open_boundary:
-        raise ValueError(
-            f"{len(fillings)} fillings exceed {open_boundary} open boundaries"
-        )
+        raise ValueError(f"{len(fillings)} fillings exceed {open_boundary} open boundaries")
     for k, (a, b) in enumerate(fillings, start=1):
-        _check_pair(a, b, f"filling {k}")
-    return SeifertInvariants(
-        genus=genus,
-        pairs=tuple(existing_pairs) + tuple(fillings),
-        boundary_count=open_boundary - len(fillings),
-    )
+        _check_pair(a, b, "filling", k)
+
+
+def _fill(inv: SeifertInvariants, fillings: Sequence[tuple[int, int]]) -> SeifertInvariants:
+    """``dehn_fill(inv.genus, inv.boundary_count, fillings, inv.pairs)``,
+    built past the constructor: the pairs of ``inv`` are checked already."""
+    _check_fillings(inv.boundary_count, fillings)
+    pairs, boundary_count = inv.pairs + tuple(fillings), inv.boundary_count - len(fillings)
+    return SeifertInvariants._trusted(genus=inv.genus, pairs=pairs, boundary_count=boundary_count)
 
 
 def circle_bundle(genus: int, euler: int) -> SeifertInvariants:
@@ -249,7 +258,7 @@ def parse_seifert(text: str) -> SeifertInvariants:
             i += 2
         # pos is the multiplicity's, or the numerator's when there is none
         try:
-            _check_pair(a, b, f"pair {k}")
+            _check_pair(a, b, "pair", k)
         except ValueError as exc:
             raise ParseError(str(exc), pos) from None
         pairs.append((a, b))
@@ -263,7 +272,8 @@ def parse_seifert(text: str) -> SeifertInvariants:
     tok, pos = tokens[i + 1]
     if tok:
         raise ParseError(f"unexpected trailing {tok!r}", pos)
-    return SeifertInvariants(genus=genus, pairs=tuple(pairs))
+    # every pair has passed the constructor's checks above
+    return SeifertInvariants._trusted(genus=genus, pairs=tuple(pairs), boundary_count=0)
 
 
 def format_seifert(inv: SeifertInvariants) -> str:

@@ -1040,6 +1040,32 @@ def test_boundary_refusals_end_fast(tmp_path, argv, doc, code, err):
     assert elapsed < 0.5
 
 
+LIMIT = sys.get_int_max_str_digits()
+LONG = "9" * 5000  # over Python's 4300-digit limit for int(str)
+LONG_PIECE = '{"pieces": [{"id": "P", "kind": "seifert", "genus": 1, "pairs": [[%s, 1]], "slots": []}], "edges": []}'
+LONG_EDGE = (
+    '{"pieces": [{"id": "P", "kind": "hyperbolic", "label": "p", "slots": ["t", "u"]}],'
+    ' "edges": [{"a": ["P", "t"], "b": ["P", "u"], "gluing": [[0, 1], [1, %s]], "killed_slope": [1, 0]}]}'
+)
+
+
+@pytest.mark.parametrize(
+    "text, err",
+    [
+        (LONG_PIECE % f'"{LONG}"', f"error: pieces[0]: malformed entry (pairs[0][0] is too long to read: over {LIMIT} digits)\n"),
+        (LONG_EDGE % f'"-{LONG}"', f"error: edges[0]: malformed entry (gluing[1][1] is too long to read: over {LIMIT} digits)\n"),
+        (LONG_PIECE % LONG, f"error: a JSON number is too long to read: over {LIMIT} digits\n"),
+        (LONG_EDGE % LONG, f"error: a JSON number is too long to read: over {LIMIT} digits\n"),
+    ],
+    ids=["pair_string", "gluing_string", "pair_number", "gluing_number"],
+)
+@pytest.mark.parametrize("action", ["validate", "additivity"])
+def test_graph_integer_over_digit_limit_is_named(capsys, tmp_path, action, text, err):
+    path = tmp_path / "graph.json"
+    path.write_text(text)
+    assert run(capsys, "graph", action, str(path)) == (1, "", err)
+
+
 def test_oracle_window_counts_against_max_values(capsys):
     # (1; 1/2, 1/2): B = 2 + 2 + 4 = 8, so the window is 17^2 = 289 tuples
     code, _, err = run(capsys, "seifert", "volumes", "(1; 1/2, 1/2)", "--oracle", "--max-values", "288")

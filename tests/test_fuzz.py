@@ -10,7 +10,8 @@ The strategies reach every refusal path: the spectrum and oracle budget
 (fibre orders from 10^6 up, a huge genus), exponent rationals such as
 ``1e999999999``, non-finite JSON numbers, and JSON nested too deep to
 decode, as well as an integer over Python's 4300-digit limit in a Seifert
-symbol and ``--decimal`` on an answer past the float range.  Random
+symbol or a document (as a JSON number or a string) and ``--decimal`` on
+an answer past the float range.  Random
 draws reach some of these only now and then, so each also has an
 explicit example that always runs.  Example counts are fixed and derandomized, so a failure
 reproduces.  Each in-process run is stopped after ``LIMIT_S`` seconds,
@@ -236,7 +237,7 @@ hostile = st.one_of(
 )
 # a leaf is mostly replaced by a hostile value of its own type
 extreme_number = st.one_of(st.sampled_from([0, -1, 10**30, float("inf"), float("nan"), HUGE_INT]), integers)
-hostile_string = st.one_of(st.sampled_from(["1e999999999", "1/0", "-1/2", "", "t", "X"]), st.text(max_size=6))
+hostile_string = st.one_of(st.sampled_from(["1e999999999", "1/0", "-1/2", "", "t", "X", "9" * 5000]), st.text(max_size=6))
 
 
 def _nodes(doc, path=()):
@@ -284,13 +285,14 @@ def mutated_document(draw):
 
 def _seed(marker, path, value):
     """The first source document whose JSON holds ``marker``, with the value
-    at ``path`` replaced, as ``mutated_document`` draws it."""
+    at ``path`` replaced, as ``mutated_document`` draws it (``HUGE_INT``
+    becoming a 5000-digit JSON number)."""
     doc, commands = next((copy.deepcopy(d), c) for d, c in SOURCES if marker in json.dumps(d))
     parent = doc
     for key in path[:-1]:
         parent = parent[key]
     parent[path[-1]] = value
-    return json.dumps(doc), commands
+    return json.dumps(doc).replace(json.dumps(HUGE_INT), "9" * 5000), commands
 
 
 @_fuzz(180)
@@ -302,6 +304,11 @@ def _seed(marker, path, value):
 @example(_seed('"vertices"', ("edges", 0, 2), "1e999999999"))
 @example(_seed('"basis"', ("brackets", 0, 2, "Y"), "1e999999999"))
 @example(("[" * 10**5 + "]" * 10**5, [("cs", "jacobi"), ("graph", "validate"), ("graph", "rw")]))
+@example(_seed('"filled"', ("pieces", 0, "pairs", 0, 0), "9" * 5000))
+@example(_seed('"filled"', ("edges", 0, "gluing", 1, 0), "-" + "9" * 5000))
+@example(_seed('"filled"', ("pieces", 0, "pairs", 0, 1), HUGE_INT))
+@example(_seed('"vertices"', ("edges", 0, 2), HUGE_INT))
+@example(_seed('"basis"', ("brackets", 0, 2, "Y"), HUGE_INT))
 def test_fuzzed_documents_keep_the_exit_contract(tmp_path_factory, drawn):
     text, commands = drawn
     doc_path = tmp_path_factory.mktemp("fuzz") / "doc.json"
@@ -310,6 +317,8 @@ def test_fuzzed_documents_keep_the_exit_contract(tmp_path_factory, drawn):
         argv = [*command, str(doc_path)]
         code, err = run_cli(argv)
         check_outcome(argv, code, err)
+        # an integer too long to read is named, not left to Python's own text
+        assert "Exceeds the limit" not in err, (argv, err)
 
 
 def _passable(arg):

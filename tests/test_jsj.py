@@ -5,11 +5,13 @@ import itertools
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 from importlib import resources
 
 import pytest
 
+from repvol import jsj, seifert
 from repvol.exact import ExactVolume, NumericVolume
 from repvol.jsj import (
     DirectVolume,
@@ -25,7 +27,7 @@ from repvol.jsj import (
     rw_consistency,
     validate_spec,
 )
-from repvol.seifert import SeifertInvariants, parse_seifert
+from repvol.seifert import SeifertInvariants, dehn_fill, parse_seifert
 
 
 def _data(name):
@@ -225,6 +227,218 @@ def test_records_refuse_the_shapes_the_loader_refuses(build, message):
     with pytest.raises(TypeError) as info:
         build()
     assert str(info.value) == message
+
+
+# ---------------------------------------------------------------- refusal order
+
+LIMIT = sys.get_int_max_str_digits()
+LONG = "9" * 5000  # more digits than int() reads from a string
+DELETE = object()
+# Per record: the fields of a valid instance, then one row per check in
+# the order the constructor runs them: the faulty field values and the
+# refusal, as "<type>: <text>".
+REFUSAL_ORDER = {
+    "Piece": (
+        {"id": "P", "kind": "seifert", "slots": ["t", "u"], "seifert": None, "label": None},
+        [
+            ({"slots": "tu"}, "TypeError: slots 'tu' is not a list of names"),
+            ({"slots": {"t": 1}}, "TypeError: slots {'t': 1} is not a list of names"),
+            ({"slots": 7}, "TypeError: 'int' object is not iterable"),
+            ({"kind": "torus"}, "ValueError: piece P: unknown kind 'torus'"),
+            ({"slots": ["t", "t"]}, "ValueError: piece P: duplicate slot names"),
+        ],
+    ),
+    "Edge": (
+        {"a": ["P", "t"], "b": ["H", "t"], "gluing": [[0, 1], [1, 0]], "killed_slope": [1, 0], "killed_slope_b": None},
+        [
+            ({"gluing": [[3, -4]]}, "TypeError: gluing [[3, -4]] is not a 2x2 matrix"),
+            ({"gluing": "34"}, "TypeError: gluing '34' is not a 2x2 matrix"),
+            ({"a": "Pt"}, "TypeError: a 'Pt' is not [piece, slot]"),
+            ({"b": ["H"]}, "TypeError: b ['H'] is not [piece, slot]"),
+            ({"killed_slope": [2, 1, 7]}, "TypeError: killed_slope [2, 1, 7] is not [a, b]"),
+            ({"killed_slope_b": "21"}, "TypeError: killed_slope_b '21' is not [a, b]"),
+            ({"a": 5}, "TypeError: 'int' object is not subscriptable"),
+            ({"b": None}, "TypeError: 'NoneType' object is not subscriptable"),
+            ({"gluing": [5, [1, 0]]}, "TypeError: cannot unpack non-iterable int object"),
+            ({"gluing": [[1, None], [0, 1]]}, "TypeError: int() argument must be a string, a bytes-like object or a real number, not 'NoneType'"),
+            ({"gluing": [["a", 1], [1, 0]]}, "TypeError: invalid literal for int() with base 10: 'a'"),
+            ({"gluing": [[1, 0], [LONG, -1]]}, f"TypeError: gluing[1][0] is too long to read: over {LIMIT} digits"),
+            ({"killed_slope": ["x", 1]}, "TypeError: invalid literal for int() with base 10: 'x'"),
+            ({"killed_slope": [2, LONG]}, f"TypeError: killed_slope[1] is too long to read: over {LIMIT} digits"),
+            ({"killed_slope_b": [float("nan"), 1]}, "TypeError: cannot convert float NaN to integer"),
+            ({"killed_slope_b": [LONG, 1]}, f"TypeError: killed_slope_b[0] is too long to read: over {LIMIT} digits"),
+        ],
+    ),
+    "SeifertInvariants": (
+        {"genus": 1, "pairs": [[2, 1]], "boundary_count": 1},
+        [
+            ({"pairs": ["21"]}, "TypeError: pairs ['21'] are not all [a, b]"),
+            ({"pairs": [[2]]}, "TypeError: pairs [[2]] are not all [a, b]"),
+            ({"pairs": [5]}, "TypeError: cannot unpack non-iterable int object"),
+            ({"pairs": [["x", 1]]}, "TypeError: invalid literal for int() with base 10: 'x'"),
+            ({"pairs": [[2, 1], [1, "-" + LONG]]}, f"TypeError: pairs[1][1] is too long to read: over {LIMIT} digits"),
+            ({"genus": -1}, "ValueError: base genus must be >= 0, got -1"),
+            ({"boundary_count": -2}, "ValueError: boundary count must be >= 0, got -2"),
+            ({"pairs": [[2, 1], [0, 1]]}, "ValueError: pair 2: multiplicity must be positive, got 0"),
+            ({"pairs": [[4, 2]]}, "ValueError: pair 1: 2/4 is not in lowest terms"),
+        ],
+    ),
+    "FilledSeifert": (
+        {"piece_id": "P", "fillings": {"t": [2, 1]}, "coeff": Fraction(1, 4)},
+        [
+            ({"fillings": {"t": "21"}}, "TypeError: fillings {'t': '21'} are not all [slot, [a, b]]"),
+            ({"fillings": [["t", [2]]]}, "TypeError: fillings [['t', [2]]] are not all [slot, [a, b]]"),
+            ({"fillings": [5]}, "TypeError: cannot unpack non-iterable int object"),
+            ({"fillings": [["t", 5]]}, "TypeError: cannot unpack non-iterable int object"),
+            ({"fillings": {"t": [2, "x"]}}, "TypeError: invalid literal for int() with base 10: 'x'"),
+            ({"fillings": {"t": [LONG, 1]}}, f"TypeError: fillings['t'][0] is too long to read: over {LIMIT} digits"),
+            ({"coeff": "a/b"}, "ValueError: Invalid literal for Fraction: 'a/b'"),
+        ],
+    ),
+    # DirectVolume checks nothing itself; the loader reads its entry
+    "DirectVolume": (
+        {"piece": "H", "assign": "direct", "exact": "1/2"},
+        [
+            ({"piece": DELETE}, "ValueError: assignments[0].piece: missing"),
+            ({"exact": "x"}, "ValueError: assignments[0]: malformed entry (bad exact 'x')"),
+            ({"exact": "1e999999999"}, "ValueError: assignments[0]: malformed entry (bad exact '1e999999999')"),
+            ({"exact": "-1/2"}, "ValueError: exact volume coefficient must be >= 0, got -1/2"),
+            ({"exact": DELETE, "numeric": "x"}, "ValueError: assignments[0]: malformed entry (bad numeric 'x')"),
+            ({"exact": DELETE, "numeric": float("inf")}, "ValueError: assignments[0]: malformed entry (bad numeric inf)"),
+            ({"exact": DELETE}, "ValueError: direct assignment {'piece': 'H', 'assign': 'direct'} needs 'exact' or 'numeric'"),
+        ],
+    ),
+}
+
+
+def _build(record, fields):
+    if record == "DirectVolume":
+        doc = {"pieces": [{"id": "H", "kind": "hyperbolic", "label": "h", "slots": []}], "edges": [], "assignments": [fields]}
+        return load_graph_document(doc)
+    return getattr(jsj, record)(**fields)
+
+
+@pytest.mark.parametrize(
+    "record, k",
+    [(record, k) for record, (_, rows) in REFUSAL_ORDER.items() for k in range(len(rows))],
+)
+def test_refusals_come_in_check_order(record, k):
+    # Row k's fault plus the faults of every later row on other fields:
+    # row k's refusal must come first, with exactly its text.
+    base, rows = REFUSAL_ORDER[record]
+    fields, touched = dict(base), set()
+    for changes, _ in rows[k:]:
+        if touched.isdisjoint(changes):
+            touched.update(changes)
+            for name, value in changes.items():
+                if value is DELETE:
+                    del fields[name]
+                else:
+                    fields[name] = value
+    with pytest.raises((TypeError, ValueError)) as info:
+        _build(record, fields)
+    assert f"{type(info.value).__name__}: {info.value}" == rows[k][1]
+
+
+def test_refusal_order_rows_are_each_refused_alone():
+    for record, (base, rows) in REFUSAL_ORDER.items():
+        _build(record, base)  # the base is valid
+        for changes, message in rows:
+            fields = {name: value for name, value in {**base, **changes}.items() if value is not DELETE}
+            with pytest.raises((TypeError, ValueError)) as info:
+                _build(record, fields)
+            assert f"{type(info.value).__name__}: {info.value}" == message
+
+
+# ---------------------------------------------------------------- one validation per spec
+
+
+def test_validate_then_additivity_walks_the_spec_once(monkeypatch):
+    walks = []
+    real = jsj._spec_problems
+    monkeypatch.setattr(jsj, "_spec_problems", lambda spec: walks.append(spec) or real(spec))
+    spec = two_piece_spec()
+    fresh = two_piece_spec()
+    assignments = [
+        FilledSeifert(piece_id="P", fillings=(("t", (2, 1)),), coeff=Fraction(1, 4)),
+        SmallImage(piece_id="Q"),
+    ]
+    problems = validate_spec(spec)
+    assert additivity_sum(spec, assignments) == ExactVolume(Fraction(1, 4))
+    assert walks == [spec]
+    # the kept answer is no field: repr, equality and hash are unchanged
+    assert (repr(spec), spec, hash(spec)) == (repr(fresh), fresh, hash(fresh))
+    # each call returns a new list, so editing one changes no later answer
+    problems.append("edited")
+    assert validate_spec(spec) == []
+    assert validate_spec(spec) is not validate_spec(spec)
+
+
+def test_a_kept_problem_list_cannot_be_edited_from_outside(monkeypatch):
+    walks = []
+    real = jsj._spec_problems
+    monkeypatch.setattr(jsj, "_spec_problems", lambda spec: walks.append(spec) or real(spec))
+    spec = two_piece_spec()
+    bad = GraphManifoldSpec(spec.pieces, (Edge(("P", "t"), ("Q", "t"), ((1, 0), (0, 1)), (2, 1)),))
+    expected = ["edge 0: gluing determinant is 1, expected -1"]
+    first = validate_spec(bad)
+    assert first == expected
+    first.clear()
+    assert validate_spec(bad) == expected
+    with pytest.raises(ValueError, match=r"^invalid spec: edge 0: gluing determinant is 1, expected -1$"):
+        additivity_sum(bad, [SmallImage("P"), SmallImage("Q")])
+    assert walks == [bad]
+
+
+# ---------------------------------------------------------------- trusted construction
+
+
+def _random_pairs(rng, count):
+    pairs = []
+    for _ in range(count):
+        a = rng.randint(1, 9)
+        pairs.append((a, rng.choice([b for b in range(-2 * a, 2 * a + 1) if math.gcd(a, abs(b)) == 1])))
+    return tuple(pairs)
+
+
+def _built(build):
+    try:
+        record = build()
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+    return repr(record), record, hash(record), vars(record)
+
+
+def test_trusted_fill_equals_dehn_fill():
+    # the closed piece additivity_sum builds past the constructor is the
+    # public dehn_fill result: same repr, equality, hash and fields, and the
+    # same refusal for a bad filling
+    rng = random.Random("trusted-fill")
+    refused = 0
+    for _ in range(400):
+        genus = rng.randint(0, 3)
+        pairs = _random_pairs(rng, rng.randint(0, 3))
+        fillings = list(_random_pairs(rng, rng.randint(0, 3)))
+        if fillings and rng.random() < 0.2:
+            k = rng.randrange(len(fillings))
+            fillings[k] = rng.choice([(0, 1), (-2, 1), (4, 2)])
+        boundary = len(fillings) + rng.choice((0, 0, 1, -1))
+        if boundary < 0:
+            continue
+        inv = SeifertInvariants(genus, pairs, boundary)
+        public = _built(lambda: dehn_fill(genus, boundary, fillings, existing_pairs=pairs))
+        assert _built(lambda: seifert._fill(inv, fillings)) == public
+        refused += isinstance(public, str)
+    assert refused > 20
+
+
+def test_parsed_symbol_equals_the_checked_record():
+    rng = random.Random("trusted-parse")
+    for _ in range(300):
+        genus, pairs = rng.randint(0, 4), _random_pairs(rng, rng.randint(0, 4))
+        text = f"({genus}; {', '.join(f'{b}/{a}' for a, b in pairs)})"
+        parsed, built = parse_seifert(text), SeifertInvariants(genus, pairs)
+        assert (repr(parsed), parsed, hash(parsed), vars(parsed)) == (repr(built), built, hash(built), vars(built))
 
 
 # ---------------------------------------------------------------- additivity
