@@ -318,7 +318,7 @@ def forms_digests() -> dict[str, str]:
 
 # Determinant -1 gluings, (section, fiber) coordinates side a -> side b.
 GLUINGS = ([[1, 0], [0, -1]], [[-1, 0], [0, 1]], [[0, 1], [1, 0]], [[3, -4], [2, -3]], [[2, 1], [1, 0]])
-# One in four documents plants one of these faults.
+# One document in three plants one of these faults (some find nothing to break).
 FAULTS = (
     "determinant", "nonprimitive", "slope_b_mismatch", "duplicate_id", "self_glue", "unknown_piece",
     "unlabeled", "unglued", "missing_assignment", "wrong_filling", "no_slope", "coeff_off",
