@@ -25,6 +25,8 @@ from .exact import (
     _field,
     _list,
     _name,
+    _printed,
+    _read_int,
     parse_rational,
     render_volume,
 )
@@ -55,29 +57,11 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}")
 
 
-def _printed(value: object, what: str) -> str:
-    """``str(value)``; a number with more digits than Python converts to
-    text (4300 by default) is a ``ValueError`` naming ``what``.  The limit
-    itself is left alone: it is process-wide."""
-    try:
-        return str(value)
-    except ValueError:
-        limit = sys.get_int_max_str_digits()
-        raise ValueError(f"{what} is too large to print: over {limit} digits") from None
-
-
 def _read_json(path: str):
     import json
 
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle, parse_int=_json_int)
-
-
-def _json_int(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:  # more digits than Python converts, 4300 by default
-        raise ValueError(f"a JSON number is too long to read: over {sys.get_int_max_str_digits()} digits") from None
+        return json.load(handle, parse_int=_read_int)
 
 
 def _emit(lines: Sequence[str]) -> None:
@@ -94,22 +78,15 @@ def _emit_json(payload) -> None:
 # ---------------------------------------------------------------- seifert
 
 
-def _witness_lines(witnesses) -> list[str]:
-    lines = []
-    for w in witnesses:
-        n_values = ",".join(str(x) for x in w.n_values)
-        z_values = ",".join(str(z) for z in w.z_values)
-        lines.append(f"n=({n_values}) n={w.n} zeta={w.zeta} z=({z_values})")
-    return lines
-
-
 def _witness_payload(witnesses) -> list[dict]:
+    """The witnesses as ``--json`` prints them; the text lines are read
+    off the same fields, so each number is checked once."""
     return [
         {
             "n_values": list(w.n_values),
             "n": w.n,
-            "zeta": str(w.zeta),
-            "z_values": [str(z) for z in w.z_values],
+            "zeta": _printed(w.zeta, "witness zeta"),
+            "z_values": [_printed(z, "witness z-value") for z in w.z_values],
             "coeff": str(w.coeff),
         }
         for w in witnesses
@@ -126,11 +103,13 @@ def _cmd_seifert(args: argparse.Namespace) -> int:
     if args.action in ("volumes", "witnesses"):
         ehn._check_budget(ehn.spectrum_size_bound(inv), args.max_values, hint=_MAX_VALUES_HINT)
     if args.coeff is not None:
-        found = ehn.witnesses_for(inv, args.coeff)
+        found = _witness_payload(ehn.witnesses_for(inv, args.coeff))
         if args.json:
-            _emit_json({"witnesses": _witness_payload(found)})
+            _emit_json({"witnesses": found})
         else:
-            _emit(_witness_lines(found))
+            for w in found:
+                n_values, z_values = ",".join(map(str, w["n_values"])), ",".join(w["z_values"])
+                print(f"n=({n_values}) n={w['n']} zeta={w['zeta']} z=({z_values})")
         return 0
 
     if args.action == "info":
@@ -150,27 +129,19 @@ def _cmd_seifert(args: argparse.Namespace) -> int:
         if args.oracle:
             ehn._check_budget(ehn._oracle_window(inv), args.max_values, "oracle tuples", _MAX_VALUES_HINT)
         spectrum = ehn.volume_set(inv)
-        oracle_note = None
-        if args.oracle:
-            brute = ehn.volume_set_bruteforce(inv)
-            if brute != spectrum:
-                raise RuntimeError(
-                    "oracle disagreement: brute-force window differs from enumeration"
-                )
-            oracle_note = f"oracle agreement: {len(spectrum)} values"
+        if args.oracle and ehn.volume_set_bruteforce(inv) != spectrum:
+            raise RuntimeError("oracle disagreement: brute-force window differs from enumeration")
         if args.json:
-            payload = {"coefficients": [str(c) for c in spectrum]}
+            payload = {"coefficients": [_printed(c, "volume coefficient") for c in spectrum]}
             if args.decimal:
-                payload["decimals"] = [
-                    f"{ExactVolume(c).to_float():.12g}" for c in spectrum
-                ]
-            if oracle_note:
+                payload["decimals"] = [f"{ExactVolume(c).to_float():.12g}" for c in spectrum]
+            if args.oracle:
                 payload["oracle"] = "agree"
             _emit_json(payload)
         else:
             lines = [render_volume(ExactVolume(c), decimal=args.decimal) for c in spectrum]
-            if oracle_note:
-                lines.append(oracle_note)
+            if args.oracle:
+                lines.append(f"oracle agreement: {len(spectrum)} values")
             _emit(lines)
         return 0
 
@@ -207,7 +178,6 @@ def _verify_iso_sl2r() -> list[str]:
     spec = liecs.iso_sl2r_algebra()
     gram = liecs.iso_sl2r_gram()
     form = liecs.cs_three_form(spec, gram)
-    names = spec.basis
     target = liecs.ExteriorForm.monomial(spec.dim, (0, 1, 2), Fraction(2, 3))
     primitive = liecs.exactness_split(spec, form, target)
     if primitive is None:
@@ -303,12 +273,11 @@ def _cmd_graph(args: argparse.Namespace) -> int:
 
     document = jsj.load_graph_document(doc)
     if args.action == "validate":
-        problems = []
-        for name, case_spec, _ in document.cases:
-            for problem in jsj.validate_spec(case_spec):
-                problems.append(
-                    problem if name == "default" else f"{name}: {problem}"
-                )
+        problems = [
+            problem if name == "default" else f"{name}: {problem}"
+            for name, spec, _ in document.cases
+            for problem in jsj.validate_spec(spec)
+        ]
         if not problems:
             print("ok")
             return 0
@@ -317,28 +286,16 @@ def _cmd_graph(args: argparse.Namespace) -> int:
         return 1
 
     if args.action == "additivity":
-        results = []
-        for name, case_spec, assignments in document.cases:
-            total = jsj.additivity_sum(case_spec, assignments)
-            results.append((name, total))
-        # every total is checked before any line is printed, and with
-        # --decimal refused beyond the float range
-        for _, total in results:
-            if isinstance(total, ExactVolume):
-                _printed(total.coeff, "volume coefficient")
-                if args.decimal:
-                    total.to_float()
+        totals = [(name, jsj.additivity_sum(spec, assignments)) for name, spec, assignments in document.cases]
+        # every total is rendered before any line is printed: one too long
+        # to print, or with --decimal past the float range, is refused
+        shown = [(name, render_volume(total, decimal=args.decimal)) for name, total in totals]
         if args.json:
-            _emit_json(
-                {name: render_volume(total, decimal=args.decimal) for name, total in results}
-            )
-        elif len(results) == 1 and results[0][0] == "default":
-            print(render_volume(results[0][1], decimal=args.decimal))
+            _emit_json(dict(shown))
+        elif len(shown) == 1 and shown[0][0] == "default":
+            print(shown[0][1])
         else:
-            _emit(
-                f"{name}: {render_volume(total, decimal=args.decimal)}"
-                for name, total in results
-            )
+            _emit([f"{name}: {text}" for name, text in shown])
         return 0
 
     raise AssertionError(f"unhandled graph action {args.action}")

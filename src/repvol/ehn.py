@@ -47,8 +47,8 @@ import math
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .exact import MAX_VALUES, _Record, _fraction, rat_ceil, rat_floor
-from .seifert import SeifertInvariants, _require_closed, euler_number, orbifold_chi
+from .exact import MAX_VALUES, _Record, _fraction, _printed, _set, rat_ceil, rat_floor
+from .seifert import SeifertInvariants, _over_lcm, _require_closed, euler_number, orbifold_chi
 
 __all__ = [
     "VolumeWitness",
@@ -86,23 +86,22 @@ def _spectrum_data(inv: SeifertInvariants) -> tuple[Fraction, int, int, int, lis
     """(e, lcm, scale, denom, steps): each value is t^2 * scale / denom
     with integer t = s - m * lcm; steps[i] holds r * lcm/a_i for r = 1..a_i-1.
 
-    A ``ValueError`` unless the geometry of ``inv`` is sl2r-tilde (the
-    integers lcm * e != 0 and lcm * chi < 0) and its base genus is >= 1.
+    A ``ValueError`` unless the geometry of ``inv`` is sl2r-tilde and its
+    base genus is >= 1.
     """
-    _require_closed(inv, "euler_number")
-    lcm = math.lcm(*[a for a, _ in inv.pairs])
-    steps = [lcm // a for a, _ in inv.pairs]
-    e_lcm = sum([b * step for (_, b), step in zip(inv.pairs, steps)])
-    chi_lcm = (2 - 2 * inv.genus - len(steps)) * lcm + sum(steps)
-    if not e_lcm or chi_lcm >= 0 or inv.genus < 1:
-        _require_volume_geometry(inv, _fraction(e_lcm, lcm), _fraction(chi_lcm, lcm))
+    lcm, steps, e_lcm, chi_lcm = _over_lcm(inv, "euler_number")
+    _require_volume_geometry(inv, lcm, e_lcm, chi_lcm)
     e = _fraction(e_lcm, lcm)
     return e, lcm, e.denominator, lcm * lcm * abs(e.numerator), [range(step, lcm, step) for step in steps]
 
 
-def _require_volume_geometry(inv: SeifertInvariants, e: Fraction, chi: Fraction) -> None:
-    """A ``ValueError`` unless e != 0, chi < 0 and the base genus is >= 1."""
-    if e == 0 or chi >= 0:
+def _require_volume_geometry(inv: SeifertInvariants, lcm: int, e: int | Fraction, chi: int | Fraction) -> None:
+    """A ``ValueError`` unless e != 0, chi < 0 and the base genus is >= 1,
+    for e and chi over ``lcm``: ``seifert._over_lcm``'s integers, or
+    ``Fraction``s over 1."""
+    if not e or chi >= 0:
+        e = _printed(Fraction(e, lcm), "Euler number")
+        chi = _printed(Fraction(chi, lcm), "orbifold Euler characteristic")
         raise ValueError(f"volume spectrum needs sl2r-tilde geometry (e = {e}, chi = {chi})")
     if inv.genus < 1:
         raise ValueError("volume spectrum requires base genus >= 1")
@@ -192,7 +191,7 @@ def volume_set_bruteforce(inv: SeifertInvariants) -> list[Fraction]:
     a_list = [a for a, _ in inv.pairs]
     e = sum((Fraction(b, a) for a, b in inv.pairs), Fraction(0))
     chi = 2 - 2 * g - sum((Fraction(a - 1, a) for a in a_list), Fraction(0))
-    _require_volume_geometry(inv, e, chi)
+    _require_volume_geometry(inv, 1, e, chi)
     bound = _oracle_bound(inv)
     lcm = math.lcm(*a_list) if a_list else 1
     window = range(-bound, bound + 1)
@@ -307,8 +306,8 @@ class VolumeWitness(_Record):
 
     def __post_init__(self) -> None:
         # tuples, as witnesses_for builds them, so that equality and hash hold
-        object.__setattr__(self, "n_values", tuple(self.n_values))
-        object.__setattr__(self, "z_values", tuple(self.z_values))
+        _set(self, "n_values", tuple(self.n_values))
+        _set(self, "z_values", tuple(self.z_values))
         inv = self.inv
         e, lcm, scale, denom, _ = _spectrum_data(inv)
         if len(self.n_values) != len(inv.pairs):
@@ -334,7 +333,7 @@ def witnesses_for(inv: SeifertInvariants, coeff: Fraction) -> list[VolumeWitness
     layers = list(itertools.accumulate(steps, _add_fibre, initial={0: 0}))
     offsets = _offsets(inv, coeff, lcm, scale, denom, layers[-1])
     if not offsets:
-        raise ValueError(f"coefficient {coeff} is not in the volume spectrum")
+        raise ValueError(f"coefficient {_printed(coeff, 'coefficient')} is not in the volume spectrum")
     p = len(steps)
 
     def tuples(s: int, need: int) -> Iterator[tuple[int, ...]]:

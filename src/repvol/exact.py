@@ -74,30 +74,60 @@ def parse_rational(value: object, path: str, problem: str) -> Fraction:
     a decimal or ``p/q``.
 
     Anything else is a ``ValueError`` reading ``<path>: <problem>``, with
-    ``value`` formatted into ``problem``.  Exponent forms such as
-    ``'1e999999999'`` are refused too: ``Fraction`` would compute
+    ``value`` formatted into ``problem``, except that a run of digits too
+    long to read is named by ``_read_int``, not echoed.  Exponent forms
+    such as ``'1e999999999'`` are refused too: ``Fraction`` would compute
     ``10**999999999``, which never finishes.
     """
     if isinstance(value, str) and "e" not in value.lower():
         try:
             return Fraction(value)
-        except (ValueError, ZeroDivisionError):
+        except ZeroDivisionError:
             pass
+        except ValueError:  # int() reads each run of decimal digits unless it is too long
+            for digits in "".join(c if c.isdecimal() else " " for c in value).split():
+                _read_int(digits, "{}: the value", path)
     raise ValueError(f"{path}: " + problem.format(value))
+
+
+def _read_int(text: str, what: str = "a JSON number", *at: object) -> int:
+    """``int(text)``; a string of more digits than Python converts (4300 by
+    default) is a ``ValueError`` reading ``<what> is too long to read: over
+    <limit> digits``, ``what`` formatted with ``at`` only then.  The one
+    writer of that refusal: ``json`` calls it as ``parse_int``, the other
+    readers once their own bare ``int()`` has failed."""
+    try:
+        return int(text)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        if not (isinstance(text, str) and 0 < limit < sum(c.isdigit() for c in text)):
+            raise
+    raise ValueError(f"{what.format(*at)} is too long to read: over {limit} digits")
 
 
 def _integer(value: object, what: str, *at: object) -> int:
     """``int(value)``, with a value it cannot read, such as ``'x'``, a float
-    NaN or more digits than Python converts (then named by ``what``, which
-    is formatted with ``at`` only then), raised as a ``TypeError``: a wrong
-    value inside a document entry, reported at the entry's path."""
+    NaN or one too long (named by ``_read_int``), raised as a ``TypeError``:
+    a wrong value inside a document entry, reported at the entry's path."""
     try:
         return int(value)
+    except ValueError:
+        pass
+    try:
+        return _read_int(value, what, *at)  # fails again, with the error's text
     except ValueError as exc:
-        limit = sys.get_int_max_str_digits()
-        if isinstance(value, str) and 0 < limit < sum(c.isdigit() for c in value):
-            raise TypeError(f"{what.format(*at)} is too long to read: over {limit} digits") from None
         raise TypeError(str(exc)) from None
+
+
+def _printed(value: object, what: str) -> str:
+    """``str(value)``; a number with more digits than Python converts to
+    text (4300 by default) is a ``ValueError`` reading ``<what> is too large
+    to print: over <limit> digits``, the one writer of that refusal.  The
+    limit itself is left alone: it is process-wide."""
+    try:
+        return str(value)
+    except ValueError:
+        raise ValueError(f"{what} is too large to print: over {sys.get_int_max_str_digits()} digits") from None
 
 
 # The JSON values that unpack by iterating.  A tuple of concrete types,
@@ -128,7 +158,7 @@ def _require_pair(value, name: str, shape: str) -> None:
     """A ``TypeError`` if ``value`` is a string, an object, or a list or
     tuple without exactly two items: a string such as ``"Pt"`` would
     otherwise read as the pair ``("P", "t")``."""
-    if isinstance(value, _ITERABLE) and (len(value) != 2 or isinstance(value, _NOT_PAIR)):
+    if not _two_each((value,)):
         raise TypeError(f"{name} {value!r} is not {shape}")
 
 
@@ -552,7 +582,7 @@ class ExactVolume(_Record):
 
     def __post_init__(self) -> None:
         if type(self.coeff) is not Fraction:
-            object.__setattr__(self, "coeff", Fraction(self.coeff))
+            _set(self, "coeff", Fraction(self.coeff))
         if self.coeff < 0:
             raise ValueError(f"exact volume coefficient must be >= 0, got {self.coeff}")
 
@@ -608,7 +638,7 @@ def render_volume(value: VolumeValue, decimal: bool = False) -> str:
     if isinstance(value, ExactVolume):
         if value.coeff == 0:
             return "0"
-        text = f"{value.coeff} * 4*pi^2"
+        text = f"{_printed(value.coeff, 'volume coefficient')} * 4*pi^2"
         if decimal:
             text += f" = {value.to_float():.12g}"
         return text

@@ -30,6 +30,7 @@ from .exact import (
     _entries,
     _field,
     _integer,
+    _printed,
     _require_pair,
     _set,
     _two_each,
@@ -128,8 +129,8 @@ class GraphManifoldSpec(_Record):
     _problems: Optional[tuple[str, ...]] = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "pieces", tuple(self.pieces))
-        object.__setattr__(self, "edges", tuple(self.edges))
+        _set(self, "pieces", tuple(self.pieces))
+        _set(self, "edges", tuple(self.edges))
 
     def piece(self, piece_id: str) -> Piece:
         for piece in self.pieces:
@@ -184,6 +185,7 @@ def _spec_problems(spec: GraphManifoldSpec) -> tuple[str, ...]:
         (m00, m01), (m10, m11) = edge.gluing
         det = m00 * m11 - m01 * m10
         if det != -1:
+            det = _printed(det, f"edge {n}: gluing determinant")
             problems.append(f"edge {n}: gluing determinant is {det}, expected -1")
         slope, slope_b = edge.killed_slope, edge.killed_slope_b
         if slope is not None and math.gcd(*slope) != 1:
@@ -193,6 +195,7 @@ def _spec_problems(spec: GraphManifoldSpec) -> tuple[str, ...]:
         if slope is not None and slope_b is not None:
             pushed = edge.push_to_b(slope)
             if pushed != slope_b and pushed != (-slope_b[0], -slope_b[1]):
+                pushed = _printed(pushed, f"edge {n}: pushed killed slope")
                 problems.append(
                     f"edge {n}: killed slope {slope} maps to {pushed}, "
                     f"but side b declares {slope_b}"
@@ -303,14 +306,14 @@ def additivity_sum(spec: GraphManifoldSpec, assignments: Sequence[PieceAssignmen
                 if filling != slope:
                     raise ValueError(
                         f"piece {piece.id}.{slot}: filling {filled_slots[slot]} "
-                        f"does not match the killed slope {slope}"
+                        f"does not match the killed slope {_printed(slope, 'killed slope')}"
                     )
                 fills.append(filling)
             closed = _fill(piece.seifert, fills)
             if not spectrum_contains(closed, assignment.coeff):
                 raise ValueError(
-                    f"piece {piece.id}: coefficient {assignment.coeff} is not in "
-                    f"the spectrum of the filled piece {closed}"
+                    f"piece {piece.id}: coefficient {_printed(assignment.coeff, 'coefficient')} is not in "
+                    f"the spectrum of the filled piece {_printed(closed, 'filled piece')}"
                 )
             contributions.append(ExactVolume(assignment.coeff))
         else:
@@ -541,9 +544,18 @@ def _case_from_json(spec: GraphManifoldSpec, case: Mapping, path: str):
     if slopes is not None:
         if len(slopes) != len(edges):
             raise ValueError(f"case {name}: {len(slopes)} killed slopes for {len(edges)} edges")
+        slopes = [slope or None for slope in slopes]
         for i, slope in enumerate(slopes):
-            _require_pair(slope or None, f"killed_slopes[{i}]", "[a, b]")
-        edges = tuple(Edge(edge.a, edge.b, edge.gluing, slope or None) for edge, slope in zip(edges, slopes))
+            _require_pair(slope, f"killed_slopes[{i}]", "[a, b]")
+        # each slope is read at its own place; the spec's edges are checked
+        slopes = [
+            s and (_integer(s[0], "killed_slopes[{}][0]", i), _integer(s[1], "killed_slopes[{}][1]", i))
+            for i, s in enumerate(slopes)
+        ]
+        edges = tuple(
+            Edge._trusted(a=edge.a, b=edge.b, gluing=edge.gluing, killed_slope=slope, killed_slope_b=None)
+            for edge, slope in zip(edges, slopes)
+        )
     assignments = _entries(case.get("assignments", []), f"{path}.assignments", _assignment_from_json)
     return (name, GraphManifoldSpec(pieces=spec.pieces, edges=edges), assignments)
 

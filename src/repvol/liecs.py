@@ -17,7 +17,7 @@ Conventions, fixed once and covered by golden-value tests:
 Inside, scalars are Gaussian integers (re, im) over one denominator per
 table or sum, summed by ``_add`` under the pi-power rule of ``exact._pi_power``.
 Scalar objects are built only for public values: ``_terms`` makes the
-terms of derived forms, which ``_form`` builds without the checks.
+terms of derived forms, which ``ExteriorForm._trusted`` builds past the checks.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from .exact import (
     _gaussian,
     _list,
     _name,
-    _new,
     _pi,
     _pi_power,
     _set,
@@ -211,20 +210,11 @@ def _terms(sums: _Sums, den: int) -> tuple[tuple[tuple[int, ...], PiScalar], ...
     return tuple((i, _pi(_gaussian(re, im, den), p)) for i, (re, im, p) in sorted(sums.items()) if re or im)
 
 
-def _form(dim: int, degree: int, terms: tuple) -> "ExteriorForm":
-    """Internal constructor from sorted, nonzero, valid terms: no ``__post_init__``."""
-    form = _new(ExteriorForm)
-    _set(form, "dim", dim)
-    _set(form, "degree", degree)
-    _set(form, "terms", terms)
-    return form
-
-
 class ExteriorForm(_Record):
     """Left-invariant form: scalar coefficients on increasing index tuples.
     The constructor checks caller input and sums the terms on one index;
     the operators, ``d`` and the other derived forms sum their own terms
-    and are built by ``_form`` without the checks."""
+    and are built by ``_trusted`` without the checks."""
 
     dim: int
     degree: int
@@ -271,7 +261,7 @@ class ExteriorForm(_Record):
         return self._plus(other, 1)
 
     def __neg__(self) -> "ExteriorForm":
-        return _form(self.dim, self.degree, tuple((i, -c) for i, c in self.terms))
+        return ExteriorForm._trusted(dim=self.dim, degree=self.degree, terms=tuple((i, -c) for i, c in self.terms))
 
     def __sub__(self, other: "ExteriorForm") -> "ExteriorForm":
         return self._plus(other, -1)
@@ -287,14 +277,15 @@ class ExteriorForm(_Record):
         for t, (indices, re, im, p) in enumerate(terms):
             s = 1 if t < len(self.terms) else sign
             _add(acc, indices, s * re, s * im, p)
-        return _form(self.dim, self.degree if self.terms else other.degree, _terms(acc, den))
+        degree = self.degree if self.terms else other.degree
+        return ExteriorForm._trusted(dim=self.dim, degree=degree, terms=_terms(acc, den))
 
     def scaled(self, factor: ScalarLike) -> "ExteriorForm":
         f = PiScalar.of(factor)
         x, y, power = f.coeff._a, f.coeff._b, f.pi_power
         den, terms = _ints(self.terms)
         sums = {i: [a * x - b * y, a * y + b * x, p + power] for i, a, b, p in terms}
-        return _form(self.dim, self.degree, _terms(sums, den * f.coeff._den))
+        return ExteriorForm._trusted(dim=self.dim, degree=self.degree, terms=_terms(sums, den * f.coeff._den))
 
     def wedge(self, other: "ExteriorForm") -> "ExteriorForm":
         if self.dim != other.dim:
@@ -307,7 +298,8 @@ class ExteriorForm(_Record):
                 merged = _merge_indices(li, ri)
                 if merged is not None:
                     _add(acc, merged[0], merged[1] * (a * c - b * e), merged[1] * (a * e + b * c), p + q)
-        return _form(self.dim, min(self.degree + other.degree, self.dim), _terms(acc, left_den * right_den))
+        degree = min(self.degree + other.degree, self.dim)
+        return ExteriorForm._trusted(dim=self.dim, degree=degree, terms=_terms(acc, left_den * right_den))
 
 
 def _merge_indices(left: tuple[int, ...], right: tuple[int, ...]) -> Optional[tuple[tuple[int, ...], int]]:
@@ -356,7 +348,7 @@ def bracket_two_form(spec: LieAlgebraSpec, i: int) -> ExteriorForm:
     if not 0 <= i < spec.dim:
         raise ValueError(f"basis index {i} out of range")
     sums = {pair: [2 * a, 2 * b, 0] for pair, (a, b) in spec._by_target[i]}
-    return _form(spec.dim, 2, _terms(sums, spec._den))
+    return ExteriorForm._trusted(dim=spec.dim, degree=2, terms=_terms(sums, spec._den))
 
 
 def d(spec: LieAlgebraSpec, form: ExteriorForm) -> ExteriorForm:
@@ -372,7 +364,7 @@ def _d(spec: LieAlgebraSpec, terms: Sequence[tuple[tuple[int, ...], PiScalar]], 
     acc: _Sums = {}
     for indices, re, im, p in ints:
         _add_d_monomial(acc, spec._by_target, indices, re, im, p)
-    return _form(spec.dim, degree, _terms(acc, spec._den * den))
+    return ExteriorForm._trusted(dim=spec.dim, degree=degree, terms=_terms(acc, spec._den * den))
 
 
 class GramForm(_Record):
@@ -449,7 +441,7 @@ def cs_three_form(spec: LieAlgebraSpec, gram: GramForm) -> ExteriorForm:
                 merged = _merge_indices((j, k), (l,))
                 if merged is not None:
                     _add(acc, merged[0], -merged[1] * (a * r - b * s), -merged[1] * (a * s + b * r), p)
-    return _form(spec.dim, 3, _terms(acc, 9 * spec._den * gram._den))
+    return ExteriorForm._trusted(dim=spec.dim, degree=3, terms=_terms(acc, 9 * spec._den * gram._den))
 
 
 def exactness_split(spec: LieAlgebraSpec, form: ExteriorForm, target: ExteriorForm) -> Optional[ExteriorForm]:
@@ -505,7 +497,7 @@ def exactness_split(spec: LieAlgebraSpec, form: ExteriorForm, target: ExteriorFo
                     "a form holds one pi power per index"
                 )
             found[pairs[c]] = _pi(x, p)
-    beta = _form(n, 2, tuple(sorted(found.items())))
+    beta = ExteriorForm._trusted(dim=n, degree=2, terms=tuple(sorted(found.items())))
     if d(spec, beta) != difference:
         raise RuntimeError("primitive verification failed after solving")
     return beta

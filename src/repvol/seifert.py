@@ -12,11 +12,10 @@ from __future__ import annotations
 import enum
 import math
 import re
-import sys
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import _Record, _fraction, _integer, _set, _two_each
+from .exact import _Record, _fraction, _integer, _read_int, _set, _two_each
 
 __all__ = [
     "SeifertInvariants",
@@ -107,28 +106,34 @@ def _require_closed(inv: SeifertInvariants, what: str) -> None:
         raise ValueError(f"{what} requires a closed space, got boundary count {inv.boundary_count}")
 
 
+def _over_lcm(inv: SeifertInvariants, what: str) -> tuple[int, list[int], int, int]:
+    """(lcm, steps, e, chi) of a closed space, ``what`` naming the refusal
+    of one with boundary: lcm = lcm(a_i), steps[i] = lcm/a_i, and the
+    integers e = lcm * sum(b_i/a_i) and chi = lcm * (2 - 2g - sum(1 - 1/a_i)).
+    The one derivation of e and chi, for this module and ``ehn``."""
+    _require_closed(inv, what)
+    lcm = math.lcm(*[a for a, _ in inv.pairs])
+    steps = [lcm // a for a, _ in inv.pairs]
+    e = sum([b * step for (_, b), step in zip(inv.pairs, steps)])
+    return lcm, steps, e, (2 - 2 * inv.genus - len(steps)) * lcm + sum(steps)
+
+
 def euler_number(inv: SeifertInvariants) -> Fraction:
-    """Euler number e = sum(b_i / a_i) of a closed Seifert fibration,
-    summed in integers over lcm(a_i)."""
-    _require_closed(inv, "euler_number")
-    lcm = math.lcm(*(a for a, _ in inv.pairs))
-    return _fraction(sum(b * (lcm // a) for a, b in inv.pairs), lcm)
+    """Euler number e = sum(b_i / a_i) of a closed Seifert fibration."""
+    lcm, _, e, _ = _over_lcm(inv, "euler_number")
+    return _fraction(e, lcm)
 
 
 def orbifold_chi(inv: SeifertInvariants) -> Fraction:
-    """Orbifold Euler characteristic 2 - 2g - sum(1 - 1/a_i) of the base,
-    summed in integers over lcm(a_i)."""
-    _require_closed(inv, "orbifold_chi")
-    lcm = math.lcm(*(a for a, _ in inv.pairs))
-    return _fraction((2 - 2 * inv.genus) * lcm - sum((a - 1) * (lcm // a) for a, _ in inv.pairs), lcm)
+    """Orbifold Euler characteristic 2 - 2g - sum(1 - 1/a_i) of the base."""
+    lcm, _, _, chi = _over_lcm(inv, "orbifold_chi")
+    return _fraction(chi, lcm)
 
 
 def classify_geometry(inv: SeifertInvariants) -> GeometryTag:
     """SL2R_TILDE exactly when e != 0 and the base orbifold is hyperbolic."""
-    _require_closed(inv, "classify_geometry")
-    if euler_number(inv) != 0 and orbifold_chi(inv) < 0:
-        return GeometryTag.SL2R_TILDE
-    return GeometryTag.OTHER
+    _, _, e, chi = _over_lcm(inv, "classify_geometry")
+    return GeometryTag.SL2R_TILDE if e and chi < 0 else GeometryTag.OTHER
 
 
 def dehn_fill(
@@ -169,10 +174,11 @@ def circle_bundle(genus: int, euler: int) -> SeifertInvariants:
 
 
 def _require_bundle(inv: SeifertInvariants, what: str) -> int:
-    _require_closed(inv, what)
-    if any(a != 1 for a, _ in inv.pairs):
+    """The integer Euler number of a closed circle bundle."""
+    lcm, _, e, _ = _over_lcm(inv, what)
+    if lcm != 1:
         raise ValueError(f"{what} requires a circle bundle (all multiplicities 1)")
-    return sum(b for _, b in inv.pairs)
+    return e
 
 
 def fiber_cover(inv: SeifertInvariants, degree: int) -> SeifertInvariants:
@@ -204,14 +210,17 @@ def base_cover(inv: SeifertInvariants, degree: int) -> SeifertInvariants:
 _TOKEN = re.compile(r"\s*(?:(-?\d+)|([();,/])|(\S))")
 
 
-def _read_int(token: str, pos: int, what: str) -> int:
-    """``int(token)``; a token longer than Python converts (4300 digits
-    by default) is a ``ParseError`` naming ``what`` at its position."""
+def _read(token: str, pos: int, what: str) -> int:
+    """``int(token)``; one too long to read is a ``ParseError`` naming
+    ``what`` at its position."""
     try:
         return int(token)
     except ValueError:
-        limit = sys.get_int_max_str_digits()
-        raise ParseError(f"{what} is too long to read: over {limit} digits", pos) from None
+        pass
+    try:
+        return _read_int(token, what)  # fails again, with the error's text
+    except ValueError as exc:
+        raise ParseError(str(exc), pos) from None
 
 
 def parse_seifert(text: str) -> SeifertInvariants:
@@ -235,7 +244,7 @@ def parse_seifert(text: str) -> SeifertInvariants:
     tok, pos = tokens[1]
     if tok in "();,/":
         raise ParseError(f"expected genus, found {tok or 'end of input'}", pos)
-    genus = _read_int(tok, pos, "genus")
+    genus = _read(tok, pos, "genus")
     if genus < 0:
         raise ParseError("negative genus (non-orientable bases are not supported)", pos)
     tok, pos = tokens[2]
@@ -248,13 +257,13 @@ def parse_seifert(text: str) -> SeifertInvariants:
         tok, pos = tokens[i]
         if tok in "();,/":
             raise ParseError(f"expected numerator of pair {k}, found {tok or 'end of input'}", pos)
-        b, a = _read_int(tok, pos, f"numerator of pair {k}"), 1
+        b, a = _read(tok, pos, f"numerator of pair {k}"), 1
         i += 1
         if tokens[i][0] == "/":
             tok, pos = tokens[i + 1]
             if tok in "();,/":
                 raise ParseError(f"expected multiplicity of pair {k}, found {tok or 'end of input'}", pos)
-            a = _read_int(tok, pos, f"multiplicity of pair {k}")
+            a = _read(tok, pos, f"multiplicity of pair {k}")
             i += 2
         # pos is the multiplicity's, or the numerator's when there is none
         try:

@@ -1066,6 +1066,109 @@ def test_graph_integer_over_digit_limit_is_named(capsys, tmp_path, action, text,
     assert run(capsys, "graph", action, str(path)) == (1, "", err)
 
 
+LONG_DECIMAL = "0." + LONG
+TOO_LONG = f"is too long to read: over {LIMIT} digits"
+
+
+@pytest.mark.parametrize(
+    "argv, doc, message",
+    [
+        (
+            ("cs", "jacobi"),
+            {"basis": ["A", "B"], "brackets": [["A", "B", {"A": LONG_DECIMAL}]]},
+            f"brackets[0][2].A: the value {TOO_LONG}",
+        ),
+        (
+            ("graph", "validate"),
+            _set("1/" + LONG, "cases", 0, "assignments", 0, "coeff")(_graph_doc()),
+            f"cases[0].assignments[0]: the value {TOO_LONG}",
+        ),
+        (
+            ("graph", "additivity"),
+            _set(LONG, "cases", 0, "assignments", 1, "exact")(_graph_doc()),
+            f"cases[0].assignments[1]: the value {TOO_LONG}",
+        ),
+        (("graph", "rw"), _ratio_doc(("a", "b", LONG_DECIMAL)), f"edges[0][2]: the value {TOO_LONG}"),
+        (
+            ("graph", "validate"),
+            _set([[LONG, 1]], "cases", 0, "killed_slopes")(_graph_doc()),
+            f"cases[0]: malformed entry (killed_slopes[0][0] {TOO_LONG})",
+        ),
+    ],
+    ids=["structure_constant", "coeff", "exact", "ratio", "case_killed_slope"],
+)
+def test_document_values_over_digit_limit_are_named_not_echoed(capsys, tmp_path, argv, doc, message):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert run(capsys, *argv, str(path)) == (1, "", f"error: {message}\n")
+
+
+def test_coefficient_argument_over_digit_limit_is_named(capsys):
+    with pytest.raises(SystemExit) as exit:
+        main(["seifert", "witnesses", "(1; 1/2, 1/2)", LONG])
+    assert exit.value.code == 2
+    message = f"argument coeff: not a rational number: the value {TOO_LONG}"
+    assert capsys.readouterr() == ("", f"repvol seifert witnesses: error: {message}\n")
+
+
+N = "9" * 4300  # the most digits Python converts; the answers below have more
+WIDE_GLUING = {
+    "pieces": [{"id": "P", "kind": "hyperbolic", "label": "p", "slots": ["t", "u"]}],
+    "edges": [{"a": ["P", "t"], "b": ["P", "u"], "gluing": [[int(N[:4000])] * 2, [int(N[:4000]), -int(N[:4000])]]}],
+}
+
+# the gluing has determinant -1, and pushes the slope (Y, 1) to (Y, X*Y - 1)
+WIDE_SLOPE = {
+    "pieces": [
+        {"id": name, "kind": "seifert", "genus": 1, "pairs": [], "slots": ["t"]} for name in ("P", "Q")
+    ],
+    "edges": [
+        {"a": ["P", "t"], "b": ["Q", "t"], "gluing": [[1, 0], [int("7" * 4000), -1]], "killed_slope": [int("3" * 4000), 1]}
+    ],
+    "assignments": [
+        {"piece": "Q", "assign": "filled", "fillings": {"t": [1, 0]}, "coeff": "0"},
+        {"piece": "P", "assign": "filled", "fillings": {"t": [int("3" * 4000), 1]}, "coeff": "0"},
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        (("seifert", "volumes", f"(2; {N}, {N})"), "volume coefficient"),
+        (("seifert", "volumes", f"(2; {N}, {N})", "--json"), "volume coefficient"),
+        (("seifert", "witnesses", f"(2; {N}, -{N[:-1]}8)", "4"), "witness z-value"),
+        (("seifert", "witnesses", f"(2; {N}, -{N[:-1]}8)", "4", "--json"), "witness z-value"),
+        (("seifert", "volumes", f"(1; {N}, {N})"), "Euler number"),
+        (("seifert", "sv", f"(1; {N}, {N})"), "Euler number"),
+        (("seifert", "witnesses", f"(1; {N}, {N})", "0"), "Euler number"),
+        (("seifert", "witnesses", "(1; 1/2, 1/2)", "0." + N), "coefficient"),
+        (("graph", "additivity", _set("0." + N, "cases", 0, "assignments", 0, "coeff")(_graph_doc())), "coefficient"),
+        (("graph", "validate", WIDE_GLUING), "edge 0: gluing determinant"),
+        (("graph", "additivity", WIDE_SLOPE), "killed slope"),
+    ],
+    ids=[
+        "volumes",
+        "volumes_json",
+        "witnesses",
+        "witnesses_json",
+        "volumes_zero_chi",
+        "sv_zero_chi",
+        "witnesses_zero_chi",
+        "witness_coefficient",
+        "filled_coefficient",
+        "gluing_determinant",
+        "pushed_killed_slope",
+    ],
+)
+def test_numbers_too_long_to_print_are_named(capsys, tmp_path, argv, what):
+    if isinstance(argv[-1], dict):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(argv[-1]))
+        argv = (*argv[:-1], str(path))
+    assert run(capsys, *argv) == (1, "", f"error: {what} is too large to print: over {LIMIT} digits\n")
+
+
 def test_oracle_window_counts_against_max_values(capsys):
     # (1; 1/2, 1/2): B = 2 + 2 + 4 = 8, so the window is 17^2 = 289 tuples
     code, _, err = run(capsys, "seifert", "volumes", "(1; 1/2, 1/2)", "--oracle", "--max-values", "288")

@@ -10,8 +10,10 @@ The strategies reach every refusal path: the spectrum and oracle budget
 (fibre orders from 10^6 up, a huge genus), exponent rationals such as
 ``1e999999999``, non-finite JSON numbers, and JSON nested too deep to
 decode, as well as an integer over Python's 4300-digit limit in a Seifert
-symbol or a document (as a JSON number or a string) and ``--decimal`` on
-an answer past the float range.  Random
+symbol or a document (as a JSON number or a string), ``--decimal`` on
+an answer past the float range, and an answer or a refusal that shows a
+number too long to print (a spectrum, a witness, e, a gluing
+determinant).  Random
 draws reach some of these only now and then, so each also has an
 explicit example that always runs.  Example counts are fixed and derandomized, so a failure
 reproduces.  Each in-process run is stopped after ``LIMIT_S`` seconds,
@@ -40,6 +42,8 @@ from hypothesis import strategies as st
 from repvol.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
+N = "9" * 4300  # the most digits Python converts: numbers built from it print as more
+WIDE = int("9" * 4000)  # a gluing of four of these has a determinant too long to print
 DATA = resources.files("repvol").joinpath("data")
 LIMIT_S = 60
 
@@ -196,6 +200,14 @@ command_argv = st.one_of(
 @example(["seifert", "volumes", "(1; 1/2, 1/2)", "--witnesses", "1e99999999"])
 @example(["seifert", "sv", "(1" + "0" * 200 + "; 1/2, 1/3)", "--decimal"])
 @example(["seifert", "info", "(" + "9" * 5000 + ";)"])
+# numbers too long to print, in answers and in refusals
+@example(["seifert", "volumes", f"(2; {N}, {N})"])
+@example(["seifert", "volumes", f"(2; {N}, {N})", "--json"])
+@example(["seifert", "witnesses", f"(2; {N}, -{N[:-1]}8)", "4"])
+@example(["seifert", "volumes", f"(1; {N}, {N})"])
+@example(["seifert", "sv", f"(1; {N}, {N})"])
+@example(["seifert", "witnesses", f"(1; {N}, {N})", "0"])
+@example(["seifert", "witnesses", "(1; 1/2, 1/2)", "0." + N])
 def test_fuzzed_argv_keeps_the_exit_contract(argv):
     code, err = run_cli(argv)
     check_outcome(argv, code, err)
@@ -309,6 +321,8 @@ def _seed(marker, path, value):
 @example(_seed('"filled"', ("pieces", 0, "pairs", 0, 1), HUGE_INT))
 @example(_seed('"vertices"', ("edges", 0, 2), HUGE_INT))
 @example(_seed('"basis"', ("brackets", 0, 2, "Y"), HUGE_INT))
+@example(_seed('"filled"', ("edges", 0, "gluing"), [[WIDE, WIDE], [WIDE, -WIDE]]))
+@example(_seed('"filled"', ("assignments", 0, "coeff"), "0." + N))
 def test_fuzzed_documents_keep_the_exit_contract(tmp_path_factory, drawn):
     text, commands = drawn
     doc_path = tmp_path_factory.mktemp("fuzz") / "doc.json"

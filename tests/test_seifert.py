@@ -2,6 +2,7 @@
 orbifold characteristic, geometry classification, fillings, covers."""
 
 import math
+import random
 import sys
 from fractions import Fraction
 
@@ -221,11 +222,33 @@ def _primes_from(start, count):
     ids=["no_pairs", "no_pairs_genus_three", "a_one", "a_one_mixed", "negative_b", "repeated_moduli", "shared_factors", "large_lcm"],
 )
 def test_euler_number_and_chi_match_fraction_sums(genus, pairs):
-    inv = SeifertInvariants(genus=genus, pairs=pairs)
-    e = sum((Fraction(b, a) for a, b in pairs), Fraction(0))
-    chi = 2 - 2 * genus - sum((1 - Fraction(1, a) for a, _ in pairs), Fraction(0))
+    _check_against_fraction_sums(SeifertInvariants(genus=genus, pairs=pairs))
+
+
+def _check_against_fraction_sums(inv):
+    """e, chi and the geometry, as the integer sums over lcm(a_i) give
+    them, against plain ``Fraction`` sums; returns the geometry."""
+    e = sum((Fraction(b, a) for a, b in inv.pairs), Fraction(0))
+    chi = 2 - 2 * inv.genus - sum((1 - Fraction(1, a) for a, _ in inv.pairs), Fraction(0))
     for got, expected in ((euler_number(inv), e), (orbifold_chi(inv), chi)):
         assert type(got) is Fraction and repr(got) == repr(expected) and hash(got) == hash(expected)
+    geometry = classify_geometry(inv)
+    assert geometry is (GeometryTag.SL2R_TILDE if e != 0 and chi < 0 else GeometryTag.OTHER)
+    return geometry
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_geometry_matches_fraction_sums_on_seeded_symbols(seed):
+    rng = random.Random(f"geometry-{seed}")
+    seen = set()
+    for _ in range(300):
+        pairs = []
+        for _ in range(rng.randint(0, 5)):  # the no-pair case included
+            a = rng.choice([1, 1, 2, 3, 4, 6, rng.randint(1, 60)])  # a_i = 1 often
+            b = rng.choice([b for b in range(-3 * a, 3 * a + 1) if math.gcd(a, abs(b)) == 1])
+            pairs.append((a, b))
+        seen.add(_check_against_fraction_sums(SeifertInvariants(rng.randint(0, 3), tuple(pairs))))
+    assert seen == set(GeometryTag)
 
 
 def test_classify_geometry():
