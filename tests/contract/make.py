@@ -13,6 +13,16 @@ warning), ``mc_differential``, ``bracket_two_form``, ``d``, the form
 operators and ``exactness_split`` (the primitive, ``None``, or the
 refusal text).
 
+The ``scalars`` key covers ``repvol.exact``'s scalars and the trace
+code of ``repvol.liecs``: every operator of ``GaussianRational`` and
+``PiScalar`` on seeded operands (equal and unequal denominators, real
+values, zero, and int and ``Fraction`` operands on either side, pi
+powers -2, 0 and 1), with its result or its refusal; equality, hashing,
+``str`` and the reprs of copy and pickle round trips; ``chern_poly_coeffs``
+on seeded traceless 2x2 and antisymmetric 3x3 matrices, with one shared
+pi power or mixed powers; and the canned ``sl2c_gram`` and
+``iso_sl2r_gram``.
+
 The ``graphs`` key covers ``repvol.jsj``: seeded chain, tree and cycle
 documents with top-level assignments, named ``cases`` with
 ``killed_slopes``, or none, whose pieces are filled, direct (exact or
@@ -33,7 +43,9 @@ to it is a deliberate contract change.  Rewrite it with
 from __future__ import annotations
 
 import argparse
+import copy
 import hashlib
+import pickle
 import itertools
 import json
 import math
@@ -46,6 +58,9 @@ from repvol.exact import GaussianRational, PiScalar
 from repvol.jsj import additivity_sum, load_graph_document, rw_consistency, validate_spec
 from repvol.liecs import (
     ExteriorForm,
+    chern_poly_coeffs,
+    iso_sl2r_gram,
+    sl2c_gram,
     GramForm,
     LieAlgebraSpec,
     bracket_two_form,
@@ -189,7 +204,7 @@ def _outcome(call, *args):
         warnings.simplefilter("always")
         try:
             text = repr(call(*args))
-        except (ValueError, TypeError, RuntimeError) as exc:
+        except (ValueError, TypeError, RuntimeError, ZeroDivisionError) as exc:
             text = f"{type(exc).__name__}: {exc}"
     return text + "".join(f"\nwarning: {w.message}" for w in caught)
 
@@ -311,6 +326,113 @@ def forms_digests() -> dict[str, str]:
     for dim in range(3, 13):
         name = f"broken{dim}"
         out.update(_broken_case(name, random.Random(name), dim))
+    return dict(sorted(out.items()))
+
+
+# ---------------------------------------------------------------- scalar operators
+
+# Powers of pi that the paper's forms carry: pi^-2 on the hyperbolic
+# side, pi^0 and pi^1 on the way there.
+POWERS = (-2, 0, 1)
+OPERATORS = {
+    "add": lambda x, y: x + y,
+    "sub": lambda x, y: x - y,
+    "mul": lambda x, y: x * y,
+    "div": lambda x, y: x / y,
+}
+
+
+def _gaussian_operands(rng):
+    """Seeded ``GaussianRational``s: zero, reals, pure imaginaries, and
+    runs of values over one shared denominator and over coprime ones."""
+    small = lambda: rng.randint(-9, 9)
+    out = [G(), G(1), G(-1), G(0, 1)]
+    for _ in range(3):
+        out.append(G(Fraction(small(), rng.randint(1, 12))))
+        out.append(G(0, Fraction(small() or 1, rng.randint(1, 12))))
+    for den in (6, 35):  # equal denominators
+        for _ in range(3):
+            out.append(G(Fraction(small(), den), Fraction(small(), den)))
+    for den in (4, 9, 25):  # pairwise coprime denominators
+        out.append(G(Fraction(small(), den), Fraction(small() or 1, rng.randint(1, 7))))
+    return out
+
+
+def _pi_operands(rng, gaussians):
+    """Seeded ``PiScalar``s: each of a few coefficients, zero among them,
+    at every power in ``POWERS``."""
+    coefficients = [G(), G(1)] + rng.sample(gaussians[4:], 4)
+    return [PiScalar(c, p) for c in coefficients for p in POWERS]
+
+
+def _scalar_rows(x, others):
+    """The text lines of one operand: each operator on (x, y) and, for y of
+    another type, on (y, x), with the repr of its result or the refusal;
+    equality both ways; then str, truth, negation, the hash rule, and the
+    reprs of copy, deep copy and pickle round trips."""
+    rows = []
+    for y in others:
+        for name, op in OPERATORS.items():
+            rows.append(f"{x!r} {name} {y!r}: {_outcome(op, x, y)}")
+            if type(y) is not type(x):
+                rows.append(f"{y!r} {name} {x!r}: {_outcome(op, y, x)}")
+        rows.append(f"{x!r} == {y!r}: {x == y} {y == x} {x != y}")
+    fields = (x.re, x.im, x.conjugate()) if type(x) is G else (x.coeff, x.pi_power)
+    clones = [copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))]
+    rows.append(f"str {x} bool {bool(x)} neg {-x!r} fields {fields!r} hash {hash(x) == hash(fields[:2])}")
+    rows.append(f"clones {[repr(c) for c in clones]} {[c == x and hash(c) == hash(x) for c in clones]}")
+    return rows
+
+
+def _matrix(rng, gaussians, n, mode):
+    """A seeded traceless 2x2 (``n`` = 2) or antisymmetric 3x3 matrix of
+    ``PiScalar``s.  ``mode`` "shared" gives every entry one pi power,
+    "paired" one per entry and its negative (so that the shape checks
+    pass and the sums see the mixed powers), "scattered" one per entry."""
+    shared = rng.choice(POWERS)
+    power = lambda: shared if mode == "shared" else rng.choice(POWERS)
+    pick = lambda: rng.choice(gaussians)
+    if n == 2:
+        a, p = pick(), power()
+        q = p if mode == "paired" else power()
+        return [[PiScalar(a, p), PiScalar(pick(), power())], [PiScalar(pick(), power()), PiScalar(-a, q)]]
+    rows = [[PiScalar(G(), power()) for _ in range(3)] for _ in range(3)]
+    for i, j in itertools.combinations(range(3), 2):
+        c, p = pick(), power()
+        q = p if mode == "paired" else power()
+        rows[i][j], rows[j][i] = PiScalar(c, p), PiScalar(-c, q)
+    return rows
+
+
+def scalars_digests() -> dict[str, str]:
+    rng = random.Random("scalars")
+    gaussians = _gaussian_operands(rng)
+    plain = [0, 1, -3, rng.randint(2, 99), Fraction(0), Fraction(-2, 3), Fraction(rng.randint(1, 50), rng.randint(2, 50))]
+    pis = _pi_operands(rng, gaussians)
+    out = {"grams": _digest(repr(sl2c_gram()), repr(iso_sl2r_gram()))}
+    for i, x in enumerate(gaussians):
+        out[f"gaussian{i}"] = _digest(*_scalar_rows(x, gaussians + plain))
+    for i, x in enumerate(pis):
+        rows = _scalar_rows(x, pis + gaussians[:8] + plain)
+        rows += [f"of {v!r} {x.pi_power}: {_outcome(PiScalar.of, v, x.pi_power)}" for v in (x, x.coeff, *plain[:3])]
+        out[f"pi{i}"] = _digest(*rows)
+    for n, kind in ((2, "chern"), (3, "pontrjagin")):
+        for mode in ("shared", "paired", "scattered"):
+            for k in range(12):
+                matrix = _matrix(rng, gaussians, n, mode)
+                out[f"{kind}-{mode}{k}"] = _digest(repr(matrix), _outcome(chern_poly_coeffs, matrix, kind))
+    refused = [
+        ([[1, 2], [3, 4]], "chern"),
+        ([[1, 0, 0], [0, 0, 0], [0, 0, -1]], "chern"),
+        ([[0, 1], [-1, 0], [0, 0]], "chern"),
+        ([[0, 1], [-1, 0]], "pontrjagin"),
+        ([[0, 1, 2], [1, 0, 3], [-2, -3, 0]], "pontrjagin"),
+        ([[0, 1], [-1, 0]], "euler"),
+        ([[0, Fraction(1, 2)], [Fraction(-1, 2), 0]], "chern"),
+        ([[0, 1, 0], [-1, 0, G(0, 2)], [0, G(0, -2), 0]], "pontrjagin"),
+    ]
+    for k, (matrix, kind) in enumerate(refused):
+        out[f"plain{k}"] = _digest(repr(matrix), kind, _outcome(chern_poly_coeffs, matrix, kind))
     return dict(sorted(out.items()))
 
 
@@ -683,7 +805,7 @@ def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default=str(LIBRARY))
     args = parser.parse_args(argv)
-    corpus = {"forms": forms_digests(), "graphs": graphs_digests()}
+    corpus = {"forms": forms_digests(), "graphs": graphs_digests(), "scalars": scalars_digests()}
     Path(args.out).write_text(json.dumps(corpus, indent=1, sort_keys=True) + "\n", "utf-8")
 
 

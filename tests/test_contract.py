@@ -28,6 +28,13 @@ def test_graphs_corpus_replays():
     assert [name for name in stored if got[name] != stored[name]] == []
 
 
+def test_scalars_corpus_replays():
+    stored = json.loads(make.LIBRARY.read_text("utf-8"))["scalars"]
+    got = make.scalars_digests()
+    assert sorted(got) == sorted(stored)
+    assert [name for name in stored if got[name] != stored[name]] == []
+
+
 def test_generator_is_deterministic(tmp_path):
     # another process, with another string hash seed, writes the same bytes
     out = tmp_path / "library.json"
