@@ -39,22 +39,31 @@ def _fraction_arg(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _int_arg(text: str, refusal: str = "") -> int:
+    """``int(text)`` for an option value.  One too long to read is named
+    by ``_read_int``, where argparse would echo every digit; other text
+    that is not an integer is refused with ``refusal``, by default
+    argparse's own ``invalid int value: '<text>'``."""
+    try:
+        return _read_int(text, "the value")
+    except ValueError as exc:
+        message = str(exc)
+        if not message.startswith("the value "):  # int()'s own refusal
+            message = refusal or f"invalid int value: {text!r}"
+    raise argparse.ArgumentTypeError(message)
+
+
 def _budget_arg(text: str) -> int:
     """A ``--max-values`` N: an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    value = _int_arg(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
 
 
 def _int_list(text: str) -> list[int]:
-    try:
-        return [int(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}")
+    refusal = f"not a comma-separated integer list: {text!r}"
+    return [_int_arg(part, refusal) for part in text.split(",") if part.strip() != ""]
 
 
 def _read_json(path: str):
@@ -127,7 +136,7 @@ def _cmd_seifert(args: argparse.Namespace) -> int:
 
     if args.action == "volumes":
         if args.oracle:
-            ehn._check_budget(ehn._oracle_window(inv), args.max_values, "oracle tuples", _MAX_VALUES_HINT)
+            ehn._check_budget(ehn._oracle_window(inv), args.max_values, "oracle (tuple, n) pairs", _MAX_VALUES_HINT)
         spectrum = ehn.volume_set(inv)
         if args.oracle and ehn.volume_set_bruteforce(inv) != spectrum:
             raise RuntimeError("oracle disagreement: brute-force window differs from enumeration")
@@ -157,16 +166,14 @@ def _cmd_seifert(args: argparse.Namespace) -> int:
             _emit([f"max (enumeration) {shown}", f"max (closed form) {shown}"])
         return 0
 
-    if args.action == "foliation":
-        slopes = [Fraction(b, a) for a, b in inv.pairs]
-        exists = ehn.foliation_exists(inv.genus, slopes)
-        if args.json:
-            _emit_json({"exists": exists})
-        else:
-            print("yes" if exists else "no")
-        return 0
-
-    raise AssertionError(f"unhandled seifert action {args.action}")
+    # foliation
+    slopes = [Fraction(b, a) for a, b in inv.pairs]
+    exists = ehn.foliation_exists(inv.genus, slopes)
+    if args.json:
+        _emit_json({"exists": exists})
+    else:
+        print("yes" if exists else "no")
+    return 0
 
 
 # ---------------------------------------------------------------- cs
@@ -220,18 +227,17 @@ def _cmd_cs(args: argparse.Namespace) -> int:
         else:
             _emit(_verify_psl2c())
         return 0
-    if args.action == "jacobi":
-        from . import liecs
+    from . import liecs
 
-        spec = liecs.algebra_from_json(_read_json(args.file))
-        violation = liecs.validate_jacobi(spec)
-        if violation is None:
-            print("ok")
-            return 0
-        print(f"violation at ({', '.join(violation.triple)})")
-        print("error: jacobi identity fails", file=sys.stderr)
-        return 1
-    raise AssertionError(f"unhandled cs action {args.action}")
+    # jacobi
+    spec = liecs.algebra_from_json(_read_json(args.file))
+    violation = liecs.validate_jacobi(spec)
+    if violation is None:
+        print("ok")
+        return 0
+    print(f"violation at ({', '.join(violation.triple)})")
+    print("error: jacobi identity fails", file=sys.stderr)
+    return 1
 
 
 # ---------------------------------------------------------------- graph
@@ -285,20 +291,18 @@ def _cmd_graph(args: argparse.Namespace) -> int:
         print(f"error: invalid spec: {len(problems)} problem(s)", file=sys.stderr)
         return 1
 
-    if args.action == "additivity":
-        totals = [(name, jsj.additivity_sum(spec, assignments)) for name, spec, assignments in document.cases]
-        # every total is rendered before any line is printed: one too long
-        # to print, or with --decimal past the float range, is refused
-        shown = [(name, render_volume(total, decimal=args.decimal)) for name, total in totals]
-        if args.json:
-            _emit_json(dict(shown))
-        elif len(shown) == 1 and shown[0][0] == "default":
-            print(shown[0][1])
-        else:
-            _emit([f"{name}: {text}" for name, text in shown])
-        return 0
-
-    raise AssertionError(f"unhandled graph action {args.action}")
+    # additivity
+    totals = [(name, jsj.additivity_sum(spec, assignments)) for name, spec, assignments in document.cases]
+    # every total is rendered before any line is printed: one too long
+    # to print, or with --decimal past the float range, is refused
+    shown = [(name, render_volume(total, decimal=args.decimal)) for name, total in totals]
+    if args.json:
+        _emit_json(dict(shown))
+    elif len(shown) == 1 and shown[0][0] == "default":
+        print(shown[0][1])
+    else:
+        _emit([f"{name}: {text}" for name, text in shown])
+    return 0
 
 
 # ---------------------------------------------------------------- covers
@@ -314,13 +318,11 @@ def _cmd_covers(args: argparse.Namespace) -> int:
     elif args.action == "elevations":
         datum = covers_mod.TorusCoverDatum(args.torus, args.curve)
         payload = {"elevations": covers_mod.elevation_count(datum)}
-    elif args.action == "intersection":
+    else:  # intersection
         value = covers_mod.cover_intersection(
             args.number, args.deg_f, args.deg_s, args.deg_torus
         )
         payload = {"intersection": value}
-    else:
-        raise AssertionError(f"unhandled covers action {args.action}")
     # --json prints every count too, so each is checked first
     shown = {}
     for key, value in payload.items():
@@ -388,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
         if action in ("volumes", "witnesses"):
             refused = "spectra that may exceed N values"
             if action == "volumes":
-                refused += ", and --oracle windows of more than N tuples"
+                refused += ", and --oracle windows of more than N (tuple, n) pairs"
             p.add_argument(
                 "--max-values",
                 type=_budget_arg,
@@ -426,18 +428,18 @@ def build_parser() -> argparse.ArgumentParser:
     c_sub = p_covers.add_subparsers(dest="action", required=True)
     p_merge = c_sub.add_parser("merge")
     p_merge.add_argument("--degrees", type=_int_list, required=True)
-    p_merge.add_argument("--m", type=int, required=True)
+    p_merge.add_argument("--m", type=_int_arg, required=True)
     p_colored = c_sub.add_parser("colored")
     p_colored.add_argument("--k", type=_int_list, required=True)
     p_colored.add_argument("--l", type=_int_list, required=True)
     p_elev = c_sub.add_parser("elevations")
-    p_elev.add_argument("--torus", type=int, required=True, help="torus cover degree")
-    p_elev.add_argument("--curve", type=int, required=True, help="curve cover degree")
+    p_elev.add_argument("--torus", type=_int_arg, required=True, help="torus cover degree")
+    p_elev.add_argument("--curve", type=_int_arg, required=True, help="curve cover degree")
     p_inter = c_sub.add_parser("intersection")
-    p_inter.add_argument("--number", type=int, required=True, help="intersection number downstairs")
-    p_inter.add_argument("--deg-f", type=int, required=True)
-    p_inter.add_argument("--deg-s", type=int, required=True)
-    p_inter.add_argument("--deg-torus", type=int, required=True)
+    p_inter.add_argument("--number", type=_int_arg, required=True, help="intersection number downstairs")
+    p_inter.add_argument("--deg-f", type=_int_arg, required=True)
+    p_inter.add_argument("--deg-s", type=_int_arg, required=True)
+    p_inter.add_argument("--deg-torus", type=_int_arg, required=True)
     for p in (p_merge, p_colored, p_elev, p_inter):
         p.add_argument("--json", action="store_true")
         p.set_defaults(handler=_cmd_covers)
@@ -446,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     case_sub = p_cases.add_subparsers(dest="action", required=True)
     p_motegi = case_sub.add_parser("motegi")
     for name in ("p1", "q1", "p2", "q2"):
-        p_motegi.add_argument(name, type=int)
+        p_motegi.add_argument(name, type=_int_arg)
     p_motegi.add_argument("--json", action="store_true")
     p_motegi.set_defaults(handler=_cmd_cases)
 

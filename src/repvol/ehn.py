@@ -225,8 +225,12 @@ def _oracle_bound(inv: SeifertInvariants) -> int:
 
 
 def _oracle_window(inv: SeifertInvariants) -> int:
-    """How many tuples ``volume_set_bruteforce`` tests."""
-    return (2 * _oracle_bound(inv) + 1) ** len(inv.pairs)
+    """How many (tuple, n) pairs ``volume_set_bruteforce`` tests, for the
+    genus >= 1 it runs on: each of its (2B+1)^p tuples walks at most
+    min(2B+1, p + 4g - 3) values of n, since its range of n is
+    ceil_sum - floor_sum + 4g - 3 <= p + 4g - 3 wide and lies in [-B, B]."""
+    width, p = 2 * _oracle_bound(inv) + 1, len(inv.pairs)
+    return width**p * min(width, p + 4 * inv.genus - 3)
 
 
 def _witness(

@@ -5,12 +5,12 @@ positive denominator, arbitrary precision).  On top of that this module
 provides Gaussian rationals, rational multiples of integer powers of pi,
 and the tagged volume values produced by the enumeration code.
 
-``GaussianRational`` and ``PiScalar`` are immutable ``__slots__`` classes.
-A ``GaussianRational`` holds three ints ``(a, b, den)``, the value
-``(a + b*i) / den``, with ``den > 0`` and ``gcd(a, b, den) == 1``, so
-each value has one representation (zero is ``(0, 0, 1)``).  Arithmetic
-works on the ints, with one ``math.gcd`` per result; ``re`` and ``im``
-are ``Fraction``s built on demand.  A ``PiScalar`` holds a
+``GaussianRational`` is an immutable ``__slots__`` class holding three
+ints ``(a, b, den)``, the value ``(a + b*i) / den``, with ``den > 0`` and
+``gcd(a, b, den) == 1``, so each value has one representation (zero is
+``(0, 0, 1)``).  Each operator has one arithmetic path on the ints, with
+one ``math.gcd`` per result; ``re`` and ``im`` are ``Fraction``s built
+on demand.  A ``PiScalar`` is a record (``_Record``, below) of a
 ``GaussianRational`` coefficient and an int power of pi.
 
 ``__post_init__`` is the single place values are normalized (the triple
@@ -353,8 +353,6 @@ class GaussianRational(_Frozen):
         if type(other) is not GaussianRational:
             other = GaussianRational.of(other)
         d, f = self._den, other._den
-        if d == f:
-            return _gaussian(self._a + other._a, self._b + other._b, d)
         return _gaussian(self._a * f + other._a * d, self._b * f + other._b * d, d * f)
 
     __radd__ = __add__
@@ -363,22 +361,15 @@ class GaussianRational(_Frozen):
         return _gaussian(-self._a, -self._b, self._den)
 
     def __sub__(self, other: "GaussianLike") -> "GaussianRational":
-        if type(other) is not GaussianRational:
-            other = GaussianRational.of(other)
-        d, f = self._den, other._den
-        if d == f:
-            return _gaussian(self._a - other._a, self._b - other._b, d)
-        return _gaussian(self._a * f - other._a * d, self._b * f - other._b * d, d * f)
+        return self + -GaussianRational.of(other)
 
     def __rsub__(self, other: "GaussianLike") -> "GaussianRational":
-        return GaussianRational.of(other) - self
+        return -self + other
 
     def __mul__(self, other: "GaussianLike") -> "GaussianRational":
         if type(other) is not GaussianRational:
             other = GaussianRational.of(other)
         a, b, c, e = self._a, self._b, other._a, other._b
-        if not b and not e:
-            return _gaussian(a * c, 0, self._den * other._den)
         return _gaussian(a * c - b * e, a * e + b * c, self._den * other._den)
 
     __rmul__ = __mul__
@@ -390,13 +381,9 @@ class GaussianRational(_Frozen):
         # ((a + b i) / d) / ((c + e i) / f) = (a + b i)(c - e i) f / (d (c^2 + e^2))
         if type(other) is not GaussianRational:
             other = GaussianRational.of(other)
+        if not other:
+            raise ZeroDivisionError("division by zero gaussian rational")
         a, b, c, e, f = self._a, self._b, other._a, other._b, other._den
-        if not e:
-            if not c:
-                raise ZeroDivisionError("division by zero gaussian rational")
-            if c < 0:
-                a, b, c = -a, -b, -c
-            return _gaussian(a * f, b * f, self._den * c)
         return _gaussian((a * c + b * e) * f, (b * c - a * e) * f, self._den * (c * c + e * e))
 
     def __rtruediv__(self, other: "GaussianLike") -> "GaussianRational":
@@ -453,7 +440,7 @@ GAUSSIAN_ONE = GaussianRational(Fraction(1))
 GAUSSIAN_I = GaussianRational(Fraction(0), Fraction(1))
 
 
-class PiScalar(_Frozen):
+class PiScalar(_Record):
     """A gaussian-rational coefficient times an integer power of pi.
 
     Zero is canonical: its pi power is normalized to 0 so equality and
@@ -462,12 +449,8 @@ class PiScalar(_Frozen):
     identity for any power.
     """
 
-    __slots__ = ("coeff", "pi_power")
-
-    def __init__(self, coeff: "GaussianLike" = GAUSSIAN_ZERO, pi_power: int = 0) -> None:
-        _set(self, "coeff", coeff)
-        _set(self, "pi_power", pi_power)
-        self.__post_init__()
+    coeff: GaussianRational = GAUSSIAN_ZERO
+    pi_power: int = 0
 
     def __post_init__(self) -> None:
         coeff = self.coeff
@@ -484,20 +467,6 @@ class PiScalar(_Frozen):
                 raise ValueError("cannot re-tag an existing PiScalar with a power")
             return value
         return _pi(GaussianRational.of(value), pi_power)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.pi_power == other.pi_power and self.coeff == other.coeff
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.coeff, self.pi_power))
-
-    def __repr__(self) -> str:
-        return f"PiScalar(coeff={self.coeff!r}, pi_power={self.pi_power!r})"
-
-    def __reduce__(self):
-        return PiScalar, (self.coeff, self.pi_power)
 
     def __bool__(self) -> bool:
         return bool(self.coeff)

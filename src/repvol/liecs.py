@@ -86,6 +86,12 @@ def _ints(terms: Sequence[tuple[tuple[int, ...], PiScalar]]) -> tuple[int, list]
     return den, [(i, *_pair(c.coeff, den), c.pi_power) for i, c in terms]
 
 
+def _vector(column: Mapping[int, Pair], den: int, dim: int) -> tuple[PiScalar, ...]:
+    """The pi-free coordinate vector of length ``dim`` whose entry i is
+    ``column[i]`` over ``den``, and zero where ``column`` has none."""
+    return tuple(_pi(_gaussian(*column[i], den), 0) if i in column else PI_ZERO for i in range(dim))
+
+
 def _add(acc: _Sums, key: tuple[int, ...], re: int, im: int, power: int) -> None:
     """acc[key] += (re + im*i) * pi^power, the power by ``_pi_power``."""
     old = acc.setdefault(key, [0, 0, power])
@@ -171,8 +177,7 @@ class LieAlgebraSpec(_Record):
 
     def bracket(self, j: int, k: int) -> tuple[PiScalar, ...]:
         """Coordinates of [X_j, X_k] for any index order."""
-        den, column = self._den, self._table.get((j, k), _NO_TERMS)
-        return tuple(_pi(_gaussian(*column[i], den), 0) if i in column else PI_ZERO for i in range(self.dim))
+        return _vector(self._table.get((j, k), _NO_TERMS), self._den, self.dim)
 
     def index_of(self, name: str) -> int:
         try:
@@ -200,8 +205,7 @@ def validate_jacobi(spec: LieAlgebraSpec) -> Optional[JacobiViolation]:
                     re, im = res.get(m, (0, 0))
                     res[m] = (re + p * r - q * s, im + p * s + q * r)
         if any(re or im for re, im in res.values()):
-            vec = tuple(_pi(_gaussian(*res[m], spec._den**2), 0) if m in res else PI_ZERO for m in range(n))
-            return JacobiViolation((spec.basis[a], spec.basis[b], spec.basis[c]), vec)
+            return JacobiViolation((spec.basis[a], spec.basis[b], spec.basis[c]), _vector(res, spec._den**2, n))
     return None
 
 
@@ -526,15 +530,11 @@ _SL2_MATS = {
 }
 
 
-def _mat_mul2(a, b):
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(2)) for j in range(2))
-        for i in range(2)
-    )
-
-
-def _trace2(m) -> Fraction:
-    return m[0][0] + m[1][1]
+def _trace_of_product(a, b):
+    """Tr(ab) = sum of a_ij * b_ji over square matrices of scalars, added
+    in order of i and then j, so a pi-power mismatch is met term by term."""
+    n = range(len(a))
+    return sum(a[i][j] * b[j][i] for i in n for j in n)
 
 
 def sl2c_algebra() -> LieAlgebraSpec:
@@ -593,7 +593,7 @@ def iso_sl2r_gram() -> GramForm:
     ]
     entries = tuple(
         tuple(
-            PiScalar.of(_trace2(_mat_mul2(m1, m2)) + t1 * t2)
+            PiScalar.of(_trace_of_product(m1, m2) + t1 * t2)
             for (m2, t2) in reps
         )
         for (m1, t1) in reps
@@ -609,7 +609,7 @@ def sl2c_gram() -> GramForm:
     unit = PiScalar(GaussianRational(Fraction(3, 2)), -2)
     entries = tuple(
         tuple(
-            unit * PiScalar.of(_trace2(_mat_mul2(_SL2_MATS[a], _SL2_MATS[b])))
+            unit * PiScalar.of(_trace_of_product(_SL2_MATS[a], _SL2_MATS[b]))
             for b in names
         )
         for a in names
@@ -690,13 +690,6 @@ def chern_poly_coeffs(
     if any(len(row) != n for row in rows):
         raise ValueError("matrix must be square")
 
-    def tr_square() -> PiScalar:
-        total = PI_ZERO
-        for i in range(n):
-            for j in range(n):
-                total = total + rows[i][j] * rows[j][i]
-        return total
-
     if kind == "chern":
         if n != 2:
             raise ValueError("chern expects a 2x2 matrix")
@@ -709,7 +702,7 @@ def chern_poly_coeffs(
         c2 = m[0][0] * m[1][1] - m[0][1] * m[1][0]
         if c1:
             raise RuntimeError("C1 must vanish for a traceless matrix")
-        expected = tr_square() * PiScalar(GaussianRational(Fraction(1, 8)), -2)
+        expected = _trace_of_product(rows, rows) * PiScalar(GaussianRational(Fraction(1, 8)), -2)
         if c2 != expected:
             raise RuntimeError(
                 f"chern coefficient mismatch: expansion {c2}, trace identity {expected}"
@@ -736,7 +729,7 @@ def chern_poly_coeffs(
         )
         if e1 or e3:
             raise RuntimeError("odd coefficients must vanish for an antisymmetric matrix")
-        expected = -(tr_square() * PiScalar(GaussianRational(Fraction(1, 8)), -2))
+        expected = -(_trace_of_product(rows, rows) * PiScalar(GaussianRational(Fraction(1, 8)), -2))
         if e2 != expected:
             raise RuntimeError(
                 f"pontrjagin coefficient mismatch: expansion {e2}, trace identity {expected}"

@@ -15,7 +15,7 @@ import re
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import _Record, _fraction, _integer, _read_int, _set, _two_each
+from .exact import _Record, _fraction, _integer, _set, _two_each
 
 __all__ = [
     "SeifertInvariants",
@@ -214,12 +214,8 @@ def _read(token: str, pos: int, what: str) -> int:
     """``int(token)``; one too long to read is a ``ParseError`` naming
     ``what`` at its position."""
     try:
-        return int(token)
-    except ValueError:
-        pass
-    try:
-        return _read_int(token, what)  # fails again, with the error's text
-    except ValueError as exc:
+        return _integer(token, what)
+    except TypeError as exc:
         raise ParseError(str(exc), pos) from None
 
 

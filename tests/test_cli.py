@@ -997,7 +997,14 @@ PAST_FLOAT = "error: volume is too large for a float: over 1.79769e+308\n"
             ("seifert", "volumes", "(1; 1/13, 1/11, 1/7, 1/5)", "--oracle"),
             None,
             1,
-            "error: spectrum too large: up to 43046721 oracle tuples, over the limit of 1000000 "
+            "error: spectrum too large: up to 215233605 oracle (tuple, n) pairs, over the limit of 1000000 "
+            "(raise it with --max-values)\n",
+        ),
+        (
+            ("seifert", "volumes", "(10000; 1/2)", "--oracle"),
+            None,
+            1,
+            "error: spectrum too large: up to 1600279982 oracle (tuple, n) pairs, over the limit of 1000000 "
             "(raise it with --max-values)\n",
         ),
         (
@@ -1016,6 +1023,7 @@ PAST_FLOAT = "error: volume is too large for a float: over 1.79769e+308\n"
         "witnesses_flag_exponent",
         "filled_piece_budget",
         "oracle_window_budget",
+        "oracle_window_walks_n",
         "genus_over_digit_limit",
         "sv_decimal_past_float",
         "additivity_decimal_past_float",
@@ -1111,6 +1119,59 @@ def test_coefficient_argument_over_digit_limit_is_named(capsys):
     assert capsys.readouterr() == ("", f"repvol seifert witnesses: error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (("covers", "merge", "--degrees", "2,4", "--m", LONG), "--m"),
+        (("covers", "elevations", "--torus", LONG, "--curve", "2"), "--torus"),
+        (("covers", "elevations", "--torus", "4", "--curve", LONG), "--curve"),
+        (("covers", "intersection", "--number", LONG, "--deg-f", "1", "--deg-s", "1", "--deg-torus", "1"), "--number"),
+        (("covers", "intersection", "--number", "1", "--deg-f", LONG, "--deg-s", "1", "--deg-torus", "1"), "--deg-f"),
+        (("covers", "intersection", "--number", "1", "--deg-f", "1", "--deg-s", LONG, "--deg-torus", "1"), "--deg-s"),
+        (("covers", "intersection", "--number", "1", "--deg-f", "1", "--deg-s", "1", "--deg-torus", LONG), "--deg-torus"),
+        (("cases", "motegi", LONG, "3", "2", "5"), "p1"),
+        (("cases", "motegi", "2", LONG, "2", "5"), "q1"),
+        (("cases", "motegi", "2", "3", LONG, "5"), "p2"),
+        (("cases", "motegi", "2", "3", "2", LONG), "q2"),
+        (("seifert", "volumes", "(1; 1/2)", "--max-values", LONG), "--max-values"),
+        (("seifert", "witnesses", "(1; 1/2)", "0", "--max-values", LONG), "--max-values"),
+        (("covers", "merge", "--degrees", f"2,{LONG}", "--m", "2"), "--degrees"),
+        (("covers", "colored", "--k", LONG, "--l", "1"), "--k"),
+        (("covers", "colored", "--k", "1", "--l", f"{LONG},2"), "--l"),
+    ],
+    ids=[
+        "m", "torus", "curve", "number", "deg_f", "deg_s", "deg_torus", "p1", "q1", "p2", "q2",
+        "max_values_volumes", "max_values_witnesses", "degrees", "k", "l",
+    ],
+)
+def test_integer_option_over_digit_limit_is_named_not_echoed(capsys, argv, option):
+    with pytest.raises(SystemExit) as exit:
+        main(list(argv))
+    assert exit.value.code == 2
+    prog = " ".join(("repvol", *argv[:2]))
+    assert capsys.readouterr() == ("", f"{prog}: error: argument {option}: the value {TOO_LONG}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("covers", "elevations", "--torus", "x", "--curve", "2"), "argument --torus: invalid int value: 'x'"),
+        (("cases", "motegi", "2", "3", "2", "1.5"), "argument q2: invalid int value: '1.5'"),
+        (("seifert", "volumes", "(1; 1/2)", "--max-values", "ten"), "argument --max-values: invalid int value: 'ten'"),
+        (("seifert", "volumes", "(1; 1/2)", "--max-values", "0"), "argument --max-values: must be at least 1, got 0"),
+        (("covers", "merge", "--degrees", "2,x", "--m", "2"), "argument --degrees: not a comma-separated integer list: '2,x'"),
+        (("covers", "colored", "--k", "1,2", "--l", "1;2"), "argument --l: not a comma-separated integer list: '1;2'"),
+    ],
+    ids=["int_option", "positional", "budget", "budget_below_one", "list_item", "list"],
+)
+def test_integer_option_usage_errors_keep_their_text(capsys, argv, message):
+    with pytest.raises(SystemExit) as exit:
+        main(list(argv))
+    assert exit.value.code == 2
+    prog = " ".join(("repvol", *argv[:2]))
+    assert capsys.readouterr() == ("", f"{prog}: error: {message}\n")
+
+
 N = "9" * 4300  # the most digits Python converts; the answers below have more
 WIDE_GLUING = {
     "pieces": [{"id": "P", "kind": "hyperbolic", "label": "p", "slots": ["t", "u"]}],
@@ -1170,11 +1231,14 @@ def test_numbers_too_long_to_print_are_named(capsys, tmp_path, argv, what):
 
 
 def test_oracle_window_counts_against_max_values(capsys):
-    # (1; 1/2, 1/2): B = 2 + 2 + 4 = 8, so the window is 17^2 = 289 tuples
-    code, _, err = run(capsys, "seifert", "volumes", "(1; 1/2, 1/2)", "--oracle", "--max-values", "288")
+    # (1; 1/2, 1/2): B = 2 + 2 + 4 = 8, so the window is 17^2 = 289 tuples,
+    # each walking at most min(17, p + 4g - 3 = 3) values of n: 867 pairs
+    code, _, err = run(capsys, "seifert", "volumes", "(1; 1/2, 1/2)", "--oracle", "--max-values", "866")
     assert code == 1
-    assert err == "error: spectrum too large: up to 289 oracle tuples, over the limit of 288 (raise it with --max-values)\n"
-    code, out, _ = run(capsys, "seifert", "volumes", "(1; 1/2, 1/2)", "--oracle", "--max-values", "289")
+    assert err == (
+        "error: spectrum too large: up to 867 oracle (tuple, n) pairs, over the limit of 866 (raise it with --max-values)\n"
+    )
+    code, out, _ = run(capsys, "seifert", "volumes", "(1; 1/2, 1/2)", "--oracle", "--max-values", "867")
     assert (code, out.splitlines()[-1]) == (0, "oracle agreement: 3 values")
 
 

@@ -19,7 +19,7 @@ explicit example that always runs.  Example counts are fixed and derandomized, s
 reproduces.  Each in-process run is stopped after ``LIMIT_S`` seconds,
 so a hang in Python code fails the test instead of stalling the suite;
 the limit sits above the slowest run the budget lets through, an
-``--oracle`` window of nearly 10^6 tuples.  A signal cannot stop one
+``--oracle`` window of nearly 10^6 (tuple, n) pairs.  A signal cannot stop one
 long C call, such as the 10**999999999 that ``Fraction('1e999999999')``
 would compute.
 """

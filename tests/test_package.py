@@ -1,8 +1,9 @@
 """The lazy package: ``import repvol`` loads no submodule, every public
 name resolves to its home module's object, and each CLI command family
 loads only the modules it runs, and neither ``dataclasses`` nor
-``inspect``."""
+``inspect``; and no module asserts."""
 
+import ast
 import importlib
 import json
 import os
@@ -101,3 +102,15 @@ def test_command_family_loads_only_its_modules(tmp_path, bare, argv, absent, onl
     assert "inspect" in bare or "inspect" not in loaded
     if only is not None:
         assert loaded - bare == only
+
+
+def test_no_module_asserts_or_raises_assertion_error():
+    # an AssertionError would escape cli.main as a traceback, which the
+    # exit contract forbids, and ``python -O`` drops an ``assert``
+    found = []
+    for path in sorted((SRC / "repvol").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text("utf-8"), str(path))):
+            named = getattr(node, "id", None) or getattr(node, "attr", None)
+            if isinstance(node, ast.Assert) or named == "AssertionError":
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

@@ -1,4 +1,4 @@
-"""The record contract of the 19 public record classes: frozen fields,
+"""The record contract of the 20 public record classes: frozen fields,
 pickle and copy round trips, the ``Name(field=value, ...)`` repr without
 the derived ``_`` fields, equality only within one class, and keyword
 construction with defaults."""
@@ -13,7 +13,7 @@ import pytest
 
 from repvol.covers import ColoredMergeCounts, MergeCounts, TorusCoverDatum
 from repvol.ehn import VolumeWitness
-from repvol.exact import ExactVolume, NumericVolume, PiScalar
+from repvol.exact import GAUSSIAN_ZERO, ExactVolume, GaussianRational, NumericVolume, PiScalar
 from repvol.jsj import (
     DirectVolume,
     Edge,
@@ -37,6 +37,7 @@ SPEC = GraphManifoldSpec(pieces=(PIECE,), edges=())
 RECORDS = [
     (ExactVolume, {"coeff": Fraction(3, 7)}, {}),
     (NumericVolume, {"value": 1.5}, {}),
+    (PiScalar, {"coeff": GaussianRational(Fraction(1, 2), -3), "pi_power": -2}, {"coeff": GAUSSIAN_ZERO, "pi_power": 0}),
     (SeifertInvariants, {"genus": 1, "pairs": ((2, 1), (3, -1)), "boundary_count": 1}, {"pairs": (), "boundary_count": 0}),
     (
         VolumeWitness,
@@ -177,3 +178,4 @@ def test_hash_is_the_hash_of_the_field_tuple():
     # as a frozen dataclass hashes; SeifertInvariants hashes its pair multiset
     assert hash(MergeCounts(4, (2, 1), 2)) == hash((4, (2, 1), 2))
     assert hash(ExactVolume(Fraction(3, 7))) == hash((Fraction(3, 7),))
+    assert hash(PiScalar(GaussianRational(2), 1)) == hash((GaussianRational(2), 1))
