@@ -27,6 +27,7 @@ from .exact import (
     _name,
     _printed,
     _read_int,
+    _shown,
     parse_rational,
     render_volume,
 )
@@ -34,7 +35,7 @@ from .exact import (
 
 def _fraction_arg(text: str) -> Fraction:
     try:
-        return parse_rational(text, "not a rational number", "{!r}")
+        return parse_rational(text, "not a rational number", "{}")
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -43,13 +44,14 @@ def _int_arg(text: str, refusal: str = "") -> int:
     """``int(text)`` for an option value.  One too long to read is named
     by ``_read_int``, where argparse would echo every digit; other text
     that is not an integer is refused with ``refusal``, by default
-    argparse's own ``invalid int value: '<text>'``."""
+    argparse's own ``invalid int value: '<text>'``, the text as ``_shown``
+    shows it."""
     try:
         return _read_int(text, "the value")
     except ValueError as exc:
         message = str(exc)
         if not message.startswith("the value "):  # int()'s own refusal
-            message = refusal or f"invalid int value: {text!r}"
+            message = refusal or f"invalid int value: {_shown(text)}"
     raise argparse.ArgumentTypeError(message)
 
 
@@ -62,7 +64,7 @@ def _budget_arg(text: str) -> int:
 
 
 def _int_list(text: str) -> list[int]:
-    refusal = f"not a comma-separated integer list: {text!r}"
+    refusal = f"not a comma-separated integer list: {_shown(text)}"
     return [_int_arg(part, refusal) for part in text.split(",") if part.strip() != ""]
 
 
@@ -258,7 +260,7 @@ def _ratio_graph(doc) -> tuple[list[str], list[tuple[str, str, Fraction]]]:
         if not isinstance(row, list) or len(row) != 3:
             raise ValueError(f"edges[{i}]: expected [u, v, ratio], got {row!r}")
         u, v = (_name(row[j], f"edges[{i}][{j}]") for j in (0, 1))
-        edges.append((u, v, parse_rational(str(row[2]), f"edges[{i}][2]", "bad ratio {!r}")))
+        edges.append((u, v, parse_rational(str(row[2]), f"edges[{i}][2]", "bad ratio {}")))
     return vertices, edges
 
 

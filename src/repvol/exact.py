@@ -74,8 +74,8 @@ def parse_rational(value: object, path: str, problem: str) -> Fraction:
     a decimal or ``p/q``.
 
     Anything else is a ``ValueError`` reading ``<path>: <problem>``, with
-    ``value`` formatted into ``problem``, except that a run of digits too
-    long to read is named by ``_read_int``, not echoed.  Exponent forms
+    ``value`` formatted into ``problem`` as ``_shown`` shows it, except that
+    a run of digits too long to read is named by ``_read_int``.  Exponent forms
     such as ``'1e999999999'`` are refused too: ``Fraction`` would compute
     ``10**999999999``, which never finishes.
     """
@@ -87,7 +87,15 @@ def parse_rational(value: object, path: str, problem: str) -> Fraction:
         except ValueError:  # int() reads each run of decimal digits unless it is too long
             for digits in "".join(c if c.isdecimal() else " " for c in value).split():
                 _read_int(digits, "{}: the value", path)
-    raise ValueError(f"{path}: " + problem.format(value))
+    raise ValueError(f"{path}: " + problem.format(_shown(value)))
+
+
+def _shown(value: object) -> str:
+    """``repr(value)`` for a refusal; a string of more than 64 characters is
+    shown as its first 32, then ``…`` and its length, not echoed whole."""
+    if isinstance(value, str) and len(value) > 64:
+        return f"{value[:32] + '…'!r} ({len(value)} characters)"
+    return repr(value)
 
 
 def _read_int(text: str, what: str = "a JSON number", *at: object) -> int:

@@ -329,6 +329,32 @@ class RWResult(_Record):
     product: Optional[Fraction] = None
 
 
+def _numbered(
+    vertices: Sequence[Hashable],
+    edges: Sequence[tuple[Hashable, Hashable, Fraction]],
+) -> tuple[list[Hashable], list[int], list[int]]:
+    """The distinct vertex names in input order, and the edges over their
+    numbers.  Edge k is stored once: ``end[2k]`` and ``end[2k + 1]`` are its
+    tail and head, ``term[2k]`` and ``term[2k + 1]`` its ratio's numerator
+    and denominator.  The name index lives only here."""
+    index = {name: i for i, name in enumerate(dict.fromkeys(vertices))}
+    end: list[int] = []
+    term: list[int] = []
+    for u, v, ratio in edges:
+        if type(ratio) is not Fraction:
+            ratio = Fraction(ratio)
+        try:
+            tail, head = index[u], index[v]
+        except KeyError:
+            raise ValueError(f"edge ({u!r}, {v!r}) uses unknown vertices") from None
+        numerator = ratio.numerator
+        if numerator <= 0:
+            raise ValueError(f"edge ratio must be positive, got {ratio}")
+        end += (tail, head)
+        term += (numerator, ratio.denominator)
+    return list(index), end, term
+
+
 def rw_consistency(
     vertices: Sequence[Hashable],
     edges: Sequence[tuple[Hashable, Hashable, Fraction]],
@@ -340,39 +366,28 @@ def rw_consistency(
     means every cycle multiplies to exactly 1; the check grows a
     breadth-first spanning forest of potentials, each tree rooted at the
     first vertex of its component in input order, and tests every edge
-    in input order.  A repeated vertex name names one vertex.  Potentials
-    are kept as integer numerators and denominators in lowest terms, and
-    an edge u -> v with ratio p/q is tested by comparing cross products,
-    so no ``Fraction`` is built unless an edge fails.  On failure the
+    in input order.  A repeated vertex name names one vertex.  The
+    vertices are numbered once and the name index is then dropped; each
+    vertex's edge sides are linked in input order through two flat lists,
+    with no list per vertex.  Potentials are kept as integer numerators
+    and denominators in lowest terms, and an edge u -> v with ratio p/q
+    is tested by comparing cross products, so no ``Fraction`` is built
+    unless an edge fails.  On failure the
     fundamental cycle of the first offending edge is returned with its
     ratios and product as ``Fraction``s; the product is then necessarily
     != 1.  The cycle runs through the tree only, so it has at most
     2 * (eccentricity of its root) + 1 steps.
     """
-    index = {name: i for i, name in enumerate(dict.fromkeys(vertices))}
-    names = list(index)
-    # Edge k is stored once: end[2k] and end[2k + 1] are its tail and
-    # head, term[2k] and term[2k + 1] its ratio's numerator and
-    # denominator.  Side s (2k or 2k + 1) is edge k seen from end[s]: the
-    # step to end[s ^ 1] multiplies the potential by term[s] / term[s ^ 1].
-    end: list[int] = []
-    term: list[int] = []
-    adjacency: list[list[int]] = [[] for _ in names]
-    for u, v, ratio in edges:
-        if type(ratio) is not Fraction:
-            ratio = Fraction(ratio)
-        try:
-            tail, head = index[u], index[v]
-        except KeyError:
-            raise ValueError(f"edge ({u!r}, {v!r}) uses unknown vertices") from None
-        numerator = ratio.numerator
-        if numerator <= 0:
-            raise ValueError(f"edge ratio must be positive, got {ratio}")
-        side = len(end)
-        adjacency[tail].append(side)
-        adjacency[head].append(side + 1)
-        end += (tail, head)
-        term += (numerator, ratio.denominator)
+    names, end, term = _numbered(vertices, edges)
+    # Side s (2k or 2k + 1) is edge k seen from end[s]: the step to
+    # end[s ^ 1] multiplies the potential by term[s] / term[s ^ 1].
+    # first[i] is vertex i's first side and nxt[s] the next side seen from
+    # end[s], both in input order; -1 ends a chain.
+    first = [-1] * len(names)
+    nxt = [-1] * len(end)
+    for side, x in zip(range(len(end) - 1, -1, -1), reversed(end)):
+        nxt[side] = first[x]
+        first[x] = side
 
     # potential of vertex i = num[i] / den[i]; num[i] == 0 means unreached
     num = [0] * len(names)
@@ -386,17 +401,18 @@ def rw_consistency(
         num[root] = den[root] = 1
         queue = [root]
         for u in queue:
-            for side in adjacency[u]:
+            side = first[u]
+            while side >= 0:
                 v = end[side ^ 1]
-                if num[v]:
-                    continue
-                a = num[u] * term[side]
-                b = den[u] * term[side ^ 1]
-                g = gcd(a, b)
-                num[v] = a // g
-                den[v] = b // g
-                into[v] = side
-                queue.append(v)
+                if not num[v]:
+                    a = num[u] * term[side]
+                    b = den[u] * term[side ^ 1]
+                    g = gcd(a, b)
+                    num[v] = a // g
+                    den[v] = b // g
+                    into[v] = side
+                    queue.append(v)
+                side = nxt[side]
 
     for side in range(0, len(end), 2):
         u, v = end[side], end[side + 1]
@@ -510,7 +526,7 @@ def _edge_from_json(entry: Mapping, path: str) -> Edge:
 
 def _volume_from_json(entry: Mapping, path: str) -> VolumeValue:
     if "exact" in entry:
-        return ExactVolume(parse_rational(str(entry["exact"]), path, "malformed entry (bad exact {!r})"))
+        return ExactVolume(parse_rational(str(entry["exact"]), path, "malformed entry (bad exact {})"))
     if "numeric" in entry:
         raw = entry["numeric"]
         try:
@@ -532,7 +548,7 @@ def _assignment_from_json(entry: Mapping, path: str) -> PieceAssignment:
         return DirectVolume(piece_id, _volume_from_json(entry, path))
     if kind == "filled":
         fillings = _field(entry, "fillings", path)
-        coeff = parse_rational(str(_field(entry, "coeff", path)), path, "malformed entry (bad coeff {!r})")
+        coeff = parse_rational(str(_field(entry, "coeff", path)), path, "malformed entry (bad coeff {})")
         return FilledSeifert(piece_id, fillings, coeff)
     raise ValueError(f"assignment {entry!r} needs assign: small_image|direct|filled")
 

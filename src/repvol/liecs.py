@@ -621,7 +621,7 @@ def _coeff_from_json(value, path: str) -> PiScalar:
     if isinstance(value, int) and not isinstance(value, bool):
         return PiScalar.of(value)
     return PiScalar.of(
-        parse_rational(value, path, "bad structure constant {!r} (use int or 'p/q')")
+        parse_rational(value, path, "bad structure constant {} (use int or 'p/q')")
     )
 
 

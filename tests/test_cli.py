@@ -728,6 +728,40 @@ def test_exponent_rationals_are_refused(capsys, tmp_path, argv, doc, message):
     assert err == f"error: {message}\n"
 
 
+# Not a number, and far longer than a refusal shows: the first 32
+# characters, then an ellipsis and the length.
+XS = "x" * 5000
+SHOWN_XS = f"'{'x' * 32}…' (5000 characters)"
+
+
+@pytest.mark.parametrize(
+    "argv, doc, message",
+    [
+        (
+            ("cs", "jacobi"),
+            {"basis": ["A", "B"], "brackets": [["A", "B", {"A": XS}]]},
+            f"brackets[0][2].A: bad structure constant {SHOWN_XS} (use int or 'p/q')",
+        ),
+        (
+            ("graph", "validate"),
+            _set(XS, "cases", 0, "assignments", 0, "coeff")(_graph_doc()),
+            f"cases[0].assignments[0]: malformed entry (bad coeff {SHOWN_XS})",
+        ),
+        (
+            ("graph", "additivity"),
+            _set(XS, "cases", 0, "assignments", 1, "exact")(_graph_doc()),
+            f"cases[0].assignments[1]: malformed entry (bad exact {SHOWN_XS})",
+        ),
+        (("graph", "rw"), _ratio_doc(("a", "b", XS)), f"edges[0][2]: bad ratio {SHOWN_XS}"),
+    ],
+    ids=["structure_constant", "coeff", "exact", "ratio"],
+)
+def test_long_document_values_are_shown_shortened(capsys, tmp_path, argv, doc, message):
+    bad = tmp_path / "doc.json"
+    bad.write_text(json.dumps(doc))
+    assert run(capsys, *argv, str(bad)) == (1, "", f"error: {message}\n")
+
+
 
 @pytest.mark.parametrize(
     "mutate, message",
@@ -1165,6 +1199,36 @@ def test_integer_option_over_digit_limit_is_named_not_echoed(capsys, argv, optio
     ids=["int_option", "positional", "budget", "budget_below_one", "list_item", "list"],
 )
 def test_integer_option_usage_errors_keep_their_text(capsys, argv, message):
+    with pytest.raises(SystemExit) as exit:
+        main(list(argv))
+    assert exit.value.code == 2
+    prog = " ".join(("repvol", *argv[:2]))
+    assert capsys.readouterr() == ("", f"{prog}: error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("covers", "elevations", "--torus", XS, "--curve", "2"), f"argument --torus: invalid int value: {SHOWN_XS}"),
+        (("cases", "motegi", "2", "3", "2", XS), f"argument q2: invalid int value: {SHOWN_XS}"),
+        (("seifert", "volumes", "(1; 1/2)", "--max-values", XS), f"argument --max-values: invalid int value: {SHOWN_XS}"),
+        (
+            ("covers", "merge", "--degrees", "2," + XS, "--m", "2"),
+            f"argument --degrees: not a comma-separated integer list: '2,{'x' * 30}…' (5002 characters)",
+        ),
+        (("seifert", "witnesses", "(1; 1/2)", XS), f"argument coeff: not a rational number: {SHOWN_XS}"),
+        (
+            ("seifert", "volumes", "(1; 1/2)", "--witnesses", XS),
+            f"argument --witnesses: not a rational number: {SHOWN_XS}",
+        ),
+        (
+            ("covers", "elevations", "--torus", "x" * 64, "--curve", "2"),
+            f"argument --torus: invalid int value: '{'x' * 64}'",
+        ),
+    ],
+    ids=["int_option", "positional", "budget", "list", "coeff", "witnesses", "64_characters_in_full"],
+)
+def test_long_option_values_are_shown_shortened(capsys, argv, message):
     with pytest.raises(SystemExit) as exit:
         main(list(argv))
     assert exit.value.code == 2

@@ -20,6 +20,7 @@ from repvol.exact import (
     NumericVolume,
     PiScalar,
     _fraction,
+    _shown,
     rat_ceil,
     rat_floor,
     render_volume,
@@ -30,6 +31,14 @@ rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=20
 )
 gaussians = st.builds(GaussianRational, rationals, rationals)
+
+
+def test_shown_shortens_only_strings_over_64_characters():
+    assert _shown("9" * 64) == repr("9" * 64)
+    assert _shown("it's" * 20) == '"' + "it's" * 8 + '…" (80 characters)'
+    assert _shown("y" * 65) == f"'{'y' * 32}…' (65 characters)"
+    assert _shown(1e-07) == "1e-07"
+    assert _shown(["x"] * 40) == repr(["x"] * 40)
 
 
 def test_rat_floor_ceil():

@@ -905,3 +905,95 @@ def test_rw_deep_chain_with_big_integer_potentials():
     assert (False, cycle, result.product) == _fraction_forest(
         range(v), path + [(v - 1, 0, Fraction(1, 2**4998))]
     )
+
+
+def _mid_size_ratio_graph(rng, v):
+    """A ratio multigraph of ``v`` vertices in several components, each a
+    random tree plus extra edges, with parallel edges, self-loops, isolated
+    vertices and repeated names; ratios are ``Fraction``, ``int`` or
+    ``"p/q"``.  About half the graphs get one bad ratio somewhere, and a few
+    get a malformed edge, so inconsistent outcomes and refusals show too."""
+    names = [f"v{i}" for i in range(v)]
+    potential = [Fraction(rng.randint(1, 6), rng.randint(1, 6)) for _ in range(v)]
+    cuts = sorted(rng.sample(range(1, v), rng.randint(2, 6)))
+    edges = []
+    for lo, hi in zip([0] + cuts, cuts + [v]):
+        members = list(range(lo, hi))
+        rng.shuffle(members)
+        if rng.random() < 0.2:
+            members.pop()  # left isolated
+        pairs = [(rng.choice(members[:i]), x) for i, x in enumerate(members) if i]
+        pairs += [(rng.choice(members), rng.choice(members)) for _ in range(len(members) // 2)]
+        pairs += rng.sample(pairs, len(pairs) // 10)  # parallel edges
+        pairs += [(x, x) for x in rng.sample(members, min(3, len(members)))]
+        edges += pairs
+    rng.shuffle(edges)
+    ratios = [potential[b] / potential[a] for a, b in edges]
+    if rng.random() < 0.5:
+        k = rng.randrange(len(ratios))
+        ratios[k] *= rng.choice((2, Fraction(1, 3), Fraction(5, 4)))
+    graph = []
+    for (a, b), ratio in zip(edges, ratios):
+        form = rng.random()
+        if ratio.denominator == 1 and form < 0.3:
+            ratio = int(ratio)
+        elif form < 0.6:
+            ratio = f"{ratio.numerator}/{ratio.denominator}"
+        graph.append((names[a], names[b], ratio))
+    if rng.random() < 0.15:
+        k = rng.randrange(len(graph))
+        graph[k] = (graph[k][0], rng.choice(("w", graph[k][1])), rng.choice(("0", "x/2")))
+    vertices = names + rng.choices(names, k=v // 10)
+    rng.shuffle(vertices)
+    return vertices, graph
+
+
+def test_rw_matches_fraction_forest_at_mid_size():
+    # Exact equality with the oracle pins the walk order at scale: which
+    # vertex roots each tree, which side reaches each vertex first, which
+    # edge fails first and so which cycle is the witness.
+    rng = random.Random(20261023)
+    outcomes = set()
+    for v in (200, 300, 500, 800, 1200, 2000, 3000, 400):
+        vertices, edges = _mid_size_ratio_graph(rng, v)
+        expected = _outcome(_fraction_forest, vertices, edges)
+        result = _outcome(rw_consistency, vertices, edges)
+        if isinstance(expected[0], type):
+            outcomes.add("refused")
+            assert result == expected
+            continue
+        assert (result.consistent, result.witness_cycle, result.product) == expected
+        outcomes.add("consistent" if result.consistent else "inconsistent")
+    assert outcomes == {"consistent", "inconsistent", "refused"}
+
+
+def test_rw_working_set_per_side():
+    # The planted graph of test_rw_witness_is_a_short_fundamental_cycle's
+    # generator at V = 20,000 (39,999 edges, so 79,998 sides).  The traced
+    # peak of the call per side, on Python 3.10-3.13: 97.6-99.6 bytes with
+    # a list of sides per vertex and the name index kept to the end,
+    # 72.9-76.8 with linked sides and the index dropped.  The bound leaves
+    # at least 10% on each side.
+    import tracemalloc
+
+    rng = random.Random(20261018)
+    v = 20000
+    potential = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(v)]
+    pairs = [(rng.randrange(i), i) for i in range(1, v)]
+    pairs += [tuple(rng.sample(range(v), 2)) for _ in range(v)]
+    edges = [(a, b, potential[b] / potential[a]) for a, b in pairs]
+    k = rng.randrange(v - 1, len(edges))
+    a, b, ratio = edges[k]
+    edges[k] = (a, b, ratio * Fraction(3, 2))
+    vertices = list(range(v))
+
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        result = rw_consistency(vertices, edges)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert not result.consistent
+    assert peak / (2 * len(edges)) < 86
