@@ -32,6 +32,16 @@ records ``load_graph_document`` (the records' repr or the refusal
 text), and per case ``validate_spec`` and ``additivity_sum``, or
 ``rw_consistency``.
 
+The ``spectra`` key covers ``repvol.ehn``: seeded closed symbols of
+genus 1 to 3 with up to four fibres, multiplicities 1 to 6 included, and
+one symbol per refusal (e = 0, chi = 0, genus 0, an open boundary and a
+spectrum over the budget).  For each it records ``volume_set``,
+``seifert_volume_max``, ``volume_set_bruteforce`` (on the symbols whose
+window is small), ``spectrum_contains`` and the full ``witnesses_for``
+list, in its order, on seeded members and non-members of the spectrum,
+and ``foliation_exists`` on the symbol's slopes given as ints, floats,
+``Fraction``s and ``"p/q"`` strings, at its genus and at genus 0.
+
 Inputs are built with ``GaussianRational`` arithmetic from
 ``random.Random`` seeded by name, so the same code always writes the
 same file.  The corpus is written once and read through; a later change
@@ -54,6 +64,14 @@ import warnings
 from fractions import Fraction
 from pathlib import Path
 
+from repvol.ehn import (
+    foliation_exists,
+    seifert_volume_max,
+    spectrum_contains,
+    volume_set,
+    volume_set_bruteforce,
+    witnesses_for,
+)
 from repvol.exact import GaussianRational, PiScalar
 from repvol.jsj import additivity_sum, load_graph_document, rw_consistency, validate_spec
 from repvol.liecs import (
@@ -71,6 +89,7 @@ from repvol.liecs import (
     mc_differential,
     validate_jacobi,
 )
+from repvol.seifert import SeifertInvariants
 
 LIBRARY = Path(__file__).with_name("library.json")
 
@@ -801,11 +820,102 @@ def graphs_digests() -> dict[str, str]:
     return dict(sorted(out.items()))
 
 
+# ---------------------------------------------------------------- spectra
+
+# (name, genus, pairs, boundary count): one symbol per refusal
+REFUSED_SYMBOLS = (
+    ("euler_zero", 1, ((2, 1), (2, -1)), 0),
+    ("chi_zero", 1, ((1, 1),), 0),
+    ("chi_positive", 0, ((2, 1), (3, 1)), 0),
+    ("genus_zero", 0, ((2, 1), (3, 1), (7, 1)), 0),
+    ("open", 1, ((2, 1),), 1),
+    ("budget", 1, ((1000003, 1), (1000033, 1)), 0),
+)
+# volume_set_bruteforce runs where its window has at most this many tuples
+ORACLE_TUPLES = 40000
+
+
+def _symbol(rng):
+    """A seeded closed symbol: genus 1 to 3, up to four fibres with
+    multiplicities 1 to 6 and numerators in lowest terms."""
+    pairs = []
+    for _ in range(rng.randint(0, 4)):
+        a = rng.randint(1, 6)
+        pairs.append((a, rng.choice([b for b in range(-2 * a, 2 * a + 1) if math.gcd(a, abs(b)) == 1])))
+    return SeifertInvariants(rng.randint(1, 3), tuple(pairs))
+
+
+def _slope_forms(inv):
+    """The slopes b/a of ``inv`` as ints (floored), floats, ``Fraction``s
+    and ``"p/q"`` strings, each list labelled."""
+    return {
+        "ints": [b // a for a, b in inv.pairs],
+        "floats": [b / a for a, b in inv.pairs],
+        "fractions": [Fraction(b, a) for a, b in inv.pairs],
+        "strings": [f"{b}/{a}" for a, b in inv.pairs],
+    }
+
+
+def _spectrum_case(name, inv, rng):
+    """Digests for one symbol, keyed by ``<name>/<what>``."""
+    seen = repr(inv)
+    out = {}
+
+    def record(what, text, *inputs):
+        out[f"{name}/{what}"] = _digest(seen, *inputs, text)
+
+    values = _value(volume_set, inv)
+    record("volume_set", _outcome(volume_set, inv))
+    record("max", _outcome(seifert_volume_max, inv))
+    width = 2 * (2 + 2 * inv.genus + sum(a for a, _ in inv.pairs)) + 1
+    if width ** len(inv.pairs) <= ORACLE_TUPLES:
+        record("bruteforce", _outcome(volume_set_bruteforce, inv))
+    members = rng.sample(values, min(3, len(values))) if values else [Fraction(1, 4)]
+    probes = members + [members[0] + Fraction(1, 7), Fraction(0), 1]
+    record("contains", repr([_outcome(spectrum_contains, inv, c) for c in probes]), repr(probes))
+    for k, coeff in enumerate(probes[:4]):
+        record(f"witnesses{k}", _outcome(witnesses_for, inv, coeff), repr(coeff))
+    for form, slopes in _slope_forms(inv).items():
+        for genus in (inv.genus, 0):
+            record(f"foliation-{form}-genus{genus}", _outcome(foliation_exists, genus, slopes), repr(slopes))
+    return out
+
+
+def spectra_digests() -> dict[str, str]:
+    out = {}
+    for k in range(60):
+        name = f"symbol{k}"
+        rng = random.Random(name)
+        out.update(_spectrum_case(name, _symbol(rng), rng))
+    for name, genus, pairs, boundary in REFUSED_SYMBOLS:
+        inv = SeifertInvariants(genus, pairs, boundary)
+        outcomes = [_outcome(seifert_volume_max, inv), _outcome(spectrum_contains, inv, Fraction(1, 4))]
+        if name != "budget":  # the others would build the whole sumset or window
+            outcomes += [_outcome(call, inv) for call in (volume_set, volume_set_bruteforce)]
+            outcomes += [_outcome(witnesses_for, inv, Fraction(1, 4))]
+        out[f"refused-{name}"] = _digest(repr(inv), *outcomes)
+    slopes = {
+        "not-a-number": ["x"],
+        "zero-denominator": ["1/0"],
+        "none": [None],
+        "nan": [float("nan")],
+        "mixed": [1, 0.5, Fraction(-1, 3), "2/7", "-3"],
+    }
+    for name, row in slopes.items():
+        out[f"foliation-{name}"] = _digest(repr(row), _outcome(foliation_exists, 1, row))
+    return dict(sorted(out.items()))
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default=str(LIBRARY))
     args = parser.parse_args(argv)
-    corpus = {"forms": forms_digests(), "graphs": graphs_digests(), "scalars": scalars_digests()}
+    corpus = {
+        "forms": forms_digests(),
+        "graphs": graphs_digests(),
+        "scalars": scalars_digests(),
+        "spectra": spectra_digests(),
+    }
     Path(args.out).write_text(json.dumps(corpus, indent=1, sort_keys=True) + "\n", "utf-8")
 
 

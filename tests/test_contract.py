@@ -35,6 +35,13 @@ def test_scalars_corpus_replays():
     assert [name for name in stored if got[name] != stored[name]] == []
 
 
+def test_spectra_corpus_replays():
+    stored = json.loads(make.LIBRARY.read_text("utf-8"))["spectra"]
+    got = make.spectra_digests()
+    assert sorted(got) == sorted(stored)
+    assert [name for name in stored if got[name] != stored[name]] == []
+
+
 def test_generator_is_deterministic(tmp_path):
     # another process, with another string hash seed, writes the same bytes
     out = tmp_path / "library.json"
