@@ -258,7 +258,7 @@ def _ratio_graph(doc) -> tuple[list[str], list[tuple[str, str, Fraction]]]:
     edges = []
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != 3:
-            raise ValueError(f"edges[{i}]: expected [u, v, ratio], got {row!r}")
+            raise ValueError(f"edges[{i}]: expected [u, v, ratio], got {_shown(row)}")
         u, v = (_name(row[j], f"edges[{i}][{j}]") for j in (0, 1))
         edges.append((u, v, parse_rational(str(row[2]), f"edges[{i}][2]", "bad ratio {}")))
     return vertices, edges

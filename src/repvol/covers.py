@@ -11,7 +11,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import _Record
+from .exact import _Record, _shown
 
 __all__ = [
     "TorusCoverDatum",
@@ -28,7 +28,7 @@ def _positive(value: int, name: str) -> int:
     """``value`` itself, if it is a positive ``int``; anything else, such
     as 2.5 or "3", is a ``ValueError`` rather than a value cut to an int."""
     if not isinstance(value, int) or value <= 0:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        raise ValueError(f"{name} must be a positive integer, got {_shown(value)}")
     return value
 
 

@@ -47,7 +47,7 @@ import math
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .exact import MAX_VALUES, _Record, _fraction, _printed, _set, rat_ceil, rat_floor
+from .exact import MAX_VALUES, _Record, _fraction, _printed, _set
 from .seifert import SeifertInvariants, _over_lcm, _require_closed, euler_number, orbifold_chi
 
 __all__ = [
@@ -61,11 +61,11 @@ __all__ = [
 
 
 def foliation_exists(genus: int, slopes: Sequence[Fraction]) -> bool:
-    """Horizontal-foliation test for a closed fibration over genus >= 1."""
+    """Horizontal-foliation test for a closed fibration over genus >= 1, each slope read as ``Fraction(s)``."""
     if genus < 1:
         raise ValueError("foliation criterion requires base genus >= 1")
-    floor_sum = sum(rat_floor(s) for s in slopes)
-    ceil_sum = sum(rat_ceil(s) for s in slopes)
+    floor_sum = sum(math.floor(Fraction(s)) for s in slopes)
+    ceil_sum = sum(math.ceil(Fraction(s)) for s in slopes)
     return floor_sum <= 2 * genus - 2 and ceil_sum >= 2 - 2 * genus
 
 

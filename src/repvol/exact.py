@@ -46,8 +46,6 @@ __all__ = [
     "ExactVolume",
     "NumericVolume",
     "VolumeValue",
-    "rat_floor",
-    "rat_ceil",
     "volume_sum",
     "render_volume",
     "FOUR_PI_SQUARED",
@@ -57,16 +55,6 @@ Rational = Fraction
 RationalLike = Union[int, Fraction]
 
 FOUR_PI_SQUARED = 4.0 * math.pi * math.pi
-
-
-def rat_floor(x: RationalLike) -> int:
-    """Largest integer <= x."""
-    return math.floor(Fraction(x))
-
-
-def rat_ceil(x: RationalLike) -> int:
-    """Smallest integer >= x."""
-    return math.ceil(Fraction(x))
 
 
 def parse_rational(value: object, path: str, problem: str) -> Fraction:
@@ -91,10 +79,15 @@ def parse_rational(value: object, path: str, problem: str) -> Fraction:
 
 
 def _shown(value: object) -> str:
-    """``repr(value)`` for a refusal; a string of more than 64 characters is
-    shown as its first 32, then ``…`` and its length, not echoed whole."""
-    if isinstance(value, str) and len(value) > 64:
-        return f"{value[:32] + '…'!r} ({len(value)} characters)"
+    """``repr(value)`` for a refusal, not echoed whole: a string of more
+    than 64 characters is shown as its first 32, then ``…`` and its length,
+    and any other value whose repr is longer than 64 characters as that
+    repr's first 32 characters, then ``…`` and the repr's length."""
+    if isinstance(value, str):
+        if len(value) > 64:
+            return f"{value[:32] + '…'!r} ({len(value)} characters)"
+    elif len(text := repr(value)) > 64:
+        return f"{text[:32]}… ({len(text)} characters)"
     return repr(value)
 
 
@@ -116,11 +109,17 @@ def _read_int(text: str, what: str = "a JSON number", *at: object) -> int:
 def _integer(value: object, what: str, *at: object) -> int:
     """``int(value)``, with a value it cannot read, such as ``'x'``, a float
     NaN or one too long (named by ``_read_int``), raised as a ``TypeError``:
-    a wrong value inside a document entry, reported at the entry's path."""
+    a wrong value inside a document entry, reported at the entry's path.
+    A number that ``int()`` would change, such as 2.5, is never cut short:
+    it is a ``TypeError`` reading ``<what> 2.5 is not an integer``."""
     try:
-        return int(value)
+        number = int(value)
     except ValueError:
         pass
+    else:
+        if number != value and not isinstance(value, str):
+            raise TypeError(f"{what.format(*at)} {_shown(value)} is not an integer")
+        return number
     try:
         return _read_int(value, what, *at)  # fails again, with the error's text
     except ValueError as exc:
@@ -167,7 +166,7 @@ def _require_pair(value, name: str, shape: str) -> None:
     tuple without exactly two items: a string such as ``"Pt"`` would
     otherwise read as the pair ``("P", "t")``."""
     if not _two_each((value,)):
-        raise TypeError(f"{name} {value!r} is not {shape}")
+        raise TypeError(f"{name} {_shown(value)} is not {shape}")
 
 
 # Work that may exceed this many values (or brute-force tuples) is refused
@@ -206,7 +205,7 @@ def _name(value: object, path: str) -> str:
     """``value`` if it is a string.  Names are never coerced, so JSON
     ``1``, ``"1"`` and ``null`` cannot read as one name."""
     if not isinstance(value, str):
-        raise ValueError(f"{path}: expected a string, got {value!r}")
+        raise ValueError(f"{path}: expected a string, got {_shown(value)}")
     return value
 
 
@@ -220,7 +219,7 @@ def _entries(value: object, path: str, parse: Callable[[Mapping, str], object]) 
     for i, entry in enumerate(_list(value, path, "objects")):
         at = f"{path}[{i}]"
         if type(entry) is not dict and not isinstance(entry, Mapping):  # the ABC check is slow
-            raise ValueError(f"{at}: expected an object, got {entry!r}")
+            raise ValueError(f"{at}: expected an object, got {_shown(entry)}")
         try:
             parsed.append(parse(entry, at))
         except (TypeError, LookupError, ArithmeticError) as exc:

@@ -33,6 +33,7 @@ from .exact import (
     _printed,
     _require_pair,
     _set,
+    _shown,
     _two_each,
     parse_rational,
     volume_sum,
@@ -75,10 +76,10 @@ class Piece(_Record):
 
     def __post_init__(self) -> None:
         if isinstance(self.slots, (str, dict)):
-            raise TypeError(f"slots {self.slots!r} is not a list of names")
+            raise TypeError(f"slots {_shown(self.slots)} is not a list of names")
         _set(self, "slots", slots := tuple(map(str, self.slots)))
         if self.kind not in ("seifert", "hyperbolic"):
-            raise ValueError(f"piece {self.id}: unknown kind {self.kind!r}")
+            raise ValueError(f"piece {self.id}: unknown kind {_shown(self.kind)}")
         if len(set(slots)) != len(slots):
             raise ValueError(f"piece {self.id}: duplicate slot names")
 
@@ -102,7 +103,7 @@ class Edge(_Record):
     def __post_init__(self) -> None:
         a, b, gluing = self.a, self.b, self.gluing
         if isinstance(gluing, _ITERABLE) and not _two_each((gluing, *gluing)):
-            raise TypeError(f"gluing {gluing!r} is not a 2x2 matrix")
+            raise TypeError(f"gluing {_shown(gluing)} is not a 2x2 matrix")
         _require_pair(a, "a", "[piece, slot]")
         _require_pair(b, "b", "[piece, slot]")
         _require_pair(self.killed_slope, "killed_slope", "[a, b]")
@@ -194,7 +195,7 @@ def _spec_problems(spec: GraphManifoldSpec) -> tuple[str, ...]:
             problems.append(f"edge {n}: killed_slope_b {slope_b} is not primitive")
         if slope is not None and slope_b is not None:
             pushed = edge.push_to_b(slope)
-            if pushed != slope_b and pushed != (-slope_b[0], -slope_b[1]):
+            if _normalize_slope(pushed) != _normalize_slope(slope_b):
                 pushed = _printed(pushed, f"edge {n}: pushed killed slope")
                 problems.append(
                     f"edge {n}: killed slope {slope} maps to {pushed}, "
@@ -217,7 +218,7 @@ class FilledSeifert(_Record):
         # a string or object row fails the test below whatever its slope
         slopes = [row[1] for row in rows if isinstance(row, (list, tuple)) and len(row) == 2]
         if not (_two_each(rows) and _two_each(slopes)):
-            raise TypeError(f"fillings {fillings!r} are not all [slot, [a, b]]")
+            raise TypeError(f"fillings {_shown(fillings)} are not all [slot, [a, b]]")
         filled = []
         for slot, (a, b) in rows:
             filled.append((str(slot), (_integer(a, "fillings[{!r}][0]", slot), _integer(b, "fillings[{!r}][1]", slot))))
@@ -346,7 +347,7 @@ def _numbered(
         try:
             tail, head = index[u], index[v]
         except KeyError:
-            raise ValueError(f"edge ({u!r}, {v!r}) uses unknown vertices") from None
+            raise ValueError(f"edge ({_shown(u)}, {_shown(v)}) uses unknown vertices") from None
         numerator = ratio.numerator
         if numerator <= 0:
             raise ValueError(f"edge ratio must be positive, got {ratio}")
@@ -454,18 +455,10 @@ def _torus_knot_pairs(p: int, q: int) -> tuple[Slope, Slope]:
     return ((p, b1), (q, b2))
 
 
-def _validate_motegi_params(
-    p1: int, q1: int, p2: int, q2: int, require_coprime: bool
-) -> None:
+def _validate_motegi_params(p1: int, q1: int, p2: int, q2: int) -> None:
     for name, value in (("p1", p1), ("q1", q1), ("p2", p2), ("q2", q2)):
         if value < 2:
             raise ValueError(f"{name} must be >= 2, got {value}")
-    if not require_coprime:
-        return
-    if math.gcd(p1, q1) != 1:
-        raise ValueError(f"gcd(p1, q1) must be 1, got gcd({p1}, {q1})")
-    if math.gcd(p2, q2) != 1:
-        raise ValueError(f"gcd(p2, q2) must be 1, got gcd({p2}, {q2})")
 
 
 def motegi_case(p1: int, q1: int, p2: int, q2: int) -> MotegiResult:
@@ -476,7 +469,7 @@ def motegi_case(p1: int, q1: int, p2: int, q2: int) -> MotegiResult:
     its volume coefficient is always 0.  The order formula needs no
     coprimality, so only the >= 2 bound is enforced here.
     """
-    _validate_motegi_params(p1, q1, p2, q2, require_coprime=False)
+    _validate_motegi_params(p1, q1, p2, q2)
     order = p1 * q1 * p2 * q2 - 1
     return MotegiResult(h1_order=order, nontrivial=order > 15, sv_coeff=Fraction(0))
 
@@ -484,7 +477,11 @@ def motegi_case(p1: int, q1: int, p2: int, q2: int) -> MotegiResult:
 def motegi_spec(p1: int, q1: int, p2: int, q2: int) -> GraphManifoldSpec:
     """The JSJ graph of the glued torus-knot exteriors: the gluing swaps
     meridian and fiber, i.e. the matrix [[0, 1], [1, 0]]."""
-    _validate_motegi_params(p1, q1, p2, q2, require_coprime=True)
+    _validate_motegi_params(p1, q1, p2, q2)
+    if math.gcd(p1, q1) != 1:
+        raise ValueError(f"gcd(p1, q1) must be 1, got gcd({p1}, {q1})")
+    if math.gcd(p2, q2) != 1:
+        raise ValueError(f"gcd(p2, q2) must be 1, got gcd({p2}, {q2})")
     pieces = []
     for name, (p, q) in (("E1", (p1, q1)), ("E2", (p2, q2))):
         pieces.append(
@@ -513,9 +510,7 @@ def _piece_from_json(entry: Mapping, path: str) -> Piece:
     slots = _field(entry, "slots", path)
     seifert = None
     if kind == "seifert":
-        genus = _integer(_field(entry, "genus", path), "genus")
-        pairs = entry.get("pairs", ())
-        seifert = SeifertInvariants(genus, pairs, len(slots))
+        seifert = SeifertInvariants(_field(entry, "genus", path), entry.get("pairs", ()), len(slots))
     return Piece(str(_field(entry, "id", path)), str(kind), slots, seifert, entry.get("label"))
 
 
@@ -534,9 +529,9 @@ def _volume_from_json(entry: Mapping, path: str) -> VolumeValue:
         except ValueError:
             value = math.nan  # an unreadable string is refused like "nan"
         if not math.isfinite(value):
-            raise TypeError(f"bad numeric {raw!r}")
+            raise TypeError(f"bad numeric {_shown(raw)}")
         return NumericVolume(value)
-    raise ValueError(f"direct assignment {entry!r} needs 'exact' or 'numeric'")
+    raise ValueError(f"direct assignment {_shown(entry)} needs 'exact' or 'numeric'")
 
 
 def _assignment_from_json(entry: Mapping, path: str) -> PieceAssignment:
@@ -550,7 +545,7 @@ def _assignment_from_json(entry: Mapping, path: str) -> PieceAssignment:
         fillings = _field(entry, "fillings", path)
         coeff = parse_rational(str(_field(entry, "coeff", path)), path, "malformed entry (bad coeff {})")
         return FilledSeifert(piece_id, fillings, coeff)
-    raise ValueError(f"assignment {entry!r} needs assign: small_image|direct|filled")
+    raise ValueError(f"assignment {_shown(entry)} needs assign: small_image|direct|filled")
 
 
 def _case_from_json(spec: GraphManifoldSpec, case: Mapping, path: str):

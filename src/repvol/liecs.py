@@ -44,6 +44,7 @@ from .exact import (
     _pi,
     _pi_power,
     _set,
+    _shown,
     parse_rational,
 )
 from .linalg import Pair
@@ -214,11 +215,22 @@ def _terms(sums: _Sums, den: int) -> tuple[tuple[tuple[int, ...], PiScalar], ...
     return tuple((i, _pi(_gaussian(re, im, den), p)) for i, (re, im, p) in sorted(sums.items()) if re or im)
 
 
+def _summed(terms: tuple, rest: tuple = (), sign: int = 1) -> tuple[tuple[tuple[int, ...], PiScalar], ...]:
+    """Form terms of ``terms`` + sign * ``rest``, added on each index in that
+    order: the one such sum, for the constructor and for ``+`` and ``-``."""
+    den, ints = _ints(terms + rest)
+    acc: _Sums = {}
+    for t, (indices, re, im, p) in enumerate(ints):
+        s = 1 if t < len(terms) else sign
+        _add(acc, indices, s * re, s * im, p)
+    return _terms(acc, den)
+
+
 class ExteriorForm(_Record):
     """Left-invariant form: scalar coefficients on increasing index tuples.
-    The constructor checks caller input and sums the terms on one index;
-    the operators, ``d`` and the other derived forms sum their own terms
-    and are built by ``_trusted`` without the checks."""
+    The constructor checks every term of caller input, then sums the terms
+    on one index by ``_summed``, as ``+`` and ``-`` do; the operators, ``d``
+    and the other derived forms are built by ``_trusted`` without the checks."""
 
     dim: int
     degree: int
@@ -229,7 +241,7 @@ class ExteriorForm(_Record):
             raise ValueError(f"degree {self.degree} must be non-negative")
         # degree > dim is allowed; such a form is necessarily zero since no
         # strictly increasing index tuple of that length fits in range.
-        acc, den = {}, 1
+        terms = []
         for indices, coeff in self.terms:
             indices = tuple(indices)
             coeff = PiScalar.of(coeff)
@@ -239,11 +251,8 @@ class ExteriorForm(_Record):
                 raise ValueError(f"index tuple {indices} out of range")
             if list(indices) != sorted(set(indices)):
                 raise ValueError(f"index tuple {indices} must be strictly increasing")
-            grow = coeff.coeff._den // math.gcd(den, coeff.coeff._den)
-            if grow > 1:  # terms are added as read: move the sums so far
-                acc, den = {k: [re * grow, im * grow, p] for k, (re, im, p) in acc.items()}, den * grow
-            _add(acc, indices, *_pair(coeff.coeff, den), coeff.pi_power)
-        _set(self, "terms", _terms(acc, den))
+            terms.append((indices, coeff))
+        _set(self, "terms", _summed(tuple(terms)))
 
     @staticmethod
     def zero(dim: int, degree: int) -> "ExteriorForm":
@@ -256,10 +265,6 @@ class ExteriorForm(_Record):
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def coefficient(self, indices: Sequence[int]) -> PiScalar:
-        key = tuple(indices)
-        return next((c for i, c in self.terms if i == key), PI_ZERO)
 
     def __add__(self, other: "ExteriorForm") -> "ExteriorForm":
         return self._plus(other, 1)
@@ -276,13 +281,8 @@ class ExteriorForm(_Record):
             raise ValueError("forms live on algebras of different dimension")
         if self.degree != other.degree and not (self.is_zero() or other.is_zero()):
             raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
-        den, terms = _ints(self.terms + other.terms)
-        acc: _Sums = {}
-        for t, (indices, re, im, p) in enumerate(terms):
-            s = 1 if t < len(self.terms) else sign
-            _add(acc, indices, s * re, s * im, p)
         degree = self.degree if self.terms else other.degree
-        return ExteriorForm._trusted(dim=self.dim, degree=degree, terms=_terms(acc, den))
+        return ExteriorForm._trusted(dim=self.dim, degree=degree, terms=_summed(self.terms, other.terms, sign))
 
     def scaled(self, factor: ScalarLike) -> "ExteriorForm":
         f = PiScalar.of(factor)
@@ -430,8 +430,6 @@ def cs_three_form(spec: LieAlgebraSpec, gram: GramForm) -> ExteriorForm:
 
     Each pairing averages over its shuffles: a (2,1) pairing carries 1/3.
     """
-    if gram.dim != spec.dim:
-        raise ValueError("Gram dimension does not match the algebra")
     if not is_ad_invariant(spec, gram):
         warnings.warn("Gram form is not ad-invariant; the 3-form is basis-dependent", stacklevel=2)
     # Both pairings are multiples of S = sum f_il c^i_jk phi^j^phi^k^phi^l
@@ -646,11 +644,11 @@ def algebra_from_json(doc: Mapping) -> LieAlgebraSpec:
     for e, entry in enumerate(entries):
         path = f"brackets[{e}]"
         if not isinstance(entry, (list, tuple)) or len(entry) != 3:
-            raise ValueError(f"{path}: bracket entry {entry!r} must be [left, right, coeffs]")
+            raise ValueError(f"{path}: bracket entry {_shown(entry)} must be [left, right, coeffs]")
         left, right, coeffs = entry
         for pos, name in ((0, left), (1, right)):
             if not isinstance(name, str) or name not in index:
-                raise ValueError(f"{path}[{pos}]: entry uses unknown basis names ({name!r})")
+                raise ValueError(f"{path}[{pos}]: entry uses unknown basis names ({_shown(name)})")
         if not isinstance(coeffs, Mapping):
             raise ValueError(f"{path}[2]: expected an object of coefficients")
         j, k = index[left], index[right]
@@ -662,7 +660,7 @@ def algebra_from_json(doc: Mapping) -> LieAlgebraSpec:
         vec = table.setdefault((j, k), [PI_ZERO] * len(basis))
         for name, value in coeffs.items():
             if name not in index:
-                raise ValueError(f"{path}[2]: entry uses unknown basis names ({name!r})")
+                raise ValueError(f"{path}[2]: entry uses unknown basis names ({_shown(name)})")
             coeff = _coeff_from_json(value, f"{path}[2].{name}")
             vec[index[name]] = vec[index[name]] + (coeff if sign > 0 else -coeff)
     return LieAlgebraSpec(

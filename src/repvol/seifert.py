@@ -15,7 +15,7 @@ import re
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import _Record, _fraction, _integer, _set, _two_each
+from .exact import _Record, _fraction, _integer, _set, _shown, _two_each
 
 __all__ = [
     "SeifertInvariants",
@@ -62,15 +62,17 @@ class SeifertInvariants(_Record):
     def __post_init__(self) -> None:
         rows = list(self.pairs)
         if not _two_each(rows):
-            raise TypeError(f"pairs {self.pairs!r} are not all [a, b]")
+            raise TypeError(f"pairs {_shown(self.pairs)} are not all [a, b]")
         pairs = []
         for i, (a, b) in enumerate(rows):
             pairs.append((_integer(a, "pairs[{}][0]", i), _integer(b, "pairs[{}][1]", i)))
         _set(self, "pairs", tuple(pairs))
-        if self.genus < 0:
-            raise ValueError(f"base genus must be >= 0, got {self.genus}")
-        if self.boundary_count < 0:
-            raise ValueError(f"boundary count must be >= 0, got {self.boundary_count}")
+        _set(self, "genus", genus := _integer(self.genus, "genus"))
+        if genus < 0:
+            raise ValueError(f"base genus must be >= 0, got {genus}")
+        _set(self, "boundary_count", count := _integer(self.boundary_count, "boundary_count"))
+        if count < 0:
+            raise ValueError(f"boundary count must be >= 0, got {count}")
         for k, (a, b) in enumerate(pairs, start=1):
             _check_pair(a, b, "pair", k)
 
@@ -276,7 +278,7 @@ def parse_seifert(text: str) -> SeifertInvariants:
             raise ParseError(f"expected ',' or ')', found {tok or 'end of input'}", pos)
     tok, pos = tokens[i + 1]
     if tok:
-        raise ParseError(f"unexpected trailing {tok!r}", pos)
+        raise ParseError(f"unexpected trailing {_shown(tok)}", pos)
     # every pair has passed the constructor's checks above
     return SeifertInvariants._trusted(genus=genus, pairs=tuple(pairs), boundary_count=0)
 

@@ -501,6 +501,13 @@ def _set(value, *keys):
             _set([["x", 1]], "cases", 0, "killed_slopes"),
             "cases[0]: malformed entry (invalid literal for int() with base 10: 'x')",
         ),
+        (_set([[2.5, 1]], "pieces", 0, "pairs"), "pieces[0]: malformed entry (pairs[0][0] 2.5 is not an integer)"),
+        (
+            _set([[0.5, 1], [1, 0.2]], "edges", 0, "gluing"),
+            "edges[0]: malformed entry (gluing[0][0] 0.5 is not an integer)",
+        ),
+        (_set(1.9, "pieces", 0, "genus"), "pieces[0]: malformed entry (genus 1.9 is not an integer)"),
+        (_set([1.9, 0], "edges", 0, "killed_slope"), "edges[0]: malformed entry (killed_slope[0] 1.9 is not an integer)"),
     ],
     ids=[
         "top_level_list",
@@ -539,6 +546,10 @@ def _set(value, *keys):
         "genus_nan",
         "filling_slope_not_an_integer",
         "case_killed_slope_not_an_integer",
+        "seifert_pair_cut_short",
+        "gluing_cut_short",
+        "genus_cut_short",
+        "killed_slope_cut_short",
     ],
 )
 @pytest.mark.parametrize("action", ["validate", "additivity"])
@@ -732,6 +743,9 @@ def test_exponent_rationals_are_refused(capsys, tmp_path, argv, doc, message):
 # characters, then an ellipsis and the length.
 XS = "x" * 5000
 SHOWN_XS = f"'{'x' * 32}…' (5000 characters)"
+# A list whose repr has 10000 characters, shown by its first 32.
+LONG_ROW = ["a"] * 2000
+SHOWN_ROW = "['a', 'a', 'a', 'a', 'a', 'a', '… (10000 characters)"
 
 
 @pytest.mark.parametrize(
@@ -753,8 +767,19 @@ SHOWN_XS = f"'{'x' * 32}…' (5000 characters)"
             f"cases[0].assignments[1]: malformed entry (bad exact {SHOWN_XS})",
         ),
         (("graph", "rw"), _ratio_doc(("a", "b", XS)), f"edges[0][2]: bad ratio {SHOWN_XS}"),
+        (
+            ("cs", "jacobi"),
+            {"basis": ["A", "B"], "brackets": [LONG_ROW]},
+            f"brackets[0]: bracket entry {SHOWN_ROW} must be [left, right, coeffs]",
+        ),
+        (
+            ("cs", "jacobi"),
+            {"basis": ["A", "B"], "brackets": [["A", "B", {"A": [1] * 2000}]]},
+            "brackets[0][2].A: bad structure constant [1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1… (6000 characters) (use int or 'p/q')",
+        ),
+        (("graph", "rw"), _ratio_doc(LONG_ROW), f"edges[0]: expected [u, v, ratio], got {SHOWN_ROW}"),
     ],
-    ids=["structure_constant", "coeff", "exact", "ratio"],
+    ids=["structure_constant", "coeff", "exact", "ratio", "bracket_row", "list_constant", "ratio_row"],
 )
 def test_long_document_values_are_shown_shortened(capsys, tmp_path, argv, doc, message):
     bad = tmp_path / "doc.json"

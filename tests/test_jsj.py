@@ -263,8 +263,10 @@ REFUSAL_ORDER = {
             ({"gluing": [[1, None], [0, 1]]}, "TypeError: int() argument must be a string, a bytes-like object or a real number, not 'NoneType'"),
             ({"gluing": [["a", 1], [1, 0]]}, "TypeError: invalid literal for int() with base 10: 'a'"),
             ({"gluing": [[1, 0], [LONG, -1]]}, f"TypeError: gluing[1][0] is too long to read: over {LIMIT} digits"),
+            ({"gluing": [[0.5, 1], [1, 0.2]]}, "TypeError: gluing[0][0] 0.5 is not an integer"),
             ({"killed_slope": ["x", 1]}, "TypeError: invalid literal for int() with base 10: 'x'"),
             ({"killed_slope": [2, LONG]}, f"TypeError: killed_slope[1] is too long to read: over {LIMIT} digits"),
+            ({"killed_slope": [1.9, 0]}, "TypeError: killed_slope[0] 1.9 is not an integer"),
             ({"killed_slope_b": [float("nan"), 1]}, "TypeError: cannot convert float NaN to integer"),
             ({"killed_slope_b": [LONG, 1]}, f"TypeError: killed_slope_b[0] is too long to read: over {LIMIT} digits"),
         ],
@@ -277,7 +279,10 @@ REFUSAL_ORDER = {
             ({"pairs": [5]}, "TypeError: cannot unpack non-iterable int object"),
             ({"pairs": [["x", 1]]}, "TypeError: invalid literal for int() with base 10: 'x'"),
             ({"pairs": [[2, 1], [1, "-" + LONG]]}, f"TypeError: pairs[1][1] is too long to read: over {LIMIT} digits"),
+            ({"pairs": [[2.9, 1]]}, "TypeError: pairs[0][0] 2.9 is not an integer"),
+            ({"genus": 1.5}, "TypeError: genus 1.5 is not an integer"),
             ({"genus": -1}, "ValueError: base genus must be >= 0, got -1"),
+            ({"boundary_count": 0.5}, "TypeError: boundary_count 0.5 is not an integer"),
             ({"boundary_count": -2}, "ValueError: boundary count must be >= 0, got -2"),
             ({"pairs": [[2, 1], [0, 1]]}, "ValueError: pair 2: multiplicity must be positive, got 0"),
             ({"pairs": [[4, 2]]}, "ValueError: pair 1: 2/4 is not in lowest terms"),

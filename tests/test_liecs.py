@@ -374,6 +374,16 @@ def test_sum_of_two_pi_powers_on_one_index_is_refused():
         tagged + plain
 
 
+def test_constructor_checks_every_term_before_summing():
+    # the first two terms clash in pi power on (0,), the third is out of
+    # range: the malformed term is reported, though it comes later
+    terms = [((0,), PiScalar.of(1, 1)), ((0,), 1), ((5,), 1)]
+    with pytest.raises(ValueError, match=r"^index tuple \(5,\) out of range$"):
+        ExteriorForm(3, 1, terms)
+    with pytest.raises(ValueError, match=r"^pi-power mismatch in addition: 1 vs 0$"):
+        ExteriorForm(3, 1, terms[:2])
+
+
 def test_wedge_with_two_pi_powers_on_one_index_is_refused():
     # (phi^X + phi^Y) ^ (phi^X + pi phi^Y) = pi phi^XY - phi^XY: the product
     # met first on XY is the pi one, and with the operands swapped the
