@@ -34,8 +34,8 @@ text), and per case ``validate_spec`` and ``additivity_sum``, or
 
 The ``spectra`` key covers ``repvol.ehn``: seeded closed symbols of
 genus 1 to 3 with up to four fibres, multiplicities 1 to 6 included, and
-one symbol per refusal (e = 0, chi = 0, genus 0, an open boundary and a
-spectrum over the budget).  For each it records ``volume_set``,
+one symbol per refusal (e = 0, chi = 0, chi > 0, genus 0, an open
+boundary and a spectrum over the budget).  For each it records ``volume_set``,
 ``seifert_volume_max``, ``volume_set_bruteforce`` (on the symbols whose
 window is small), ``spectrum_contains`` and the full ``witnesses_for``
 list, in its order, on seeded members and non-members of the spectrum,
