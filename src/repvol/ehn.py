@@ -45,7 +45,7 @@ import functools
 import itertools
 import math
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .exact import MAX_VALUES, _Record, _fraction, _printed, _set
 from .seifert import SeifertInvariants, _over_lcm, _require_closed, euler_number, orbifold_chi
@@ -60,12 +60,13 @@ __all__ = [
 ]
 
 
-def foliation_exists(genus: int, slopes: Sequence[Fraction]) -> bool:
+def foliation_exists(genus: int, slopes: Iterable[Fraction]) -> bool:
     """Horizontal-foliation test for a closed fibration over genus >= 1, each slope read as ``Fraction(s)``."""
     if genus < 1:
         raise ValueError("foliation criterion requires base genus >= 1")
-    floor_sum = sum(math.floor(Fraction(s)) for s in slopes)
-    ceil_sum = sum(math.ceil(Fraction(s)) for s in slopes)
+    slopes = tuple(Fraction(s) for s in slopes)  # read once, as slopes may be an iterator
+    floor_sum = sum(map(math.floor, slopes))
+    ceil_sum = sum(map(math.ceil, slopes))
     return floor_sum <= 2 * genus - 2 and ceil_sum >= 2 - 2 * genus
 
 

@@ -61,6 +61,14 @@ def test_foliation_exists_worked_cases():
     assert foliation_exists(2, [Fraction(3), Fraction(-3)])
 
 
+def test_foliation_reads_slopes_once():
+    # both sums come from one reading, so an iterator answers as its list does
+    slopes = [Fraction(-3, 2)]
+    assert not foliation_exists(1, slopes)
+    assert not foliation_exists(1, (s for s in slopes))
+    assert foliation_exists(1, iter([Fraction(1, 2), "-1/2"]))
+
+
 def test_foliation_requires_positive_genus():
     with pytest.raises(ValueError):
         foliation_exists(0, [Fraction(1, 2)])

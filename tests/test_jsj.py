@@ -977,8 +977,9 @@ def test_rw_working_set_per_side():
     # generator at V = 20,000 (39,999 edges, so 79,998 sides).  The traced
     # peak of the call per side, on Python 3.10-3.13: 97.6-99.6 bytes with
     # a list of sides per vertex and the name index kept to the end,
-    # 72.9-76.8 with linked sides and the index dropped.  The bound leaves
-    # at least 10% on each side.
+    # 72.9-76.8 with linked sides and the index dropped, 44.9-45.0 with
+    # the side tables in arrays.  The bound leaves at least 10% on each
+    # side of the last two.
     import tracemalloc
 
     rng = random.Random(20261018)
@@ -1001,4 +1002,51 @@ def test_rw_working_set_per_side():
     finally:
         tracemalloc.stop()
     assert not result.consistent
-    assert peak / (2 * len(edges)) < 86
+    assert peak / (2 * len(edges)) < 58
+
+
+def _planted_ratio_graph(v):
+    """The planted graph of test_rw_witness_is_a_short_fundamental_cycle
+    and test_rw_working_set_per_side: a random spanning tree on ``v``
+    vertices plus ``v`` extra edges, ratios read off vertex potentials, and
+    one extra edge scaled so that it closes an inconsistent cycle."""
+    rng = random.Random(20261018)
+    potential = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(v)]
+    pairs = [(rng.randrange(i), i) for i in range(1, v)]
+    pairs += [tuple(rng.sample(range(v), 2)) for _ in range(v)]
+    edges = [(a, b, potential[b] / potential[a]) for a, b in pairs]
+    k = rng.randrange(v - 1, len(edges))
+    a, b, ratio = edges[k]
+    edges[k] = (a, b, ratio * Fraction(3, 2))
+    return list(range(v)), edges
+
+
+def test_rw_matches_fraction_forest_on_the_working_set_graph():
+    # At a size where the side tables' storage matters, exact equality with
+    # the oracle pins the walk order, the first offending edge and its cycle.
+    vertices, edges = _planted_ratio_graph(20000)
+    result = rw_consistency(vertices, edges)
+    assert (result.consistent, result.witness_cycle, result.product) == _fraction_forest(
+        vertices, edges
+    )
+    assert not result.consistent
+
+
+@pytest.mark.parametrize(
+    "vertices, edges, refusal",
+    [
+        (*_planted_ratio_graph(2000), None),
+        (["u", "v", "w"], [("u", "v", 2), ("v", "x", 3)], "edge ('v', 'x') uses unknown vertices"),
+        (["u", "v", "w"], [("u", "v", 2), ("v", "w", -3)], "edge ratio must be positive, got -3"),
+        (["u", "v", "w"], [("u", "v", 2), ("v", "w", "x/2")], "Invalid literal for Fraction: 'x/2'"),
+    ],
+    ids=["planted", "unknown_vertex", "nonpositive_ratio", "unreadable_ratio"],
+)
+def test_rw_reads_each_argument_once(vertices, edges, refusal):
+    # iterators have no len and can be read only once
+    expected = _outcome(rw_consistency, vertices, edges)
+    assert _outcome(rw_consistency, iter(vertices), iter(edges)) == expected
+    if refusal is None:
+        assert not expected.consistent
+    else:
+        assert expected == (ValueError, refusal)
