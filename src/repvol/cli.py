@@ -68,6 +68,19 @@ def _int_list(text: str) -> list[int]:
     return [_int_arg(part, refusal) for part in text.split(",") if part.strip() != ""]
 
 
+_ALGEBRAS = ("iso-sl2r", "psl2c")
+
+
+def _algebra_arg(text: str) -> str:
+    """A ``cs verify`` algebra.  Any other text is refused as argparse's
+    ``choices`` refuses it, the text as ``_shown`` shows it."""
+    if text not in _ALGEBRAS:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {_shown(text)} (choose from {', '.join(map(repr, _ALGEBRAS))})"
+        )
+    return text
+
+
 def _read_json(path: str):
     import json
 
@@ -410,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cs = sub.add_parser("cs", help="symbolic 3-form identities")
     cs_sub = p_cs.add_subparsers(dest="action", required=True)
     p_verify = cs_sub.add_parser("verify")
-    p_verify.add_argument("algebra", choices=("iso-sl2r", "psl2c"))
+    p_verify.add_argument("algebra", type=_algebra_arg, choices=_ALGEBRAS)
     p_verify.set_defaults(handler=_cmd_cs)
     p_jacobi = cs_sub.add_parser("jacobi")
     p_jacobi.add_argument("file", help="JSON structure-constant table")

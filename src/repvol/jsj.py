@@ -374,14 +374,10 @@ def rw_consistency(
     vertex's edge sides are linked in input order through two flat tables,
     with no list per vertex.  The side-number tables ``first``, ``nxt``
     and ``into`` are ``array("q")``s, which hold each entry in 8 bytes with
-    no int object behind it: on the seed-1 V = 10^5 ``graphs`` benchmark
-    graph the call's traced peak is 51.4 bytes per side, against 83.4 with
-    lists, and over ten alternating pairs per seed (``BENCH_28.json``) the
-    benchmark's ``peak_rss_mib`` median went from 85.6 to 80.0 MiB on seed 1
-    and from 85.5 to 81.5 MiB on seed 2.  Potentials are kept as integer
-    numerators and denominators in lowest terms, and an edge u -> v with
-    ratio p/q is tested by comparing cross products, so no ``Fraction`` is
-    built unless an edge fails.  On failure the fundamental cycle of the
+    no int object behind it.  Potentials are kept as integer numerators
+    and denominators in lowest terms, and an edge u -> v with ratio p/q is
+    tested by comparing cross products, so no ``Fraction`` is built unless
+    an edge fails.  On failure the fundamental cycle of the
     first offending edge is returned with its ratios and product as
     ``Fraction``s; the product is then necessarily != 1.  The cycle runs
     through the tree only, so it has at most 2 * (eccentricity of its
@@ -583,13 +579,19 @@ def load_graph_document(doc: Mapping) -> GraphDocument:
     """Parse the JSON graph-manifold format (see the README for the schema).
 
     A malformed document raises ``ValueError`` naming the path of the bad
-    part, such as ``pieces[0].kind: missing``.
+    part, such as ``pieces[0].kind: missing``; so does a case name used
+    twice, at its second case, since each case names one total.
     """
     doc = _document(doc, "pieces", "edges")
     pieces = _entries(_field(doc, "pieces"), "pieces", _piece_from_json)
     spec = GraphManifoldSpec(pieces, _entries(doc.get("edges", []), "edges", _edge_from_json))
     if "cases" in doc:
         cases = _entries(doc["cases"], "cases", lambda case, path: _case_from_json(spec, case, path))
+        names = set()
+        for i, (name, _, _) in enumerate(cases):
+            if name in names:
+                raise ValueError(f"cases[{i}]: duplicate case name {_shown(name)}")
+            names.add(name)
     elif "assignments" in doc:
         assignments = _entries(doc["assignments"], "assignments", _assignment_from_json)
         cases = (("default", spec, assignments),)

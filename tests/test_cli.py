@@ -2,15 +2,14 @@
 JSON mode, and error-stream behavior."""
 
 import json
-import os
 import re
 import shlex
-import subprocess
 import sys
 import time
 from importlib import resources
 from pathlib import Path
 
+import child
 import pytest
 
 from repvol.cli import main
@@ -81,6 +80,9 @@ def test_volumes_oracle_agreement(capsys):
     code, out, _ = run(capsys, "seifert", "volumes", "(1; 1/2, 1/2)", "--oracle")
     assert code == 0
     assert out.splitlines()[-1] == "oracle agreement: 3 values"
+    code, out, err = run(capsys, "seifert", "volumes", "(1; 1/2, 1/3, 1/7)", "--oracle")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "oracle agreement: 64 values"
 
 
 def test_volumes_json(capsys):
@@ -109,6 +111,11 @@ def test_info(capsys):
         "euler 1\n"
         "chi -1\n"
         "geometry sl2r-tilde\n"
+    )
+    assert run(capsys, "seifert", "info", "(1; 1/2, 1/3)") == (
+        0,
+        "notation (1; 1/2, 1/3)\neuler 5/6\nchi -7/6\ngeometry sl2r-tilde\n",
+        "",
     )
 
 
@@ -163,13 +170,8 @@ HUGE_FIBRES = "(1; 1/1000003, 1/1000033)"
     ids=["sv", "volumes", "witnesses", "volumes_witnesses_flag"],
 )
 def test_huge_spectrum_answers_or_fails_fast(argv, code):
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     start = time.perf_counter()
-    done = subprocess.run(
-        [sys.executable, "-m", "repvol.cli", "seifert", *argv],
-        capture_output=True, text=True, env=env, timeout=30,
-    )
+    done = child.python("-m", "repvol.cli", "seifert", *argv)
     elapsed = time.perf_counter() - start
     assert done.returncode == code, done.stderr
     if code == 0:
@@ -224,7 +226,8 @@ def test_parse_error_exit_one(capsys):
     code, out, err = run(capsys, "seifert", "info", "(1; 2/4)")
     assert code == 1
     assert out == ""
-    assert "lowest terms" in err
+    assert err == "error: pair 1: 2/4 is not in lowest terms (at position 6)\n"
+    assert run(capsys, "seifert", "volumes", "(1; 1/2,)") == (1, "", "error: trailing comma (at position 7)\n")
 
 
 def test_usage_error_exit_two(capsys):
@@ -239,14 +242,13 @@ def test_usage_error_exit_two(capsys):
 def test_cs_verify_iso_sl2r(capsys):
     code, out, _ = run(capsys, "cs", "verify", "iso-sl2r")
     assert code == 0
-    lines = out.splitlines()
-    assert lines[0] == (
-        "T = 2/3 * phiX^phiY^phiZ + 2/3 * phiX^phiY^phiW + 2/3 * phiX^phiZ^phiW"
+    assert out == (
+        "T = 2/3 * phiX^phiY^phiZ + 2/3 * phiX^phiY^phiW + 2/3 * phiX^phiZ^phiW\n"
+        "volume part = 2/3 * phiX^phiY^phiZ\n"
+        "primitive = 1/3 * phiY^phiZ + 2/3 * phiY^phiW\n"
+        "stated primitive = 1/3 * phiY^phiW + -1/3 * phiZ^phiW (verifies)\n"
+        "OK\n"
     )
-    assert lines[1] == "volume part = 2/3 * phiX^phiY^phiZ"
-    assert lines[2].startswith("primitive = ")
-    assert lines[3] == "stated primitive = 1/3 * phiY^phiW + -1/3 * phiZ^phiW (verifies)"
-    assert lines[-1] == "OK"
 
 
 def test_cs_verify_psl2c(capsys):
@@ -258,6 +260,7 @@ def test_cs_verify_psl2c(capsys):
 def test_cs_jacobi_ok(capsys, tmp_path):
     code, out, _ = run(capsys, "cs", "jacobi", str(DATA.joinpath("iso_sl2r.json")))
     assert (code, out) == (0, "ok\n")
+    assert run(capsys, "cs", "jacobi", str(DATA.joinpath("sl2c.json"))) == (0, "ok\n", "")
 
 
 def test_cs_jacobi_violation(capsys, tmp_path):
@@ -270,7 +273,14 @@ def test_cs_jacobi_violation(capsys, tmp_path):
     code, out, err = run(capsys, "cs", "jacobi", str(bad))
     assert code == 1
     assert out == "violation at (X, Y, W)\n"
-    assert err.startswith("error: ")
+    assert err == "error: jacobi identity fails\n"
+    # sl(2) with X negated, but [X, Z] = 3Z where Jacobi needs 2Z
+    bad.write_text(
+        json.dumps(
+            {"basis": ["X", "Y", "Z"], "brackets": [["X", "Y", {"Y": -2}], ["X", "Z", {"Z": 3}], ["Y", "Z", {"X": -1}]]}
+        )
+    )
+    assert run(capsys, "cs", "jacobi", str(bad)) == (1, "violation at (X, Y, Z)\n", "error: jacobi identity fails\n")
 
 
 def test_cs_jacobi_missing_file(capsys):
@@ -310,13 +320,8 @@ def test_cs_jacobi_wide_table_ends_fast(tmp_path):
     }
     path = tmp_path / "wide.json"
     path.write_text(json.dumps(doc))
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     start = time.perf_counter()
-    done = subprocess.run(
-        [sys.executable, "-m", "repvol.cli", "cs", "jacobi", str(path)],
-        capture_output=True, text=True, env=env, timeout=30,
-    )
+    done = child.python("-m", "repvol.cli", "cs", "jacobi", str(path))
     elapsed = time.perf_counter() - start
     assert (done.returncode, done.stdout, done.stderr) == (0, "ok\n", "")
     assert elapsed < 1
@@ -624,6 +629,20 @@ def test_graph_json_object_is_not_a_pair_or_a_list_of_names(capsys, tmp_path, ac
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("argv", [("validate",), ("additivity",), ("additivity", "--json")], ids=" ".join)
+def test_graph_repeated_case_name_is_refused(capsys, tmp_path, argv):
+    # each case names one total: --json kept only the last, and validate said ok
+    doc = _graph_doc()
+    doc["pieces"] = [doc["pieces"][1]]
+    doc["edges"] = []
+    doc["cases"] = [
+        {"name": "A", "assignments": [{"piece": "H", "assign": "direct", "exact": total}]} for total in ("1", "2")
+    ]
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(doc))
+    assert run(capsys, "graph", *argv, str(path)) == (1, "", "error: cases[1]: duplicate case name 'A'\n")
+
+
 def test_graph_rw(capsys, tmp_path):
     good = tmp_path / "good.json"
     good.write_text(
@@ -648,8 +667,15 @@ def test_graph_rw(capsys, tmp_path):
     )
     code, out, err = run(capsys, "graph", "rw", str(bad))
     assert code == 1
-    assert out.startswith("inconsistent: cycle ")
-    assert err.startswith("error: ")
+    assert out == "inconsistent: cycle b->c[3] c->a[1] a->b[2] product 6\n"
+    assert err == "error: edge ratios are inconsistent\n"
+
+    for ratio, expected in (
+        ("6", (0, "consistent\n", "")),
+        ("5", (1, "inconsistent: cycle v->w[3] w->u[1/5] u->v[2] product 6/5\n", "error: edge ratios are inconsistent\n")),
+    ):
+        bad.write_text(json.dumps({"vertices": ["u", "v", "w"], "edges": [["u", "v", "2"], ["v", "w", "3"], ["u", "w", ratio]]}))
+        assert run(capsys, "graph", "rw", str(bad)) == expected
 
 
 def _ratio_doc(*edges):
@@ -672,6 +698,11 @@ def _ratio_doc(*edges):
         ({"vertices": [1, "1", None], "edges": []}, "vertices[0]: expected a string, got 1"),
         ({"vertices": ["1", "2"], "edges": [[1, "1", "2"]]}, "edges[0][0]: expected a string, got 1"),
         ({"vertices": ["1", "2"], "edges": [["1", None, "2"]]}, "edges[0][1]: expected a string, got None"),
+        (
+            {"vertices": ["u", "v", "w"], "edges": [["u", "v", "2"], ["v", "x", "3"]]},
+            "edge ('v', 'x') uses unknown vertices",
+        ),
+        ({"vertices": ["u", "v", "w"], "edges": [["u", "v", "2"], ["v", "w", "-3"]]}, "edge ratio must be positive, got -3"),
     ],
     ids=[
         "top_level_list",
@@ -687,6 +718,8 @@ def _ratio_doc(*edges):
         "vertex_name_not_a_string",
         "edge_start_not_a_string",
         "edge_end_not_a_string",
+        "unknown_vertex",
+        "ratio_not_positive",
     ],
 )
 def test_graph_rw_malformed_document(capsys, tmp_path, doc, message):
@@ -866,8 +899,12 @@ def test_graph_rw_repeated_vertex_name_names_one_vertex(capsys, tmp_path):
 def test_covers_merge(capsys):
     code, out, _ = run(capsys, "covers", "merge", "--degrees", "2,3", "--m", "1")
     assert code == 0
-    assert "common_degree" in out and "6" in out
-    assert "copies" in out and "3,2" in out
+    assert out == "common_degree         6\ncopies                3,2\nper_torus_elevations  6\n"
+    assert run(capsys, "covers", "merge", "--degrees", "2,4", "--m", "2") == (
+        0,
+        "common_degree         4\ncopies                2,1\nper_torus_elevations  2\n",
+        "",
+    )
 
 
 def test_covers_merge_json(capsys):
@@ -894,6 +931,11 @@ def test_covers_colored_json(capsys):
         "corridor_copies": [3, 4],
         "matched_elevations": [6, 12],
     }
+    # sorted keys, two-space indent, one list item a line
+    assert out == (
+        '{\n  "central_negative": 6,\n  "central_positive": 6,\n  "common_degree": 6,\n'
+        '  "corridor_copies": [\n    3,\n    4\n  ],\n  "matched_elevations": [\n    6,\n    12\n  ]\n}\n'
+    )
 
 
 def test_covers_colored_plain_text(capsys):
@@ -1095,13 +1137,8 @@ def test_boundary_refusals_end_fast(tmp_path, argv, doc, code, err):
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(doc))
         argv = (*argv, str(path))
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     start = time.perf_counter()
-    done = subprocess.run(
-        [sys.executable, "-m", "repvol.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=30,
-    )
+    done = child.python("-m", "repvol.cli", *argv)
     elapsed = time.perf_counter() - start
     assert (done.returncode, done.stdout, done.stderr) == (code, "", err)
     assert elapsed < 0.5
@@ -1250,8 +1287,13 @@ def test_integer_option_usage_errors_keep_their_text(capsys, argv, message):
             ("covers", "elevations", "--torus", "x" * 64, "--curve", "2"),
             f"argument --torus: invalid int value: '{'x' * 64}'",
         ),
+        (("cs", "verify", XS), f"argument algebra: invalid choice: {SHOWN_XS} (choose from 'iso-sl2r', 'psl2c')"),
+        (("cs", "verify", "nope"), "argument algebra: invalid choice: 'nope' (choose from 'iso-sl2r', 'psl2c')"),
     ],
-    ids=["int_option", "positional", "budget", "list", "coeff", "witnesses", "64_characters_in_full"],
+    ids=[
+        "int_option", "positional", "budget", "list", "coeff", "witnesses", "64_characters_in_full",
+        "algebra", "algebra_in_full",
+    ],
 )
 def test_long_option_values_are_shown_shortened(capsys, argv, message):
     with pytest.raises(SystemExit) as exit:
@@ -1374,3 +1416,26 @@ def test_graph_infinite_genus_is_malformed(capsys, tmp_path):
     code, out, err = run(capsys, "graph", "validate", str(bad))
     assert (code, out) == (1, "")
     assert err == "error: pieces[0]: malformed entry (cannot convert float infinity to integer)\n"
+
+
+# ---------------------------------------------------------------- console script
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, err",
+    [
+        (("seifert", "sv", "(2; 1)"), 0, "max (enumeration) 4 * 4*pi^2\nmax (closed form) 4 * 4*pi^2\n", ""),
+        (("seifert", "info", "(1; 2/4)"), 1, "", "error: pair 1: 2/4 is not in lowest terms (at position 6)\n"),
+        (
+            ("cs", "verify", "nope"),
+            2,
+            "",
+            "repvol cs verify: error: argument algebra: invalid choice: 'nope' (choose from 'iso-sl2r', 'psl2c')\n",
+        ),
+    ],
+    ids=["ok", "refused", "usage"],
+)
+def test_entry_exits_with_the_command_code(argv, code, out, err):
+    # repvol.cli:entry is the installed console script's target
+    done = child.python("-c", "from repvol.cli import entry; entry()", *argv)
+    assert (done.returncode, done.stdout, done.stderr) == (code, out, err)

@@ -4,14 +4,11 @@ The corpus is written by ``tests/contract/make.py`` and changed only as
 a deliberate contract change; see that module's docstring."""
 
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
+import child
 from contract import make
-
-SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_forms_corpus_replays():
@@ -45,10 +42,5 @@ def test_spectra_corpus_replays():
 def test_generator_is_deterministic(tmp_path):
     # another process, with another string hash seed, writes the same bytes
     out = tmp_path / "library.json"
-    env = {
-        **os.environ,
-        "PYTHONHASHSEED": "1",
-        "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])),
-    }
-    subprocess.run([sys.executable, make.__file__, "--out", str(out)], check=True, env=env)
+    subprocess.run([sys.executable, make.__file__, "--out", str(out)], check=True, env=child.env(PYTHONHASHSEED="1"))
     assert out.read_bytes() == make.LIBRARY.read_bytes()

@@ -31,11 +31,10 @@ import json
 import os
 import re
 import signal
-import subprocess
-import sys
 from importlib import resources
 from pathlib import Path
 
+import child
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -355,10 +354,5 @@ def test_fuzzed_subprocess_keeps_the_exit_contract(tmp_path_factory, drawn):
         doc_path = tmp_path_factory.mktemp("fuzz") / "doc.json"
         doc_path.write_text(text, "utf-8")
         drawn = [*commands[-1], str(doc_path)]
-    src = str(ROOT / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run(
-        [sys.executable, "-m", "repvol.cli", *drawn],
-        capture_output=True, text=True, env=env, timeout=30,
-    )
+    done = child.python("-m", "repvol.cli", *drawn)
     check_outcome(drawn, done.returncode, done.stderr)

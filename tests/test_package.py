@@ -6,11 +6,9 @@ loads only the modules it runs, and neither ``dataclasses`` nor
 import ast
 import importlib
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
+import child
 import pytest
 
 import repvol
@@ -27,10 +25,9 @@ STDLIB = ("dataclasses", "inspect")
 def _loaded(code):
     """The ``repvol`` and ``STDLIB`` modules in ``sys.modules`` after a
     fresh interpreter runs ``code``."""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
     roots = ("repvol", *STDLIB)
     script = code + f"\nimport json, sys\nprint(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in {roots!r})))"
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    done = child.python("-c", script, timeout=60)
     assert done.returncode == 0, done.stderr
     return set(json.loads(done.stdout.splitlines()[-1]))
 
