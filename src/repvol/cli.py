@@ -294,11 +294,13 @@ def _cmd_graph(args: argparse.Namespace) -> int:
 
     document = jsj.load_graph_document(doc)
     if args.action == "validate":
-        problems = [
-            problem if name == "default" else f"{name}: {problem}"
-            for name, spec, _ in document.cases
-            for problem in jsj.validate_spec(spec)
-        ]
+        problems = []
+        for name, spec, assignments in document.cases:
+            found = jsj.validate_spec(spec)
+            # a case that assigns pieces must assign each once, as additivity needs
+            if assignments and (cover := jsj._cover_problem(spec, assignments)):
+                found.append(cover)
+            problems += [problem if name == "default" else f"{name}: {problem}" for problem in found]
         if not problems:
             print("ok")
             return 0

@@ -15,20 +15,34 @@ shifting n by 1 changes neither the constraints nor the value, so the
 residues 0 <= r_i < a_i with 2 - 2g <= m <= 2g - 2 + #{i : r_i > 0}
 already give the whole spectrum.  The value sees the residues only
 through s = sum(r_i * lcm/a_i), as t^2 * E_den / (lcm^2 * |E_num|) with
-t = s - m * lcm and e = E_num / E_den, so ``volume_set`` folds the fibres
-into a sumset mapping each s to the most nonzero residues reaching it;
-that is exact, since only the upper end of the m range depends on the
-count and grows with it.  One lookup per m in that sumset decides
-whether a coefficient is in the spectrum (``spectrum_contains``), which
-refuses a space whose spectrum may exceed ``MAX_VALUES``.
-``witnesses_for`` walks back through the same layers on an explicit
-stack and only steps to residue sums that can still reach the count
-they need, so its cost follows the output; each witness is derived
-once, in integers over the common denominator lcm * |E_num|, and checked
-by integer tests.  Every witness under one root t shares zeta, and z_i
-depends only on t and (i, n_i), so ``witnesses_for`` keeps one field
-table per t and builds each of those ``Fraction``s once.  Values and
-fields come from ``exact._fraction``, one ``gcd`` per value.
+t = s - m * lcm and e = E_num / E_den, so the fibres fold into sumset
+layers, each mapping a residue sum s of the first k fibres to the most
+nonzero residues reaching it; that is exact, since only the upper end of
+the m range depends on the count and grows with it.
+
+Each space has one fibre table (``_fibres``), kept in its
+``SeifertInvariants._table`` from the first call on: an O(p) header
+(e, lcm, scale, denom and the steps lcm/a_i), and the layers, folded
+once (``_fold``) by the first call that needs them.  ``volume_set``,
+``spectrum_contains`` and ``witnesses_for`` read the layers;
+``seifert_volume_max``, ``spectrum_size_bound`` and the ``VolumeWitness``
+constructor read only the header and never fold.  A space refused for
+its geometry writes no table.  The table lives on the record, never in
+a map keyed by it: two equal records may list their fibres in different
+orders, and the layers and witnesses follow each record's own order.
+``volume_set`` groups the last layer's
+sums by count and shifts each group by every m it admits.  One lookup
+per m in that layer decides whether a coefficient is in the spectrum
+(``spectrum_contains``), which refuses a space whose spectrum may exceed
+``MAX_VALUES`` before it folds.  ``witnesses_for`` walks back through
+the layers on an explicit stack and only steps to residue sums that can
+still reach the count they need, so its cost follows the output; each
+witness is derived in integers over the common denominator lcm * |E_num|
+and checked by integer tests.  Every witness under one root t shares
+zeta, and z_i depends only on t and (i, n_i), so ``witnesses_for``
+builds zeta once per root and each z_i once per root and (i, n_i) met
+(``_fields``, the rule the constructor checks by).  Values and fields
+come from ``exact._fraction``, one ``gcd`` per value.
 
 The maximum needs no enumeration: the largest |t| is |chi| * lcm,
 attained by the residues a_i - 1 with m = 2 - 2g, so
@@ -41,11 +55,11 @@ collects the integers |t|, and builds one ``Fraction`` per distinct |t|.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator
+from operator import getitem, mul
+from typing import Callable, Iterable, Iterator
 
 from .exact import MAX_VALUES, _Record, _fraction, _printed, _set
 from .seifert import SeifertInvariants, _over_lcm, _require_closed, euler_number, orbifold_chi
@@ -83,17 +97,45 @@ def _check_budget(count: int, limit: int = MAX_VALUES, unit: str = "values", hin
         )
 
 
-def _spectrum_data(inv: SeifertInvariants) -> tuple[Fraction, int, int, int, list[range]]:
-    """(e, lcm, scale, denom, steps): each value is t^2 * scale / denom
-    with integer t = s - m * lcm; steps[i] holds r * lcm/a_i for r = 1..a_i-1.
+def _fibres(inv: SeifertInvariants) -> tuple[Fraction, int, int, int, list[int], tuple[dict[int, int], ...] | None]:
+    """The fibre table of ``inv``: (e, lcm, scale, denom, steps, layers).
+
+    Each value is t^2 * scale / denom with integer t = s - m * lcm, and
+    steps[i] = lcm/a_i, so residue r of fibre i adds r * steps[i] to s.
+    ``layers`` is ``None`` until ``_fold`` builds it.  The first call
+    writes the table into ``inv._table``; later calls read it there.
 
     A ``ValueError`` unless the geometry of ``inv`` is sl2r-tilde and its
-    base genus is >= 1.
+    base genus is >= 1; such a space keeps no table, so each call refuses
+    it again, with the same text.
     """
-    lcm, steps, e_lcm, chi_lcm = _over_lcm(inv, "euler_number")
-    _require_volume_geometry(inv, lcm, e_lcm, chi_lcm)
-    e = _fraction(e_lcm, lcm)
-    return e, lcm, e.denominator, lcm * lcm * abs(e.numerator), [range(step, lcm, step) for step in steps]
+    table = inv._table
+    if table is None:
+        lcm, steps, e_lcm, chi_lcm = _over_lcm(inv, "euler_number")
+        _require_volume_geometry(inv, lcm, e_lcm, chi_lcm)
+        e = _fraction(e_lcm, lcm)
+        table = (e, lcm, e.denominator, lcm * lcm * abs(e.numerator), steps, None)
+        _set(inv, "_table", table)
+    return table
+
+
+def _fold(inv: SeifertInvariants) -> tuple[dict[int, int], ...]:
+    """The sumset layers of ``inv``: layers[k] maps each residue sum of the
+    first k fibres to the most nonzero residues reaching it.  Folded by
+    the first call, which writes them into the fibre table."""
+    table = _fibres(inv)
+    layers = table[5]
+    if layers is None:
+        lcm, steps = table[1], table[4]
+        layers = tuple(itertools.accumulate((range(step, lcm, step) for step in steps), _add_fibre, initial={0: 0}))
+        _set(inv, "_table", (*table[:5], layers))
+    return layers
+
+
+def _t_of(lcm: int, steps: list[int], n_values: Iterable[int], n: int) -> int:
+    """t = sum(n_i * lcm/a_i) - n * lcm of the data (n_values, n), so that
+    sum(n_i/a_i) - n = t/lcm."""
+    return sum(map(mul, n_values, steps)) - n * lcm
 
 
 def _require_volume_geometry(inv: SeifertInvariants, lcm: int, e: int | Fraction, chi: int | Fraction) -> None:
@@ -121,10 +163,15 @@ def _add_fibre(layer: dict[int, int], offsets: range) -> dict[int, int]:
 
 def volume_set(inv: SeifertInvariants) -> list[Fraction]:
     """All volume coefficients (units of 4*pi^2), ascending and exact."""
-    _, lcm, scale, denom, steps = _spectrum_data(inv)
-    sums = functools.reduce(_add_fibre, steps, {0: 0})
+    _, lcm, scale, denom, _, _ = _fibres(inv)
+    groups: dict[int, list[int]] = {}
+    for s, count in _fold(inv)[-1].items():
+        groups.setdefault(count, []).append(s)
     lo, hi = 2 - 2 * inv.genus, 2 * inv.genus - 2
-    t_abs = {abs(s - m * lcm) for s, count in sums.items() for m in range(lo, hi + count + 1)}
+    t_abs: set[int] = set()
+    for count, group in groups.items():
+        for shift in range(lo * lcm, (hi + count + 1) * lcm, lcm):  # m * lcm
+            t_abs.update([abs(s - shift) for s in group])
     # the value grows with |t|, so ascending |t| is ascending value
     return [_fraction(t * t * scale, denom) for t in sorted(t_abs)]
 
@@ -136,7 +183,7 @@ def spectrum_size_bound(inv: SeifertInvariants) -> int:
     residue sums, and each gives at most 4g - 3 + p offsets m.  Not in
     ``__all__``; the CLI reads it to refuse a spectrum too large to build.
     """
-    return _size_bound(inv, _spectrum_data(inv)[1])
+    return _size_bound(inv, _fibres(inv)[1])
 
 
 def _size_bound(inv: SeifertInvariants, lcm: int) -> int:
@@ -166,13 +213,13 @@ def spectrum_contains(inv: SeifertInvariants, coeff: Fraction) -> bool:
 
     It is the t^2 lattice test plus one sumset lookup per offset m.  A
     space whose ``spectrum_size_bound`` is over ``MAX_VALUES`` is refused
-    with a ``ValueError``.  Not in ``__all__``; ``jsj.additivity_sum``
-    checks assignments with it.
+    with a ``ValueError``, on every call and before any fold.  Not in
+    ``__all__``; ``jsj.additivity_sum`` checks assignments with it.
     """
-    _, lcm, scale, denom, steps = _spectrum_data(inv)
+    _, lcm, scale, denom, _, _ = _fibres(inv)
     _check_budget(_size_bound(inv, lcm))
-    sums = functools.reduce(_add_fibre, steps, {0: 0})
-    return bool(_offsets(inv, coeff if type(coeff) is Fraction else Fraction(coeff), lcm, scale, denom, sums))
+    coeff = coeff if type(coeff) is Fraction else Fraction(coeff)
+    return bool(_offsets(inv, coeff, lcm, scale, denom, _fold(inv)[-1]))
 
 
 def volume_set_bruteforce(inv: SeifertInvariants) -> list[Fraction]:
@@ -234,43 +281,23 @@ def _oracle_window(inv: SeifertInvariants) -> int:
     return width**p * min(width, p + 4 * inv.genus - 3)
 
 
-def _witness(
-    inv: SeifertInvariants,
-    e: Fraction,
-    lcm: int,
-    n_values: tuple[int, ...],
-    n: int,
-    coeff: Fraction,
-    fields: dict[int, tuple[Fraction, dict[tuple[int, int], Fraction]]],
-) -> tuple[int, VolumeWitness]:
-    """t and the witness of the data (n_values, n) with coefficient ``coeff``.
+def _fields(inv: SeifertInvariants, e: Fraction, lcm: int, t: int) -> tuple[Fraction, Callable[[int, int], Fraction]]:
+    """zeta, and z_i as a function of (i, n_i), for the data of ``inv`` with
+    t = sum(n_i * lcm/a_i) - n * lcm: the one rule for both.
 
-    With t = sum(n_i * lcm/a_i) - n * lcm, so that sum(n_i/a_i) - n = t/lcm,
-    and e = E_num / E_den, each field is an integer over the common
+    With e = E_num / E_den each field is an integer over the common
     denominator c = lcm * |E_num|: with u = sign(E_num) * t * E_den,
     zeta = u / c and z_i = (n_i * c - b_i * u) / (a_i * c).  So zeta
-    depends only on t and z_i only on t and (i, n_i): ``fields`` maps each
-    t met so far to its zeta and its z_i by (i, n_i), and each is built
-    once.  The coefficient is t^2 * E_den / (lcm^2 * |E_num|); the caller
-    checks ``coeff`` against it, and the witness is built past
-    ``__post_init__``.
+    depends only on t, and z_i only on t and (i, n_i).
     """
-    t = sum(ni * (lcm // a) for ni, (a, _) in zip(n_values, inv.pairs)) - n * lcm
     common = lcm * abs(e.numerator)
     shift = t * e.denominator if e.numerator > 0 else -t * e.denominator
-    row = fields.get(t)
-    if row is None:
-        row = fields[t] = (_fraction(shift, common), {})
-    zeta, z_of = row
-    z_values = []
-    for key in enumerate(n_values):
-        z = z_of.get(key)
-        if z is None:
-            i, ni = key
-            a, b = inv.pairs[i]
-            z = z_of[key] = _fraction(ni * common - b * shift, a * common)
-        z_values.append(z)
-    return t, VolumeWitness._trusted(inv=inv, n_values=n_values, n=n, zeta=zeta, z_values=tuple(z_values), coeff=coeff)
+
+    def z(i: int, ni: int) -> Fraction:
+        a, b = inv.pairs[i]
+        return _fraction(ni * common - b * shift, a * common)
+
+    return _fraction(shift, common), z
 
 
 def seifert_volume_max(inv: SeifertInvariants) -> Fraction:
@@ -279,8 +306,8 @@ def seifert_volume_max(inv: SeifertInvariants) -> Fraction:
     It is read off one integer, in O(p): the residues a_i - 1 with
     m = 2 - 2g give the largest |t| = |chi| * lcm.
     """
-    _, lcm, scale, denom, _ = _spectrum_data(inv)
-    t = sum((a - 1) * (lcm // a) for a, _ in inv.pairs) - (2 - 2 * inv.genus) * lcm
+    _, lcm, scale, denom, steps, _ = _fibres(inv)
+    t = _t_of(lcm, steps, [a - 1 for a, _ in inv.pairs], 2 - 2 * inv.genus)
     enumerated = _fraction(t * t * scale, denom)
     # the closed form reads seifert's own e and chi, not the integers above
     chi = orbifold_chi(inv)
@@ -314,7 +341,7 @@ class VolumeWitness(_Record):
         _set(self, "n_values", tuple(self.n_values))
         _set(self, "z_values", tuple(self.z_values))
         inv = self.inv
-        e, lcm, scale, denom, _ = _spectrum_data(inv)
+        e, lcm, scale, denom, steps, _ = _fibres(inv)
         if len(self.n_values) != len(inv.pairs):
             raise ValueError("witness length does not match exceptional data")
         g = inv.genus
@@ -322,10 +349,11 @@ class VolumeWitness(_Record):
             raise ValueError("witness violates the floor inequality")
         if sum(-(-ni // a) for ni, (a, _) in zip(self.n_values, inv.pairs)) - self.n < 2 - 2 * g:
             raise ValueError("witness violates the ceiling inequality")
-        t, built = _witness(inv, e, lcm, self.n_values, self.n, self.coeff, {})
-        if self.zeta != built.zeta:
+        t = _t_of(lcm, steps, self.n_values, self.n)
+        zeta, z = _fields(inv, e, lcm, t)
+        if self.zeta != zeta:
             raise ValueError("witness zeta does not match its data")
-        if self.z_values != built.z_values:
+        if self.z_values != tuple(itertools.starmap(z, enumerate(self.n_values))):
             raise ValueError("witness z-values do not match its data")
         if self.coeff != _fraction(t * t * scale, denom):
             raise ValueError("witness coefficient does not match its data")
@@ -333,13 +361,15 @@ class VolumeWitness(_Record):
 
 def witnesses_for(inv: SeifertInvariants, coeff: Fraction) -> list[VolumeWitness]:
     """All canonical tuples attaining ``coeff``, as full witnesses."""
-    e, lcm, scale, denom, steps = _spectrum_data(inv)
+    e, lcm, scale, denom, steps, _ = _fibres(inv)
     coeff = Fraction(coeff)
-    layers = list(itertools.accumulate(steps, _add_fibre, initial={0: 0}))
+    layers = _fold(inv)
     offsets = _offsets(inv, coeff, lcm, scale, denom, layers[-1])
     if not offsets:
         raise ValueError(f"coefficient {_printed(coeff, 'coefficient')} is not in the volume spectrum")
     p = len(steps)
+    # fibre i's nonzero residue choices (r, r * lcm/a_i), worked out once
+    choices = [tuple(enumerate(range(step, lcm, step), 1)) for step in steps]
 
     def tuples(s: int, need: int) -> Iterator[tuple[int, ...]]:
         # residues summing to s, >= need of them nonzero, walked back on an
@@ -356,23 +386,34 @@ def witnesses_for(inv: SeifertInvariants, coeff: Fraction) -> list[VolumeWitness
                 yield tuple(residues[:p])
                 continue
             below = layers[k - 1]
-            for r, d in enumerate((0, *steps[k - 1])):
-                left = need - (r > 0)
-                if below.get(s - d, left - 1) >= left:
-                    stack.append((k - 1, s - d, left, r))
+            if below.get(s, need - 1) >= need:
+                stack.append((k - 1, s, need, 0))
+            need -= 1
+            for r, d in choices[k - 1]:
+                if below.get(s - d, need - 1) >= need:
+                    stack.append((k - 1, s - d, need, r))
 
     lo, hi = 2 - 2 * inv.genus, 2 * inv.genus - 2
-    found = []
-    fields = {}  # t -> (zeta, {(i, n_i): z_i}), shared by every witness
+    data = []
     for t, m in offsets:
         for residues in tuples(t + m * lcm, m - hi):
-            # canonical residues: floor(r_i/a_i) = 0 and ceil(r_i/a_i) = [r_i > 0]
-            count = len(residues) - residues.count(0)
-            # the integer tests here check what __post_init__ would
-            # re-derive in Fractions
-            t_w, witness = _witness(inv, e, lcm, residues, m, coeff, fields)
-            if m < lo or count - m < lo or t_w * t_w * scale * coeff.denominator != coeff.numerator * denom:
+            # canonical residues: floor(r_i/a_i) = 0 and ceil(r_i/a_i) = [r_i > 0];
+            # t passed _offsets' test t^2 * scale / denom == coeff in integers,
+            # so the residues' own t equal to it checks the coefficient too
+            count = p - residues.count(0)
+            if m < lo or count - m < lo or _t_of(lcm, steps, residues, m) != t:
                 raise RuntimeError(f"witness {residues}, {m} fails its own constraints")
-            found.append(witness)
-    found.sort(key=lambda w: (w.n, w.n_values))
+            data.append((m, residues, t))
+    data.sort()  # by n, then n_values: (n, n_values) fixes t
+    # the fields of each root once: zeta, and z_i of each residue met in fibre i
+    fields = {}
+    for t in {t for t, _ in offsets}:
+        zeta, z = _fields(inv, e, lcm, t)
+        columns = zip(*[residues for _, residues, u in data if u == t])
+        fields[t] = zeta, [{r: z(i, r) for r in set(column)} for i, column in enumerate(columns)]
+    found = []
+    for m, residues, t in data:
+        zeta, rows = fields[t]
+        z_values = tuple(map(getitem, rows, residues))
+        found.append(VolumeWitness._trusted(inv=inv, n_values=residues, n=m, zeta=zeta, z_values=z_values, coeff=coeff))
     return found

@@ -252,6 +252,17 @@ def _normalize_slope(slope: Slope) -> Slope:
     return (c_s, c_h)
 
 
+def _cover_problem(spec: GraphManifoldSpec, assignments: Sequence[PieceAssignment]) -> Optional[str]:
+    """The refusal of assignments that do not name each piece of ``spec``
+    exactly once, or ``None``: ``additivity_sum`` raises it, and
+    ``repvol graph validate`` lists it for a case with assignments."""
+    assigned = sorted([a.piece_id for a in assignments])
+    expected = sorted({piece.id for piece in spec.pieces})
+    if assigned != expected:
+        return f"assignments cover {assigned}, expected exactly {expected}"
+    return None
+
+
 def additivity_sum(spec: GraphManifoldSpec, assignments: Sequence[PieceAssignment]) -> VolumeValue:
     """Sum of per-piece contributions for a representation that kills the
     declared slope on every gluing torus.
@@ -281,10 +292,9 @@ def additivity_sum(spec: GraphManifoldSpec, assignments: Sequence[PieceAssignmen
         for slot in piece.slots:
             if (piece.id, slot) not in killed:
                 raise ValueError(f"slot {piece.id}.{slot} is unglued; additivity needs a closed manifold")
-    assigned = [a.piece_id for a in assignments]
-    expected = sorted(pieces)
-    if sorted(assigned) != expected:
-        raise ValueError(f"assignments cover {sorted(assigned)}, expected exactly {expected}")
+    problem = _cover_problem(spec, assignments)
+    if problem:
+        raise ValueError(problem)
     contributions: list[VolumeValue] = []
     for assignment in assignments:
         piece = pieces[assignment.piece_id]

@@ -52,12 +52,17 @@ class SeifertInvariants(_Record):
     """Unnormalized invariants (genus; pairs) plus open boundary count.
 
     Equality treats the pair list as a multiset: two records differing
-    only in pair order describe the same space.
+    only in pair order describe the same space.  ``_table`` is the
+    fibre table of ``ehn``, written by ``ehn`` on first use and kept with
+    this record, in its own pair order; like every derived field it takes
+    no part in the repr, ``==`` or ``hash``.  A pickled or copied space may
+    carry its table.
     """
 
     genus: int
     pairs: tuple[tuple[int, int], ...] = ()
     boundary_count: int = 0
+    _table: tuple | None = None
 
     def __post_init__(self) -> None:
         rows = list(self.pairs)

@@ -347,6 +347,23 @@ def test_graph_validate_reports_problems(capsys, tmp_path):
     assert err.startswith("error: ")
 
 
+def test_graph_validate_checks_each_cases_assignments(capsys, tmp_path):
+    hyperbolic = {"id": "H", "kind": "hyperbolic", "label": "h", "slots": []}
+    twice = [{"piece": "H", "assign": "small_image"}] * 2
+    cover = "assignments cover ['H', 'H'], expected exactly ['H']"
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps({"pieces": [hyperbolic], "edges": [], "assignments": twice}))
+    assert run(capsys, "graph", "validate", str(doc)) == (1, f"{cover}\n", "error: invalid spec: 1 problem(s)\n")
+    assert run(capsys, "graph", "additivity", str(doc)) == (1, "", f"error: {cover}\n")
+    # a named case's problem carries its name; a case without assignments
+    # is not checked, and neither is a document without any
+    cases = [{"name": "A", "assignments": twice}, {"name": "B"}, {"name": "C", "assignments": twice[:1]}]
+    doc.write_text(json.dumps({"pieces": [hyperbolic], "edges": [], "cases": cases}))
+    assert run(capsys, "graph", "validate", str(doc)) == (1, f"A: {cover}\n", "error: invalid spec: 1 problem(s)\n")
+    doc.write_text(json.dumps({"pieces": [hyperbolic], "edges": []}))
+    assert run(capsys, "graph", "validate", str(doc)) == (0, "ok\n", "")
+
+
 def test_graph_additivity_motegi(capsys):
     code, out, _ = run(
         capsys, "graph", "additivity", str(DATA.joinpath("motegi_2_3_2_5.json"))

@@ -498,3 +498,141 @@ def test_witness_constructor_refuses_zero_euler_number(text, n_values, z_values)
     inv = parse_seifert(text)
     with pytest.raises(ValueError, match=r"^volume spectrum needs sl2r-tilde geometry \(e = 0, "):
         VolumeWitness(inv=inv, n_values=n_values, n=0, zeta=0, z_values=z_values, coeff=0)
+
+
+# ---------------------------------------------------------------- one fibre table per space
+
+# Each public entry point, asked on a space with one coefficient.
+TABLE_CALLS = {
+    "volume_set": lambda inv, coeff: volume_set(inv),
+    "seifert_volume_max": lambda inv, coeff: seifert_volume_max(inv),
+    "spectrum_contains": lambda inv, coeff: spectrum_contains(inv, coeff),
+    "witnesses_for": lambda inv, coeff: witnesses_for(inv, coeff),
+}
+
+
+def test_one_fold_serves_every_call_on_a_space(monkeypatch):
+    folds = []
+    real = ehn._add_fibre
+    monkeypatch.setattr(ehn, "_add_fibre", lambda layer, offsets: folds.append(offsets) or real(layer, offsets))
+    inv = parse_seifert("(1; 1/2, -1/3, 2/5, 1/4)")
+    for _ in range(2):
+        spectrum = volume_set(inv)
+        top = seifert_volume_max(inv)
+        assert spectrum_contains(inv, top) and spectrum_contains(inv, spectrum[len(spectrum) // 2])
+        assert witnesses_for(inv, top) and witnesses_for(inv, spectrum[len(spectrum) // 2])
+    # one _add_fibre call per fibre: the layers are folded once in all
+    assert len(folds) == len(inv.pairs)
+
+
+def _seeded_symbols(count):
+    rng = random.Random("one fibre table")
+    symbols = []
+    while len(symbols) < count:
+        pairs = []
+        for _ in range(rng.randint(1, 4)):
+            a = rng.randint(2, 6)
+            pairs.append((a, rng.choice([b for b in range(-a, a + 1) if b and math.gcd(a, abs(b)) == 1])))
+        genus = rng.randint(1, 2)
+        if sum((Fraction(b, a) for a, b in pairs), Fraction(0)) != 0:
+            symbols.append((genus, tuple(pairs)))
+    return symbols
+
+
+@pytest.mark.parametrize("genus, pairs", _seeded_symbols(20))
+def test_every_call_order_answers_as_on_a_fresh_space(genus, pairs):
+    spectrum = volume_set(SeifertInvariants(genus, pairs))
+    coeff = spectrum[len(spectrum) // 3]
+    expected = {name: call(SeifertInvariants(genus, pairs), coeff) for name, call in TABLE_CALLS.items()}
+    for order in itertools.permutations(TABLE_CALLS):
+        inv = SeifertInvariants(genus, pairs)
+        for name in order:
+            assert TABLE_CALLS[name](inv, coeff) == expected[name], (order, name)
+
+
+def _refusal(call):
+    with pytest.raises(ValueError) as refused:
+        call()
+    return str(refused.value)
+
+
+def test_the_header_paths_never_fold(monkeypatch):
+    def refuse(layer, offsets):
+        raise AssertionError("folded")
+
+    monkeypatch.setattr(ehn, "_add_fibre", refuse)
+    inv = parse_seifert("(1; 1/2, 1/3, -1/7)")
+    chi, e = orbifold_chi(inv), euler_number(inv)
+    assert seifert_volume_max(inv) == chi * chi / abs(e)
+    assert spectrum_size_bound(inv) == 42 * 4  # min(2 * 3 * 7, 86) sums, 4g - 3 + 3 offsets
+    witness = VolumeWitness(inv=inv, n_values=(0, 0, 0), n=0, zeta=Fraction(0), z_values=(0, 0, 0), coeff=Fraction(0))
+    assert witness.coeff == 0
+    assert inv._table is not None and inv._table[5] is None
+    # the budget is checked before any fold, on every call
+    big = parse_seifert("(1; 1/1000003, 1/1000033)")
+    texts = {_refusal(lambda: spectrum_contains(big, Fraction(0))) for _ in range(2)}
+    assert texts == {"spectrum too large: up to 3000108000297 values, over the limit of 1000000"}
+    assert big._table[5] is None
+
+
+@pytest.mark.parametrize(
+    "inv",
+    [
+        parse_seifert("(1; 1/2, -1/2)"),
+        parse_seifert("(0; 1/2, 1/2, 1/2)"),
+        parse_seifert("(0; 1/2, 1/3, 1/7)"),
+        SeifertInvariants(genus=1, pairs=((2, 1),), boundary_count=1),
+    ],
+    ids=["zero_euler_number", "positive_chi", "genus_zero", "open_boundary"],
+)
+def test_a_refused_space_keeps_no_table_and_refuses_alike(monkeypatch, inv):
+    def refuse(layer, offsets):
+        raise AssertionError("folded")
+
+    monkeypatch.setattr(ehn, "_add_fibre", refuse)
+    zeros = (0,) * len(inv.pairs)
+    calls = [
+        *(lambda call=call: call(inv, Fraction(0)) for call in TABLE_CALLS.values()),
+        lambda: spectrum_size_bound(inv),
+        lambda: VolumeWitness(inv=inv, n_values=zeros, n=0, zeta=0, z_values=zeros, coeff=0),
+    ]
+    texts = [_refusal(call) for call in calls for _ in range(2)]
+    assert len(set(texts)) == 1
+    assert inv._table is None
+
+
+def test_a_space_with_its_table_keeps_the_record_contract():
+    import copy
+    import pickle
+
+    text = "(1; 1/2, -1/3, 2/5)"
+    inv = parse_seifert(text)
+    top = seifert_volume_max(inv)
+    found = witnesses_for(inv, top)
+    assert inv._table[5] is not None
+    fresh = parse_seifert(text)
+    assert (repr(inv), inv, hash(inv)) == (repr(fresh), fresh, hash(fresh))
+    assert witnesses_for(fresh, top) == found
+    (first, *_) = found
+    fields = dict(n_values=first.n_values, n=first.n, zeta=first.zeta, z_values=first.z_values, coeff=top)
+    assert VolumeWitness(inv=parse_seifert(text), **fields) == first
+    clones = [lambda x, p=p: pickle.loads(pickle.dumps(x, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for clone in (*clones, copy.copy, copy.deepcopy):
+        twin = clone(inv)
+        assert (repr(twin), twin, hash(twin)) == (repr(inv), inv, hash(inv))
+        # the table comes along in the instance __dict__, with no hooks
+        assert vars(twin) == vars(inv)
+        assert witnesses_for(twin, top) == found
+    # an equal space listing its pairs in another order keeps its own
+    # table, and its witnesses follow its own order
+    swapped = SeifertInvariants(inv.genus, inv.pairs[::-1])
+    assert swapped == inv
+    assert {(w.n, w.n_values[::-1]) for w in witnesses_for(swapped, top)} == {(w.n, w.n_values) for w in found}
+
+
+def test_a_witness_off_its_root_is_an_internal_error(monkeypatch):
+    # the self-check compares each witness's own t with its root's
+    real = ehn._t_of
+    monkeypatch.setattr(ehn, "_t_of", lambda *args: real(*args) + 1)
+    with pytest.raises(RuntimeError, match=r"^witness \(\d+, \d+\), -?\d+ fails its own constraints$"):
+        witnesses_for(parse_seifert("(1; 1/2, 1/3)"), Fraction(0))
