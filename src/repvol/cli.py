@@ -117,17 +117,12 @@ def _witness_payload(witnesses) -> list[dict]:
     ]
 
 
-_MAX_VALUES_HINT = " (raise it with --max-values)"
-
-
 def _cmd_seifert(args: argparse.Namespace) -> int:
     from . import ehn, seifert
 
     inv = seifert.parse_seifert(args.notation)
-    if args.action in ("volumes", "witnesses"):
-        ehn._check_budget(ehn.spectrum_size_bound(inv), args.max_values, hint=_MAX_VALUES_HINT)
     if args.coeff is not None:
-        found = _witness_payload(ehn.witnesses_for(inv, args.coeff))
+        found = _witness_payload(ehn.witnesses_for(inv, args.coeff, limit=args.max_values))
         if args.json:
             _emit_json({"witnesses": found})
         else:
@@ -150,10 +145,10 @@ def _cmd_seifert(args: argparse.Namespace) -> int:
         return 0
 
     if args.action == "volumes":
-        if args.oracle:
-            ehn._check_budget(ehn._oracle_window(inv), args.max_values, "oracle (tuple, n) pairs", _MAX_VALUES_HINT)
-        spectrum = ehn.volume_set(inv)
-        if args.oracle and ehn.volume_set_bruteforce(inv) != spectrum:
+        # the oracle window is never below the spectrum bound, so it goes first
+        oracle = ehn.volume_set_bruteforce(inv, limit=args.max_values) if args.oracle else None
+        spectrum = ehn.volume_set(inv, limit=args.max_values)
+        if args.oracle and oracle != spectrum:
             raise RuntimeError("oracle disagreement: brute-force window differs from enumeration")
         if args.json:
             payload = {"coefficients": [_printed(c, "volume coefficient") for c in spectrum]}
@@ -305,7 +300,7 @@ def _cmd_graph(args: argparse.Namespace) -> int:
             print("ok")
             return 0
         _emit(problems)
-        print(f"error: invalid spec: {len(problems)} problem(s)", file=sys.stderr)
+        print(f"error: invalid document: {len(problems)} problem(s)", file=sys.stderr)
         return 1
 
     # additivity
@@ -405,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
         if action == "witnesses":
             p.add_argument("coeff", type=_fraction_arg, help="coefficient of 4*pi^2")
         if action in ("volumes", "witnesses"):
-            refused = "spectra that may exceed N values"
+            refused = "spectra that may exceed N values or lists of more than N witnesses"
             if action == "volumes":
                 refused += ", and --oracle windows of more than N (tuple, n) pairs"
             p.add_argument(

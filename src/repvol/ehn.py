@@ -30,19 +30,22 @@ constructor read only the header and never fold.  A space refused for
 its geometry writes no table.  The table lives on the record, never in
 a map keyed by it: two equal records may list their fibres in different
 orders, and the layers and witnesses follow each record's own order.
-``volume_set`` groups the last layer's
-sums by count and shifts each group by every m it admits.  One lookup
-per m in that layer decides whether a coefficient is in the spectrum
-(``spectrum_contains``), which refuses a space whose spectrum may exceed
-``MAX_VALUES`` before it folds.  ``witnesses_for`` walks back through
-the layers on an explicit stack and only steps to residue sums that can
+``volume_set`` groups the last layer's sums by count and shifts each
+group by every m it admits.  One lookup per m in that layer decides
+whether a coefficient is in the spectrum (``spectrum_contains``).
+``witnesses_for`` walks back through the layers on an explicit stack
+and only steps to residue sums that can
 still reach the count they need, so its cost follows the output; each
 witness is derived in integers over the common denominator lcm * |E_num|
 and checked by integer tests.  Every witness under one root t shares
 zeta, and z_i depends only on t and (i, n_i), so ``witnesses_for``
 builds zeta once per root and each z_i once per root and (i, n_i) met
 (``_fields``, the rule the constructor checks by).  Values and fields
-come from ``exact._fraction``, one ``gcd`` per value.
+come from ``exact._fraction``, one ``gcd`` per value.  Each budget is
+checked by the function that would spend the work, before it starts,
+and refused by ``_check_budget``: the spectrum bound in ``_fold``, on
+every call, the oracle window in ``volume_set_bruteforce``, and the
+witness count in ``witnesses_for``.
 
 The maximum needs no enumeration: the largest |t| is |chi| * lcm,
 attained by the residues a_i - 1 with m = 2 - 2g, so
@@ -84,17 +87,14 @@ def foliation_exists(genus: int, slopes: Iterable[Fraction]) -> bool:
     return floor_sum <= 2 * genus - 2 and ceil_sum >= 2 - 2 * genus
 
 
-def _check_budget(count: int, limit: int = MAX_VALUES, unit: str = "values", hint: str = "") -> None:
+def _check_budget(count: int, limit: int = MAX_VALUES, unit: str = "values") -> None:
     """Refuse work that may exceed ``limit``: a ``ValueError`` reading
-    ``spectrum too large: up to <count> <unit>, over the limit of <limit>``
-    and then ``hint``."""
+    ``spectrum too large: up to <count> <unit>, over the limit of <limit>``."""
     if count > limit:
         # str() refuses ints of more than 4300 digits, so a huge count is
         # shown by the power of two above it
         shown = count if count.bit_length() <= 4096 else f"2^{count.bit_length()}"
-        raise ValueError(
-            f"spectrum too large: up to {shown} {unit}, over the limit of {limit}{hint}"
-        )
+        raise ValueError(f"spectrum too large: up to {shown} {unit}, over the limit of {limit}")
 
 
 def _fibres(inv: SeifertInvariants) -> tuple[Fraction, int, int, int, list[int], tuple[dict[int, int], ...] | None]:
@@ -119,17 +119,21 @@ def _fibres(inv: SeifertInvariants) -> tuple[Fraction, int, int, int, list[int],
     return table
 
 
-def _fold(inv: SeifertInvariants) -> tuple[dict[int, int], ...]:
-    """The sumset layers of ``inv``: layers[k] maps each residue sum of the
-    first k fibres to the most nonzero residues reaching it.  Folded by
-    the first call, which writes them into the fibre table."""
+def _fold(
+    inv: SeifertInvariants, limit: int = MAX_VALUES
+) -> tuple[Fraction, int, int, int, list[int], tuple[dict[int, int], ...]]:
+    """The fibre table of ``inv`` with its sumset layers: layers[k] maps each
+    residue sum of the first k fibres to the most nonzero residues reaching
+    it.  Folded by the first call, which writes them into the table; every
+    call first refuses a space whose ``spectrum_size_bound`` is over ``limit``."""
     table = _fibres(inv)
-    layers = table[5]
-    if layers is None:
+    _check_budget(_size_bound(inv, table[1]), limit)
+    if table[5] is None:
         lcm, steps = table[1], table[4]
-        layers = tuple(itertools.accumulate((range(step, lcm, step) for step in steps), _add_fibre, initial={0: 0}))
-        _set(inv, "_table", (*table[:5], layers))
-    return layers
+        layers = itertools.accumulate((range(step, lcm, step) for step in steps), _add_fibre, initial={0: 0})
+        table = (*table[:5], tuple(layers))
+        _set(inv, "_table", table)
+    return table
 
 
 def _t_of(lcm: int, steps: list[int], n_values: Iterable[int], n: int) -> int:
@@ -161,11 +165,11 @@ def _add_fibre(layer: dict[int, int], offsets: range) -> dict[int, int]:
     return out
 
 
-def volume_set(inv: SeifertInvariants) -> list[Fraction]:
-    """All volume coefficients (units of 4*pi^2), ascending and exact."""
-    _, lcm, scale, denom, _, _ = _fibres(inv)
+def volume_set(inv: SeifertInvariants, *, limit: int = MAX_VALUES) -> list[Fraction]:
+    """All volume coefficients (units of 4*pi^2), ascending and exact, or refused over ``limit``."""
+    _, lcm, scale, denom, _, layers = _fold(inv, limit)
     groups: dict[int, list[int]] = {}
-    for s, count in _fold(inv)[-1].items():
+    for s, count in layers[-1].items():
         groups.setdefault(count, []).append(s)
     lo, hi = 2 - 2 * inv.genus, 2 * inv.genus - 2
     t_abs: set[int] = set()
@@ -181,7 +185,7 @@ def spectrum_size_bound(inv: SeifertInvariants) -> int:
 
     The sumset holds at most min(prod(a_i), sum((a_i - 1) * lcm/a_i) + 1)
     residue sums, and each gives at most 4g - 3 + p offsets m.  Not in
-    ``__all__``; the CLI reads it to refuse a spectrum too large to build.
+    ``__all__``; ``_fold`` refuses a space whose bound is over its limit.
     """
     return _size_bound(inv, _fibres(inv)[1])
 
@@ -211,27 +215,26 @@ def _offsets(
 def spectrum_contains(inv: SeifertInvariants, coeff: Fraction) -> bool:
     """Whether ``coeff`` is in ``volume_set(inv)``, without building it.
 
-    It is the t^2 lattice test plus one sumset lookup per offset m.  A
-    space whose ``spectrum_size_bound`` is over ``MAX_VALUES`` is refused
-    with a ``ValueError``, on every call and before any fold.  Not in
-    ``__all__``; ``jsj.additivity_sum`` checks assignments with it.
+    It is the t^2 lattice test plus one sumset lookup per offset m, refused
+    over ``MAX_VALUES`` as ``volume_set`` is.  Not in ``__all__``;
+    ``jsj.additivity_sum`` checks assignments with it.
     """
-    _, lcm, scale, denom, _, _ = _fibres(inv)
-    _check_budget(_size_bound(inv, lcm))
+    _, lcm, scale, denom, _, layers = _fold(inv)
     coeff = coeff if type(coeff) is Fraction else Fraction(coeff)
-    return bool(_offsets(inv, coeff, lcm, scale, denom, _fold(inv)[-1]))
+    return bool(_offsets(inv, coeff, lcm, scale, denom, layers[-1]))
 
 
-def volume_set_bruteforce(inv: SeifertInvariants) -> list[Fraction]:
+def volume_set_bruteforce(inv: SeifertInvariants, *, limit: int = MAX_VALUES) -> list[Fraction]:
     """Same spectrum from the defining constraints over a finite window.
 
     Every tuple (n_1, ..., n_p, n) with all entries in [-B, B] is tested
     against the two inequalities directly; B = ``_oracle_bound(inv)`` is
     wide enough to contain every canonical representative.  Each
     admissible tuple gives the integer t = sum(n_i * lcm/a_i) - n * lcm,
-    and each distinct |t| the value t^2 / (lcm^2 * |e|).  This path
-    deliberately shares no code with ``volume_set``: e and chi are summed
-    here as plain ``Fraction``s, and each value is built as one.
+    and each distinct |t| the value t^2 / (lcm^2 * |e|).  A window of
+    more than ``limit`` (tuple, n) pairs is refused before any is tested.
+    This path deliberately shares no code with ``volume_set``: e and chi
+    are summed here as plain ``Fraction``s, and each value is built as one.
     """
     # volume_set's refusals, word for word
     _require_closed(inv, "euler_number")
@@ -240,6 +243,7 @@ def volume_set_bruteforce(inv: SeifertInvariants) -> list[Fraction]:
     e = sum((Fraction(b, a) for a, b in inv.pairs), Fraction(0))
     chi = 2 - 2 * g - sum((Fraction(a - 1, a) for a in a_list), Fraction(0))
     _require_volume_geometry(inv, 1, e, chi)
+    _check_budget(_oracle_window(inv), limit, "oracle (tuple, n) pairs")
     bound = _oracle_bound(inv)
     lcm = math.lcm(*a_list) if a_list else 1
     window = range(-bound, bound + 1)
@@ -359,14 +363,35 @@ class VolumeWitness(_Record):
             raise ValueError("witness coefficient does not match its data")
 
 
-def witnesses_for(inv: SeifertInvariants, coeff: Fraction) -> list[VolumeWitness]:
-    """All canonical tuples attaining ``coeff``, as full witnesses."""
-    e, lcm, scale, denom, steps, _ = _fibres(inv)
+def _witness_count(steps: list[int], lcm: int, hi: int, offsets: list[tuple[int, int]]) -> int:
+    """``len(witnesses_for)`` without listing: the residue tuples folded,
+    fibre by fibre, into residue sum -> {nonzero count: tuples}, summed
+    over the offsets (t, m) on the counts of at least m - hi."""
+    tuples: dict[int, dict[int, int]] = {0: {0: 1}}
+    for step in steps:
+        out = {s: dict(row) for s, row in tuples.items()}  # residue 0
+        for s, row in tuples.items():
+            for d in range(step, lcm, step):
+                target = out.setdefault(s + d, {})
+                for count, n in row.items():
+                    target[count + 1] = target.get(count + 1, 0) + n
+        tuples = out
+    return sum(n for t, m in offsets for count, n in tuples[t + m * lcm].items() if count >= m - hi)
+
+
+def witnesses_for(inv: SeifertInvariants, coeff: Fraction, *, limit: int = MAX_VALUES) -> list[VolumeWitness]:
+    """All canonical tuples attaining ``coeff``, as full witnesses; refused
+    over ``limit`` as ``volume_set`` is, and when there are more than
+    ``limit`` witnesses, before any is built."""
+    e, lcm, scale, denom, steps, layers = _fold(inv, limit)
     coeff = Fraction(coeff)
-    layers = _fold(inv)
     offsets = _offsets(inv, coeff, lcm, scale, denom, layers[-1])
     if not offsets:
         raise ValueError(f"coefficient {_printed(coeff, 'coefficient')} is not in the volume spectrum")
+    lo, hi = 2 - 2 * inv.genus, 2 * inv.genus - 2
+    # each residue tuple meets each root +-t at one m, so 2 * prod(a_i) bounds the list
+    if 2 * math.prod(a for a, _ in inv.pairs) > limit:
+        _check_budget(_witness_count(steps, lcm, hi, offsets), limit, "witnesses")
     p = len(steps)
     # fibre i's nonzero residue choices (r, r * lcm/a_i), worked out once
     choices = [tuple(enumerate(range(step, lcm, step), 1)) for step in steps]
@@ -393,7 +418,6 @@ def witnesses_for(inv: SeifertInvariants, coeff: Fraction) -> list[VolumeWitness
                 if below.get(s - d, need - 1) >= need:
                     stack.append((k - 1, s - d, need, r))
 
-    lo, hi = 2 - 2 * inv.genus, 2 * inv.genus - 2
     data = []
     for t, m in offsets:
         for residues in tuples(t + m * lcm, m - hi):

@@ -169,11 +169,12 @@ def _require_pair(value, name: str, shape: str) -> None:
         raise TypeError(f"{name} {_shown(value)} is not {shape}")
 
 
-# Work that may exceed this many values (or brute-force tuples) is refused
-# unless the caller raises the limit.  The cost grows with the count:
-# (1; 1/571, 1/577), bound 988401, prints its 493627 values in about 7 s
-# on a 2-CPU machine.  It lives here, with the rest of the input boundary,
-# so the CLI parser can show it without loading ``ehn``.
+# Work that may exceed this many spectrum values, oracle (tuple, n) pairs
+# or witnesses is refused unless the caller raises the limit (``limit=``
+# in ``ehn``).  The cost grows with the count: (1; 1/571, 1/577), bound
+# 988401, prints its 493627 values in about 7 s on a 2-CPU machine.  It
+# lives here, with the rest of the input boundary, so the CLI parser can
+# show it without loading ``ehn``.
 MAX_VALUES = 1_000_000
 
 

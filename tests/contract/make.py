@@ -35,7 +35,8 @@ text), and per case ``validate_spec`` and ``additivity_sum``, or
 The ``spectra`` key covers ``repvol.ehn``: seeded closed symbols of
 genus 1 to 3 with up to four fibres, multiplicities 1 to 6 included, and
 one symbol per refusal (e = 0, chi = 0, chi > 0, genus 0, an open
-boundary and a spectrum over the budget).  For each it records ``volume_set``,
+boundary, a spectrum over the budget, and a member coefficient with more
+witnesses than the budget).  For each it records ``volume_set``,
 ``seifert_volume_max``, ``volume_set_bruteforce`` (on the symbols whose
 window is small), ``spectrum_contains`` and the full ``witnesses_for``
 list, in its order, on seeded members and non-members of the spectrum,
@@ -890,10 +891,12 @@ def spectra_digests() -> dict[str, str]:
     for name, genus, pairs, boundary in REFUSED_SYMBOLS:
         inv = SeifertInvariants(genus, pairs, boundary)
         outcomes = [_outcome(seifert_volume_max, inv), _outcome(spectrum_contains, inv, Fraction(1, 4))]
-        if name != "budget":  # the others would build the whole sumset or window
-            outcomes += [_outcome(call, inv) for call in (volume_set, volume_set_bruteforce)]
-            outcomes += [_outcome(witnesses_for, inv, Fraction(1, 4))]
+        outcomes += [_outcome(call, inv) for call in (volume_set, volume_set_bruteforce)]
+        outcomes += [_outcome(witnesses_for, inv, Fraction(1, 4))]
         out[f"refused-{name}"] = _digest(repr(inv), *outcomes)
+    # 15/4 is in the 31-value spectrum of (1; 30 x 1/2), with 691988432 witnesses
+    thirty = SeifertInvariants(1, ((2, 1),) * 30)
+    out["refused-witnesses"] = _digest(repr(thirty), _outcome(witnesses_for, thirty, Fraction(15, 4)))
     slopes = {
         "not-a-number": ["x"],
         "zero-denominator": ["1/0"],

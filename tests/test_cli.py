@@ -179,8 +179,7 @@ def test_huge_spectrum_answers_or_fails_fast(argv, code):
     else:
         assert done.stdout == ""
         assert done.stderr == (
-            "error: spectrum too large: up to 3000108000297 values, over the limit "
-            "of 1000000 (raise it with --max-values)\n"
+            "error: spectrum too large: up to 3000108000297 values, over the limit of 1000000\n"
         )
     assert elapsed < 0.5
 
@@ -190,11 +189,21 @@ def test_max_values_sets_the_budget(capsys):
     # 4g - 3 + p = 3 offsets, bound 9 values (the spectrum has 3)
     code, out, err = run(capsys, "seifert", "volumes", "(1; 1/2, 1/2)", "--max-values", "8")
     assert (code, out) == (1, "")
-    assert err == "error: spectrum too large: up to 9 values, over the limit of 8 (raise it with --max-values)\n"
+    assert err == "error: spectrum too large: up to 9 values, over the limit of 8\n"
     code, out, _ = run(capsys, "seifert", "witnesses", "(1; 1/2, 1/2)", "1", "--max-values", "8")
     assert code == 1
     code, out, _ = run(capsys, "seifert", "volumes", "(1; 1/2, 1/2)", "--max-values", "9")
     assert (code, out) == (0, "0\n1/4 * 4*pi^2\n1 * 4*pi^2\n")
+
+
+def test_max_values_bounds_the_witness_list(capsys):
+    # coefficient 1/16 of (1; 8 x 1/2) has 256 witnesses; the spectrum bound is 81
+    eight = "(1; " + ", ".join(["1/2"] * 8) + ")"
+    code, out, err = run(capsys, "seifert", "witnesses", eight, "1/16", "--max-values", "255")
+    assert (code, out, err) == (1, "", "error: spectrum too large: up to 256 witnesses, over the limit of 255\n")
+    code, out, err = run(capsys, "seifert", "witnesses", eight, "1/16", "--max-values", "256")
+    assert (code, err) == (0, "")
+    assert len(set(out.splitlines())) == 256
 
 
 @pytest.mark.parametrize("action", [("volumes",), ("witnesses", "0")], ids=["volumes", "witnesses"])
@@ -353,13 +362,13 @@ def test_graph_validate_checks_each_cases_assignments(capsys, tmp_path):
     cover = "assignments cover ['H', 'H'], expected exactly ['H']"
     doc = tmp_path / "doc.json"
     doc.write_text(json.dumps({"pieces": [hyperbolic], "edges": [], "assignments": twice}))
-    assert run(capsys, "graph", "validate", str(doc)) == (1, f"{cover}\n", "error: invalid spec: 1 problem(s)\n")
+    assert run(capsys, "graph", "validate", str(doc)) == (1, f"{cover}\n", "error: invalid document: 1 problem(s)\n")
     assert run(capsys, "graph", "additivity", str(doc)) == (1, "", f"error: {cover}\n")
     # a named case's problem carries its name; a case without assignments
     # is not checked, and neither is a document without any
     cases = [{"name": "A", "assignments": twice}, {"name": "B"}, {"name": "C", "assignments": twice[:1]}]
     doc.write_text(json.dumps({"pieces": [hyperbolic], "edges": [], "cases": cases}))
-    assert run(capsys, "graph", "validate", str(doc)) == (1, f"A: {cover}\n", "error: invalid spec: 1 problem(s)\n")
+    assert run(capsys, "graph", "validate", str(doc)) == (1, f"A: {cover}\n", "error: invalid document: 1 problem(s)\n")
     doc.write_text(json.dumps({"pieces": [hyperbolic], "edges": []}))
     assert run(capsys, "graph", "validate", str(doc)) == (0, "ok\n", "")
 
@@ -1115,15 +1124,33 @@ PAST_FLOAT = "error: volume is too large for a float: over 1.79769e+308\n"
             ("seifert", "volumes", "(1; 1/13, 1/11, 1/7, 1/5)", "--oracle"),
             None,
             1,
-            "error: spectrum too large: up to 215233605 oracle (tuple, n) pairs, over the limit of 1000000 "
-            "(raise it with --max-values)\n",
+            "error: spectrum too large: up to 215233605 oracle (tuple, n) pairs, over the limit of 1000000\n",
         ),
         (
             ("seifert", "volumes", "(10000; 1/2)", "--oracle"),
             None,
             1,
-            "error: spectrum too large: up to 1600279982 oracle (tuple, n) pairs, over the limit of 1000000 "
-            "(raise it with --max-values)\n",
+            "error: spectrum too large: up to 1600279982 oracle (tuple, n) pairs, over the limit of 1000000\n",
+        ),
+        # the window is checked first: its spectrum (bound 988401) would take seconds
+        (
+            ("seifert", "volumes", "(1; 1/571, 1/577)", "--oracle"),
+            None,
+            1,
+            "error: spectrum too large: up to 15939075 oracle (tuple, n) pairs, over the limit of 1000000\n",
+        ),
+        # over both budgets, the window is named
+        (
+            ("seifert", "volumes", "(1; 1/1000003, 1/1000033)", "--oracle"),
+            None,
+            1,
+            "error: spectrum too large: up to 48001944019683 oracle (tuple, n) pairs, over the limit of 1000000\n",
+        ),
+        (
+            ("seifert", "witnesses", "(1; " + ", ".join(["1/2"] * 30) + ")", "15/4"),
+            None,
+            1,
+            "error: spectrum too large: up to 691988432 witnesses, over the limit of 1000000\n",
         ),
         (
             ("seifert", "info", "(" + "9" * 5000 + ";)"),
@@ -1142,6 +1169,9 @@ PAST_FLOAT = "error: volume is too large for a float: over 1.79769e+308\n"
         "filled_piece_budget",
         "oracle_window_budget",
         "oracle_window_walks_n",
+        "oracle_window_before_spectrum",
+        "oracle_window_over_both",
+        "witness_budget",
         "genus_over_digit_limit",
         "sv_decimal_past_float",
         "additivity_decimal_past_float",
@@ -1384,7 +1414,7 @@ def test_oracle_window_counts_against_max_values(capsys):
     code, _, err = run(capsys, "seifert", "volumes", "(1; 1/2, 1/2)", "--oracle", "--max-values", "866")
     assert code == 1
     assert err == (
-        "error: spectrum too large: up to 867 oracle (tuple, n) pairs, over the limit of 866 (raise it with --max-values)\n"
+        "error: spectrum too large: up to 867 oracle (tuple, n) pairs, over the limit of 866\n"
     )
     code, out, _ = run(capsys, "seifert", "volumes", "(1; 1/2, 1/2)", "--oracle", "--max-values", "867")
     assert (code, out.splitlines()[-1]) == (0, "oracle agreement: 3 values")

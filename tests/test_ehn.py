@@ -636,3 +636,74 @@ def test_a_witness_off_its_root_is_an_internal_error(monkeypatch):
     monkeypatch.setattr(ehn, "_t_of", lambda *args: real(*args) + 1)
     with pytest.raises(RuntimeError, match=r"^witness \(\d+, \d+\), -?\d+ fails its own constraints$"):
         witnesses_for(parse_seifert("(1; 1/2, 1/3)"), Fraction(0))
+
+
+# ---------------------------------------------------------------- budgets
+
+HUGE = SeifertInvariants(1, ((1000003, 1), (1000033, 1)))
+
+
+def test_each_budget_refuses_before_any_fold_or_window_walk(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(ehn, "_add_fibre", refuse)
+    monkeypatch.setattr(itertools, "product", refuse)
+    values = "spectrum too large: up to 3000108000297 values, over the limit of 1000000"
+    assert _refusal(lambda: volume_set(HUGE)) == values
+    assert _refusal(lambda: witnesses_for(HUGE, Fraction(1, 4))) == values
+    assert _refusal(lambda: volume_set_bruteforce(HUGE)) == (
+        "spectrum too large: up to 48001944019683 oracle (tuple, n) pairs, over the limit of 1000000"
+    )
+    assert HUGE._table[5] is None
+
+
+def test_limit_admits_each_function_at_exactly_its_count():
+    # (1; 1/2, 1/2): spectrum bound 9 values, oracle window 867 pairs
+    inv = parse_seifert("(1; 1/2, 1/2)")
+    spectrum = [Fraction(0), Fraction(1, 4), Fraction(1)]
+    assert volume_set(inv, limit=9) == spectrum
+    assert volume_set_bruteforce(inv, limit=867) == spectrum
+    assert witnesses_for(inv, Fraction(1), limit=9) == witnesses_for(inv, Fraction(1))
+    values = "spectrum too large: up to 9 values, over the limit of 8"
+    assert _refusal(lambda: volume_set(inv, limit=8)) == values
+    assert _refusal(lambda: witnesses_for(inv, Fraction(1), limit=8)) == values
+    assert _refusal(lambda: volume_set_bruteforce(inv, limit=866)) == (
+        "spectrum too large: up to 867 oracle (tuple, n) pairs, over the limit of 866"
+    )
+
+
+def test_a_witness_list_over_the_limit_is_refused_before_it_is_built(monkeypatch):
+    # coefficient 1/16 of (1; 8 x 1/2): 256 witnesses, spectrum bound 81
+    inv = parse_seifert("(1; " + ", ".join(["1/2"] * 8) + ")")
+    assert len(witnesses_for(inv, Fraction(1, 16), limit=256)) == 256
+    monkeypatch.setattr(ehn, "VolumeWitness", None)  # building one would fail
+    assert _refusal(lambda: witnesses_for(inv, Fraction(1, 16), limit=255)) == (
+        "spectrum too large: up to 256 witnesses, over the limit of 255"
+    )
+    thirty = parse_seifert("(1; " + ", ".join(["1/2"] * 30) + ")")
+    assert _refusal(lambda: witnesses_for(thirty, Fraction(15, 4))) == (
+        "spectrum too large: up to 691988432 witnesses, over the limit of 1000000"
+    )
+
+
+def test_witness_count_matches_the_list():
+    # 300 seeded symbols; those with sl2r-tilde geometry give up to three
+    # coefficients each
+    rng = random.Random("witness count")
+    compared = 0
+    for _ in range(300):
+        pairs = []
+        for _ in range(rng.randint(0, 5)):
+            a = rng.randint(1, 6)
+            pairs.append((a, rng.choice([b for b in range(-2 * a, 2 * a + 1) if math.gcd(a, abs(b)) == 1])))
+        inv = SeifertInvariants(rng.randint(1, 3), tuple(pairs))
+        if euler_number(inv) == 0 or orbifold_chi(inv) >= 0:
+            continue
+        spectrum = volume_set(inv)
+        e, lcm, scale, denom, steps, layers = ehn._fold(inv)
+        for coeff in rng.sample(spectrum, min(3, len(spectrum))):
+            offsets = ehn._offsets(inv, coeff, lcm, scale, denom, layers[-1])
+            assert ehn._witness_count(steps, lcm, 2 * inv.genus - 2, offsets) == len(witnesses_for(inv, coeff))
+            compared += 1
+    assert compared == 757

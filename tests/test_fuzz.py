@@ -7,7 +7,8 @@ README's example documents.  Every run must end with exit code 0, 1 or
 2 and no traceback, and an exit 1 must write exactly one stderr line.
 
 The strategies reach every refusal path: the spectrum and oracle budget
-(fibre orders from 10^6 up, a huge genus), exponent rationals such as
+(fibre orders from 10^6 up, a huge genus), the witness budget (a list
+of more than ``--max-values`` witnesses), exponent rationals such as
 ``1e999999999``, non-finite JSON numbers, and JSON nested too deep to
 decode, as well as an integer over Python's 4300-digit limit in a Seifert
 symbol or a document (as a JSON number or a string), ``--decimal`` on
@@ -194,6 +195,7 @@ command_argv = st.one_of(
 @given(command_argv)
 @example(["seifert", "volumes", "(1; 1/13, 1/11, 1/7, 1/5)", "--oracle"])
 @example(["seifert", "witnesses", "(1; 1/1000003, 1/1000033)", "0"])
+@example(["seifert", "witnesses", "(1; " + ", ".join(["1/2"] * 30) + ")", "15/4"])
 @example(["seifert", "volumes", "(1000000000000000000000; 1/2, 1/3)"])
 @example(["seifert", "witnesses", "(1; 1/2, 1/2)", "1e999999999"])
 @example(["seifert", "volumes", "(1; 1/2, 1/2)", "--witnesses", "1e99999999"])
