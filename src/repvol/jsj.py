@@ -385,13 +385,15 @@ def rw_consistency(
     with no list per vertex.  The side-number tables ``first``, ``nxt``
     and ``into`` are ``array("q")``s, which hold each entry in 8 bytes with
     no int object behind it.  Potentials are kept as integer numerators
-    and denominators in lowest terms, and an edge u -> v with ratio p/q is
-    tested by comparing cross products, so no ``Fraction`` is built unless
-    an edge fails.  On failure the fundamental cycle of the
-    first offending edge is returned with its ratios and product as
-    ``Fraction``s; the product is then necessarily != 1.  The cycle runs
-    through the tree only, so it has at most 2 * (eccentricity of its
-    root) + 1 steps.
+    and denominators in lowest terms; a tree step reduces by the two cross
+    gcds gcd(num, q) and gcd(p, den), as ``Fraction.__mul__`` does, so no
+    gcd pairs two potentials, whose size grows with the depth.  An edge
+    u -> v with ratio p/q is tested by comparing cross products, so no
+    ``Fraction`` is built unless an edge fails.  On failure the
+    fundamental cycle of the first offending edge is returned with its
+    ratios and product as ``Fraction``s; the product is then necessarily
+    != 1.  The cycle runs through the tree only, so it has at most
+    2 * (eccentricity of its root) + 1 steps.
     """
     names, end, term = _numbered(vertices, edges)
     # Side s (2k or 2k + 1) is edge k seen from end[s]: the step to
@@ -420,11 +422,11 @@ def rw_consistency(
             while side >= 0:
                 v = end[side ^ 1]
                 if not num[v]:
-                    a = num[u] * term[side]
-                    b = den[u] * term[side ^ 1]
-                    g = gcd(a, b)
-                    num[v] = a // g
-                    den[v] = b // g
+                    p, q = term[side], term[side ^ 1]
+                    g = gcd(num[u], q)
+                    h = gcd(p, den[u])
+                    num[v] = (num[u] // g) * (p // h)
+                    den[v] = (den[u] // h) * (q // g)
                     into[v] = side
                     queue.append(v)
                 side = nxt[side]

@@ -124,7 +124,13 @@ class LieAlgebraSpec(_Record):
     the shared denominator ``_den``: ``_table``, (j, k) -> {i: c^i_jk} for
     both index orders, and ``_by_target``, the pairs ((j, k), c^i_jk) with
     j < k per target i.  So the checks, the three-form and ``d`` cost what
-    the nonzero constants do.
+    the nonzero constants do; ``validate_jacobi`` visits at most one basis
+    triple per nonzero product c^l_xy c^m_lz.  The constructor converts
+    each bracket vector once, by ``PiScalar.of``, and keeps its nonzero
+    entries from that pass; the pi-free check and both tables read only
+    those.  The cost that remains is that dense read: ``brackets`` stays
+    the public field of length-dim vectors, so construction reads
+    (brackets) x dim entries, about 5.8 M for k copies of sl2 at k = 800.
     """
 
     basis: tuple[str, ...]
@@ -140,7 +146,9 @@ class LieAlgebraSpec(_Record):
             raise ValueError("basis names must be distinct")
         _set(self, "basis", names)
         dim = len(names)
-        table: dict[tuple[int, int], tuple[PiScalar, ...]] = {}
+        # (j, k) -> (its converted vector, [(i, c^i_jk)] over the nonzero c),
+        # for the nonzero brackets
+        table: dict[tuple[int, int], tuple[tuple[PiScalar, ...], list[tuple[int, PiScalar]]]] = {}
         for (j, k), vec in self.brackets:
             if not (0 <= j < k < dim):
                 raise ValueError(f"bracket pair ({j}, {k}) out of range or unordered")
@@ -148,18 +156,19 @@ class LieAlgebraSpec(_Record):
                 raise ValueError(f"duplicate bracket entry for ({j}, {k})")
             if len(vec) != dim:
                 raise ValueError(f"bracket vector for ({j}, {k}) has wrong length")
-            coeffs = tuple(PiScalar.of(c) for c in vec)
-            for c in coeffs:
-                if c and c.pi_power != 0:
-                    raise ValueError("structure constants must be pi-free")
-            if any(coeffs):
-                table[(j, k)] = coeffs
-        _set(self, "brackets", tuple(sorted(table.items())))
-        den = math.lcm(*[c.coeff._den for _, coeffs in self.brackets for c in coeffs])
+            coeffs = tuple(map(PiScalar.of, vec))
+            entries = [(i, c) for i, c in enumerate(coeffs) if c is not PI_ZERO and c.coeff]
+            if any(c.pi_power for _, c in entries):
+                raise ValueError("structure constants must be pi-free")
+            if entries:
+                table[(j, k)] = coeffs, entries
+        table = dict(sorted(table.items()))
+        _set(self, "brackets", tuple([(pair, coeffs) for pair, (coeffs, _) in table.items()]))
+        den = math.lcm(*[c.coeff._den for _, entries in table.values() for _, c in entries])
         structure: dict[tuple[int, int], dict[int, Pair]] = {}
         by_target: list[list[tuple[tuple[int, int], Pair]]] = [[] for _ in range(dim)]
-        for (j, k), coeffs in self.brackets:
-            column = {i: _pair(c.coeff, den) for i, c in enumerate(coeffs) if c}
+        for (j, k), (_, entries) in table.items():
+            column = {i: _pair(c.coeff, den) for i, c in entries}
             structure[(j, k)] = column
             structure[(k, j)] = {i: (-a, -b) for i, (a, b) in column.items()}
             for i, c in column.items():
@@ -187,18 +196,36 @@ class LieAlgebraSpec(_Record):
             raise ValueError(f"unknown basis element {name!r}") from None
 
 
+def _jacobi_triples(spec: LieAlgebraSpec) -> list[tuple[int, int, int]]:
+    """The sorted basis triples whose Jacobi residual can be nonzero.
+
+    A term [[x,y],z] is nonzero only if some l in the support of [x,y] has
+    [l,z] != 0, so each triple comes from a nonzero product c^l_xy c^m_lz:
+    there are at most as many triples as such products."""
+    table = spec._table
+    partners: list[set[int]] = [set() for _ in range(spec.dim)]
+    for l, z in table:
+        partners[l].add(z)
+    triples: set[tuple[int, int, int]] = set()
+    for (x, y), column in table.items():
+        if x < y:
+            reach = set().union(*[partners[l] for l in column])
+            reach.difference_update((x, y))
+            triples.update([(x, y, z) if z > y else (x, z, y) if z > x else (z, x, y) for z in reach])
+    return sorted(triples)
+
+
 def validate_jacobi(spec: LieAlgebraSpec) -> Optional[JacobiViolation]:
     """None when the Jacobi identity holds; otherwise the first violation.
 
     Basis triples a < b < c are scanned in order; the residual of the
     cyclic sum [[x,y],z] has m-th coordinate sum_l c^l_xy c^m_lz, over
-    the table's denominator squared.  It vanishes unless one of the three
-    pairs has a nonzero bracket, so only those triples are visited.
+    the table's denominator squared.  Only the triples of
+    ``_jacobi_triples`` are visited: every other residual is zero.
     """
     n = spec.dim
     table = spec._table
-    triples = {tuple(sorted((j, k, c))) for (j, k), _ in spec.brackets for c in range(n) if c not in (j, k)}
-    for a, b, c in sorted(triples):
+    for a, b, c in _jacobi_triples(spec):
         res: dict[int, Pair] = {}
         for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
             for l, (p, q) in table.get((x, y), _NO_TERMS).items():

@@ -232,6 +232,36 @@ def test_post_init_hook_sees_every_arithmetic_result(monkeypatch):
         assert id(value) in seen, value
 
 
+def test_small_ints_read_one_shared_scalar_each(monkeypatch):
+    # PiScalar.of(k) for an int |k| <= 16 returns a scalar built once, at
+    # import; it cannot be told from a fresh one but by identity.
+    for k in range(-16, 17):
+        shared, fresh = PiScalar.of(k), PiScalar(GaussianRational(k))
+        assert PiScalar.of(k) is shared
+        assert shared == fresh and hash(shared) == hash(fresh) and repr(shared) == repr(fresh)
+        for twin in (copy.copy(shared), copy.deepcopy(shared), pickle.loads(pickle.dumps(shared))):
+            assert twin == fresh and hash(twin) == hash(fresh) and repr(twin) == repr(fresh)
+    assert PiScalar.of(0) is PI_ZERO
+    # every other input is built through __post_init__, as before
+    built = []
+    original = PiScalar.__post_init__
+
+    def counted(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(PiScalar, "__post_init__", counted)
+    others = [PiScalar.of(3, pi_power=1), PiScalar.of(True), PiScalar.of(Fraction(3)), PiScalar.of(17), PiScalar.of(-17)]
+    assert len(built) == len(others) and all(b is x for b, x in zip(built, others))
+    assert [(x.coeff, x.pi_power) for x in others] == [
+        (GaussianRational(3), 1),
+        (GAUSSIAN_ONE, 0),
+        (GaussianRational(3), 0),
+        (GaussianRational(17), 0),
+        (GaussianRational(-17), 0),
+    ]
+
+
 # ---------------------------------------------------------------- differential check of GaussianRational
 #
 # A GaussianRational is held as three ints; the reference below is the

@@ -912,6 +912,28 @@ def test_rw_deep_chain_with_big_integer_potentials():
     )
 
 
+def test_rw_tree_steps_reduce_by_cross_gcds(monkeypatch):
+    # On a 3/2 chain the potential at depth d is 3^d / 2^d.  Each tree step
+    # reduces as Fraction.__mul__ does, by gcd(num, q) and gcd(p, den), so
+    # every gcd has an edge term as one operand; the gcd of two potentials,
+    # which costs about the square of the depth, is never taken.
+    v = 2000
+    edges = [(i, i + 1, Fraction(3, 2)) for i in range(v - 1)]
+    calls = []
+    real = math.gcd
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(math, "gcd", spy)
+    result = rw_consistency(range(v), edges)
+    monkeypatch.undo()
+    assert result.consistent
+    assert len(calls) == 2 * (v - 1)
+    assert all(3 in args or 2 in args for args in calls)
+
+
 def _mid_size_ratio_graph(rng, v):
     """A ratio multigraph of ``v`` vertices in several components, each a
     random tree plus extra edges, with parallel edges, self-loops, isolated

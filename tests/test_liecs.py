@@ -3,6 +3,7 @@ identity for both canned algebras, and the characteristic-polynomial
 coefficients."""
 
 import itertools
+import json
 import operator
 import pickle
 import random
@@ -14,6 +15,7 @@ from dense_linalg import dense_echelon
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repvol import liecs
 from repvol.exact import GaussianRational, PI_ZERO, PiScalar
 from repvol.liecs import (
     ExteriorForm,
@@ -35,6 +37,7 @@ from repvol.liecs import (
     sl2c_gram,
     validate_jacobi,
 )
+from repvol.liecs import _jacobi_triples
 
 X, Y, Z, W = 0, 1, 2, 3
 
@@ -534,6 +537,176 @@ def test_validate_jacobi_matches_dense_oracle(table):
         triple, residual = expected
         assert violation.triple == tuple(f"e{i}" for i in triple)
         assert violation.residual == tuple(PiScalar.of(r) for r in residual)
+
+
+# Blocks of the seeded algebras below: (size, {(j, k): {i: c}}, j < k).
+JACOBI_BLOCKS = (
+    (3, SL2),
+    (4, {(0, 1): {1: -2}, (0, 2): {2: 2}, (0, 3): {1: 2, 2: 2}, (1, 2): {0: -1}, (1, 3): {0: -1}, (2, 3): {0: -1}}),
+    (3, {(0, 1): {2: 1}}),  # Heisenberg
+    (1, {}),
+)
+
+
+def seeded_algebra(rng):
+    """A table {(j, k): {i: c}} of dimension 3-9: sl2, iso-sl2r, Heisenberg
+    and abelian blocks, each scaled by a rational, on shuffled basis
+    vectors, with up to two constants then changed by a small int.  Over
+    3,000 draws 1,718 fail the Jacobi identity, at 78 distinct first
+    triples, and 2,672 skip some triples."""
+    n = rng.randint(3, 9)
+    blocks = []
+    while (room := n - sum(size for size, _ in blocks)) > 0:
+        blocks.append(rng.choice([block for block in JACOBI_BLOCKS if block[0] <= room]))
+    position = rng.sample(range(n), n)
+    brackets = {}
+    offset = 0
+    for size, table in blocks:
+        scale = Fraction(rng.randint(1, 3), rng.randint(1, 2))
+        for (j, k), vec in table.items():
+            a, b = position[j + offset], position[k + offset]
+            sign = 1 if a < b else -1
+            brackets[(min(a, b), max(a, b))] = {position[i + offset]: sign * scale * v for i, v in vec.items()}
+        offset += size
+    for _ in range(rng.choice((0, 1, 1, 2))):
+        j, k = sorted(rng.sample(range(n), 2))
+        i = rng.randrange(n)
+        vec = brackets.setdefault((j, k), {})
+        vec[i] = vec.get(i, 0) + rng.choice((-2, -1, 1, 2))
+    return n, {pair: {i: c for i, c in vec.items() if c} for pair, vec in brackets.items()}
+
+
+def full_scan_jacobi(spec):
+    """The reference for validate_jacobi: every triple a < b < c in order,
+    with its residual {m: (re, im)} over the table's denominator squared;
+    the first nonzero one, or None."""
+    table = spec._table
+    for a, b, c in itertools.combinations(range(spec.dim), 3):
+        res = {}
+        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+            for l, (p, q) in table.get((x, y), {}).items():
+                for m, (r, s) in table.get((l, z), {}).items():
+                    re, im = res.get(m, (0, 0))
+                    res[m] = (re + p * r - q * s, im + p * s + q * r)
+        if any(re or im for re, im in res.values()):
+            return (a, b, c), res
+    return None
+
+
+def test_validate_jacobi_matches_the_full_scan():
+    rng = random.Random("jacobi triples")
+    violations = set()
+    for _ in range(3000):
+        n, brackets = seeded_algebra(rng)
+        spec = table_spec(n, brackets)
+        violation = validate_jacobi(spec)
+        expected = full_scan_jacobi(spec)
+        if expected is None:
+            assert violation is None
+            continue
+        triple, res = expected
+        square = spec._den**2
+        assert violation.triple == tuple(f"e{i}" for i in triple)
+        assert violation.residual == tuple(
+            PiScalar(GaussianRational(Fraction(res[m][0], square), Fraction(res[m][1], square)))
+            if m in res
+            else PI_ZERO
+            for m in range(n)
+        )
+        violations.add(triple)
+    assert len(violations) > 50
+
+
+def nonzero_products(n, brackets):
+    """The count of (x, y, l, z), x < y, with c^l_xy != 0 and [l, z] != 0."""
+    c = dense_constants(n, brackets)
+    return sum(
+        1
+        for x, y in itertools.combinations(range(n), 2)
+        for l in range(n)
+        if c[l][x][y]
+        for z in range(n)
+        if any(c[m][l][z] for m in range(n))
+    )
+
+
+def test_jacobi_triples_never_exceed_the_nonzero_products():
+    rng = random.Random("jacobi work")
+    tables = [(n, brackets) for n, brackets in LIE_TABLES] + [seeded_algebra(rng) for _ in range(300)]
+    for n, brackets in tables:
+        triples = _jacobi_triples(table_spec(n, brackets))
+        assert triples == sorted(set(triples))
+        assert len(triples) <= nonzero_products(n, brackets)
+
+
+@pytest.mark.parametrize("k", [50, 100, 200])
+def test_sl2_sum_from_json_loads_and_checks_in_work_linear_in_k(k, monkeypatch):
+    # sl2 copied k times: 3k basis vectors and 3k brackets.  The check
+    # visits one triple per copy, and loading builds one scalar per
+    # constant (the sums of algebra_from_json), however long the vectors.
+    doc = {"basis": [f"{c}{b}" for b in range(k) for c in "XYZ"], "brackets": []}
+    for b in range(k):
+        doc["brackets"] += [[f"X{b}", f"Y{b}", {f"Y{b}": -2}], [f"X{b}", f"Z{b}", {f"Z{b}": 2}], [f"Y{b}", f"Z{b}", {f"X{b}": -1}]]
+    text = json.dumps(doc)
+    built = []
+    original = PiScalar.__post_init__
+
+    def counted(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(PiScalar, "__post_init__", counted)
+    spec = algebra_from_json(json.loads(text))
+    assert len(built) == 3 * k
+    visited = []
+
+    def spy(spec):
+        visited.append(_jacobi_triples(spec))
+        return visited[-1]
+
+    monkeypatch.setattr(liecs, "_jacobi_triples", spy)
+    assert validate_jacobi(spec) is None
+    assert visited == [[(3 * b, 3 * b + 1, 3 * b + 2) for b in range(k)]]
+
+
+def test_small_int_tables_construct_no_scalars(monkeypatch):
+    # sl2 + sl2 in the basis X'_a = sum_j P[j][a] X_j, P = 1 + (ones above
+    # the diagonal): 36% of its constants are nonzero, all ints |c| <= 4,
+    # like its Gram form and a 2-form.  Counted as the benchmark counts
+    # exact.pi_scalars_built, by a hook on PiScalar.__post_init__, the
+    # algebra and its Gram form build no scalar, and the 2-form only its
+    # summed terms: every input is one of PiScalar.of's shared scalars.
+    brackets = {
+        (0, 1): [2, -2, 0, 0, 0, 0], (0, 2): [4, -4, 2, 0, 0, 0], (0, 3): [2, -2, 2, 0, 0, 0],
+        (1, 2): [3, -4, 2, 0, 0, 0], (1, 3): [1, -2, 2, 0, 0, 0], (2, 3): [-1, 0, 0, 0, 0, 0],
+        (3, 4): [-2, 2, -2, 2, -2, 0], (3, 5): [-4, 4, -4, 4, -4, 2], (4, 5): [-3, 3, -3, 3, -4, 2],
+    }
+    dense = tuple((pair, tuple(brackets.get(pair, [0] * 6))) for pair in itertools.combinations(range(6), 2))
+    gram = [
+        [2, 2, 0, 0, 0, 0], [2, 2, 1, 1, 0, 0], [0, 1, 2, 1, 0, 0],
+        [0, 1, 1, 2, 2, 0], [0, 0, 0, 2, 2, 1], [0, 0, 0, 0, 1, 2],
+    ]
+    beta = (((0, 1), 2), ((0, 1), -1), ((2, 5), -2), ((3, 4), 1))
+    built = []
+    original = PiScalar.__post_init__
+
+    def counted(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(PiScalar, "__post_init__", counted)
+    spec = LieAlgebraSpec(basis=tuple("ABCDEF"), brackets=dense)
+    gram_form = GramForm(gram)
+    assert built == []
+    form = ExteriorForm(6, 2, beta)
+    assert built == [c for _, c in form.terms]
+    monkeypatch.undo()
+    assert spec.brackets == tuple(
+        (pair, tuple(PiScalar(GaussianRational(c)) for c in vec)) for pair, vec in sorted(brackets.items())
+    )
+    assert gram_form.entries == tuple(tuple(PiScalar(GaussianRational(x)) for x in row) for row in gram)
+    assert is_ad_invariant(spec, gram_form)
+    assert form.terms == (((0, 1), PiScalar.of(1)), ((2, 5), PiScalar.of(-2)), ((3, 4), PiScalar.of(1)))
 
 
 @st.composite
