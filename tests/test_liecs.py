@@ -540,12 +540,7 @@ def test_validate_jacobi_matches_dense_oracle(table):
 
 
 # Blocks of the seeded algebras below: (size, {(j, k): {i: c}}, j < k).
-JACOBI_BLOCKS = (
-    (3, SL2),
-    (4, {(0, 1): {1: -2}, (0, 2): {2: 2}, (0, 3): {1: 2, 2: 2}, (1, 2): {0: -1}, (1, 3): {0: -1}, (2, 3): {0: -1}}),
-    (3, {(0, 1): {2: 1}}),  # Heisenberg
-    (1, {}),
-)
+JACOBI_BLOCKS = (*LIE_TABLES[:2], (3, {(0, 1): {2: 1}}), (1, {}))  # sl2, iso-sl2r, Heisenberg, abelian
 
 
 def seeded_algebra(rng):
