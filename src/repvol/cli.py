@@ -26,16 +26,16 @@ from .exact import (
     _list,
     _name,
     _printed,
+    _rational,
     _read_int,
     _shown,
-    parse_rational,
     render_volume,
 )
 
 
 def _fraction_arg(text: str) -> Fraction:
     try:
-        return parse_rational(text, "not a rational number", "{}")
+        return _rational(text, "not a rational number", "{}")
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -253,7 +253,7 @@ def _cmd_cs(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- graph
 
 
-def _ratio_graph(doc) -> tuple[list[str], list[tuple[str, str, Fraction]]]:
+def _ratio_graph(doc) -> tuple[list[str], list[tuple[str, str, int | Fraction]]]:
     """The vertices and edges of a ``graph rw`` document.
 
     A malformed document raises ``ValueError`` naming the path of the bad
@@ -262,13 +262,13 @@ def _ratio_graph(doc) -> tuple[list[str], list[tuple[str, str, Fraction]]]:
     doc = _document(doc, "vertices", "edges")
     vertices = _list(_field(doc, "vertices"), "vertices", "names")
     rows = _list(_field(doc, "edges"), "edges", "[u, v, ratio] rows")
-    vertices = [_name(name, f"vertices[{i}]") for i, name in enumerate(vertices)]
+    vertices = [_name(name, "vertices[{}]", i) for i, name in enumerate(vertices)]
     edges = []
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != 3:
             raise ValueError(f"edges[{i}]: expected [u, v, ratio], got {_shown(row)}")
-        u, v = (_name(row[j], f"edges[{i}][{j}]") for j in (0, 1))
-        edges.append((u, v, parse_rational(str(row[2]), f"edges[{i}][2]", "bad ratio {}")))
+        u, v = (_name(row[j], "edges[{}][{}]", i, j) for j in (0, 1))
+        edges.append((u, v, _rational(row[2], f"edges[{i}][2]", "bad ratio {}")))
     return vertices, edges
 
 

@@ -34,6 +34,10 @@ build e, chi, every spectrum value and every witness field with it.
 ``_pi_power`` owns the pi-power addition rule: ``PiScalar.__add__``
 adds by ``_pi_sum``, which follows it, and so do the Gaussian-integer
 sums of ``liecs``.
+
+The three JSON document formats read each kind of value with one
+reader: ``_name`` a name, a string never coerced; ``_integer`` an
+integer, never cut short; ``_rational`` a rational number.
 """
 
 from __future__ import annotations
@@ -64,16 +68,22 @@ RationalLike = Union[int, Fraction]
 FOUR_PI_SQUARED = 4.0 * math.pi * math.pi
 
 
-def parse_rational(value: object, path: str, problem: str) -> Fraction:
-    """The rational number that the string ``value`` spells: an integer,
-    a decimal or ``p/q``.
+def _rational(value: object, path: str, problem: str) -> RationalLike:
+    """The rational number ``value`` stands for: an int as itself, a string
+    as the integer, decimal or ``p/q`` it spells, and a float as its
+    ``repr`` spells, so ``1.5`` is 3/2.
 
-    Anything else is a ``ValueError`` reading ``<path>: <problem>``, with
-    ``value`` formatted into ``problem`` as ``_shown`` shows it, except that
-    a run of digits too long to read is named by ``_read_int``.  Exponent forms
-    such as ``'1e999999999'`` are refused too: ``Fraction`` would compute
+    Anything else, a bool among them, is a ``ValueError`` reading
+    ``<path>: <problem>``, with ``value`` formatted into ``problem`` as
+    ``_shown`` shows it, except that a run of digits too long to read is
+    named by ``_read_int``.  Exponent forms such as ``'1e999999999'`` and
+    ``1e-07`` are refused too: ``Fraction`` would compute
     ``10**999999999``, which never finishes.
     """
+    if type(value) is int:
+        return value
+    if type(value) is float:
+        value = repr(value)
     if isinstance(value, str) and "e" not in value.lower():
         try:
             return Fraction(value)
@@ -209,11 +219,13 @@ def _list(value: object, path: str, of: str) -> Sequence:
     return value
 
 
-def _name(value: object, path: str) -> str:
+def _name(value: object, path: str, *at: object) -> str:
     """``value`` if it is a string.  Names are never coerced, so JSON
-    ``1``, ``"1"`` and ``null`` cannot read as one name."""
+    ``1``, ``"1"`` and ``null`` cannot read as one name.  A refusal reads
+    ``<path>: expected a string, got <value>``, ``path`` formatted with
+    ``at`` only then."""
     if not isinstance(value, str):
-        raise ValueError(f"{path}: expected a string, got {_shown(value)}")
+        raise ValueError(f"{path.format(*at)}: expected a string, got {_shown(value)}")
     return value
 
 

@@ -8,8 +8,9 @@ checks the bookkeeping of that statement and evaluates the sum.
 
 Each record's constructor checks the shapes of its own fields, such as
 "two items, never a string or an object" for an endpoint, and raises
-``TypeError``.  The JSON loader hands it the values unchanged, so the
-library and the CLI refuse the same shapes with the same text.
+``TypeError``; names it keeps as given.  The JSON loader hands it the
+values unchanged, so the library and the CLI refuse the same shapes
+with the same text, and then refuses a name that is not a string.
 """
 
 from __future__ import annotations
@@ -31,12 +32,13 @@ from .exact import (
     _entries,
     _field,
     _integer,
+    _name,
     _printed,
+    _rational,
     _require_pair,
     _set,
     _shown,
     _two_each,
-    parse_rational,
     volume_sum,
 )
 from .seifert import SeifertInvariants, _fill
@@ -78,7 +80,7 @@ class Piece(_Record):
     def __post_init__(self) -> None:
         if isinstance(self.slots, (str, dict)):
             raise TypeError(f"slots {_shown(self.slots)} is not a list of names")
-        _set(self, "slots", slots := tuple(map(str, self.slots)))
+        _set(self, "slots", slots := tuple(self.slots))
         if self.kind not in ("seifert", "hyperbolic"):
             raise ValueError(f"piece {self.id}: unknown kind {_shown(self.kind)}")
         if len(set(slots)) != len(slots):
@@ -109,8 +111,8 @@ class Edge(_Record):
         _require_pair(b, "b", "[piece, slot]")
         _require_pair(self.killed_slope, "killed_slope", "[a, b]")
         _require_pair(self.killed_slope_b, "killed_slope_b", "[a, b]")
-        _set(self, "a", (str(a[0]), str(a[1])))
-        _set(self, "b", (str(b[0]), str(b[1])))
+        _set(self, "a", (a[0], a[1]))
+        _set(self, "b", (b[0], b[1]))
         (m00, m01), (m10, m11) = gluing
         first = (_integer(m00, "gluing[0][0]"), _integer(m01, "gluing[0][1]"))
         _set(self, "gluing", (first, (_integer(m10, "gluing[1][0]"), _integer(m11, "gluing[1][1]"))))
@@ -190,10 +192,9 @@ def _spec_problems(spec: GraphManifoldSpec) -> tuple[str, ...]:
             det = _printed(det, f"edge {n}: gluing determinant")
             problems.append(f"edge {n}: gluing determinant is {det}, expected -1")
         slope, slope_b = edge.killed_slope, edge.killed_slope_b
-        if slope is not None and math.gcd(*slope) != 1:
-            problems.append(f"edge {n}: killed_slope {slope} is not primitive")
-        if slope_b is not None and math.gcd(*slope_b) != 1:
-            problems.append(f"edge {n}: killed_slope_b {slope_b} is not primitive")
+        for name, declared in (("killed_slope", slope), ("killed_slope_b", slope_b)):
+            if declared is not None and math.gcd(*declared) != 1:
+                problems.append(f"edge {n}: {name} {declared} is not primitive")
         if slope is not None and slope_b is not None:
             pushed = edge.push_to_b(slope)
             if _normalize_slope(pushed) != _normalize_slope(slope_b):
@@ -222,7 +223,7 @@ class FilledSeifert(_Record):
             raise TypeError(f"fillings {_shown(fillings)} are not all [slot, [a, b]]")
         filled = []
         for slot, (a, b) in rows:
-            filled.append((str(slot), (_integer(a, "fillings[{!r}][0]", slot), _integer(b, "fillings[{!r}][1]", slot))))
+            filled.append((slot, (_integer(a, "fillings[{!r}][0]", slot), _integer(b, "fillings[{!r}][1]", slot))))
         _set(self, "fillings", tuple(sorted(filled)))
         if type(self.coeff) is not Fraction:
             _set(self, "coeff", Fraction(self.coeff))
@@ -303,7 +304,7 @@ def additivity_sum(spec: GraphManifoldSpec, assignments: Sequence[PieceAssignmen
         elif isinstance(assignment, DirectVolume):
             contributions.append(assignment.volume)
         elif isinstance(assignment, FilledSeifert):
-            if piece.kind != "seifert" or piece.seifert is None:
+            if piece.kind != "seifert":
                 raise ValueError(f"piece {piece.id} is not a Seifert piece")
             filled_slots = dict(assignment.fillings)
             if sorted(filled_slots) != sorted(piece.slots):
@@ -494,22 +495,12 @@ def motegi_spec(p1: int, q1: int, p2: int, q2: int) -> GraphManifoldSpec:
     """The JSJ graph of the glued torus-knot exteriors: the gluing swaps
     meridian and fiber, i.e. the matrix [[0, 1], [1, 0]]."""
     _validate_motegi_params(p1, q1, p2, q2)
-    if math.gcd(p1, q1) != 1:
-        raise ValueError(f"gcd(p1, q1) must be 1, got gcd({p1}, {q1})")
-    if math.gcd(p2, q2) != 1:
-        raise ValueError(f"gcd(p2, q2) must be 1, got gcd({p2}, {q2})")
     pieces = []
-    for name, (p, q) in (("E1", (p1, q1)), ("E2", (p2, q2))):
-        pieces.append(
-            Piece(
-                id=name,
-                kind="seifert",
-                slots=("T",),
-                seifert=SeifertInvariants(
-                    genus=0, pairs=_torus_knot_pairs(p, q), boundary_count=1
-                ),
-            )
-        )
+    for i, (p, q) in enumerate(((p1, q1), (p2, q2)), 1):
+        if math.gcd(p, q) != 1:
+            raise ValueError(f"gcd(p{i}, q{i}) must be 1, got gcd({p}, {q})")
+        seifert = SeifertInvariants(genus=0, pairs=_torus_knot_pairs(p, q), boundary_count=1)
+        pieces.append(Piece(id=f"E{i}", kind="seifert", slots=("T",), seifert=seifert))
     edge = Edge(a=("E1", "T"), b=("E2", "T"), gluing=((0, 1), (1, 0)))
     return GraphManifoldSpec(pieces=tuple(pieces), edges=(edge,))
 
@@ -527,17 +518,26 @@ def _piece_from_json(entry: Mapping, path: str) -> Piece:
     seifert = None
     if kind == "seifert":
         seifert = SeifertInvariants(_field(entry, "genus", path), entry.get("pairs", ()), len(slots))
-    return Piece(str(_field(entry, "id", path)), str(kind), slots, seifert, entry.get("label"))
+    piece_id = _name(_field(entry, "id", path), "{}.id", path)
+    for j, slot in enumerate(slots if isinstance(slots, (list, tuple)) else ()):
+        if type(slot) is not str:
+            _name(slot, "{}.slots[{}]", path, j)
+    return Piece(piece_id, str(kind), slots, seifert, entry.get("label"))
 
 
 def _edge_from_json(entry: Mapping, path: str) -> Edge:
     a, b, gluing = _field(entry, "a", path), _field(entry, "b", path), _field(entry, "gluing", path)
-    return Edge(a, b, gluing, entry.get("killed_slope") or None, entry.get("killed_slope_b") or None)
+    edge = Edge(a, b, gluing, entry.get("killed_slope") or None, entry.get("killed_slope_b") or None)
+    for side, (piece_id, slot) in (("a", edge.a), ("b", edge.b)):
+        if type(piece_id) is not str or type(slot) is not str:
+            _name(piece_id, "{}.{}[0]", path, side)
+            _name(slot, "{}.{}[1]", path, side)
+    return edge
 
 
 def _volume_from_json(entry: Mapping, path: str) -> VolumeValue:
     if "exact" in entry:
-        return ExactVolume(parse_rational(str(entry["exact"]), path, "malformed entry (bad exact {})"))
+        return ExactVolume(_rational(entry["exact"], path, "malformed entry (bad exact {})"))
     if "numeric" in entry:
         raw = entry["numeric"]
         try:
@@ -551,7 +551,7 @@ def _volume_from_json(entry: Mapping, path: str) -> VolumeValue:
 
 
 def _assignment_from_json(entry: Mapping, path: str) -> PieceAssignment:
-    piece_id = str(_field(entry, "piece", path))
+    piece_id = _name(_field(entry, "piece", path), "{}.piece", path)
     kind = entry.get("assign")
     if kind == "small_image":
         return SmallImage(piece_id)
@@ -559,13 +559,16 @@ def _assignment_from_json(entry: Mapping, path: str) -> PieceAssignment:
         return DirectVolume(piece_id, _volume_from_json(entry, path))
     if kind == "filled":
         fillings = _field(entry, "fillings", path)
-        coeff = parse_rational(str(_field(entry, "coeff", path)), path, "malformed entry (bad coeff {})")
+        coeff = _rational(_field(entry, "coeff", path), path, "malformed entry (bad coeff {})")
+        for j, row in enumerate(fillings if isinstance(fillings, (list, tuple)) else ()):
+            if isinstance(row, (list, tuple)) and len(row) == 2 and type(row[0]) is not str:
+                _name(row[0], "{}.fillings[{}][0]", path, j)
         return FilledSeifert(piece_id, fillings, coeff)
     raise ValueError(f"assignment {_shown(entry)} needs assign: small_image|direct|filled")
 
 
 def _case_from_json(spec: GraphManifoldSpec, case: Mapping, path: str):
-    name = str(_field(case, "name", path))
+    name = _name(_field(case, "name", path), "{}.name", path)
     edges = spec.edges
     slopes = case.get("killed_slopes")
     if slopes is not None:

@@ -43,9 +43,9 @@ from .exact import (
     _name,
     _pi,
     _pi_power,
+    _rational,
     _set,
     _shown,
-    parse_rational,
 )
 from .linalg import Pair
 
@@ -642,14 +642,6 @@ def sl2c_gram() -> GramForm:
     return GramForm(entries)
 
 
-def _coeff_from_json(value, path: str) -> PiScalar:
-    if isinstance(value, int) and not isinstance(value, bool):
-        return PiScalar.of(value)
-    return PiScalar.of(
-        parse_rational(value, path, "bad structure constant {} (use int or 'p/q')")
-    )
-
-
 def algebra_from_json(doc: Mapping) -> LieAlgebraSpec:
     """Build an (unvalidated) algebra from a JSON document of the shape
 
@@ -662,7 +654,7 @@ def algebra_from_json(doc: Mapping) -> LieAlgebraSpec:
     """
     doc = _document(doc, "basis", "brackets")
     names = _list(_field(doc, "basis"), "basis", "names")
-    basis = tuple(_name(name, f"basis[{i}]") for i, name in enumerate(names))
+    basis = tuple(_name(name, "basis[{}]", i) for i, name in enumerate(names))
     if not basis:
         raise ValueError("basis must not be empty")
     index = {name: i for i, name in enumerate(basis)}
@@ -688,7 +680,7 @@ def algebra_from_json(doc: Mapping) -> LieAlgebraSpec:
         for name, value in coeffs.items():
             if name not in index:
                 raise ValueError(f"{path}[2]: entry uses unknown basis names ({_shown(name)})")
-            coeff = _coeff_from_json(value, f"{path}[2].{name}")
+            coeff = PiScalar.of(_rational(value, f"{path}[2].{name}", "bad structure constant {} (use int or 'p/q')"))
             vec[index[name]] = vec[index[name]] + (coeff if sign > 0 else -coeff)
     return LieAlgebraSpec(
         basis=basis,

@@ -12,7 +12,9 @@ from pathlib import Path
 import child
 import pytest
 
-from repvol.cli import main
+from repvol import jsj
+from repvol.cli import _ratio_graph, main
+from repvol.exact import render_volume
 
 DATA = resources.files("repvol").joinpath("data")
 ROOT = Path(__file__).resolve().parents[1]
@@ -89,6 +91,35 @@ def test_volumes_json(capsys):
     code, out, _ = run(capsys, "seifert", "volumes", "(1; 1/2, 1/2)", "--json")
     assert code == 0
     assert json.loads(out) == {"coefficients": ["0", "1/4", "1"]}
+
+
+WITNESSES_OF_4 = [
+    {"coeff": "4", "n": -2, "n_values": [0], "z_values": ["-2"], "zeta": "2"},
+    {"coeff": "4", "n": 2, "n_values": [0], "z_values": ["2"], "zeta": "-2"},
+]
+
+
+@pytest.mark.parametrize(
+    "argv, payload",
+    [
+        (
+            ("info", "(1; 1/2, 1/2)"),
+            {"chi": "-1", "euler": "1", "geometry": "sl2r-tilde", "notation": "(1; 1/2, 1/2)"},
+        ),
+        (("sv", "(2; 1)"), {"closed_form": "4", "coefficient": "4"}),
+        (("witnesses", "(2; 1)", "4"), {"witnesses": WITNESSES_OF_4}),
+        (("volumes", "(2; 1)", "--witnesses", "4"), {"witnesses": WITNESSES_OF_4}),
+        (
+            ("volumes", "(1; 1/2, 1/2)", "--decimal", "--oracle"),
+            {"coefficients": ["0", "1/4", "1"], "decimals": ["0", "9.86960440109", "39.4784176044"], "oracle": "agree"},
+        ),
+    ],
+    ids=["info", "sv", "witnesses", "volumes_witnesses", "volumes_decimal_oracle"],
+)
+def test_seifert_json_payloads(capsys, argv, payload):
+    code, out, err = run(capsys, "seifert", *argv, "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == payload
 
 
 def test_volumes_witness_flag(capsys):
@@ -844,6 +875,100 @@ def test_long_document_values_are_shown_shortened(capsys, tmp_path, argv, doc, m
     bad = tmp_path / "doc.json"
     bad.write_text(json.dumps(doc))
     assert run(capsys, *argv, str(bad)) == (1, "", f"error: {message}\n")
+
+
+# ---------------------------------------------------------------- one reading rule per value
+
+# Names that differ only in their JSON type: piece 1 and endpoint "1",
+# and piece "None" and endpoint null, are never read as one name.
+TYPED_NAMES = {
+    "pieces": [
+        {"id": "None", "kind": "hyperbolic", "label": "h", "slots": ["1"]},
+        {"id": 1, "kind": "hyperbolic", "label": "h", "slots": [1]},
+    ],
+    "edges": [{"a": [None, 1], "b": ["1", "1"], "gluing": [[0, 1], [1, 0]]}],
+}
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda doc: TYPED_NAMES, "pieces[1].id: expected a string, got 1"),
+        (_set(None, "pieces", 0, "id"), "pieces[0].id: expected a string, got None"),
+        (_set(["t", 1], "pieces", 1, "slots"), "pieces[1].slots[1]: expected a string, got 1"),
+        (_set([None, "t"], "edges", 0, "a"), "edges[0].a[0]: expected a string, got None"),
+        (_set(["H", 1], "edges", 0, "b"), "edges[0].b[1]: expected a string, got 1"),
+        (_set(1, "cases", 0, "name"), "cases[0].name: expected a string, got 1"),
+        (_set(None, "cases", 0, "assignments", 1, "piece"), "cases[0].assignments[1].piece: expected a string, got None"),
+        (
+            _set([[1, [2, 1]]], "cases", 0, "assignments", 0, "fillings"),
+            "cases[0].assignments[0].fillings[0][0]: expected a string, got 1",
+        ),
+        (_set(True, "cases", 0, "assignments", 0, "coeff"), "cases[0].assignments[0]: malformed entry (bad coeff True)"),
+        (_set([1, 4], "cases", 0, "assignments", 1, "exact"), "cases[0].assignments[1]: malformed entry (bad exact [1, 4])"),
+    ],
+    ids=[
+        "typed_names", "piece_id", "slot", "endpoint_piece", "endpoint_slot",
+        "case_name", "assignment_piece", "filling_slot", "coeff_bool", "exact_list",
+    ],
+)
+@pytest.mark.parametrize("action", ["validate", "additivity"])
+def test_graph_names_are_strings_and_rationals_are_read_as_given(capsys, tmp_path, action, mutate, message):
+    bad = tmp_path / "graph.json"
+    bad.write_text(json.dumps(mutate(_graph_doc())))
+    assert run(capsys, "graph", action, str(bad)) == (1, "", f"error: {message}\n")
+
+
+def test_graph_float_rationals_read_through_their_repr(capsys, tmp_path):
+    # 0.25 is the coefficient 1/4 of the filled case, as "1/4" is
+    doc = _set(0.25, "cases", 0, "assignments", 0, "coeff")(_graph_doc())
+    doc = _set(0.0, "cases", 0, "assignments", 1, "exact")(doc)
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(doc))
+    assert run(capsys, "graph", "additivity", str(path)) == (0, "filled: 1/4 * 4*pi^2\n", "")
+
+
+def test_structure_constants_accept_decimals(capsys, tmp_path):
+    path = tmp_path / "algebra.json"
+    for constant in (1.5, "1.5", "3/2"):
+        doc = {"basis": ["X", "Y"], "brackets": [["X", "Y", {"Y": constant}]]}
+        path.write_text(json.dumps(doc))
+        assert run(capsys, "cs", "jacobi", str(path)) == (0, "ok\n", "")
+    path.write_text(json.dumps({"basis": ["X", "Y"], "brackets": [["X", "Y", {"Y": False}]]}))
+    message = "error: brackets[0][2].Y: bad structure constant False (use int or 'p/q')\n"
+    assert run(capsys, "cs", "jacobi", str(path)) == (1, "", message)
+
+
+def test_ratio_graph_reads_a_float_ratio_through_its_repr(capsys, tmp_path):
+    path = tmp_path / "ratios.json"
+    path.write_text(json.dumps({"vertices": ["u", "v"], "edges": [["u", "v", 1.5], ["u", "v", "3/2"]]}))
+    assert run(capsys, "graph", "rw", str(path)) == (0, "consistent\n", "")
+    path.write_text(json.dumps(_ratio_doc(("a", "b", [3, 2]))))
+    assert run(capsys, "graph", "rw", str(path)) == (1, "", "error: edges[0][2]: bad ratio [3, 2]\n")
+
+
+# More digits than int() converts to text: an int passed in a dict (JSON
+# files refuse such a number as they read it) is read as itself.
+LONG_INT = 10**5000 + 1
+
+
+@pytest.mark.parametrize("where", ["coeff", "exact", "ratio"])
+def test_a_long_int_is_read_as_itself(where):
+    if where == "ratio":
+        vertices, edges = _ratio_graph({"vertices": ["a", "b"], "edges": [["a", "b", LONG_INT]]})
+        assert edges == [("a", "b", LONG_INT)]
+        assert jsj.rw_consistency(vertices, edges).consistent
+        return
+    index = {"coeff": 0, "exact": 1}[where]
+    document = jsj.load_graph_document(_set(LONG_INT, "cases", 0, "assignments", index, where)(_graph_doc()))
+    name, spec, assignments = document.cases[0]
+    value = assignments[index].coeff if where == "coeff" else assignments[index].volume.coeff
+    assert value == LONG_INT
+    # a total that long is refused by the package's own text, never Python's
+    with pytest.raises(ValueError) as info:
+        render_volume(jsj.additivity_sum(spec, assignments))
+    assert "too large to print: over" in str(info.value)
+    assert "Exceeds the limit" not in str(info.value)
 
 
 

@@ -229,6 +229,44 @@ def test_records_refuse_the_shapes_the_loader_refuses(build, message):
     assert str(info.value) == message
 
 
+def test_records_keep_names_as_given():
+    # A library caller's names are compared as given, as rw_consistency
+    # compares its vertices: piece 1 and piece "1" are two pieces.
+    ones = Piece(id=1, kind="hyperbolic", slots=[1, "T"], label="h")
+    text = Piece(id="1", kind="hyperbolic", slots=("T",), label="h")
+    edge = Edge(a=(1, "T"), b=["1", "T"], gluing=((0, 1), (1, 0)))
+    assert (ones.slots, edge.a, edge.b) == ((1, "T"), (1, "T"), ("1", "T"))
+    assert validate_spec(GraphManifoldSpec((ones, text), (edge,))) == []
+    crossed = Edge(a=("1", 1), b=(1, 1), gluing=((0, 1), (1, 0)))
+    assert validate_spec(GraphManifoldSpec((ones, text), (crossed,))) == ["edge 0: piece 1 has no slot 1"]
+    filled = FilledSeifert(piece_id=1, fillings=[(1, (2, 1))], coeff=Fraction(1, 4))
+    assert (filled.piece_id, filled.fillings) == (1, ((1, (2, 1)),))
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (
+            {"pieces": [{"id": 1, "kind": "hyperbolic", "label": "h", "slots": ["t"]}]},
+            "pieces[0].id: expected a string, got 1",
+        ),
+        (
+            {"pieces": [{"id": "P", "kind": "hyperbolic", "label": "h", "slots": ["t"]}], "cases": [{"name": None}]},
+            "cases[0].name: expected a string, got None",
+        ),
+        (
+            {"pieces": [], "assignments": [{"piece": 2, "assign": "small_image"}]},
+            "assignments[0].piece: expected a string, got 2",
+        ),
+    ],
+    ids=["piece_id", "case_name", "assignment_piece"],
+)
+def test_loader_reads_names_as_strings_only(doc, message):
+    with pytest.raises(ValueError) as info:
+        load_graph_document(doc)
+    assert str(info.value) == message
+
+
 # ---------------------------------------------------------------- refusal order
 
 LIMIT = sys.get_int_max_str_digits()

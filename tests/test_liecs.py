@@ -9,6 +9,7 @@ import pickle
 import random
 from fractions import Fraction
 from functools import partial
+from importlib import resources
 
 import pytest
 from dense_linalg import dense_echelon
@@ -167,6 +168,24 @@ def test_algebra_from_json_fraction_strings():
     # stored under (A, B) with the sign flipped
     assert spec.bracket(0, 1) == (PiScalar.of(Fraction(-1, 2)), PI_ZERO)
     assert validate_jacobi(spec) is None
+
+
+def test_algebra_from_json_reads_decimals_and_long_ints():
+    # a JSON float reads through its repr, as a decimal string does
+    doc = {"basis": ["A", "B"], "brackets": [["A", "B", {"A": 1.5, "B": "0.25"}]]}
+    assert algebra_from_json(doc).bracket(0, 1) == (PiScalar.of(Fraction(3, 2)), PiScalar.of(Fraction(1, 4)))
+    # more digits than int() converts to text: an int is read as itself
+    long = 10**5000 + 1
+    doc = {"basis": ["A", "B"], "brackets": [["A", "B", {"A": long}]]}
+    assert algebra_from_json(doc).bracket(0, 1) == (PiScalar.of(long), PI_ZERO)
+
+
+@pytest.mark.parametrize("name, build", [("sl2c.json", sl2c_algebra), ("iso_sl2r.json", iso_sl2r_algebra)])
+def test_shipped_algebras_equal_the_built_ones(name, build):
+    # check_jacobi differs by design: the loader leaves the check to its caller
+    shipped = algebra_from_json(json.loads(resources.files("repvol").joinpath("data", name).read_text("utf-8")))
+    built = build()
+    assert (shipped.basis, shipped.brackets) == (built.basis, built.brackets)
 
 
 def test_algebra_from_json_rejects_unknown_names():
@@ -1178,6 +1197,7 @@ def test_format_form():
     form = mono(4, (X, Y), Fraction(2)) + mono(4, (Z, W), Fraction(-1, 3))
     assert format_form(spec, form) == "2 * phiX^phiY + -1/3 * phiZ^phiW"
     assert format_form(spec, ExteriorForm.zero(4, 2)) == "0"
+    assert format_form(spec, ExteriorForm(4, 0, (((), Fraction(5, 2)),))) == "5/2"
 
 
 # ---------------------------------------------------------------- polynomials

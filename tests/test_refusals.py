@@ -1,0 +1,156 @@
+"""The exact text of each public refusal that no other in-process test
+reaches: one row per refusal, each built from a valid call with one
+fault."""
+
+import dataclasses
+from fractions import Fraction
+
+import pytest
+
+from repvol.ehn import VolumeWitness, witnesses_for
+from repvol.exact import ExactVolume, NumericVolume, PiScalar, render_volume, volume_sum
+from repvol.jsj import (
+    Edge,
+    FilledSeifert,
+    GraphManifoldSpec,
+    Piece,
+    SmallImage,
+    additivity_sum,
+    motegi_spec,
+    validate_spec,
+)
+from repvol.liecs import (
+    ExteriorForm,
+    GramForm,
+    LieAlgebraSpec,
+    algebra_from_json,
+    d,
+    exactness_split,
+    is_ad_invariant,
+    sl2c_algebra,
+)
+from repvol.seifert import SeifertInvariants, base_cover, circle_bundle, fiber_cover, parse_seifert
+
+ONE = PiScalar.of(1)
+ZERO = PiScalar.of(0)
+
+
+def _algebra(*brackets, basis=("X", "Y")):
+    return lambda: LieAlgebraSpec(basis=basis, brackets=brackets, check_jacobi=False)
+
+
+def _form(dim, degree, *terms):
+    return lambda: ExteriorForm(dim, degree, terms)
+
+
+def _mono(dim, *indices):
+    return ExteriorForm.monomial(dim, indices)
+
+
+def _json(brackets, basis=("X", "Y")):
+    return lambda: algebra_from_json({"basis": list(basis), "brackets": brackets})
+
+
+def _hyperbolic_pair(**edge):
+    """Two labelled hyperbolic pieces glued along slot t, the edge's
+    other fields given."""
+    pieces = tuple(Piece(id=name, kind="hyperbolic", slots=("t",), label="h") for name in "PQ")
+    glued = Edge(a=("P", "t"), b=("Q", "t"), gluing=((0, 1), (1, 0)), **edge)
+    return GraphManifoldSpec(pieces, (glued,))
+
+
+def _filled_pair():
+    """Two genus-1 pieces glued so that both kill (2, 1), as in the README."""
+    seifert = SeifertInvariants(genus=1, pairs=((2, 1),), boundary_count=1)
+    pieces = tuple(Piece(id=name, kind="seifert", slots=("t",), seifert=seifert) for name in "PQ")
+    glued = Edge(a=("P", "t"), b=("Q", "t"), gluing=((3, -4), (2, -3)), killed_slope=(2, 1))
+    return GraphManifoldSpec(pieces, (glued,))
+
+
+def _witness(**changes):
+    """A witness of 4 on (2; 1), with ``changes`` to its fields."""
+    witness = witnesses_for(parse_seifert("(2; 1)"), Fraction(4))[0]
+    fields = {name: getattr(witness, name) for name in witness.__match_args__}
+    return lambda: VolumeWitness(**{**fields, **changes})
+
+
+@dataclasses.dataclass(frozen=True)
+class Unknown:
+    """An assignment of no kind ``additivity_sum`` knows."""
+
+    piece_id: str
+
+
+REFUSALS = {
+    # LieAlgebraSpec and index_of
+    "basis_names_repeated": (_algebra(basis=("X", "X")), "basis names must be distinct"),
+    "bracket_pair_out_of_range": (_algebra(((0, 2), (ONE, ZERO))), "bracket pair (0, 2) out of range or unordered"),
+    "bracket_pair_unordered": (_algebra(((1, 0), (ONE, ZERO))), "bracket pair (1, 0) out of range or unordered"),
+    "bracket_repeated": (_algebra(((0, 1), (ONE, ZERO)), ((0, 1), (ZERO, ONE))), "duplicate bracket entry for (0, 1)"),
+    "bracket_vector_length": (_algebra(((0, 1), (ONE,))), "bracket vector for (0, 1) has wrong length"),
+    "constant_with_pi": (_algebra(((0, 1), (PiScalar.of(1, pi_power=1), ZERO))), "structure constants must be pi-free"),
+    "index_of_unknown_name": (lambda: sl2c_algebra().index_of("Q"), "unknown basis element 'Q'"),
+    # ExteriorForm and its operators
+    "form_degree_negative": (_form(3, -1), "degree -1 must be non-negative"),
+    "form_index_degree": (_form(3, 2, ((0,), 1)), "index tuple (0,) has wrong degree"),
+    "form_indices_decreasing": (_form(3, 2, ((1, 0), 1)), "index tuple (1, 0) must be strictly increasing"),
+    "form_indices_repeated": (_form(3, 2, ((1, 1), 1)), "index tuple (1, 1) must be strictly increasing"),
+    "plus_dimension": (lambda: _mono(3, 0) + _mono(4, 0), "forms live on algebras of different dimension"),
+    "minus_dimension": (lambda: _mono(3, 0) - _mono(4, 0), "forms live on algebras of different dimension"),
+    "wedge_dimension": (lambda: _mono(3, 0).wedge(_mono(4, 1)), "forms live on algebras of different dimension"),
+    "plus_degree": (lambda: _mono(3, 0) + _mono(3, 0, 1), "degree mismatch: 1 vs 2"),
+    "minus_degree": (lambda: _mono(3, 0, 1) - _mono(3, 2), "degree mismatch: 2 vs 1"),
+    "d_dimension": (lambda: d(sl2c_algebra(), _mono(4, 0)), "form dimension does not match the algebra"),
+    "gram_dimension": (lambda: is_ad_invariant(sl2c_algebra(), GramForm(((1,),))), "Gram dimension does not match the algebra"),
+    "gram_not_square": (lambda: GramForm(((1, 0),)), "Gram matrix must be square"),
+    "split_not_a_three_form": (
+        lambda: exactness_split(sl2c_algebra(), _mono(3, 0), ExteriorForm.zero(3, 1)),
+        "exactness_split expects 3-forms",
+    ),
+    # algebra_from_json
+    "json_basis_empty": (_json([], basis=()), "basis must not be empty"),
+    "json_bracket_with_itself": (_json([["X", "X", {}]]), "brackets[0]: bracket [X, X] must be zero, not listed"),
+    "json_coefficient_name": (_json([["X", "Y", {"Q": 1}]]), "brackets[0][2]: entry uses unknown basis names ('Q')"),
+    # jsj
+    "piece_unknown": (lambda: motegi_spec(2, 3, 2, 5).piece("E3"), "unknown piece 'E3'"),
+    "additivity_fillings": (
+        lambda: additivity_sum(
+            _filled_pair(),
+            [FilledSeifert(piece_id="P", fillings={"u": (2, 1)}, coeff=Fraction(1, 4)), SmallImage(piece_id="Q")],
+        ),
+        "piece P: fillings must cover slots ['t']",
+    ),
+    "additivity_unknown_assignment": (
+        lambda: additivity_sum(_hyperbolic_pair(killed_slope=(1, 0)), [SmallImage("P"), Unknown("Q")]),
+        "unknown assignment Unknown(piece_id='Q')",
+    ),
+    "motegi_second_gcd": (lambda: motegi_spec(2, 3, 2, 4), "gcd(p2, q2) must be 1, got gcd(2, 4)"),
+    # seifert covers
+    "fiber_cover_degree": (lambda: fiber_cover(circle_bundle(1, 2), 0), "cover degree must be positive, got 0"),
+    "base_cover_degree": (lambda: base_cover(circle_bundle(1, 2), -1), "cover degree must be positive, got -1"),
+    "base_cover_genus": (lambda: base_cover(circle_bundle(0, 2), 2), "base_cover requires base genus >= 1"),
+    # ehn
+    "witness_length": (_witness(n_values=(0, 0)), "witness length does not match exceptional data"),
+    "witness_coefficient": (_witness(coeff=Fraction(3)), "witness coefficient does not match its data"),
+    # exact
+    "volume_sum_not_a_volume": (lambda: volume_sum([ExactVolume(Fraction(1)), 1]), "not a volume value: 1"),
+    "render_not_a_volume": (lambda: render_volume(Fraction(1)), "not a volume value: Fraction(1, 1)"),
+}
+
+
+@pytest.mark.parametrize("call, message", REFUSALS.values(), ids=REFUSALS.keys())
+def test_refusal_text(call, message):
+    with pytest.raises((TypeError, ValueError)) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_validate_spec_lists_the_problems_of_a_piece_and_a_side_b_slope():
+    missing = Piece(id="S", kind="seifert", slots=())
+    assert validate_spec(GraphManifoldSpec((missing,), ())) == ["piece S: seifert piece without invariants"]
+    assert validate_spec(_hyperbolic_pair(killed_slope_b=(2, 4))) == ["edge 0: killed_slope_b (2, 4) is not primitive"]
+
+
+def test_volume_values_convert_as_given():
+    assert ExactVolume(1) == ExactVolume(Fraction(1))
+    assert NumericVolume(2.5).to_float() == 2.5
