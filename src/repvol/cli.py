@@ -4,8 +4,14 @@ Subcommands mirror the library: ``seifert`` for invariants and volume
 spectra, ``cs`` for the symbolic form identities, ``graph`` for JSJ
 specs, ``covers`` for elevation arithmetic, ``cases`` for worked
 families.  Exit codes: 0 success, 1 domain error (one line on stderr),
-2 usage error, 3 internal invariant failure (one line on stderr).  All
-output is computed before anything is printed.
+2 usage error, 3 internal invariant failure (one line on stderr).
+
+Each ``_cmd_*`` handler returns ``(lines, refusal)``: its stdout lines
+as a fully built list, and ``None`` or the text of its exit-1 ``error:``
+line, as ``cs jacobi``, ``graph rw`` and ``graph validate`` give after
+printing their finding.  ``main`` alone writes, so all output is
+computed before any of it is printed, and a failing write is a domain
+error like any other.
 
 Each handler imports the modules it runs, so a process loads only its
 own command family: ``covers`` never loads ``liecs`` or ``jsj``.
@@ -88,15 +94,14 @@ def _read_json(path: str):
         return json.load(handle, parse_int=_read_int)
 
 
-def _emit(lines: Sequence[str]) -> None:
-    for line in lines:
-        print(line)
-
-
-def _emit_json(payload) -> None:
+def _json(payload) -> str:
     import json
 
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    return json.dumps(payload, indent=2, sort_keys=True)
+
+
+# a handler's stdout lines and its exit-1 refusal, or None
+_Output = tuple[list[str], Optional[str]]
 
 
 # ---------------------------------------------------------------- seifert
@@ -117,19 +122,19 @@ def _witness_payload(witnesses) -> list[dict]:
     ]
 
 
-def _cmd_seifert(args: argparse.Namespace) -> int:
+def _cmd_seifert(args: argparse.Namespace) -> _Output:
     from . import ehn, seifert
 
     inv = seifert.parse_seifert(args.notation)
     if args.coeff is not None:
         found = _witness_payload(ehn.witnesses_for(inv, args.coeff, limit=args.max_values))
         if args.json:
-            _emit_json({"witnesses": found})
-        else:
-            for w in found:
-                n_values, z_values = ",".join(map(str, w["n_values"])), ",".join(w["z_values"])
-                print(f"n=({n_values}) n={w['n']} zeta={w['zeta']} z=({z_values})")
-        return 0
+            return [_json({"witnesses": found})], None
+        lines = []
+        for w in found:
+            n_values, z_values = ",".join(map(str, w["n_values"])), ",".join(w["z_values"])
+            lines.append(f"n=({n_values}) n={w['n']} zeta={w['zeta']} z=({z_values})")
+        return lines, None
 
     if args.action == "info":
         payload = {
@@ -139,10 +144,8 @@ def _cmd_seifert(args: argparse.Namespace) -> int:
             "geometry": seifert.classify_geometry(inv).value,
         }
         if args.json:
-            _emit_json(payload)
-        else:
-            _emit(f"{key} {value}" for key, value in payload.items())
-        return 0
+            return [_json(payload)], None
+        return [f"{key} {value}" for key, value in payload.items()], None
 
     if args.action == "volumes":
         # the oracle window is never below the spectrum bound, so it goes first
@@ -156,13 +159,11 @@ def _cmd_seifert(args: argparse.Namespace) -> int:
                 payload["decimals"] = [f"{ExactVolume(c).to_float():.12g}" for c in spectrum]
             if args.oracle:
                 payload["oracle"] = "agree"
-            _emit_json(payload)
-        else:
-            lines = [render_volume(ExactVolume(c), decimal=args.decimal) for c in spectrum]
-            if args.oracle:
-                lines.append(f"oracle agreement: {len(spectrum)} values")
-            _emit(lines)
-        return 0
+            return [_json(payload)], None
+        lines = [render_volume(ExactVolume(c), decimal=args.decimal) for c in spectrum]
+        if args.oracle:
+            lines.append(f"oracle agreement: {len(spectrum)} values")
+        return lines, None
 
     if args.action == "sv":
         # seifert_volume_max has checked the maximum against chi^2/|e|, so
@@ -170,20 +171,16 @@ def _cmd_seifert(args: argparse.Namespace) -> int:
         maximum = ehn.seifert_volume_max(inv)
         coefficient = _printed(maximum, "maximum volume coefficient")
         if args.json:
-            _emit_json({"coefficient": coefficient, "closed_form": coefficient})
-        else:
-            shown = render_volume(ExactVolume(maximum), decimal=args.decimal)
-            _emit([f"max (enumeration) {shown}", f"max (closed form) {shown}"])
-        return 0
+            return [_json({"coefficient": coefficient, "closed_form": coefficient})], None
+        shown = render_volume(ExactVolume(maximum), decimal=args.decimal)
+        return [f"max (enumeration) {shown}", f"max (closed form) {shown}"], None
 
     # foliation
     slopes = [Fraction(b, a) for a, b in inv.pairs]
     exists = ehn.foliation_exists(inv.genus, slopes)
     if args.json:
-        _emit_json({"exists": exists})
-    else:
-        print("yes" if exists else "no")
-    return 0
+        return [_json({"exists": exists})], None
+    return ["yes" if exists else "no"], None
 
 
 # ---------------------------------------------------------------- cs
@@ -230,24 +227,17 @@ def _verify_psl2c() -> list[str]:
     return [f"T = {liecs.format_form(spec, form)}", "OK"]
 
 
-def _cmd_cs(args: argparse.Namespace) -> int:
+def _cmd_cs(args: argparse.Namespace) -> _Output:
     if args.action == "verify":
-        if args.algebra == "iso-sl2r":
-            _emit(_verify_iso_sl2r())
-        else:
-            _emit(_verify_psl2c())
-        return 0
+        return (_verify_iso_sl2r() if args.algebra == "iso-sl2r" else _verify_psl2c()), None
     from . import liecs
 
     # jacobi
     spec = liecs.algebra_from_json(_read_json(args.file))
     violation = liecs.validate_jacobi(spec)
     if violation is None:
-        print("ok")
-        return 0
-    print(f"violation at ({', '.join(violation.triple)})")
-    print("error: jacobi identity fails", file=sys.stderr)
-    return 1
+        return ["ok"], None
+    return [f"violation at ({', '.join(violation.triple)})"], "jacobi identity fails"
 
 
 # ---------------------------------------------------------------- graph
@@ -272,20 +262,17 @@ def _ratio_graph(doc) -> tuple[list[str], list[tuple[str, str, int | Fraction]]]
     return vertices, edges
 
 
-def _cmd_graph(args: argparse.Namespace) -> int:
+def _cmd_graph(args: argparse.Namespace) -> _Output:
     from . import jsj
 
     doc = _read_json(args.file)
     if args.action == "rw":
         result = jsj.rw_consistency(*_ratio_graph(doc))
         if result.consistent:
-            print("consistent")
-            return 0
+            return ["consistent"], None
         product = _printed(result.product, "cycle product")
         steps = " ".join(f"{u}->{v}[{r}]" for u, v, r in result.witness_cycle)
-        print(f"inconsistent: cycle {steps} product {product}")
-        print("error: edge ratios are inconsistent", file=sys.stderr)
-        return 1
+        return [f"inconsistent: cycle {steps} product {product}"], "edge ratios are inconsistent"
 
     document = jsj.load_graph_document(doc)
     if args.action == "validate":
@@ -297,11 +284,8 @@ def _cmd_graph(args: argparse.Namespace) -> int:
                 found.append(cover)
             problems += [problem if name == "default" else f"{name}: {problem}" for problem in found]
         if not problems:
-            print("ok")
-            return 0
-        _emit(problems)
-        print(f"error: invalid document: {len(problems)} problem(s)", file=sys.stderr)
-        return 1
+            return ["ok"], None
+        return problems, f"invalid document: {len(problems)} problem(s)"
 
     # additivity
     totals = [(name, jsj.additivity_sum(spec, assignments)) for name, spec, assignments in document.cases]
@@ -309,18 +293,16 @@ def _cmd_graph(args: argparse.Namespace) -> int:
     # to print, or with --decimal past the float range, is refused
     shown = [(name, render_volume(total, decimal=args.decimal)) for name, total in totals]
     if args.json:
-        _emit_json(dict(shown))
-    elif len(shown) == 1 and shown[0][0] == "default":
-        print(shown[0][1])
-    else:
-        _emit([f"{name}: {text}" for name, text in shown])
-    return 0
+        return [_json(dict(shown))], None
+    if len(shown) == 1 and shown[0][0] == "default":
+        return [shown[0][1]], None
+    return [f"{name}: {text}" for name, text in shown], None
 
 
 # ---------------------------------------------------------------- covers
 
 
-def _cmd_covers(args: argparse.Namespace) -> int:
+def _cmd_covers(args: argparse.Namespace) -> _Output:
     from . import covers as covers_mod
 
     if args.action == "merge":
@@ -341,37 +323,31 @@ def _cmd_covers(args: argparse.Namespace) -> int:
         items = value if isinstance(value, tuple) else (value,)
         shown[key] = ",".join(_printed(x, key.replace("_", " ")) for x in items)
     if args.json:
-        _emit_json(payload)
-    else:
-        width = max(len(key) for key in payload)
-        for key, text in shown.items():
-            print(f"{key.ljust(width)}  {text}")
-    return 0
+        return [_json(payload)], None
+    width = max(len(key) for key in payload)
+    return [f"{key.ljust(width)}  {text}" for key, text in shown.items()], None
 
 
 # ---------------------------------------------------------------- cases
 
 
-def _cmd_cases(args: argparse.Namespace) -> int:
+def _cmd_cases(args: argparse.Namespace) -> _Output:
     from . import jsj
 
     result = jsj.motegi_case(args.p1, args.q1, args.p2, args.q2)
     order = _printed(result.h1_order, "H1 order")
     if args.json:
-        _emit_json(
-            {
-                "h1_order": result.h1_order,
-                "nontrivial": result.nontrivial,
-                "sv": str(result.sv_coeff),
-            }
-        )
-    else:
-        answer = "yes" if result.nontrivial else "no"
-        print(
-            f"H1 order {order}; nontrivial graph manifold: {answer}; "
-            f"SV = {result.sv_coeff}"
-        )
-    return 0
+        payload = {
+            "h1_order": result.h1_order,
+            "nontrivial": result.nontrivial,
+            "sv": str(result.sv_coeff),
+        }
+        return [_json(payload)], None
+    answer = "yes" if result.nontrivial else "no"
+    return [
+        f"H1 order {order}; nontrivial graph manifold: {answer}; "
+        f"SV = {result.sv_coeff}"
+    ], None
 
 
 # ---------------------------------------------------------------- parser
@@ -471,7 +447,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        lines, refusal = args.handler(args)
+        for line in lines:
+            print(line)
+        if refusal is not None:
+            raise ValueError(refusal)  # written as every other domain error is
+        return 0
     except (ValueError, OSError, RecursionError) as exc:
         # a RecursionError here comes from input, such as JSON nested too deep
         print(f"error: {exc}", file=sys.stderr)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from collections import Counter
 from collections.abc import Mapping
 from fractions import Fraction
 from typing import Hashable, Optional, Sequence, Union
@@ -224,7 +225,7 @@ class FilledSeifert(_Record):
         filled = []
         for slot, (a, b) in rows:
             filled.append((slot, (_integer(a, "fillings[{!r}][0]", slot), _integer(b, "fillings[{!r}][1]", slot))))
-        _set(self, "fillings", tuple(sorted(filled)))
+        _set(self, "fillings", tuple(sorted(filled, key=lambda row: (_by_type(row[0]), row[1]))))
         if type(self.coeff) is not Fraction:
             _set(self, "coeff", Fraction(self.coeff))
 
@@ -253,13 +254,21 @@ def _normalize_slope(slope: Slope) -> Slope:
     return (c_s, c_h)
 
 
+def _by_type(name: Hashable) -> tuple:
+    """A sort key for names kept as given: by type, then by value, so two
+    names of different types are never compared; strings sort as
+    themselves."""
+    return (type(name).__name__, name)
+
+
 def _cover_problem(spec: GraphManifoldSpec, assignments: Sequence[PieceAssignment]) -> Optional[str]:
     """The refusal of assignments that do not name each piece of ``spec``
     exactly once, or ``None``: ``additivity_sum`` raises it, and
     ``repvol graph validate`` lists it for a case with assignments."""
-    assigned = sorted([a.piece_id for a in assignments])
-    expected = sorted({piece.id for piece in spec.pieces})
-    if assigned != expected:
+    assigned = [a.piece_id for a in assignments]
+    expected = {piece.id for piece in spec.pieces}
+    if Counter(assigned) != Counter(expected):
+        assigned, expected = sorted(assigned, key=_by_type), sorted(expected, key=_by_type)
         return f"assignments cover {assigned}, expected exactly {expected}"
     return None
 
@@ -307,8 +316,8 @@ def additivity_sum(spec: GraphManifoldSpec, assignments: Sequence[PieceAssignmen
             if piece.kind != "seifert":
                 raise ValueError(f"piece {piece.id} is not a Seifert piece")
             filled_slots = dict(assignment.fillings)
-            if sorted(filled_slots) != sorted(piece.slots):
-                raise ValueError(f"piece {piece.id}: fillings must cover slots {sorted(piece.slots)}")
+            if filled_slots.keys() != set(piece.slots):
+                raise ValueError(f"piece {piece.id}: fillings must cover slots {sorted(piece.slots, key=_by_type)}")
             # slopes are unoriented; fill with the positive representative
             fills = []
             for slot in piece.slots:
@@ -513,7 +522,7 @@ class GraphDocument(_Record):
 
 
 def _piece_from_json(entry: Mapping, path: str) -> Piece:
-    kind = _field(entry, "kind", path)
+    kind = _name(_field(entry, "kind", path), "{}.kind", path)
     slots = _field(entry, "slots", path)
     seifert = None
     if kind == "seifert":
@@ -522,7 +531,7 @@ def _piece_from_json(entry: Mapping, path: str) -> Piece:
     for j, slot in enumerate(slots if isinstance(slots, (list, tuple)) else ()):
         if type(slot) is not str:
             _name(slot, "{}.slots[{}]", path, j)
-    return Piece(piece_id, str(kind), slots, seifert, entry.get("label"))
+    return Piece(piece_id, kind, slots, seifert, entry.get("label"))
 
 
 def _edge_from_json(entry: Mapping, path: str) -> Edge:

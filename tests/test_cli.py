@@ -570,6 +570,7 @@ def _set(value, *keys):
         ),
         (_set(1.9, "pieces", 0, "genus"), "pieces[0]: malformed entry (genus 1.9 is not an integer)"),
         (_set([1.9, 0], "edges", 0, "killed_slope"), "edges[0]: malformed entry (killed_slope[0] 1.9 is not an integer)"),
+        (_set(1, "pieces", 0, "kind"), "pieces[0].kind: expected a string, got 1"),
     ],
     ids=[
         "top_level_list",
@@ -612,6 +613,7 @@ def _set(value, *keys):
         "gluing_cut_short",
         "genus_cut_short",
         "killed_slope_cut_short",
+        "piece_kind_not_a_string",
     ],
 )
 @pytest.mark.parametrize("action", ["validate", "additivity"])
@@ -1567,6 +1569,17 @@ def test_internal_failure_exits_three(capsys, monkeypatch):
     assert (code, out) == (3, "")
     assert err.startswith("internal error: volume maximum mismatch: ")
     assert err.count("\n") == 1
+
+
+def test_failing_stdout_exits_one(capsys, monkeypatch):
+    # main prints inside its try, so a closed pipe is one error line, not a traceback
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    code = main(["seifert", "info", "(1; 1/2)"])
+    assert (code, capsys.readouterr().err) == (1, "error: [Errno 32] Broken pipe\n")
 
 
 @pytest.mark.parametrize("argv", [("cs", "jacobi"), ("graph", "validate"), ("graph", "rw")])

@@ -243,6 +243,25 @@ def test_records_keep_names_as_given():
     assert (filled.piece_id, filled.fillings) == (1, ((1, (2, 1)),))
 
 
+def test_names_of_two_types_are_never_compared():
+    # names sort by type first, so an int and a string name never meet in a bare sort
+    filled = FilledSeifert("P", [("s", (1, 0)), (1, (1, 0))], 0)
+    assert filled.fillings == ((1, (1, 0)), ("s", (1, 0)))
+    pieces = (Piece(id=1, kind="hyperbolic", slots=("t",), label="a"), Piece(id="Q", kind="hyperbolic", slots=("t",), label="b"))
+    spec = GraphManifoldSpec(pieces, (Edge(a=(1, "t"), b=("Q", "t"), gluing=((0, 1), (1, 0)), killed_slope=(1, 0)),))
+    volumes = [DirectVolume(1, ExactVolume(1)), DirectVolume("Q", ExactVolume(2))]
+    assert additivity_sum(spec, volumes) == ExactVolume(3)
+    with pytest.raises(ValueError) as info:
+        additivity_sum(spec, volumes[1:])
+    assert str(info.value) == "assignments cover ['Q'], expected exactly [1, 'Q']"
+    seifert = SeifertInvariants(genus=1, pairs=((2, 1),), boundary_count=2)
+    piece = Piece(id="P", kind="seifert", slots=("s", 1), seifert=seifert)
+    spec = GraphManifoldSpec((piece,), (Edge(a=("P", 1), b=("P", "s"), gluing=((3, -4), (2, -3)), killed_slope=(2, 1)),))
+    with pytest.raises(ValueError) as info:
+        additivity_sum(spec, [FilledSeifert("P", [(1, (2, 1))], 0)])
+    assert str(info.value) == "piece P: fillings must cover slots [1, 's']"
+
+
 @pytest.mark.parametrize(
     "doc, message",
     [

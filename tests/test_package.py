@@ -101,6 +101,22 @@ def test_command_family_loads_only_its_modules(tmp_path, bare, argv, absent, onl
         assert loaded - bare == only
 
 
+def test_only_cli_main_prints():
+    # handlers return their lines and main writes them, so every command
+    # computes all of its output before any of it is printed
+    found = []
+    for path in sorted((SRC / "repvol").glob("*.py")):
+        tree = ast.parse(path.read_text("utf-8"), str(path))
+        allowed = set()
+        if path.name == "cli.py":
+            main = next(node for node in tree.body if getattr(node, "name", None) == "main")
+            allowed = {id(node) for node in ast.walk(main)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print" and id(node) not in allowed:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_no_module_asserts_or_raises_assertion_error():
     # an AssertionError would escape cli.main as a traceback, which the
     # exit contract forbids, and ``python -O`` drops an ``assert``
