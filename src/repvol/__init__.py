@@ -9,6 +9,9 @@ none of the submodules, and ``repvol.X`` or ``from repvol import X``
 imports the one module that defines ``X`` (PEP 562) and keeps ``X`` in
 the package namespace, so later uses are plain lookups.  A short-lived
 process, such as one ``repvol`` command, pays only for what it uses.
+``_HOMES`` is the one list of public names: it maps each home module to
+the names it defines, and both ``repvol.__all__`` and each home
+module's own ``__all__`` are read from it.
 """
 
 import importlib

@@ -20,6 +20,7 @@ own command family: ``covers`` never loads ``liecs`` or ``jsj``.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -354,10 +355,25 @@ def _cmd_cases(args: argparse.Namespace) -> _Output:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Usage errors are one stderr line too; ``-h`` prints the usage."""
+    """Usage errors are one stderr line too; ``-h`` prints the usage.
+
+    ``apart`` holds (option, other) pairs that may not be given together,
+    refused in either order as ``argument <option>: not allowed with
+    argument <other>``, where a mutually exclusive group would name
+    whichever of the two came second."""
+
+    apart: tuple[tuple[str, str], ...] = ()
 
     def error(self, message: str):
         self.exit(2, f"{self.prog}: error: {message}\n")
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        for pair in self.apart:
+            actions = [self._option_string_actions[option] for option in pair]
+            if all(getattr(namespace, action.dest) != action.default for action in actions):
+                self.error("argument {}: not allowed with argument {}".format(*pair))
+        return namespace, extras
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -391,6 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
         if action == "volumes":
             p.add_argument("--oracle", action="store_true")
             p.add_argument("--witnesses", type=_fraction_arg, metavar="COEFF", dest="coeff")
+            # a witness list has no oracle check and no decimal form
+            p.apart = (("--witnesses", "--oracle"), ("--witnesses", "--decimal"))
         p.set_defaults(handler=_cmd_seifert, coeff=None)
 
     p_cs = sub.add_parser("cs", help="symbolic 3-form identities")
@@ -450,6 +468,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         lines, refusal = args.handler(args)
         for line in lines:
             print(line)
+        sys.stdout.flush()  # a closed pipe fails here, as a domain error
         if refusal is not None:
             raise ValueError(refusal)  # written as every other domain error is
         return 0
@@ -463,7 +482,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError:
+        # what main could not write would fail again at shutdown, with a
+        # traceback and exit 120; it goes nowhere instead
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

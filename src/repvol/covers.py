@@ -11,23 +11,17 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
+from . import _HOMES
 from .exact import _Record, _shown
 
-__all__ = [
-    "TorusCoverDatum",
-    "elevation_count",
-    "cover_intersection",
-    "merge_copy_counts",
-    "MergeCounts",
-    "colored_merge_counts",
-    "ColoredMergeCounts",
-]
+__all__ = [*_HOMES["covers"]]
 
 
 def _positive(value: int, name: str) -> int:
     """``value`` itself, if it is a positive ``int``; anything else, such
-    as 2.5 or "3", is a ``ValueError`` rather than a value cut to an int."""
-    if not isinstance(value, int) or value <= 0:
+    as 2.5, "3" or True, is a ``ValueError`` rather than a value read as
+    an int."""
+    if not isinstance(value, int) or value is True or value <= 0:
         raise ValueError(f"{name} must be a positive integer, got {_shown(value)}")
     return value
 

@@ -43,9 +43,9 @@ builds zeta once per root and each z_i once per root and (i, n_i) met
 (``_fields``, the rule the constructor checks by).  Values and fields
 come from ``exact._fraction``, one ``gcd`` per value.  Each budget is
 checked by the function that would spend the work, before it starts,
-and refused by ``_check_budget``: the spectrum bound in ``_fold``, on
-every call, the oracle window in ``volume_set_bruteforce``, and the
-witness count in ``witnesses_for``.
+and refused by ``exact._check_budget``: the spectrum bound in
+``_fold``, on every call, the oracle window in
+``volume_set_bruteforce``, and the witness count in ``witnesses_for``.
 
 The maximum needs no enumeration: the largest |t| is |chi| * lcm,
 attained by the residues a_i - 1 with m = 2 - 2g, so
@@ -64,17 +64,11 @@ from fractions import Fraction
 from operator import getitem, mul
 from typing import Callable, Iterable, Iterator
 
-from .exact import MAX_VALUES, _Record, _fraction, _printed, _set
+from . import _HOMES
+from .exact import MAX_VALUES, _Record, _check_budget, _fraction, _printed, _set
 from .seifert import SeifertInvariants, _over_lcm, _require_closed, euler_number, orbifold_chi
 
-__all__ = [
-    "VolumeWitness",
-    "foliation_exists",
-    "volume_set",
-    "volume_set_bruteforce",
-    "seifert_volume_max",
-    "witnesses_for",
-]
+__all__ = [*_HOMES["ehn"]]
 
 
 def foliation_exists(genus: int, slopes: Iterable[Fraction]) -> bool:
@@ -85,16 +79,6 @@ def foliation_exists(genus: int, slopes: Iterable[Fraction]) -> bool:
     floor_sum = sum(map(math.floor, slopes))
     ceil_sum = sum(map(math.ceil, slopes))
     return floor_sum <= 2 * genus - 2 and ceil_sum >= 2 - 2 * genus
-
-
-def _check_budget(count: int, limit: int = MAX_VALUES, unit: str = "values") -> None:
-    """Refuse work that may exceed ``limit``: a ``ValueError`` reading
-    ``spectrum too large: up to <count> <unit>, over the limit of <limit>``."""
-    if count > limit:
-        # str() refuses ints of more than 4300 digits, so a huge count is
-        # shown by the power of two above it
-        shown = count if count.bit_length() <= 4096 else f"2^{count.bit_length()}"
-        raise ValueError(f"spectrum too large: up to {shown} {unit}, over the limit of {limit}")
 
 
 def _fibres(inv: SeifertInvariants) -> tuple[Fraction, int, int, int, list[int], tuple[dict[int, int], ...] | None]:
@@ -127,7 +111,7 @@ def _fold(
     it.  Folded by the first call, which writes them into the table; every
     call first refuses a space whose ``spectrum_size_bound`` is over ``limit``."""
     table = _fibres(inv)
-    _check_budget(_size_bound(inv, table[1]), limit)
+    _check_budget(spectrum_size_bound(inv), limit)
     if table[5] is None:
         lcm, steps = table[1], table[4]
         layers = itertools.accumulate((range(step, lcm, step) for step in steps), _add_fibre, initial={0: 0})
@@ -187,10 +171,7 @@ def spectrum_size_bound(inv: SeifertInvariants) -> int:
     residue sums, and each gives at most 4g - 3 + p offsets m.  Not in
     ``__all__``; ``_fold`` refuses a space whose bound is over its limit.
     """
-    return _size_bound(inv, _fibres(inv)[1])
-
-
-def _size_bound(inv: SeifertInvariants, lcm: int) -> int:
+    lcm = _fibres(inv)[1]
     moduli = [a for a, _ in inv.pairs]
     sums = min(math.prod(moduli), sum((a - 1) * (lcm // a) for a in moduli) + 1)
     return sums * (4 * inv.genus - 3 + len(moduli))

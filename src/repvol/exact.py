@@ -49,18 +49,9 @@ from collections.abc import Mapping
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence, Union
 
-__all__ = [
-    "Rational",
-    "RationalLike",
-    "GaussianRational",
-    "PiScalar",
-    "ExactVolume",
-    "NumericVolume",
-    "VolumeValue",
-    "volume_sum",
-    "render_volume",
-    "FOUR_PI_SQUARED",
-]
+from . import _HOMES
+
+__all__ = [*_HOMES["exact"], "RationalLike", "FOUR_PI_SQUARED"]
 
 Rational = Fraction
 RationalLike = Union[int, Fraction]
@@ -127,14 +118,15 @@ def _integer(value: object, what: str, *at: object) -> int:
     """``int(value)``, with a value it cannot read, such as ``'x'``, a float
     NaN or one too long (named by ``_read_int``), raised as a ``TypeError``:
     a wrong value inside a document entry, reported at the entry's path.
-    A number that ``int()`` would change, such as 2.5, is never cut short:
-    it is a ``TypeError`` reading ``<what> 2.5 is not an integer``."""
+    A number that ``int()`` would change, such as 2.5, is never cut short,
+    and a bool is not read as 0 or 1: each is a ``TypeError`` reading
+    ``<what> 2.5 is not an integer``."""
     try:
         number = int(value)
     except ValueError:
         pass
     else:
-        if number != value and not isinstance(value, str):
+        if (number != value and not isinstance(value, str)) or value is True or value is False:
             raise TypeError(f"{what.format(*at)} {_shown(value)} is not an integer")
         return number
     try:
@@ -190,9 +182,20 @@ def _require_pair(value, name: str, shape: str) -> None:
 # or witnesses is refused unless the caller raises the limit (``limit=``
 # in ``ehn``).  The cost grows with the count: (1; 1/571, 1/577), bound
 # 988401, prints its 493627 values in about 7 s on a 2-CPU machine.  It
-# lives here, with the rest of the input boundary, so the CLI parser can
-# show it without loading ``ehn``.
+# lives here, with the rest of the input boundary and ``_check_budget``,
+# its one writer, so the CLI parser can show it and any module can refuse
+# by it without loading ``ehn``.
 MAX_VALUES = 1_000_000
+
+
+def _check_budget(count: int, limit: int = MAX_VALUES, unit: str = "values") -> None:
+    """Refuse work that may exceed ``limit``: a ``ValueError`` reading
+    ``spectrum too large: up to <count> <unit>, over the limit of <limit>``."""
+    if count > limit:
+        # str() refuses ints of more than 4300 digits, so a huge count is
+        # shown by the power of two above it
+        shown = count if count.bit_length() <= 4096 else f"2^{count.bit_length()}"
+        raise ValueError(f"spectrum too large: up to {shown} {unit}, over the limit of {limit}")
 
 
 def _document(doc: object, first: str, second: str) -> Mapping:

@@ -22,6 +22,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 from typing import Hashable, Optional, Sequence, Union
 
+from . import _HOMES
 from .ehn import spectrum_contains
 from .exact import (
     ExactVolume,
@@ -44,24 +45,7 @@ from .exact import (
 )
 from .seifert import SeifertInvariants, _fill
 
-__all__ = [
-    "Piece",
-    "Edge",
-    "GraphManifoldSpec",
-    "FilledSeifert",
-    "DirectVolume",
-    "SmallImage",
-    "PieceAssignment",
-    "validate_spec",
-    "additivity_sum",
-    "RWResult",
-    "rw_consistency",
-    "MotegiResult",
-    "motegi_case",
-    "motegi_spec",
-    "GraphDocument",
-    "load_graph_document",
-]
+__all__ = [*_HOMES["jsj"], "PieceAssignment", "GraphDocument"]
 
 Slope = tuple[int, int]
 GluingMatrix = tuple[tuple[int, int], tuple[int, int]]
@@ -550,7 +534,8 @@ def _volume_from_json(entry: Mapping, path: str) -> VolumeValue:
     if "numeric" in entry:
         raw = entry["numeric"]
         try:
-            value = float(raw)
+            # a bool is not read as 0 or 1: it is refused like "nan"
+            value = math.nan if raw is True or raw is False else float(raw)
         except ValueError:
             value = math.nan  # an unreadable string is refused like "nan"
         if not math.isfinite(value):

@@ -29,7 +29,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from . import linalg
+from . import _HOMES, linalg
 from .exact import (
     GaussianRational,
     PI_ONE,
@@ -49,26 +49,7 @@ from .exact import (
 )
 from .linalg import Pair
 
-__all__ = [
-    "LieAlgebraSpec",
-    "JacobiViolation",
-    "GramForm",
-    "ExteriorForm",
-    "validate_jacobi",
-    "is_ad_invariant",
-    "mc_differential",
-    "bracket_two_form",
-    "d",
-    "cs_three_form",
-    "exactness_split",
-    "chern_poly_coeffs",
-    "format_form",
-    "iso_sl2r_algebra",
-    "iso_sl2r_gram",
-    "sl2c_algebra",
-    "sl2c_gram",
-    "algebra_from_json",
-]
+__all__ = [*_HOMES["liecs"]]
 
 ScalarLike = Union[int, Fraction, GaussianRational, PiScalar]
 _Sums = dict[tuple[int, ...], list[int]]  # index tuple -> [re, im, pi power]

@@ -15,22 +15,10 @@ import re
 from fractions import Fraction
 from typing import Sequence
 
+from . import _HOMES
 from .exact import _Record, _fraction, _integer, _set, _shown, _two_each
 
-__all__ = [
-    "SeifertInvariants",
-    "GeometryTag",
-    "ParseError",
-    "euler_number",
-    "orbifold_chi",
-    "classify_geometry",
-    "dehn_fill",
-    "circle_bundle",
-    "fiber_cover",
-    "base_cover",
-    "parse_seifert",
-    "format_seifert",
-]
+__all__ = [*_HOMES["seifert"]]
 
 
 class ParseError(ValueError):

@@ -32,7 +32,6 @@ INVARIANT = "internal invariant: no input reaches it"
 # module -> {stripped source text: why no in-process test reaches it}
 EXCEPTIONS: dict[str, dict[str, str]] = {
     "cli.py": {
-        "sys.exit(main())": CHILD,
         "entry()": CHILD,
         'raise RuntimeError("oracle disagreement: brute-force window differs from enumeration")': INVARIANT,
         'raise RuntimeError("3-form minus its volume part is not exact")': INVARIANT,

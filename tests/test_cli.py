@@ -2,8 +2,10 @@
 JSON mode, and error-stream behavior."""
 
 import json
+import os
 import re
 import shlex
+import subprocess
 import sys
 import time
 from importlib import resources
@@ -13,7 +15,7 @@ import child
 import pytest
 
 from repvol import jsj
-from repvol.cli import _ratio_graph, main
+from repvol.cli import _ratio_graph, entry, main
 from repvol.exact import render_volume
 
 DATA = resources.files("repvol").joinpath("data")
@@ -571,6 +573,14 @@ def _set(value, *keys):
         (_set(1.9, "pieces", 0, "genus"), "pieces[0]: malformed entry (genus 1.9 is not an integer)"),
         (_set([1.9, 0], "edges", 0, "killed_slope"), "edges[0]: malformed entry (killed_slope[0] 1.9 is not an integer)"),
         (_set(1, "pieces", 0, "kind"), "pieces[0].kind: expected a string, got 1"),
+        (_set(True, "pieces", 0, "genus"), "pieces[0]: malformed entry (genus True is not an integer)"),
+        (_set([[True, 1]], "pieces", 0, "pairs"), "pieces[0]: malformed entry (pairs[0][0] True is not an integer)"),
+        (_set([[3, -4], [2, False]], "edges", 0, "gluing"), "edges[0]: malformed entry (gluing[1][1] False is not an integer)"),
+        (_set([True, 0], "edges", 0, "killed_slope"), "edges[0]: malformed entry (killed_slope[0] True is not an integer)"),
+        (
+            _set({"piece": "H", "assign": "direct", "numeric": True}, "cases", 0, "assignments", 1),
+            "cases[0].assignments[1]: malformed entry (bad numeric True)",
+        ),
     ],
     ids=[
         "top_level_list",
@@ -614,6 +624,11 @@ def _set(value, *keys):
         "genus_cut_short",
         "killed_slope_cut_short",
         "piece_kind_not_a_string",
+        "genus_bool",
+        "seifert_pair_bool",
+        "gluing_bool",
+        "killed_slope_bool",
+        "numeric_bool",
     ],
 )
 @pytest.mark.parametrize("action", ["validate", "additivity"])
@@ -1624,3 +1639,50 @@ def test_entry_exits_with_the_command_code(argv, code, out, err):
     # repvol.cli:entry is the installed console script's target
     done = child.python("-c", "from repvol.cli import entry; entry()", *argv)
     assert (done.returncode, done.stdout, done.stderr) == (code, out, err)
+
+
+# Commands whose output fails at main's last flush (one short line) and
+# in the middle of its lines (132,731 bytes, past the stdout buffer).
+CLOSED_PIPE = [("seifert", "info", "(1; 1/2)"), ("seifert", "volumes", "(1; 1/2, 1/3, 1/5, 1/7, 1/11)")]
+
+
+@pytest.mark.parametrize("argv", CLOSED_PIPE, ids=["short", "long"])
+def test_a_closed_stdout_pipe_is_a_domain_error(argv):
+    # the read end is closed before the spawn, so every write fails
+    read, write = os.pipe()
+    os.close(read)
+    env = {key: value for key, value in child.env().items() if key != "PYTHONUNBUFFERED"}
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "repvol.cli", *argv], stdout=write, stderr=subprocess.PIPE, env=env, timeout=60
+        )
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (1, b"error: [Errno 32] Broken pipe\n")
+
+
+@pytest.mark.parametrize("argv", CLOSED_PIPE, ids=["short", "long"])
+def test_entry_sends_what_a_closed_pipe_refused_to_devnull(capsys, monkeypatch, argv):
+    read, write = os.pipe()
+    os.close(read)
+    stream = open(write, "w", encoding="utf-8")
+    monkeypatch.setattr(sys, "argv", ["repvol", *argv])
+    monkeypatch.setattr(sys, "stdout", stream)
+    with pytest.raises(SystemExit) as info:
+        entry()
+    assert info.value.code == 1
+    assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
+    stream.close()  # entry pointed the write end at os.devnull, so this flush succeeds
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["witnesses_first", "option_first"])
+@pytest.mark.parametrize("option", ["--oracle", "--decimal"])
+def test_volumes_witnesses_refuse_the_options_they_would_ignore(capsys, order, option):
+    # the oracle window of this symbol is 215,233,605 pairs, so --oracle
+    # alone is refused; with --witnesses it used to be dropped silently
+    first, second = [("--witnesses", "0"), (option,)][::order]
+    with pytest.raises(SystemExit) as info:
+        main(["seifert", "volumes", "(1; 1/13, 1/11, 1/7, 1/5)", *first, *second])
+    assert info.value.code == 2
+    message = f"argument --witnesses: not allowed with argument {option}"
+    assert capsys.readouterr() == ("", f"repvol seifert volumes: error: {message}\n")

@@ -59,10 +59,13 @@ def test_cover_intersection_rejects_nonpositive():
     [
         (lambda: merge_copy_counts([2.5, 4], 1), "cover degree must be a positive integer, got 2.5"),
         (lambda: merge_copy_counts([2, 4], "1"), "curve degree must be a positive integer, got '1'"),
+        (lambda: merge_copy_counts([True, 2], 1), "cover degree must be a positive integer, got True"),
+        (lambda: colored_merge_counts([2], [False]), "l must be a positive integer, got False"),
         (lambda: colored_merge_counts([2.9], [1]), "k must be a positive integer, got 2.9"),
         (lambda: colored_merge_counts([2], [1.5]), "l must be a positive integer, got 1.5"),
         (lambda: TorusCoverDatum(2.5, 1), "torus degree must be a positive integer, got 2.5"),
         (lambda: TorusCoverDatum(4, "3"), "curve degree must be a positive integer, got '3'"),
+        (lambda: TorusCoverDatum(True, 1), "torus degree must be a positive integer, got True"),
         (lambda: cover_intersection(1.5, 2, 2, 4), "intersection number must be a positive integer, got 1.5"),
         (lambda: cover_intersection(1, 2, 2, 4.0), "degree of the torus cover must be a positive integer, got 4.0"),
     ],

@@ -321,9 +321,11 @@ REFUSAL_ORDER = {
             ({"gluing": [["a", 1], [1, 0]]}, "TypeError: invalid literal for int() with base 10: 'a'"),
             ({"gluing": [[1, 0], [LONG, -1]]}, f"TypeError: gluing[1][0] is too long to read: over {LIMIT} digits"),
             ({"gluing": [[0.5, 1], [1, 0.2]]}, "TypeError: gluing[0][0] 0.5 is not an integer"),
+            ({"gluing": [[0, 1], [True, 0]]}, "TypeError: gluing[1][0] True is not an integer"),
             ({"killed_slope": ["x", 1]}, "TypeError: invalid literal for int() with base 10: 'x'"),
             ({"killed_slope": [2, LONG]}, f"TypeError: killed_slope[1] is too long to read: over {LIMIT} digits"),
             ({"killed_slope": [1.9, 0]}, "TypeError: killed_slope[0] 1.9 is not an integer"),
+            ({"killed_slope": [1, False]}, "TypeError: killed_slope[1] False is not an integer"),
             ({"killed_slope_b": [float("nan"), 1]}, "TypeError: cannot convert float NaN to integer"),
             ({"killed_slope_b": [LONG, 1]}, f"TypeError: killed_slope_b[0] is too long to read: over {LIMIT} digits"),
         ],
@@ -337,9 +339,12 @@ REFUSAL_ORDER = {
             ({"pairs": [["x", 1]]}, "TypeError: invalid literal for int() with base 10: 'x'"),
             ({"pairs": [[2, 1], [1, "-" + LONG]]}, f"TypeError: pairs[1][1] is too long to read: over {LIMIT} digits"),
             ({"pairs": [[2.9, 1]]}, "TypeError: pairs[0][0] 2.9 is not an integer"),
+            ({"pairs": [[True, 1]]}, "TypeError: pairs[0][0] True is not an integer"),
             ({"genus": 1.5}, "TypeError: genus 1.5 is not an integer"),
+            ({"genus": True}, "TypeError: genus True is not an integer"),
             ({"genus": -1}, "ValueError: base genus must be >= 0, got -1"),
             ({"boundary_count": 0.5}, "TypeError: boundary_count 0.5 is not an integer"),
+            ({"boundary_count": False}, "TypeError: boundary_count False is not an integer"),
             ({"boundary_count": -2}, "ValueError: boundary count must be >= 0, got -2"),
             ({"pairs": [[2, 1], [0, 1]]}, "ValueError: pair 2: multiplicity must be positive, got 0"),
             ({"pairs": [[4, 2]]}, "ValueError: pair 1: 2/4 is not in lowest terms"),
@@ -367,6 +372,7 @@ REFUSAL_ORDER = {
             ({"exact": "-1/2"}, "ValueError: exact volume coefficient must be >= 0, got -1/2"),
             ({"exact": DELETE, "numeric": "x"}, "ValueError: assignments[0]: malformed entry (bad numeric 'x')"),
             ({"exact": DELETE, "numeric": float("inf")}, "ValueError: assignments[0]: malformed entry (bad numeric inf)"),
+            ({"exact": DELETE, "numeric": True}, "ValueError: assignments[0]: malformed entry (bad numeric True)"),
             ({"exact": DELETE}, "ValueError: direct assignment {'piece': 'H', 'assign': 'direct'} needs 'exact' or 'numeric'"),
         ],
     ),
