@@ -463,8 +463,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit:  # argparse's exit, on -h or a usage error
+            sys.stdout.flush()  # a help text a closed pipe refuses fails here, as a domain error
+            raise
         lines, refusal = args.handler(args)
         for line in lines:
             print(line)

@@ -12,18 +12,9 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import _HOMES
-from .exact import _Record, _shown
+from .exact import _Record, _positive
 
 __all__ = [*_HOMES["covers"]]
-
-
-def _positive(value: int, name: str) -> int:
-    """``value`` itself, if it is a positive ``int``; anything else, such
-    as 2.5, "3" or True, is a ``ValueError`` rather than a value read as
-    an int."""
-    if not isinstance(value, int) or value is True or value <= 0:
-        raise ValueError(f"{name} must be a positive integer, got {_shown(value)}")
-    return value
 
 
 class TorusCoverDatum(_Record):

@@ -135,6 +135,15 @@ def _integer(value: object, what: str, *at: object) -> int:
         raise TypeError(str(exc)) from None
 
 
+def _positive(value: int, name: str) -> int:
+    """``value`` itself, if it is a positive ``int``; anything else, such
+    as 2.5, "3" or True, is a ``ValueError`` rather than a value read as
+    an int.  The one rule for cover degrees, in ``covers`` and ``seifert``."""
+    if not isinstance(value, int) or value is True or value <= 0:
+        raise ValueError(f"{name} must be a positive integer, got {_shown(value)}")
+    return value
+
+
 def _printed(value: object, what: str) -> str:
     """``str(value)``; a number with more digits than Python converts to
     text (4300 by default) is a ``ValueError`` reading ``<what> is too large
@@ -580,6 +589,15 @@ _SMALL = 16
 _SMALL_INTS = {k: PiScalar(GaussianRational(k)) if k else PI_ZERO for k in range(-_SMALL, _SMALL + 1)}
 
 
+def _finite(value: float) -> float:
+    """``value``, a float volume, unless it is past the float range: an
+    infinite one is a ``ValueError`` naming that range, the one writer of
+    that refusal, where Python would go on with infinity."""
+    if math.isinf(value):
+        raise ValueError(f"volume is too large for a float: over {sys.float_info.max:.6g}")
+    return value
+
+
 class ExactVolume(_Record):
     """A volume known exactly as a nonnegative rational multiple of 4*pi^2."""
 
@@ -599,9 +617,7 @@ class ExactVolume(_Record):
             value = float(self.coeff) * FOUR_PI_SQUARED
         except OverflowError:
             value = math.inf
-        if value == math.inf:
-            raise ValueError(f"volume is too large for a float: over {sys.float_info.max:.6g}")
-        return value
+        return _finite(value)
 
 
 class NumericVolume(_Record):
@@ -633,7 +649,7 @@ def volume_sum(values: Iterable[VolumeValue]) -> VolumeValue:
     den = math.lcm(*[c.denominator for c in coeffs])
     exact = ExactVolume(_fraction(sum([c.numerator * (den // c.denominator) for c in coeffs]), den))
     if saw_numeric:
-        return NumericVolume(exact.to_float() + numeric)
+        return NumericVolume(_finite(exact.to_float() + numeric))
     return exact
 
 

@@ -580,6 +580,12 @@ def iso_sl2r_algebra() -> LieAlgebraSpec:
     )
 
 
+def _trace_gram(reps: Sequence[tuple[tuple, int]], unit: PiScalar) -> GramForm:
+    """The Gram matrix of unit * (Tr(m1 m2) + t1 t2) over the (matrix,
+    translation) pairs ``reps``: the trace form both canned forms scale."""
+    return GramForm(tuple(tuple(unit * (_trace_of_product(m1, m2) + t1 * t2) for m2, t2 in reps) for m1, t1 in reps))
+
+
 def iso_sl2r_gram() -> GramForm:
     """Gram matrix of R(A1, A2) = Tr(m1 m2) + t1 t2 on the basis X, Y, Z, W.
 
@@ -587,40 +593,17 @@ def iso_sl2r_gram() -> GramForm:
     coordinate; W = Z - Y - T has m = Z - Y and t = -1.  The matrix is
     derived here rather than written out, and pinned by unit tests.
     """
-    x, y, zmat = _SL2_MATS["X"], _SL2_MATS["Y"], _SL2_MATS["Z"]
-    z_minus_y = tuple(
-        tuple(zmat[i][j] - y[i][j] for j in range(2)) for i in range(2)
-    )
-    reps = [
-        (x, Fraction(0)),
-        (y, Fraction(0)),
-        (zmat, Fraction(0)),
-        (z_minus_y, Fraction(-1)),
-    ]
-    entries = tuple(
-        tuple(
-            PiScalar.of(_trace_of_product(m1, m2) + t1 * t2)
-            for (m2, t2) in reps
-        )
-        for (m1, t1) in reps
-    )
-    return GramForm(entries)
+    x, y, z = (_SL2_MATS[name] for name in "XYZ")
+    z_minus_y = tuple(tuple(a - b for a, b in zip(z_row, y_row)) for z_row, y_row in zip(z, y))
+    return _trace_gram([(x, 0), (y, 0), (z, 0), (z_minus_y, -1)], PI_ONE)
 
 
 def sl2c_gram() -> GramForm:
     """Multiple of the trace form on sl2 entering the hyperbolic-volume
     identity: normalized so the Chern-Simons 3-form of the Maurer-Cartan
     connection is exactly (1/pi^2) phiX^phiY^phiZ (pinned by tests)."""
-    names = ("X", "Y", "Z")
     unit = PiScalar(GaussianRational(Fraction(3, 2)), -2)
-    entries = tuple(
-        tuple(
-            unit * PiScalar.of(_trace_of_product(_SL2_MATS[a], _SL2_MATS[b]))
-            for b in names
-        )
-        for a in names
-    )
-    return GramForm(entries)
+    return _trace_gram([(_SL2_MATS[name], 0) for name in "XYZ"], unit)
 
 
 def algebra_from_json(doc: Mapping) -> LieAlgebraSpec:
@@ -675,13 +658,18 @@ def chern_poly_coeffs(
 ) -> tuple[PiScalar, ...]:
     """Nontrivial coefficients of the characteristic-polynomial expansion.
 
-    ``chern``: 2x2 traceless input A; expands det(lambda I - A/(2 i pi))
-    = lambda^2 + C1 lambda + C2, checks C1 = 0 and C2 = Tr(A^2)/(8 pi^2),
-    and returns (C1, C2).
+    ``chern``: 2x2 traceless input A, M = A/(2 i pi); returns (C1, C2) of
+    det(lambda I - M) = lambda^2 + C1 lambda + C2.
 
-    ``pontrjagin``: 3x3 antisymmetric input A; expands
-    det(lambda I - A/(2 pi)) = lambda^3 + P1 lambda, checks the two other
-    coefficients vanish and P1 = -Tr(A^2)/(8 pi^2), and returns (P1,).
+    ``pontrjagin``: 3x3 antisymmetric input A, M = A/(2 pi); returns (P1,)
+    of det(lambda I - M) = lambda^3 + P1 lambda.
+
+    Both expand det(lambda I - M) = lambda^n - e1 lambda^(n-1) + e2
+    lambda^(n-2) - e3 lambda^(n-3) by principal minors: e1 is the trace,
+    e2 the sum of the 2x2 principal minors and e3 (n = 3 only) the
+    determinant.  So C1 = -e1, C2 = e2 and P1 = e2, and the expansion is
+    checked against the trace identity: e1 and e3 vanish, and e2 is
+    Tr(A^2)/(8 pi^2) for ``chern`` and -Tr(A^2)/(8 pi^2) for ``pontrjagin``.
     """
     rows = [[PiScalar.of(x) for x in row] for row in matrix]
     n = len(rows)
@@ -693,45 +681,30 @@ def chern_poly_coeffs(
             raise ValueError("chern expects a 2x2 matrix")
         if rows[0][0] + rows[1][1]:
             raise ValueError("chern expects a traceless matrix")
-        # Entries of A / (2 i pi): divide by 2i and lower the pi power.
-        half_i = PiScalar(GaussianRational(Fraction(0), Fraction(2)), 1)
-        m = [[x / half_i for x in row] for row in rows]
-        c1 = -(m[0][0] + m[1][1])
-        c2 = m[0][0] * m[1][1] - m[0][1] * m[1][0]
-        if c1:
-            raise RuntimeError("C1 must vanish for a traceless matrix")
-        expected = _trace_of_product(rows, rows) * PiScalar(GaussianRational(Fraction(1, 8)), -2)
-        if c2 != expected:
-            raise RuntimeError(
-                f"chern coefficient mismatch: expansion {c2}, trace identity {expected}"
-            )
-        return (c1, c2)
-
-    if kind == "pontrjagin":
+        scale, sign = PiScalar(GaussianRational(Fraction(0), Fraction(2)), 1), 1  # 2 i pi
+    elif kind == "pontrjagin":
         if n != 3:
             raise ValueError("pontrjagin expects a 3x3 matrix")
         for i in range(n):
             for j in range(n):
                 if rows[i][j] + rows[j][i]:
                     raise ValueError("pontrjagin expects an antisymmetric matrix")
-        two_pi = PiScalar(GaussianRational(Fraction(2)), 1)
-        m = [[x / two_pi for x in row] for row in rows]
-        e1 = m[0][0] + m[1][1] + m[2][2]
-        e2 = PI_ZERO
-        for i, j in itertools.combinations(range(3), 2):
-            e2 = e2 + (m[i][i] * m[j][j] - m[i][j] * m[j][i])
+        scale, sign = PiScalar(GaussianRational(Fraction(2)), 1), -1  # 2 pi
+    else:
+        raise ValueError(f"unknown kind {kind!r} (use 'chern' or 'pontrjagin')")
+
+    m = [[x / scale for x in row] for row in rows]
+    e1 = sum((m[i][i] for i in range(n)), PI_ZERO)
+    pairs = itertools.combinations(range(n), 2)
+    e2 = sum((m[i][i] * m[j][j] - m[i][j] * m[j][i] for i, j in pairs), PI_ZERO)
+    e3 = PI_ZERO
+    if n == 3:
         e3 = (
             m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
             - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
             + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
         )
-        if e1 or e3:
-            raise RuntimeError("odd coefficients must vanish for an antisymmetric matrix")
-        expected = -(_trace_of_product(rows, rows) * PiScalar(GaussianRational(Fraction(1, 8)), -2))
-        if e2 != expected:
-            raise RuntimeError(
-                f"pontrjagin coefficient mismatch: expansion {e2}, trace identity {expected}"
-            )
-        return (e2,)
-
-    raise ValueError(f"unknown kind {kind!r} (use 'chern' or 'pontrjagin')")
+    expected = _trace_of_product(rows, rows) * PiScalar(GaussianRational(Fraction(sign, 8)), -2)
+    if e1 or e3 or e2 != expected:
+        raise RuntimeError(f"{kind} expansion e1, e2, e3 = {e1}, {e2}, {e3}; trace identity {expected}")
+    return (-e1, e2) if kind == "chern" else (e2,)

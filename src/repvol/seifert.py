@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import _HOMES
-from .exact import _Record, _fraction, _integer, _set, _shown, _two_each
+from .exact import _Record, _fraction, _integer, _positive, _set, _shown, _two_each
 
 __all__ = [*_HOMES["seifert"]]
 
@@ -179,8 +179,7 @@ def _require_bundle(inv: SeifertInvariants, what: str) -> int:
 def fiber_cover(inv: SeifertInvariants, degree: int) -> SeifertInvariants:
     """Degree-d cover along the fiber direction: divides the Euler number."""
     e = _require_bundle(inv, "fiber_cover")
-    if degree <= 0:
-        raise ValueError(f"cover degree must be positive, got {degree}")
+    _positive(degree, "cover degree")
     if e % degree != 0:
         raise ValueError(f"fiber cover degree {degree} does not divide Euler number {e}")
     return circle_bundle(inv.genus, e // degree)
@@ -193,8 +192,7 @@ def base_cover(inv: SeifertInvariants, degree: int) -> SeifertInvariants:
     by k.
     """
     e = _require_bundle(inv, "base_cover")
-    if degree <= 0:
-        raise ValueError(f"cover degree must be positive, got {degree}")
+    _positive(degree, "cover degree")
     if inv.genus < 1:
         raise ValueError("base_cover requires base genus >= 1")
     return circle_bundle(degree * (inv.genus - 1) + 1, degree * e)
@@ -205,11 +203,24 @@ def base_cover(inv: SeifertInvariants, degree: int) -> SeifertInvariants:
 _TOKEN = re.compile(r"\s*(?:(-?\d+)|([();,/])|(\S))")
 
 
-def _read(token: str, pos: int, what: str) -> int:
-    """``int(token)``; one too long to read is a ``ParseError`` naming
-    ``what`` at its position."""
+def _mark(token: tuple[str, int], marks: tuple[str, ...], what: str) -> str:
+    """The punctuation mark ``token`` holds, one of ``marks``; any other
+    token, or the end of input, is "expected <what>" at its position."""
+    tok, pos = token
+    if tok not in marks:
+        raise ParseError(f"expected {what}, found {tok or 'end of input'}", pos)
+    return tok
+
+
+def _number(token: tuple[str, int], what: str) -> int:
+    """The integer ``token`` holds: a punctuation mark or the end of input
+    is refused by ``_mark`` (with no mark allowed), and an integer too long
+    to read is a ``ParseError`` naming ``what``, at the token's position."""
+    tok, pos = token
+    if tok in "();,/":  # so is "", the end of input
+        _mark(token, (), what)
     try:
-        return _integer(token, what)
+        return _integer(tok, what)
     except TypeError as exc:
         raise ParseError(str(exc), pos) from None
 
@@ -229,46 +240,30 @@ def parse_seifert(text: str) -> SeifertInvariants:
     # The end of input is the token "", which every rule below refuses,
     # so no read passes it.  A token not in "();,/" is an integer.
     tokens.append(("", len(text)))
-    tok, pos = tokens[0]
-    if tok != "(":
-        raise ParseError(f"expected '(', found {tok or 'end of input'}", pos)
-    tok, pos = tokens[1]
-    if tok in "();,/":
-        raise ParseError(f"expected genus, found {tok or 'end of input'}", pos)
-    genus = _read(tok, pos, "genus")
+    _mark(tokens[0], ("(",), "'('")
+    genus = _number(tokens[1], "genus")
     if genus < 0:
-        raise ParseError("negative genus (non-orientable bases are not supported)", pos)
-    tok, pos = tokens[2]
-    if tok != ";":
-        raise ParseError(f"expected ';', found {tok or 'end of input'}", pos)
+        raise ParseError("negative genus (non-orientable bases are not supported)", tokens[1][1])
+    _mark(tokens[2], (";",), "';'")
     i = 3
     pairs: list[tuple[int, int]] = []
     while tokens[i][0] != ")":
         k = len(pairs) + 1
-        tok, pos = tokens[i]
-        if tok in "();,/":
-            raise ParseError(f"expected numerator of pair {k}, found {tok or 'end of input'}", pos)
-        b, a = _read(tok, pos, f"numerator of pair {k}"), 1
+        # pos is the multiplicity's, or the numerator's when there is none
+        b, a, pos = _number(tokens[i], f"numerator of pair {k}"), 1, tokens[i][1]
         i += 1
         if tokens[i][0] == "/":
-            tok, pos = tokens[i + 1]
-            if tok in "();,/":
-                raise ParseError(f"expected multiplicity of pair {k}, found {tok or 'end of input'}", pos)
-            a = _read(tok, pos, f"multiplicity of pair {k}")
+            a, pos = _number(tokens[i + 1], f"multiplicity of pair {k}"), tokens[i + 1][1]
             i += 2
-        # pos is the multiplicity's, or the numerator's when there is none
         try:
             _check_pair(a, b, "pair", k)
         except ValueError as exc:
             raise ParseError(str(exc), pos) from None
         pairs.append((a, b))
-        tok, pos = tokens[i]
-        if tok == ",":
+        if _mark(tokens[i], (",", ")"), "',' or ')'") == ",":
             i += 1
             if tokens[i][0] == ")":
-                raise ParseError("trailing comma", pos)
-        elif tok != ")":
-            raise ParseError(f"expected ',' or ')', found {tok or 'end of input'}", pos)
+                raise ParseError("trailing comma", tokens[i - 1][1])
     tok, pos = tokens[i + 1]
     if tok:
         raise ParseError(f"unexpected trailing {_shown(tok)}", pos)

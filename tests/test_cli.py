@@ -1238,6 +1238,12 @@ HUGE_MIXED = {
     "edges": [],
     "assignments": [HUGE_EXACT, {"piece": "K", "assign": "direct", "numeric": 1.5}],
 }
+# Two numeric volumes, each in the float range, whose sum is not.
+HUGE_NUMERIC = {
+    "pieces": [{"id": name, "kind": "hyperbolic", "label": "h", "slots": []} for name in "HK"],
+    "edges": [],
+    "assignments": [{"piece": name, "assign": "direct", "numeric": 1e308} for name in "HK"],
+}
 PAST_FLOAT = "error: volume is too large for a float: over 1.79769e+308\n"
 
 
@@ -1304,6 +1310,7 @@ PAST_FLOAT = "error: volume is too large for a float: over 1.79769e+308\n"
         (("graph", "additivity", "--decimal"), HUGE_VOLUME, 1, PAST_FLOAT),
         (("graph", "additivity", "--decimal", "--json"), HUGE_VOLUME, 1, PAST_FLOAT),
         (("graph", "additivity"), HUGE_MIXED, 1, PAST_FLOAT),
+        (("graph", "additivity"), HUGE_NUMERIC, 1, PAST_FLOAT),
     ],
     ids=[
         "witnesses_exponent",
@@ -1319,6 +1326,7 @@ PAST_FLOAT = "error: volume is too large for a float: over 1.79769e+308\n"
         "additivity_decimal_past_float",
         "additivity_decimal_json_past_float",
         "additivity_mixed_past_float",
+        "additivity_numeric_past_float",
     ],
 )
 def test_boundary_refusals_end_fast(tmp_path, argv, doc, code, err):
@@ -1641,12 +1649,19 @@ def test_entry_exits_with_the_command_code(argv, code, out, err):
     assert (done.returncode, done.stdout, done.stderr) == (code, out, err)
 
 
-# Commands whose output fails at main's last flush (one short line) and
-# in the middle of its lines (132,731 bytes, past the stdout buffer).
-CLOSED_PIPE = [("seifert", "info", "(1; 1/2)"), ("seifert", "volumes", "(1; 1/2, 1/3, 1/5, 1/7, 1/11)")]
+# Commands whose output fails at main's last flush (one short line), in
+# the middle of its lines (132,731 bytes, past the stdout buffer), and at
+# entry's flush after argparse has printed a help text and exited.
+CLOSED_PIPE = [
+    ("seifert", "info", "(1; 1/2)"),
+    ("seifert", "volumes", "(1; 1/2, 1/3, 1/5, 1/7, 1/11)"),
+    ("-h",),
+    ("seifert", "volumes", "-h"),
+]
+CLOSED_PIPE_IDS = ["short", "long", "help", "subcommand_help"]
 
 
-@pytest.mark.parametrize("argv", CLOSED_PIPE, ids=["short", "long"])
+@pytest.mark.parametrize("argv", CLOSED_PIPE, ids=CLOSED_PIPE_IDS)
 def test_a_closed_stdout_pipe_is_a_domain_error(argv):
     # the read end is closed before the spawn, so every write fails
     read, write = os.pipe()
@@ -1661,7 +1676,7 @@ def test_a_closed_stdout_pipe_is_a_domain_error(argv):
     assert (done.returncode, done.stderr) == (1, b"error: [Errno 32] Broken pipe\n")
 
 
-@pytest.mark.parametrize("argv", CLOSED_PIPE, ids=["short", "long"])
+@pytest.mark.parametrize("argv", CLOSED_PIPE, ids=CLOSED_PIPE_IDS)
 def test_entry_sends_what_a_closed_pipe_refused_to_devnull(capsys, monkeypatch, argv):
     read, write = os.pipe()
     os.close(read)

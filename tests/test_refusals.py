@@ -126,14 +126,24 @@ REFUSALS = {
     ),
     "motegi_second_gcd": (lambda: motegi_spec(2, 3, 2, 4), "gcd(p2, q2) must be 1, got gcd(2, 4)"),
     # seifert covers
-    "fiber_cover_degree": (lambda: fiber_cover(circle_bundle(1, 2), 0), "cover degree must be positive, got 0"),
-    "base_cover_degree": (lambda: base_cover(circle_bundle(1, 2), -1), "cover degree must be positive, got -1"),
+    "fiber_cover_degree": (lambda: fiber_cover(circle_bundle(1, 2), 0), "cover degree must be a positive integer, got 0"),
+    "base_cover_degree": (lambda: base_cover(circle_bundle(1, 2), -1), "cover degree must be a positive integer, got -1"),
+    "fiber_cover_fraction": (
+        lambda: fiber_cover(circle_bundle(1, 5), 2.5),
+        "cover degree must be a positive integer, got 2.5",
+    ),
+    "fiber_cover_bool": (lambda: fiber_cover(circle_bundle(1, 5), True), "cover degree must be a positive integer, got True"),
+    "base_cover_string": (lambda: base_cover(circle_bundle(1, 5), "5"), "cover degree must be a positive integer, got '5'"),
     "base_cover_genus": (lambda: base_cover(circle_bundle(0, 2), 2), "base_cover requires base genus >= 1"),
     # ehn
     "witness_length": (_witness(n_values=(0, 0)), "witness length does not match exceptional data"),
     "witness_coefficient": (_witness(coeff=Fraction(3)), "witness coefficient does not match its data"),
     # exact
     "volume_sum_not_a_volume": (lambda: volume_sum([ExactVolume(Fraction(1)), 1]), "not a volume value: 1"),
+    "volume_sum_past_float": (
+        lambda: volume_sum([NumericVolume(1e308)] * 2),
+        "volume is too large for a float: over 1.79769e+308",
+    ),
     "render_not_a_volume": (lambda: render_volume(Fraction(1)), "not a volume value: Fraction(1, 1)"),
 }
 
