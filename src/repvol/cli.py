@@ -4,7 +4,7 @@ Subcommands mirror the library: ``seifert`` for invariants and volume
 spectra, ``cs`` for the symbolic form identities, ``graph`` for JSJ
 specs, ``covers`` for elevation arithmetic, ``cases`` for worked
 families.  Exit codes: 0 success, 1 domain error (one line on stderr),
-2 usage error, 3 internal invariant failure (one line on stderr).
+2 usage error, 3 internal failure (one line on stderr).
 
 Each ``_cmd_*`` handler returns ``(lines, refusal)``: its stdout lines
 as a fully built list, and ``None`` or the text of its exit-1 ``error:``
@@ -36,6 +36,7 @@ from .exact import (
     _rational,
     _read_int,
     _shown,
+    _too_long,
     render_volume,
 )
 
@@ -49,16 +50,13 @@ def _fraction_arg(text: str) -> Fraction:
 
 def _int_arg(text: str, refusal: str = "") -> int:
     """``int(text)`` for an option value.  One too long to read is named
-    by ``_read_int``, where argparse would echo every digit; other text
-    that is not an integer is refused with ``refusal``, by default
-    argparse's own ``invalid int value: '<text>'``, the text as ``_shown``
-    shows it."""
+    by ``_too_long``, where argparse would echo every digit; other text is
+    refused with ``refusal``, by default argparse's own ``invalid int
+    value: '<text>'``, the text as ``_shown`` shows it."""
     try:
-        return _read_int(text, "the value")
-    except ValueError as exc:
-        message = str(exc)
-        if not message.startswith("the value "):  # int()'s own refusal
-            message = refusal or f"invalid int value: {_shown(text)}"
+        return int(text)
+    except ValueError:
+        message = _too_long(text, "the value") or refusal or f"invalid int value: {_shown(text)}"
     raise argparse.ArgumentTypeError(message)
 
 
@@ -480,8 +478,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # a RecursionError here comes from input, such as JSON nested too deep
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except RuntimeError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+    except Exception as exc:  # a failed invariant (RuntimeError) or any other fault in repvol
+        named = "" if isinstance(exc, RuntimeError) else f"{type(exc).__name__}: "
+        print(f"internal error: {named}{exc}", file=sys.stderr)
         return 3
 
 

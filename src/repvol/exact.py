@@ -36,8 +36,9 @@ adds by ``_pi_sum``, which follows it, and so do the Gaussian-integer
 sums of ``liecs``.
 
 The three JSON document formats read each kind of value with one
-reader: ``_name`` a name, a string never coerced; ``_integer`` an
-integer, never cut short; ``_rational`` a rational number.
+reader: ``_name`` a name, never coerced; ``_integer`` an integer, never
+cut short (``_int_pair`` two); ``_rational`` a rational.  ``_too_long``
+alone names an integer too long to read, once a reader's ``int()`` fails.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ def _rational(value: object, path: str, problem: str) -> RationalLike:
     Anything else, a bool among them, is a ``ValueError`` reading
     ``<path>: <problem>``, with ``value`` formatted into ``problem`` as
     ``_shown`` shows it, except that a run of digits too long to read is
-    named by ``_read_int``.  Exponent forms such as ``'1e999999999'`` and
+    named by ``_too_long``.  Exponent forms such as ``'1e999999999'`` and
     ``1e-07`` are refused too: ``Fraction`` would compute
     ``10**999999999``, which never finishes.
     """
@@ -82,7 +83,8 @@ def _rational(value: object, path: str, problem: str) -> RationalLike:
             pass
         except ValueError:  # int() reads each run of decimal digits unless it is too long
             for digits in "".join(c if c.isdecimal() else " " for c in value).split():
-                _read_int(digits, "{}: the value", path)
+                if message := _too_long(digits, "{}: the value", path):
+                    raise ValueError(message) from None
     raise ValueError(f"{path}: " + problem.format(_shown(value)))
 
 
@@ -99,40 +101,45 @@ def _shown(value: object) -> str:
     return repr(value)
 
 
-def _read_int(text: str, what: str = "a JSON number", *at: object) -> int:
-    """``int(text)``; a string of more digits than Python converts (4300 by
-    default) is a ``ValueError`` reading ``<what> is too long to read: over
-    <limit> digits``, ``what`` formatted with ``at`` only then.  The one
-    writer of that refusal: ``json`` calls it as ``parse_int``, the other
-    readers once their own bare ``int()`` has failed."""
+def _too_long(text: object, what: str, *at: object) -> str | None:
+    """``<what> is too long to read: over <limit> digits``, ``what``
+    formatted with ``at``, if ``text`` is a string of more digits than
+    Python converts (4300 by default); otherwise ``None``."""
+    limit = sys.get_int_max_str_digits()
+    if isinstance(text, str) and 0 < limit < sum(c.isdigit() for c in text):
+        return f"{what.format(*at)} is too long to read: over {limit} digits"
+    return None
+
+
+def _read_int(text: str) -> int:
+    """``int(text)``, the JSON decoder's ``parse_int``."""
     try:
         return int(text)
-    except ValueError:
-        limit = sys.get_int_max_str_digits()
-        if not (isinstance(text, str) and 0 < limit < sum(c.isdigit() for c in text)):
-            raise
-    raise ValueError(f"{what.format(*at)} is too long to read: over {limit} digits")
+    except ValueError:  # json hands over -?\d+, which fails only when too long
+        raise ValueError(_too_long(text, "a JSON number")) from None
 
 
 def _integer(value: object, what: str, *at: object) -> int:
-    """``int(value)``, with a value it cannot read, such as ``'x'``, a float
-    NaN or one too long (named by ``_read_int``), raised as a ``TypeError``:
-    a wrong value inside a document entry, reported at the entry's path.
-    A number that ``int()`` would change, such as 2.5, is never cut short,
-    and a bool is not read as 0 or 1: each is a ``TypeError`` reading
-    ``<what> 2.5 is not an integer``."""
+    """``int(value)``; a value it cannot read, such as ``'x'``, a float
+    NaN or one too long (named by ``_too_long``), is a ``TypeError``: a
+    wrong value inside a document entry, reported at the entry's path.
+    A number is never cut short, nor a bool read as 0 or 1: 2.5 or True
+    is a ``TypeError`` too, reading ``<what> 2.5 is not an integer``."""
     try:
         number = int(value)
-    except ValueError:
-        pass
-    else:
-        if (number != value and not isinstance(value, str)) or value is True or value is False:
-            raise TypeError(f"{what.format(*at)} {_shown(value)} is not an integer")
-        return number
-    try:
-        return _read_int(value, what, *at)  # fails again, with the error's text
     except ValueError as exc:
-        raise TypeError(str(exc)) from None
+        raise TypeError(_too_long(value, what, *at) or str(exc)) from None
+    if (number != value and not isinstance(value, str)) or value is True or value is False:
+        raise TypeError(f"{what.format(*at)} {_shown(value)} is not an integer")
+    return number
+
+
+def _int_pair(pair: object, what: str, *at: object) -> tuple[int, int]:
+    """``pair`` unpacked, each item read by ``_integer`` as ``what`` formatted with ``at`` and its index."""
+    a, b = pair
+    if type(a) is not int or type(b) is not int:  # two ints, the common case, need no reading
+        a, b = _integer(a, what, *at, 0), _integer(b, what, *at, 1)
+    return a, b
 
 
 def _positive(value: int, name: str) -> int:
@@ -165,14 +172,10 @@ _NOT_PAIR = (str, dict)
 
 def _two_each(rows) -> bool:
     """Whether every list or tuple in ``rows`` has two items, and no item
-    is a string or an object.
-
-    Unpacking such an item of another length into two names raises a bare
-    ``ValueError``, and a two-character string or a two-key object would
-    unpack as a pair, so the record constructors test this first and
-    raise ``TypeError``, which ``_entries`` reports as a malformed entry
-    at its path.  Other values fail to unpack with a ``TypeError`` already.
-    """
+    is a string or an object.  Record constructors test this before they
+    unpack, which raises a bare ``ValueError`` for another length and
+    reads ``"Pt"`` or a two-key object as a pair, and raise ``TypeError``
+    instead; other values fail to unpack with a ``TypeError`` already."""
     for row in rows:
         if isinstance(row, _ITERABLE) and (len(row) != 2 or isinstance(row, _NOT_PAIR)):
             return False
@@ -244,8 +247,8 @@ def _name(value: object, path: str, *at: object) -> str:
 def _entries(value: object, path: str, parse: Callable[[Mapping, str], object]) -> tuple:
     """``parse(entry, path)`` for each object in the JSON list at ``path``.
 
-    A value of the wrong type or shape inside an entry is reported as a
-    ``ValueError`` naming that entry, not as a traceback.
+    A value of the wrong type or shape inside an entry (a ``TypeError`` or
+    ``ArithmeticError``) is reported as a ``ValueError`` naming that entry.
     """
     parsed = []
     for i, entry in enumerate(_list(value, path, "objects")):
@@ -254,7 +257,7 @@ def _entries(value: object, path: str, parse: Callable[[Mapping, str], object]) 
             raise ValueError(f"{at}: expected an object, got {_shown(entry)}")
         try:
             parsed.append(parse(entry, at))
-        except (TypeError, LookupError, ArithmeticError) as exc:
+        except (TypeError, ArithmeticError) as exc:
             # ArithmeticError: a zero denominator, or int() of a JSON Infinity
             raise ValueError(f"{at}: malformed entry ({exc})") from None
     return tuple(parsed)
@@ -621,9 +624,19 @@ class ExactVolume(_Record):
 
 
 class NumericVolume(_Record):
-    """A volume known only as a float (e.g. hyperbolic pieces)."""
+    """A volume known only as a finite float (e.g. hyperbolic pieces)."""
 
     value: float
+
+    def __post_init__(self) -> None:
+        value = self.value
+        try:  # a bool, or text float cannot read, is refused like "nan"
+            number = math.nan if value is True or value is False else float(value)
+        except ValueError:
+            number = math.nan
+        if not math.isfinite(number):
+            raise TypeError(f"bad numeric {_shown(value)}")
+        _set(self, "value", number)
 
     def to_float(self) -> float:
         return self.value

@@ -6,11 +6,11 @@ coordinates.  When a representation kills one slope on every gluing
 torus, its volume is the sum of the closed pieces' volumes; this module
 checks the bookkeeping of that statement and evaluates the sum.
 
-Each record's constructor checks the shapes of its own fields, such as
-"two items, never a string or an object" for an endpoint, and raises
-``TypeError``; names it keeps as given.  The JSON loader hands it the
-values unchanged, so the library and the CLI refuse the same shapes
-with the same text, and then refuses a name that is not a string.
+Each record's constructor, ``NumericVolume``'s among them, checks its
+own fields, such as "two items, never a string or an object" for an
+endpoint, and raises ``TypeError``; names it keeps as given.  The JSON
+loader hands it the values unchanged, so library and CLI refuse the
+same shapes with the same text, and then refuses a non-string name.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .exact import (
     _ITERABLE,
     _entries,
     _field,
+    _int_pair,
     _integer,
     _name,
     _printed,
@@ -98,13 +99,12 @@ class Edge(_Record):
         _require_pair(self.killed_slope_b, "killed_slope_b", "[a, b]")
         _set(self, "a", (a[0], a[1]))
         _set(self, "b", (b[0], b[1]))
-        (m00, m01), (m10, m11) = gluing
-        first = (_integer(m00, "gluing[0][0]"), _integer(m01, "gluing[0][1]"))
-        _set(self, "gluing", (first, (_integer(m10, "gluing[1][0]"), _integer(m11, "gluing[1][1]"))))
+        (m00, m01), (m10, m11) = gluing  # a row's shape is refused before the other row's entries
+        _set(self, "gluing", (_int_pair((m00, m01), "gluing[0][{}]"), _int_pair((m10, m11), "gluing[1][{}]")))
         for name in ("killed_slope", "killed_slope_b"):
             slope = getattr(self, name)
             if slope is not None:
-                _set(self, name, (_integer(slope[0], "{}[0]", name), _integer(slope[1], "{}[1]", name)))
+                _set(self, name, _int_pair(slope, "{}[{}]", name))
 
     def push_to_b(self, slope: Slope) -> Slope:
         (m00, m01), (m10, m11) = self.gluing
@@ -206,9 +206,7 @@ class FilledSeifert(_Record):
         slopes = [row[1] for row in rows if isinstance(row, (list, tuple)) and len(row) == 2]
         if not (_two_each(rows) and _two_each(slopes)):
             raise TypeError(f"fillings {_shown(fillings)} are not all [slot, [a, b]]")
-        filled = []
-        for slot, (a, b) in rows:
-            filled.append((slot, (_integer(a, "fillings[{!r}][0]", slot), _integer(b, "fillings[{!r}][1]", slot))))
+        filled = [(slot, _int_pair(slope, "fillings[{!r}][{}]", slot)) for slot, slope in rows]
         _set(self, "fillings", tuple(sorted(filled, key=lambda row: (_by_type(row[0]), row[1]))))
         if type(self.coeff) is not Fraction:
             _set(self, "coeff", Fraction(self.coeff))
@@ -465,10 +463,14 @@ def _torus_knot_pairs(p: int, q: int) -> tuple[Slope, Slope]:
     return ((p, b1), (q, b2))
 
 
-def _validate_motegi_params(p1: int, q1: int, p2: int, q2: int) -> None:
+def _validate_motegi_params(p1: int, q1: int, p2: int, q2: int) -> list[int]:
+    """The four parameters, each read by ``_integer`` and at least 2."""
+    params = []
     for name, value in (("p1", p1), ("q1", q1), ("p2", p2), ("q2", q2)):
+        params.append(value := _integer(value, name))
         if value < 2:
             raise ValueError(f"{name} must be >= 2, got {value}")
+    return params
 
 
 def motegi_case(p1: int, q1: int, p2: int, q2: int) -> MotegiResult:
@@ -479,7 +481,7 @@ def motegi_case(p1: int, q1: int, p2: int, q2: int) -> MotegiResult:
     its volume coefficient is always 0.  The order formula needs no
     coprimality, so only the >= 2 bound is enforced here.
     """
-    _validate_motegi_params(p1, q1, p2, q2)
+    p1, q1, p2, q2 = _validate_motegi_params(p1, q1, p2, q2)
     order = p1 * q1 * p2 * q2 - 1
     return MotegiResult(h1_order=order, nontrivial=order > 15, sv_coeff=Fraction(0))
 
@@ -487,7 +489,7 @@ def motegi_case(p1: int, q1: int, p2: int, q2: int) -> MotegiResult:
 def motegi_spec(p1: int, q1: int, p2: int, q2: int) -> GraphManifoldSpec:
     """The JSJ graph of the glued torus-knot exteriors: the gluing swaps
     meridian and fiber, i.e. the matrix [[0, 1], [1, 0]]."""
-    _validate_motegi_params(p1, q1, p2, q2)
+    p1, q1, p2, q2 = _validate_motegi_params(p1, q1, p2, q2)
     pieces = []
     for i, (p, q) in enumerate(((p1, q1), (p2, q2)), 1):
         if math.gcd(p, q) != 1:
@@ -532,15 +534,7 @@ def _volume_from_json(entry: Mapping, path: str) -> VolumeValue:
     if "exact" in entry:
         return ExactVolume(_rational(entry["exact"], path, "malformed entry (bad exact {})"))
     if "numeric" in entry:
-        raw = entry["numeric"]
-        try:
-            # a bool is not read as 0 or 1: it is refused like "nan"
-            value = math.nan if raw is True or raw is False else float(raw)
-        except ValueError:
-            value = math.nan  # an unreadable string is refused like "nan"
-        if not math.isfinite(value):
-            raise TypeError(f"bad numeric {_shown(raw)}")
-        return NumericVolume(value)
+        return NumericVolume(entry["numeric"])
     raise ValueError(f"direct assignment {_shown(entry)} needs 'exact' or 'numeric'")
 
 
@@ -563,25 +557,22 @@ def _assignment_from_json(entry: Mapping, path: str) -> PieceAssignment:
 
 def _case_from_json(spec: GraphManifoldSpec, case: Mapping, path: str):
     name = _name(_field(case, "name", path), "{}.name", path)
-    edges = spec.edges
     slopes = case.get("killed_slopes")
     if slopes is not None:
-        if len(slopes) != len(edges):
-            raise ValueError(f"case {name}: {len(slopes)} killed slopes for {len(edges)} edges")
+        if len(slopes) != len(spec.edges):
+            raise ValueError(f"case {name}: {len(slopes)} killed slopes for {len(spec.edges)} edges")
         slopes = [slope or None for slope in slopes]
         for i, slope in enumerate(slopes):
             _require_pair(slope, f"killed_slopes[{i}]", "[a, b]")
         # each slope is read at its own place; the spec's edges are checked
-        slopes = [
-            s and (_integer(s[0], "killed_slopes[{}][0]", i), _integer(s[1], "killed_slopes[{}][1]", i))
-            for i, s in enumerate(slopes)
-        ]
+        slopes = [s and _int_pair(s, "killed_slopes[{}][{}]", i) for i, s in enumerate(slopes)]
         edges = tuple(
             Edge._trusted(a=edge.a, b=edge.b, gluing=edge.gluing, killed_slope=slope, killed_slope_b=None)
-            for edge, slope in zip(edges, slopes)
+            for edge, slope in zip(spec.edges, slopes)
         )
+        spec = GraphManifoldSpec(pieces=spec.pieces, edges=edges)  # without them a case shares the document's spec
     assignments = _entries(case.get("assignments", []), f"{path}.assignments", _assignment_from_json)
-    return (name, GraphManifoldSpec(pieces=spec.pieces, edges=edges), assignments)
+    return (name, spec, assignments)
 
 
 def load_graph_document(doc: Mapping) -> GraphDocument:

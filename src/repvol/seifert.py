@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import _HOMES
-from .exact import _Record, _fraction, _integer, _positive, _set, _shown, _two_each
+from .exact import _Record, _fraction, _int_pair, _integer, _positive, _set, _shown, _too_long, _two_each
 
 __all__ = [*_HOMES["seifert"]]
 
@@ -56,10 +56,7 @@ class SeifertInvariants(_Record):
         rows = list(self.pairs)
         if not _two_each(rows):
             raise TypeError(f"pairs {_shown(self.pairs)} are not all [a, b]")
-        pairs = []
-        for i, (a, b) in enumerate(rows):
-            pairs.append((_integer(a, "pairs[{}][0]", i), _integer(b, "pairs[{}][1]", i)))
-        _set(self, "pairs", tuple(pairs))
+        _set(self, "pairs", pairs := tuple([_int_pair(row, "pairs[{}][{}]", i) for i, row in enumerate(rows)]))
         _set(self, "genus", genus := _integer(self.genus, "genus"))
         if genus < 0:
             raise ValueError(f"base genus must be >= 0, got {genus}")
@@ -220,9 +217,9 @@ def _number(token: tuple[str, int], what: str) -> int:
     if tok in "();,/":  # so is "", the end of input
         _mark(token, (), what)
     try:
-        return _integer(tok, what)
-    except TypeError as exc:
-        raise ParseError(str(exc), pos) from None
+        return int(tok)
+    except ValueError:  # a -?\d+ token fails only when too long
+        raise ParseError(_too_long(tok, what), pos) from None
 
 
 def parse_seifert(text: str) -> SeifertInvariants:

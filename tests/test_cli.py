@@ -1594,6 +1594,19 @@ def test_internal_failure_exits_three(capsys, monkeypatch):
     assert err.count("\n") == 1
 
 
+def test_internal_key_error_exits_three_not_as_malformed_input(capsys, monkeypatch):
+    # a KeyError inside a record constructor is a fault in repvol, so no
+    # reader may report it as a malformed entry
+    def planted(self):
+        raise KeyError("planted internal bug")
+
+    monkeypatch.setattr(jsj.Edge, "__post_init__", planted)
+    code, out, err = run(capsys, "graph", "validate", str(DATA.joinpath("prop73_zero_hv.json")))
+    assert (code, out) == (3, "")
+    assert err.startswith("internal error: KeyError: ")
+    assert err.count("\n") == 1
+
+
 def test_failing_stdout_exits_one(capsys, monkeypatch):
     # main prints inside its try, so a closed pipe is one error line, not a traceback
     class ClosedPipe:

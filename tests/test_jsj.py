@@ -322,6 +322,7 @@ REFUSAL_ORDER = {
             ({"gluing": [[1, 0], [LONG, -1]]}, f"TypeError: gluing[1][0] is too long to read: over {LIMIT} digits"),
             ({"gluing": [[0.5, 1], [1, 0.2]]}, "TypeError: gluing[0][0] 0.5 is not an integer"),
             ({"gluing": [[0, 1], [True, 0]]}, "TypeError: gluing[1][0] True is not an integer"),
+            ({"killed_slope": 5}, "TypeError: cannot unpack non-iterable int object"),
             ({"killed_slope": ["x", 1]}, "TypeError: invalid literal for int() with base 10: 'x'"),
             ({"killed_slope": [2, LONG]}, f"TypeError: killed_slope[1] is too long to read: over {LIMIT} digits"),
             ({"killed_slope": [1.9, 0]}, "TypeError: killed_slope[0] 1.9 is not an integer"),

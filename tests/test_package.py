@@ -117,6 +117,30 @@ def test_only_cli_main_prints():
     assert found == []
 
 
+def test_no_catch_all_and_one_over_long_writer():
+    # a LookupError or Exception caught in the library would report a
+    # fault of repvol's own as malformed input: only cli.main catches
+    # Exception, and says "internal error"; and one f-string writes the
+    # refusal of an integer too long to read
+    caught, writers = [], []
+    for path in sorted((SRC / "repvol").glob("*.py")):
+        tree = ast.parse(path.read_text("utf-8"), str(path))
+        allowed = set()
+        if path.name == "cli.py":
+            main = next(node for node in tree.body if getattr(node, "name", None) == "main")
+            allowed = {id(node) for node in ast.walk(main)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ExceptHandler):
+                names = {getattr(n, "id", None) for n in ast.walk(node.type)} if node.type else {"BaseException"}
+                if "LookupError" in names or (names & {"Exception", "BaseException"} and id(node) not in allowed):
+                    caught.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.JoinedStr):
+                if any(isinstance(part, ast.Constant) and "is too long to read" in part.value for part in node.values):
+                    writers.append(f"{path.name}:{node.lineno}")
+    assert caught == []
+    assert len(writers) == 1, writers
+
+
 def test_no_module_asserts_or_raises_assertion_error():
     # an AssertionError would escape cli.main as a traceback, which the
     # exit contract forbids, and ``python -O`` drops an ``assert``

@@ -16,6 +16,7 @@ from repvol.jsj import (
     Piece,
     SmallImage,
     additivity_sum,
+    motegi_case,
     motegi_spec,
     validate_spec,
 )
@@ -125,6 +126,10 @@ REFUSALS = {
         "unknown assignment Unknown(piece_id='Q')",
     ),
     "motegi_second_gcd": (lambda: motegi_spec(2, 3, 2, 4), "gcd(p2, q2) must be 1, got gcd(2, 4)"),
+    "motegi_case_fraction": (lambda: motegi_case(2.5, 3, 2, 5), "p1 2.5 is not an integer"),
+    "motegi_case_bool": (lambda: motegi_case(True, 3, 2, 5), "p1 True is not an integer"),
+    "motegi_spec_fraction": (lambda: motegi_spec(2, 3, 2.5, 5), "p2 2.5 is not an integer"),
+    "motegi_spec_bool": (lambda: motegi_spec(2, 3, 2, True), "q2 True is not an integer"),
     # seifert covers
     "fiber_cover_degree": (lambda: fiber_cover(circle_bundle(1, 2), 0), "cover degree must be a positive integer, got 0"),
     "base_cover_degree": (lambda: base_cover(circle_bundle(1, 2), -1), "cover degree must be a positive integer, got -1"),
@@ -145,6 +150,15 @@ REFUSALS = {
         "volume is too large for a float: over 1.79769e+308",
     ),
     "render_not_a_volume": (lambda: render_volume(Fraction(1)), "not a volume value: Fraction(1, 1)"),
+    # the texts a graph document's direct numeric volume is refused with
+    "numeric_volume_nan": (lambda: NumericVolume(float("nan")), "bad numeric nan"),
+    "numeric_volume_infinite": (lambda: NumericVolume(float("inf")), "bad numeric inf"),
+    "numeric_volume_bool": (lambda: NumericVolume(True), "bad numeric True"),
+    "numeric_volume_string": (lambda: NumericVolume("x"), "bad numeric 'x'"),
+    "numeric_volume_list": (
+        lambda: NumericVolume([1]),
+        "float() argument must be a string or a real number, not 'list'",
+    ),
 }
 
 
@@ -164,3 +178,9 @@ def test_validate_spec_lists_the_problems_of_a_piece_and_a_side_b_slope():
 def test_volume_values_convert_as_given():
     assert ExactVolume(1) == ExactVolume(Fraction(1))
     assert NumericVolume(2.5).to_float() == 2.5
+
+
+def test_numeric_volume_stores_a_float():
+    assert NumericVolume(3).value == 3.0
+    assert type(NumericVolume(3).value) is float
+    assert NumericVolume(-2).value == -2.0  # kept, as graph documents keep it
