@@ -65,17 +65,17 @@ from operator import getitem, mul
 from typing import Callable, Iterable, Iterator
 
 from . import _HOMES
-from .exact import MAX_VALUES, _Record, _check_budget, _fraction, _printed, _set
+from .exact import MAX_VALUES, _Record, _as_fraction, _check_budget, _fraction, _printed, _set
 from .seifert import SeifertInvariants, _over_lcm, _require_closed, euler_number, orbifold_chi
 
 __all__ = [*_HOMES["ehn"]]
 
 
 def foliation_exists(genus: int, slopes: Iterable[Fraction]) -> bool:
-    """Horizontal-foliation test for a closed fibration over genus >= 1, each slope read as ``Fraction(s)``."""
+    """Horizontal-foliation test for a closed fibration over genus >= 1, each slope read by ``exact._as_fraction``."""
     if genus < 1:
         raise ValueError("foliation criterion requires base genus >= 1")
-    slopes = tuple(Fraction(s) for s in slopes)  # read once, as slopes may be an iterator
+    slopes = tuple(map(_as_fraction, slopes))  # read once, as slopes may be an iterator
     floor_sum = sum(map(math.floor, slopes))
     ceil_sum = sum(map(math.ceil, slopes))
     return floor_sum <= 2 * genus - 2 and ceil_sum >= 2 - 2 * genus
@@ -201,7 +201,7 @@ def spectrum_contains(inv: SeifertInvariants, coeff: Fraction) -> bool:
     ``jsj.additivity_sum`` checks assignments with it.
     """
     _, lcm, scale, denom, _, layers = _fold(inv)
-    coeff = coeff if type(coeff) is Fraction else Fraction(coeff)
+    coeff = _as_fraction(coeff)
     return bool(_offsets(inv, coeff, lcm, scale, denom, layers[-1]))
 
 
@@ -365,7 +365,7 @@ def witnesses_for(inv: SeifertInvariants, coeff: Fraction, *, limit: int = MAX_V
     over ``limit`` as ``volume_set`` is, and when there are more than
     ``limit`` witnesses, before any is built."""
     e, lcm, scale, denom, steps, layers = _fold(inv, limit)
-    coeff = Fraction(coeff)
+    coeff = _as_fraction(coeff)
     offsets = _offsets(inv, coeff, lcm, scale, denom, layers[-1])
     if not offsets:
         raise ValueError(f"coefficient {_printed(coeff, 'coefficient')} is not in the volume spectrum")

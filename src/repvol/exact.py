@@ -39,6 +39,8 @@ The three JSON document formats read each kind of value with one
 reader: ``_name`` a name, never coerced; ``_integer`` an integer, never
 cut short (``_int_pair`` two); ``_rational`` a rational.  ``_too_long``
 alone names an integer too long to read, once a reader's ``int()`` fails.
+``_is_pair`` tests a pair before anything unpacks it, and ``_as_fraction``
+reads a library caller's rational.
 """
 
 from __future__ import annotations
@@ -88,6 +90,18 @@ def _rational(value: object, path: str, problem: str) -> RationalLike:
     raise ValueError(f"{path}: " + problem.format(_shown(value)))
 
 
+def _as_fraction(value: object) -> Fraction:
+    """``value`` if it is a ``Fraction``, else ``Fraction(value)``: the one
+    reader of a library caller's rational.  A string with an exponent, such
+    as ``'1e999999999'``, is refused with ``Fraction``'s own text, as
+    ``_rational`` refuses it, where ``Fraction`` would compute 10**999999999."""
+    if type(value) is Fraction:
+        return value
+    if isinstance(value, str) and ("e" in value or "E" in value):
+        raise ValueError(f"Invalid literal for Fraction: {value!r}")
+    return Fraction(value)
+
+
 def _shown(value: object) -> str:
     """``repr(value)`` for a refusal, not echoed whole: a string of more
     than 64 characters is shown as its first 32, then ``…`` and its length,
@@ -121,13 +135,13 @@ def _read_int(text: str) -> int:
 
 def _integer(value: object, what: str, *at: object) -> int:
     """``int(value)``; a value it cannot read, such as ``'x'``, a float
-    NaN or one too long (named by ``_too_long``), is a ``TypeError``: a
-    wrong value inside a document entry, reported at the entry's path.
+    NaN or infinity or one too long (named by ``_too_long``), is a
+    ``TypeError``: a wrong value inside a document entry, at its path.
     A number is never cut short, nor a bool read as 0 or 1: 2.5 or True
     is a ``TypeError`` too, reading ``<what> 2.5 is not an integer``."""
     try:
         number = int(value)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise TypeError(_too_long(value, what, *at) or str(exc)) from None
     if (number != value and not isinstance(value, str)) or value is True or value is False:
         raise TypeError(f"{what.format(*at)} {_shown(value)} is not an integer")
@@ -162,31 +176,15 @@ def _printed(value: object, what: str) -> str:
         raise ValueError(f"{what} is too large to print: over {sys.get_int_max_str_digits()} digits") from None
 
 
-# The JSON values that unpack by iterating.  A tuple of concrete types,
-# since isinstance against typing.Sized made loading a third slower.
-_ITERABLE = (list, tuple, str, dict)
-# Those that never stand for a pair: "Pt" would unpack as ("P", "t"),
-# and {"P": 1, "t": 2} as its keys.
-_NOT_PAIR = (str, dict)
+def _is_pair(value: object) -> bool:
+    """Whether ``value`` is a pair: a list or tuple of two items.  Nothing
+    else, such as ``"Pt"``, ``{"P": 1, "t": 2}``, ``5`` or ``{1, 2}``, is one."""
+    return isinstance(value, (list, tuple)) and len(value) == 2
 
 
-def _two_each(rows) -> bool:
-    """Whether every list or tuple in ``rows`` has two items, and no item
-    is a string or an object.  Record constructors test this before they
-    unpack, which raises a bare ``ValueError`` for another length and
-    reads ``"Pt"`` or a two-key object as a pair, and raise ``TypeError``
-    instead; other values fail to unpack with a ``TypeError`` already."""
-    for row in rows:
-        if isinstance(row, _ITERABLE) and (len(row) != 2 or isinstance(row, _NOT_PAIR)):
-            return False
-    return True
-
-
-def _require_pair(value, name: str, shape: str) -> None:
-    """A ``TypeError`` if ``value`` is a string, an object, or a list or
-    tuple without exactly two items: a string such as ``"Pt"`` would
-    otherwise read as the pair ``("P", "t")``."""
-    if not _two_each((value,)):
+def _require_pair(value: object, name: str, shape: str) -> None:
+    """A ``TypeError`` reading ``<name> <value> is not <shape>`` unless ``value`` is a pair."""
+    if not _is_pair(value):
         raise TypeError(f"{name} {_shown(value)} is not {shape}")
 
 
@@ -247,8 +245,8 @@ def _name(value: object, path: str, *at: object) -> str:
 def _entries(value: object, path: str, parse: Callable[[Mapping, str], object]) -> tuple:
     """``parse(entry, path)`` for each object in the JSON list at ``path``.
 
-    A value of the wrong type or shape inside an entry (a ``TypeError`` or
-    ``ArithmeticError``) is reported as a ``ValueError`` naming that entry.
+    A value of the wrong type or shape inside an entry (a ``TypeError``)
+    is reported as a ``ValueError`` naming that entry.
     """
     parsed = []
     for i, entry in enumerate(_list(value, path, "objects")):
@@ -257,8 +255,7 @@ def _entries(value: object, path: str, parse: Callable[[Mapping, str], object]) 
             raise ValueError(f"{at}: expected an object, got {_shown(entry)}")
         try:
             parsed.append(parse(entry, at))
-        except (TypeError, ArithmeticError) as exc:
-            # ArithmeticError: a zero denominator, or int() of a JSON Infinity
+        except TypeError as exc:
             raise ValueError(f"{at}: malformed entry ({exc})") from None
     return tuple(parsed)
 
@@ -444,8 +441,7 @@ def _ratio(value: RationalLike) -> tuple[int, int]:
     """Numerator and positive denominator of a rational, in lowest terms."""
     if type(value) is int:
         return value, 1
-    if type(value) is not Fraction:
-        value = Fraction(value)
+    value = _as_fraction(value)
     return value.numerator, value.denominator
 
 
@@ -607,8 +603,7 @@ class ExactVolume(_Record):
     coeff: Fraction
 
     def __post_init__(self) -> None:
-        if type(self.coeff) is not Fraction:
-            _set(self, "coeff", Fraction(self.coeff))
+        _set(self, "coeff", _as_fraction(self.coeff))
         if self.coeff < 0:
             raise ValueError(f"exact volume coefficient must be >= 0, got {self.coeff}")
 
@@ -630,9 +625,9 @@ class NumericVolume(_Record):
 
     def __post_init__(self) -> None:
         value = self.value
-        try:  # a bool, or text float cannot read, is refused like "nan"
+        try:  # a bool, text float cannot read, or an int past its range is refused like "nan"
             number = math.nan if value is True or value is False else float(value)
-        except ValueError:
+        except (ValueError, OverflowError):
             number = math.nan
         if not math.isfinite(number):
             raise TypeError(f"bad numeric {_shown(value)}")

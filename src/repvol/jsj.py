@@ -7,8 +7,8 @@ torus, its volume is the sum of the closed pieces' volumes; this module
 checks the bookkeeping of that statement and evaluates the sum.
 
 Each record's constructor, ``NumericVolume``'s among them, checks its
-own fields, such as "two items, never a string or an object" for an
-endpoint, and raises ``TypeError``; names it keeps as given.  The JSON
+own fields, such as "a list or tuple of two items" for an endpoint,
+and raises ``TypeError``; names it keeps as given.  The JSON
 loader hands it the values unchanged, so library and CLI refuse the
 same shapes with the same text, and then refuses a non-string name.
 """
@@ -29,19 +29,19 @@ from .exact import (
     NumericVolume,
     VolumeValue,
     _Record,
+    _as_fraction,
     _document,
-    _ITERABLE,
     _entries,
     _field,
     _int_pair,
     _integer,
+    _is_pair,
     _name,
     _printed,
     _rational,
     _require_pair,
     _set,
     _shown,
-    _two_each,
     volume_sum,
 )
 from .seifert import SeifertInvariants, _fill
@@ -64,7 +64,7 @@ class Piece(_Record):
     label: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if isinstance(self.slots, (str, dict)):
+        if not isinstance(self.slots, (list, tuple)):
             raise TypeError(f"slots {_shown(self.slots)} is not a list of names")
         _set(self, "slots", slots := tuple(self.slots))
         if self.kind not in ("seifert", "hyperbolic"):
@@ -91,20 +91,19 @@ class Edge(_Record):
 
     def __post_init__(self) -> None:
         a, b, gluing = self.a, self.b, self.gluing
-        if isinstance(gluing, _ITERABLE) and not _two_each((gluing, *gluing)):
+        if not (_is_pair(gluing) and _is_pair(gluing[0]) and _is_pair(gluing[1])):
             raise TypeError(f"gluing {_shown(gluing)} is not a 2x2 matrix")
         _require_pair(a, "a", "[piece, slot]")
         _require_pair(b, "b", "[piece, slot]")
-        _require_pair(self.killed_slope, "killed_slope", "[a, b]")
-        _require_pair(self.killed_slope_b, "killed_slope_b", "[a, b]")
+        slopes = [name for name in ("killed_slope", "killed_slope_b") if getattr(self, name) is not None]
+        for name in slopes:
+            _require_pair(getattr(self, name), name, "[a, b]")
         _set(self, "a", (a[0], a[1]))
         _set(self, "b", (b[0], b[1]))
-        (m00, m01), (m10, m11) = gluing  # a row's shape is refused before the other row's entries
-        _set(self, "gluing", (_int_pair((m00, m01), "gluing[0][{}]"), _int_pair((m10, m11), "gluing[1][{}]")))
-        for name in ("killed_slope", "killed_slope_b"):
-            slope = getattr(self, name)
-            if slope is not None:
-                _set(self, name, _int_pair(slope, "{}[{}]", name))
+        # every shape is refused before any entry is read
+        _set(self, "gluing", (_int_pair(gluing[0], "gluing[0][{}]"), _int_pair(gluing[1], "gluing[1][{}]")))
+        for name in slopes:
+            _set(self, name, _int_pair(getattr(self, name), "{}[{}]", name))
 
     def push_to_b(self, slope: Slope) -> Slope:
         (m00, m01), (m10, m11) = self.gluing
@@ -202,14 +201,11 @@ class FilledSeifert(_Record):
     def __post_init__(self) -> None:
         fillings = self.fillings
         rows = list(fillings.items() if type(fillings) is dict or isinstance(fillings, Mapping) else fillings)
-        # a string or object row fails the test below whatever its slope
-        slopes = [row[1] for row in rows if isinstance(row, (list, tuple)) and len(row) == 2]
-        if not (_two_each(rows) and _two_each(slopes)):
+        if not all(_is_pair(row) and _is_pair(row[1]) for row in rows):
             raise TypeError(f"fillings {_shown(fillings)} are not all [slot, [a, b]]")
         filled = [(slot, _int_pair(slope, "fillings[{!r}][{}]", slot)) for slot, slope in rows]
         _set(self, "fillings", tuple(sorted(filled, key=lambda row: (_by_type(row[0]), row[1]))))
-        if type(self.coeff) is not Fraction:
-            _set(self, "coeff", Fraction(self.coeff))
+        _set(self, "coeff", _as_fraction(self.coeff))
 
 
 class DirectVolume(_Record):
@@ -346,7 +342,7 @@ def _numbered(
     term: list[int] = []
     for u, v, ratio in edges:
         if type(ratio) is not Fraction:
-            ratio = Fraction(ratio)
+            ratio = _as_fraction(ratio)
         try:
             tail, head = index[u], index[v]
         except KeyError:
@@ -549,7 +545,7 @@ def _assignment_from_json(entry: Mapping, path: str) -> PieceAssignment:
         fillings = _field(entry, "fillings", path)
         coeff = _rational(_field(entry, "coeff", path), path, "malformed entry (bad coeff {})")
         for j, row in enumerate(fillings if isinstance(fillings, (list, tuple)) else ()):
-            if isinstance(row, (list, tuple)) and len(row) == 2 and type(row[0]) is not str:
+            if _is_pair(row) and type(row[0]) is not str:
                 _name(row[0], "{}.fillings[{}][0]", path, j)
         return FilledSeifert(piece_id, fillings, coeff)
     raise ValueError(f"assignment {_shown(entry)} needs assign: small_image|direct|filled")
@@ -563,7 +559,8 @@ def _case_from_json(spec: GraphManifoldSpec, case: Mapping, path: str):
             raise ValueError(f"case {name}: {len(slopes)} killed slopes for {len(spec.edges)} edges")
         slopes = [slope or None for slope in slopes]
         for i, slope in enumerate(slopes):
-            _require_pair(slope, f"killed_slopes[{i}]", "[a, b]")
+            if slope is not None:
+                _require_pair(slope, f"killed_slopes[{i}]", "[a, b]")
         # each slope is read at its own place; the spec's edges are checked
         slopes = [s and _int_pair(s, "killed_slopes[{}][{}]", i) for i, s in enumerate(slopes)]
         edges = tuple(

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import _HOMES
-from .exact import _Record, _fraction, _int_pair, _integer, _positive, _set, _shown, _too_long, _two_each
+from .exact import _Record, _fraction, _int_pair, _integer, _is_pair, _positive, _set, _shown, _too_long
 
 __all__ = [*_HOMES["seifert"]]
 
@@ -54,7 +54,7 @@ class SeifertInvariants(_Record):
 
     def __post_init__(self) -> None:
         rows = list(self.pairs)
-        if not _two_each(rows):
+        if not all(map(_is_pair, rows)):
             raise TypeError(f"pairs {_shown(self.pairs)} are not all [a, b]")
         _set(self, "pairs", pairs := tuple([_int_pair(row, "pairs[{}][{}]", i) for i, row in enumerate(rows)]))
         _set(self, "genus", genus := _integer(self.genus, "genus"))
@@ -140,22 +140,22 @@ def dehn_fill(
     a > 0 and be in lowest terms.  The result is closed when every
     boundary is filled.
     """
-    _check_fillings(open_boundary, fillings)
-    return SeifertInvariants(genus, tuple(existing_pairs) + tuple(fillings), open_boundary - len(fillings))
-
-
-def _check_fillings(open_boundary: int, fillings: Sequence[tuple[int, int]]) -> None:
-    if len(fillings) > open_boundary:
-        raise ValueError(f"{len(fillings)} fillings exceed {open_boundary} open boundaries")
-    for k, (a, b) in enumerate(fillings, start=1):
-        _check_pair(a, b, "filling", k)
+    return _fill(SeifertInvariants(genus, existing_pairs, open_boundary), fillings)
 
 
 def _fill(inv: SeifertInvariants, fillings: Sequence[tuple[int, int]]) -> SeifertInvariants:
-    """``dehn_fill(inv.genus, inv.boundary_count, fillings, inv.pairs)``,
-    built past the constructor: the pairs of ``inv`` are checked already."""
-    _check_fillings(inv.boundary_count, fillings)
-    pairs, boundary_count = inv.pairs + tuple(fillings), inv.boundary_count - len(fillings)
+    """``inv`` with each filling, a pair of integers (a, b) with a > 0 in
+    lowest terms, added to its pairs and closing one open boundary: the one
+    reader of fillings.  ``inv`` is checked, so the result skips the constructor."""
+    rows = list(fillings)
+    if not all(map(_is_pair, rows)):
+        raise TypeError(f"fillings {_shown(fillings)} are not all [a, b]")
+    filled = tuple([_int_pair(row, "fillings[{}][{}]", i) for i, row in enumerate(rows)])
+    if len(filled) > inv.boundary_count:
+        raise ValueError(f"{len(filled)} fillings exceed {inv.boundary_count} open boundaries")
+    for k, (a, b) in enumerate(filled, start=1):
+        _check_pair(a, b, "filling", k)
+    pairs, boundary_count = inv.pairs + filled, inv.boundary_count - len(filled)
     return SeifertInvariants._trusted(genus=inv.genus, pairs=pairs, boundary_count=boundary_count)
 
 

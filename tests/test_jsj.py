@@ -10,9 +10,11 @@ from fractions import Fraction
 from importlib import resources
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repvol import jsj, seifert
-from repvol.exact import ExactVolume, NumericVolume
+from repvol.exact import ExactVolume, NumericVolume, _shown
 from repvol.jsj import (
     DirectVolume,
     Edge,
@@ -300,7 +302,7 @@ REFUSAL_ORDER = {
         [
             ({"slots": "tu"}, "TypeError: slots 'tu' is not a list of names"),
             ({"slots": {"t": 1}}, "TypeError: slots {'t': 1} is not a list of names"),
-            ({"slots": 7}, "TypeError: 'int' object is not iterable"),
+            ({"slots": 7}, "TypeError: slots 7 is not a list of names"),
             ({"kind": "torus"}, "ValueError: piece P: unknown kind 'torus'"),
             ({"slots": ["t", "t"]}, "ValueError: piece P: duplicate slot names"),
         ],
@@ -310,19 +312,19 @@ REFUSAL_ORDER = {
         [
             ({"gluing": [[3, -4]]}, "TypeError: gluing [[3, -4]] is not a 2x2 matrix"),
             ({"gluing": "34"}, "TypeError: gluing '34' is not a 2x2 matrix"),
+            ({"gluing": [5, [1, 0]]}, "TypeError: gluing [5, [1, 0]] is not a 2x2 matrix"),
             ({"a": "Pt"}, "TypeError: a 'Pt' is not [piece, slot]"),
+            ({"a": 5}, "TypeError: a 5 is not [piece, slot]"),
             ({"b": ["H"]}, "TypeError: b ['H'] is not [piece, slot]"),
+            ({"b": None}, "TypeError: b None is not [piece, slot]"),
             ({"killed_slope": [2, 1, 7]}, "TypeError: killed_slope [2, 1, 7] is not [a, b]"),
+            ({"killed_slope": 5}, "TypeError: killed_slope 5 is not [a, b]"),
             ({"killed_slope_b": "21"}, "TypeError: killed_slope_b '21' is not [a, b]"),
-            ({"a": 5}, "TypeError: 'int' object is not subscriptable"),
-            ({"b": None}, "TypeError: 'NoneType' object is not subscriptable"),
-            ({"gluing": [5, [1, 0]]}, "TypeError: cannot unpack non-iterable int object"),
             ({"gluing": [[1, None], [0, 1]]}, "TypeError: int() argument must be a string, a bytes-like object or a real number, not 'NoneType'"),
             ({"gluing": [["a", 1], [1, 0]]}, "TypeError: invalid literal for int() with base 10: 'a'"),
             ({"gluing": [[1, 0], [LONG, -1]]}, f"TypeError: gluing[1][0] is too long to read: over {LIMIT} digits"),
             ({"gluing": [[0.5, 1], [1, 0.2]]}, "TypeError: gluing[0][0] 0.5 is not an integer"),
             ({"gluing": [[0, 1], [True, 0]]}, "TypeError: gluing[1][0] True is not an integer"),
-            ({"killed_slope": 5}, "TypeError: cannot unpack non-iterable int object"),
             ({"killed_slope": ["x", 1]}, "TypeError: invalid literal for int() with base 10: 'x'"),
             ({"killed_slope": [2, LONG]}, f"TypeError: killed_slope[1] is too long to read: over {LIMIT} digits"),
             ({"killed_slope": [1.9, 0]}, "TypeError: killed_slope[0] 1.9 is not an integer"),
@@ -336,7 +338,7 @@ REFUSAL_ORDER = {
         [
             ({"pairs": ["21"]}, "TypeError: pairs ['21'] are not all [a, b]"),
             ({"pairs": [[2]]}, "TypeError: pairs [[2]] are not all [a, b]"),
-            ({"pairs": [5]}, "TypeError: cannot unpack non-iterable int object"),
+            ({"pairs": [5]}, "TypeError: pairs [5] are not all [a, b]"),
             ({"pairs": [["x", 1]]}, "TypeError: invalid literal for int() with base 10: 'x'"),
             ({"pairs": [[2, 1], [1, "-" + LONG]]}, f"TypeError: pairs[1][1] is too long to read: over {LIMIT} digits"),
             ({"pairs": [[2.9, 1]]}, "TypeError: pairs[0][0] 2.9 is not an integer"),
@@ -356,8 +358,8 @@ REFUSAL_ORDER = {
         [
             ({"fillings": {"t": "21"}}, "TypeError: fillings {'t': '21'} are not all [slot, [a, b]]"),
             ({"fillings": [["t", [2]]]}, "TypeError: fillings [['t', [2]]] are not all [slot, [a, b]]"),
-            ({"fillings": [5]}, "TypeError: cannot unpack non-iterable int object"),
-            ({"fillings": [["t", 5]]}, "TypeError: cannot unpack non-iterable int object"),
+            ({"fillings": [5]}, "TypeError: fillings [5] are not all [slot, [a, b]]"),
+            ({"fillings": [["t", 5]]}, "TypeError: fillings [['t', 5]] are not all [slot, [a, b]]"),
             ({"fillings": {"t": [2, "x"]}}, "TypeError: invalid literal for int() with base 10: 'x'"),
             ({"fillings": {"t": [LONG, 1]}}, f"TypeError: fillings['t'][0] is too long to read: over {LIMIT} digits"),
             ({"coeff": "a/b"}, "ValueError: Invalid literal for Fraction: 'a/b'"),
@@ -419,6 +421,52 @@ def test_refusal_order_rows_are_each_refused_alone():
             assert f"{type(info.value).__name__}: {info.value}" == message
 
 
+# ---------------------------------------------------------------- the pair rule
+
+_ATOMS = st.one_of(st.integers(), st.floats(), st.none(), st.text(max_size=3))
+_HASHABLE = st.one_of(st.integers(), st.none(), st.text(max_size=3))
+_VALUES = st.recursive(
+    _ATOMS,
+    lambda inner: st.one_of(
+        st.sets(_HASHABLE, max_size=3),
+        st.frozensets(_HASHABLE, max_size=3),
+        st.dictionaries(st.text(max_size=2), inner, max_size=3),
+        st.lists(inner, max_size=3),
+        st.lists(inner, max_size=3).map(tuple),
+    ),
+    max_leaves=6,
+)
+# Per place a pair is read: a build that puts the value there, and the
+# record's shape refusal for it.
+PAIR_READERS = {
+    "killed_slope": (
+        lambda v: Edge(("P", "t"), ("Q", "t"), ((0, 1), (1, 0)), killed_slope=v),
+        lambda v: f"killed_slope {_shown(v)} is not [a, b]",
+    ),
+    "pairs_row": (lambda v: SeifertInvariants(1, [v], 0), lambda v: f"pairs {_shown([v])} are not all [a, b]"),
+    "fillings_row": (lambda v: FilledSeifert("P", [v], 0), lambda v: f"fillings {_shown([v])} are not all [slot, [a, b]]"),
+    "fillings_slope": (
+        lambda v: FilledSeifert("P", [("t", v)], 0),
+        lambda v: f"fillings {_shown([('t', v)])} are not all [slot, [a, b]]",
+    ),
+    "dehn_fill": (lambda v: dehn_fill(1, 1, [v]), lambda v: f"fillings {_shown([v])} are not all [a, b]"),
+}
+
+
+@given(_VALUES)
+def test_only_a_list_or_tuple_of_two_items_is_a_pair(value):
+    # a set, a string, a number or a dict is never unpacked as a pair:
+    # each record refuses it with its own shape text, never Python's
+    if isinstance(value, (list, tuple)) and len(value) == 2:
+        return
+    for place, (build, shape) in PAIR_READERS.items():
+        if place == "killed_slope" and value is None:
+            continue  # an edge that declares no killed slope
+        with pytest.raises(TypeError) as info:
+            build(value)
+        assert str(info.value) == shape(value)
+
+
 # ---------------------------------------------------------------- one validation per spec
 
 
@@ -478,10 +526,11 @@ def _built(build):
     return repr(record), record, hash(record), vars(record)
 
 
-def test_trusted_fill_equals_dehn_fill():
-    # the closed piece additivity_sum builds past the constructor is the
-    # public dehn_fill result: same repr, equality, hash and fields, and the
-    # same refusal for a bad filling
+def test_fill_equals_the_constructor():
+    # the closed piece _fill (and so dehn_fill) builds past the constructor
+    # is the constructor's record for the filled pairs: same repr, equality,
+    # hash and fields; and it refuses exactly when the constructor or the
+    # count of fillings does
     rng = random.Random("trusted-fill")
     refused = 0
     for _ in range(400):
@@ -495,9 +544,16 @@ def test_trusted_fill_equals_dehn_fill():
         if boundary < 0:
             continue
         inv = SeifertInvariants(genus, pairs, boundary)
-        public = _built(lambda: dehn_fill(genus, boundary, fillings, existing_pairs=pairs))
-        assert _built(lambda: seifert._fill(inv, fillings)) == public
-        refused += isinstance(public, str)
+        filled = _built(lambda: seifert._fill(inv, fillings))
+        if len(fillings) > boundary:
+            assert filled == f"ValueError: {len(fillings)} fillings exceed {boundary} open boundaries"
+        else:
+            built = _built(lambda: SeifertInvariants(genus, pairs + tuple(fillings), boundary - len(fillings)))
+            assert isinstance(filled, str) == isinstance(built, str)
+            if not isinstance(built, str):
+                assert filled == built
+        assert _built(lambda: dehn_fill(genus, boundary, fillings, existing_pairs=pairs)) == filled
+        refused += isinstance(filled, str)
     assert refused > 20
 
 

@@ -118,10 +118,10 @@ def test_only_cli_main_prints():
 
 
 def test_no_catch_all_and_one_over_long_writer():
-    # a LookupError or Exception caught in the library would report a
-    # fault of repvol's own as malformed input: only cli.main catches
-    # Exception, and says "internal error"; and one f-string writes the
-    # refusal of an integer too long to read
+    # a LookupError, ArithmeticError or Exception caught in the library
+    # would report a fault of repvol's own as malformed input: only
+    # cli.main catches Exception, and says "internal error"; and one
+    # f-string writes the refusal of an integer too long to read
     caught, writers = [], []
     for path in sorted((SRC / "repvol").glob("*.py")):
         tree = ast.parse(path.read_text("utf-8"), str(path))
@@ -132,13 +132,53 @@ def test_no_catch_all_and_one_over_long_writer():
         for node in ast.walk(tree):
             if isinstance(node, ast.ExceptHandler):
                 names = {getattr(n, "id", None) for n in ast.walk(node.type)} if node.type else {"BaseException"}
-                if "LookupError" in names or (names & {"Exception", "BaseException"} and id(node) not in allowed):
+                if names & {"LookupError", "ArithmeticError"} or (names & {"Exception", "BaseException"} and id(node) not in allowed):
                     caught.append(f"{path.name}:{node.lineno}")
             elif isinstance(node, ast.JoinedStr):
                 if any(isinstance(part, ast.Constant) and "is too long to read" in part.value for part in node.values):
                     writers.append(f"{path.name}:{node.lineno}")
     assert caught == []
     assert len(writers) == 1, writers
+
+
+def test_caller_rationals_are_read_by_one_reader():
+    # Fraction("1e999999999") computes 10**999999999: a value from outside
+    # is read by exact._as_fraction, or a document's by exact._rational,
+    # which both refuse exponent forms
+    found = []
+    for path in sorted((SRC / "repvol").glob("*.py")):
+        tree = ast.parse(path.read_text("utf-8"), str(path))
+        allowed = set()
+        if path.name == "exact.py":
+            for node in tree.body:
+                if getattr(node, "name", None) in ("_as_fraction", "_rational"):
+                    allowed.update(id(inner) for inner in ast.walk(node))
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "Fraction"
+                and len(node.args) == 1
+                and not node.keywords
+                and isinstance(node.args[0], (ast.Name, ast.Attribute))
+                and id(node) not in allowed
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_a_fault_inside_a_record_is_an_internal_error(monkeypatch, capsys):
+    # no reader turns an ArithmeticError into a malformed entry, so a
+    # planted ZeroDivisionError in a constructor exits 3, not 1
+    from repvol import cli, jsj
+
+    def fault(self):
+        raise ZeroDivisionError("planted")
+
+    monkeypatch.setattr(jsj.Edge, "__post_init__", fault)
+    code = cli.main(["graph", "validate", str(SRC / "repvol" / "data" / "prop73_zero_hv.json")])
+    out, err = capsys.readouterr()
+    assert (code, out) == (3, "")
+    assert len(err.splitlines()) == 1 and err.startswith("internal error: ZeroDivisionError:")
 
 
 def test_no_module_asserts_or_raises_assertion_error():

@@ -7,8 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from repvol.ehn import VolumeWitness, witnesses_for
-from repvol.exact import ExactVolume, NumericVolume, PiScalar, render_volume, volume_sum
+from repvol.ehn import VolumeWitness, foliation_exists, spectrum_contains, witnesses_for
+from repvol.exact import ExactVolume, GaussianRational, NumericVolume, PiScalar, render_volume, volume_sum
 from repvol.jsj import (
     Edge,
     FilledSeifert,
@@ -18,6 +18,7 @@ from repvol.jsj import (
     additivity_sum,
     motegi_case,
     motegi_spec,
+    rw_consistency,
     validate_spec,
 )
 from repvol.liecs import (
@@ -30,7 +31,7 @@ from repvol.liecs import (
     is_ad_invariant,
     sl2c_algebra,
 )
-from repvol.seifert import SeifertInvariants, base_cover, circle_bundle, fiber_cover, parse_seifert
+from repvol.seifert import SeifertInvariants, base_cover, circle_bundle, dehn_fill, fiber_cover, parse_seifert
 
 ONE = PiScalar.of(1)
 ZERO = PiScalar.of(0)
@@ -158,6 +159,37 @@ REFUSALS = {
     "numeric_volume_list": (
         lambda: NumericVolume([1]),
         "float() argument must be a string or a real number, not 'list'",
+    ),
+    "numeric_volume_past_float": (
+        lambda: NumericVolume(10**400),
+        "bad numeric 10000000000000000000000000000000… (401 characters)",
+    ),
+    # an integer reader refuses a float infinity as it refuses NaN
+    "genus_infinite": (lambda: SeifertInvariants(float("inf")), "cannot convert float infinity to integer"),
+    # dehn_fill reads its fillings as the constructor reads pairs
+    "dehn_fill_float": (lambda: dehn_fill(1, 1, [(2.5, 1)]), "fillings[0][0] 2.5 is not an integer"),
+    "dehn_fill_not_a_pair": (lambda: dehn_fill(1, 1, [5]), "fillings [5] are not all [a, b]"),
+    "dehn_fill_lowest_terms": (lambda: dehn_fill(1, 1, [(4, 2)]), "filling 1: 2/4 is not in lowest terms"),
+    # a caller's rational with an exponent, which Fraction would expand
+    "exponent_exact_volume": (lambda: ExactVolume("1e999"), "Invalid literal for Fraction: '1e999'"),
+    "exponent_filled_coeff": (
+        lambda: FilledSeifert("P", {"t": (2, 1)}, "1E999"),
+        "Invalid literal for Fraction: '1E999'",
+    ),
+    "exponent_gaussian": (lambda: GaussianRational("1e999"), "Invalid literal for Fraction: '1e999'"),
+    "exponent_pi_scalar": (lambda: PiScalar.of("-1e999"), "Invalid literal for Fraction: '-1e999'"),
+    "exponent_ratio": (
+        lambda: rw_consistency(["a", "b"], [("a", "b", "1e999")]),
+        "Invalid literal for Fraction: '1e999'",
+    ),
+    "exponent_slope": (lambda: foliation_exists(1, ["1/2", "1e999"]), "Invalid literal for Fraction: '1e999'"),
+    "exponent_contains": (
+        lambda: spectrum_contains(parse_seifert("(2; 1)"), "1e999"),
+        "Invalid literal for Fraction: '1e999'",
+    ),
+    "exponent_witnesses": (
+        lambda: witnesses_for(parse_seifert("(2; 1)"), "4e0"),
+        "Invalid literal for Fraction: '4e0'",
     ),
 }
 
