@@ -72,7 +72,7 @@ __all__ = [*_HOMES["ehn"]]
 
 
 def foliation_exists(genus: int, slopes: Iterable[Fraction]) -> bool:
-    """Horizontal-foliation test for a closed fibration over genus >= 1, each slope read by ``exact._as_fraction``."""
+    """Horizontal-foliation test for a closed fibration over genus >= 1: any iterable of slopes, each by ``_as_fraction``."""
     if genus < 1:
         raise ValueError("foliation criterion requires base genus >= 1")
     slopes = tuple(map(_as_fraction, slopes))  # read once, as slopes may be an iterator

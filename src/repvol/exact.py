@@ -37,10 +37,9 @@ sums of ``liecs``.
 
 The three JSON document formats read each kind of value with one
 reader: ``_name`` a name, never coerced; ``_integer`` an integer, never
-cut short (``_int_pair`` two); ``_rational`` a rational.  ``_too_long``
-alone names an integer too long to read, once a reader's ``int()`` fails.
-``_is_pair`` tests a pair before anything unpacks it, and ``_as_fraction``
-reads a library caller's rational.
+cut short (``_int_pair`` two); ``_rational`` a rational, and so every
+string ``_as_fraction`` reads for the library.  ``_too_long`` alone names
+an integer too long to read.  ``_is_pair`` tests a pair, ``_rows`` a list.
 """
 
 from __future__ import annotations
@@ -91,15 +90,11 @@ def _rational(value: object, path: str, problem: str) -> RationalLike:
 
 
 def _as_fraction(value: object) -> Fraction:
-    """``value`` if it is a ``Fraction``, else ``Fraction(value)``: the one
-    reader of a library caller's rational.  A string with an exponent, such
-    as ``'1e999999999'``, is refused with ``Fraction``'s own text, as
-    ``_rational`` refuses it, where ``Fraction`` would compute 10**999999999."""
-    if type(value) is Fraction:
-        return value
-    if isinstance(value, str) and ("e" in value or "E" in value):
-        raise ValueError(f"Invalid literal for Fraction: {value!r}")
-    return Fraction(value)
+    """The one reader of a library caller's rational: a string by ``_rational``,
+    as the CLI reads an option, and any other value by ``Fraction``."""
+    if isinstance(value, str):
+        return _rational(value, "not a rational number", "{}")
+    return value if type(value) is Fraction else Fraction(value)
 
 
 def _shown(value: object) -> str:
@@ -186,6 +181,15 @@ def _require_pair(value: object, name: str, shape: str) -> None:
     """A ``TypeError`` reading ``<name> <value> is not <shape>`` unless ``value`` is a pair."""
     if not _is_pair(value):
         raise TypeError(f"{name} {_shown(value)} is not {shape}")
+
+
+def _rows(value: object, refusal: str, row: Callable | None = None, mapping: bool = False) -> Sequence:
+    """``value``, a list or tuple (a mapping's items, with ``mapping``) whose items all pass ``row``;
+    any other, such as 7, "ab", a set or a generator, is a ``TypeError``: ``refusal`` formatted with it."""
+    rows = tuple(value.items()) if mapping and (type(value) is dict or isinstance(value, Mapping)) else value
+    if not isinstance(rows, (list, tuple)) or row and not all(map(row, rows)):
+        raise TypeError(refusal.format(_shown(value)))
+    return rows
 
 
 # Work that may exceed this many spectrum values, oracle (tuple, n) pairs

@@ -7,10 +7,11 @@ torus, its volume is the sum of the closed pieces' volumes; this module
 checks the bookkeeping of that statement and evaluates the sum.
 
 Each record's constructor, ``NumericVolume``'s among them, checks its
-own fields, such as "a list or tuple of two items" for an endpoint,
-and raises ``TypeError``; names it keeps as given.  The JSON
-loader hands it the values unchanged, so library and CLI refuse the
-same shapes with the same text, and then refuses a non-string name.
+own fields, such as "a list or tuple of two items" for an endpoint, and
+raises ``TypeError``; names it keeps as given.  The JSON loader hands it
+the values unchanged, and walks a whole list only after the record's rule
+has read it, so library and CLI refuse the same shapes with the same text;
+it also refuses a non-string name.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .exact import (
     _printed,
     _rational,
     _require_pair,
+    _rows,
     _set,
     _shown,
     volume_sum,
@@ -51,6 +53,10 @@ __all__ = [*_HOMES["jsj"], "PieceAssignment", "GraphDocument"]
 Slope = tuple[int, int]
 GluingMatrix = tuple[tuple[int, int], tuple[int, int]]
 Endpoint = tuple[str, str]
+
+# The whole-list refusals of Piece.slots and FilledSeifert.fillings; the loader reads by them too.
+_SLOTS = "slots {} is not a list of names"
+_FILLINGS = "fillings {} are not all [slot, [a, b]]"
 
 
 class Piece(_Record):
@@ -64,9 +70,7 @@ class Piece(_Record):
     label: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.slots, (list, tuple)):
-            raise TypeError(f"slots {_shown(self.slots)} is not a list of names")
-        _set(self, "slots", slots := tuple(self.slots))
+        _set(self, "slots", slots := tuple(_rows(self.slots, _SLOTS)))
         if self.kind not in ("seifert", "hyperbolic"):
             raise ValueError(f"piece {self.id}: unknown kind {_shown(self.kind)}")
         if len(set(slots)) != len(slots):
@@ -199,10 +203,7 @@ class FilledSeifert(_Record):
     coeff: Fraction
 
     def __post_init__(self) -> None:
-        fillings = self.fillings
-        rows = list(fillings.items() if type(fillings) is dict or isinstance(fillings, Mapping) else fillings)
-        if not all(_is_pair(row) and _is_pair(row[1]) for row in rows):
-            raise TypeError(f"fillings {_shown(fillings)} are not all [slot, [a, b]]")
+        rows = _rows(self.fillings, _FILLINGS, lambda row: _is_pair(row) and _is_pair(row[1]), True)
         filled = [(slot, _int_pair(slope, "fillings[{!r}][{}]", slot)) for slot, slope in rows]
         _set(self, "fillings", tuple(sorted(filled, key=lambda row: (_by_type(row[0]), row[1]))))
         _set(self, "coeff", _as_fraction(self.coeff))
@@ -505,12 +506,10 @@ class GraphDocument(_Record):
 
 def _piece_from_json(entry: Mapping, path: str) -> Piece:
     kind = _name(_field(entry, "kind", path), "{}.kind", path)
-    slots = _field(entry, "slots", path)
-    seifert = None
-    if kind == "seifert":
-        seifert = SeifertInvariants(_field(entry, "genus", path), entry.get("pairs", ()), len(slots))
+    slots = _rows(_field(entry, "slots", path), _SLOTS)
+    seifert = SeifertInvariants(_field(entry, "genus", path), entry.get("pairs", ()), len(slots)) if kind == "seifert" else None
     piece_id = _name(_field(entry, "id", path), "{}.id", path)
-    for j, slot in enumerate(slots if isinstance(slots, (list, tuple)) else ()):
+    for j, slot in enumerate(slots):
         if type(slot) is not str:
             _name(slot, "{}.slots[{}]", path, j)
     return Piece(piece_id, kind, slots, seifert, entry.get("label"))
@@ -544,7 +543,7 @@ def _assignment_from_json(entry: Mapping, path: str) -> PieceAssignment:
     if kind == "filled":
         fillings = _field(entry, "fillings", path)
         coeff = _rational(_field(entry, "coeff", path), path, "malformed entry (bad coeff {})")
-        for j, row in enumerate(fillings if isinstance(fillings, (list, tuple)) else ()):
+        for j, row in enumerate(_rows(fillings, _FILLINGS, mapping=True)):
             if _is_pair(row) and type(row[0]) is not str:
                 _name(row[0], "{}.fillings[{}][0]", path, j)
         return FilledSeifert(piece_id, fillings, coeff)
@@ -555,9 +554,9 @@ def _case_from_json(spec: GraphManifoldSpec, case: Mapping, path: str):
     name = _name(_field(case, "name", path), "{}.name", path)
     slopes = case.get("killed_slopes")
     if slopes is not None:
+        slopes = [slope or None for slope in _rows(slopes, "killed_slopes {} is not a list of slopes")]
         if len(slopes) != len(spec.edges):
             raise ValueError(f"case {name}: {len(slopes)} killed slopes for {len(spec.edges)} edges")
-        slopes = [slope or None for slope in slopes]
         for i, slope in enumerate(slopes):
             if slope is not None:
                 _require_pair(slope, f"killed_slopes[{i}]", "[a, b]")

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import _HOMES
-from .exact import _Record, _fraction, _int_pair, _integer, _is_pair, _positive, _set, _shown, _too_long
+from .exact import _Record, _fraction, _int_pair, _integer, _is_pair, _positive, _rows, _set, _shown, _too_long
 
 __all__ = [*_HOMES["seifert"]]
 
@@ -53,9 +53,7 @@ class SeifertInvariants(_Record):
     _table: tuple | None = None
 
     def __post_init__(self) -> None:
-        rows = list(self.pairs)
-        if not all(map(_is_pair, rows)):
-            raise TypeError(f"pairs {_shown(self.pairs)} are not all [a, b]")
+        rows = _rows(self.pairs, "pairs {} are not all [a, b]", _is_pair)
         _set(self, "pairs", pairs := tuple([_int_pair(row, "pairs[{}][{}]", i) for i, row in enumerate(rows)]))
         _set(self, "genus", genus := _integer(self.genus, "genus"))
         if genus < 0:
@@ -147,9 +145,7 @@ def _fill(inv: SeifertInvariants, fillings: Sequence[tuple[int, int]]) -> Seifer
     """``inv`` with each filling, a pair of integers (a, b) with a > 0 in
     lowest terms, added to its pairs and closing one open boundary: the one
     reader of fillings.  ``inv`` is checked, so the result skips the constructor."""
-    rows = list(fillings)
-    if not all(map(_is_pair, rows)):
-        raise TypeError(f"fillings {_shown(fillings)} are not all [a, b]")
+    rows = _rows(fillings, "fillings {} are not all [a, b]", _is_pair)
     filled = tuple([_int_pair(row, "fillings[{}][{}]", i) for i, row in enumerate(rows)])
     if len(filled) > inv.boundary_count:
         raise ValueError(f"{len(filled)} fillings exceed {inv.boundary_count} open boundaries")

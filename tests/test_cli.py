@@ -703,6 +703,60 @@ def test_graph_json_object_is_not_a_pair_or_a_list_of_names(capsys, tmp_path, ac
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
+# Every list-valued field of the three document formats: the command that
+# reads it, a valid document, and the field's keys.  null declares no slope,
+# so it is a valid killed slope and list of them.
+LIST_FIELDS = [
+    *[
+        (("graph", "validate"), _graph_doc, keys)
+        for keys in (
+            ("pieces",),
+            ("edges",),
+            ("cases",),
+            ("pieces", 0, "slots"),
+            ("pieces", 0, "pairs"),
+            ("pieces", 1, "slots"),
+            ("edges", 0, "a"),
+            ("edges", 0, "b"),
+            ("edges", 0, "gluing"),
+            ("edges", 0, "killed_slope"),
+            ("edges", 0, "killed_slope_b"),
+            ("cases", 0, "killed_slopes"),
+            ("cases", 0, "assignments"),
+            ("cases", 0, "assignments", 0, "fillings"),
+        )
+    ],
+    (("graph", "validate"), lambda: _top_level_assignments(_graph_doc()), ("assignments",)),
+    *[
+        (("cs", "jacobi"), lambda: {"basis": ["X", "Y"], "brackets": [["X", "Y", {"Y": 1}]]}, keys)
+        for keys in (("basis",), ("brackets",), ("brackets", 0))
+    ],
+    *[(("graph", "rw"), lambda: _ratio_doc(("a", "b", "2")), keys) for keys in (("vertices",), ("edges",), ("edges", 0))],
+]
+
+
+NOT_LISTS = {"int": 5, "string": "ab", "object": {"a": 1}, "null": None, "true": True}
+
+
+@pytest.mark.parametrize(
+    "argv, doc, keys, value",
+    [
+        pytest.param(argv, doc, keys, value, id=f"{' '.join(map(str, keys))}-{name}")
+        for argv, doc, keys in LIST_FIELDS
+        for name, value in NOT_LISTS.items()
+        if value is not None or keys[-1] not in ("killed_slope", "killed_slope_b", "killed_slopes")
+    ],
+)
+def test_a_list_field_that_is_no_list_gets_its_readers_text(capsys, tmp_path, argv, doc, keys, value):
+    bad = tmp_path / "doc.json"
+    bad.write_text(json.dumps(_set(value, *keys)(doc())))
+    code, out, err = run(capsys, *argv, str(bad))
+    assert (code, out, err.count("\n")) == (1, "", 1), err
+    assert err.startswith("error: ")
+    for text in ("object of type", "is not iterable", "has no len()"):
+        assert text not in err
+
+
 @pytest.mark.parametrize("argv", [("validate",), ("additivity",), ("additivity", "--json")], ids=" ".join)
 def test_graph_repeated_case_name_is_refused(capsys, tmp_path, argv):
     # each case names one total: --json kept only the last, and validate said ok

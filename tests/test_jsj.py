@@ -336,6 +336,8 @@ REFUSAL_ORDER = {
     "SeifertInvariants": (
         {"genus": 1, "pairs": [[2, 1]], "boundary_count": 1},
         [
+            ({"pairs": 5}, "TypeError: pairs 5 are not all [a, b]"),
+            ({"pairs": None}, "TypeError: pairs None are not all [a, b]"),
             ({"pairs": ["21"]}, "TypeError: pairs ['21'] are not all [a, b]"),
             ({"pairs": [[2]]}, "TypeError: pairs [[2]] are not all [a, b]"),
             ({"pairs": [5]}, "TypeError: pairs [5] are not all [a, b]"),
@@ -356,13 +358,14 @@ REFUSAL_ORDER = {
     "FilledSeifert": (
         {"piece_id": "P", "fillings": {"t": [2, 1]}, "coeff": Fraction(1, 4)},
         [
+            ({"fillings": 5}, "TypeError: fillings 5 are not all [slot, [a, b]]"),
             ({"fillings": {"t": "21"}}, "TypeError: fillings {'t': '21'} are not all [slot, [a, b]]"),
             ({"fillings": [["t", [2]]]}, "TypeError: fillings [['t', [2]]] are not all [slot, [a, b]]"),
             ({"fillings": [5]}, "TypeError: fillings [5] are not all [slot, [a, b]]"),
             ({"fillings": [["t", 5]]}, "TypeError: fillings [['t', 5]] are not all [slot, [a, b]]"),
             ({"fillings": {"t": [2, "x"]}}, "TypeError: invalid literal for int() with base 10: 'x'"),
             ({"fillings": {"t": [LONG, 1]}}, f"TypeError: fillings['t'][0] is too long to read: over {LIMIT} digits"),
-            ({"coeff": "a/b"}, "ValueError: Invalid literal for Fraction: 'a/b'"),
+            ({"coeff": "a/b"}, "ValueError: not a rational number: 'a/b'"),
         ],
     ),
     # DirectVolume checks nothing itself; the loader reads its entry
@@ -463,6 +466,51 @@ def test_only_a_list_or_tuple_of_two_items_is_a_pair(value):
         if place == "killed_slope" and value is None:
             continue  # an edge that declares no killed slope
         with pytest.raises(TypeError) as info:
+            build(value)
+        assert str(info.value) == shape(value)
+
+
+# ---------------------------------------------------------------- the whole-list rule
+
+# Per place a whole list is read: a build that puts the value there, and
+# its refusal in the record's (or, for a case, the loader's) own text.
+LIST_READERS = {
+    "slots": (lambda v: Piece("P", "hyperbolic", v, label="h"), lambda v: f"slots {_shown(v)} is not a list of names"),
+    "pairs": (lambda v: SeifertInvariants(1, v), lambda v: f"pairs {_shown(v)} are not all [a, b]"),
+    "fillings": (lambda v: FilledSeifert("P", v, 0), lambda v: f"fillings {_shown(v)} are not all [slot, [a, b]]"),
+    "dehn_fill": (lambda v: dehn_fill(1, 1, v), lambda v: f"fillings {_shown(v)} are not all [a, b]"),
+    "killed_slopes": (
+        lambda v: load_graph_document({"pieces": [], "cases": [{"name": "c", "killed_slopes": v}]}),
+        lambda v: f"cases[0]: malformed entry (killed_slopes {_shown(v)} is not a list of slopes)",
+    ),
+}
+
+
+@given(_VALUES)
+def test_only_a_list_or_tuple_is_a_whole_list(value):
+    # a number, None, a string, a set or a dict is never counted or walked
+    # as a list: each place refuses it with its own text, never Python's;
+    # only FilledSeifert reads a mapping, as slot -> slope
+    if isinstance(value, (list, tuple)):
+        return
+    for place, (build, shape) in LIST_READERS.items():
+        if (place == "killed_slopes" and value is None) or (place == "fillings" and isinstance(value, dict)):
+            continue  # a case that kills no slopes; fillings given by slot
+        with pytest.raises((TypeError, ValueError)) as info:
+            build(value)
+        assert str(info.value) == shape(value)
+
+
+@pytest.mark.parametrize("place", LIST_READERS)
+def test_a_generator_a_set_or_a_mapping_is_not_a_whole_list(place):
+    # Python would walk each of these as a list; only FilledSeifert reads a
+    # mapping, as slot -> slope
+    build, shape = LIST_READERS[place]
+    values = [iter([(2, 1)]), (row for row in [("t", (2, 1))]), {(2, 1)}]
+    if place != "fillings":
+        values.append({"t": [2, 1]})
+    for value in values:
+        with pytest.raises((TypeError, ValueError)) as info:
             build(value)
         assert str(info.value) == shape(value)
 
@@ -916,7 +964,10 @@ def _fraction_forest(vertices, edges):
     adjacency = {v: [] for v in vertices}
     checked = []
     for u, v, ratio in edges:
-        ratio = Fraction(ratio)
+        try:
+            ratio = Fraction(ratio)
+        except ValueError:  # a string that is no rational, in the library's text
+            raise ValueError(f"not a rational number: {ratio!r}") from None
         if u not in adjacency or v not in adjacency:
             raise ValueError(f"edge ({u!r}, {v!r}) uses unknown vertices")
         if ratio <= 0:
@@ -1180,7 +1231,7 @@ def test_rw_matches_fraction_forest_on_the_working_set_graph():
         (*_planted_ratio_graph(2000), None),
         (["u", "v", "w"], [("u", "v", 2), ("v", "x", 3)], "edge ('v', 'x') uses unknown vertices"),
         (["u", "v", "w"], [("u", "v", 2), ("v", "w", -3)], "edge ratio must be positive, got -3"),
-        (["u", "v", "w"], [("u", "v", 2), ("v", "w", "x/2")], "Invalid literal for Fraction: 'x/2'"),
+        (["u", "v", "w"], [("u", "v", 2), ("v", "w", "x/2")], "not a rational number: 'x/2'"),
     ],
     ids=["planted", "unknown_vertex", "nonpositive_ratio", "unreadable_ratio"],
 )

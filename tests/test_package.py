@@ -166,6 +166,42 @@ def test_caller_rationals_are_read_by_one_reader():
     assert found == []
 
 
+def _owners(tree):
+    """The name of the top-level function or class around each node, by id."""
+    return {id(inner): node.name for node in tree.body if hasattr(node, "name") for inner in ast.walk(node)}
+
+
+def test_one_exponent_test_and_one_whole_list_writer():
+    # every string rational passes the one exponent test, in
+    # exact._rational; and exact._rows alone writes the refusal of a whole
+    # list value that is no list, its callers passing the refusal's text,
+    # so no loader guards, counts or walks a value before it
+    exponent, texts, written, guards = [], [], [], []
+    for path in sorted((SRC / "repvol").glob("*.py")):
+        tree = ast.parse(path.read_text("utf-8"), str(path))
+        owners = _owners(tree)
+        # the refusals handed to _rows, directly or through a module constant
+        calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_rows"]
+        passed = {id(arg) for call in calls for arg in call.args[1:2]}
+        names = {arg.id for call in calls for arg in call.args[1:2] if isinstance(arg, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) in names:
+                passed.add(id(node.value))
+        for node in ast.walk(tree):
+            where = f"{path.name}:{owners.get(id(node))}"
+            if isinstance(node, ast.Compare) and isinstance(node.left, ast.Constant) and node.left.value in ("e", "E"):
+                exponent.append(where)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if "are not all [" in node.value or "is not a list of " in node.value:
+                    (texts if id(node) in passed else written).append(f"{where}: {node.value}")
+            elif isinstance(node, ast.IfExp) and getattr(node.test, "func", None) is not None:
+                if getattr(node.test.func, "id", None) == "isinstance" and ast.unparse(node.test.args[1]) == "(list, tuple)":
+                    guards.append(where)
+    assert exponent == ["exact.py:_rational"]
+    assert written == [] and guards == []
+    assert len(texts) == 5, texts  # slots, pairs, both fillings, killed_slopes
+
+
 def test_a_fault_inside_a_record_is_an_internal_error(monkeypatch, capsys):
     # no reader turns an ArithmeticError into a malformed entry, so a
     # planted ZeroDivisionError in a constructor exits 3, not 1

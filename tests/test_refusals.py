@@ -3,12 +3,14 @@ reaches: one row per refusal, each built from a valid call with one
 fault."""
 
 import dataclasses
+import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from repvol.ehn import VolumeWitness, foliation_exists, spectrum_contains, witnesses_for
-from repvol.exact import ExactVolume, GaussianRational, NumericVolume, PiScalar, render_volume, volume_sum
+from repvol.exact import ExactVolume, GaussianRational, NumericVolume, PiScalar, _shown, render_volume, volume_sum
 from repvol.jsj import (
     Edge,
     FilledSeifert,
@@ -16,6 +18,7 @@ from repvol.jsj import (
     Piece,
     SmallImage,
     additivity_sum,
+    load_graph_document,
     motegi_case,
     motegi_spec,
     rw_consistency,
@@ -170,26 +173,31 @@ REFUSALS = {
     "dehn_fill_float": (lambda: dehn_fill(1, 1, [(2.5, 1)]), "fillings[0][0] 2.5 is not an integer"),
     "dehn_fill_not_a_pair": (lambda: dehn_fill(1, 1, [5]), "fillings [5] are not all [a, b]"),
     "dehn_fill_lowest_terms": (lambda: dehn_fill(1, 1, [(4, 2)]), "filling 1: 2/4 is not in lowest terms"),
-    # a caller's rational with an exponent, which Fraction would expand
-    "exponent_exact_volume": (lambda: ExactVolume("1e999"), "Invalid literal for Fraction: '1e999'"),
+    # a whole list value that is no list, read by the one whole-list rule
+    "pairs_not_a_list": (lambda: SeifertInvariants(1, 5), "pairs 5 are not all [a, b]"),
+    "dehn_fill_not_a_list": (lambda: dehn_fill(1, 1, 5), "fillings 5 are not all [a, b]"),
+    "fillings_not_a_list": (lambda: FilledSeifert("P", 5, 1), "fillings 5 are not all [slot, [a, b]]"),
+    # a caller's rational with an exponent, which Fraction would expand, is
+    # refused as the CLI's options refuse it
+    "exponent_exact_volume": (lambda: ExactVolume("1e999"), "not a rational number: '1e999'"),
     "exponent_filled_coeff": (
         lambda: FilledSeifert("P", {"t": (2, 1)}, "1E999"),
-        "Invalid literal for Fraction: '1E999'",
+        "not a rational number: '1E999'",
     ),
-    "exponent_gaussian": (lambda: GaussianRational("1e999"), "Invalid literal for Fraction: '1e999'"),
-    "exponent_pi_scalar": (lambda: PiScalar.of("-1e999"), "Invalid literal for Fraction: '-1e999'"),
+    "exponent_gaussian": (lambda: GaussianRational("1e999"), "not a rational number: '1e999'"),
+    "exponent_pi_scalar": (lambda: PiScalar.of("-1e999"), "not a rational number: '-1e999'"),
     "exponent_ratio": (
         lambda: rw_consistency(["a", "b"], [("a", "b", "1e999")]),
-        "Invalid literal for Fraction: '1e999'",
+        "not a rational number: '1e999'",
     ),
-    "exponent_slope": (lambda: foliation_exists(1, ["1/2", "1e999"]), "Invalid literal for Fraction: '1e999'"),
+    "exponent_slope": (lambda: foliation_exists(1, ["1/2", "1e999"]), "not a rational number: '1e999'"),
     "exponent_contains": (
         lambda: spectrum_contains(parse_seifert("(2; 1)"), "1e999"),
-        "Invalid literal for Fraction: '1e999'",
+        "not a rational number: '1e999'",
     ),
     "exponent_witnesses": (
         lambda: witnesses_for(parse_seifert("(2; 1)"), "4e0"),
-        "Invalid literal for Fraction: '4e0'",
+        "not a rational number: '4e0'",
     ),
 }
 
@@ -216,3 +224,77 @@ def test_numeric_volume_stores_a_float():
     assert NumericVolume(3).value == 3.0
     assert type(NumericVolume(3).value) is float
     assert NumericVolume(-2).value == -2.0  # kept, as graph documents keep it
+
+
+# ---------------------------------------------------------------- one string path for rationals
+
+SPECTRUM = parse_seifert("(1; 1/2, 1/2)")
+# Each library reader of a caller's rational, as the value it read.
+STRING_READERS = {
+    "ExactVolume": lambda s: ExactVolume(s).coeff,
+    "GaussianRational": lambda s: GaussianRational(s).re,
+    "PiScalar.of": lambda s: PiScalar.of(s).coeff.re,
+    "FilledSeifert": lambda s: FilledSeifert("P", {}, s).coeff,
+    # a - b - a closes with product s, which is 1 exactly when consistent
+    "rw_consistency": lambda s: rw_consistency(["a", "b"], [("a", "b", s), ("b", "a", 1)]).product or 1,
+    "foliation_exists": lambda s: foliation_exists(1, [s, -1]),
+    "spectrum_contains": lambda s: spectrum_contains(SPECTRUM, s),
+    "witnesses_for": lambda s: witnesses_for(SPECTRUM, s),
+}
+
+
+def _outcome(read, value):
+    """What ``read`` gives for ``value``, or the text of its refusal."""
+    try:
+        return read(value)
+    except ValueError as exc:  # such as a value outside the spectrum, named as read
+        return str(exc)
+
+
+def _document_coeff(s):
+    doc = {"pieces": [], "assignments": [{"piece": "P", "assign": "filled", "fillings": [], "coeff": s}]}
+    return load_graph_document(doc).cases[0][2][0].coeff
+
+
+def _strings():
+    """Seeded strings, each with the rational it spells (or ``None``) and
+    the text its refusal ends with."""
+    rng = random.Random(41)
+    rows = []
+    for k in range(12):
+        n, q = rng.randint(1, 10**6), rng.randint(1, 999)
+        rows += [
+            (f"integer-{k}", str(n), Fraction(n)),
+            (f"decimal-{k}", f"{n}.{q:03d}", Fraction(n * 1000 + q, 1000)),
+            (f"ratio-{k}", f"{n}/{q}", Fraction(n, q)),
+            (f"junk-{k}", "".join(rng.choices("xyzq!?/ .", k=rng.randint(1, 9))), None),
+        ]
+    rows += [("member", "1/4", Fraction(1, 4)), ("member-decimal", "1.00", Fraction(1))]
+    rows += [("exponent", "1e999", None), ("exponent-one", "4e0", None), ("zero-denominator", "1/0", None)]
+    rows += [("x-100000", "x" * 100_000, None), ("junk-100000", "".join(rng.choices("xyzq!?", k=100_000)), None)]
+    digits = str(rng.randint(1, 9)) + "".join(rng.choices("0123456789", k=4999))
+    too_long = f"the value is too long to read: over {sys.get_int_max_str_digits()} digits"
+    return [pytest.param(text, value, _shown(text), id=name) for name, text, value in rows] + [
+        pytest.param(digits, None, too_long, id="digits-5000")
+    ]
+
+
+@pytest.mark.parametrize("text, value, tail", _strings())
+def test_one_string_path_for_every_rational_reader(text, value, tail):
+    # accepted text reads as its rational everywhere; refused text gets one
+    # text in every library reader, and a document's coeff the same after
+    # its path, shortened
+    if value is not None:
+        for name, read in STRING_READERS.items():
+            assert _outcome(read, text) == _outcome(read, value), name
+        assert _document_coeff(text) == value
+        return
+    refusals = {}
+    for name, read in {**STRING_READERS, "document coeff": _document_coeff}.items():
+        with pytest.raises(ValueError) as info:
+            read(text)
+        refusals[name] = str(info.value)
+        assert len(refusals[name]) < 200, name
+    document = refusals.pop("document coeff")
+    assert set(refusals.values()) == {f"not a rational number: {tail}"}
+    assert document in (f"assignments[0]: malformed entry (bad coeff {tail})", f"assignments[0]: {tail}")
