@@ -21,31 +21,32 @@ nonzero residues reaching it; that is exact, since only the upper end of
 the m range depends on the count and grows with it.
 
 Each space has one fibre table (``_fibres``), kept in its
-``SeifertInvariants._table`` from the first call on: an O(p) header
-(e, lcm, scale, denom and the steps lcm/a_i), and the layers, folded
-once (``_fold``) by the first call that needs them.  ``volume_set``,
-``spectrum_contains`` and ``witnesses_for`` read the layers;
-``seifert_volume_max``, ``spectrum_size_bound`` and the ``VolumeWitness``
-constructor read only the header and never fold.  A space refused for
-its geometry writes no table.  The table lives on the record, never in
-a map keyed by it: two equal records may list their fibres in different
-orders, and the layers and witnesses follow each record's own order.
-``volume_set`` groups the last layer's sums by count and shifts each
-group by every m it admits.  One lookup per m in that layer decides
-whether a coefficient is in the spectrum (``spectrum_contains``).
-``witnesses_for`` walks back through the layers on an explicit stack
-and only steps to residue sums that can
-still reach the count they need, so its cost follows the output; each
-witness is derived in integers over the common denominator lcm * |E_num|
-and checked by integer tests.  Every witness under one root t shares
-zeta, and z_i depends only on t and (i, n_i), so ``witnesses_for``
-builds zeta once per root and each z_i once per root and (i, n_i) met
-(``_fields``, the rule the constructor checks by).  Values and fields
-come from ``exact._fraction``, one ``gcd`` per value.  Each budget is
-checked by the function that would spend the work, before it starts,
-and refused by ``exact._check_budget``: the spectrum bound in
-``_fold``, on every call, the oracle window in
-``volume_set_bruteforce``, and the witness count in ``witnesses_for``.
+``SeifertInvariants._table`` from the first call on: an O(p) header (e,
+lcm, scale, denom and the steps lcm/a_i), and the layers, folded once
+(``_fold``) by the first call that needs them; ``seifert_volume_max``,
+``spectrum_size_bound`` and the ``VolumeWitness`` constructor never
+fold.  A space refused for its geometry writes no table.  The table
+lives on the record, never in a map keyed by it: two equal records may
+list their fibres in different orders, and the layers and witnesses
+follow each record's own order.  ``volume_set`` groups the last layer's
+sums by count and shifts each group by every m it admits.
+``spectrum_contains`` and ``witnesses_for`` read a coefficient and its
+roots t from the header before any fold, by one reader (``_offsets``),
+so only a root folds; each m is then one lookup in the last layer.
+``witnesses_for`` walks back through the layers on an explicit stack and
+only steps to residue sums that can still reach the count they need, so
+its cost follows the output; its budget counts the leaves of that tree
+over the same layers (``_tree_size``).  Each witness is derived in
+integers over the common denominator lcm * |E_num| and checked by
+integer tests.  Every witness under one root t shares zeta, and z_i
+depends only on t and (i, n_i), so ``witnesses_for`` builds zeta once
+per root and each z_i once per root and (i, n_i) met (``_fields``, the
+rule the constructor checks by).  Values and fields come from
+``exact._fraction``, one ``gcd`` per value.  Each budget is refused by
+``exact._check_budget`` in the function that would spend the work,
+before it starts: the spectrum bound in ``volume_set`` and ``_offsets``,
+on every call, the oracle window in ``volume_set_bruteforce``, and the
+witness count in ``witnesses_for``.
 
 The maximum needs no enumeration: the largest |t| is |chi| * lcm,
 attained by the residues a_i - 1 with m = 2 - 2g, so
@@ -103,15 +104,12 @@ def _fibres(inv: SeifertInvariants) -> tuple[Fraction, int, int, int, list[int],
     return table
 
 
-def _fold(
-    inv: SeifertInvariants, limit: int = MAX_VALUES
-) -> tuple[Fraction, int, int, int, list[int], tuple[dict[int, int], ...]]:
+def _fold(inv: SeifertInvariants) -> tuple[Fraction, int, int, int, list[int], tuple[dict[int, int], ...]]:
     """The fibre table of ``inv`` with its sumset layers: layers[k] maps each
     residue sum of the first k fibres to the most nonzero residues reaching
-    it.  Folded by the first call, which writes them into the table; every
-    call first refuses a space whose ``spectrum_size_bound`` is over ``limit``."""
+    it.  Folded by the first call, which writes them into the table; each
+    caller has refused a space whose ``spectrum_size_bound`` is over its limit."""
     table = _fibres(inv)
-    _check_budget(spectrum_size_bound(inv), limit)
     if table[5] is None:
         lcm, steps = table[1], table[4]
         layers = itertools.accumulate((range(step, lcm, step) for step in steps), _add_fibre, initial={0: 0})
@@ -151,7 +149,8 @@ def _add_fibre(layer: dict[int, int], offsets: range) -> dict[int, int]:
 
 def volume_set(inv: SeifertInvariants, *, limit: int = MAX_VALUES) -> list[Fraction]:
     """All volume coefficients (units of 4*pi^2), ascending and exact, or refused over ``limit``."""
-    _, lcm, scale, denom, _, layers = _fold(inv, limit)
+    _check_budget(spectrum_size_bound(inv), limit)
+    _, lcm, scale, denom, _, layers = _fold(inv)
     groups: dict[int, list[int]] = {}
     for s, count in layers[-1].items():
         groups.setdefault(count, []).append(s)
@@ -169,7 +168,7 @@ def spectrum_size_bound(inv: SeifertInvariants) -> int:
 
     The sumset holds at most min(prod(a_i), sum((a_i - 1) * lcm/a_i) + 1)
     residue sums, and each gives at most 4g - 3 + p offsets m.  Not in
-    ``__all__``; ``_fold`` refuses a space whose bound is over its limit.
+    ``__all__``; ``volume_set`` and ``_offsets`` refuse a space over its limit.
     """
     lcm = _fibres(inv)[1]
     moduli = [a for a, _ in inv.pairs]
@@ -177,32 +176,32 @@ def spectrum_size_bound(inv: SeifertInvariants) -> int:
     return sums * (4 * inv.genus - 3 + len(moduli))
 
 
-def _offsets(
-    inv: SeifertInvariants, coeff: Fraction, lcm: int, scale: int, denom: int, sums: dict[int, int]
-) -> list[tuple[int, int]]:
-    """The pairs (t, m) attaining ``coeff``: t^2 * scale / denom == coeff and
-    s = t + m * lcm is in ``sums`` with at least m - (2g - 2) nonzero residues."""
+def _offsets(inv: SeifertInvariants, coeff: Fraction, limit: int) -> tuple[Fraction, list[tuple[int, int]]]:
+    """``coeff`` by ``_as_fraction``, after the geometry and the budget, and its
+    pairs (t, m): the roots t of t^2 * scale / denom == coeff, from the header,
+    then s = t + m * lcm in the last layer with >= m - (2g - 2) nonzero residues."""
+    _check_budget(spectrum_size_bound(inv), limit)
+    _, lcm, scale, denom, _, _ = _fibres(inv)
+    coeff = _as_fraction(coeff)
     t_sq, rest = divmod(coeff.numerator * denom, coeff.denominator * scale)
     t_abs = math.isqrt(max(t_sq, 0))
-    roots = {t_abs, -t_abs} if rest == 0 and t_sq == t_abs * t_abs else set()
-    lo, hi = 2 - 2 * inv.genus, 2 * inv.genus - 2
-    return [
+    if rest or t_sq != t_abs * t_abs:
+        return coeff, []
+    sums, lo, hi = _fold(inv)[5][-1], 2 - 2 * inv.genus, 2 * inv.genus - 2
+    return coeff, [
         (t, m)
-        for t, m in itertools.product(roots, range(lo, hi + len(inv.pairs) + 1))
+        for t, m in itertools.product({t_abs, -t_abs}, range(lo, hi + len(inv.pairs) + 1))
         if sums.get(t + m * lcm, m - hi - 1) >= m - hi
     ]
 
 
 def spectrum_contains(inv: SeifertInvariants, coeff: Fraction) -> bool:
-    """Whether ``coeff`` is in ``volume_set(inv)``, without building it.
-
-    It is the t^2 lattice test plus one sumset lookup per offset m, refused
-    over ``MAX_VALUES`` as ``volume_set`` is.  Not in ``__all__``;
-    ``jsj.additivity_sum`` checks assignments with it.
-    """
-    _, lcm, scale, denom, _, layers = _fold(inv)
-    coeff = _as_fraction(coeff)
-    return bool(_offsets(inv, coeff, lcm, scale, denom, layers[-1]))
+    """Whether ``coeff`` is in ``volume_set(inv)``, without building it:
+    the coefficient and its t^2 lattice roots are read from the header
+    before any fold, then one sumset lookup per offset m; refused over
+    ``MAX_VALUES`` as ``volume_set`` is.  Not in ``__all__``;
+    ``jsj.additivity_sum`` checks assignments with it."""
+    return bool(_offsets(inv, coeff, MAX_VALUES)[1])
 
 
 def volume_set_bruteforce(inv: SeifertInvariants, *, limit: int = MAX_VALUES) -> list[Fraction]:
@@ -344,38 +343,39 @@ class VolumeWitness(_Record):
             raise ValueError("witness coefficient does not match its data")
 
 
-def _witness_count(steps: list[int], lcm: int, hi: int, offsets: list[tuple[int, int]]) -> int:
-    """``len(witnesses_for)`` without listing: the residue tuples folded,
-    fibre by fibre, into residue sum -> {nonzero count: tuples}, summed
-    over the offsets (t, m) on the counts of at least m - hi."""
-    tuples: dict[int, dict[int, int]] = {0: {0: 1}}
-    for step in steps:
-        out = {s: dict(row) for s, row in tuples.items()}  # residue 0
-        for s, row in tuples.items():
-            for d in range(step, lcm, step):
-                target = out.setdefault(s + d, {})
-                for count, n in row.items():
-                    target[count + 1] = target.get(count + 1, 0) + n
-        tuples = out
-    return sum(n for t, m in offsets for count, n in tuples[t + m * lcm].items() if count >= m - hi)
+def _tree_size(layers: tuple[dict[int, int], ...], choices: list, starts: Iterable[tuple[int, int]]) -> int:
+    """The leaves of ``witnesses_for``'s walk from the (sum, need) ``starts``,
+    counted down the layers with one (sum, need) -> multiplicity map per
+    fibre, each state extended by the walk's own rule."""
+    states = dict.fromkeys(starts, 1)
+    for below, fibre in zip(layers[-2::-1], choices[::-1]):
+        out: dict[tuple[int, int], int] = {}
+        for (s, need), n in states.items():
+            if below.get(s, need - 1) >= need:
+                out[s, need] = out.get((s, need), 0) + n
+            need -= 1
+            for _, d in fibre:
+                if below.get(s - d, need - 1) >= need:
+                    out[s - d, need] = out.get((s - d, need), 0) + n
+        states = out
+    return sum(states.values())
 
 
 def witnesses_for(inv: SeifertInvariants, coeff: Fraction, *, limit: int = MAX_VALUES) -> list[VolumeWitness]:
-    """All canonical tuples attaining ``coeff``, as full witnesses; refused
-    over ``limit`` as ``volume_set`` is, and when there are more than
-    ``limit`` witnesses, before any is built."""
-    e, lcm, scale, denom, steps, layers = _fold(inv, limit)
-    coeff = _as_fraction(coeff)
-    offsets = _offsets(inv, coeff, lcm, scale, denom, layers[-1])
+    """All canonical tuples attaining ``coeff``, as full witnesses, its
+    roots read from the header before any fold; refused over ``limit`` as
+    ``volume_set`` is, and when the walk's own tree over the same layers
+    (``_tree_size``) has more than ``limit`` leaves, before any is built."""
+    coeff, offsets = _offsets(inv, coeff, limit)
     if not offsets:
         raise ValueError(f"coefficient {_printed(coeff, 'coefficient')} is not in the volume spectrum")
-    lo, hi = 2 - 2 * inv.genus, 2 * inv.genus - 2
-    # each residue tuple meets each root +-t at one m, so 2 * prod(a_i) bounds the list
-    if 2 * math.prod(a for a, _ in inv.pairs) > limit:
-        _check_budget(_witness_count(steps, lcm, hi, offsets), limit, "witnesses")
-    p = len(steps)
+    e, lcm, _, _, steps, layers = _fold(inv)
+    lo, hi, p = 2 - 2 * inv.genus, 2 * inv.genus - 2, len(steps)
     # fibre i's nonzero residue choices (r, r * lcm/a_i), worked out once
     choices = [tuple(enumerate(range(step, lcm, step), 1)) for step in steps]
+    # each residue tuple meets each root +-t at one m, so 2 * prod(a_i) bounds the list
+    if 2 * math.prod(a for a, _ in inv.pairs) > limit:
+        _check_budget(_tree_size(layers, choices, [(t + m * lcm, m - hi) for t, m in offsets]), limit, "witnesses")
 
     def tuples(s: int, need: int) -> Iterator[tuple[int, ...]]:
         # residues summing to s, >= need of them nonzero, walked back on an

@@ -59,6 +59,16 @@ _SLOTS = "slots {} is not a list of names"
 _FILLINGS = "fillings {} are not all [slot, [a, b]]"
 
 
+def _hashable(name: object) -> bool:
+    """Whether ``name`` can name a slot: the slots of a piece, and of a
+    filling, are told apart by a set or a mapping."""
+    try:
+        hash(name)
+    except TypeError:
+        return False
+    return True
+
+
 class Piece(_Record):
     """One JSJ piece: a Seifert piece with invariants, or a labeled
     hyperbolic piece whose volume data is supplied externally."""
@@ -70,7 +80,7 @@ class Piece(_Record):
     label: Optional[str] = None
 
     def __post_init__(self) -> None:
-        _set(self, "slots", slots := tuple(_rows(self.slots, _SLOTS)))
+        _set(self, "slots", slots := tuple(_rows(self.slots, _SLOTS, _hashable)))
         if self.kind not in ("seifert", "hyperbolic"):
             raise ValueError(f"piece {self.id}: unknown kind {_shown(self.kind)}")
         if len(set(slots)) != len(slots):
@@ -121,8 +131,8 @@ class GraphManifoldSpec(_Record):
     _problems: Optional[tuple[str, ...]] = None
 
     def __post_init__(self) -> None:
-        _set(self, "pieces", tuple(self.pieces))
-        _set(self, "edges", tuple(self.edges))
+        _set(self, "pieces", tuple(_rows(self.pieces, "pieces {} is not a list of pieces")))
+        _set(self, "edges", tuple(_rows(self.edges, "edges {} is not a list of edges")))
 
     def piece(self, piece_id: str) -> Piece:
         for piece in self.pieces:
@@ -203,7 +213,9 @@ class FilledSeifert(_Record):
     coeff: Fraction
 
     def __post_init__(self) -> None:
-        rows = _rows(self.fillings, _FILLINGS, lambda row: _is_pair(row) and _is_pair(row[1]), True)
+        rows = _rows(self.fillings, _FILLINGS, lambda row: _is_pair(row) and _hashable(row[0]) and _is_pair(row[1]), True)
+        if len({slot for slot, _ in rows}) != len(rows):
+            raise TypeError(f"fillings {_shown(self.fillings)} fill a slot twice")
         filled = [(slot, _int_pair(slope, "fillings[{!r}][{}]", slot)) for slot, slope in rows]
         _set(self, "fillings", tuple(sorted(filled, key=lambda row: (_by_type(row[0]), row[1]))))
         _set(self, "coeff", _as_fraction(self.coeff))

@@ -538,6 +538,10 @@ def _set(value, *keys):
             "assignments[0]: malformed entry (fillings [['t', [2]]] are not all [slot, [a, b]])",
         ),
         (
+            lambda doc: _set([["t", [2, 1]], ["t", [-2, -1]]], "assignments", 0, "fillings")(_top_level_assignments(doc)),
+            "assignments[0]: malformed entry (fillings [['t', [2, 1]], ['t', [-2, -1]]] fill a slot twice)",
+        ),
+        (
             _set([["a", 1], [1, 0]], "edges", 0, "gluing"),
             "edges[0]: malformed entry (invalid literal for int() with base 10: 'a')",
         ),
@@ -612,6 +616,7 @@ def _set(value, *keys):
         "seifert_pair_too_short",
         "filling_slope_too_short",
         "top_level_filling_slope_too_short",
+        "top_level_filling_slot_twice",
         "gluing_entry_not_an_integer",
         "killed_slope_not_an_integer",
         "seifert_pair_not_an_integer",

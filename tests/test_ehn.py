@@ -687,6 +687,15 @@ def test_a_witness_list_over_the_limit_is_refused_before_it_is_built(monkeypatch
     )
 
 
+def _tree_size(inv, coeff, limit=ehn.MAX_VALUES):
+    """``ehn._tree_size`` on ``coeff``, from the starts ``witnesses_for`` walks from."""
+    _, offsets = ehn._offsets(inv, coeff, limit)
+    _, lcm, _, _, steps, layers = ehn._fold(inv)
+    choices = [tuple(enumerate(range(step, lcm, step), 1)) for step in steps]
+    hi = 2 * inv.genus - 2
+    return ehn._tree_size(layers, choices, [(t + m * lcm, m - hi) for t, m in offsets])
+
+
 def test_witness_count_matches_the_list():
     # 300 seeded symbols; those with sl2r-tilde geometry give up to three
     # coefficients each
@@ -701,9 +710,94 @@ def test_witness_count_matches_the_list():
         if euler_number(inv) == 0 or orbifold_chi(inv) >= 0:
             continue
         spectrum = volume_set(inv)
-        e, lcm, scale, denom, steps, layers = ehn._fold(inv)
         for coeff in rng.sample(spectrum, min(3, len(spectrum))):
-            offsets = ehn._offsets(inv, coeff, lcm, scale, denom, layers[-1])
-            assert ehn._witness_count(steps, lcm, 2 * inv.genus - 2, offsets) == len(witnesses_for(inv, coeff))
+            assert _tree_size(inv, coeff) == len(witnesses_for(inv, coeff))
             compared += 1
     assert compared == 757
+
+
+def _witness_count_oracle(steps, lcm, hi, offsets):
+    """The witness count by a forward fold of every residue tuple, as the
+    budget once counted it: residue sum -> {nonzero count: tuples}, summed
+    over the offsets (t, m) on the counts of at least m - hi."""
+    tuples = {0: {0: 1}}
+    for step in steps:
+        out = {s: dict(row) for s, row in tuples.items()}  # residue 0
+        for s, row in tuples.items():
+            for d in range(step, lcm, step):
+                target = out.setdefault(s + d, {})
+                for count, n in row.items():
+                    target[count + 1] = target.get(count + 1, 0) + n
+        tuples = out
+    return sum(n for t, m in offsets for count, n in tuples[t + m * lcm].items() if count >= m - hi)
+
+
+def _oracle_count(inv, coeff, limit=ehn.MAX_VALUES):
+    _, offsets = ehn._offsets(inv, coeff, limit)
+    _, lcm, _, _, steps, _ = ehn._fold(inv)
+    return _witness_count_oracle(steps, lcm, 2 * inv.genus - 2, offsets)
+
+
+def _seeded_moduli_symbols():
+    # equal moduli, where residue sums overlap most, and pairwise coprime
+    # moduli, where they never do
+    rng = random.Random("tree count")
+    symbols = []
+    while len(symbols) < 40:
+        a = rng.randint(2, 7)
+        equal = [a] * rng.randint(2, 6)
+        coprime = rng.sample([2, 3, 5, 7, 11, 13], rng.randint(1, 4))
+        for moduli in (equal, coprime):
+            pairs = tuple((a, rng.choice([b for b in range(-2 * a, 2 * a + 1) if math.gcd(a, abs(b)) == 1])) for a in moduli)
+            inv = SeifertInvariants(rng.randint(1, 2), pairs)
+            if euler_number(inv) != 0 and orbifold_chi(inv) < 0:
+                symbols.append(inv)
+    return symbols
+
+
+def test_tree_count_matches_the_tuple_fold():
+    rng = random.Random("tree count coefficients")
+    compared = 0
+    for inv in _seeded_moduli_symbols():
+        spectrum = volume_set(inv)
+        for coeff in rng.sample(spectrum, min(4, len(spectrum))):
+            assert _tree_size(inv, coeff) == _oracle_count(inv, coeff), (inv, coeff)
+            compared += 1
+    assert compared == 160
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(1; " + ", ".join(["1/2"] * 20) + ")",
+        "(1; " + ", ".join(["1/3"] * 13) + ")",
+        "(1; 1/1001, 1/1003)",
+        "(2; 1/31, 1/37, 1/41, 1/43)",
+        "(1; 1/2000, 1/2000)",
+    ],
+    ids=["twenty_halves", "thirteen_thirds", "1001_1003", "four_primes", "2000_2000"],
+)
+def test_tree_count_matches_the_tuple_fold_at_the_top(text):
+    # one oracle fold each, over every residue tuple: one to four million
+    # on the last three, where the tree count visits a few states per
+    # layer; two of them have spectrum bounds over the default budget
+    inv, limit = parse_seifert(text), 10**8
+    top = seifert_volume_max(inv)
+    count = _tree_size(inv, top, limit)
+    assert count == _oracle_count(inv, top, limit) == len(witnesses_for(inv, top, limit=limit))
+
+
+def test_a_coefficient_without_a_root_never_folds(monkeypatch):
+    # the coefficient and its t^2 roots are read from the header: a
+    # malformed coefficient is refused, and an off-lattice one answered,
+    # with the layers of (1; 1/2000, 1/2000) never folded
+    def refuse(layer, offsets):
+        raise AssertionError("folded")
+
+    monkeypatch.setattr(ehn, "_add_fibre", refuse)
+    inv = parse_seifert("(1; 1/2000, 1/2000)")
+    assert _refusal(lambda: spectrum_contains(inv, "x")) == "not a rational number: 'x'"
+    assert _refusal(lambda: witnesses_for(inv, "x")) == "not a rational number: 'x'"
+    assert spectrum_contains(inv, Fraction(1, 7)) is False
+    assert _refusal(lambda: witnesses_for(inv, Fraction(1, 7))) == "coefficient 1/7 is not in the volume spectrum"
+    assert inv._table[5] is None

@@ -201,6 +201,10 @@ def _edge(**fields):
         (lambda: Piece(id="P", kind="seifert", slots="tu"), "slots 'tu' is not a list of names"),
         (lambda: _edge(a={"P": 1, "t": 2}), "a {'P': 1, 't': 2} is not [piece, slot]"),
         (lambda: Piece(id="P", kind="seifert", slots={"t": 1}), "slots {'t': 1} is not a list of names"),
+        (
+            lambda: FilledSeifert("P", [("t", (2, 1)), ("t", (-2, -1))], Fraction(1, 4)),
+            "fillings [('t', (2, 1)), ('t', (-2, -1))] fill a slot twice",
+        ),
     ],
     ids=[
         "edge_a",
@@ -219,6 +223,7 @@ def _edge(**fields):
         "slots_a_string",
         "edge_a_object",
         "slots_an_object",
+        "filling_slot_twice",
     ],
 )
 def test_records_refuse_the_shapes_the_loader_refuses(build, message):
@@ -483,6 +488,8 @@ LIST_READERS = {
         lambda v: load_graph_document({"pieces": [], "cases": [{"name": "c", "killed_slopes": v}]}),
         lambda v: f"cases[0]: malformed entry (killed_slopes {_shown(v)} is not a list of slopes)",
     ),
+    "pieces": (lambda v: GraphManifoldSpec(v, ()), lambda v: f"pieces {_shown(v)} is not a list of pieces"),
+    "edges": (lambda v: GraphManifoldSpec((), v), lambda v: f"edges {_shown(v)} is not a list of edges"),
 }
 
 
@@ -513,6 +520,19 @@ def test_a_generator_a_set_or_a_mapping_is_not_a_whole_list(place):
         with pytest.raises((TypeError, ValueError)) as info:
             build(value)
         assert str(info.value) == shape(value)
+
+
+@pytest.mark.parametrize("name", [["t"], {"t": 1}, ("t", ["u"])], ids=["list", "object", "tuple_of_a_list"])
+def test_a_slot_name_that_cannot_be_hashed_is_no_name(name):
+    # slots are told apart by a set, and fillings by a mapping, so a name
+    # that cannot be hashed gets its record's shape text, not Python's
+    with pytest.raises(TypeError) as info:
+        Piece("P", "hyperbolic", ["s", name], label="h")
+    assert str(info.value) == f"slots {_shown(['s', name])} is not a list of names"
+    fillings = [("s", (2, 1)), (name, (2, 1))]
+    with pytest.raises(TypeError) as info:
+        FilledSeifert("P", fillings, 0)
+    assert str(info.value) == f"fillings {_shown(fillings)} are not all [slot, [a, b]]"
 
 
 # ---------------------------------------------------------------- one validation per spec

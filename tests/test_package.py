@@ -199,7 +199,28 @@ def test_one_exponent_test_and_one_whole_list_writer():
                     guards.append(where)
     assert exponent == ["exact.py:_rational"]
     assert written == [] and guards == []
-    assert len(texts) == 5, texts  # slots, pairs, both fillings, killed_slopes
+    assert len(texts) == 7, texts  # slots, pairs, both fillings, killed_slopes, pieces, edges
+
+
+def test_one_coefficient_reader_and_one_fold_in_ehn():
+    # ehn reads a coefficient by _as_fraction in one place, _offsets, which
+    # reads its roots before any fold (foliation_exists reads slopes by it
+    # too); only _fold folds a fibre in; and the witness budget counts the
+    # walk's own tree, so no second fold of residue tuples remains
+    tree = ast.parse((SRC / "repvol" / "ehn.py").read_text("utf-8"))
+    owners = _owners(tree)
+
+    def users(name):
+        return sorted(owners.get(id(node)) for node in ast.walk(tree) if isinstance(node, ast.Name) and node.id == name)
+
+    assert users("_as_fraction") == ["_offsets", "foliation_exists"]
+    assert users("_add_fibre") == ["_fold"]
+    found = []
+    for path in sorted((SRC / "repvol").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text("utf-8"), str(path))):
+            if "_witness_count" in (getattr(node, "name", None), getattr(node, "id", None), getattr(node, "attr", None)):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
 def test_a_fault_inside_a_record_is_an_internal_error(monkeypatch, capsys):
