@@ -4,7 +4,8 @@ A graph manifold is recorded combinatorially: pieces with named torus
 boundary slots, and edges carrying the gluing matrix in (section, fiber)
 coordinates.  When a representation kills one slope on every gluing
 torus, its volume is the sum of the closed pieces' volumes; this module
-checks the bookkeeping of that statement and evaluates the sum.
+checks the bookkeeping of that statement and evaluates the sum, both
+from one walk of the spec, kept with it from the first call.
 
 Each record's constructor, ``NumericVolume``'s among them, checks its
 own fields, such as "a list or tuple of two items" for an endpoint, and
@@ -127,12 +128,12 @@ class Edge(_Record):
 class GraphManifoldSpec(_Record):
     pieces: tuple[Piece, ...]
     edges: tuple[Edge, ...]
-    # validate_spec's answer, kept from its first call on this spec
-    _problems: Optional[tuple[str, ...]] = None
+    # _spec_problems's answer, kept from the first walk of this spec
+    _walk: Optional[tuple] = None
 
     def __post_init__(self) -> None:
-        _set(self, "pieces", tuple(_rows(self.pieces, "pieces {} is not a list of pieces")))
-        _set(self, "edges", tuple(_rows(self.edges, "edges {} is not a list of edges")))
+        _set(self, "pieces", tuple(_rows(self.pieces, "pieces {} is not a list of pieces", lambda row: isinstance(row, Piece))))
+        _set(self, "edges", tuple(_rows(self.edges, "edges {} is not a list of edges", lambda row: isinstance(row, Edge))))
 
     def piece(self, piece_id: str) -> Piece:
         for piece in self.pieces:
@@ -144,16 +145,27 @@ class GraphManifoldSpec(_Record):
 def validate_spec(spec: GraphManifoldSpec) -> list[str]:
     """All structural problems, as human-readable strings; empty means ok.
 
-    A spec is frozen, so its problems are found once, by the first call,
-    and kept with it; each call returns a new list.
+    A spec is frozen, so it is walked once, by the first call here or in
+    ``additivity_sum``, and the walk is kept with it; each call returns a
+    new list.
     """
-    if spec._problems is None:
-        _set(spec, "_problems", _spec_problems(spec))
-    return list(spec._problems)
+    return list(_walked(spec)[0])
 
 
-def _spec_problems(spec: GraphManifoldSpec) -> tuple[str, ...]:
-    """``validate_spec``'s walk over the pieces and then the edges."""
+def _walked(spec: GraphManifoldSpec) -> tuple:
+    """``_spec_problems(spec)``, kept with ``spec`` from the first call."""
+    if spec._walk is None:
+        _set(spec, "_walk", _spec_problems(spec))
+    return spec._walk
+
+
+def _spec_problems(spec: GraphManifoldSpec) -> tuple:
+    """The one walk of a spec, over its pieces and then its edges: its
+    problems, and three facts read only when there are none.  These are
+    the first piece with each id; each glued slot's killed slope in its
+    own coordinates (side b's declared slope, else side a's pushed
+    through the gluing, else ``None``); and the first unglued slot in
+    piece and slot order, or ``None``."""
     problems: list[str] = []
     first_with_id: dict[str, Piece] = {}
     for piece in spec.pieces:
@@ -165,13 +177,14 @@ def _spec_problems(spec: GraphManifoldSpec) -> tuple[str, ...]:
             if piece.seifert is None:
                 problems.append(f"piece {piece.id}: seifert piece without invariants")
             elif piece.seifert.boundary_count != len(piece.slots):
-                count = piece.seifert.boundary_count
-                problems.append(f"piece {piece.id}: boundary count {count} != {len(piece.slots)} slots")
+                problems.append(f"piece {piece.id}: boundary count {piece.seifert.boundary_count} != {len(piece.slots)} slots")
         elif not piece.label:
             problems.append(f"piece {piece.id}: hyperbolic piece without label")
-    used: set[Endpoint] = set()
+    killed: dict[Endpoint, Optional[Slope]] = {}
     for n, edge in enumerate(spec.edges):
-        for endpoint in (edge.a, edge.b):
+        slope, slope_b = edge.killed_slope, edge.killed_slope_b
+        on_b = slope_b if slope_b is not None or slope is None else edge.push_to_b(slope)
+        for endpoint, own in ((edge.a, slope), (edge.b, on_b)):
             pid, slot = endpoint
             piece = first_with_id.get(pid)
             if piece is None:
@@ -179,9 +192,9 @@ def _spec_problems(spec: GraphManifoldSpec) -> tuple[str, ...]:
                 continue
             if slot not in piece.slots:
                 problems.append(f"edge {n}: piece {pid} has no slot {slot!r}")
-            if endpoint in used:
+            if endpoint in killed:
                 problems.append(f"edge {n}: slot {pid}.{slot} used more than once")
-            used.add(endpoint)
+            killed[endpoint] = own
         if edge.a == edge.b:
             problems.append(f"edge {n}: glues a slot to itself")
         (m00, m01), (m10, m11) = edge.gluing
@@ -189,7 +202,6 @@ def _spec_problems(spec: GraphManifoldSpec) -> tuple[str, ...]:
         if det != -1:
             det = _printed(det, f"edge {n}: gluing determinant")
             problems.append(f"edge {n}: gluing determinant is {det}, expected -1")
-        slope, slope_b = edge.killed_slope, edge.killed_slope_b
         for name, declared in (("killed_slope", slope), ("killed_slope_b", slope_b)):
             if declared is not None and math.gcd(*declared) != 1:
                 problems.append(f"edge {n}: {name} {declared} is not primitive")
@@ -197,11 +209,10 @@ def _spec_problems(spec: GraphManifoldSpec) -> tuple[str, ...]:
             pushed = edge.push_to_b(slope)
             if _normalize_slope(pushed) != _normalize_slope(slope_b):
                 pushed = _printed(pushed, f"edge {n}: pushed killed slope")
-                problems.append(
-                    f"edge {n}: killed slope {slope} maps to {pushed}, "
-                    f"but side b declares {slope_b}"
-                )
-    return tuple(problems)
+                problems.append(f"edge {n}: killed slope {slope} maps to {pushed}, but side b declares {slope_b}")
+    slots = ((piece.id, slot) for piece in spec.pieces for slot in piece.slots)
+    unglued = next((endpoint for endpoint in slots if endpoint not in killed), None)
+    return tuple(problems), first_with_id, killed, unglued
 
 
 class FilledSeifert(_Record):
@@ -257,7 +268,7 @@ def _cover_problem(spec: GraphManifoldSpec, assignments: Sequence[PieceAssignmen
     exactly once, or ``None``: ``additivity_sum`` raises it, and
     ``repvol graph validate`` lists it for a case with assignments."""
     assigned = [a.piece_id for a in assignments]
-    expected = {piece.id for piece in spec.pieces}
+    expected = _walked(spec)[1].keys()
     if Counter(assigned) != Counter(expected):
         assigned, expected = sorted(assigned, key=_by_type), sorted(expected, key=_by_type)
         return f"assignments cover {assigned}, expected exactly {expected}"
@@ -273,26 +284,11 @@ def additivity_sum(spec: GraphManifoldSpec, assignments: Sequence[PieceAssignmen
     (up to sign), and its coefficient must lie in the volume spectrum of
     the filled closed piece.
     """
-    problems = validate_spec(spec)
+    problems, pieces, killed, unglued = _walked(spec)
     if problems:
         raise ValueError("invalid spec: " + "; ".join(problems))
-    # A valid spec puts every slot on at most one edge, so one pass finds
-    # each glued slot's killed slope in its own side's coordinates.
-    killed: dict[Endpoint, Optional[Slope]] = {}
-    for edge in spec.edges:
-        killed[edge.a] = edge.killed_slope
-        if edge.killed_slope_b is not None:
-            killed[edge.b] = edge.killed_slope_b
-        elif edge.killed_slope is not None:
-            killed[edge.b] = edge.push_to_b(edge.killed_slope)
-        else:
-            killed[edge.b] = None
-    pieces: dict[str, Piece] = {}
-    for piece in spec.pieces:
-        pieces[piece.id] = piece
-        for slot in piece.slots:
-            if (piece.id, slot) not in killed:
-                raise ValueError(f"slot {piece.id}.{slot} is unglued; additivity needs a closed manifold")
+    if unglued is not None:
+        raise ValueError(f"slot {unglued[0]}.{unglued[1]} is unglued; additivity needs a closed manifold")
     problem = _cover_problem(spec, assignments)
     if problem:
         raise ValueError(problem)
@@ -529,7 +525,7 @@ def _piece_from_json(entry: Mapping, path: str) -> Piece:
 
 def _edge_from_json(entry: Mapping, path: str) -> Edge:
     a, b, gluing = _field(entry, "a", path), _field(entry, "b", path), _field(entry, "gluing", path)
-    edge = Edge(a, b, gluing, entry.get("killed_slope") or None, entry.get("killed_slope_b") or None)
+    edge = Edge(a, b, gluing, entry.get("killed_slope"), entry.get("killed_slope_b"))
     for side, (piece_id, slot) in (("a", edge.a), ("b", edge.b)):
         if type(piece_id) is not str or type(slot) is not str:
             _name(piece_id, "{}.{}[0]", path, side)
@@ -566,14 +562,14 @@ def _case_from_json(spec: GraphManifoldSpec, case: Mapping, path: str):
     name = _name(_field(case, "name", path), "{}.name", path)
     slopes = case.get("killed_slopes")
     if slopes is not None:
-        slopes = [slope or None for slope in _rows(slopes, "killed_slopes {} is not a list of slopes")]
+        slopes = _rows(slopes, "killed_slopes {} is not a list of slopes")
         if len(slopes) != len(spec.edges):
             raise ValueError(f"case {name}: {len(slopes)} killed slopes for {len(spec.edges)} edges")
         for i, slope in enumerate(slopes):
             if slope is not None:
                 _require_pair(slope, f"killed_slopes[{i}]", "[a, b]")
         # each slope is read at its own place; the spec's edges are checked
-        slopes = [s and _int_pair(s, "killed_slopes[{}][{}]", i) for i, s in enumerate(slopes)]
+        slopes = [None if s is None else _int_pair(s, "killed_slopes[{}][{}]", i) for i, s in enumerate(slopes)]
         edges = tuple(
             Edge._trusted(a=edge.a, b=edge.b, gluing=edge.gluing, killed_slope=slope, killed_slope_b=None)
             for edge, slope in zip(spec.edges, slopes)

@@ -43,6 +43,18 @@ list, in its order, on seeded members and non-members of the spectrum,
 and ``foliation_exists`` on the symbol's slopes given as ints, floats,
 ``Fraction``s and ``"p/q"`` strings, at its genus and at genus 0.
 
+The ``covers`` key covers ``repvol.covers``: seeded
+``merge_copy_counts``, ``colored_merge_counts``, ``elevation_count``
+(through ``TorusCoverDatum``) and ``cover_intersection`` calls, with
+dividing and non-dividing degrees, and one call per refusal (an empty
+list, lists of unequal length, and zero, negative, bool, float and
+string values).  For each it records the result or the refusal text.
+
+The ``motegi`` key covers ``repvol.jsj``'s torus-knot family: seeded
+``motegi_case`` and ``motegi_spec`` calls, coprime or not, and one call
+per refusal (a parameter below 2, a float, a bool, a string that is no
+integer), with ``validate_spec`` run on each spec built.
+
 Inputs are built with ``GaussianRational`` arithmetic from
 ``random.Random`` seeded by name, so the same code always writes the
 same file.  The corpus is written once and read through; a later change
@@ -65,6 +77,13 @@ import warnings
 from fractions import Fraction
 from pathlib import Path
 
+from repvol.covers import (
+    TorusCoverDatum,
+    colored_merge_counts,
+    cover_intersection,
+    elevation_count,
+    merge_copy_counts,
+)
 from repvol.ehn import (
     foliation_exists,
     seifert_volume_max,
@@ -74,7 +93,7 @@ from repvol.ehn import (
     witnesses_for,
 )
 from repvol.exact import GaussianRational, PiScalar
-from repvol.jsj import additivity_sum, load_graph_document, rw_consistency, validate_spec
+from repvol.jsj import additivity_sum, load_graph_document, motegi_case, motegi_spec, rw_consistency, validate_spec
 from repvol.liecs import (
     ExteriorForm,
     chern_poly_coeffs,
@@ -638,6 +657,8 @@ def _set_in(doc, value, *keys):
 
 _DELETE = object()
 LONG = "9" * 5000  # over Python's 4300-digit limit for int(str)
+# falsy values other than null: each is no pair, so none declares "no slope"
+FALSY = (("zero", 0), ("false", False), ("empty_string", ""), ("empty_list", []), ("empty_object", {}))
 
 
 def _malformed():
@@ -725,6 +746,8 @@ def _malformed():
         ("killed_slope_over_digit_limit", _set_in(base, [2, LONG], "edges", 0, "killed_slope")),
         ("killed_slope_b_string", _set_in(base, "21", "edges", 0, "killed_slope_b")),
         ("killed_slope_b_over_digit_limit", _set_in(base, [LONG, 1], "edges", 0, "killed_slope_b")),
+        *[(f"killed_slope_{name}", _set_in(base, value, "edges", 0, "killed_slope")) for name, value in FALSY],
+        *[(f"killed_slope_b_{name}", _set_in(base, value, "edges", 0, "killed_slope_b")) for name, value in FALSY],
         ("case_name_missing", _set_in(base, _DELETE, "cases", 0, "name")),
         ("case_killed_slopes_count", _set_in(base, [[2, 1], [1, 0]], "cases", 0, "killed_slopes")),
         ("case_killed_slopes_int", _set_in(base, 3, "cases", 0, "killed_slopes")),
@@ -732,6 +755,7 @@ def _malformed():
         ("case_killed_slope_short", _set_in(base, [[2]], "cases", 0, "killed_slopes")),
         ("case_killed_slope_not_an_integer", _set_in(base, [["x", 1]], "cases", 0, "killed_slopes")),
         ("case_killed_slope_over_digit_limit", _set_in(base, [[LONG, 1]], "cases", 0, "killed_slopes")),
+        *[(f"case_killed_slope_{name}", _set_in(base, [value], "cases", 0, "killed_slopes")) for name, value in FALSY],
         ("assignment_piece_missing", _set_in(base, _DELETE, *a1, "piece")),
         ("assignment_kind_missing", _set_in(base, _DELETE, *a1, "assign")),
         ("assignment_kind_unknown", _set_in(base, "mystery", *a1, "assign")),
@@ -818,6 +842,91 @@ def graphs_digests() -> dict[str, str]:
     }
     for name, (vertices, edges) in refused.items():
         out[name] = _digest(repr((vertices, edges)), _outcome(rw_consistency, vertices, edges))
+    return dict(sorted(out.items()))
+
+
+# ---------------------------------------------------------------- covers
+
+# values no degree may take: zero, negative, bool, float and string
+BAD_DEGREES = (0, -3, True, 2.0, "4")
+
+
+def _elevations(torus, curve):
+    return elevation_count(TorusCoverDatum(torus, curve))
+
+
+def covers_digests() -> dict[str, str]:
+    out = {}
+
+    def record(name, call, *args):
+        out[name] = _digest(repr(args), _outcome(call, *args))
+
+    for k in range(30):
+        rng = random.Random(f"covers{k}")
+        m = rng.choice((1, 2, 3, 4))
+        degrees = [m * rng.randint(1, 6) if rng.random() < 0.8 else rng.randint(1, 12) for _ in range(rng.randint(1, 4))]
+        record(f"merge{k}", merge_copy_counts, degrees, m)
+        ks = [rng.randint(1, 9) for _ in range(rng.randint(1, 4))]
+        ls = [rng.randint(1, 5) for _ in ks]
+        record(f"colored{k}", colored_merge_counts, ks, ls)
+        curve = rng.randint(1, 6)
+        torus = curve * rng.randint(1, 5) if rng.random() < 0.7 else rng.randint(1, 30)
+        record(f"elevation{k}", _elevations, torus, curve)
+        args = [rng.randint(1, 5), rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 12)]
+        record(f"intersection{k}", cover_intersection, *args)
+    record("merge-empty", merge_copy_counts, [], 1)
+    record("colored-empty", colored_merge_counts, [], [])
+    record("colored-unequal", colored_merge_counts, [2, 3], [1])
+    for k, bad in enumerate(BAD_DEGREES):
+        record(f"merge-bad-degree{k}", merge_copy_counts, [4, bad], 2)
+        record(f"merge-bad-curve{k}", merge_copy_counts, [4, 6], bad)
+        record(f"colored-bad-k{k}", colored_merge_counts, [2, bad], [1, 1])
+        record(f"colored-bad-l{k}", colored_merge_counts, [2, 3], [bad, 1])
+        record(f"elevation-bad-torus{k}", _elevations, bad, 1)
+        record(f"elevation-bad-curve{k}", _elevations, 4, bad)
+        for i in range(4):
+            args = [2, 3, 4, 6]
+            args[i] = bad
+            record(f"intersection-bad{i}-{k}", cover_intersection, *args)
+    return dict(sorted(out.items()))
+
+
+# ---------------------------------------------------------------- motegi
+
+# one parameter list per refusal of motegi_case or motegi_spec
+REFUSED_MOTEGI = {
+    "one": (1, 3, 2, 5),
+    "zero": (2, 3, 0, 5),
+    "negative": (2, 3, 2, -5),
+    "float": (2.5, 3, 2, 5),
+    "bool": (2, True, 2, 5),
+    "string": (2, 3, "x", 5),
+    "not_coprime_first": (2, 4, 2, 5),
+    "not_coprime_second": (2, 3, 3, 6),
+}
+
+
+def _motegi_outcomes(params):
+    """motegi_case's and motegi_spec's outcomes, and validate_spec's on the spec."""
+    outcomes = [_outcome(motegi_case, *params)]
+    try:
+        spec = motegi_spec(*params)
+    except (ValueError, TypeError) as exc:
+        return outcomes + [f"{type(exc).__name__}: {exc}"]
+    return outcomes + [repr(spec), repr(validate_spec(spec))]
+
+
+def motegi_digests() -> dict[str, str]:
+    out = {}
+    for k in range(40):
+        rng = random.Random(f"motegi{k}")
+        params = tuple(rng.randint(2, 9) for _ in range(4))
+        out[f"motegi{k}"] = _digest(repr(params), *_motegi_outcomes(params))
+    # the one order not over 15, and the shipped document's parameters
+    for name, params in {"smallest": (2, 2, 2, 2), "shipped": (2, 3, 2, 5)}.items():
+        out[name] = _digest(repr(params), *_motegi_outcomes(params))
+    for name, params in REFUSED_MOTEGI.items():
+        out[f"refused-{name}"] = _digest(repr(params), *_motegi_outcomes(params))
     return dict(sorted(out.items()))
 
 
@@ -914,8 +1023,10 @@ def main(argv=None) -> None:
     parser.add_argument("--out", default=str(LIBRARY))
     args = parser.parse_args(argv)
     corpus = {
+        "covers": covers_digests(),
         "forms": forms_digests(),
         "graphs": graphs_digests(),
+        "motegi": motegi_digests(),
         "scalars": scalars_digests(),
         "spectra": spectra_digests(),
     }

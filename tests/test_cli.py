@@ -482,6 +482,11 @@ def _delete(*keys):
     return mutate
 
 
+# JSON values that are falsy but not null, with their shown forms
+FALSY = [(0, "0"), (False, "False"), ("", "''"), ([], "[]"), ({}, "{}")]
+FALSY_NAMES = ["zero", "false", "empty_string", "empty_list", "empty_object"]
+
+
 def _set(value, *keys):
     def mutate(doc):
         _parent(doc, keys)[keys[-1]] = value
@@ -585,6 +590,18 @@ def _set(value, *keys):
             _set({"piece": "H", "assign": "direct", "numeric": True}, "cases", 0, "assignments", 1),
             "cases[0].assignments[1]: malformed entry (bad numeric True)",
         ),
+        # only null or absence declares no slope; any other falsy value is no pair
+        *[
+            (_set(value, "edges", 0, "killed_slope"), f"edges[0]: malformed entry (killed_slope {shown} is not [a, b])")
+            for value, shown in FALSY
+        ],
+        *[
+            (
+                _set([value], "cases", 0, "killed_slopes"),
+                f"cases[0]: malformed entry (killed_slopes[0] {shown} is not [a, b])",
+            )
+            for value, shown in FALSY
+        ],
     ],
     ids=[
         "top_level_list",
@@ -634,6 +651,8 @@ def _set(value, *keys):
         "gluing_bool",
         "killed_slope_bool",
         "numeric_bool",
+        *[f"killed_slope_{name}" for name in FALSY_NAMES],
+        *[f"case_killed_slope_{name}" for name in FALSY_NAMES],
     ],
 )
 @pytest.mark.parametrize("action", ["validate", "additivity"])

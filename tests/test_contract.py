@@ -11,6 +11,13 @@ import child
 from contract import make
 
 
+def test_covers_corpus_replays():
+    stored = json.loads(make.LIBRARY.read_text("utf-8"))["covers"]
+    got = make.covers_digests()
+    assert sorted(got) == sorted(stored)
+    assert [name for name in stored if got[name] != stored[name]] == []
+
+
 def test_forms_corpus_replays():
     stored = json.loads(make.LIBRARY.read_text("utf-8"))["forms"]
     got = make.forms_digests()
@@ -21,6 +28,13 @@ def test_forms_corpus_replays():
 def test_graphs_corpus_replays():
     stored = json.loads(make.LIBRARY.read_text("utf-8"))["graphs"]
     got = make.graphs_digests()
+    assert sorted(got) == sorted(stored)
+    assert [name for name in stored if got[name] != stored[name]] == []
+
+
+def test_motegi_corpus_replays():
+    stored = json.loads(make.LIBRARY.read_text("utf-8"))["motegi"]
+    got = make.motegi_digests()
     assert sorted(got) == sorted(stored)
     assert [name for name in stored if got[name] != stored[name]] == []
 

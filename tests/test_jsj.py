@@ -522,6 +522,26 @@ def test_a_generator_a_set_or_a_mapping_is_not_a_whole_list(place):
         assert str(info.value) == shape(value)
 
 
+@pytest.mark.parametrize(
+    "place, items",
+    [
+        ("pieces", [5]),
+        ("pieces", [None]),
+        ("pieces", [_edge()]),
+        ("edges", [Piece("P", "hyperbolic", ["t"], label="h")]),
+        ("edges", [5]),
+        ("edges", ["e"]),
+    ],
+    ids=["int_piece", "null_piece", "edge_among_pieces", "piece_among_edges", "int_edge", "string_edge"],
+)
+def test_a_spec_holds_only_pieces_and_edges(place, items):
+    # a wrong item is refused when the spec is built, with its list's text,
+    # not later by validate_spec with Python's AttributeError
+    with pytest.raises(TypeError) as info:
+        GraphManifoldSpec(**{"pieces": (), "edges": (), place: items})
+    assert str(info.value) == f"{place} {_shown(items)} is not a list of {place}"
+
+
 @pytest.mark.parametrize("name", [["t"], {"t": 1}, ("t", ["u"])], ids=["list", "object", "tuple_of_a_list"])
 def test_a_slot_name_that_cannot_be_hashed_is_no_name(name):
     # slots are told apart by a set, and fillings by a mapping, so a name
@@ -573,6 +593,124 @@ def test_a_kept_problem_list_cannot_be_edited_from_outside(monkeypatch):
     with pytest.raises(ValueError, match=r"^invalid spec: edge 0: gluing determinant is 1, expected -1$"):
         additivity_sum(bad, [SmallImage("P"), SmallImage("Q")])
     assert walks == [bad]
+
+
+def _facts_oracle(spec):
+    """The id table, killed-slope table and first unglued slot, by the
+    loops ``additivity_sum`` ran before the walk kept these facts."""
+    killed = {}
+    for edge in spec.edges:
+        killed[edge.a] = edge.killed_slope
+        if edge.killed_slope_b is not None:
+            killed[edge.b] = edge.killed_slope_b
+        elif edge.killed_slope is not None:
+            killed[edge.b] = edge.push_to_b(edge.killed_slope)
+        else:
+            killed[edge.b] = None
+    pieces, unglued = {}, None
+    for piece in spec.pieces:
+        pieces[piece.id] = piece
+        for slot in piece.slots:
+            if unglued is None and (piece.id, slot) not in killed:
+                unglued = (piece.id, slot)
+    return pieces, killed, unglued
+
+
+WALK_GLUINGS = (((0, 1), (1, 0)), ((1, 0), (0, -1)), ((3, -4), (2, -3)), ((2, 1), (1, 0)), ((-1, 0), (0, 1)))
+WALK_SLOPES = ((1, 0), (0, 1), (2, 1), (1, -3), (3, 2), (-5, 2))
+# planted faults, each a validation problem; an open slot is planted apart
+WALK_FAULTS = ("duplicate", "unknown", "missing_slot", "reused", "self", "determinant", "nonprimitive")
+
+
+def _walk_spec(rng):
+    """A seeded chain, tree or cycle of pieces with up to two planted
+    faults, and whether the spec has a validation problem: a planted
+    fault other than "open", or a side-b slope that does not match."""
+    n = rng.randint(1, 7)
+    shape = rng.choice(("chain", "tree", "cycle"))
+    links = [(rng.randrange(i) if shape == "tree" else i - 1, i) for i in range(1, n)]
+    if shape == "cycle" and n > 2:
+        links.append((n - 1, 0))
+    slots = [[] for _ in range(n)]
+
+    def fresh(i):
+        slots[i].append(f"s{len(slots[i])}")
+        return (f"P{i}", slots[i][-1])
+
+    edges, mismatched = [], False
+    for u, v in links:
+        a, b, gluing = fresh(u), fresh(v), rng.choice(WALK_GLUINGS)
+        edges.append([a, b, gluing, None, None])
+    for edge in edges:
+        slope = rng.choice(WALK_SLOPES)
+        pushed = Edge(edge[0], edge[1], edge[2]).push_to_b(slope)
+        side = "mismatch" if rng.random() < 0.03 else rng.choice(("none", "a", "b", "both", "both_flipped"))
+        if side in ("a", "both", "both_flipped", "mismatch"):
+            edge[3] = slope
+        if side == "b":
+            edge[4] = pushed
+        elif side in ("both", "both_flipped"):
+            edge[4] = pushed if side == "both" else tuple(-x for x in pushed)
+        elif side == "mismatch":
+            edge[4] = (1, 0) if jsj._normalize_slope(pushed) != (1, 0) else (0, 1)
+            mismatched = True
+    faults = rng.sample(WALK_FAULTS, rng.choice((0, 0, 1, 1, 2)))
+    if rng.random() < 0.3:
+        faults.append("open")  # unglued slots, which validation accepts
+    pieces = [[f"P{i}", slots[i]] for i in range(n)]
+    for fault in list(faults):
+        if fault == "duplicate":
+            pieces.insert(rng.randint(0, len(pieces)), [f"P{rng.randrange(n)}", ["d"]])
+        elif fault == "open":
+            for _ in range(rng.randint(1, 3)):
+                fresh(rng.randrange(n))
+        elif fault == "self":
+            end = fresh(rng.randrange(n))
+            edges.append([end, end, rng.choice(WALK_GLUINGS), None, None])
+        elif fault == "determinant":
+            edges.append([fresh(rng.randrange(n)), fresh(rng.randrange(n)), ((1, 0), (0, 1)), None, None])
+        elif fault == "nonprimitive":
+            edges.append([fresh(rng.randrange(n)), fresh(rng.randrange(n)), rng.choice(WALK_GLUINGS), (2, 4), None])
+        elif not edges:
+            faults.remove(fault)  # no glued slot to reuse or rename
+        elif fault == "reused":
+            end = rng.choice(edges)[rng.randrange(2)]
+            edges.append([fresh(rng.randrange(n)), end, rng.choice(WALK_GLUINGS), rng.choice(WALK_SLOPES), None])
+        else:
+            k, side = rng.randrange(len(edges)), rng.randrange(2)
+            pid, slot = edges[k][side]
+            edges[k][side] = ("Z", slot) if fault == "unknown" else (pid, "nope")
+    spec = GraphManifoldSpec(
+        tuple(Piece(pid, "hyperbolic", tuple(names), label="h") for pid, names in pieces),
+        tuple(Edge(*edge) for edge in edges),
+    )
+    return spec, mismatched or any(fault != "open" for fault in faults)
+
+
+def test_the_walk_derives_the_facts_additivity_read_before():
+    # the id table, killed-slope table and first unglued slot that the one
+    # walk returns are those additivity_sum's own loops built, on seeded
+    # specs with faults planted; the facts are read only on a valid spec
+    rng = random.Random("one walk")
+    valid = unglued_seen = 0
+    for _ in range(400):
+        spec, faulty = _walk_spec(rng)
+        problems, pieces, killed, unglued = jsj._spec_problems(spec)
+        assert bool(problems) == faulty, (spec, problems)
+        oracle = _facts_oracle(spec)
+        assert list(pieces) == list(oracle[0])
+        if problems:
+            continue
+        valid += 1
+        unglued_seen += unglued is not None
+        assert (pieces, killed, unglued) == oracle
+        with pytest.raises(ValueError) as info:
+            additivity_sum(spec, [])
+        if unglued:
+            assert str(info.value) == f"slot {unglued[0]}.{unglued[1]} is unglued; additivity needs a closed manifold"
+        else:
+            assert str(info.value).startswith("assignments cover [], expected exactly ")
+    assert valid >= 120 and unglued_seen >= 30, (valid, unglued_seen)
 
 
 # ---------------------------------------------------------------- trusted construction

@@ -223,6 +223,20 @@ def test_one_coefficient_reader_and_one_fold_in_ehn():
     assert found == []
 
 
+def test_one_walk_of_a_graph_spec():
+    # jsj._spec_problems walks a spec's pieces and edges once and returns
+    # the tables additivity needs, so neither additivity_sum nor
+    # _cover_problem reads spec.pieces or spec.edges, in a loop or otherwise
+    tree = ast.parse((SRC / "repvol" / "jsj.py").read_text("utf-8"))
+    found = []
+    for node in tree.body:
+        if getattr(node, "name", None) in ("additivity_sum", "_cover_problem"):
+            for inner in ast.walk(node):
+                if isinstance(inner, ast.Attribute) and inner.attr in ("pieces", "edges"):
+                    found.append(f"{node.name}:{inner.lineno}: {ast.unparse(inner)}")
+    assert found == []
+
+
 def test_a_fault_inside_a_record_is_an_internal_error(monkeypatch, capsys):
     # no reader turns an ArithmeticError into a malformed entry, so a
     # planted ZeroDivisionError in a constructor exits 3, not 1
