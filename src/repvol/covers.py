@@ -57,7 +57,7 @@ def cover_intersection(
         raise ValueError(
             f"elevated intersection number {value} is not an integer"
         )
-    return int(value)
+    return value.numerator
 
 
 class MergeCounts(_Record):

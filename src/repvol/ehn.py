@@ -66,15 +66,16 @@ from operator import getitem, mul
 from typing import Callable, Iterable, Iterator
 
 from . import _HOMES
-from .exact import MAX_VALUES, _Record, _as_fraction, _check_budget, _fraction, _printed, _set
+from .exact import MAX_VALUES, _Record, _as_fraction, _check_budget, _fraction, _integer, _printed, _set
 from .seifert import SeifertInvariants, _over_lcm, _require_closed, euler_number, orbifold_chi
 
 __all__ = [*_HOMES["ehn"]]
 
 
 def foliation_exists(genus: int, slopes: Iterable[Fraction]) -> bool:
-    """Horizontal-foliation test for a closed fibration over genus >= 1: any iterable of slopes, each by ``_as_fraction``."""
-    if genus < 1:
+    """Horizontal-foliation test for a closed fibration over genus >= 1: the
+    genus read by ``_integer``, and any iterable of slopes, each by ``_as_fraction``."""
+    if _integer(genus, "genus") < 1:
         raise ValueError("foliation criterion requires base genus >= 1")
     slopes = tuple(map(_as_fraction, slopes))  # read once, as slopes may be an iterator
     floor_sum = sum(map(math.floor, slopes))

@@ -36,10 +36,12 @@ adds by ``_pi_sum``, which follows it, and so do the Gaussian-integer
 sums of ``liecs``.
 
 The three JSON document formats read each kind of value with one
-reader: ``_name`` a name, never coerced; ``_integer`` an integer, never
-cut short (``_int_pair`` two); ``_rational`` a rational, and so every
-string ``_as_fraction`` reads for the library.  ``_too_long`` alone names
-an integer too long to read.  ``_is_pair`` tests a pair, ``_rows`` a list.
+reader: ``_name`` a name, never coerced; ``_integer`` an integer, an
+``int`` and nothing else (``_int_pair`` two, ``_positive`` a positive
+one); ``_rational`` a rational, and so every string ``_as_fraction``
+reads for the library.  ``int()`` reads only text, and ``_too_long``
+alone names digits too long to read.  ``_is_pair`` tests a pair,
+``_rows`` a list.
 """
 
 from __future__ import annotations
@@ -129,18 +131,15 @@ def _read_int(text: str) -> int:
 
 
 def _integer(value: object, what: str, *at: object) -> int:
-    """``int(value)``; a value it cannot read, such as ``'x'``, a float
-    NaN or infinity or one too long (named by ``_too_long``), is a
-    ``TypeError``: a wrong value inside a document entry, at its path.
-    A number is never cut short, nor a bool read as 0 or 1: 2.5 or True
-    is a ``TypeError`` too, reading ``<what> 2.5 is not an integer``."""
-    try:
-        number = int(value)
-    except (ValueError, OverflowError) as exc:
-        raise TypeError(_too_long(value, what, *at) or str(exc)) from None
-    if (number != value and not isinstance(value, str)) or value is True or value is False:
+    """``value`` itself, if its type is ``int``: the one integer rule.
+    Nothing is converted, so a string (``"2"`` or ``"x"``), a float (2.0,
+    2.5 or NaN), a bool, ``None`` or an ``int`` subclass is a
+    ``TypeError`` reading ``<what> <value> is not an integer``, ``what``
+    formatted with ``at`` and the value shown by ``_shown``: a wrong
+    value inside a document entry, at its path."""
+    if type(value) is not int:
         raise TypeError(f"{what.format(*at)} {_shown(value)} is not an integer")
-    return number
+    return value
 
 
 def _int_pair(pair: object, what: str, *at: object) -> tuple[int, int]:
@@ -152,10 +151,10 @@ def _int_pair(pair: object, what: str, *at: object) -> tuple[int, int]:
 
 
 def _positive(value: int, name: str) -> int:
-    """``value`` itself, if it is a positive ``int``; anything else, such
-    as 2.5, "3" or True, is a ``ValueError`` rather than a value read as
-    an int.  The one rule for cover degrees, in ``covers`` and ``seifert``."""
-    if not isinstance(value, int) or value is True or value <= 0:
+    """``value`` itself, if it is an ``int`` by ``_integer``'s rule and positive;
+    anything else, such as 0, 2.5, "3" or True, is a ``ValueError``.  The
+    one rule for cover degrees, in ``covers`` and ``seifert``."""
+    if type(value) is not int or value <= 0:
         raise ValueError(f"{name} must be a positive integer, got {_shown(value)}")
     return value
 

@@ -9,7 +9,8 @@ from one walk of the spec, kept with it from the first call.
 
 Each record's constructor, ``NumericVolume``'s among them, checks its
 own fields, such as "a list or tuple of two items" for an endpoint, and
-raises ``TypeError``; names it keeps as given.  The JSON loader hands it
+raises ``TypeError``; names it keeps as given, once ``_hashable`` has
+read them, so every table of names can be built.  The JSON loader hands it
 the values unchanged, and walks a whole list only after the record's rule
 has read it, so library and CLI refuse the same shapes with the same text;
 it also refuses a non-string name.
@@ -61,13 +62,22 @@ _FILLINGS = "fillings {} are not all [slot, [a, b]]"
 
 
 def _hashable(name: object) -> bool:
-    """Whether ``name`` can name a slot: the slots of a piece, and of a
-    filling, are told apart by a set or a mapping."""
+    """Whether ``name`` can name a piece, a slot or a vertex: names are told
+    apart by a set or a mapping.  A string, the loader's only name, passes
+    at once."""
+    if type(name) is str:
+        return True
     try:
         hash(name)
     except TypeError:
         return False
     return True
+
+
+def _require_name(name: object, what: str) -> None:
+    """A ``TypeError`` reading ``<what> <name> is not a name`` unless ``_hashable(name)``."""
+    if not _hashable(name):
+        raise TypeError(f"{what} {_shown(name)} is not a name")
 
 
 class Piece(_Record):
@@ -81,6 +91,7 @@ class Piece(_Record):
     label: Optional[str] = None
 
     def __post_init__(self) -> None:
+        _require_name(self.id, "id")
         _set(self, "slots", slots := tuple(_rows(self.slots, _SLOTS, _hashable)))
         if self.kind not in ("seifert", "hyperbolic"):
             raise ValueError(f"piece {self.id}: unknown kind {_shown(self.kind)}")
@@ -108,8 +119,9 @@ class Edge(_Record):
         a, b, gluing = self.a, self.b, self.gluing
         if not (_is_pair(gluing) and _is_pair(gluing[0]) and _is_pair(gluing[1])):
             raise TypeError(f"gluing {_shown(gluing)} is not a 2x2 matrix")
-        _require_pair(a, "a", "[piece, slot]")
-        _require_pair(b, "b", "[piece, slot]")
+        for side, end in (("a", a), ("b", b)):
+            if not (_is_pair(end) and _hashable(end[0]) and _hashable(end[1])):
+                raise TypeError(f"{side} {_shown(end)} is not [piece, slot]")
         slopes = [name for name in ("killed_slope", "killed_slope_b") if getattr(self, name) is not None]
         for name in slopes:
             _require_pair(getattr(self, name), name, "[a, b]")
@@ -136,10 +148,13 @@ class GraphManifoldSpec(_Record):
         _set(self, "edges", tuple(_rows(self.edges, "edges {} is not a list of edges", lambda row: isinstance(row, Edge))))
 
     def piece(self, piece_id: str) -> Piece:
-        for piece in self.pieces:
-            if piece.id == piece_id:
-                return piece
-        raise ValueError(f"unknown piece {piece_id!r}")
+        """The first piece with this id, from the walk's table; a spec whose
+        walk refuses refuses here the same way."""
+        first_with_id = _walked(self)[1]
+        try:
+            return first_with_id[piece_id]
+        except (KeyError, TypeError):  # a TypeError: an id that cannot be hashed
+            raise ValueError(f"unknown piece {piece_id!r}") from None
 
 
 def validate_spec(spec: GraphManifoldSpec) -> list[str]:
@@ -224,6 +239,7 @@ class FilledSeifert(_Record):
     coeff: Fraction
 
     def __post_init__(self) -> None:
+        _require_name(self.piece_id, "piece_id")
         rows = _rows(self.fillings, _FILLINGS, lambda row: _is_pair(row) and _hashable(row[0]) and _is_pair(row[1]), True)
         if len({slot for slot, _ in rows}) != len(rows):
             raise TypeError(f"fillings {_shown(self.fillings)} fill a slot twice")
@@ -238,11 +254,17 @@ class DirectVolume(_Record):
     piece_id: str
     volume: VolumeValue
 
+    def __post_init__(self) -> None:
+        _require_name(self.piece_id, "piece_id")
+
 
 class SmallImage(_Record):
     """Restriction has finite or infinite cyclic image, so it contributes 0."""
 
     piece_id: str
+
+    def __post_init__(self) -> None:
+        _require_name(self.piece_id, "piece_id")
 
 
 PieceAssignment = Union[FilledSeifert, DirectVolume, SmallImage]
@@ -345,8 +367,12 @@ def _numbered(
     """The distinct vertex names in input order, and the edges over their
     numbers.  Edge k is stored once: ``end[2k]`` and ``end[2k + 1]`` are its
     tail and head, ``term[2k]`` and ``term[2k + 1]`` its ratio's numerator
-    and denominator.  The name index lives only here."""
-    index = {name: i for i, name in enumerate(dict.fromkeys(vertices))}
+    and denominator.  The name index lives only here.  A name that cannot
+    be hashed, a vertex or an edge's end, is refused as a ``ValueError``."""
+    try:
+        index = {name: i for i, name in enumerate(dict.fromkeys(vertices))}
+    except TypeError:  # a name that cannot be hashed
+        raise ValueError(f"vertices {_shown(vertices)} are not all names") from None
     end: list[int] = []
     term: list[int] = []
     for u, v, ratio in edges:
@@ -354,7 +380,7 @@ def _numbered(
             ratio = _as_fraction(ratio)
         try:
             tail, head = index[u], index[v]
-        except KeyError:
+        except (KeyError, TypeError):  # a TypeError: an end that cannot be hashed, so no vertex
             raise ValueError(f"edge ({_shown(u)}, {_shown(v)}) uses unknown vertices") from None
         # ratio is exactly a Fraction here, so its slots are read directly
         numerator = ratio._numerator
@@ -468,14 +494,11 @@ def _torus_knot_pairs(p: int, q: int) -> tuple[Slope, Slope]:
     return ((p, b1), (q, b2))
 
 
-def _validate_motegi_params(p1: int, q1: int, p2: int, q2: int) -> list[int]:
-    """The four parameters, each read by ``_integer`` and at least 2."""
-    params = []
+def _validate_motegi_params(p1: int, q1: int, p2: int, q2: int) -> None:
+    """Refuse a parameter that ``_integer`` does not read, or one below 2."""
     for name, value in (("p1", p1), ("q1", q1), ("p2", p2), ("q2", q2)):
-        params.append(value := _integer(value, name))
-        if value < 2:
+        if _integer(value, name) < 2:
             raise ValueError(f"{name} must be >= 2, got {value}")
-    return params
 
 
 def motegi_case(p1: int, q1: int, p2: int, q2: int) -> MotegiResult:
@@ -486,7 +509,7 @@ def motegi_case(p1: int, q1: int, p2: int, q2: int) -> MotegiResult:
     its volume coefficient is always 0.  The order formula needs no
     coprimality, so only the >= 2 bound is enforced here.
     """
-    p1, q1, p2, q2 = _validate_motegi_params(p1, q1, p2, q2)
+    _validate_motegi_params(p1, q1, p2, q2)
     order = p1 * q1 * p2 * q2 - 1
     return MotegiResult(h1_order=order, nontrivial=order > 15, sv_coeff=Fraction(0))
 
@@ -494,7 +517,7 @@ def motegi_case(p1: int, q1: int, p2: int, q2: int) -> MotegiResult:
 def motegi_spec(p1: int, q1: int, p2: int, q2: int) -> GraphManifoldSpec:
     """The JSJ graph of the glued torus-knot exteriors: the gluing swaps
     meridian and fiber, i.e. the matrix [[0, 1], [1, 0]]."""
-    p1, q1, p2, q2 = _validate_motegi_params(p1, q1, p2, q2)
+    _validate_motegi_params(p1, q1, p2, q2)
     pieces = []
     for i, (p, q) in enumerate(((p1, q1), (p2, q2)), 1):
         if math.gcd(p, q) != 1:

@@ -130,11 +130,13 @@ class LieAlgebraSpec(_Record):
         # (j, k) -> (its converted vector, [(i, c^i_jk)] over the nonzero c),
         # for the nonzero brackets
         table: dict[tuple[int, int], tuple[tuple[PiScalar, ...], list[tuple[int, PiScalar]]]] = {}
+        listed: set[tuple[int, int]] = set()  # every pair, a zero bracket's too
         for (j, k), vec in self.brackets:
             if not (0 <= j < k < dim):
                 raise ValueError(f"bracket pair ({j}, {k}) out of range or unordered")
-            if (j, k) in table:
+            if (j, k) in listed:
                 raise ValueError(f"duplicate bracket entry for ({j}, {k})")
+            listed.add((j, k))
             if len(vec) != dim:
                 raise ValueError(f"bracket vector for ({j}, {k}) has wrong length")
             coeffs = tuple(map(PiScalar.of, vec))

@@ -55,11 +55,9 @@ class SeifertInvariants(_Record):
     def __post_init__(self) -> None:
         rows = _rows(self.pairs, "pairs {} are not all [a, b]", _is_pair)
         _set(self, "pairs", pairs := tuple([_int_pair(row, "pairs[{}][{}]", i) for i, row in enumerate(rows)]))
-        _set(self, "genus", genus := _integer(self.genus, "genus"))
-        if genus < 0:
+        if (genus := _integer(self.genus, "genus")) < 0:
             raise ValueError(f"base genus must be >= 0, got {genus}")
-        _set(self, "boundary_count", count := _integer(self.boundary_count, "boundary_count"))
-        if count < 0:
+        if (count := _integer(self.boundary_count, "boundary_count")) < 0:
             raise ValueError(f"boundary count must be >= 0, got {count}")
         for k, (a, b) in enumerate(pairs, start=1):
             _check_pair(a, b, "pair", k)
@@ -156,8 +154,8 @@ def _fill(inv: SeifertInvariants, fillings: Sequence[tuple[int, int]]) -> Seifer
 
 
 def circle_bundle(genus: int, euler: int) -> SeifertInvariants:
-    """Closed orientable circle bundle with integer Euler number."""
-    pairs = ((1, euler),) if euler else ()
+    """Closed orientable circle bundle with integer Euler number, read by ``_integer``."""
+    pairs = ((1, euler),) if _integer(euler, "euler") else ()
     return SeifertInvariants(genus=genus, pairs=pairs)
 
 

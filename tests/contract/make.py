@@ -27,7 +27,8 @@ The ``graphs`` key covers ``repvol.jsj``: seeded chain, tree and cycle
 documents with top-level assignments, named ``cases`` with
 ``killed_slopes``, or none, whose pieces are filled, direct (exact or
 numeric) or small-image, some with one planted fault; one malformed
-document per loader refusal; and seeded ratio graphs.  For each it
+document per loader refusal; and seeded ratio graphs, with one graph
+per ``rw_consistency`` refusal.  For each it
 records ``load_graph_document`` (the records' repr or the refusal
 text), and per case ``validate_spec`` and ``additivity_sum``, or
 ``rw_consistency``.
@@ -61,6 +62,15 @@ same file.  The corpus is written once and read through; a later change
 to it is a deliberate contract change.  Rewrite it with
 
     PYTHONPATH=src python tests/contract/make.py [--out PATH]
+
+and, before that, list what a change would move with
+
+    PYTHONPATH=src python tests/contract/make.py --diff [PATH]
+
+which regenerates the corpus in memory and prints one line
+``<key> <added|removed|moved> <entry>`` per entry that differs from the
+corpus at PATH (by default the committed ``library.json``), or
+``no change``.
 """
 
 from __future__ import annotations
@@ -839,6 +849,8 @@ def graphs_digests() -> dict[str, str]:
         "rw-negative-ratio": (["u", "w"], [("u", "w", Fraction(-1, 2))]),
         "rw-int-ratios": (["u", "w", "x"], [("u", "w", 2), ("w", "x", 3), ("u", "x", 5)]),
         "rw-self-loop": (["u"], [("u", "u", Fraction(2))]),
+        "rw-unhashable-vertex": ([["u"]], []),
+        "rw-unhashable-end": (["u"], [(["u"], "u", Fraction(2))]),
     }
     for name, (vertices, edges) in refused.items():
         out[name] = _digest(repr((vertices, edges)), _outcome(rw_consistency, vertices, edges))
@@ -1018,9 +1030,27 @@ def spectra_digests() -> dict[str, str]:
     return dict(sorted(out.items()))
 
 
+def corpus_diff(old: dict, new: dict) -> dict[str, dict[str, list[str]]]:
+    """Per key of either corpus, the names of the entries ``new`` adds to
+    ``old``, removes from it and gives another digest, each sorted; a key
+    with none of these is left out."""
+    out = {}
+    for key in sorted(old.keys() | new.keys()):
+        before, after = old.get(key, {}), new.get(key, {})
+        change = {
+            "added": sorted(after.keys() - before.keys()),
+            "removed": sorted(before.keys() - after.keys()),
+            "moved": sorted(name for name in before.keys() & after.keys() if before[name] != after[name]),
+        }
+        if any(change.values()):
+            out[key] = change
+    return out
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default=str(LIBRARY))
+    parser.add_argument("--diff", nargs="?", const=str(LIBRARY), metavar="PATH", help="compare with PATH; write nothing")
     args = parser.parse_args(argv)
     corpus = {
         "covers": covers_digests(),
@@ -1030,7 +1060,16 @@ def main(argv=None) -> None:
         "scalars": scalars_digests(),
         "spectra": spectra_digests(),
     }
-    Path(args.out).write_text(json.dumps(corpus, indent=1, sort_keys=True) + "\n", "utf-8")
+    if args.diff is None:
+        Path(args.out).write_text(json.dumps(corpus, indent=1, sort_keys=True) + "\n", "utf-8")
+        return
+    lines = [
+        f"{key} {kind} {name}"
+        for key, change in corpus_diff(json.loads(Path(args.diff).read_text("utf-8")), corpus).items()
+        for kind, names in change.items()
+        for name in names
+    ]
+    print("\n".join(lines) or "no change")
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ import pytest
 
 from repvol import jsj
 from repvol.cli import _ratio_graph, entry, main
-from repvol.exact import render_volume
+from repvol.exact import _shown, render_volume
 
 DATA = resources.files("repvol").joinpath("data")
 ROOT = Path(__file__).resolve().parents[1]
@@ -548,31 +548,31 @@ def _set(value, *keys):
         ),
         (
             _set([["a", 1], [1, 0]], "edges", 0, "gluing"),
-            "edges[0]: malformed entry (invalid literal for int() with base 10: 'a')",
+            "edges[0]: malformed entry (gluing[0][0] 'a' is not an integer)",
         ),
         (
             _set(["x", 1], "edges", 0, "killed_slope"),
-            "edges[0]: malformed entry (invalid literal for int() with base 10: 'x')",
+            "edges[0]: malformed entry (killed_slope[0] 'x' is not an integer)",
         ),
         (
             _set([["x", 1]], "pieces", 0, "pairs"),
-            "pieces[0]: malformed entry (invalid literal for int() with base 10: 'x')",
+            "pieces[0]: malformed entry (pairs[0][0] 'x' is not an integer)",
         ),
         (
             _set("one", "pieces", 0, "genus"),
-            "pieces[0]: malformed entry (invalid literal for int() with base 10: 'one')",
+            "pieces[0]: malformed entry (genus 'one' is not an integer)",
         ),
         (
             _set(float("nan"), "pieces", 0, "genus"),
-            "pieces[0]: malformed entry (cannot convert float NaN to integer)",
+            "pieces[0]: malformed entry (genus nan is not an integer)",
         ),
         (
             _set({"t": [2, "x"]}, "cases", 0, "assignments", 0, "fillings"),
-            "cases[0].assignments[0]: malformed entry (invalid literal for int() with base 10: 'x')",
+            "cases[0].assignments[0]: malformed entry (fillings['t'][1] 'x' is not an integer)",
         ),
         (
             _set([["x", 1]], "cases", 0, "killed_slopes"),
-            "cases[0]: malformed entry (invalid literal for int() with base 10: 'x')",
+            "cases[0]: malformed entry (killed_slopes[0][0] 'x' is not an integer)",
         ),
         (_set([[2.5, 1]], "pieces", 0, "pairs"), "pieces[0]: malformed entry (pairs[0][0] 2.5 is not an integer)"),
         (
@@ -777,7 +777,60 @@ def test_a_list_field_that_is_no_list_gets_its_readers_text(capsys, tmp_path, ar
     code, out, err = run(capsys, *argv, str(bad))
     assert (code, out, err.count("\n")) == (1, "", 1), err
     assert err.startswith("error: ")
-    for text in ("object of type", "is not iterable", "has no len()"):
+    for text in ("object of type", "is not iterable", "has no len()", *PYTHON_TEXTS):
+        assert text not in err
+
+
+# Python's own texts for a value int() cannot convert or a name that cannot
+# be hashed, which no refusal passes on
+PYTHON_TEXTS = ("invalid literal for int()", "cannot convert float", "int() argument must", "unhashable type")
+# Every integer field of the graph format: a valid document, the field's
+# keys, the path of the entry that holds it and its name in the refusal.
+INTEGER_FIELDS = [
+    (_graph_doc, ("pieces", 0, "genus"), "pieces[0]", "genus"),
+    (_graph_doc, ("pieces", 0, "pairs", 0, 0), "pieces[0]", "pairs[0][0]"),
+    (_graph_doc, ("pieces", 0, "pairs", 0, 1), "pieces[0]", "pairs[0][1]"),
+    (_graph_doc, ("edges", 0, "gluing", 0, 1), "edges[0]", "gluing[0][1]"),
+    (_graph_doc, ("edges", 0, "gluing", 1, 0), "edges[0]", "gluing[1][0]"),
+    (_graph_doc, ("edges", 0, "killed_slope", 0), "edges[0]", "killed_slope[0]"),
+    (lambda: _set([2, 1], "edges", 0, "killed_slope_b")(_graph_doc()), ("edges", 0, "killed_slope_b", 1), "edges[0]", "killed_slope_b[1]"),
+    (lambda: _set([[2, 1]], "cases", 0, "killed_slopes")(_graph_doc()), ("cases", 0, "killed_slopes", 0, 0), "cases[0]", "killed_slopes[0][0]"),
+    (_graph_doc, ("cases", 0, "assignments", 0, "fillings", "t", 1), "cases[0].assignments[0]", "fillings['t'][1]"),
+    (lambda: _fillings_as_pairs(_graph_doc()), ("cases", 0, "assignments", 0, "fillings", 0, 1, 0), "cases[0].assignments[0]", "fillings['t'][0]"),
+    (lambda: _top_level_assignments(_graph_doc()), ("assignments", 0, "fillings", "t", 0), "assignments[0]", "fillings['t'][0]"),
+]
+# JSON values that are no integer: Fraction and IntEnum have no JSON form
+NOT_INTEGERS = {
+    "digit_string": "2",
+    "spaced_string": " 3 ",
+    "integral_float": 2.0,
+    "float": 2.5,
+    "true": True,
+    "null": None,
+    "nan": float("nan"),
+    "infinity": float("inf"),
+    "long_string": "9" * 5000,
+}
+
+
+@pytest.mark.parametrize(
+    "doc, keys, entry, what, value",
+    [
+        pytest.param(doc, keys, entry, what, value, id=f"{' '.join(map(str, keys))}-{name}")
+        for doc, keys, entry, what in INTEGER_FIELDS
+        for name, value in NOT_INTEGERS.items()
+    ],
+)
+def test_an_integer_field_that_is_no_int_gets_one_text(capsys, tmp_path, doc, keys, entry, what, value):
+    # an integer is a JSON integer, read by exact._integer: a string of
+    # digits, a float with no fraction part, null or NaN is refused at its path
+    bad = tmp_path / "doc.json"
+    bad.write_text(json.dumps(_set(value, *keys)(doc())))
+    code, out, err = run(capsys, "graph", "validate", str(bad))
+    shown = _shown(json.loads(json.dumps(value)))
+    assert (code, out, err) == (1, "", f"error: {entry}: malformed entry ({what} {shown} is not an integer)\n")
+    assert len(err) < 200
+    for text in PYTHON_TEXTS:
         assert text not in err
 
 
@@ -1421,6 +1474,7 @@ def test_boundary_refusals_end_fast(tmp_path, argv, doc, code, err):
 
 LIMIT = sys.get_int_max_str_digits()
 LONG = "9" * 5000  # over Python's 4300-digit limit for int(str)
+LONG_SHOWN = "'" + "9" * 32 + "…' (5000 characters)"
 LONG_PIECE = '{"pieces": [{"id": "P", "kind": "seifert", "genus": 1, "pairs": [[%s, 1]], "slots": []}], "edges": []}'
 LONG_EDGE = (
     '{"pieces": [{"id": "P", "kind": "hyperbolic", "label": "p", "slots": ["t", "u"]}],'
@@ -1431,8 +1485,12 @@ LONG_EDGE = (
 @pytest.mark.parametrize(
     "text, err",
     [
-        (LONG_PIECE % f'"{LONG}"', f"error: pieces[0]: malformed entry (pairs[0][0] is too long to read: over {LIMIT} digits)\n"),
-        (LONG_EDGE % f'"-{LONG}"', f"error: edges[0]: malformed entry (gluing[1][1] is too long to read: over {LIMIT} digits)\n"),
+        # a string of digits is no integer, however long, and is shown shortened
+        (LONG_PIECE % f'"{LONG}"', f"error: pieces[0]: malformed entry (pairs[0][0] {LONG_SHOWN} is not an integer)\n"),
+        (
+            LONG_EDGE % f'"-{LONG}"',
+            "error: edges[0]: malformed entry (gluing[1][1] '-" + "9" * 31 + "…' (5001 characters) is not an integer)\n",
+        ),
         (LONG_PIECE % LONG, f"error: a JSON number is too long to read: over {LIMIT} digits\n"),
         (LONG_EDGE % LONG, f"error: a JSON number is too long to read: over {LIMIT} digits\n"),
     ],
@@ -1471,7 +1529,7 @@ TOO_LONG = f"is too long to read: over {LIMIT} digits"
         (
             ("graph", "validate"),
             _set([[LONG, 1]], "cases", 0, "killed_slopes")(_graph_doc()),
-            f"cases[0]: malformed entry (killed_slopes[0][0] {TOO_LONG})",
+            f"cases[0]: malformed entry (killed_slopes[0][0] {LONG_SHOWN} is not an integer)",
         ),
     ],
     ids=["structure_constant", "coeff", "exact", "ratio", "case_killed_slope"],
@@ -1714,7 +1772,7 @@ def test_graph_infinite_genus_is_malformed(capsys, tmp_path):
     bad.write_text(json.dumps(doc))
     code, out, err = run(capsys, "graph", "validate", str(bad))
     assert (code, out) == (1, "")
-    assert err == "error: pieces[0]: malformed entry (cannot convert float infinity to integer)\n"
+    assert err == "error: pieces[0]: malformed entry (genus inf is not an integer)\n"
 
 
 # ---------------------------------------------------------------- console script

@@ -58,3 +58,14 @@ def test_generator_is_deterministic(tmp_path):
     out = tmp_path / "library.json"
     subprocess.run([sys.executable, make.__file__, "--out", str(out)], check=True, env=child.env(PYTHONHASHSEED="1"))
     assert out.read_bytes() == make.LIBRARY.read_bytes()
+
+
+def test_corpus_diff_names_each_added_removed_and_moved_entry():
+    old = {"covers": {"a": "1", "b": "2"}, "forms": {"x": "9"}, "gone": {"z": "0"}}
+    new = {"covers": {"a": "1", "b": "3", "c": "4"}, "forms": {"x": "9"}, "fresh": {"y": "5"}}
+    assert make.corpus_diff(old, new) == {
+        "covers": {"added": ["c"], "removed": [], "moved": ["b"]},
+        "fresh": {"added": ["y"], "removed": [], "moved": []},
+        "gone": {"added": [], "removed": ["z"], "moved": []},
+    }
+    assert make.corpus_diff(new, new) == {}

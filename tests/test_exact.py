@@ -2,6 +2,7 @@
 and the volume value types."""
 
 import copy
+import enum
 import math
 import pickle
 from fractions import Fraction
@@ -25,6 +26,10 @@ from repvol.exact import (
     render_volume,
     volume_sum,
 )
+from repvol.covers import TorusCoverDatum, colored_merge_counts, cover_intersection, merge_copy_counts
+from repvol.ehn import foliation_exists
+from repvol.jsj import Edge, FilledSeifert, motegi_case, motegi_spec
+from repvol.seifert import SeifertInvariants, base_cover, circle_bundle, dehn_fill, fiber_cover
 
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=20
@@ -401,3 +406,90 @@ def test_fraction_constructor_matches_fraction(n, d, m, k):
         assert repr(built / other) == repr(plain / other)
     assert (built < other, built == other, bool(built)) == (plain < other, plain == other, bool(plain))
     assert (math.floor(built), math.ceil(built), float(built)) == (math.floor(plain), math.ceil(plain), float(plain))
+
+
+# ---------------------------------------------------------------- the integer rule
+
+
+class _Small(enum.IntEnum):
+    TWO = 2
+
+
+# values that stand for an integer, or look like one, but are no int
+NOT_INTEGERS = {
+    "digit_string": "2",
+    "spaced_string": " 3 ",
+    "integral_float": 2.0,
+    "float": 2.5,
+    "bool": True,
+    "none": None,
+    "nan": math.nan,
+    "infinity": math.inf,
+    "fraction": Fraction(2),
+    "int_enum": _Small.TWO,
+    "long_string": "9" * 5000,
+}
+_EDGE = (("P", "t"), ("Q", "t"))
+# every caller of _integer: a build that puts the value in one place, and
+# the name of that place in the refusal
+INTEGER_READERS = {
+    "genus": (lambda v: SeifertInvariants(v), "genus"),
+    "boundary_count": (lambda v: SeifertInvariants(1, (), v), "boundary_count"),
+    "pair_multiplicity": (lambda v: SeifertInvariants(1, [(2, 1), (v, 1)]), "pairs[1][0]"),
+    "pair_numerator": (lambda v: SeifertInvariants(1, [(3, v)]), "pairs[0][1]"),
+    "gluing": (lambda v: Edge(*_EDGE, ((0, 1), (1, v))), "gluing[1][1]"),
+    "killed_slope": (lambda v: Edge(*_EDGE, ((0, 1), (1, 0)), killed_slope=(v, 1)), "killed_slope[0]"),
+    "killed_slope_b": (lambda v: Edge(*_EDGE, ((0, 1), (1, 0)), killed_slope_b=(1, v)), "killed_slope_b[1]"),
+    "filled_seifert": (lambda v: FilledSeifert("P", [("t", (v, 1))], 0), "fillings['t'][0]"),
+    "dehn_fill_genus": (lambda v: dehn_fill(v, 1, [(2, 1)]), "genus"),
+    "dehn_fill_slope": (lambda v: dehn_fill(1, 1, [(3, v)]), "fillings[0][1]"),
+    "circle_bundle_genus": (lambda v: circle_bundle(v, 2), "genus"),
+    "circle_bundle_euler": (lambda v: circle_bundle(1, v), "euler"),
+    "motegi_case": (lambda v: motegi_case(v, 3, 2, 5), "p1"),
+    "motegi_spec": (lambda v: motegi_spec(2, 3, v, 5), "p2"),
+    "foliation_exists": (lambda v: foliation_exists(v, []), "genus"),
+}
+# every caller of _positive, which reads by the same rule before the sign
+POSITIVE_READERS = {
+    "torus_degree": (lambda v: TorusCoverDatum(v, 1), "torus degree"),
+    "curve_degree": (lambda v: TorusCoverDatum(4, v), "curve degree"),
+    "intersection": (lambda v: cover_intersection(v, 1, 1, 1), "intersection number"),
+    "degree_f": (lambda v: cover_intersection(1, v, 1, 1), "degree of the f-cover"),
+    "degree_s": (lambda v: cover_intersection(1, 1, v, 1), "degree of the s-cover"),
+    "degree_torus": (lambda v: cover_intersection(2, 1, 1, v), "degree of the torus cover"),
+    "merge_degree": (lambda v: merge_copy_counts([v], 1), "cover degree"),
+    "merge_curve": (lambda v: merge_copy_counts([2], v), "curve degree"),
+    "colored_k": (lambda v: colored_merge_counts([v], [1]), "k"),
+    "colored_l": (lambda v: colored_merge_counts([1], [v]), "l"),
+    "fiber_cover": (lambda v: fiber_cover(circle_bundle(1, 4), v), "cover degree"),
+    "base_cover": (lambda v: base_cover(circle_bundle(1, 4), v), "cover degree"),
+}
+
+
+@pytest.mark.parametrize("value", NOT_INTEGERS.values(), ids=NOT_INTEGERS)
+@pytest.mark.parametrize("reader", INTEGER_READERS, ids=str)
+def test_an_integer_is_an_int_and_nothing_else(reader, value):
+    # _integer converts nothing: no string, float, bool, None, Fraction or
+    # int subclass reads as an integer, and each is refused with one text,
+    # the value shortened as _shown shows it
+    build, what = INTEGER_READERS[reader]
+    with pytest.raises(TypeError) as info:
+        build(value)
+    assert str(info.value) == f"{what} {_shown(value)} is not an integer"
+    assert len(str(info.value)) < 200
+
+
+@pytest.mark.parametrize("value", NOT_INTEGERS.values(), ids=NOT_INTEGERS)
+@pytest.mark.parametrize("reader", POSITIVE_READERS, ids=str)
+def test_a_positive_integer_is_a_positive_int(reader, value):
+    build, name = POSITIVE_READERS[reader]
+    with pytest.raises(ValueError) as info:
+        build(value)
+    assert str(info.value) == f"{name} must be a positive integer, got {_shown(value)}"
+    assert len(str(info.value)) < 200
+
+
+def test_every_reader_answers_on_ints():
+    # the base values of both tables are valid, so each refusal above is the value's
+    for build, _ in (*INTEGER_READERS.values(), *POSITIVE_READERS.values()):
+        build(2)

@@ -225,16 +225,34 @@ def test_one_coefficient_reader_and_one_fold_in_ehn():
 
 def test_one_walk_of_a_graph_spec():
     # jsj._spec_problems walks a spec's pieces and edges once and returns
-    # the tables additivity needs, so neither additivity_sum nor
-    # _cover_problem reads spec.pieces or spec.edges, in a loop or otherwise
+    # the tables additivity needs, so neither additivity_sum, _cover_problem
+    # nor GraphManifoldSpec.piece reads spec.pieces or spec.edges, in a loop
+    # or otherwise
     tree = ast.parse((SRC / "repvol" / "jsj.py").read_text("utf-8"))
+    spec = next(node for node in tree.body if getattr(node, "name", None) == "GraphManifoldSpec")
+    readers = [node for node in tree.body if getattr(node, "name", None) in ("additivity_sum", "_cover_problem")]
+    readers += [node for node in spec.body if getattr(node, "name", None) == "piece"]
+    assert len(readers) == 3
     found = []
-    for node in tree.body:
-        if getattr(node, "name", None) in ("additivity_sum", "_cover_problem"):
-            for inner in ast.walk(node):
-                if isinstance(inner, ast.Attribute) and inner.attr in ("pieces", "edges"):
-                    found.append(f"{node.name}:{inner.lineno}: {ast.unparse(inner)}")
+    for node in readers:
+        for inner in ast.walk(node):
+            if isinstance(inner, ast.Attribute) and inner.attr in ("pieces", "edges"):
+                found.append(f"{node.name}:{inner.lineno}: {ast.unparse(inner)}")
     assert found == []
+
+
+def test_int_reads_only_text():
+    # an integer is an int, taken as given by exact._integer; int() is
+    # called only by the three readers of text: the JSON decoder's numbers,
+    # option values and the integers of a Seifert symbol
+    found = []
+    for path in sorted((SRC / "repvol").glob("*.py")):
+        tree = ast.parse(path.read_text("utf-8"), str(path))
+        owners = _owners(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "int":
+                found.append(f"{path.name}:{owners.get(id(node))}")
+    assert found == ["cli.py:_int_arg", "exact.py:_read_int", "seifert.py:_number"]
 
 
 def test_a_fault_inside_a_record_is_an_internal_error(monkeypatch, capsys):

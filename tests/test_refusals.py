@@ -92,6 +92,10 @@ REFUSALS = {
     "bracket_pair_out_of_range": (_algebra(((0, 2), (ONE, ZERO))), "bracket pair (0, 2) out of range or unordered"),
     "bracket_pair_unordered": (_algebra(((1, 0), (ONE, ZERO))), "bracket pair (1, 0) out of range or unordered"),
     "bracket_repeated": (_algebra(((0, 1), (ONE, ZERO)), ((0, 1), (ZERO, ONE))), "duplicate bracket entry for (0, 1)"),
+    # every listed pair is remembered, a zero bracket's too, so no order drops one listing
+    "bracket_repeated_zero_first": (_algebra(((0, 1), (ZERO, ZERO)), ((0, 1), (ZERO, ONE))), "duplicate bracket entry for (0, 1)"),
+    "bracket_repeated_zero_last": (_algebra(((0, 1), (ZERO, ONE)), ((0, 1), (ZERO, ZERO))), "duplicate bracket entry for (0, 1)"),
+    "bracket_repeated_zeros": (_algebra(((0, 1), (ZERO, ZERO)), ((0, 1), (ZERO, ZERO))), "duplicate bracket entry for (0, 1)"),
     "bracket_vector_length": (_algebra(((0, 1), (ONE,))), "bracket vector for (0, 1) has wrong length"),
     "constant_with_pi": (_algebra(((0, 1), (PiScalar.of(1, pi_power=1), ZERO))), "structure constants must be pi-free"),
     "index_of_unknown_name": (lambda: sl2c_algebra().index_of("Q"), "unknown basis element 'Q'"),
@@ -168,7 +172,7 @@ REFUSALS = {
         "bad numeric 10000000000000000000000000000000… (401 characters)",
     ),
     # an integer reader refuses a float infinity as it refuses NaN
-    "genus_infinite": (lambda: SeifertInvariants(float("inf")), "cannot convert float infinity to integer"),
+    "genus_infinite": (lambda: SeifertInvariants(float("inf")), "genus inf is not an integer"),
     # dehn_fill reads its fillings as the constructor reads pairs
     "dehn_fill_float": (lambda: dehn_fill(1, 1, [(2.5, 1)]), "fillings[0][0] 2.5 is not an integer"),
     "dehn_fill_not_a_pair": (lambda: dehn_fill(1, 1, [5]), "fillings [5] are not all [a, b]"),
