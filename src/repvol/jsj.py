@@ -13,7 +13,8 @@ raises ``TypeError``; names it keeps as given, once ``_hashable`` has
 read them, so every table of names can be built.  The JSON loader hands it
 the values unchanged, and walks a whole list only after the record's rule
 has read it, so library and CLI refuse the same shapes with the same text;
-it also refuses a non-string name.
+it also refuses a non-string name by its path (for an endpoint, after the
+``Edge`` has read the other fields).
 """
 
 from __future__ import annotations
@@ -63,10 +64,7 @@ _FILLINGS = "fillings {} are not all [slot, [a, b]]"
 
 def _hashable(name: object) -> bool:
     """Whether ``name`` can name a piece, a slot or a vertex: names are told
-    apart by a set or a mapping.  A string, the loader's only name, passes
-    at once."""
-    if type(name) is str:
-        return True
+    apart by a set or a mapping."""
     try:
         hash(name)
     except TypeError:
@@ -369,8 +367,9 @@ def _numbered(
     tail and head, ``term[2k]`` and ``term[2k + 1]`` its ratio's numerator
     and denominator.  The name index lives only here.  A name that cannot
     be hashed, a vertex or an edge's end, is refused as a ``ValueError``."""
+    names = iter(vertices)
     try:
-        index = {name: i for i, name in enumerate(dict.fromkeys(vertices))}
+        index = {name: i for i, name in enumerate(dict.fromkeys(names))}
     except TypeError:  # a name that cannot be hashed
         raise ValueError(f"vertices {_shown(vertices)} are not all names") from None
     end: list[int] = []
@@ -548,8 +547,14 @@ def _piece_from_json(entry: Mapping, path: str) -> Piece:
 
 def _edge_from_json(entry: Mapping, path: str) -> Edge:
     a, b, gluing = _field(entry, "a", path), _field(entry, "b", path), _field(entry, "gluing", path)
-    edge = Edge(a, b, gluing, entry.get("killed_slope"), entry.get("killed_slope_b"))
-    for side, (piece_id, slot) in (("a", edge.a), ("b", edge.b)):
+    # the Edge reads every other field before the loader reads the names by
+    # their paths, so an endpoint holding a name that is no string stands in as ("", "")
+    held = [
+        ("", "") if _is_pair(end) and not (type(end[0]) is str and type(end[1]) is str) else end
+        for end in (a, b)
+    ]
+    edge = Edge(held[0], held[1], gluing, entry.get("killed_slope"), entry.get("killed_slope_b"))
+    for side, (piece_id, slot) in (("a", a), ("b", b)):
         if type(piece_id) is not str or type(slot) is not str:
             _name(piece_id, "{}.{}[0]", path, side)
             _name(slot, "{}.{}[1]", path, side)

@@ -742,6 +742,8 @@ def _malformed():
         ("edge_a_short", _set_in(base, ["P"], "edges", 0, "a")),
         ("edge_b_long", _set_in(base, ["H", "t", "x"], "edges", 0, "b")),
         ("edge_a_int", _set_in(base, 7, "edges", 0, "a")),
+        ("edge_a_name_list", _set_in(base, [["P"], "t"], "edges", 0, "a")),
+        ("edge_b_name_object", _set_in(base, ["H", {"t": 1}], "edges", 0, "b")),
         ("gluing_one_row", _set_in(base, [[3, -4]], "edges", 0, "gluing")),
         ("gluing_rows_long", _set_in(base, [[0, 1, 2], [1, 0, 0]], "edges", 0, "gluing")),
         ("gluing_strings", _set_in(base, ["34", "23"], "edges", 0, "gluing")),

@@ -284,8 +284,21 @@ def test_names_of_two_types_are_never_compared():
             {"pieces": [], "assignments": [{"piece": 2, "assign": "small_image"}]},
             "assignments[0].piece: expected a string, got 2",
         ),
+        (
+            {"pieces": [], "edges": [{"a": [["P"], "t"], "b": ["H", "t"], "gluing": [[0, 1], [1, 0]]}]},
+            "edges[0].a[0]: expected a string, got ['P']",
+        ),
+        (
+            {"pieces": [], "edges": [{"a": ["P", "t"], "b": ["H", {"t": 1}], "gluing": [[0, 1], [1, 0]]}]},
+            "edges[0].b[1]: expected a string, got {'t': 1}",
+        ),
+        (
+            # the names of an endpoint are read after every other field of its edge
+            {"pieces": [], "edges": [{"a": [["P"], "t"], "b": ["H", "t"], "gluing": [[0, 1], ["x", 0]]}]},
+            "edges[0]: malformed entry (gluing[1][0] 'x' is not an integer)",
+        ),
     ],
-    ids=["piece_id", "case_name", "assignment_piece"],
+    ids=["piece_id", "case_name", "assignment_piece", "endpoint_list", "endpoint_object", "endpoint_after_gluing"],
 )
 def test_loader_reads_names_as_strings_only(doc, message):
     with pytest.raises(ValueError) as info:
@@ -1181,8 +1194,11 @@ def _fraction_forest(vertices, edges):
             ratio = Fraction(ratio)
         except ValueError:  # a string that is no rational, in the library's text
             raise ValueError(f"not a rational number: {ratio!r}") from None
-        # a list compares its names by ==, so an end that cannot be hashed is unknown too
-        if u not in list(adjacency) or v not in list(adjacency):
+        try:
+            known = u in adjacency and v in adjacency
+        except TypeError:  # an end that cannot be hashed names no vertex
+            known = False
+        if not known:
             raise ValueError(f"edge ({u!r}, {v!r}) uses unknown vertices")
         if ratio <= 0:
             raise ValueError(f"edge ratio must be positive, got {ratio}")
