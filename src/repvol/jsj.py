@@ -118,7 +118,8 @@ class Edge(_Record):
         if not (_is_pair(gluing) and _is_pair(gluing[0]) and _is_pair(gluing[1])):
             raise TypeError(f"gluing {_shown(gluing)} is not a 2x2 matrix")
         for side, end in (("a", a), ("b", b)):
-            if not (_is_pair(end) and _hashable(end[0]) and _hashable(end[1])):
+            # a tuple hashes when both its items do
+            if not (_is_pair(end) and _hashable((end[0], end[1]))):
                 raise TypeError(f"{side} {_shown(end)} is not [piece, slot]")
         slopes = [name for name in ("killed_slope", "killed_slope_b") if getattr(self, name) is not None]
         for name in slopes:
@@ -547,13 +548,14 @@ def _piece_from_json(entry: Mapping, path: str) -> Piece:
 
 def _edge_from_json(entry: Mapping, path: str) -> Edge:
     a, b, gluing = _field(entry, "a", path), _field(entry, "b", path), _field(entry, "gluing", path)
-    # the Edge reads every other field before the loader reads the names by
-    # their paths, so an endpoint holding a name that is no string stands in as ("", "")
-    held = [
-        ("", "") if _is_pair(end) and not (type(end[0]) is str and type(end[1]) is str) else end
-        for end in (a, b)
-    ]
-    edge = Edge(held[0], held[1], gluing, entry.get("killed_slope"), entry.get("killed_slope_b"))
+    slope, slope_b = entry.get("killed_slope"), entry.get("killed_slope_b")
+    try:
+        edge = Edge(a, b, gluing, slope, slope_b)
+    except TypeError:
+        # The names are read by their paths below, after every other field:
+        # an endpoint holding a name that is no string stands in as ("", "").
+        held = [("", "") if _is_pair(end) and not (type(end[0]) is str and type(end[1]) is str) else end for end in (a, b)]
+        edge = Edge(held[0], held[1], gluing, slope, slope_b)
     for side, (piece_id, slot) in (("a", a), ("b", b)):
         if type(piece_id) is not str or type(slot) is not str:
             _name(piece_id, "{}.{}[0]", path, side)
