@@ -34,9 +34,13 @@ sums by count and shifts each group by every m it admits.
 roots t from the header before any fold, by one reader (``_offsets``),
 so only a root folds; each m is then one lookup in the last layer.
 ``witnesses_for`` walks back through the layers on an explicit stack and
-only steps to residue sums that can still reach the count they need, so
-its cost follows the output; its budget counts the leaves of that tree
-over the same layers (``_tree_size``).  Each witness is derived in
+only steps to residue sums that can still reach the count they need,
+down to layers[1], whose sum fixes the first fibre's residue.  Every
+frame it pushes leads to a witness, but each frame above layers[1]
+tests every nonzero residue of its fibre: the walk is linear in the
+output on two fibres, and may spend up to a_k tests per witness where
+an inner layer is sparse.  Its budget counts the leaves of that tree over the same
+layers by window sums (``_tree_size``).  Each witness is derived in
 integers over the common denominator lcm * |E_num| and checked by
 integer tests.  Every witness under one root t shares zeta, and z_i
 depends only on t and (i, n_i), so ``witnesses_for`` builds zeta once
@@ -61,6 +65,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from fractions import Fraction
 from operator import getitem, mul
 from typing import Callable, Iterable, Iterator
@@ -138,13 +143,25 @@ def _require_volume_geometry(inv: SeifertInvariants, lcm: int, e: int | Fraction
 
 
 def _add_fibre(layer: dict[int, int], offsets: range) -> dict[int, int]:
-    """Next sumset layer: residue sum s -> most nonzero residues reaching s."""
+    """Next sumset layer: residue sum s -> most nonzero residues reaching s.
+
+    Each s walks its offsets in order and stops after the first t that
+    the input layer reaches with at least s's count: t's own window covers
+    the rest of s's, with a count at least as large.  So the sums that
+    visit one cell have counts falling strictly as the sums rise, and a
+    cell of layer k is visited at most k times."""
     out = dict(layer)  # residue 0 keeps both the sum and the count
     for s, count in layer.items():
-        count += 1
         for d in offsets:
-            if out.get(s + d, -1) < count:
-                out[s + d] = count
+            t = s + d
+            have = out.get(t)
+            if have is None:  # a cell new to out is no key of layer
+                out[t] = count + 1
+            else:
+                if have <= count:
+                    out[t] = count + 1
+                if layer.get(t, -1) >= count:
+                    break
     return out
 
 
@@ -170,6 +187,14 @@ def spectrum_size_bound(inv: SeifertInvariants) -> int:
     The sumset holds at most min(prod(a_i), sum((a_i - 1) * lcm/a_i) + 1)
     residue sums, and each gives at most 4g - 3 + p offsets m.  Not in
     ``__all__``; ``volume_set`` and ``_offsets`` refuse a space over its limit.
+
+    The work each path spends per counted value: the fold visits a cell
+    of layer k at most k times (``_add_fibre``), so at most p/2 cell
+    visits; ``volume_set`` makes at most one shift, and ``_offsets`` reads
+    4g - 3 + p cells in all; ``_tree_size`` visits at most 2p (key, need)
+    pairs, each by two bisections.  The walk of ``witnesses_for`` is
+    counted by its own budget, in witnesses: at most a_2 + ... + a_p
+    residue tests per witness, none for the first fibre.
     """
     lcm = _fibres(inv)[1]
     moduli = [a for a, _ in inv.pairs]
@@ -346,18 +371,30 @@ class VolumeWitness(_Record):
 
 def _tree_size(layers: tuple[dict[int, int], ...], choices: list, starts: Iterable[tuple[int, int]]) -> int:
     """The leaves of ``witnesses_for``'s walk from the (sum, need) ``starts``,
-    counted down the layers with one (sum, need) -> multiplicity map per
-    fibre, each state extended by the walk's own rule."""
+    counted down to layers[1], whose sum fixes the first fibre's residue,
+    with one (sum, need) -> multiplicity map per fibre.
+
+    With step d, a state (s, need) goes to (s, need) by residue 0 and to
+    (s - r * d, need - 1) by residue r = 1 ... a - 1, each kept while the
+    layer below reaches it.  A missing key never does, so each target u
+    is a key of that layer, and it gathers the states of its class mod d
+    in (u, u + (a - 1) * d] by prefix sums per (class, need)."""
     states = dict.fromkeys(starts, 1)
-    for below, fibre in zip(layers[-2::-1], choices[::-1]):
-        out: dict[tuple[int, int], int] = {}
-        for (s, need), n in states.items():
-            if below.get(s, need - 1) >= need:
-                out[s, need] = out.get((s, need), 0) + n
-            need -= 1
-            for _, d in fibre:
-                if below.get(s - d, need - 1) >= need:
-                    out[s - d, need] = out.get((s - d, need), 0) + n
+    for below, fibre in zip(layers[-2:0:-1], choices[:0:-1]):
+        d, width = (fibre[0][1], fibre[-1][1]) if fibre else (1, 0)  # order 1: no window
+        # class -> need -> (its states' sums, ascending, and their prefix sums)
+        groups: dict[int, dict[int, tuple[list[int], list[int]]]] = {}
+        for (s, need), n in sorted(states.items()):
+            sums, prefix = groups.setdefault(s % d, {}).setdefault(need, ([], [0]))
+            sums.append(s)
+            prefix.append(prefix[-1] + n)
+        out = {(s, need): n for (s, need), n in states.items() if below.get(s, need - 1) >= need}
+        for u, most in below.items():
+            for need, (sums, prefix) in groups.get(u % d, {}).items():
+                if most >= need - 1:
+                    n = prefix[bisect_right(sums, u + width)] - prefix[bisect_right(sums, u)]
+                    if n:
+                        out[u, need - 1] = out.get((u, need - 1), 0) + n
         states = out
     return sum(states.values())
 
@@ -389,7 +426,8 @@ def witnesses_for(inv: SeifertInvariants, coeff: Fraction, *, limit: int = MAX_V
         while stack:
             k, s, need, r = stack.pop()
             residues[k] = r
-            if k == 0:
+            if k == 1:  # layers[1] maps r * steps[0] to [r > 0], so s fixes fibre 0's residue
+                residues[0] = s // steps[0]
                 yield tuple(residues[:p])
                 continue
             below = layers[k - 1]

@@ -194,17 +194,18 @@ def _rows(value: object, refusal: str, row: Callable | None = None, mapping: boo
 # Work that may exceed this many spectrum values, oracle (tuple, n) pairs
 # or witnesses is refused unless the caller raises the limit (``limit=``
 # in ``ehn``).  The cost grows with the count: (1; 1/571, 1/577), bound
-# 988401, prints its 493627 values in about 7 s on a 2-CPU machine.  It
-# lives here, with the rest of the input boundary and ``_check_budget``,
-# its one writer, so the CLI parser can show it and any module can refuse
-# by it without loading ``ehn``.
+# 988401, prints its 493627 values through the CLI in about 3 s on a
+# 2-CPU machine.  It lives here, with the rest of the input boundary and
+# ``_check_budget``, its one writer, so the CLI parser can show it and
+# any module can refuse by it without loading ``ehn``.
 MAX_VALUES = 1_000_000
 
 
 def _check_budget(count: int, limit: int = MAX_VALUES, unit: str = "values") -> None:
     """Refuse work that may exceed ``limit``: a ``ValueError`` reading
-    ``spectrum too large: up to <count> <unit>, over the limit of <limit>``."""
-    if count > limit:
+    ``spectrum too large: up to <count> <unit>, over the limit of <limit>``.
+    ``limit`` is read by ``_integer``, so "5", None, 2.5 or True is a ``TypeError``."""
+    if count > _integer(limit, "limit"):
         # str() refuses ints of more than 4300 digits, so a huge count is
         # shown by the power of two above it
         shown = count if count.bit_length() <= 4096 else f"2^{count.bit_length()}"

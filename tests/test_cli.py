@@ -217,6 +217,15 @@ def test_huge_spectrum_answers_or_fails_fast(argv, code):
     assert elapsed < 0.5
 
 
+def test_an_admitted_spectrum_of_two_large_fibres_is_printed(capsys):
+    # (1; 1/20000, 1/20000): bound 119997 values, under the default budget,
+    # answered in process; its lines are counted, not timed
+    code, out, err = run(capsys, "seifert", "volumes", "(1; 1/20000, 1/20000)")
+    lines = out.splitlines()
+    assert (code, err, len(lines)) == (0, "", 39999)
+    assert (lines[0], lines[-1]) == ("0", "399960001/10000 * 4*pi^2")
+
+
 def test_max_values_sets_the_budget(capsys):
     # (1; 1/2, 1/2): at most min(2 * 2, 1 + 1 + 1) = 3 sums, times
     # 4g - 3 + p = 3 offsets, bound 9 values (the spectrum has 3)

@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -221,6 +222,38 @@ def test_zero_always_in_spectrum():
         assert Fraction(0) in volume_set(parse_seifert(text))
 
 
+def _add_fibre_oracle(layer, offsets):
+    """The fold before it stopped early, kept verbatim: every offset of every sum."""
+    out = dict(layer)  # residue 0 keeps both the sum and the count
+    for s, count in layer.items():
+        count += 1
+        for d in offsets:
+            if out.get(s + d, -1) < count:
+                out[s + d] = count
+    return out
+
+
+@pytest.mark.parametrize("kind", ["equal", "coprime", "mixed"])
+def test_the_early_stop_fold_matches_the_full_fold(kind):
+    # seeded moduli: equal ones overlap their sums the most, pairwise
+    # coprime ones never, mixed ones in between; every layer is compared
+    rng = random.Random(f"early stop fold {kind}")
+    for _ in range(300):
+        size = rng.randint(1, 5)
+        if kind == "equal":
+            moduli = [rng.randint(1, 12)] * size
+        elif kind == "coprime":
+            moduli = rng.sample([2, 3, 5, 7, 11, 13, 17], min(size, 4))
+        else:
+            moduli = [rng.randint(1, 12) for _ in range(size)]
+        lcm, layer = math.lcm(*moduli), {0: 0}
+        for a in moduli:
+            offsets = range(lcm // a, lcm, lcm // a)
+            expected = _add_fibre_oracle(layer, offsets)
+            layer = ehn._add_fibre(layer, offsets)
+            assert layer == expected, moduli
+
+
 # ---------------------------------------------------------------- witnesses
 
 
@@ -409,8 +442,9 @@ def test_witness_from_lists_equals_and_hashes_like_the_enumerated_one():
     [
         ("(1; " + ", ".join(["1/2"] * 14) + ")", Fraction(121, 28), 756),
         ("(2; 1/4, 1/4, 1/4, 1/6, 1/6, 1/6, 1/12)", Fraction(507, 16), 1268),
+        ("(1; 1/20000, 1/20000)", Fraction(399960001, 40000), 40000),  # the middle coefficient
     ],
-    ids=["fourteen_halves", "roadmap_symbol"],
+    ids=["fourteen_halves", "roadmap_symbol", "two_of_order_20000"],
 )
 def test_integer_witnesses_match_fraction_formulas_on_large_sets(text, coeff, count):
     inv = parse_seifert(text)
@@ -673,6 +707,22 @@ def test_limit_admits_each_function_at_exactly_its_count():
     )
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda inv, limit: volume_set(inv, limit=limit),
+        lambda inv, limit: witnesses_for(inv, Fraction(1), limit=limit),
+        lambda inv, limit: volume_set_bruteforce(inv, limit=limit),
+    ],
+    ids=["volume_set", "witnesses_for", "volume_set_bruteforce"],
+)
+@pytest.mark.parametrize("limit, shown", [("5", "'5'"), (None, "None"), (2.5, "2.5"), (True, "True")])
+def test_limit_follows_the_integer_rule(call, limit, shown):
+    with pytest.raises(TypeError) as refused:
+        call(parse_seifert("(1; 1/2, 1/2)"), limit)
+    assert str(refused.value) == f"limit {shown} is not an integer"
+
+
 def test_a_witness_list_over_the_limit_is_refused_before_it_is_built(monkeypatch):
     # coefficient 1/16 of (1; 8 x 1/2): 256 witnesses, spectrum bound 81
     inv = parse_seifert("(1; " + ", ".join(["1/2"] * 8) + ")")
@@ -801,3 +851,57 @@ def test_a_coefficient_without_a_root_never_folds(monkeypatch):
     assert spectrum_contains(inv, Fraction(1, 7)) is False
     assert _refusal(lambda: witnesses_for(inv, Fraction(1, 7))) == "coefficient 1/7 is not in the volume spectrum"
     assert inv._table[5] is None
+
+
+# ---------------------------------------------------------------- work counts
+
+
+def _lines_run(call, *args, code=None):
+    """The lines of ``repvol.ehn`` that ``call(*args)`` runs, only those of
+    ``code`` if given, counted by a ``sys.settrace`` line collector as
+    ``tests/coverage.py`` collects them: a work count, not a time."""
+    lines = 0
+
+    def local(frame, event, arg):
+        nonlocal lines
+        lines += event == "line"
+        return local
+
+    def trace(frame, event, arg):
+        if frame.f_code.co_filename == ehn.__file__ and (code is None or frame.f_code is code):
+            return local
+        return None
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        call(*args)
+    finally:
+        sys.settrace(previous)
+    return lines
+
+
+def _fold_and_walk(a):
+    inv = parse_seifert(f"(1; 1/{a}, 1/{a})")
+    spectrum = volume_set(inv)
+    assert len(spectrum) == 2 * a - 1
+    assert len(witnesses_for(inv, spectrum[len(spectrum) // 2])) == 2 * a
+
+
+def test_the_fold_and_the_walk_grow_linearly():
+    # (1; 1/a, 1/a): the spectrum and the witnesses of its middle
+    # coefficient; a fold over every offset, or a walk testing every
+    # residue of the first fibre, grows fourfold per doubling of a
+    counts = [_lines_run(_fold_and_walk, a) for a in (2500, 5000, 10000, 20000)]
+    assert all(later <= 2.2 * earlier for earlier, later in itertools.pairwise(counts)), counts
+
+
+def test_the_tree_count_grows_linearly():
+    # (1; 1/a, 1/a, 1/a) at its middle coefficient: the tree count alone,
+    # where stepping every state by every residue grows fourfold per doubling
+    counts = []
+    for a in (150, 300, 600, 1200):
+        inv = parse_seifert(f"(1; 1/{a}, 1/{a}, 1/{a})")
+        spectrum = volume_set(inv)
+        counts.append(_lines_run(_tree_size, inv, spectrum[len(spectrum) // 2], code=ehn._tree_size.__code__))
+    assert all(later <= 2.2 * earlier for earlier, later in itertools.pairwise(counts)), counts
