@@ -13,8 +13,13 @@ printing their finding.  ``main`` alone writes, so all output is
 computed before any of it is printed, and a failing write is a domain
 error like any other.
 
-Each handler imports the modules it runs, so a process loads only its
-own command family: ``covers`` never loads ``liecs`` or ``jsj``.
+A command builds only the parsers of the family its first argument
+names (``build_parser(family)``, from the table ``_FAMILIES``); any other
+first argument, such as ``-h``, none or an unknown word, builds all
+five, so that the root's help and its unknown-command error list every
+family.  Each handler imports the modules its action runs: ``covers``
+never loads ``liecs`` or ``jsj``, ``seifert info`` never loads ``ehn``,
+and ``cs jacobi`` never loads ``linalg``.
 """
 
 from __future__ import annotations
@@ -122,19 +127,9 @@ def _witness_payload(witnesses) -> list[dict]:
 
 
 def _cmd_seifert(args: argparse.Namespace) -> _Output:
-    from . import ehn, seifert
+    from . import seifert
 
     inv = seifert.parse_seifert(args.notation)
-    if args.coeff is not None:
-        found = _witness_payload(ehn.witnesses_for(inv, args.coeff, limit=args.max_values))
-        if args.json:
-            return [_json({"witnesses": found})], None
-        lines = []
-        for w in found:
-            n_values, z_values = ",".join(map(str, w["n_values"])), ",".join(w["z_values"])
-            lines.append(f"n=({n_values}) n={w['n']} zeta={w['zeta']} z=({z_values})")
-        return lines, None
-
     if args.action == "info":
         payload = {
             "notation": seifert.format_seifert(inv),
@@ -145,6 +140,18 @@ def _cmd_seifert(args: argparse.Namespace) -> _Output:
         if args.json:
             return [_json(payload)], None
         return [f"{key} {value}" for key, value in payload.items()], None
+
+    from . import ehn
+
+    if args.coeff is not None:
+        found = _witness_payload(ehn.witnesses_for(inv, args.coeff, limit=args.max_values))
+        if args.json:
+            return [_json({"witnesses": found})], None
+        lines = []
+        for w in found:
+            n_values, z_values = ",".join(map(str, w["n_values"])), ",".join(w["z_values"])
+            lines.append(f"n=({n_values}) n={w['n']} zeta={w['zeta']} z=({z_values})")
+        return lines, None
 
     if args.action == "volumes":
         # the oracle window is never below the spectrum bound, so it goes first
@@ -374,17 +381,9 @@ class _Parser(argparse.ArgumentParser):
         return namespace, extras
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="repvol",
-        description="Exact volume data for Seifert and graph manifolds.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_seifert = sub.add_parser("seifert", help="Seifert invariants and volume spectra")
-    s_sub = p_seifert.add_subparsers(dest="action", required=True)
+def _seifert_parsers(actions: argparse._SubParsersAction) -> None:
     for action in ("info", "volumes", "sv", "foliation", "witnesses"):
-        p = s_sub.add_parser(action)
+        p = actions.add_parser(action)
         p.add_argument("notation", help='Seifert notation, e.g. "(1; 1/2, 1/2)"')
         p.add_argument("--json", action="store_true")
         if action == "witnesses":
@@ -409,37 +408,37 @@ def build_parser() -> argparse.ArgumentParser:
             p.apart = (("--witnesses", "--oracle"), ("--witnesses", "--decimal"))
         p.set_defaults(handler=_cmd_seifert, coeff=None)
 
-    p_cs = sub.add_parser("cs", help="symbolic 3-form identities")
-    cs_sub = p_cs.add_subparsers(dest="action", required=True)
-    p_verify = cs_sub.add_parser("verify")
+
+def _cs_parsers(actions: argparse._SubParsersAction) -> None:
+    p_verify = actions.add_parser("verify")
     p_verify.add_argument("algebra", type=_algebra_arg, choices=_ALGEBRAS)
     p_verify.set_defaults(handler=_cmd_cs)
-    p_jacobi = cs_sub.add_parser("jacobi")
+    p_jacobi = actions.add_parser("jacobi")
     p_jacobi.add_argument("file", help="JSON structure-constant table")
     p_jacobi.set_defaults(handler=_cmd_cs)
 
-    p_graph = sub.add_parser("graph", help="JSJ graph specs")
-    g_sub = p_graph.add_subparsers(dest="action", required=True)
+
+def _graph_parsers(actions: argparse._SubParsersAction) -> None:
     for action in ("validate", "additivity", "rw"):
-        p = g_sub.add_parser(action)
+        p = actions.add_parser(action)
         p.add_argument("file", help="JSON file")
         if action == "additivity":
             p.add_argument("--json", action="store_true")
             p.add_argument("--decimal", action="store_true")
         p.set_defaults(handler=_cmd_graph)
 
-    p_covers = sub.add_parser("covers", help="elevation and merging arithmetic")
-    c_sub = p_covers.add_subparsers(dest="action", required=True)
-    p_merge = c_sub.add_parser("merge")
+
+def _covers_parsers(actions: argparse._SubParsersAction) -> None:
+    p_merge = actions.add_parser("merge")
     p_merge.add_argument("--degrees", type=_int_list, required=True)
     p_merge.add_argument("--m", type=_int_arg, required=True)
-    p_colored = c_sub.add_parser("colored")
+    p_colored = actions.add_parser("colored")
     p_colored.add_argument("--k", type=_int_list, required=True)
     p_colored.add_argument("--l", type=_int_list, required=True)
-    p_elev = c_sub.add_parser("elevations")
+    p_elev = actions.add_parser("elevations")
     p_elev.add_argument("--torus", type=_int_arg, required=True, help="torus cover degree")
     p_elev.add_argument("--curve", type=_int_arg, required=True, help="curve cover degree")
-    p_inter = c_sub.add_parser("intersection")
+    p_inter = actions.add_parser("intersection")
     p_inter.add_argument("--number", type=_int_arg, required=True, help="intersection number downstairs")
     p_inter.add_argument("--deg-f", type=_int_arg, required=True)
     p_inter.add_argument("--deg-s", type=_int_arg, required=True)
@@ -448,19 +447,45 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true")
         p.set_defaults(handler=_cmd_covers)
 
-    p_cases = sub.add_parser("cases", help="worked families")
-    case_sub = p_cases.add_subparsers(dest="action", required=True)
-    p_motegi = case_sub.add_parser("motegi")
+
+def _cases_parsers(actions: argparse._SubParsersAction) -> None:
+    p_motegi = actions.add_parser("motegi")
     for name in ("p1", "q1", "p2", "q2"):
         p_motegi.add_argument(name, type=_int_arg)
     p_motegi.add_argument("--json", action="store_true")
     p_motegi.set_defaults(handler=_cmd_cases)
 
+
+# command family -> (its help line, the builder of its action parsers), in help order
+_FAMILIES = {
+    "seifert": ("Seifert invariants and volume spectra", _seifert_parsers),
+    "cs": ("symbolic 3-form identities", _cs_parsers),
+    "graph": ("JSJ graph specs", _graph_parsers),
+    "covers": ("elevation and merging arithmetic", _covers_parsers),
+    "cases": ("worked families", _cases_parsers),
+}
+
+
+def build_parser(family: Optional[str] = None) -> argparse.ArgumentParser:
+    """The ``repvol`` parser with every command family, or with ``family``
+    alone; a family's parsers and texts are the same either way."""
+    parser = _Parser(
+        prog="repvol",
+        description="Exact volume data for Seifert and graph manifolds.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_actions) in _FAMILIES.items():
+        if family in (None, name):
+            add_actions(sub.add_parser(name, help=help_text).add_subparsers(dest="action", required=True))
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # a command builds only its family's parsers; any other first word,
+    # such as -h, none or an unknown one, builds them all for the root's texts
+    parser = build_parser(argv[0] if argv and argv[0] in _FAMILIES else None)
     try:
         try:
             args = parser.parse_args(argv)

@@ -369,19 +369,20 @@ class VolumeWitness(_Record):
             raise ValueError("witness coefficient does not match its data")
 
 
-def _tree_size(layers: tuple[dict[int, int], ...], choices: list, starts: Iterable[tuple[int, int]]) -> int:
+def _tree_size(layers: tuple[dict[int, int], ...], steps: list[int], lcm: int, starts: Iterable[tuple[int, int]]) -> int:
     """The leaves of ``witnesses_for``'s walk from the (sum, need) ``starts``,
     counted down to layers[1], whose sum fixes the first fibre's residue,
     with one (sum, need) -> multiplicity map per fibre.
 
-    With step d, a state (s, need) goes to (s, need) by residue 0 and to
-    (s - r * d, need - 1) by residue r = 1 ... a - 1, each kept while the
-    layer below reaches it.  A missing key never does, so each target u
-    is a key of that layer, and it gathers the states of its class mod d
-    in (u, u + (a - 1) * d] by prefix sums per (class, need)."""
+    With step d = lcm/a, a state (s, need) goes to (s, need) by residue 0
+    and to (s - r * d, need - 1) by residue r = 1 ... a - 1, each kept
+    while the layer below reaches it.  A missing key never does, so each
+    target u is a key of that layer, and it gathers the states of its
+    class mod d in (u, u + lcm - d] by prefix sums per (class, need); a
+    fibre of order 1 has an empty window."""
     states = dict.fromkeys(starts, 1)
-    for below, fibre in zip(layers[-2:0:-1], choices[:0:-1]):
-        d, width = (fibre[0][1], fibre[-1][1]) if fibre else (1, 0)  # order 1: no window
+    for below, d in zip(layers[-2:0:-1], steps[:0:-1]):
+        width = lcm - d
         # class -> need -> (its states' sums, ascending, and their prefix sums)
         groups: dict[int, dict[int, tuple[list[int], list[int]]]] = {}
         for (s, need), n in sorted(states.items()):
@@ -409,11 +410,9 @@ def witnesses_for(inv: SeifertInvariants, coeff: Fraction, *, limit: int = MAX_V
         raise ValueError(f"coefficient {_printed(coeff, 'coefficient')} is not in the volume spectrum")
     e, lcm, _, _, steps, layers = _fold(inv)
     lo, hi, p = 2 - 2 * inv.genus, 2 * inv.genus - 2, len(steps)
-    # fibre i's nonzero residue choices (r, r * lcm/a_i), worked out once
-    choices = [tuple(enumerate(range(step, lcm, step), 1)) for step in steps]
     # each residue tuple meets each root +-t at one m, so 2 * prod(a_i) bounds the list
     if 2 * math.prod(a for a, _ in inv.pairs) > limit:
-        _check_budget(_tree_size(layers, choices, [(t + m * lcm, m - hi) for t, m in offsets]), limit, "witnesses")
+        _check_budget(_tree_size(layers, steps, lcm, [(t + m * lcm, m - hi) for t, m in offsets]), limit, "witnesses")
 
     def tuples(s: int, need: int) -> Iterator[tuple[int, ...]]:
         # residues summing to s, >= need of them nonzero, walked back on an
@@ -433,8 +432,8 @@ def witnesses_for(inv: SeifertInvariants, coeff: Fraction, *, limit: int = MAX_V
             below = layers[k - 1]
             if below.get(s, need - 1) >= need:
                 stack.append((k - 1, s, need, 0))
-            need -= 1
-            for r, d in choices[k - 1]:
+            need, step = need - 1, steps[k - 1]
+            for r, d in enumerate(range(step, lcm, step), 1):  # residue r adds r * step to s
                 if below.get(s - d, need - 1) >= need:
                     stack.append((k - 1, s - d, need, r))
 

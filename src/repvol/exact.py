@@ -338,6 +338,9 @@ class _Record(_Frozen):
         return hash(self._values())
 
 
+Pair = tuple[int, int]  # a Gaussian integer re + im*i, as liecs and linalg hold one
+
+
 class GaussianRational(_Frozen):
     """Complex number with exact rational real and imaginary parts, held
     as three ints: the value is ``(_a + _b*i) / _den``."""

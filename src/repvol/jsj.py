@@ -27,7 +27,6 @@ from fractions import Fraction
 from typing import Hashable, Optional, Sequence, Union
 
 from . import _HOMES
-from .ehn import spectrum_contains
 from .exact import (
     ExactVolume,
     NumericVolume,
@@ -305,6 +304,8 @@ def additivity_sum(spec: GraphManifoldSpec, assignments: Sequence[PieceAssignmen
     (up to sign), and its coefficient must lie in the volume spectrum of
     the filled closed piece.
     """
+    from .ehn import spectrum_contains  # only additivity reads a spectrum, so no other graph command loads ehn
+
     problems, pieces, killed, unglued = _walked(spec)
     if problems:
         raise ValueError("invalid spec: " + "; ".join(problems))

@@ -29,16 +29,19 @@ from collections.abc import Mapping
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from . import _HOMES, linalg
+from . import _HOMES
 from .exact import (
     GaussianRational,
     PI_ONE,
     PI_ZERO,
+    Pair,
     PiScalar,
     _Record,
     _document,
     _field,
     _gaussian,
+    _int_pair,
+    _integer,
     _list,
     _name,
     _pi,
@@ -47,7 +50,6 @@ from .exact import (
     _set,
     _shown,
 )
-from .linalg import Pair
 
 __all__ = [*_HOMES["liecs"]]
 
@@ -95,11 +97,12 @@ class JacobiViolation(ValueError):
 class LieAlgebraSpec(_Record):
     """Finite-dimensional Lie algebra given by its structure constants.
 
-    ``brackets`` maps an index pair (j, k) with j < k to the coordinate
-    vector of [X_j, X_k]; missing pairs are zero brackets.  Coefficients
-    must be pi-free scalars.  The Jacobi identity is checked on
-    construction unless ``check_jacobi=False`` (used when loading
-    untrusted tables that a caller wants to diagnose).
+    ``brackets`` maps an index pair (j, k) with j < k, two ints by
+    ``exact._integer``, to the coordinate vector of [X_j, X_k]; missing
+    pairs are zero brackets.  Coefficients must be pi-free scalars.  The
+    Jacobi identity is checked on construction unless
+    ``check_jacobi=False`` (used when loading untrusted tables that a
+    caller wants to diagnose).
 
     Two tables derived once hold the nonzero constants as int pairs over
     the shared denominator ``_den``: ``_table``, (j, k) -> {i: c^i_jk} for
@@ -131,7 +134,8 @@ class LieAlgebraSpec(_Record):
         # for the nonzero brackets
         table: dict[tuple[int, int], tuple[tuple[PiScalar, ...], list[tuple[int, PiScalar]]]] = {}
         listed: set[tuple[int, int]] = set()  # every pair, a zero bracket's too
-        for (j, k), vec in self.brackets:
+        for e, (pair, vec) in enumerate(self.brackets):
+            j, k = _int_pair(pair, "brackets[{}][0][{}]", e)
             if not (0 <= j < k < dim):
                 raise ValueError(f"bracket pair ({j}, {k}) out of range or unordered")
             if (j, k) in listed:
@@ -238,22 +242,25 @@ def _summed(terms: tuple, rest: tuple = (), sign: int = 1) -> tuple[tuple[tuple[
 
 class ExteriorForm(_Record):
     """Left-invariant form: scalar coefficients on increasing index tuples.
-    The constructor checks every term of caller input, then sums the terms
-    on one index by ``_summed``, as ``+`` and ``-`` do; the operators, ``d``
-    and the other derived forms are built by ``_trusted`` without the checks."""
+    The constructor reads ``dim``, ``degree`` and each index by
+    ``exact._integer`` and checks every term of caller input, then sums
+    the terms on one index by ``_summed``, as ``+`` and ``-`` do; the
+    operators, ``d`` and the other derived forms are built by ``_trusted``
+    without the checks."""
 
     dim: int
     degree: int
     terms: tuple[tuple[tuple[int, ...], PiScalar], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.degree < 0:
+        _integer(self.dim, "dim")
+        if _integer(self.degree, "degree") < 0:
             raise ValueError(f"degree {self.degree} must be non-negative")
         # degree > dim is allowed; such a form is necessarily zero since no
         # strictly increasing index tuple of that length fits in range.
         terms = []
-        for indices, coeff in self.terms:
-            indices = tuple(indices)
+        for t, (indices, coeff) in enumerate(self.terms):
+            indices = tuple([_integer(i, "terms[{}][0][{}]", t, n) for n, i in enumerate(indices)])
             coeff = PiScalar.of(coeff)
             if len(indices) != self.degree:
                 raise ValueError(f"index tuple {indices} has wrong degree")
@@ -336,7 +343,7 @@ def _merge_indices(left: tuple[int, ...], right: tuple[int, ...]) -> Optional[tu
 def mc_differential(spec: LieAlgebraSpec, i: int) -> ExteriorForm:
     """d(phi^i) = - sum_{j<k} c^i_jk phi^j ^ phi^k: ``d`` of the monomial
     phi^i, but a 2-form even when dim = 1, where ``d`` caps the degree."""
-    if not 0 <= i < spec.dim:
+    if not 0 <= _integer(i, "basis index") < spec.dim:
         raise ValueError(f"basis index {i} out of range")
     return _d(spec, (((i,), PI_ONE),), 2)
 
@@ -359,7 +366,7 @@ def bracket_two_form(spec: LieAlgebraSpec, i: int) -> ExteriorForm:
     """i-th coordinate of [omega, omega] as a 2-form (shuffle sum, so the
     coefficient on phi^j^phi^k is 2 c^i_jk).  Independent route used to
     cross-check ``mc_differential`` against the structure equation."""
-    if not 0 <= i < spec.dim:
+    if not 0 <= _integer(i, "basis index") < spec.dim:
         raise ValueError(f"basis index {i} out of range")
     sums = {pair: [2 * a, 2 * b, 0] for pair, (a, b) in spec._by_target[i]}
     return ExteriorForm._trusted(dim=spec.dim, degree=2, terms=_terms(sums, spec._den))
@@ -472,6 +479,8 @@ def exactness_split(spec: LieAlgebraSpec, form: ExteriorForm, target: ExteriorFo
     primitive is searched for.  A ``form`` or ``target`` on an algebra of
     another dimension is a ``ValueError`` too, as in ``d``.
     """
+    from .linalg import solve_sparse  # only the solve needs linalg, so cs jacobi never loads it
+
     n = spec.dim
     if form.dim != n or target.dim != n:
         raise ValueError("form dimension does not match the algebra")
@@ -496,7 +505,7 @@ def exactness_split(spec: LieAlgebraSpec, form: ExteriorForm, target: ExteriorFo
     # fills in less; the primitive is the same in any row order.  The rows
     # are popped, so the ones the solver replaces are freed at once.
     system = [rows.pop(t) for t in sorted(rows, key=lambda t: (len(rows[t]), t))]
-    solutions = linalg.solve_sparse(system, width, len(powers))
+    solutions = solve_sparse(system, width, len(powers))
     if solutions is None:
         return None
     found: dict[tuple[int, int], PiScalar] = {}

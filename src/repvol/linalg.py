@@ -16,11 +16,9 @@ from __future__ import annotations
 from math import gcd
 from typing import Optional
 
-from .exact import GaussianRational, _gaussian
+from .exact import GaussianRational, Pair, _gaussian
 
 __all__ = ["solve_sparse"]
-
-Pair = tuple[int, int]  # re + im*i
 
 
 def solve_sparse(

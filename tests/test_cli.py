@@ -1,6 +1,7 @@
 """End-to-end command-line checks: exact output strings, exit codes,
 JSON mode, and error-stream behavior."""
 
+import argparse
 import json
 import os
 import re
@@ -15,7 +16,7 @@ import child
 import pytest
 
 from repvol import jsj
-from repvol.cli import _ratio_graph, entry, main
+from repvol.cli import _ratio_graph, build_parser, entry, main
 from repvol.exact import _shown, render_volume
 
 DATA = resources.files("repvol").joinpath("data")
@@ -1782,6 +1783,52 @@ def test_graph_infinite_genus_is_malformed(capsys, tmp_path):
     code, out, err = run(capsys, "graph", "validate", str(bad))
     assert (code, out) == (1, "")
     assert err == "error: pieces[0]: malformed entry (genus inf is not an integer)\n"
+
+
+# ---------------------------------------------------------------- parser
+
+
+FAMILIES = ("seifert", "cs", "graph", "covers", "cases")
+
+
+def _parsers(parser):
+    """``parser`` and every parser under it, by prog."""
+    found = {parser.prog: parser}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for child in action.choices.values():
+                found.update(_parsers(child))
+    return found
+
+
+def test_a_family_built_alone_has_the_texts_it_has_among_all_five():
+    whole = _parsers(build_parser())
+    assert len(whole) == 21  # the root, five families and fifteen actions
+    for family in FAMILIES:
+        alone = _parsers(build_parser(family))
+        assert alone.pop("repvol").prog == "repvol"
+        assert set(alone) == {prog for prog in whole if prog.split()[1:2] == [family]}
+        for prog, parser in alone.items():
+            assert parser.format_help() == whole[prog].format_help(), prog
+
+
+def _exit(call):
+    with pytest.raises(SystemExit) as info:
+        call()
+    return info.value.code
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["-h"], [], ["nope"], ["-x", "seifert"]]
+    + [[family, *rest] for family in FAMILIES for rest in ([], ["-h"], ["nope"])]
+    + [["seifert", "volumes", "-h"], ["covers", "merge", "--m", "x"], ["cs", "verify", "nope"]],
+)
+def test_main_exits_as_the_parser_of_all_five_families(capsys, argv):
+    # main builds only the family argv[0] names; help and usage errors read the same
+    code = _exit(lambda: main(argv))
+    printed = capsys.readouterr()
+    assert (code, printed) == (_exit(lambda: build_parser().parse_args(argv)), capsys.readouterr())
 
 
 # ---------------------------------------------------------------- console script

@@ -741,9 +741,8 @@ def _tree_size(inv, coeff, limit=ehn.MAX_VALUES):
     """``ehn._tree_size`` on ``coeff``, from the starts ``witnesses_for`` walks from."""
     _, offsets = ehn._offsets(inv, coeff, limit)
     _, lcm, _, _, steps, layers = ehn._fold(inv)
-    choices = [tuple(enumerate(range(step, lcm, step), 1)) for step in steps]
     hi = 2 * inv.genus - 2
-    return ehn._tree_size(layers, choices, [(t + m * lcm, m - hi) for t, m in offsets])
+    return ehn._tree_size(layers, steps, lcm, [(t + m * lcm, m - hi) for t, m in offsets])
 
 
 def test_witness_count_matches_the_list():

@@ -15,6 +15,7 @@ import repvol
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 GRAPH = str(SRC / "repvol" / "data" / "motegi_2_3_2_5.json")
+TABLE = str(SRC / "repvol" / "data" / "sl2c.json")
 
 
 # Slow stdlib imports that no command needs; some interpreters load
@@ -74,14 +75,15 @@ def test_unknown_name_is_an_attribute_error():
 @pytest.mark.parametrize(
     "argv, absent, only",
     [
-        (["seifert", "info", "(1; 1/2, 1/3)"], {"repvol.liecs", "repvol.jsj", "repvol.covers"}, None),
-        (["cs", "verify", "psl2c"], {"repvol.seifert", "repvol.ehn", "repvol.jsj", "repvol.covers"}, None),
+        (["seifert", "info", "(1; 1/2, 1/3)"], {"repvol.ehn", "repvol.liecs", "repvol.jsj", "repvol.covers"}, None),
+        (["cs", "verify", "psl2c"], {"repvol.seifert", "repvol.ehn", "repvol.linalg", "repvol.jsj", "repvol.covers"}, None),
+        (["cs", "jacobi", TABLE], {"repvol.seifert", "repvol.ehn", "repvol.linalg", "repvol.jsj", "repvol.covers"}, None),
         (["covers", "merge", "--degrees", "2,4", "--m", "2"], set(), {"repvol", "repvol.cli", "repvol.exact", "repvol.covers"}),
-        (["graph", "rw", "RATIO_FILE"], {"repvol.liecs", "repvol.linalg", "repvol.covers"}, None),
-        (["graph", "validate", GRAPH], {"repvol.liecs", "repvol.linalg", "repvol.covers"}, None),
-        (["cases", "motegi", "2", "3", "2", "5"], {"repvol.liecs", "repvol.linalg", "repvol.covers"}, None),
+        (["graph", "rw", "RATIO_FILE"], {"repvol.ehn", "repvol.liecs", "repvol.linalg", "repvol.covers"}, None),
+        (["graph", "validate", GRAPH], {"repvol.ehn", "repvol.liecs", "repvol.linalg", "repvol.covers"}, None),
+        (["cases", "motegi", "2", "3", "2", "5"], {"repvol.ehn", "repvol.liecs", "repvol.linalg", "repvol.covers"}, None),
     ],
-    ids=["seifert", "cs", "covers", "graph_rw", "graph_validate", "cases"],
+    ids=["seifert", "cs", "cs_jacobi", "covers", "graph_rw", "graph_validate", "cases"],
 )
 def test_command_family_loads_only_its_modules(tmp_path, bare, argv, absent, only):
     ratio = tmp_path / "ratios.json"

@@ -29,9 +29,11 @@ from repvol.liecs import (
     GramForm,
     LieAlgebraSpec,
     algebra_from_json,
+    bracket_two_form,
     d,
     exactness_split,
     is_ad_invariant,
+    mc_differential,
     sl2c_algebra,
 )
 from repvol.seifert import SeifertInvariants, base_cover, circle_bundle, dehn_fill, fiber_cover, parse_seifert
@@ -99,8 +101,18 @@ REFUSALS = {
     "bracket_vector_length": (_algebra(((0, 1), (ONE,))), "bracket vector for (0, 1) has wrong length"),
     "constant_with_pi": (_algebra(((0, 1), (PiScalar.of(1, pi_power=1), ZERO))), "structure constants must be pi-free"),
     "index_of_unknown_name": (lambda: sl2c_algebra().index_of("Q"), "unknown basis element 'Q'"),
+    # index integers by the one integer rule: a float, a bool or a string is refused
+    "bracket_pair_float": (_algebra(((0.0, 1), (ONE, ZERO))), "brackets[0][0][0] 0.0 is not an integer"),
+    "bracket_pair_bool": (_algebra(((0, True), (ONE, ZERO))), "brackets[0][0][1] True is not an integer"),
+    "mc_differential_bool": (lambda: mc_differential(sl2c_algebra(), True), "basis index True is not an integer"),
+    "mc_differential_float": (lambda: mc_differential(sl2c_algebra(), 1.0), "basis index 1.0 is not an integer"),
+    "bracket_two_form_string": (lambda: bracket_two_form(sl2c_algebra(), "1"), "basis index '1' is not an integer"),
     # ExteriorForm and its operators
     "form_degree_negative": (_form(3, -1), "degree -1 must be non-negative"),
+    "form_dim_float": (_form(3.0, 1), "dim 3.0 is not an integer"),
+    "form_degree_bool": (_form(3, True, ((0,), 1)), "degree True is not an integer"),
+    "form_index_float": (_form(3, 1, ((0.0,), 1)), "terms[0][0][0] 0.0 is not an integer"),
+    "form_index_bool": (_form(3, 2, ((0, 2), 1), ((0, True), 1)), "terms[1][0][1] True is not an integer"),
     "form_index_degree": (_form(3, 2, ((0,), 1)), "index tuple (0,) has wrong degree"),
     "form_indices_decreasing": (_form(3, 2, ((1, 0), 1)), "index tuple (1, 0) must be strictly increasing"),
     "form_indices_repeated": (_form(3, 2, ((1, 1), 1)), "index tuple (1, 1) must be strictly increasing"),
