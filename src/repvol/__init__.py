@@ -26,6 +26,8 @@ _HOMES = {
         "NumericVolume",
         "PiScalar",
         "Rational",
+        "Refusal",
+        "ShapeRefusal",
         "VolumeValue",
         "render_volume",
         "volume_sum",

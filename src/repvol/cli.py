@@ -4,7 +4,12 @@ Subcommands mirror the library: ``seifert`` for invariants and volume
 spectra, ``cs`` for the symbolic form identities, ``graph`` for JSJ
 specs, ``covers`` for elevation arithmetic, ``cases`` for worked
 families.  Exit codes: 0 success, 1 domain error (one line on stderr),
-2 usage error, 3 internal failure (one line on stderr).
+2 usage error, 3 internal failure (one line on stderr).  A domain error
+is an ``exact.Refusal`` or an ``OSError`` and nothing else, so any other
+exception, a stray ``ValueError`` among them, is a bug in repvol and
+exits 3.  A builtin error that input reaches is converted to a
+``Refusal`` once, where it is read: ``_read_json``'s decoding and the
+write of a name stdout cannot encode.
 
 Each ``_cmd_*`` handler returns ``(lines, refusal)``: its stdout lines
 as a fully built list, and ``None`` or the text of its exit-1 ``error:``
@@ -33,6 +38,7 @@ from typing import Optional, Sequence
 from .exact import (
     MAX_VALUES,
     ExactVolume,
+    Refusal,
     _document,
     _field,
     _list,
@@ -94,8 +100,13 @@ def _algebra_arg(text: str) -> str:
 def _read_json(path: str):
     import json
 
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle, parse_int=_read_int)
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle, parse_int=_read_int)
+    # a path holding a NUL, bytes that are not UTF-8, text that is not JSON,
+    # or JSON nested too deep: all the input's fault
+    except (ValueError, RecursionError) as exc:
+        raise Refusal(str(exc)) from None
 
 
 def _json(payload) -> str:
@@ -252,7 +263,7 @@ def _cmd_cs(args: argparse.Namespace) -> _Output:
 def _ratio_graph(doc) -> tuple[list[str], list[tuple[str, str, int | Fraction]]]:
     """The vertices and edges of a ``graph rw`` document.
 
-    A malformed document raises ``ValueError`` naming the path of the bad
+    A malformed document raises ``Refusal`` naming the path of the bad
     part, such as ``edges[1]: expected [u, v, ratio]``.
     """
     doc = _document(doc, "vertices", "edges")
@@ -262,7 +273,7 @@ def _ratio_graph(doc) -> tuple[list[str], list[tuple[str, str, int | Fraction]]]
     edges = []
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != 3:
-            raise ValueError(f"edges[{i}]: expected [u, v, ratio], got {_shown(row)}")
+            raise Refusal(f"edges[{i}]: expected [u, v, ratio], got {_shown(row)}")
         u, v = (_name(row[j], "edges[{}][{}]", i, j) for j in (0, 1))
         edges.append((u, v, _rational(row[2], f"edges[{i}][2]", "bad ratio {}")))
     return vertices, edges
@@ -493,18 +504,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             sys.stdout.flush()  # a help text a closed pipe refuses fails here, as a domain error
             raise
         lines, refusal = args.handler(args)
-        for line in lines:
-            print(line)
+        try:
+            for line in lines:
+                print(line)
+        except UnicodeEncodeError as exc:  # a name from the input that stdout's encoding cannot write
+            raise Refusal(str(exc)) from None
         sys.stdout.flush()  # a closed pipe fails here, as a domain error
         if refusal is not None:
-            raise ValueError(refusal)  # written as every other domain error is
+            raise Refusal(refusal)  # written as every other domain error is
         return 0
-    except (ValueError, OSError, RecursionError) as exc:
-        # a RecursionError here comes from input, such as JSON nested too deep
+    except (Refusal, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # a failed invariant (RuntimeError) or any other fault in repvol
-        named = "" if isinstance(exc, RuntimeError) else f"{type(exc).__name__}: "
+        named = "" if type(exc) is RuntimeError else f"{type(exc).__name__}: "
         print(f"internal error: {named}{exc}", file=sys.stderr)
         return 3
 

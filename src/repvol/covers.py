@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import _HOMES
-from .exact import _Record, _positive
+from .exact import Refusal, _Record, _positive
 
 __all__ = [*_HOMES["covers"]]
 
@@ -35,7 +35,7 @@ def elevation_count(datum: TorusCoverDatum) -> int:
     degree must divide the torus degree.
     """
     if datum.torus_degree % datum.curve_degree != 0:
-        raise ValueError(
+        raise Refusal(
             f"curve degree {datum.curve_degree} does not divide "
             f"torus degree {datum.torus_degree}"
         )
@@ -54,7 +54,7 @@ def cover_intersection(
     _positive(degree_torus, "degree of the torus cover")
     value = Fraction(intersection * degree_f * degree_s, degree_torus)
     if value.denominator != 1:
-        raise ValueError(
+        raise Refusal(
             f"elevated intersection number {value} is not an integer"
         )
     return value.numerator
@@ -77,12 +77,12 @@ def merge_copy_counts(degrees: Sequence[int], m: int) -> MergeCounts:
     for the per-piece elevation counts (d_i/m) to make sense.
     """
     if not degrees:
-        raise ValueError("at least one cover degree is required")
+        raise Refusal("at least one cover degree is required")
     degs = [_positive(x, "cover degree") for x in degrees]
     m = _positive(m, "curve degree")
     for x in degs:
         if x % m != 0:
-            raise ValueError(f"curve degree {m} does not divide cover degree {x}")
+            raise Refusal(f"curve degree {m} does not divide cover degree {x}")
     common = math.lcm(*degs)
     copies = tuple(common // x for x in degs)
     per_torus = common // m
@@ -109,9 +109,9 @@ def colored_merge_counts(k: Sequence[int], l: Sequence[int]) -> ColoredMergeCoun
     count the K central copies expose on each sign.
     """
     if len(k) != len(l):
-        raise ValueError("k and l must have the same length")
+        raise Refusal("k and l must have the same length")
     if not k:
-        raise ValueError("at least one corridor is required")
+        raise Refusal("at least one corridor is required")
     ks = [_positive(x, "k") for x in k]
     ls = [_positive(x, "l") for x in l]
     common = math.lcm(*ks)

@@ -71,7 +71,7 @@ from operator import getitem, mul
 from typing import Callable, Iterable, Iterator
 
 from . import _HOMES
-from .exact import MAX_VALUES, _Record, _as_fraction, _check_budget, _fraction, _integer, _printed, _set
+from .exact import MAX_VALUES, Refusal, _Record, _as_fraction, _check_budget, _fraction, _integer, _printed, _set
 from .seifert import SeifertInvariants, _over_lcm, _require_closed, euler_number, orbifold_chi
 
 __all__ = [*_HOMES["ehn"]]
@@ -81,7 +81,7 @@ def foliation_exists(genus: int, slopes: Iterable[Fraction]) -> bool:
     """Horizontal-foliation test for a closed fibration over genus >= 1: the
     genus read by ``_integer``, and any iterable of slopes, each by ``_as_fraction``."""
     if _integer(genus, "genus") < 1:
-        raise ValueError("foliation criterion requires base genus >= 1")
+        raise Refusal("foliation criterion requires base genus >= 1")
     slopes = tuple(map(_as_fraction, slopes))  # read once, as slopes may be an iterator
     floor_sum = sum(map(math.floor, slopes))
     ceil_sum = sum(map(math.ceil, slopes))
@@ -96,7 +96,7 @@ def _fibres(inv: SeifertInvariants) -> tuple[Fraction, int, int, int, list[int],
     ``layers`` is ``None`` until ``_fold`` builds it.  The first call
     writes the table into ``inv._table``; later calls read it there.
 
-    A ``ValueError`` unless the geometry of ``inv`` is sl2r-tilde and its
+    A ``Refusal`` unless the geometry of ``inv`` is sl2r-tilde and its
     base genus is >= 1; such a space keeps no table, so each call refuses
     it again, with the same text.
     """
@@ -131,15 +131,15 @@ def _t_of(lcm: int, steps: list[int], n_values: Iterable[int], n: int) -> int:
 
 
 def _require_volume_geometry(inv: SeifertInvariants, lcm: int, e: int | Fraction, chi: int | Fraction) -> None:
-    """A ``ValueError`` unless e != 0, chi < 0 and the base genus is >= 1,
+    """A ``Refusal`` unless e != 0, chi < 0 and the base genus is >= 1,
     for e and chi over ``lcm``: ``seifert._over_lcm``'s integers, or
     ``Fraction``s over 1."""
     if not e or chi >= 0:
         e = _printed(Fraction(e, lcm), "Euler number")
         chi = _printed(Fraction(chi, lcm), "orbifold Euler characteristic")
-        raise ValueError(f"volume spectrum needs sl2r-tilde geometry (e = {e}, chi = {chi})")
+        raise Refusal(f"volume spectrum needs sl2r-tilde geometry (e = {e}, chi = {chi})")
     if inv.genus < 1:
-        raise ValueError("volume spectrum requires base genus >= 1")
+        raise Refusal("volume spectrum requires base genus >= 1")
 
 
 def _add_fibre(layer: dict[int, int], offsets: range) -> dict[int, int]:
@@ -353,20 +353,20 @@ class VolumeWitness(_Record):
         inv = self.inv
         e, lcm, scale, denom, steps, _ = _fibres(inv)
         if len(self.n_values) != len(inv.pairs):
-            raise ValueError("witness length does not match exceptional data")
+            raise Refusal("witness length does not match exceptional data")
         g = inv.genus
         if sum(ni // a for ni, (a, _) in zip(self.n_values, inv.pairs)) - self.n > 2 * g - 2:
-            raise ValueError("witness violates the floor inequality")
+            raise Refusal("witness violates the floor inequality")
         if sum(-(-ni // a) for ni, (a, _) in zip(self.n_values, inv.pairs)) - self.n < 2 - 2 * g:
-            raise ValueError("witness violates the ceiling inequality")
+            raise Refusal("witness violates the ceiling inequality")
         t = _t_of(lcm, steps, self.n_values, self.n)
         zeta, z = _fields(inv, e, lcm, t)
         if self.zeta != zeta:
-            raise ValueError("witness zeta does not match its data")
+            raise Refusal("witness zeta does not match its data")
         if self.z_values != tuple(itertools.starmap(z, enumerate(self.n_values))):
-            raise ValueError("witness z-values do not match its data")
+            raise Refusal("witness z-values do not match its data")
         if self.coeff != _fraction(t * t * scale, denom):
-            raise ValueError("witness coefficient does not match its data")
+            raise Refusal("witness coefficient does not match its data")
 
 
 def _tree_size(layers: tuple[dict[int, int], ...], steps: list[int], lcm: int, starts: Iterable[tuple[int, int]]) -> int:
@@ -407,7 +407,7 @@ def witnesses_for(inv: SeifertInvariants, coeff: Fraction, *, limit: int = MAX_V
     (``_tree_size``) has more than ``limit`` leaves, before any is built."""
     coeff, offsets = _offsets(inv, coeff, limit)
     if not offsets:
-        raise ValueError(f"coefficient {_printed(coeff, 'coefficient')} is not in the volume spectrum")
+        raise Refusal(f"coefficient {_printed(coeff, 'coefficient')} is not in the volume spectrum")
     e, lcm, _, _, steps, layers = _fold(inv)
     lo, hi, p = 2 - 2 * inv.genus, 2 * inv.genus - 2, len(steps)
     # each residue tuple meets each root +-t at one m, so 2 * prod(a_i) bounds the list

@@ -1,4 +1,12 @@
-"""Exact scalar types shared by every other module.
+"""Exact scalar types shared by every other module, and the refusal types.
+
+``Refusal`` (a ``ValueError``) is what every refusal the package writes
+raises, and ``ShapeRefusal`` (a ``Refusal`` and a ``TypeError``) the
+refusal of a value of the wrong type or shape.  Nothing else is one: a
+builtin ``ValueError`` or ``TypeError`` out of repvol is a fault, and
+``cli.main`` exits 1 on a ``Refusal`` or an ``OSError`` alone.  A
+builtin error that input reaches is converted where the input is read,
+such as ``NumericVolume``'s ``float()``.
 
 Rational arithmetic is stdlib ``fractions.Fraction`` (already normalized,
 positive denominator, arbitrary precision).  On top of that this module
@@ -63,12 +71,24 @@ RationalLike = Union[int, Fraction]
 FOUR_PI_SQUARED = 4.0 * math.pi * math.pi
 
 
+class Refusal(ValueError):
+    """Input repvol refuses, with the text a user reads (see the module
+    docstring).  It is a ``ValueError``, so a caller that catches one
+    keeps working."""
+
+
+class ShapeRefusal(Refusal, TypeError):
+    """A refusal of a value of the wrong type or shape, such as a float
+    where an integer belongs; ``_entries`` names the document entry that
+    holds it.  It is a ``TypeError`` too."""
+
+
 def _rational(value: object, path: str, problem: str) -> RationalLike:
     """The rational number ``value`` stands for: an int as itself, a string
     as the integer, decimal or ``p/q`` it spells, and a float as its
     ``repr`` spells, so ``1.5`` is 3/2.
 
-    Anything else, a bool among them, is a ``ValueError`` reading
+    Anything else, a bool among them, is a ``Refusal`` reading
     ``<path>: <problem>``, with ``value`` formatted into ``problem`` as
     ``_shown`` shows it, except that a run of digits too long to read is
     named by ``_too_long``.  Exponent forms such as ``'1e999999999'`` and
@@ -87,8 +107,8 @@ def _rational(value: object, path: str, problem: str) -> RationalLike:
         except ValueError:  # int() reads each run of decimal digits unless it is too long
             for digits in "".join(c if c.isdecimal() else " " for c in value).split():
                 if message := _too_long(digits, "{}: the value", path):
-                    raise ValueError(message) from None
-    raise ValueError(f"{path}: " + problem.format(_shown(value)))
+                    raise Refusal(message) from None
+    raise Refusal(f"{path}: " + problem.format(_shown(value)))
 
 
 def _as_fraction(value: object) -> Fraction:
@@ -127,18 +147,18 @@ def _read_int(text: str) -> int:
     try:
         return int(text)
     except ValueError:  # json hands over -?\d+, which fails only when too long
-        raise ValueError(_too_long(text, "a JSON number")) from None
+        raise Refusal(_too_long(text, "a JSON number")) from None
 
 
 def _integer(value: object, what: str, *at: object) -> int:
     """``value`` itself, if its type is ``int``: the one integer rule.
     Nothing is converted, so a string (``"2"`` or ``"x"``), a float (2.0,
     2.5 or NaN), a bool, ``None`` or an ``int`` subclass is a
-    ``TypeError`` reading ``<what> <value> is not an integer``, ``what``
+    ``ShapeRefusal`` reading ``<what> <value> is not an integer``, ``what``
     formatted with ``at`` and the value shown by ``_shown``: a wrong
     value inside a document entry, at its path."""
     if type(value) is not int:
-        raise TypeError(f"{what.format(*at)} {_shown(value)} is not an integer")
+        raise ShapeRefusal(f"{what.format(*at)} {_shown(value)} is not an integer")
     return value
 
 
@@ -152,22 +172,22 @@ def _int_pair(pair: object, what: str, *at: object) -> tuple[int, int]:
 
 def _positive(value: int, name: str) -> int:
     """``value`` itself, if it is an ``int`` by ``_integer``'s rule and positive;
-    anything else, such as 0, 2.5, "3" or True, is a ``ValueError``.  The
+    anything else, such as 0, 2.5, "3" or True, is a ``Refusal``.  The
     one rule for cover degrees, in ``covers`` and ``seifert``."""
     if type(value) is not int or value <= 0:
-        raise ValueError(f"{name} must be a positive integer, got {_shown(value)}")
+        raise Refusal(f"{name} must be a positive integer, got {_shown(value)}")
     return value
 
 
 def _printed(value: object, what: str) -> str:
     """``str(value)``; a number with more digits than Python converts to
-    text (4300 by default) is a ``ValueError`` reading ``<what> is too large
+    text (4300 by default) is a ``Refusal`` reading ``<what> is too large
     to print: over <limit> digits``, the one writer of that refusal.  The
     limit itself is left alone: it is process-wide."""
     try:
         return str(value)
     except ValueError:
-        raise ValueError(f"{what} is too large to print: over {sys.get_int_max_str_digits()} digits") from None
+        raise Refusal(f"{what} is too large to print: over {sys.get_int_max_str_digits()} digits") from None
 
 
 def _is_pair(value: object) -> bool:
@@ -177,17 +197,17 @@ def _is_pair(value: object) -> bool:
 
 
 def _require_pair(value: object, name: str, shape: str) -> None:
-    """A ``TypeError`` reading ``<name> <value> is not <shape>`` unless ``value`` is a pair."""
+    """A ``ShapeRefusal`` reading ``<name> <value> is not <shape>`` unless ``value`` is a pair."""
     if not _is_pair(value):
-        raise TypeError(f"{name} {_shown(value)} is not {shape}")
+        raise ShapeRefusal(f"{name} {_shown(value)} is not {shape}")
 
 
 def _rows(value: object, refusal: str, row: Callable | None = None, mapping: bool = False) -> Sequence:
     """``value``, a list or tuple (a mapping's items, with ``mapping``) whose items all pass ``row``;
-    any other, such as 7, "ab", a set or a generator, is a ``TypeError``: ``refusal`` formatted with it."""
+    any other, such as 7, "ab", a set or a generator, is a ``ShapeRefusal``: ``refusal`` formatted with it."""
     rows = tuple(value.items()) if mapping and (type(value) is dict or isinstance(value, Mapping)) else value
     if not isinstance(rows, (list, tuple)) or row and not all(map(row, rows)):
-        raise TypeError(refusal.format(_shown(value)))
+        raise ShapeRefusal(refusal.format(_shown(value)))
     return rows
 
 
@@ -202,37 +222,37 @@ MAX_VALUES = 1_000_000
 
 
 def _check_budget(count: int, limit: int = MAX_VALUES, unit: str = "values") -> None:
-    """Refuse work that may exceed ``limit``: a ``ValueError`` reading
+    """Refuse work that may exceed ``limit``: a ``Refusal`` reading
     ``spectrum too large: up to <count> <unit>, over the limit of <limit>``.
-    ``limit`` is read by ``_integer``, so "5", None, 2.5 or True is a ``TypeError``."""
+    ``limit`` is read by ``_integer``, so "5", None, 2.5 or True is a ``ShapeRefusal``."""
     if count > _integer(limit, "limit"):
         # str() refuses ints of more than 4300 digits, so a huge count is
         # shown by the power of two above it
         shown = count if count.bit_length() <= 4096 else f"2^{count.bit_length()}"
-        raise ValueError(f"spectrum too large: up to {shown} {unit}, over the limit of {limit}")
+        raise Refusal(f"spectrum too large: up to {shown} {unit}, over the limit of {limit}")
 
 
 def _document(doc: object, first: str, second: str) -> Mapping:
-    """``doc`` if it is a JSON object; otherwise a ``ValueError`` naming
+    """``doc`` if it is a JSON object; otherwise a ``Refusal`` naming
     the two keys it should hold."""
     if not isinstance(doc, Mapping):
-        raise ValueError(f"document: expected an object with {first!r} and {second!r}")
+        raise Refusal(f"document: expected an object with {first!r} and {second!r}")
     return doc
 
 
 def _field(entry: Mapping, key: str, path: str = ""):
-    """``entry[key]``; a missing key is a ``ValueError`` naming its path
+    """``entry[key]``; a missing key is a ``Refusal`` naming its path
     (just ``key`` at the top level, where ``path`` is empty)."""
     if key not in entry:
-        raise ValueError(f"{path}.{key}: missing" if path else f"{key}: missing")
+        raise Refusal(f"{path}.{key}: missing" if path else f"{key}: missing")
     return entry[key]
 
 
 def _list(value: object, path: str, of: str) -> Sequence:
-    """``value`` if it is a JSON list; otherwise a ``ValueError`` reading
+    """``value`` if it is a JSON list; otherwise a ``Refusal`` reading
     ``<path>: expected a list of <of>``."""
     if not isinstance(value, (list, tuple)):
-        raise ValueError(f"{path}: expected a list of {of}")
+        raise Refusal(f"{path}: expected a list of {of}")
     return value
 
 
@@ -242,25 +262,26 @@ def _name(value: object, path: str, *at: object) -> str:
     ``<path>: expected a string, got <value>``, ``path`` formatted with
     ``at`` only then."""
     if not isinstance(value, str):
-        raise ValueError(f"{path.format(*at)}: expected a string, got {_shown(value)}")
+        raise Refusal(f"{path.format(*at)}: expected a string, got {_shown(value)}")
     return value
 
 
 def _entries(value: object, path: str, parse: Callable[[Mapping, str], object]) -> tuple:
     """``parse(entry, path)`` for each object in the JSON list at ``path``.
 
-    A value of the wrong type or shape inside an entry (a ``TypeError``)
-    is reported as a ``ValueError`` naming that entry.
+    A value of the wrong type or shape inside an entry (a ``ShapeRefusal``)
+    is reported as a ``Refusal`` naming that entry.  Any other exception
+    passes as it is: a builtin ``TypeError`` there is a fault in repvol.
     """
     parsed = []
     for i, entry in enumerate(_list(value, path, "objects")):
         at = f"{path}[{i}]"
         if type(entry) is not dict and not isinstance(entry, Mapping):  # the ABC check is slow
-            raise ValueError(f"{at}: expected an object, got {_shown(entry)}")
+            raise Refusal(f"{at}: expected an object, got {_shown(entry)}")
         try:
             parsed.append(parse(entry, at))
-        except TypeError as exc:
-            raise ValueError(f"{at}: malformed entry ({exc})") from None
+        except ShapeRefusal as exc:
+            raise Refusal(f"{at}: malformed entry ({exc})") from None
     return tuple(parsed)
 
 
@@ -511,7 +532,7 @@ class PiScalar(_Record):
             return _SMALL_INTS[value]
         if isinstance(value, PiScalar):
             if pi_power:
-                raise ValueError("cannot re-tag an existing PiScalar with a power")
+                raise Refusal("cannot re-tag an existing PiScalar with a power")
             return value
         return _pi(GaussianRational.of(value), pi_power)
 
@@ -573,7 +594,7 @@ def _pi_power(x: object, p: int, y: object, q: int) -> int:
         return q
     if not y:
         return p
-    raise ValueError(f"pi-power mismatch in addition: {p} vs {q}")
+    raise Refusal(f"pi-power mismatch in addition: {p} vs {q}")
 
 
 def _pi(coeff: GaussianLike, pi_power: int) -> PiScalar:
@@ -597,10 +618,10 @@ _SMALL_INTS = {k: PiScalar(GaussianRational(k)) if k else PI_ZERO for k in range
 
 def _finite(value: float) -> float:
     """``value``, a float volume, unless it is past the float range: an
-    infinite one is a ``ValueError`` naming that range, the one writer of
+    infinite one is a ``Refusal`` naming that range, the one writer of
     that refusal, where Python would go on with infinity."""
     if math.isinf(value):
-        raise ValueError(f"volume is too large for a float: over {sys.float_info.max:.6g}")
+        raise Refusal(f"volume is too large for a float: over {sys.float_info.max:.6g}")
     return value
 
 
@@ -612,11 +633,11 @@ class ExactVolume(_Record):
     def __post_init__(self) -> None:
         _set(self, "coeff", _as_fraction(self.coeff))
         if self.coeff < 0:
-            raise ValueError(f"exact volume coefficient must be >= 0, got {self.coeff}")
+            raise Refusal(f"exact volume coefficient must be >= 0, got {self.coeff}")
 
     def to_float(self) -> float:
         """The volume as a float.  One beyond the float range is a
-        ``ValueError`` naming that range, where Python would raise an
+        ``Refusal`` naming that range, where Python would raise an
         ``OverflowError`` or return infinity."""
         try:
             value = float(self.coeff) * FOUR_PI_SQUARED
@@ -632,12 +653,12 @@ class NumericVolume(_Record):
 
     def __post_init__(self) -> None:
         value = self.value
-        try:  # a bool, text float cannot read, or an int past its range is refused like "nan"
+        try:  # a bool, a value float cannot read, or an int past its range is refused like "nan"
             number = math.nan if value is True or value is False else float(value)
-        except (ValueError, OverflowError):
+        except (ValueError, TypeError, OverflowError):
             number = math.nan
         if not math.isfinite(number):
-            raise TypeError(f"bad numeric {_shown(value)}")
+            raise ShapeRefusal(f"bad numeric {_shown(value)}")
         _set(self, "value", number)
 
     def to_float(self) -> float:
@@ -660,7 +681,7 @@ def volume_sum(values: Iterable[VolumeValue]) -> VolumeValue:
             numeric += v.value
             saw_numeric = True
         else:
-            raise TypeError(f"not a volume value: {v!r}")
+            raise ShapeRefusal(f"not a volume value: {v!r}")
     den = math.lcm(*[c.denominator for c in coeffs])
     exact = ExactVolume(_fraction(sum([c.numerator * (den // c.denominator) for c in coeffs]), den))
     if saw_numeric:
@@ -680,4 +701,4 @@ def render_volume(value: VolumeValue, decimal: bool = False) -> str:
         return text
     if isinstance(value, NumericVolume):
         return f"{value.value:.12g}"
-    raise TypeError(f"not a volume value: {value!r}")
+    raise ShapeRefusal(f"not a volume value: {value!r}")

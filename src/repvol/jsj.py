@@ -9,7 +9,7 @@ from one walk of the spec, kept with it from the first call.
 
 Each record's constructor, ``NumericVolume``'s among them, checks its
 own fields, such as "a list or tuple of two items" for an endpoint, and
-raises ``TypeError``; names it keeps as given, once ``_hashable`` has
+raises ``ShapeRefusal``; names it keeps as given, once ``_hashable`` has
 read them, so every table of names can be built.  The JSON loader hands it
 the values unchanged, and walks a whole list only after the record's rule
 has read it, so library and CLI refuse the same shapes with the same text;
@@ -30,6 +30,8 @@ from . import _HOMES
 from .exact import (
     ExactVolume,
     NumericVolume,
+    Refusal,
+    ShapeRefusal,
     VolumeValue,
     _Record,
     _as_fraction,
@@ -72,9 +74,9 @@ def _hashable(name: object) -> bool:
 
 
 def _require_name(name: object, what: str) -> None:
-    """A ``TypeError`` reading ``<what> <name> is not a name`` unless ``_hashable(name)``."""
+    """A ``ShapeRefusal`` reading ``<what> <name> is not a name`` unless ``_hashable(name)``."""
     if not _hashable(name):
-        raise TypeError(f"{what} {_shown(name)} is not a name")
+        raise ShapeRefusal(f"{what} {_shown(name)} is not a name")
 
 
 class Piece(_Record):
@@ -91,9 +93,9 @@ class Piece(_Record):
         _require_name(self.id, "id")
         _set(self, "slots", slots := tuple(_rows(self.slots, _SLOTS, _hashable)))
         if self.kind not in ("seifert", "hyperbolic"):
-            raise ValueError(f"piece {self.id}: unknown kind {_shown(self.kind)}")
+            raise Refusal(f"piece {self.id}: unknown kind {_shown(self.kind)}")
         if len(set(slots)) != len(slots):
-            raise ValueError(f"piece {self.id}: duplicate slot names")
+            raise Refusal(f"piece {self.id}: duplicate slot names")
 
 
 class Edge(_Record):
@@ -115,11 +117,11 @@ class Edge(_Record):
     def __post_init__(self) -> None:
         a, b, gluing = self.a, self.b, self.gluing
         if not (_is_pair(gluing) and _is_pair(gluing[0]) and _is_pair(gluing[1])):
-            raise TypeError(f"gluing {_shown(gluing)} is not a 2x2 matrix")
+            raise ShapeRefusal(f"gluing {_shown(gluing)} is not a 2x2 matrix")
         for side, end in (("a", a), ("b", b)):
             # a tuple hashes when both its items do
             if not (_is_pair(end) and _hashable((end[0], end[1]))):
-                raise TypeError(f"{side} {_shown(end)} is not [piece, slot]")
+                raise ShapeRefusal(f"{side} {_shown(end)} is not [piece, slot]")
         slopes = [name for name in ("killed_slope", "killed_slope_b") if getattr(self, name) is not None]
         for name in slopes:
             _require_pair(getattr(self, name), name, "[a, b]")
@@ -152,7 +154,7 @@ class GraphManifoldSpec(_Record):
         try:
             return first_with_id[piece_id]
         except (KeyError, TypeError):  # a TypeError: an id that cannot be hashed
-            raise ValueError(f"unknown piece {piece_id!r}") from None
+            raise Refusal(f"unknown piece {piece_id!r}") from None
 
 
 def validate_spec(spec: GraphManifoldSpec) -> list[str]:
@@ -240,7 +242,7 @@ class FilledSeifert(_Record):
         _require_name(self.piece_id, "piece_id")
         rows = _rows(self.fillings, _FILLINGS, lambda row: _is_pair(row) and _hashable(row[0]) and _is_pair(row[1]), True)
         if len({slot for slot, _ in rows}) != len(rows):
-            raise TypeError(f"fillings {_shown(self.fillings)} fill a slot twice")
+            raise ShapeRefusal(f"fillings {_shown(self.fillings)} fill a slot twice")
         filled = [(slot, _int_pair(slope, "fillings[{!r}][{}]", slot)) for slot, slope in rows]
         _set(self, "fillings", tuple(sorted(filled, key=lambda row: (_by_type(row[0]), row[1]))))
         _set(self, "coeff", _as_fraction(self.coeff))
@@ -308,12 +310,12 @@ def additivity_sum(spec: GraphManifoldSpec, assignments: Sequence[PieceAssignmen
 
     problems, pieces, killed, unglued = _walked(spec)
     if problems:
-        raise ValueError("invalid spec: " + "; ".join(problems))
+        raise Refusal("invalid spec: " + "; ".join(problems))
     if unglued is not None:
-        raise ValueError(f"slot {unglued[0]}.{unglued[1]} is unglued; additivity needs a closed manifold")
+        raise Refusal(f"slot {unglued[0]}.{unglued[1]} is unglued; additivity needs a closed manifold")
     problem = _cover_problem(spec, assignments)
     if problem:
-        raise ValueError(problem)
+        raise Refusal(problem)
     contributions: list[VolumeValue] = []
     for assignment in assignments:
         piece = pieces[assignment.piece_id]
@@ -323,32 +325,32 @@ def additivity_sum(spec: GraphManifoldSpec, assignments: Sequence[PieceAssignmen
             contributions.append(assignment.volume)
         elif isinstance(assignment, FilledSeifert):
             if piece.kind != "seifert":
-                raise ValueError(f"piece {piece.id} is not a Seifert piece")
+                raise Refusal(f"piece {piece.id} is not a Seifert piece")
             filled_slots = dict(assignment.fillings)
             if filled_slots.keys() != set(piece.slots):
-                raise ValueError(f"piece {piece.id}: fillings must cover slots {sorted(piece.slots, key=_by_type)}")
+                raise Refusal(f"piece {piece.id}: fillings must cover slots {sorted(piece.slots, key=_by_type)}")
             # slopes are unoriented; fill with the positive representative
             fills = []
             for slot in piece.slots:
                 slope = killed[(piece.id, slot)]
                 if slope is None:
-                    raise ValueError(f"edge at {piece.id}.{slot} declares no killed slope")
+                    raise Refusal(f"edge at {piece.id}.{slot} declares no killed slope")
                 slope, filling = _normalize_slope(slope), _normalize_slope(filled_slots[slot])
                 if filling != slope:
-                    raise ValueError(
+                    raise Refusal(
                         f"piece {piece.id}.{slot}: filling {filled_slots[slot]} "
                         f"does not match the killed slope {_printed(slope, 'killed slope')}"
                     )
                 fills.append(filling)
             closed = _fill(piece.seifert, fills)
             if not spectrum_contains(closed, assignment.coeff):
-                raise ValueError(
+                raise Refusal(
                     f"piece {piece.id}: coefficient {_printed(assignment.coeff, 'coefficient')} is not in "
                     f"the spectrum of the filled piece {_printed(closed, 'filled piece')}"
                 )
             contributions.append(ExactVolume(assignment.coeff))
         else:
-            raise TypeError(f"unknown assignment {assignment!r}")
+            raise ShapeRefusal(f"unknown assignment {assignment!r}")
     return volume_sum(contributions)
 
 
@@ -368,12 +370,12 @@ def _numbered(
     numbers.  Edge k is stored once: ``end[2k]`` and ``end[2k + 1]`` are its
     tail and head, ``term[2k]`` and ``term[2k + 1]`` its ratio's numerator
     and denominator.  The name index lives only here.  A name that cannot
-    be hashed, a vertex or an edge's end, is refused as a ``ValueError``."""
+    be hashed, a vertex or an edge's end, is refused as a ``Refusal``."""
     names = iter(vertices)
     try:
         index = {name: i for i, name in enumerate(dict.fromkeys(names))}
     except TypeError:  # a name that cannot be hashed
-        raise ValueError(f"vertices {_shown(vertices)} are not all names") from None
+        raise Refusal(f"vertices {_shown(vertices)} are not all names") from None
     end: list[int] = []
     term: list[int] = []
     for u, v, ratio in edges:
@@ -382,11 +384,11 @@ def _numbered(
         try:
             tail, head = index[u], index[v]
         except (KeyError, TypeError):  # a TypeError: an end that cannot be hashed, so no vertex
-            raise ValueError(f"edge ({_shown(u)}, {_shown(v)}) uses unknown vertices") from None
+            raise Refusal(f"edge ({_shown(u)}, {_shown(v)}) uses unknown vertices") from None
         # ratio is exactly a Fraction here, so its slots are read directly
         numerator = ratio._numerator
         if numerator <= 0:
-            raise ValueError(f"edge ratio must be positive, got {ratio}")
+            raise Refusal(f"edge ratio must be positive, got {ratio}")
         end += (tail, head)
         term += (numerator, ratio._denominator)
     return list(index), end, term
@@ -499,7 +501,7 @@ def _validate_motegi_params(p1: int, q1: int, p2: int, q2: int) -> None:
     """Refuse a parameter that ``_integer`` does not read, or one below 2."""
     for name, value in (("p1", p1), ("q1", q1), ("p2", p2), ("q2", q2)):
         if _integer(value, name) < 2:
-            raise ValueError(f"{name} must be >= 2, got {value}")
+            raise Refusal(f"{name} must be >= 2, got {value}")
 
 
 def motegi_case(p1: int, q1: int, p2: int, q2: int) -> MotegiResult:
@@ -522,7 +524,7 @@ def motegi_spec(p1: int, q1: int, p2: int, q2: int) -> GraphManifoldSpec:
     pieces = []
     for i, (p, q) in enumerate(((p1, q1), (p2, q2)), 1):
         if math.gcd(p, q) != 1:
-            raise ValueError(f"gcd(p{i}, q{i}) must be 1, got gcd({p}, {q})")
+            raise Refusal(f"gcd(p{i}, q{i}) must be 1, got gcd({p}, {q})")
         seifert = SeifertInvariants(genus=0, pairs=_torus_knot_pairs(p, q), boundary_count=1)
         pieces.append(Piece(id=f"E{i}", kind="seifert", slots=("T",), seifert=seifert))
     edge = Edge(a=("E1", "T"), b=("E2", "T"), gluing=((0, 1), (1, 0)))
@@ -569,7 +571,7 @@ def _volume_from_json(entry: Mapping, path: str) -> VolumeValue:
         return ExactVolume(_rational(entry["exact"], path, "malformed entry (bad exact {})"))
     if "numeric" in entry:
         return NumericVolume(entry["numeric"])
-    raise ValueError(f"direct assignment {_shown(entry)} needs 'exact' or 'numeric'")
+    raise Refusal(f"direct assignment {_shown(entry)} needs 'exact' or 'numeric'")
 
 
 def _assignment_from_json(entry: Mapping, path: str) -> PieceAssignment:
@@ -586,7 +588,7 @@ def _assignment_from_json(entry: Mapping, path: str) -> PieceAssignment:
             if _is_pair(row) and type(row[0]) is not str:
                 _name(row[0], "{}.fillings[{}][0]", path, j)
         return FilledSeifert(piece_id, fillings, coeff)
-    raise ValueError(f"assignment {_shown(entry)} needs assign: small_image|direct|filled")
+    raise Refusal(f"assignment {_shown(entry)} needs assign: small_image|direct|filled")
 
 
 def _case_from_json(spec: GraphManifoldSpec, case: Mapping, path: str):
@@ -595,7 +597,7 @@ def _case_from_json(spec: GraphManifoldSpec, case: Mapping, path: str):
     if slopes is not None:
         slopes = _rows(slopes, "killed_slopes {} is not a list of slopes")
         if len(slopes) != len(spec.edges):
-            raise ValueError(f"case {name}: {len(slopes)} killed slopes for {len(spec.edges)} edges")
+            raise Refusal(f"case {name}: {len(slopes)} killed slopes for {len(spec.edges)} edges")
         for i, slope in enumerate(slopes):
             if slope is not None:
                 _require_pair(slope, f"killed_slopes[{i}]", "[a, b]")
@@ -613,7 +615,7 @@ def _case_from_json(spec: GraphManifoldSpec, case: Mapping, path: str):
 def load_graph_document(doc: Mapping) -> GraphDocument:
     """Parse the JSON graph-manifold format (see the README for the schema).
 
-    A malformed document raises ``ValueError`` naming the path of the bad
+    A malformed document raises ``Refusal`` naming the path of the bad
     part, such as ``pieces[0].kind: missing``; so does a case name used
     twice, at its second case, since each case names one total.
     """
@@ -625,7 +627,7 @@ def load_graph_document(doc: Mapping) -> GraphDocument:
         names = set()
         for i, (name, _, _) in enumerate(cases):
             if name in names:
-                raise ValueError(f"cases[{i}]: duplicate case name {_shown(name)}")
+                raise Refusal(f"cases[{i}]: duplicate case name {_shown(name)}")
             names.add(name)
     elif "assignments" in doc:
         assignments = _entries(doc["assignments"], "assignments", _assignment_from_json)

@@ -36,6 +36,7 @@ from .exact import (
     PI_ZERO,
     Pair,
     PiScalar,
+    Refusal,
     _Record,
     _document,
     _field,
@@ -85,7 +86,7 @@ def _add(acc: _Sums, key: tuple[int, ...], re: int, im: int, power: int) -> None
     old[1] += im
 
 
-class JacobiViolation(ValueError):
+class JacobiViolation(Refusal):
     """Raised or reported when a bracket table fails the Jacobi identity."""
 
     def __init__(self, triple: tuple[str, str, str], residual: tuple[PiScalar, ...]):
@@ -127,7 +128,7 @@ class LieAlgebraSpec(_Record):
     def __post_init__(self) -> None:
         names = tuple(self.basis)
         if len(set(names)) != len(names):
-            raise ValueError("basis names must be distinct")
+            raise Refusal("basis names must be distinct")
         _set(self, "basis", names)
         dim = len(names)
         # (j, k) -> (its converted vector, [(i, c^i_jk)] over the nonzero c),
@@ -137,16 +138,16 @@ class LieAlgebraSpec(_Record):
         for e, (pair, vec) in enumerate(self.brackets):
             j, k = _int_pair(pair, "brackets[{}][0][{}]", e)
             if not (0 <= j < k < dim):
-                raise ValueError(f"bracket pair ({j}, {k}) out of range or unordered")
+                raise Refusal(f"bracket pair ({j}, {k}) out of range or unordered")
             if (j, k) in listed:
-                raise ValueError(f"duplicate bracket entry for ({j}, {k})")
+                raise Refusal(f"duplicate bracket entry for ({j}, {k})")
             listed.add((j, k))
             if len(vec) != dim:
-                raise ValueError(f"bracket vector for ({j}, {k}) has wrong length")
+                raise Refusal(f"bracket vector for ({j}, {k}) has wrong length")
             coeffs = tuple(map(PiScalar.of, vec))
             entries = [(i, c) for i, c in enumerate(coeffs) if c is not PI_ZERO and c.coeff]
             if any(c.pi_power for _, c in entries):
-                raise ValueError("structure constants must be pi-free")
+                raise Refusal("structure constants must be pi-free")
             if entries:
                 table[(j, k)] = coeffs, entries
         table = dict(sorted(table.items()))
@@ -173,14 +174,16 @@ class LieAlgebraSpec(_Record):
         return len(self.basis)
 
     def bracket(self, j: int, k: int) -> tuple[PiScalar, ...]:
-        """Coordinates of [X_j, X_k] for any index order."""
-        return _vector(self._table.get((j, k), _NO_TERMS), self._den, self.dim)
+        """Coordinates of [X_j, X_k] for any index order; each index is
+        read by ``_basis_index``."""
+        pair = (_basis_index(self, j), _basis_index(self, k))
+        return _vector(self._table.get(pair, _NO_TERMS), self._den, self.dim)
 
     def index_of(self, name: str) -> int:
         try:
             return self.basis.index(name)
         except ValueError:
-            raise ValueError(f"unknown basis element {name!r}") from None
+            raise Refusal(f"unknown basis element {name!r}") from None
 
 
 def _jacobi_triples(spec: LieAlgebraSpec) -> list[tuple[int, int, int]]:
@@ -253,9 +256,10 @@ class ExteriorForm(_Record):
     terms: tuple[tuple[tuple[int, ...], PiScalar], ...] = ()
 
     def __post_init__(self) -> None:
-        _integer(self.dim, "dim")
+        if _integer(self.dim, "dim") < 0:
+            raise Refusal(f"dim {self.dim} must be non-negative")
         if _integer(self.degree, "degree") < 0:
-            raise ValueError(f"degree {self.degree} must be non-negative")
+            raise Refusal(f"degree {self.degree} must be non-negative")
         # degree > dim is allowed; such a form is necessarily zero since no
         # strictly increasing index tuple of that length fits in range.
         terms = []
@@ -263,11 +267,11 @@ class ExteriorForm(_Record):
             indices = tuple([_integer(i, "terms[{}][0][{}]", t, n) for n, i in enumerate(indices)])
             coeff = PiScalar.of(coeff)
             if len(indices) != self.degree:
-                raise ValueError(f"index tuple {indices} has wrong degree")
+                raise Refusal(f"index tuple {indices} has wrong degree")
             if any(not 0 <= i < self.dim for i in indices):
-                raise ValueError(f"index tuple {indices} out of range")
+                raise Refusal(f"index tuple {indices} out of range")
             if list(indices) != sorted(set(indices)):
-                raise ValueError(f"index tuple {indices} must be strictly increasing")
+                raise Refusal(f"index tuple {indices} must be strictly increasing")
             terms.append((indices, coeff))
         _set(self, "terms", _summed(tuple(terms)))
 
@@ -295,9 +299,9 @@ class ExteriorForm(_Record):
     def _plus(self, other: "ExteriorForm", sign: int) -> "ExteriorForm":
         """self + sign * other, with the terms added in that order."""
         if self.dim != other.dim:
-            raise ValueError("forms live on algebras of different dimension")
+            raise Refusal("forms live on algebras of different dimension")
         if self.degree != other.degree and not (self.is_zero() or other.is_zero()):
-            raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
+            raise Refusal(f"degree mismatch: {self.degree} vs {other.degree}")
         degree = self.degree if self.terms else other.degree
         return ExteriorForm._trusted(dim=self.dim, degree=degree, terms=_summed(self.terms, other.terms, sign))
 
@@ -310,7 +314,7 @@ class ExteriorForm(_Record):
 
     def wedge(self, other: "ExteriorForm") -> "ExteriorForm":
         if self.dim != other.dim:
-            raise ValueError("forms live on algebras of different dimension")
+            raise Refusal("forms live on algebras of different dimension")
         # past the top degree no merge fits, so the result is zero
         (left_den, left), (right_den, right) = _ints(self.terms), _ints(other.terms)
         acc: _Sums = {}
@@ -340,12 +344,18 @@ def _merge_indices(left: tuple[int, ...], right: tuple[int, ...]) -> Optional[tu
     return tuple(sorted(left + right)), -1 if inversions & 1 else 1
 
 
+def _basis_index(spec: LieAlgebraSpec, i: int) -> int:
+    """``i``, read by ``exact._integer``, if it indexes the basis of ``spec``;
+    one outside it is refused, the one rule for a basis index."""
+    if not 0 <= _integer(i, "basis index") < spec.dim:
+        raise Refusal(f"basis index {i} out of range")
+    return i
+
+
 def mc_differential(spec: LieAlgebraSpec, i: int) -> ExteriorForm:
     """d(phi^i) = - sum_{j<k} c^i_jk phi^j ^ phi^k: ``d`` of the monomial
     phi^i, but a 2-form even when dim = 1, where ``d`` caps the degree."""
-    if not 0 <= _integer(i, "basis index") < spec.dim:
-        raise ValueError(f"basis index {i} out of range")
-    return _d(spec, (((i,), PI_ONE),), 2)
+    return _d(spec, (((_basis_index(spec, i),), PI_ONE),), 2)
 
 
 def _add_d_monomial(acc: _Sums, by_target: list, indices: tuple, re: int, im: int, power: int) -> None:
@@ -366,16 +376,14 @@ def bracket_two_form(spec: LieAlgebraSpec, i: int) -> ExteriorForm:
     """i-th coordinate of [omega, omega] as a 2-form (shuffle sum, so the
     coefficient on phi^j^phi^k is 2 c^i_jk).  Independent route used to
     cross-check ``mc_differential`` against the structure equation."""
-    if not 0 <= _integer(i, "basis index") < spec.dim:
-        raise ValueError(f"basis index {i} out of range")
-    sums = {pair: [2 * a, 2 * b, 0] for pair, (a, b) in spec._by_target[i]}
+    sums = {pair: [2 * a, 2 * b, 0] for pair, (a, b) in spec._by_target[_basis_index(spec, i)]}
     return ExteriorForm._trusted(dim=spec.dim, degree=2, terms=_terms(sums, spec._den))
 
 
 def d(spec: LieAlgebraSpec, form: ExteriorForm) -> ExteriorForm:
     """Exterior derivative of a left-invariant form, zero from the top degree on."""
     if form.dim != spec.dim:
-        raise ValueError("form dimension does not match the algebra")
+        raise Refusal("form dimension does not match the algebra")
     return _d(spec, form.terms, min(form.degree + 1, spec.dim))
 
 
@@ -401,11 +409,11 @@ class GramForm(_Record):
         rows = tuple(tuple(PiScalar.of(x) for x in row) for row in self.entries)
         n = len(rows)
         if any(len(row) != n for row in rows):
-            raise ValueError("Gram matrix must be square")
+            raise Refusal("Gram matrix must be square")
         for i in range(n):
             for j in range(i + 1, n):
                 if rows[i][j] != rows[j][i]:
-                    raise ValueError(f"Gram matrix is not symmetric at ({i}, {j})")
+                    raise Refusal(f"Gram matrix is not symmetric at ({i}, {j})")
         _set(self, "entries", rows)
         den = math.lcm(*[g.coeff._den for row in rows for g in row])
         _set(self, "_den", den)
@@ -425,7 +433,7 @@ def is_ad_invariant(spec: LieAlgebraSpec, gram: GramForm) -> bool:
     symmetric the identity reads N + N^T = 0.
     """
     if gram.dim != spec.dim:
-        raise ValueError("Gram dimension does not match the algebra")
+        raise Refusal("Gram dimension does not match the algebra")
     ad_t_g: dict[int, _Sums] = {}
     for (a, b), column in spec._table.items():
         n_a = ad_t_g.setdefault(a, {})
@@ -475,18 +483,18 @@ def exactness_split(spec: LieAlgebraSpec, form: ExteriorForm, target: ExteriorFo
 
     An ``ExteriorForm`` holds one pi power per index, so when the pinned
     primitives of two powers share a 2-index, beta cannot be written down:
-    a ``ValueError`` names that index and both powers, and no other
+    a ``Refusal`` names that index and both powers, and no other
     primitive is searched for.  A ``form`` or ``target`` on an algebra of
-    another dimension is a ``ValueError`` too, as in ``d``.
+    another dimension is a ``Refusal`` too, as in ``d``.
     """
     from .linalg import solve_sparse  # only the solve needs linalg, so cs jacobi never loads it
 
     n = spec.dim
     if form.dim != n or target.dim != n:
-        raise ValueError("form dimension does not match the algebra")
+        raise Refusal("form dimension does not match the algebra")
     difference = form - target
     if difference.degree != 3 and not difference.is_zero():
-        raise ValueError("exactness_split expects 3-forms")
+        raise Refusal("exactness_split expects 3-forms")
     pairs = list(itertools.combinations(range(n), 2))
     width = len(pairs)
     powers = sorted({coeff.pi_power for _, coeff in difference.terms})
@@ -513,7 +521,7 @@ def exactness_split(spec: LieAlgebraSpec, form: ExteriorForm, target: ExteriorFo
         for c, x in sol.items():
             if pairs[c] in found:
                 index = "^".join(f"phi{spec.basis[i]}" for i in pairs[c])
-                raise ValueError(
+                raise Refusal(
                     f"primitive needs pi powers {found[pairs[c]].pi_power} and {p} on the 2-index {index}; "
                     "a form holds one pi power per index"
                 )
@@ -624,37 +632,37 @@ def algebra_from_json(doc: Mapping) -> LieAlgebraSpec:
 
     Brackets not listed are zero.  Run ``validate_jacobi`` on the result;
     loading does not reject non-Lie tables so they can be diagnosed.  A
-    malformed document raises ``ValueError`` naming the path of the bad
+    malformed document raises ``Refusal`` naming the path of the bad
     part, such as ``brackets[0][2]: expected an object of coefficients``.
     """
     doc = _document(doc, "basis", "brackets")
     names = _list(_field(doc, "basis"), "basis", "names")
     basis = tuple(_name(name, "basis[{}]", i) for i, name in enumerate(names))
     if not basis:
-        raise ValueError("basis must not be empty")
+        raise Refusal("basis must not be empty")
     index = {name: i for i, name in enumerate(basis)}
     entries = _list(doc.get("brackets", []), "brackets", "[left, right, coeffs] entries")
     table: dict[tuple[int, int], list[PiScalar]] = {}
     for e, entry in enumerate(entries):
         path = f"brackets[{e}]"
         if not isinstance(entry, (list, tuple)) or len(entry) != 3:
-            raise ValueError(f"{path}: bracket entry {_shown(entry)} must be [left, right, coeffs]")
+            raise Refusal(f"{path}: bracket entry {_shown(entry)} must be [left, right, coeffs]")
         left, right, coeffs = entry
         for pos, name in ((0, left), (1, right)):
             if not isinstance(name, str) or name not in index:
-                raise ValueError(f"{path}[{pos}]: entry uses unknown basis names ({_shown(name)})")
+                raise Refusal(f"{path}[{pos}]: entry uses unknown basis names ({_shown(name)})")
         if not isinstance(coeffs, Mapping):
-            raise ValueError(f"{path}[2]: expected an object of coefficients")
+            raise Refusal(f"{path}[2]: expected an object of coefficients")
         j, k = index[left], index[right]
         if j == k:
-            raise ValueError(f"{path}: bracket [{left}, {left}] must be zero, not listed")
+            raise Refusal(f"{path}: bracket [{left}, {left}] must be zero, not listed")
         sign = 1
         if j > k:
             j, k, sign = k, j, -1
         vec = table.setdefault((j, k), [PI_ZERO] * len(basis))
         for name, value in coeffs.items():
             if name not in index:
-                raise ValueError(f"{path}[2]: entry uses unknown basis names ({_shown(name)})")
+                raise Refusal(f"{path}[2]: entry uses unknown basis names ({_shown(name)})")
             coeff = PiScalar.of(_rational(value, f"{path}[2].{name}", "bad structure constant {} (use int or 'p/q')"))
             vec[index[name]] = vec[index[name]] + (coeff if sign > 0 else -coeff)
     return LieAlgebraSpec(
@@ -685,24 +693,24 @@ def chern_poly_coeffs(
     rows = [[PiScalar.of(x) for x in row] for row in matrix]
     n = len(rows)
     if any(len(row) != n for row in rows):
-        raise ValueError("matrix must be square")
+        raise Refusal("matrix must be square")
 
     if kind == "chern":
         if n != 2:
-            raise ValueError("chern expects a 2x2 matrix")
+            raise Refusal("chern expects a 2x2 matrix")
         if rows[0][0] + rows[1][1]:
-            raise ValueError("chern expects a traceless matrix")
+            raise Refusal("chern expects a traceless matrix")
         scale, sign = PiScalar(GaussianRational(Fraction(0), Fraction(2)), 1), 1  # 2 i pi
     elif kind == "pontrjagin":
         if n != 3:
-            raise ValueError("pontrjagin expects a 3x3 matrix")
+            raise Refusal("pontrjagin expects a 3x3 matrix")
         for i in range(n):
             for j in range(n):
                 if rows[i][j] + rows[j][i]:
-                    raise ValueError("pontrjagin expects an antisymmetric matrix")
+                    raise Refusal("pontrjagin expects an antisymmetric matrix")
         scale, sign = PiScalar(GaussianRational(Fraction(2)), 1), -1  # 2 pi
     else:
-        raise ValueError(f"unknown kind {kind!r} (use 'chern' or 'pontrjagin')")
+        raise Refusal(f"unknown kind {kind!r} (use 'chern' or 'pontrjagin')")
 
     m = [[x / scale for x in row] for row in rows]
     e1 = sum((m[i][i] for i in range(n)), PI_ZERO)

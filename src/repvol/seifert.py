@@ -16,12 +16,12 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import _HOMES
-from .exact import _Record, _fraction, _int_pair, _integer, _is_pair, _positive, _rows, _set, _shown, _too_long
+from .exact import Refusal, _Record, _fraction, _int_pair, _integer, _is_pair, _positive, _rows, _set, _shown, _too_long
 
 __all__ = [*_HOMES["seifert"]]
 
 
-class ParseError(ValueError):
+class ParseError(Refusal):
     """Seifert notation error carrying the character position."""
 
     def __init__(self, message: str, position: int):
@@ -31,9 +31,9 @@ class ParseError(ValueError):
 
 def _check_pair(a: int, b: int, what: str, k: int) -> None:
     if a <= 0:
-        raise ValueError(f"{what} {k}: multiplicity must be positive, got {a}")
+        raise Refusal(f"{what} {k}: multiplicity must be positive, got {a}")
     if math.gcd(a, abs(b)) != 1:
-        raise ValueError(f"{what} {k}: {b}/{a} is not in lowest terms")
+        raise Refusal(f"{what} {k}: {b}/{a} is not in lowest terms")
 
 
 class SeifertInvariants(_Record):
@@ -56,9 +56,9 @@ class SeifertInvariants(_Record):
         rows = _rows(self.pairs, "pairs {} are not all [a, b]", _is_pair)
         _set(self, "pairs", pairs := tuple([_int_pair(row, "pairs[{}][{}]", i) for i, row in enumerate(rows)]))
         if (genus := _integer(self.genus, "genus")) < 0:
-            raise ValueError(f"base genus must be >= 0, got {genus}")
+            raise Refusal(f"base genus must be >= 0, got {genus}")
         if (count := _integer(self.boundary_count, "boundary_count")) < 0:
-            raise ValueError(f"boundary count must be >= 0, got {count}")
+            raise Refusal(f"boundary count must be >= 0, got {count}")
         for k, (a, b) in enumerate(pairs, start=1):
             _check_pair(a, b, "pair", k)
 
@@ -91,7 +91,7 @@ class GeometryTag(enum.Enum):
 
 def _require_closed(inv: SeifertInvariants, what: str) -> None:
     if not inv.is_closed:
-        raise ValueError(f"{what} requires a closed space, got boundary count {inv.boundary_count}")
+        raise Refusal(f"{what} requires a closed space, got boundary count {inv.boundary_count}")
 
 
 def _over_lcm(inv: SeifertInvariants, what: str) -> tuple[int, list[int], int, int]:
@@ -146,7 +146,7 @@ def _fill(inv: SeifertInvariants, fillings: Sequence[tuple[int, int]]) -> Seifer
     rows = _rows(fillings, "fillings {} are not all [a, b]", _is_pair)
     filled = tuple([_int_pair(row, "fillings[{}][{}]", i) for i, row in enumerate(rows)])
     if len(filled) > inv.boundary_count:
-        raise ValueError(f"{len(filled)} fillings exceed {inv.boundary_count} open boundaries")
+        raise Refusal(f"{len(filled)} fillings exceed {inv.boundary_count} open boundaries")
     for k, (a, b) in enumerate(filled, start=1):
         _check_pair(a, b, "filling", k)
     pairs, boundary_count = inv.pairs + filled, inv.boundary_count - len(filled)
@@ -163,7 +163,7 @@ def _require_bundle(inv: SeifertInvariants, what: str) -> int:
     """The integer Euler number of a closed circle bundle."""
     lcm, _, e, _ = _over_lcm(inv, what)
     if lcm != 1:
-        raise ValueError(f"{what} requires a circle bundle (all multiplicities 1)")
+        raise Refusal(f"{what} requires a circle bundle (all multiplicities 1)")
     return e
 
 
@@ -172,7 +172,7 @@ def fiber_cover(inv: SeifertInvariants, degree: int) -> SeifertInvariants:
     e = _require_bundle(inv, "fiber_cover")
     _positive(degree, "cover degree")
     if e % degree != 0:
-        raise ValueError(f"fiber cover degree {degree} does not divide Euler number {e}")
+        raise Refusal(f"fiber cover degree {degree} does not divide Euler number {e}")
     return circle_bundle(inv.genus, e // degree)
 
 
@@ -185,7 +185,7 @@ def base_cover(inv: SeifertInvariants, degree: int) -> SeifertInvariants:
     e = _require_bundle(inv, "base_cover")
     _positive(degree, "cover degree")
     if inv.genus < 1:
-        raise ValueError("base_cover requires base genus >= 1")
+        raise Refusal("base_cover requires base genus >= 1")
     return circle_bundle(degree * (inv.genus - 1) + 1, degree * e)
 
 

@@ -2,6 +2,7 @@
 JSON mode, and error-stream behavior."""
 
 import argparse
+import io
 import json
 import os
 import re
@@ -1740,16 +1741,27 @@ def test_internal_failure_exits_three(capsys, monkeypatch):
     assert err.count("\n") == 1
 
 
-def test_internal_key_error_exits_three_not_as_malformed_input(capsys, monkeypatch):
-    # a KeyError inside a record constructor is a fault in repvol, so no
-    # reader may report it as a malformed entry
-    def planted(self):
-        raise KeyError("planted internal bug")
+@pytest.mark.parametrize("fault", [ValueError, TypeError, RecursionError, KeyError, ZeroDivisionError])
+@pytest.mark.parametrize(
+    "target, argv",
+    [
+        ("repvol.jsj.Edge.__post_init__", ("graph", "validate", str(DATA.joinpath("prop73_zero_hv.json")))),
+        ("repvol.ehn._add_fibre", ("seifert", "volumes", "(1; 1/2, 1/3)")),
+        ("repvol.liecs.cs_three_form", ("cs", "verify", "psl2c")),
+    ],
+    ids=["Edge", "_add_fibre", "cs_three_form"],
+)
+def test_a_planted_fault_is_an_internal_error(capsys, monkeypatch, target, argv, fault):
+    # only a Refusal is the input's fault: a builtin exception of any class
+    # raised inside repvol, in a record constructor, ehn's arithmetic or the
+    # form code, exits 3 and is never reported as a malformed entry
+    def planted(*args):
+        raise fault("planted bug")
 
-    monkeypatch.setattr(jsj.Edge, "__post_init__", planted)
-    code, out, err = run(capsys, "graph", "validate", str(DATA.joinpath("prop73_zero_hv.json")))
+    monkeypatch.setattr(target, planted)
+    code, out, err = run(capsys, *argv)
     assert (code, out) == (3, "")
-    assert err.startswith("internal error: KeyError: ")
+    assert err.startswith(f"internal error: {fault.__name__}: ")
     assert err.count("\n") == 1
 
 
@@ -1764,15 +1776,46 @@ def test_failing_stdout_exits_one(capsys, monkeypatch):
     assert (code, capsys.readouterr().err) == (1, "error: [Errno 32] Broken pipe\n")
 
 
+def test_a_name_stdout_cannot_encode_exits_one(capsys, monkeypatch, tmp_path):
+    # a lone surrogate read from JSON is a name UTF-8 cannot write, so
+    # printing it is refused, as the input's fault, with the codec's text
+    doc = tmp_path / "doc.json"
+    doc.write_text('{"vertices": ["\\ud800", "b"], "edges": [["\\ud800", "b", 2], ["b", "\\ud800", 2]]}')
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(io.BytesIO(), encoding="utf-8"))
+    code = main(["graph", "rw", str(doc)])
+    assert (code, capsys.readouterr().err) == (
+        1,
+        "error: 'utf-8' codec can't encode character '\\ud800' in position 23: surrogates not allowed\n",
+    )
+
+
 @pytest.mark.parametrize("argv", [("cs", "jacobi"), ("graph", "validate"), ("graph", "rw")])
 def test_deeply_nested_file_exits_one(capsys, tmp_path, argv):
-    # RecursionError is a RuntimeError, but here it comes from the input
+    # the decoder's RecursionError comes from the input, so _read_json refuses it
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 10**5 + "]" * 10**5)
-    code, out, err = run(capsys, *argv, str(deep))
-    assert (code, out) == (1, "")
-    assert err.startswith("error: maximum recursion depth exceeded while decoding a JSON array")
-    assert err.count("\n") == 1
+    message = "maximum recursion depth exceeded while decoding a JSON array from a unicode string"
+    assert run(capsys, *argv, str(deep)) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"{not json", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+        (b'{"pieces": "\xff"}', "'utf-8' codec can't decode byte 0xff in position 12: invalid start byte"),
+    ],
+    ids=["not_json", "not_utf8"],
+)
+def test_a_file_the_decoder_refuses_exits_one(capsys, tmp_path, content, message):
+    # the JSON decoder's errors are read once, as refusals, with its own text
+    bad = tmp_path / "doc.json"
+    bad.write_bytes(content)
+    assert run(capsys, "graph", "validate", str(bad)) == (1, "", f"error: {message}\n")
+
+
+def test_a_path_holding_a_nul_exits_one(capsys):
+    # open() refuses the path with a ValueError, which _read_json reads as a refusal
+    assert run(capsys, "graph", "validate", "doc\x00.json") == (1, "", "error: embedded null byte\n")
 
 
 def test_graph_infinite_genus_is_malformed(capsys, tmp_path):

@@ -90,8 +90,14 @@ def run_cli(argv):
 def check_outcome(argv, code, err):
     assert code in (0, 1, 2), (argv, code, err)
     assert "Traceback" not in err, (argv, err)
-    # Python's own texts for a value int() cannot convert or a name that cannot be hashed
-    for text in ("invalid literal for int()", "cannot convert float", "int() argument must", "unhashable type"):
+    # Python's own texts for a value int() or float() cannot convert or a name that cannot be hashed
+    for text in (
+        "invalid literal for int()",
+        "cannot convert float",
+        "int() argument must",
+        "float() argument must",
+        "unhashable type",
+    ):
         assert text not in err, (argv, err)
     if code == 1:
         assert err.endswith("\n") and err.count("\n") == 1, (argv, err)

@@ -14,7 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repvol import jsj, seifert
-from repvol.exact import ExactVolume, NumericVolume, _shown
+from repvol.exact import ExactVolume, NumericVolume, Refusal, _shown
 from repvol.jsj import (
     DirectVolume,
     Edge,
@@ -318,93 +318,93 @@ REFUSAL_ORDER = {
     "Piece": (
         {"id": "P", "kind": "seifert", "slots": ["t", "u"], "seifert": None, "label": None},
         [
-            ({"id": ["P"]}, "TypeError: id ['P'] is not a name"),
-            ({"slots": "tu"}, "TypeError: slots 'tu' is not a list of names"),
-            ({"slots": {"t": 1}}, "TypeError: slots {'t': 1} is not a list of names"),
-            ({"slots": 7}, "TypeError: slots 7 is not a list of names"),
-            ({"kind": "torus"}, "ValueError: piece P: unknown kind 'torus'"),
-            ({"slots": ["t", "t"]}, "ValueError: piece P: duplicate slot names"),
+            ({"id": ["P"]}, "ShapeRefusal: id ['P'] is not a name"),
+            ({"slots": "tu"}, "ShapeRefusal: slots 'tu' is not a list of names"),
+            ({"slots": {"t": 1}}, "ShapeRefusal: slots {'t': 1} is not a list of names"),
+            ({"slots": 7}, "ShapeRefusal: slots 7 is not a list of names"),
+            ({"kind": "torus"}, "Refusal: piece P: unknown kind 'torus'"),
+            ({"slots": ["t", "t"]}, "Refusal: piece P: duplicate slot names"),
         ],
     ),
     "Edge": (
         {"a": ["P", "t"], "b": ["H", "t"], "gluing": [[0, 1], [1, 0]], "killed_slope": [1, 0], "killed_slope_b": None},
         [
-            ({"gluing": [[3, -4]]}, "TypeError: gluing [[3, -4]] is not a 2x2 matrix"),
-            ({"gluing": "34"}, "TypeError: gluing '34' is not a 2x2 matrix"),
-            ({"gluing": [5, [1, 0]]}, "TypeError: gluing [5, [1, 0]] is not a 2x2 matrix"),
-            ({"a": "Pt"}, "TypeError: a 'Pt' is not [piece, slot]"),
-            ({"a": 5}, "TypeError: a 5 is not [piece, slot]"),
-            ({"a": [["P"], "t"]}, "TypeError: a [['P'], 't'] is not [piece, slot]"),
-            ({"b": ["H"]}, "TypeError: b ['H'] is not [piece, slot]"),
-            ({"b": None}, "TypeError: b None is not [piece, slot]"),
-            ({"b": ["H", {"t": 1}]}, "TypeError: b ['H', {'t': 1}] is not [piece, slot]"),
-            ({"killed_slope": [2, 1, 7]}, "TypeError: killed_slope [2, 1, 7] is not [a, b]"),
-            ({"killed_slope": 5}, "TypeError: killed_slope 5 is not [a, b]"),
-            ({"killed_slope_b": "21"}, "TypeError: killed_slope_b '21' is not [a, b]"),
-            ({"gluing": [[1, None], [0, 1]]}, "TypeError: gluing[0][1] None is not an integer"),
-            ({"gluing": [["a", 1], [1, 0]]}, "TypeError: gluing[0][0] 'a' is not an integer"),
-            ({"gluing": [[1, 0], [LONG, -1]]}, f"TypeError: gluing[1][0] {LONG_SHOWN} is not an integer"),
-            ({"gluing": [[0.5, 1], [1, 0.2]]}, "TypeError: gluing[0][0] 0.5 is not an integer"),
-            ({"gluing": [[0, 1], [True, 0]]}, "TypeError: gluing[1][0] True is not an integer"),
-            ({"killed_slope": ["x", 1]}, "TypeError: killed_slope[0] 'x' is not an integer"),
-            ({"killed_slope": [2, LONG]}, f"TypeError: killed_slope[1] {LONG_SHOWN} is not an integer"),
-            ({"killed_slope": [1.9, 0]}, "TypeError: killed_slope[0] 1.9 is not an integer"),
-            ({"killed_slope": [1, False]}, "TypeError: killed_slope[1] False is not an integer"),
-            ({"killed_slope_b": [float("nan"), 1]}, "TypeError: killed_slope_b[0] nan is not an integer"),
-            ({"killed_slope_b": [LONG, 1]}, f"TypeError: killed_slope_b[0] {LONG_SHOWN} is not an integer"),
+            ({"gluing": [[3, -4]]}, "ShapeRefusal: gluing [[3, -4]] is not a 2x2 matrix"),
+            ({"gluing": "34"}, "ShapeRefusal: gluing '34' is not a 2x2 matrix"),
+            ({"gluing": [5, [1, 0]]}, "ShapeRefusal: gluing [5, [1, 0]] is not a 2x2 matrix"),
+            ({"a": "Pt"}, "ShapeRefusal: a 'Pt' is not [piece, slot]"),
+            ({"a": 5}, "ShapeRefusal: a 5 is not [piece, slot]"),
+            ({"a": [["P"], "t"]}, "ShapeRefusal: a [['P'], 't'] is not [piece, slot]"),
+            ({"b": ["H"]}, "ShapeRefusal: b ['H'] is not [piece, slot]"),
+            ({"b": None}, "ShapeRefusal: b None is not [piece, slot]"),
+            ({"b": ["H", {"t": 1}]}, "ShapeRefusal: b ['H', {'t': 1}] is not [piece, slot]"),
+            ({"killed_slope": [2, 1, 7]}, "ShapeRefusal: killed_slope [2, 1, 7] is not [a, b]"),
+            ({"killed_slope": 5}, "ShapeRefusal: killed_slope 5 is not [a, b]"),
+            ({"killed_slope_b": "21"}, "ShapeRefusal: killed_slope_b '21' is not [a, b]"),
+            ({"gluing": [[1, None], [0, 1]]}, "ShapeRefusal: gluing[0][1] None is not an integer"),
+            ({"gluing": [["a", 1], [1, 0]]}, "ShapeRefusal: gluing[0][0] 'a' is not an integer"),
+            ({"gluing": [[1, 0], [LONG, -1]]}, f"ShapeRefusal: gluing[1][0] {LONG_SHOWN} is not an integer"),
+            ({"gluing": [[0.5, 1], [1, 0.2]]}, "ShapeRefusal: gluing[0][0] 0.5 is not an integer"),
+            ({"gluing": [[0, 1], [True, 0]]}, "ShapeRefusal: gluing[1][0] True is not an integer"),
+            ({"killed_slope": ["x", 1]}, "ShapeRefusal: killed_slope[0] 'x' is not an integer"),
+            ({"killed_slope": [2, LONG]}, f"ShapeRefusal: killed_slope[1] {LONG_SHOWN} is not an integer"),
+            ({"killed_slope": [1.9, 0]}, "ShapeRefusal: killed_slope[0] 1.9 is not an integer"),
+            ({"killed_slope": [1, False]}, "ShapeRefusal: killed_slope[1] False is not an integer"),
+            ({"killed_slope_b": [float("nan"), 1]}, "ShapeRefusal: killed_slope_b[0] nan is not an integer"),
+            ({"killed_slope_b": [LONG, 1]}, f"ShapeRefusal: killed_slope_b[0] {LONG_SHOWN} is not an integer"),
         ],
     ),
     "SeifertInvariants": (
         {"genus": 1, "pairs": [[2, 1]], "boundary_count": 1},
         [
-            ({"pairs": 5}, "TypeError: pairs 5 are not all [a, b]"),
-            ({"pairs": None}, "TypeError: pairs None are not all [a, b]"),
-            ({"pairs": ["21"]}, "TypeError: pairs ['21'] are not all [a, b]"),
-            ({"pairs": [[2]]}, "TypeError: pairs [[2]] are not all [a, b]"),
-            ({"pairs": [5]}, "TypeError: pairs [5] are not all [a, b]"),
-            ({"pairs": [["x", 1]]}, "TypeError: pairs[0][0] 'x' is not an integer"),
-            ({"pairs": [[2, 1], [1, "-" + LONG]]}, "TypeError: pairs[1][1] '-" + "9" * 31 + "…' (5001 characters) is not an integer"),
-            ({"pairs": [[2.9, 1]]}, "TypeError: pairs[0][0] 2.9 is not an integer"),
-            ({"pairs": [[True, 1]]}, "TypeError: pairs[0][0] True is not an integer"),
-            ({"genus": 1.5}, "TypeError: genus 1.5 is not an integer"),
-            ({"genus": True}, "TypeError: genus True is not an integer"),
-            ({"genus": -1}, "ValueError: base genus must be >= 0, got -1"),
-            ({"boundary_count": 0.5}, "TypeError: boundary_count 0.5 is not an integer"),
-            ({"boundary_count": False}, "TypeError: boundary_count False is not an integer"),
-            ({"boundary_count": -2}, "ValueError: boundary count must be >= 0, got -2"),
-            ({"pairs": [[2, 1], [0, 1]]}, "ValueError: pair 2: multiplicity must be positive, got 0"),
-            ({"pairs": [[4, 2]]}, "ValueError: pair 1: 2/4 is not in lowest terms"),
+            ({"pairs": 5}, "ShapeRefusal: pairs 5 are not all [a, b]"),
+            ({"pairs": None}, "ShapeRefusal: pairs None are not all [a, b]"),
+            ({"pairs": ["21"]}, "ShapeRefusal: pairs ['21'] are not all [a, b]"),
+            ({"pairs": [[2]]}, "ShapeRefusal: pairs [[2]] are not all [a, b]"),
+            ({"pairs": [5]}, "ShapeRefusal: pairs [5] are not all [a, b]"),
+            ({"pairs": [["x", 1]]}, "ShapeRefusal: pairs[0][0] 'x' is not an integer"),
+            ({"pairs": [[2, 1], [1, "-" + LONG]]}, "ShapeRefusal: pairs[1][1] '-" + "9" * 31 + "…' (5001 characters) is not an integer"),
+            ({"pairs": [[2.9, 1]]}, "ShapeRefusal: pairs[0][0] 2.9 is not an integer"),
+            ({"pairs": [[True, 1]]}, "ShapeRefusal: pairs[0][0] True is not an integer"),
+            ({"genus": 1.5}, "ShapeRefusal: genus 1.5 is not an integer"),
+            ({"genus": True}, "ShapeRefusal: genus True is not an integer"),
+            ({"genus": -1}, "Refusal: base genus must be >= 0, got -1"),
+            ({"boundary_count": 0.5}, "ShapeRefusal: boundary_count 0.5 is not an integer"),
+            ({"boundary_count": False}, "ShapeRefusal: boundary_count False is not an integer"),
+            ({"boundary_count": -2}, "Refusal: boundary count must be >= 0, got -2"),
+            ({"pairs": [[2, 1], [0, 1]]}, "Refusal: pair 2: multiplicity must be positive, got 0"),
+            ({"pairs": [[4, 2]]}, "Refusal: pair 1: 2/4 is not in lowest terms"),
         ],
     ),
     "FilledSeifert": (
         {"piece_id": "P", "fillings": {"t": [2, 1]}, "coeff": Fraction(1, 4)},
         [
-            ({"piece_id": ["P"]}, "TypeError: piece_id ['P'] is not a name"),
-            ({"fillings": 5}, "TypeError: fillings 5 are not all [slot, [a, b]]"),
-            ({"fillings": {"t": "21"}}, "TypeError: fillings {'t': '21'} are not all [slot, [a, b]]"),
-            ({"fillings": [["t", [2]]]}, "TypeError: fillings [['t', [2]]] are not all [slot, [a, b]]"),
-            ({"fillings": [5]}, "TypeError: fillings [5] are not all [slot, [a, b]]"),
-            ({"fillings": [["t", 5]]}, "TypeError: fillings [['t', 5]] are not all [slot, [a, b]]"),
-            ({"fillings": {"t": [2, "x"]}}, "TypeError: fillings['t'][1] 'x' is not an integer"),
-            ({"fillings": {"t": [LONG, 1]}}, f"TypeError: fillings['t'][0] {LONG_SHOWN} is not an integer"),
-            ({"coeff": "a/b"}, "ValueError: not a rational number: 'a/b'"),
+            ({"piece_id": ["P"]}, "ShapeRefusal: piece_id ['P'] is not a name"),
+            ({"fillings": 5}, "ShapeRefusal: fillings 5 are not all [slot, [a, b]]"),
+            ({"fillings": {"t": "21"}}, "ShapeRefusal: fillings {'t': '21'} are not all [slot, [a, b]]"),
+            ({"fillings": [["t", [2]]]}, "ShapeRefusal: fillings [['t', [2]]] are not all [slot, [a, b]]"),
+            ({"fillings": [5]}, "ShapeRefusal: fillings [5] are not all [slot, [a, b]]"),
+            ({"fillings": [["t", 5]]}, "ShapeRefusal: fillings [['t', 5]] are not all [slot, [a, b]]"),
+            ({"fillings": {"t": [2, "x"]}}, "ShapeRefusal: fillings['t'][1] 'x' is not an integer"),
+            ({"fillings": {"t": [LONG, 1]}}, f"ShapeRefusal: fillings['t'][0] {LONG_SHOWN} is not an integer"),
+            ({"coeff": "a/b"}, "Refusal: not a rational number: 'a/b'"),
         ],
     ),
-    "SmallImage": ({"piece_id": "P"}, [({"piece_id": {"P": 1}}, "TypeError: piece_id {'P': 1} is not a name")]),
+    "SmallImage": ({"piece_id": "P"}, [({"piece_id": {"P": 1}}, "ShapeRefusal: piece_id {'P': 1} is not a name")]),
     # DirectVolume checks its name (see test_a_name_that_cannot_be_hashed_is_no_name);
     # the loader reads its entry, and refuses any name that is no string first
     "DirectVolume": (
         {"piece": "H", "assign": "direct", "exact": "1/2"},
         [
-            ({"piece": DELETE}, "ValueError: assignments[0].piece: missing"),
-            ({"piece": ["H"]}, "ValueError: assignments[0].piece: expected a string, got ['H']"),
-            ({"exact": "x"}, "ValueError: assignments[0]: malformed entry (bad exact 'x')"),
-            ({"exact": "1e999999999"}, "ValueError: assignments[0]: malformed entry (bad exact '1e999999999')"),
-            ({"exact": "-1/2"}, "ValueError: exact volume coefficient must be >= 0, got -1/2"),
-            ({"exact": DELETE, "numeric": "x"}, "ValueError: assignments[0]: malformed entry (bad numeric 'x')"),
-            ({"exact": DELETE, "numeric": float("inf")}, "ValueError: assignments[0]: malformed entry (bad numeric inf)"),
-            ({"exact": DELETE, "numeric": True}, "ValueError: assignments[0]: malformed entry (bad numeric True)"),
-            ({"exact": DELETE}, "ValueError: direct assignment {'piece': 'H', 'assign': 'direct'} needs 'exact' or 'numeric'"),
+            ({"piece": DELETE}, "Refusal: assignments[0].piece: missing"),
+            ({"piece": ["H"]}, "Refusal: assignments[0].piece: expected a string, got ['H']"),
+            ({"exact": "x"}, "Refusal: assignments[0]: malformed entry (bad exact 'x')"),
+            ({"exact": "1e999999999"}, "Refusal: assignments[0]: malformed entry (bad exact '1e999999999')"),
+            ({"exact": "-1/2"}, "Refusal: exact volume coefficient must be >= 0, got -1/2"),
+            ({"exact": DELETE, "numeric": "x"}, "Refusal: assignments[0]: malformed entry (bad numeric 'x')"),
+            ({"exact": DELETE, "numeric": float("inf")}, "Refusal: assignments[0]: malformed entry (bad numeric inf)"),
+            ({"exact": DELETE, "numeric": True}, "Refusal: assignments[0]: malformed entry (bad numeric True)"),
+            ({"exact": DELETE}, "Refusal: direct assignment {'piece': 'H', 'assign': 'direct'} needs 'exact' or 'numeric'"),
         ],
     ),
 }
@@ -1193,15 +1193,15 @@ def _fraction_forest(vertices, edges):
         try:
             ratio = Fraction(ratio)
         except ValueError:  # a string that is no rational, in the library's text
-            raise ValueError(f"not a rational number: {ratio!r}") from None
+            raise Refusal(f"not a rational number: {ratio!r}") from None
         try:
             known = u in adjacency and v in adjacency
         except TypeError:  # an end that cannot be hashed names no vertex
             known = False
         if not known:
-            raise ValueError(f"edge ({u!r}, {v!r}) uses unknown vertices")
+            raise Refusal(f"edge ({u!r}, {v!r}) uses unknown vertices")
         if ratio <= 0:
-            raise ValueError(f"edge ratio must be positive, got {ratio}")
+            raise Refusal(f"edge ratio must be positive, got {ratio}")
         checked.append((u, v, ratio))
         adjacency[u].append((v, ratio))
         adjacency[v].append((u, 1 / ratio))
@@ -1472,7 +1472,7 @@ def test_rw_reads_each_argument_once(vertices, edges, refusal):
     if refusal is None:
         assert not expected.consistent
     else:
-        assert expected == (ValueError, refusal)
+        assert expected == (Refusal, refusal)
 
 
 @pytest.mark.parametrize(
@@ -1487,5 +1487,5 @@ def test_rw_reads_each_argument_once(vertices, edges, refusal):
 )
 def test_rw_refuses_a_name_that_cannot_be_hashed(vertices, edges, refusal):
     # no vertex can be named by a value that cannot be hashed, so it is
-    # refused in rw_consistency's own words, as a ValueError like its others
-    assert _outcome(rw_consistency, vertices, edges) == (ValueError, refusal)
+    # refused in rw_consistency's own words, as a Refusal like its others
+    assert _outcome(rw_consistency, vertices, edges) == (Refusal, refusal)

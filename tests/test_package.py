@@ -257,19 +257,24 @@ def test_int_reads_only_text():
     assert found == ["cli.py:_int_arg", "exact.py:_read_int", "seifert.py:_number"]
 
 
-def test_a_fault_inside_a_record_is_an_internal_error(monkeypatch, capsys):
-    # no reader turns an ArithmeticError into a malformed entry, so a
-    # planted ZeroDivisionError in a constructor exits 3, not 1
-    from repvol import cli, jsj
-
-    def fault(self):
-        raise ZeroDivisionError("planted")
-
-    monkeypatch.setattr(jsj.Edge, "__post_init__", fault)
-    code = cli.main(["graph", "validate", str(SRC / "repvol" / "data" / "prop73_zero_hv.json")])
-    out, err = capsys.readouterr()
-    assert (code, out) == (3, "")
-    assert len(err.splitlines()) == 1 and err.startswith("internal error: ZeroDivisionError:")
+def test_every_refusal_is_a_refusal_and_only_main_catches_one():
+    # repvol raises no builtin ValueError or TypeError itself: each refusal
+    # is an exact.Refusal (a ShapeRefusal for a wrong type or shape), and
+    # cli.main is the one handler of a Refusal, so exit 1 means one
+    raised, handlers = [], []
+    for path in sorted((SRC / "repvol").glob("*.py")):
+        tree = ast.parse(path.read_text("utf-8"), str(path))
+        owners = _owners(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if getattr(exc, "id", None) in ("ValueError", "TypeError"):
+                    raised.append(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                if "Refusal" in (getattr(name, "id", None) for name in ast.walk(node.type)):
+                    handlers.append(f"{path.name}:{owners.get(id(node))}")
+    assert raised == []
+    assert handlers == ["cli.py:main"]
 
 
 def test_no_module_asserts_or_raises_assertion_error():

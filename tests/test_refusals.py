@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from repvol.ehn import VolumeWitness, foliation_exists, spectrum_contains, witnesses_for
-from repvol.exact import ExactVolume, GaussianRational, NumericVolume, PiScalar, _shown, render_volume, volume_sum
+from repvol.exact import ExactVolume, GaussianRational, NumericVolume, PiScalar, Refusal, _shown, render_volume, volume_sum
 from repvol.jsj import (
     Edge,
     FilledSeifert,
@@ -107,8 +107,13 @@ REFUSALS = {
     "mc_differential_bool": (lambda: mc_differential(sl2c_algebra(), True), "basis index True is not an integer"),
     "mc_differential_float": (lambda: mc_differential(sl2c_algebra(), 1.0), "basis index 1.0 is not an integer"),
     "bracket_two_form_string": (lambda: bracket_two_form(sl2c_algebra(), "1"), "basis index '1' is not an integer"),
+    "bracket_index_float": (lambda: sl2c_algebra().bracket(0.0, 1), "basis index 0.0 is not an integer"),
+    "bracket_index_bool": (lambda: sl2c_algebra().bracket(True, 2), "basis index True is not an integer"),
+    "bracket_index_range": (lambda: sl2c_algebra().bracket(5, 7), "basis index 5 out of range"),
+    "bracket_index_negative": (lambda: sl2c_algebra().bracket(0, -1), "basis index -1 out of range"),
     # ExteriorForm and its operators
     "form_degree_negative": (_form(3, -1), "degree -1 must be non-negative"),
+    "form_dim_negative": (_form(-1, 0), "dim -1 must be non-negative"),
     "form_dim_float": (_form(3.0, 1), "dim 3.0 is not an integer"),
     "form_degree_bool": (_form(3, True, ((0,), 1)), "degree True is not an integer"),
     "form_index_float": (_form(3, 1, ((0.0,), 1)), "terms[0][0][0] 0.0 is not an integer"),
@@ -175,10 +180,7 @@ REFUSALS = {
     "numeric_volume_infinite": (lambda: NumericVolume(float("inf")), "bad numeric inf"),
     "numeric_volume_bool": (lambda: NumericVolume(True), "bad numeric True"),
     "numeric_volume_string": (lambda: NumericVolume("x"), "bad numeric 'x'"),
-    "numeric_volume_list": (
-        lambda: NumericVolume([1]),
-        "float() argument must be a string or a real number, not 'list'",
-    ),
+    "numeric_volume_list": (lambda: NumericVolume([1]), "bad numeric [1]"),
     "numeric_volume_past_float": (
         lambda: NumericVolume(10**400),
         "bad numeric 10000000000000000000000000000000… (401 characters)",
@@ -220,7 +222,7 @@ REFUSALS = {
 
 @pytest.mark.parametrize("call, message", REFUSALS.values(), ids=REFUSALS.keys())
 def test_refusal_text(call, message):
-    with pytest.raises((TypeError, ValueError)) as info:
+    with pytest.raises(Refusal) as info:
         call()
     assert str(info.value) == message
 
