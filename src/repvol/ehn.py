@@ -33,14 +33,17 @@ sums by count and shifts each group by every m it admits.
 ``spectrum_contains`` and ``witnesses_for`` read a coefficient and its
 roots t from the header before any fold, by one reader (``_offsets``),
 so only a root folds; each m is then one lookup in the last layer.
-``witnesses_for`` walks back through the layers on an explicit stack and
-only steps to residue sums that can still reach the count they need,
-down to layers[1], whose sum fixes the first fibre's residue.  Every
-frame it pushes leads to a witness, but each frame above layers[1]
-tests every nonzero residue of its fibre: the walk is linear in the
-output on two fibres, and may spend up to a_k tests per witness where
-an inner layer is sparse.  Its budget counts the leaves of that tree over the same
-layers by window sums (``_tree_size``).  Each witness is derived in
+``witnesses_for`` sorts each layer's keys into classes mod its fibre's
+step (``_classes``), one sort per layer per call, and walks back through
+the layers on an explicit stack.  A frame at sum s reads only the keys
+of the layer below in s's class inside its window [s - lcm + step, s],
+found by two bisections, and steps to those that can still reach the
+count they need, down to layers[1], whose sum fixes the first fibre's
+residue.  Every frame it pushes leads to a witness, so a frame costs its
+children plus two bisections, besides one test per key of its window
+that falls short of its count.  Its budget counts the leaves of that
+tree over the same layers and the same index by window sums
+(``_tree_size``).  Each witness is derived in
 integers over the common denominator lcm * |E_num| and checked by
 integer tests.  Every witness under one root t shares zeta, and z_i
 depends only on t and (i, n_i), so ``witnesses_for`` builds zeta once
@@ -65,7 +68,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from operator import getitem, mul
 from typing import Callable, Iterable, Iterator
@@ -192,9 +195,10 @@ def spectrum_size_bound(inv: SeifertInvariants) -> int:
     of layer k at most k times (``_add_fibre``), so at most p/2 cell
     visits; ``volume_set`` makes at most one shift, and ``_offsets`` reads
     4g - 3 + p cells in all; ``_tree_size`` visits at most 2p (key, need)
-    pairs, each by two bisections.  The walk of ``witnesses_for`` is
-    counted by its own budget, in witnesses: at most a_2 + ... + a_p
-    residue tests per witness, none for the first fibre.
+    pairs, each once in a running sum, and makes two bisections per state.
+    The walk of ``witnesses_for`` is counted by its own budget, in
+    witnesses: a frame costs its children plus two bisections, none for
+    the first fibre, after one sort of each layer per call (``_classes``).
     """
     lcm = _fibres(inv)[1]
     moduli = [a for a, _ in inv.pairs]
@@ -369,34 +373,42 @@ class VolumeWitness(_Record):
             raise Refusal("witness coefficient does not match its data")
 
 
-def _tree_size(layers: tuple[dict[int, int], ...], steps: list[int], lcm: int, starts: Iterable[tuple[int, int]]) -> int:
+def _classes(layer: dict[int, int], d: int) -> dict[int, list[int]]:
+    """The keys of ``layer`` by class mod ``d``, each class ascending: one
+    sort of the keys, each then appended to its class."""
+    classes: dict[int, list[int]] = {}
+    for s in sorted(layer):
+        classes.setdefault(s % d, []).append(s)
+    return classes
+
+
+def _tree_size(layers: tuple[dict[int, int], ...], index: tuple[dict[int, list[int]], ...], steps: list[int],
+               lcm: int, starts: Iterable[tuple[int, int]]) -> int:
     """The leaves of ``witnesses_for``'s walk from the (sum, need) ``starts``,
     counted down to layers[1], whose sum fixes the first fibre's residue,
     with one (sum, need) -> multiplicity map per fibre.
 
     With step d = lcm/a, a state (s, need) goes to (s, need) by residue 0
-    and to (s - r * d, need - 1) by residue r = 1 ... a - 1, each kept
-    while the layer below reaches it.  A missing key never does, so each
-    target u is a key of that layer, and it gathers the states of its
-    class mod d in (u, u + lcm - d] by prefix sums per (class, need); a
-    fibre of order 1 has an empty window."""
+    and to (u, need - 1) by residue (s - u) / d, for each key u of the
+    layer below in its class mod d in [s - lcm + d, s) (``index``, as the
+    walk reads it) that reaches need - 1.  Each state adds its
+    multiplicity over that window of its class's keys in one difference
+    run per (class, need), and one running sum reads every key's total;
+    a fibre of order 1 has an empty window."""
     states = dict.fromkeys(starts, 1)
-    for below, d in zip(layers[-2:0:-1], steps[:0:-1]):
-        width = lcm - d
-        # class -> need -> (its states' sums, ascending, and their prefix sums)
-        groups: dict[int, dict[int, tuple[list[int], list[int]]]] = {}
-        for (s, need), n in sorted(states.items()):
-            sums, prefix = groups.setdefault(s % d, {}).setdefault(need, ([], [0]))
-            sums.append(s)
-            prefix.append(prefix[-1] + n)
-        out = {(s, need): n for (s, need), n in states.items() if below.get(s, need - 1) >= need}
-        for u, most in below.items():
-            for need, (sums, prefix) in groups.get(u % d, {}).items():
-                if most >= need - 1:
-                    n = prefix[bisect_right(sums, u + width)] - prefix[bisect_right(sums, u)]
-                    if n:
-                        out[u, need - 1] = out.get((u, need - 1), 0) + n
-        states = out
+    for below, classes, d in zip(layers[-2:0:-1], index[-1:0:-1], steps[:0:-1]):
+        runs: dict[tuple[int, int], list[int]] = {}  # (class, need) -> difference run over the class's keys
+        for (s, need), n in states.items():
+            keys = classes[s % d]
+            # get first: a setdefault alone would build a run per state
+            run = runs.get((s % d, need)) or runs.setdefault((s % d, need), [0] * (len(keys) + 1))
+            run[bisect_left(keys, s - lcm + d)] += n
+            run[bisect_left(keys, s)] -= n
+        states = {(s, need): n for (s, need), n in states.items() if below.get(s, need - 1) >= need}
+        for (c, need), run in runs.items():
+            for u, n in zip(classes[c], itertools.accumulate(run)):
+                if n and below[u] >= need - 1:
+                    states[u, need - 1] = states.get((u, need - 1), 0) + n
     return sum(states.values())
 
 
@@ -409,10 +421,12 @@ def witnesses_for(inv: SeifertInvariants, coeff: Fraction, *, limit: int = MAX_V
     if not offsets:
         raise Refusal(f"coefficient {_printed(coeff, 'coefficient')} is not in the volume spectrum")
     e, lcm, _, _, steps, layers = _fold(inv)
-    lo, hi, p = 2 - 2 * inv.genus, 2 * inv.genus - 2, len(steps)
+    # index[k]: the keys of layers[k] by class mod steps[k], for the walk and its count
+    lo, hi, p, index = 2 - 2 * inv.genus, 2 * inv.genus - 2, len(steps), tuple(map(_classes, layers, steps))
     # each residue tuple meets each root +-t at one m, so 2 * prod(a_i) bounds the list
     if 2 * math.prod(a for a, _ in inv.pairs) > limit:
-        _check_budget(_tree_size(layers, steps, lcm, [(t + m * lcm, m - hi) for t, m in offsets]), limit, "witnesses")
+        starts = [(t + m * lcm, m - hi) for t, m in offsets]
+        _check_budget(_tree_size(layers, index, steps, lcm, starts), limit, "witnesses")
 
     def tuples(s: int, need: int) -> Iterator[tuple[int, ...]]:
         # residues summing to s, >= need of them nonzero, walked back on an
@@ -429,13 +443,14 @@ def witnesses_for(inv: SeifertInvariants, coeff: Fraction, *, limit: int = MAX_V
                 residues[0] = s // steps[0]
                 yield tuple(residues[:p])
                 continue
-            below = layers[k - 1]
-            if below.get(s, need - 1) >= need:
-                stack.append((k - 1, s, need, 0))
-            need, step = need - 1, steps[k - 1]
-            for r, d in enumerate(range(step, lcm, step), 1):  # residue r adds r * step to s
-                if below.get(s - d, need - 1) >= need:
-                    stack.append((k - 1, s - d, need, r))
+            # residue r of fibre k - 1 adds r * step to s, so the children are the
+            # keys u of layers[k-1] in s's class in [s - lcm + step, s] that reach
+            # need - 1 nonzero residues, or need at u = s (residue 0)
+            below, step = layers[k - 1], steps[k - 1]
+            keys = index[k - 1][s % step]
+            for u in keys[bisect_left(keys, s - lcm + step) : bisect_right(keys, s)]:
+                if below[u] >= need - (u < s):
+                    stack.append((k - 1, u, need - (u < s), (s - u) // step))
 
     data = []
     for t, m in offsets:

@@ -8,47 +8,14 @@ import subprocess
 import sys
 
 import child
+import pytest
 from contract import make
 
 
-def test_covers_corpus_replays():
-    stored = json.loads(make.LIBRARY.read_text("utf-8"))["covers"]
-    got = make.covers_digests()
-    assert sorted(got) == sorted(stored)
-    assert [name for name in stored if got[name] != stored[name]] == []
-
-
-def test_forms_corpus_replays():
-    stored = json.loads(make.LIBRARY.read_text("utf-8"))["forms"]
-    got = make.forms_digests()
-    assert sorted(got) == sorted(stored)
-    assert [name for name in stored if got[name] != stored[name]] == []
-
-
-def test_graphs_corpus_replays():
-    stored = json.loads(make.LIBRARY.read_text("utf-8"))["graphs"]
-    got = make.graphs_digests()
-    assert sorted(got) == sorted(stored)
-    assert [name for name in stored if got[name] != stored[name]] == []
-
-
-def test_motegi_corpus_replays():
-    stored = json.loads(make.LIBRARY.read_text("utf-8"))["motegi"]
-    got = make.motegi_digests()
-    assert sorted(got) == sorted(stored)
-    assert [name for name in stored if got[name] != stored[name]] == []
-
-
-def test_scalars_corpus_replays():
-    stored = json.loads(make.LIBRARY.read_text("utf-8"))["scalars"]
-    got = make.scalars_digests()
-    assert sorted(got) == sorted(stored)
-    assert [name for name in stored if got[name] != stored[name]] == []
-
-
-def test_spectra_corpus_replays():
-    stored = json.loads(make.LIBRARY.read_text("utf-8"))["spectra"]
-    got = make.spectra_digests()
+@pytest.mark.parametrize("key", ["covers", "forms", "graphs", "motegi", "scalars", "spectra"])
+def test_corpus_replays(key):
+    stored = json.loads(make.LIBRARY.read_text("utf-8"))[key]
+    got = getattr(make, f"{key}_digests")()
     assert sorted(got) == sorted(stored)
     assert [name for name in stored if got[name] != stored[name]] == []
 

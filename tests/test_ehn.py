@@ -741,8 +741,8 @@ def _tree_size(inv, coeff, limit=ehn.MAX_VALUES):
     """``ehn._tree_size`` on ``coeff``, from the starts ``witnesses_for`` walks from."""
     _, offsets = ehn._offsets(inv, coeff, limit)
     _, lcm, _, _, steps, layers = ehn._fold(inv)
-    hi = 2 * inv.genus - 2
-    return ehn._tree_size(layers, steps, lcm, [(t + m * lcm, m - hi) for t, m in offsets])
+    hi, index = 2 * inv.genus - 2, tuple(map(ehn._classes, layers, steps))
+    return ehn._tree_size(layers, index, steps, lcm, [(t + m * lcm, m - hi) for t, m in offsets])
 
 
 def test_witness_count_matches_the_list():
@@ -836,6 +836,61 @@ def test_tree_count_matches_the_tuple_fold_at_the_top(text):
     assert count == _oracle_count(inv, top, limit) == len(witnesses_for(inv, top, limit=limit))
 
 
+def _witness_walk_oracle(inv, coeff):
+    """The witnesses of ``coeff`` by the walk that tested every residue of
+    each fibre at each frame, as ``witnesses_for`` once walked ehn's own
+    layers; each witness built by the public constructor from the
+    defining formulas, in the order ``witnesses_for`` lists them."""
+    coeff, offsets = ehn._offsets(inv, coeff, ehn.MAX_VALUES)
+    _, lcm, _, _, steps, layers = ehn._fold(inv)
+    hi, p = 2 * inv.genus - 2, len(steps)
+    found = []
+    for t, m in offsets:
+        residues = [0] * (p + 1)
+        stack = [(p, t + m * lcm, m - hi, 0)]
+        while stack:
+            k, s, need, r = stack.pop()
+            residues[k] = r
+            if k == 1:
+                residues[0] = s // steps[0]
+                found.append((m, tuple(residues[:p])))
+                continue
+            below = layers[k - 1]
+            if below.get(s, need - 1) >= need:
+                stack.append((k - 1, s, need, 0))
+            need, step = need - 1, steps[k - 1]
+            for r, d in enumerate(range(step, lcm, step), 1):
+                if below.get(s - d, need - 1) >= need:
+                    stack.append((k - 1, s - d, need, r))
+    witnesses = []
+    for m, residues in sorted(found):
+        zeta, z_values, _ = _fraction_witness_fields(inv, residues, m)
+        witnesses.append(VolumeWitness(inv=inv, n_values=residues, n=m, zeta=zeta, z_values=z_values, coeff=coeff))
+    return witnesses
+
+
+def test_the_class_walk_matches_the_residue_walk():
+    # a fibre of order 2 or 3 before two or three fibres of mixed order up
+    # to 60: layers[1] has two or three keys, so the inner layers are sparse
+    # and most residues of each outer fibre reach no key of the layer below
+    rng = random.Random("class walk")
+    symbols = compared = witnesses = 0
+    while symbols < 40:
+        moduli = [rng.choice([2, 3]), *(rng.randint(2, 60) for _ in range(rng.randint(2, 3)))]
+        pairs = tuple((a, rng.choice([b for b in range(-2 * a, 2 * a + 1) if math.gcd(a, abs(b)) == 1])) for a in moduli)
+        inv = SeifertInvariants(rng.randint(1, 2), pairs)
+        if euler_number(inv) == 0:
+            continue
+        spectrum = volume_set(inv)
+        for coeff in {spectrum[-1], spectrum[len(spectrum) // 2], rng.choice(spectrum)}:
+            found = witnesses_for(inv, coeff)
+            assert found == _witness_walk_oracle(inv, coeff), (inv, coeff)
+            compared += 1
+            witnesses += len(found)
+        symbols += 1
+    assert (compared, witnesses) == (120, 4142)
+
+
 def test_a_coefficient_without_a_root_never_folds(monkeypatch):
     # the coefficient and its t^2 roots are read from the header: a
     # malformed coefficient is refused, and an off-lattice one answered,
@@ -892,6 +947,20 @@ def test_the_fold_and_the_walk_grow_linearly():
     # coefficient; a fold over every offset, or a walk testing every
     # residue of the first fibre, grows fourfold per doubling of a
     counts = [_lines_run(_fold_and_walk, a) for a in (2500, 5000, 10000, 20000)]
+    assert all(later <= 2.2 * earlier for earlier, later in itertools.pairwise(counts)), counts
+
+
+def test_the_walk_over_a_sparse_inner_layer_grows_linearly():
+    # (1; 1/2, 1/a, 1/a) at its middle coefficient, folded before the
+    # count: layers[1] has two keys, so a walk testing every residue of
+    # each fibre grows fourfold per doubling of a, with 7a/2 witnesses
+    counts = []
+    for a in (1000, 2000, 4000, 8000):
+        inv = parse_seifert(f"(1; 1/2, 1/{a}, 1/{a})")
+        spectrum = volume_set(inv)
+        middle = spectrum[len(spectrum) // 2]
+        assert len(witnesses_for(inv, middle)) == 7 * a // 2
+        counts.append(_lines_run(witnesses_for, inv, middle))
     assert all(later <= 2.2 * earlier for earlier, later in itertools.pairwise(counts)), counts
 
 

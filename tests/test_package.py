@@ -207,8 +207,11 @@ def test_one_exponent_test_and_one_whole_list_writer():
 def test_one_coefficient_reader_and_one_fold_in_ehn():
     # ehn reads a coefficient by _as_fraction in one place, _offsets, which
     # reads its roots before any fold (foliation_exists reads slopes by it
-    # too); only _fold folds a fibre in; and the witness budget counts the
-    # walk's own tree, so no second fold of residue tuples remains
+    # too); only _fold folds a fibre in; only witnesses_for builds the class
+    # index its walk and its count read, never _fold, since spectrum_contains
+    # folds thousands of small spaces a graphs pass and never walks; and the
+    # witness budget counts the walk's own tree, so no second fold of residue
+    # tuples remains
     tree = ast.parse((SRC / "repvol" / "ehn.py").read_text("utf-8"))
     owners = _owners(tree)
 
@@ -217,6 +220,7 @@ def test_one_coefficient_reader_and_one_fold_in_ehn():
 
     assert users("_as_fraction") == ["_offsets", "foliation_exists"]
     assert users("_add_fibre") == ["_fold"]
+    assert users("_classes") == ["witnesses_for"]
     found = []
     for path in sorted((SRC / "repvol").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text("utf-8"), str(path))):
