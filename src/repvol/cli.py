@@ -55,7 +55,7 @@ from .exact import (
 def _fraction_arg(text: str) -> Fraction:
     try:
         return _rational(text, "not a rational number", "{}")
-    except ValueError as exc:
+    except Refusal as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 

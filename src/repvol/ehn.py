@@ -22,10 +22,11 @@ the m range depends on the count and grows with it.
 
 Each space has one fibre table (``_fibres``), kept in its
 ``SeifertInvariants._table`` from the first call on: an O(p) header (e,
-lcm, scale, denom and the steps lcm/a_i), and the layers, folded once
-(``_fold``) by the first call that needs them; ``seifert_volume_max``,
-``spectrum_size_bound`` and the ``VolumeWitness`` constructor never
-fold.  A space refused for its geometry writes no table.  The table
+lcm, scale, denom and the steps lcm/a_i), the layers, folded once
+(``_fold``) by the first call that needs them, and their class index,
+built once (``_indexed``) by the first ``witnesses_for``;
+``seifert_volume_max``, ``spectrum_size_bound`` and the
+``VolumeWitness`` constructor never fold.  A space refused for its geometry writes no table.  The table
 lives on the record, never in a map keyed by it: two equal records may
 list their fibres in different orders, and the layers and witnesses
 follow each record's own order.  ``volume_set`` groups the last layer's
@@ -33,8 +34,8 @@ sums by count and shifts each group by every m it admits.
 ``spectrum_contains`` and ``witnesses_for`` read a coefficient and its
 roots t from the header before any fold, by one reader (``_offsets``),
 so only a root folds; each m is then one lookup in the last layer.
-``witnesses_for`` sorts each layer's keys into classes mod its fibre's
-step (``_classes``), one sort per layer per call, and walks back through
+``witnesses_for`` reads each layer's keys by class mod its fibre's
+step (``_classes``, one sort per layer per space), and walks back through
 the layers on an explicit stack.  A frame at sum s reads only the keys
 of the layer below in s's class inside its window [s - lcm + step, s],
 found by two bisections, and steps to those that can still reach the
@@ -71,6 +72,7 @@ import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from operator import getitem, mul
+from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator
 
 from . import _HOMES
@@ -91,46 +93,55 @@ def foliation_exists(genus: int, slopes: Iterable[Fraction]) -> bool:
     return floor_sum <= 2 * genus - 2 and ceil_sum >= 2 - 2 * genus
 
 
-def _fibres(inv: SeifertInvariants) -> tuple[Fraction, int, int, int, list[int], tuple[dict[int, int], ...] | None]:
-    """The fibre table of ``inv``: (e, lcm, scale, denom, steps, layers).
+def _fibres(inv: SeifertInvariants) -> SimpleNamespace:
+    """The fibre table of ``inv``, with the fields e, lcm, scale, denom,
+    steps, layers and index.
 
     Each value is t^2 * scale / denom with integer t = s - m * lcm, and
     steps[i] = lcm/a_i, so residue r of fibre i adds r * steps[i] to s.
-    ``layers`` is ``None`` until ``_fold`` builds it.  The first call
-    writes the table into ``inv._table``; later calls read it there.
+    ``layers`` is ``None`` until ``_fold`` fills it, and ``index`` until
+    ``_indexed`` does.  The first call writes the table into
+    ``inv._table``; later calls read it there.
 
     A ``Refusal`` unless the geometry of ``inv`` is sl2r-tilde and its
     base genus is >= 1; such a space keeps no table, so each call refuses
     it again, with the same text.
     """
-    table = inv._table
-    if table is None:
+    if inv._table is None:
         lcm, steps, e_lcm, chi_lcm = _over_lcm(inv, "euler_number")
         _require_volume_geometry(inv, lcm, e_lcm, chi_lcm)
         e = _fraction(e_lcm, lcm)
-        table = (e, lcm, e.denominator, lcm * lcm * abs(e.numerator), steps, None)
+        denom = lcm * lcm * abs(e.numerator)
+        table = SimpleNamespace(e=e, lcm=lcm, scale=e.denominator, denom=denom, steps=steps, layers=None, index=None)
         _set(inv, "_table", table)
-    return table
+    return inv._table
 
 
-def _fold(inv: SeifertInvariants) -> tuple[Fraction, int, int, int, list[int], tuple[dict[int, int], ...]]:
+def _fold(inv: SeifertInvariants) -> SimpleNamespace:
     """The fibre table of ``inv`` with its sumset layers: layers[k] maps each
     residue sum of the first k fibres to the most nonzero residues reaching
-    it.  Folded by the first call, which writes them into the table; each
-    caller has refused a space whose ``spectrum_size_bound`` is over its limit."""
+    it.  Folded by the first call, which fills them in; each caller has
+    refused a space whose ``spectrum_size_bound`` is over its limit."""
     table = _fibres(inv)
-    if table[5] is None:
-        lcm, steps = table[1], table[4]
-        layers = itertools.accumulate((range(step, lcm, step) for step in steps), _add_fibre, initial={0: 0})
-        table = (*table[:5], tuple(layers))
-        _set(inv, "_table", table)
+    if table.layers is None:
+        offsets = (range(step, table.lcm, step) for step in table.steps)
+        table.layers = tuple(itertools.accumulate(offsets, _add_fibre, initial={0: 0}))
     return table
 
 
-def _t_of(lcm: int, steps: list[int], n_values: Iterable[int], n: int) -> int:
+def _indexed(inv: SeifertInvariants) -> SimpleNamespace:
+    """The folded fibre table of ``inv`` with its class index: index[k] is
+    ``_classes`` of layers[k] mod steps[k], built by the first call."""
+    table = _fold(inv)
+    if table.index is None:
+        table.index = tuple(map(_classes, table.layers, table.steps))
+    return table
+
+
+def _t_of(table: SimpleNamespace, n_values: Iterable[int], n: int) -> int:
     """t = sum(n_i * lcm/a_i) - n * lcm of the data (n_values, n), so that
     sum(n_i/a_i) - n = t/lcm."""
-    return sum(map(mul, n_values, steps)) - n * lcm
+    return sum(map(mul, n_values, table.steps)) - n * table.lcm
 
 
 def _require_volume_geometry(inv: SeifertInvariants, lcm: int, e: int | Fraction, chi: int | Fraction) -> None:
@@ -171,11 +182,11 @@ def _add_fibre(layer: dict[int, int], offsets: range) -> dict[int, int]:
 def volume_set(inv: SeifertInvariants, *, limit: int = MAX_VALUES) -> list[Fraction]:
     """All volume coefficients (units of 4*pi^2), ascending and exact, or refused over ``limit``."""
     _check_budget(spectrum_size_bound(inv), limit)
-    _, lcm, scale, denom, _, layers = _fold(inv)
+    table = _fold(inv)
     groups: dict[int, list[int]] = {}
-    for s, count in layers[-1].items():
+    for s, count in table.layers[-1].items():
         groups.setdefault(count, []).append(s)
-    lo, hi = 2 - 2 * inv.genus, 2 * inv.genus - 2
+    lo, hi, lcm, scale, denom = 2 - 2 * inv.genus, 2 * inv.genus - 2, table.lcm, table.scale, table.denom
     t_abs: set[int] = set()
     for count, group in groups.items():
         for shift in range(lo * lcm, (hi + count + 1) * lcm, lcm):  # m * lcm
@@ -198,9 +209,9 @@ def spectrum_size_bound(inv: SeifertInvariants) -> int:
     pairs, each once in a running sum, and makes two bisections per state.
     The walk of ``witnesses_for`` is counted by its own budget, in
     witnesses: a frame costs its children plus two bisections, none for
-    the first fibre, after one sort of each layer per call (``_classes``).
+    the first fibre, after one sort of each layer per space (``_classes``).
     """
-    lcm = _fibres(inv)[1]
+    lcm = _fibres(inv).lcm
     moduli = [a for a, _ in inv.pairs]
     sums = min(math.prod(moduli), sum((a - 1) * (lcm // a) for a in moduli) + 1)
     return sums * (4 * inv.genus - 3 + len(moduli))
@@ -211,13 +222,12 @@ def _offsets(inv: SeifertInvariants, coeff: Fraction, limit: int) -> tuple[Fract
     pairs (t, m): the roots t of t^2 * scale / denom == coeff, from the header,
     then s = t + m * lcm in the last layer with >= m - (2g - 2) nonzero residues."""
     _check_budget(spectrum_size_bound(inv), limit)
-    _, lcm, scale, denom, _, _ = _fibres(inv)
-    coeff = _as_fraction(coeff)
-    t_sq, rest = divmod(coeff.numerator * denom, coeff.denominator * scale)
+    table, coeff = _fibres(inv), _as_fraction(coeff)
+    t_sq, rest = divmod(coeff.numerator * table.denom, coeff.denominator * table.scale)
     t_abs = math.isqrt(max(t_sq, 0))
     if rest or t_sq != t_abs * t_abs:
         return coeff, []
-    sums, lo, hi = _fold(inv)[5][-1], 2 - 2 * inv.genus, 2 * inv.genus - 2
+    sums, lcm, lo, hi = _fold(inv).layers[-1], table.lcm, 2 - 2 * inv.genus, 2 * inv.genus - 2
     return coeff, [
         (t, m)
         for t, m in itertools.product({t_abs, -t_abs}, range(lo, hi + len(inv.pairs) + 1))
@@ -295,7 +305,7 @@ def _oracle_window(inv: SeifertInvariants) -> int:
     return width**p * min(width, p + 4 * inv.genus - 3)
 
 
-def _fields(inv: SeifertInvariants, e: Fraction, lcm: int, t: int) -> tuple[Fraction, Callable[[int, int], Fraction]]:
+def _fields(inv: SeifertInvariants, table: SimpleNamespace, t: int) -> tuple[Fraction, Callable[[int, int], Fraction]]:
     """zeta, and z_i as a function of (i, n_i), for the data of ``inv`` with
     t = sum(n_i * lcm/a_i) - n * lcm: the one rule for both.
 
@@ -304,7 +314,7 @@ def _fields(inv: SeifertInvariants, e: Fraction, lcm: int, t: int) -> tuple[Frac
     zeta = u / c and z_i = (n_i * c - b_i * u) / (a_i * c).  So zeta
     depends only on t, and z_i only on t and (i, n_i).
     """
-    common = lcm * abs(e.numerator)
+    e, common = table.e, table.lcm * abs(table.e.numerator)
     shift = t * e.denominator if e.numerator > 0 else -t * e.denominator
 
     def z(i: int, ni: int) -> Fraction:
@@ -320,9 +330,9 @@ def seifert_volume_max(inv: SeifertInvariants) -> Fraction:
     It is read off one integer, in O(p): the residues a_i - 1 with
     m = 2 - 2g give the largest |t| = |chi| * lcm.
     """
-    _, lcm, scale, denom, steps, _ = _fibres(inv)
-    t = _t_of(lcm, steps, [a - 1 for a, _ in inv.pairs], 2 - 2 * inv.genus)
-    enumerated = _fraction(t * t * scale, denom)
+    table = _fibres(inv)
+    t = _t_of(table, [a - 1 for a, _ in inv.pairs], 2 - 2 * inv.genus)
+    enumerated = _fraction(t * t * table.scale, table.denom)
     # the closed form reads seifert's own e and chi, not the integers above
     chi = orbifold_chi(inv)
     closed_form = chi * chi / abs(euler_number(inv))
@@ -355,21 +365,20 @@ class VolumeWitness(_Record):
         _set(self, "n_values", tuple(self.n_values))
         _set(self, "z_values", tuple(self.z_values))
         inv = self.inv
-        e, lcm, scale, denom, steps, _ = _fibres(inv)
+        table = _fibres(inv)
         if len(self.n_values) != len(inv.pairs):
             raise Refusal("witness length does not match exceptional data")
-        g = inv.genus
-        if sum(ni // a for ni, (a, _) in zip(self.n_values, inv.pairs)) - self.n > 2 * g - 2:
+        if sum(ni // a for ni, (a, _) in zip(self.n_values, inv.pairs)) - self.n > 2 * inv.genus - 2:
             raise Refusal("witness violates the floor inequality")
-        if sum(-(-ni // a) for ni, (a, _) in zip(self.n_values, inv.pairs)) - self.n < 2 - 2 * g:
+        if sum(-(-ni // a) for ni, (a, _) in zip(self.n_values, inv.pairs)) - self.n < 2 - 2 * inv.genus:
             raise Refusal("witness violates the ceiling inequality")
-        t = _t_of(lcm, steps, self.n_values, self.n)
-        zeta, z = _fields(inv, e, lcm, t)
+        t = _t_of(table, self.n_values, self.n)
+        zeta, z = _fields(inv, table, t)
         if self.zeta != zeta:
             raise Refusal("witness zeta does not match its data")
         if self.z_values != tuple(itertools.starmap(z, enumerate(self.n_values))):
             raise Refusal("witness z-values do not match its data")
-        if self.coeff != _fraction(t * t * scale, denom):
+        if self.coeff != _fraction(t * t * table.scale, table.denom):
             raise Refusal("witness coefficient does not match its data")
 
 
@@ -382,8 +391,7 @@ def _classes(layer: dict[int, int], d: int) -> dict[int, list[int]]:
     return classes
 
 
-def _tree_size(layers: tuple[dict[int, int], ...], index: tuple[dict[int, list[int]], ...], steps: list[int],
-               lcm: int, starts: Iterable[tuple[int, int]]) -> int:
+def _tree_size(table: SimpleNamespace, starts: Iterable[tuple[int, int]]) -> int:
     """The leaves of ``witnesses_for``'s walk from the (sum, need) ``starts``,
     counted down to layers[1], whose sum fixes the first fibre's residue,
     with one (sum, need) -> multiplicity map per fibre.
@@ -395,8 +403,8 @@ def _tree_size(layers: tuple[dict[int, int], ...], index: tuple[dict[int, list[i
     multiplicity over that window of its class's keys in one difference
     run per (class, need), and one running sum reads every key's total;
     a fibre of order 1 has an empty window."""
-    states = dict.fromkeys(starts, 1)
-    for below, classes, d in zip(layers[-2:0:-1], index[-1:0:-1], steps[:0:-1]):
+    states, lcm = dict.fromkeys(starts, 1), table.lcm
+    for below, classes, d in zip(table.layers[-2:0:-1], table.index[-1:0:-1], table.steps[:0:-1]):
         runs: dict[tuple[int, int], list[int]] = {}  # (class, need) -> difference run over the class's keys
         for (s, need), n in states.items():
             keys = classes[s % d]
@@ -420,13 +428,12 @@ def witnesses_for(inv: SeifertInvariants, coeff: Fraction, *, limit: int = MAX_V
     coeff, offsets = _offsets(inv, coeff, limit)
     if not offsets:
         raise Refusal(f"coefficient {_printed(coeff, 'coefficient')} is not in the volume spectrum")
-    e, lcm, _, _, steps, layers = _fold(inv)
-    # index[k]: the keys of layers[k] by class mod steps[k], for the walk and its count
-    lo, hi, p, index = 2 - 2 * inv.genus, 2 * inv.genus - 2, len(steps), tuple(map(_classes, layers, steps))
+    table = _indexed(inv)
+    lcm, steps, layers, index = table.lcm, table.steps, table.layers, table.index
+    lo, hi, p = 2 - 2 * inv.genus, 2 * inv.genus - 2, len(steps)
     # each residue tuple meets each root +-t at one m, so 2 * prod(a_i) bounds the list
     if 2 * math.prod(a for a, _ in inv.pairs) > limit:
-        starts = [(t + m * lcm, m - hi) for t, m in offsets]
-        _check_budget(_tree_size(layers, index, steps, lcm, starts), limit, "witnesses")
+        _check_budget(_tree_size(table, [(t + m * lcm, m - hi) for t, m in offsets]), limit, "witnesses")
 
     def tuples(s: int, need: int) -> Iterator[tuple[int, ...]]:
         # residues summing to s, >= need of them nonzero, walked back on an
@@ -458,15 +465,14 @@ def witnesses_for(inv: SeifertInvariants, coeff: Fraction, *, limit: int = MAX_V
             # canonical residues: floor(r_i/a_i) = 0 and ceil(r_i/a_i) = [r_i > 0];
             # t passed _offsets' test t^2 * scale / denom == coeff in integers,
             # so the residues' own t equal to it checks the coefficient too
-            count = p - residues.count(0)
-            if m < lo or count - m < lo or _t_of(lcm, steps, residues, m) != t:
+            if m < lo or p - residues.count(0) - m < lo or _t_of(table, residues, m) != t:
                 raise RuntimeError(f"witness {residues}, {m} fails its own constraints")
             data.append((m, residues, t))
     data.sort()  # by n, then n_values: (n, n_values) fixes t
     # the fields of each root once: zeta, and z_i of each residue met in fibre i
     fields = {}
     for t in {t for t, _ in offsets}:
-        zeta, z = _fields(inv, e, lcm, t)
+        zeta, z = _fields(inv, table, t)
         columns = zip(*[residues for _, residues, u in data if u == t])
         fields[t] = zeta, [{r: z(i, r) for r in set(column)} for i, column in enumerate(columns)]
     found = []

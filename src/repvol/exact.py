@@ -190,10 +190,25 @@ def _printed(value: object, what: str) -> str:
         raise Refusal(f"{what} is too large to print: over {sys.get_int_max_str_digits()} digits") from None
 
 
+def _is_row(value: object) -> bool:
+    """Whether ``value`` is a row: a list or tuple, the one shape ``_rows`` reads."""
+    return isinstance(value, (list, tuple))
+
+
 def _is_pair(value: object) -> bool:
     """Whether ``value`` is a pair: a list or tuple of two items.  Nothing
     else, such as ``"Pt"``, ``{"P": 1, "t": 2}``, ``5`` or ``{1, 2}``, is one."""
     return isinstance(value, (list, tuple)) and len(value) == 2
+
+
+def _hashable(name: object) -> bool:
+    """Whether ``name`` can name something, such as a piece, a slot, a
+    vertex or a basis element: names are told apart by a set or a mapping."""
+    try:
+        hash(name)
+    except TypeError:
+        return False
+    return True
 
 
 def _require_pair(value: object, name: str, shape: str) -> None:
@@ -206,7 +221,7 @@ def _rows(value: object, refusal: str, row: Callable | None = None, mapping: boo
     """``value``, a list or tuple (a mapping's items, with ``mapping``) whose items all pass ``row``;
     any other, such as 7, "ab", a set or a generator, is a ``ShapeRefusal``: ``refusal`` formatted with it."""
     rows = tuple(value.items()) if mapping and (type(value) is dict or isinstance(value, Mapping)) else value
-    if not isinstance(rows, (list, tuple)) or row and not all(map(row, rows)):
+    if not _is_row(rows) or row and not all(map(row, rows)):
         raise ShapeRefusal(refusal.format(_shown(value)))
     return rows
 

@@ -38,6 +38,7 @@ from .exact import (
     _document,
     _entries,
     _field,
+    _hashable,
     _int_pair,
     _integer,
     _is_pair,
@@ -61,16 +62,6 @@ Endpoint = tuple[str, str]
 # The whole-list refusals of Piece.slots and FilledSeifert.fillings; the loader reads by them too.
 _SLOTS = "slots {} is not a list of names"
 _FILLINGS = "fillings {} are not all [slot, [a, b]]"
-
-
-def _hashable(name: object) -> bool:
-    """Whether ``name`` can name a piece, a slot or a vertex: names are told
-    apart by a set or a mapping."""
-    try:
-        hash(name)
-    except TypeError:
-        return False
-    return True
 
 
 def _require_name(name: object, what: str) -> None:
@@ -554,7 +545,7 @@ def _edge_from_json(entry: Mapping, path: str) -> Edge:
     slope, slope_b = entry.get("killed_slope"), entry.get("killed_slope_b")
     try:
         edge = Edge(a, b, gluing, slope, slope_b)
-    except TypeError:
+    except ShapeRefusal:
         # The names are read by their paths below, after every other field:
         # an endpoint holding a name that is no string stands in as ("", "").
         held = [("", "") if _is_pair(end) and not (type(end[0]) is str and type(end[1]) is str) else end for end in (a, b)]

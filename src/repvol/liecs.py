@@ -41,13 +41,17 @@ from .exact import (
     _document,
     _field,
     _gaussian,
+    _hashable,
     _int_pair,
     _integer,
+    _is_pair,
+    _is_row,
     _list,
     _name,
     _pi,
     _pi_power,
     _rational,
+    _rows,
     _set,
     _shown,
 )
@@ -98,9 +102,11 @@ class JacobiViolation(Refusal):
 class LieAlgebraSpec(_Record):
     """Finite-dimensional Lie algebra given by its structure constants.
 
-    ``brackets`` maps an index pair (j, k) with j < k, two ints by
-    ``exact._integer``, to the coordinate vector of [X_j, X_k]; missing
-    pairs are zero brackets.  Coefficients must be pi-free scalars.  The
+    ``basis`` is a list or tuple of hashable names, and ``brackets`` one
+    of rows [(j, k), vector], both read by ``exact._rows``; each row maps
+    an index pair (j, k) with j < k, two ints by ``exact._integer``, to
+    the coordinate vector of [X_j, X_k]; missing pairs are zero
+    brackets.  Coefficients must be pi-free scalars.  The
     Jacobi identity is checked on construction unless
     ``check_jacobi=False`` (used when loading untrusted tables that a
     caller wants to diagnose).
@@ -126,7 +132,7 @@ class LieAlgebraSpec(_Record):
     _by_target: list[list[tuple[tuple[int, int], Pair]]]
 
     def __post_init__(self) -> None:
-        names = tuple(self.basis)
+        names = tuple(_rows(self.basis, "basis {} is not a list of names", _hashable))
         if len(set(names)) != len(names):
             raise Refusal("basis names must be distinct")
         _set(self, "basis", names)
@@ -135,7 +141,9 @@ class LieAlgebraSpec(_Record):
         # for the nonzero brackets
         table: dict[tuple[int, int], tuple[tuple[PiScalar, ...], list[tuple[int, PiScalar]]]] = {}
         listed: set[tuple[int, int]] = set()  # every pair, a zero bracket's too
-        for e, (pair, vec) in enumerate(self.brackets):
+        rows = _rows(self.brackets, "brackets {} are not all [[j, k], vector]",
+                     lambda row: _is_pair(row) and _is_pair(row[0]) and _is_row(row[1]))
+        for e, (pair, vec) in enumerate(rows):
             j, k = _int_pair(pair, "brackets[{}][0][{}]", e)
             if not (0 <= j < k < dim):
                 raise Refusal(f"bracket pair ({j}, {k}) out of range or unordered")
@@ -246,7 +254,8 @@ def _summed(terms: tuple, rest: tuple = (), sign: int = 1) -> tuple[tuple[tuple[
 class ExteriorForm(_Record):
     """Left-invariant form: scalar coefficients on increasing index tuples.
     The constructor reads ``dim``, ``degree`` and each index by
-    ``exact._integer`` and checks every term of caller input, then sums
+    ``exact._integer``, the terms as rows [indices, coeff] by
+    ``exact._rows``, and checks every term of caller input, then sums
     the terms on one index by ``_summed``, as ``+`` and ``-`` do; the
     operators, ``d`` and the other derived forms are built by ``_trusted``
     without the checks."""
@@ -263,7 +272,8 @@ class ExteriorForm(_Record):
         # degree > dim is allowed; such a form is necessarily zero since no
         # strictly increasing index tuple of that length fits in range.
         terms = []
-        for t, (indices, coeff) in enumerate(self.terms):
+        rows = _rows(self.terms, "terms {} are not all [indices, coeff]", lambda row: _is_pair(row) and _is_row(row[0]))
+        for t, (indices, coeff) in enumerate(rows):
             indices = tuple([_integer(i, "terms[{}][0][{}]", t, n) for n, i in enumerate(indices)])
             coeff = PiScalar.of(coeff)
             if len(indices) != self.degree:
@@ -397,7 +407,8 @@ def _d(spec: LieAlgebraSpec, terms: Sequence[tuple[tuple[int, ...], PiScalar]], 
 
 
 class GramForm(_Record):
-    """Symmetric bilinear form on the algebra, as a matrix of scalars;
+    """Symmetric bilinear form on the algebra, as a matrix of scalars, its
+    ``entries`` a list of rows read by ``exact._rows``; the field
     ``_rows``, derived once, holds row i as ``{j: (re, im, pi power)}``
     over the nonzero entries, over the shared denominator ``_den``."""
 
@@ -406,7 +417,8 @@ class GramForm(_Record):
     _rows: list[dict[int, tuple[int, int, int]]]
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(PiScalar.of(x) for x in row) for row in self.entries)
+        entries = _rows(self.entries, "entries {} is not a list of rows", _is_row)
+        rows = tuple(tuple(PiScalar.of(x) for x in row) for row in entries)
         n = len(rows)
         if any(len(row) != n for row in rows):
             raise Refusal("Gram matrix must be square")
@@ -630,7 +642,8 @@ def algebra_from_json(doc: Mapping) -> LieAlgebraSpec:
 
         {"basis": ["X", "Y"], "brackets": [["X", "Y", {"X": 1}], ...]}
 
-    Brackets not listed are zero.  Run ``validate_jacobi`` on the result;
+    Brackets not listed are zero, and one listed twice, in either order,
+    is refused.  Run ``validate_jacobi`` on the result;
     loading does not reject non-Lie tables so they can be diagnosed.  A
     malformed document raises ``Refusal`` naming the path of the bad
     part, such as ``brackets[0][2]: expected an object of coefficients``.
@@ -659,12 +672,14 @@ def algebra_from_json(doc: Mapping) -> LieAlgebraSpec:
         sign = 1
         if j > k:
             j, k, sign = k, j, -1
-        vec = table.setdefault((j, k), [PI_ZERO] * len(basis))
+        if (j, k) in table:  # in either order: [Y, X] is -[X, Y]
+            raise Refusal(f"{path}: bracket [{left}, {right}] is listed twice")
+        vec = table[j, k] = [PI_ZERO] * len(basis)
         for name, value in coeffs.items():
             if name not in index:
                 raise Refusal(f"{path}[2]: entry uses unknown basis names ({_shown(name)})")
             coeff = PiScalar.of(_rational(value, f"{path}[2].{name}", "bad structure constant {} (use int or 'p/q')"))
-            vec[index[name]] = vec[index[name]] + (coeff if sign > 0 else -coeff)
+            vec[index[name]] = coeff if sign > 0 else -coeff
     return LieAlgebraSpec(
         basis=basis,
         brackets=tuple((pair, tuple(vec)) for pair, vec in sorted(table.items())),

@@ -13,6 +13,7 @@ import enum
 import math
 import re
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Sequence
 
 from . import _HOMES
@@ -41,16 +42,18 @@ class SeifertInvariants(_Record):
 
     Equality treats the pair list as a multiset: two records differing
     only in pair order describe the same space.  ``_table`` is the
-    fibre table of ``ehn``, written by ``ehn`` on first use and kept with
-    this record, in its own pair order; like every derived field it takes
-    no part in the repr, ``==`` or ``hash``.  A pickled or copied space may
-    carry its table.
+    fibre table of ``ehn``, a ``types.SimpleNamespace`` with the fields
+    ``e``, ``lcm``, ``scale``, ``denom``, ``steps``, ``layers`` and
+    ``index``, written by ``ehn`` on first use and kept with this record,
+    in its own pair order; like every derived field it takes no part in
+    the repr, ``==`` or ``hash``.  A pickled or copied space may carry its
+    table.
     """
 
     genus: int
     pairs: tuple[tuple[int, int], ...] = ()
     boundary_count: int = 0
-    _table: tuple | None = None
+    _table: SimpleNamespace | None = None
 
     def __post_init__(self) -> None:
         rows = _rows(self.pairs, "pairs {} are not all [a, b]", _is_pair)
@@ -248,7 +251,7 @@ def parse_seifert(text: str) -> SeifertInvariants:
             i += 2
         try:
             _check_pair(a, b, "pair", k)
-        except ValueError as exc:
+        except Refusal as exc:
             raise ParseError(str(exc), pos) from None
         pairs.append((a, b))
         if _mark(tokens[i], (",", ")"), "',' or ')'") == ",":

@@ -351,8 +351,28 @@ def test_cs_jacobi_missing_file(capsys):
             "brackets[0][2]: expected an object of coefficients",
         ),
         ({"basis": "XY"}, "basis: expected a list of names"),
+        # a bracket listed twice is refused, not added up
+        (
+            {"basis": ["X", "Y"], "brackets": [["X", "Y", {"Y": -2}], ["X", "Y", {"Y": 2}]]},
+            "brackets[1]: bracket [X, Y] is listed twice",
+        ),
+        (
+            {"basis": ["X", "Y"], "brackets": [["X", "Y", {"Y": 2}], ["Y", "X", {"Y": 2}]]},
+            "brackets[1]: bracket [Y, X] is listed twice",
+        ),
+        (
+            {"basis": ["X", "Y", "Z"], "brackets": [["Y", "Z", {}], ["X", "Y", {"Y": 1}], ["Z", "Y", {"X": 1}]]},
+            "brackets[2]: bracket [Z, Y] is listed twice",
+        ),
     ],
-    ids=["top_level_list", "coefficients_not_an_object", "basis_a_string"],
+    ids=[
+        "top_level_list",
+        "coefficients_not_an_object",
+        "basis_a_string",
+        "bracket_twice",
+        "bracket_twice_reversed",
+        "zero_bracket_twice",
+    ],
 )
 def test_cs_jacobi_malformed_document(capsys, tmp_path, doc, message):
     bad = tmp_path / "algebra.json"
@@ -1748,8 +1768,9 @@ def test_internal_failure_exits_three(capsys, monkeypatch):
         ("repvol.jsj.Edge.__post_init__", ("graph", "validate", str(DATA.joinpath("prop73_zero_hv.json")))),
         ("repvol.ehn._add_fibre", ("seifert", "volumes", "(1; 1/2, 1/3)")),
         ("repvol.liecs.cs_three_form", ("cs", "verify", "psl2c")),
+        ("repvol.seifert._check_pair", ("seifert", "info", "(1; 1/2)")),
     ],
-    ids=["Edge", "_add_fibre", "cs_three_form"],
+    ids=["Edge", "_add_fibre", "cs_three_form", "_check_pair"],
 )
 def test_a_planted_fault_is_an_internal_error(capsys, monkeypatch, target, argv, fault):
     # only a Refusal is the input's fault: a builtin exception of any class

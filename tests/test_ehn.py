@@ -601,12 +601,12 @@ def test_the_header_paths_never_fold(monkeypatch):
     assert spectrum_size_bound(inv) == 42 * 4  # min(2 * 3 * 7, 86) sums, 4g - 3 + 3 offsets
     witness = VolumeWitness(inv=inv, n_values=(0, 0, 0), n=0, zeta=Fraction(0), z_values=(0, 0, 0), coeff=Fraction(0))
     assert witness.coeff == 0
-    assert inv._table is not None and inv._table[5] is None
+    assert inv._table is not None and inv._table.layers is None
     # the budget is checked before any fold, on every call
     big = parse_seifert("(1; 1/1000003, 1/1000033)")
     texts = {_refusal(lambda: spectrum_contains(big, Fraction(0))) for _ in range(2)}
     assert texts == {"spectrum too large: up to 3000108000297 values, over the limit of 1000000"}
-    assert big._table[5] is None
+    assert big._table.layers is None
 
 
 @pytest.mark.parametrize(
@@ -643,7 +643,7 @@ def test_a_space_with_its_table_keeps_the_record_contract():
     inv = parse_seifert(text)
     top = seifert_volume_max(inv)
     found = witnesses_for(inv, top)
-    assert inv._table[5] is not None
+    assert inv._table.layers is not None and inv._table.index is not None
     fresh = parse_seifert(text)
     assert (repr(inv), inv, hash(inv)) == (repr(fresh), fresh, hash(fresh))
     assert witnesses_for(fresh, top) == found
@@ -662,6 +662,26 @@ def test_a_space_with_its_table_keeps_the_record_contract():
     swapped = SeifertInvariants(inv.genus, inv.pairs[::-1])
     assert swapped == inv
     assert {(w.n, w.n_values[::-1]) for w in witnesses_for(swapped, top)} == {(w.n, w.n_values) for w in found}
+
+
+def test_the_class_index_is_built_once_per_space(monkeypatch):
+    # witnesses_for sorts each layer into its classes once per space and
+    # keeps them in the table; a fold, the spectrum and the membership test
+    # never sort a layer, since a graphs pass folds thousands of small spaces
+    sorted_steps = []
+    classes = ehn._classes
+    monkeypatch.setattr(ehn, "_classes", lambda layer, d: sorted_steps.append(d) or classes(layer, d))
+    inv = parse_seifert("(1; 1/2, -1/3, 2/5)")
+    spectrum = volume_set(inv)
+    assert all(spectrum_contains(inv, value) for value in spectrum)
+    assert sorted_steps == [] and inv._table.index is None
+    found = [witnesses_for(inv, value) for value in (spectrum[-1], spectrum[0], spectrum[-1])]
+    assert found[0] == found[2] and found[1]
+    assert sorted_steps == inv._table.steps == [15, 10, 6]
+    assert inv._table.index == tuple(map(classes, inv._table.layers, inv._table.steps))
+    fresh = parse_seifert("(1; 1/2, -1/3, 2/5)")
+    assert spectrum_contains(fresh, spectrum[0]) and volume_set(fresh) == spectrum
+    assert sorted_steps == [15, 10, 6] and fresh._table.index is None
 
 
 def test_a_witness_off_its_root_is_an_internal_error(monkeypatch):
@@ -689,7 +709,7 @@ def test_each_budget_refuses_before_any_fold_or_window_walk(monkeypatch):
     assert _refusal(lambda: volume_set_bruteforce(HUGE)) == (
         "spectrum too large: up to 48001944019683 oracle (tuple, n) pairs, over the limit of 1000000"
     )
-    assert HUGE._table[5] is None
+    assert HUGE._table.layers is None
 
 
 def test_limit_admits_each_function_at_exactly_its_count():
@@ -740,9 +760,9 @@ def test_a_witness_list_over_the_limit_is_refused_before_it_is_built(monkeypatch
 def _tree_size(inv, coeff, limit=ehn.MAX_VALUES):
     """``ehn._tree_size`` on ``coeff``, from the starts ``witnesses_for`` walks from."""
     _, offsets = ehn._offsets(inv, coeff, limit)
-    _, lcm, _, _, steps, layers = ehn._fold(inv)
-    hi, index = 2 * inv.genus - 2, tuple(map(ehn._classes, layers, steps))
-    return ehn._tree_size(layers, index, steps, lcm, [(t + m * lcm, m - hi) for t, m in offsets])
+    table = ehn._indexed(inv)
+    hi = 2 * inv.genus - 2
+    return ehn._tree_size(table, [(t + m * table.lcm, m - hi) for t, m in offsets])
 
 
 def test_witness_count_matches_the_list():
@@ -783,8 +803,8 @@ def _witness_count_oracle(steps, lcm, hi, offsets):
 
 def _oracle_count(inv, coeff, limit=ehn.MAX_VALUES):
     _, offsets = ehn._offsets(inv, coeff, limit)
-    _, lcm, _, _, steps, _ = ehn._fold(inv)
-    return _witness_count_oracle(steps, lcm, 2 * inv.genus - 2, offsets)
+    table = ehn._fold(inv)
+    return _witness_count_oracle(table.steps, table.lcm, 2 * inv.genus - 2, offsets)
 
 
 def _seeded_moduli_symbols():
@@ -842,7 +862,8 @@ def _witness_walk_oracle(inv, coeff):
     layers; each witness built by the public constructor from the
     defining formulas, in the order ``witnesses_for`` lists them."""
     coeff, offsets = ehn._offsets(inv, coeff, ehn.MAX_VALUES)
-    _, lcm, _, _, steps, layers = ehn._fold(inv)
+    table = ehn._fold(inv)
+    lcm, steps, layers = table.lcm, table.steps, table.layers
     hi, p = 2 * inv.genus - 2, len(steps)
     found = []
     for t, m in offsets:
@@ -904,7 +925,7 @@ def test_a_coefficient_without_a_root_never_folds(monkeypatch):
     assert _refusal(lambda: witnesses_for(inv, "x")) == "not a rational number: 'x'"
     assert spectrum_contains(inv, Fraction(1, 7)) is False
     assert _refusal(lambda: witnesses_for(inv, Fraction(1, 7))) == "coefficient 1/7 is not in the volume spectrum"
-    assert inv._table[5] is None
+    assert inv._table.layers is None
 
 
 # ---------------------------------------------------------------- work counts

@@ -201,26 +201,44 @@ def test_one_exponent_test_and_one_whole_list_writer():
                     guards.append(where)
     assert exponent == ["exact.py:_rational"]
     assert written == [] and guards == []
-    assert len(texts) == 7, texts  # slots, pairs, both fillings, killed_slopes, pieces, edges
+    # slots, pairs, both fillings, killed_slopes, pieces, edges, and liecs' basis, brackets, entries and terms
+    assert len(texts) == 11, texts
 
 
 def test_one_coefficient_reader_and_one_fold_in_ehn():
     # ehn reads a coefficient by _as_fraction in one place, _offsets, which
     # reads its roots before any fold (foliation_exists reads slopes by it
-    # too); only _fold folds a fibre in; only witnesses_for builds the class
-    # index its walk and its count read, never _fold, since spectrum_contains
-    # folds thousands of small spaces a graphs pass and never walks; and the
-    # witness budget counts the walk's own tree, so no second fold of residue
-    # tuples remains
+    # too); only _fold folds a fibre in; only _indexed, called by
+    # witnesses_for alone, builds the class index its walk and its count
+    # read and writes it into the table, and neither _fold, volume_set nor
+    # spectrum_contains reaches it, since spectrum_contains folds thousands
+    # of small spaces a graphs pass and never walks; and the witness budget
+    # counts the walk's own tree, so no second fold of residue tuples remains
     tree = ast.parse((SRC / "repvol" / "ehn.py").read_text("utf-8"))
     owners = _owners(tree)
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
 
     def users(name):
         return sorted(owners.get(id(node)) for node in ast.walk(tree) if isinstance(node, ast.Name) and node.id == name)
 
+    def reached(caller):
+        # the functions of ehn that caller calls or names, transitively
+        seen, todo = set(), [caller]
+        while todo:
+            if (name := todo.pop()) not in seen:
+                seen.add(name)
+                todo += [node.id for node in ast.walk(defs[name]) if isinstance(node, ast.Name) and node.id in defs]
+        return seen
+
     assert users("_as_fraction") == ["_offsets", "foliation_exists"]
     assert users("_add_fibre") == ["_fold"]
-    assert users("_classes") == ["witnesses_for"]
+    assert users("_classes") == ["_indexed"]
+    assert users("_indexed") == ["witnesses_for"]
+    writes = [node for node in ast.walk(tree) if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)]
+    assert sorted(f"{owners.get(id(node))}: {node.attr}" for node in writes) == ["_fold: layers", "_indexed: index"]
+    for caller in ("_fold", "volume_set", "spectrum_contains"):
+        assert not reached(caller) & {"_indexed", "_classes"}, caller
+    assert {"_indexed", "_classes"} <= reached("witnesses_for")
     found = []
     for path in sorted((SRC / "repvol").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text("utf-8"), str(path))):
@@ -277,8 +295,31 @@ def test_every_refusal_is_a_refusal_and_only_main_catches_one():
             if isinstance(node, ast.ExceptHandler) and node.type is not None:
                 if "Refusal" in (getattr(name, "id", None) for name in ast.walk(node.type)):
                     handlers.append(f"{path.name}:{owners.get(id(node))}")
+                    # any other handler passes the refusal on: with its position, or as a usage error
+                    assert owners.get(id(node)) == "main" or isinstance(node.body[-1], ast.Raise), handlers[-1]
     assert raised == []
-    assert handlers == ["cli.py:main"]
+    assert handlers == ["cli.py:_fraction_arg", "cli.py:main", "seifert.py:parse_seifert"]
+
+
+def test_no_builtin_handler_guards_a_call_into_repvol():
+    # a builtin ValueError or TypeError raised inside repvol is a bug, not
+    # the input's fault, so no except naming either guards a try body that
+    # calls a function or class repvol defines: a refusal is caught by its
+    # own class, and such a handler guards only builtin calls (int, hash, ...)
+    trees = {path.name: ast.parse(path.read_text("utf-8"), str(path)) for path in sorted((SRC / "repvol").glob("*.py"))}
+    defined = {node.name for tree in trees.values() for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    found, guarded = [], 0
+    for name, tree in trees.items():
+        owners = _owners(tree)
+        for node in ast.walk(tree):
+            caught = [getattr(n, "id", None) for h in getattr(node, "handlers", ()) if h.type for n in ast.walk(h.type)]
+            if isinstance(node, ast.Try) and {"ValueError", "TypeError"} & set(caught):
+                guarded += 1
+                called = [call.func for stmt in node.body for call in ast.walk(stmt) if isinstance(call, ast.Call)]
+                for func in called:
+                    if (getattr(func, "id", None) or getattr(func, "attr", None)) in defined:
+                        found.append(f"{name}:{owners.get(id(node))}: {ast.unparse(func)}")
+    assert guarded and found == []
 
 
 def test_no_module_asserts_or_raises_assertion_error():

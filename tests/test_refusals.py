@@ -129,6 +129,19 @@ REFUSALS = {
     "d_dimension": (lambda: d(sl2c_algebra(), _mono(4, 0)), "form dimension does not match the algebra"),
     "gram_dimension": (lambda: is_ad_invariant(sl2c_algebra(), GramForm(((1,),))), "Gram dimension does not match the algebra"),
     "gram_not_square": (lambda: GramForm(((1, 0),)), "Gram matrix must be square"),
+    # a caller's shape that is not the record's, read by the one whole-list rule
+    "basis_not_a_list": (_algebra(basis=5), "basis 5 is not a list of names"),
+    "basis_a_string": (_algebra(basis="XY"), "basis 'XY' is not a list of names"),
+    "basis_name_unhashable": (_algebra(basis=(["X"], "Y")), "basis (['X'], 'Y') is not a list of names"),
+    "brackets_not_a_list": (lambda: LieAlgebraSpec(("X", "Y"), 5), "brackets 5 are not all [[j, k], vector]"),
+    "bracket_not_a_pair": (_algebra(5), "brackets (5,) are not all [[j, k], vector]"),
+    "bracket_vector_not_a_list": (_algebra(((0, 1), 5)), "brackets (((0, 1), 5),) are not all [[j, k], vector]"),
+    "bracket_pair_of_three": (_algebra(((0, 1, 2), (1, 0))), "brackets (((0, 1, 2), (1, 0)),) are not all [[j, k], vector]"),
+    "gram_not_a_list": (lambda: GramForm(5), "entries 5 is not a list of rows"),
+    "gram_row_not_a_list": (lambda: GramForm((5,)), "entries (5,) is not a list of rows"),
+    "form_terms_not_a_list": (lambda: ExteriorForm(3, 1, 5), "terms 5 are not all [indices, coeff]"),
+    "form_indices_not_a_list": (_form(3, 1, (5, 1)), "terms ((5, 1),) are not all [indices, coeff]"),
+    "form_term_of_three": (_form(3, 1, ((0,), 1, 2)), "terms (((0,), 1, 2),) are not all [indices, coeff]"),
     "split_not_a_three_form": (
         lambda: exactness_split(sl2c_algebra(), _mono(3, 0), ExteriorForm.zero(3, 1)),
         "exactness_split expects 3-forms",
@@ -168,6 +181,7 @@ REFUSALS = {
     # ehn
     "witness_length": (_witness(n_values=(0, 0)), "witness length does not match exceptional data"),
     "witness_coefficient": (_witness(coeff=Fraction(3)), "witness coefficient does not match its data"),
+    "witness_z_values": (_witness(z_values=(Fraction(5),)), "witness z-values do not match its data"),
     # exact
     "volume_sum_not_a_volume": (lambda: volume_sum([ExactVolume(Fraction(1)), 1]), "not a volume value: 1"),
     "volume_sum_past_float": (
