@@ -100,12 +100,17 @@ def _algebra_arg(text: str) -> str:
 def _read_json(path: str):
     import json
 
+    # a path holding a NUL, bytes that are not UTF-8, text that is not JSON,
+    # or JSON nested too deep: all the input's fault.  An integer too long
+    # to read is refused by _read_int itself, so nothing it raises is caught
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle, parse_int=_read_int)
-    # a path holding a NUL, bytes that are not UTF-8, text that is not JSON,
-    # or JSON nested too deep: all the input's fault
-    except (ValueError, RecursionError) as exc:
+            text = handle.read()
+    except ValueError as exc:
+        raise Refusal(str(exc)) from None
+    try:
+        return json.loads(text, parse_int=_read_int)
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise Refusal(str(exc)) from None
 
 

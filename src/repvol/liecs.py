@@ -103,29 +103,31 @@ class LieAlgebraSpec(_Record):
     """Finite-dimensional Lie algebra given by its structure constants.
 
     ``basis`` is a list or tuple of hashable names, and ``brackets`` one
-    of rows [(j, k), vector], both read by ``exact._rows``; each row maps
-    an index pair (j, k) with j < k, two ints by ``exact._integer``, to
-    the coordinate vector of [X_j, X_k]; missing pairs are zero
-    brackets.  Coefficients must be pi-free scalars.  The
-    Jacobi identity is checked on construction unless
+    of rows [(j, k), entries], both read by ``exact._rows``; each row
+    gives [X_j, X_k], for an index pair with j < k, by its entries
+    (i, c^i_jk); missing pairs and missing indices are zero.  Each index,
+    j, k or i, is an int by ``exact._integer``; an index i outside the
+    basis or listed twice in one row is refused.  Coefficients must be
+    pi-free scalars.  A row whose entries are not all pairs is read as
+    the dense coordinate vector of [X_j, X_k], of length dim: its
+    nonzero entries, found by one ``PiScalar.of`` scan, are its (i, c).
+    The field keeps only what is nonzero, ``((j, k), ((i, c), ...))`` with
+    rows sorted by pair and i ascending, so a spec rebuilds from its own
+    fields.  The Jacobi identity is checked on construction unless
     ``check_jacobi=False`` (used when loading untrusted tables that a
     caller wants to diagnose).
 
-    Two tables derived once hold the nonzero constants as int pairs over
+    Two tables derived once hold the same constants as int pairs over
     the shared denominator ``_den``: ``_table``, (j, k) -> {i: c^i_jk} for
     both index orders, and ``_by_target``, the pairs ((j, k), c^i_jk) with
-    j < k per target i.  So the checks, the three-form and ``d`` cost what
-    the nonzero constants do; ``validate_jacobi`` visits at most one basis
-    triple per nonzero product c^l_xy c^m_lz.  The constructor converts
-    each bracket vector once, by ``PiScalar.of``, and keeps its nonzero
-    entries from that pass; the pi-free check and both tables read only
-    those.  The cost that remains is that dense read: ``brackets`` stays
-    the public field of length-dim vectors, so construction reads
-    (brackets) x dim entries, about 5.8 M for k copies of sl2 at k = 800.
+    j < k per target i.  So construction, the checks, the three-form and
+    ``d`` cost what the nonzero constants do; ``validate_jacobi`` visits
+    at most one basis triple per nonzero product c^l_xy c^m_lz.
+    Only ``bracket`` and a ``JacobiViolation``'s residual are dense vectors.
     """
 
     basis: tuple[str, ...]
-    brackets: tuple[tuple[tuple[int, int], tuple[PiScalar, ...]], ...]
+    brackets: tuple[tuple[tuple[int, int], tuple[tuple[int, PiScalar], ...]], ...]
     check_jacobi: bool = True
     _den: int
     _table: dict[tuple[int, int], dict[int, Pair]]
@@ -137,33 +139,38 @@ class LieAlgebraSpec(_Record):
             raise Refusal("basis names must be distinct")
         _set(self, "basis", names)
         dim = len(names)
-        # (j, k) -> (its converted vector, [(i, c^i_jk)] over the nonzero c),
-        # for the nonzero brackets
-        table: dict[tuple[int, int], tuple[tuple[PiScalar, ...], list[tuple[int, PiScalar]]]] = {}
+        table: dict[tuple[int, int], tuple[tuple[int, PiScalar], ...]] = {}  # the nonzero brackets
         listed: set[tuple[int, int]] = set()  # every pair, a zero bracket's too
         rows = _rows(self.brackets, "brackets {} are not all [[j, k], vector]",
                      lambda row: _is_pair(row) and _is_pair(row[0]) and _is_row(row[1]))
-        for e, (pair, vec) in enumerate(rows):
+        for e, (pair, row) in enumerate(rows):
             j, k = _int_pair(pair, "brackets[{}][0][{}]", e)
             if not (0 <= j < k < dim):
                 raise Refusal(f"bracket pair ({j}, {k}) out of range or unordered")
             if (j, k) in listed:
                 raise Refusal(f"duplicate bracket entry for ({j}, {k})")
             listed.add((j, k))
-            if len(vec) != dim:
-                raise Refusal(f"bracket vector for ({j}, {k}) has wrong length")
-            coeffs = tuple(map(PiScalar.of, vec))
-            entries = [(i, c) for i, c in enumerate(coeffs) if c is not PI_ZERO and c.coeff]
-            if any(c.pi_power for _, c in entries):
-                raise Refusal("structure constants must be pi-free")
-            if entries:
-                table[(j, k)] = coeffs, entries
+            if not all(map(_is_pair, row)):  # a dense vector, converted here
+                if len(row) != dim:
+                    raise Refusal(f"bracket vector for ({j}, {k}) has wrong length")
+                row = [(i, c) for i, c in enumerate(map(PiScalar.of, row)) if c]
+            entries: dict[int, PiScalar] = {}
+            for n, (i, c) in enumerate(row):
+                if not 0 <= _integer(i, "brackets[{}][1][{}][0]", e, n) < dim:
+                    raise Refusal(f"bracket index {i} for ({j}, {k}) out of range")
+                if i in entries:
+                    raise Refusal(f"duplicate bracket index {i} for ({j}, {k})")
+                entries[i] = c = PiScalar.of(c)
+                if c.pi_power:
+                    raise Refusal("structure constants must be pi-free")
+            if any(entries.values()):
+                table[(j, k)] = tuple(sorted((i, c) for i, c in entries.items() if c))
         table = dict(sorted(table.items()))
-        _set(self, "brackets", tuple([(pair, coeffs) for pair, (coeffs, _) in table.items()]))
-        den = math.lcm(*[c.coeff._den for _, entries in table.values() for _, c in entries])
+        _set(self, "brackets", tuple(table.items()))
+        den = math.lcm(*[c.coeff._den for entries in table.values() for _, c in entries])
         structure: dict[tuple[int, int], dict[int, Pair]] = {}
         by_target: list[list[tuple[tuple[int, int], Pair]]] = [[] for _ in range(dim)]
-        for (j, k), (_, entries) in table.items():
+        for (j, k), entries in table.items():
             column = {i: _pair(c.coeff, den) for i, c in entries}
             structure[(j, k)] = column
             structure[(k, j)] = {i: (-a, -b) for i, (a, b) in column.items()}
@@ -576,15 +583,9 @@ def _trace_of_product(a, b):
 
 def sl2c_algebra() -> LieAlgebraSpec:
     """sl2: [X,Y] = -2Y, [X,Z] = 2Z, [Y,Z] = -X."""
-    z = PI_ZERO
-    s = PiScalar.of
     return LieAlgebraSpec(
         basis=("X", "Y", "Z"),
-        brackets=(
-            ((0, 1), (z, s(-2), z)),
-            ((0, 2), (z, z, s(2))),
-            ((1, 2), (s(-1), z, z)),
-        ),
+        brackets=(((0, 1), ((1, -2),)), ((0, 2), ((2, 2),)), ((1, 2), ((0, -1),))),
     )
 
 
@@ -596,17 +597,15 @@ def iso_sl2r_algebra() -> LieAlgebraSpec:
         [X,Y] = -2Y   [X,Z] = 2Z    [X,W] = 2Y + 2Z
         [Y,Z] = -X    [Y,W] = -X    [Z,W] = -X
     """
-    z = PI_ZERO
-    s = PiScalar.of
     return LieAlgebraSpec(
         basis=("X", "Y", "Z", "W"),
         brackets=(
-            ((0, 1), (z, s(-2), z, z)),
-            ((0, 2), (z, z, s(2), z)),
-            ((0, 3), (z, s(2), s(2), z)),
-            ((1, 2), (s(-1), z, z, z)),
-            ((1, 3), (s(-1), z, z, z)),
-            ((2, 3), (s(-1), z, z, z)),
+            ((0, 1), ((1, -2),)),
+            ((0, 2), ((2, 2),)),
+            ((0, 3), ((1, 2), (2, 2))),
+            ((1, 2), ((0, -1),)),
+            ((1, 3), ((0, -1),)),
+            ((2, 3), ((0, -1),)),
         ),
     )
 
@@ -655,7 +654,7 @@ def algebra_from_json(doc: Mapping) -> LieAlgebraSpec:
         raise Refusal("basis must not be empty")
     index = {name: i for i, name in enumerate(basis)}
     entries = _list(doc.get("brackets", []), "brackets", "[left, right, coeffs] entries")
-    table: dict[tuple[int, int], list[PiScalar]] = {}
+    table: dict[tuple[int, int], list[tuple[int, Union[int, Fraction]]]] = {}
     for e, entry in enumerate(entries):
         path = f"brackets[{e}]"
         if not isinstance(entry, (list, tuple)) or len(entry) != 3:
@@ -674,17 +673,13 @@ def algebra_from_json(doc: Mapping) -> LieAlgebraSpec:
             j, k, sign = k, j, -1
         if (j, k) in table:  # in either order: [Y, X] is -[X, Y]
             raise Refusal(f"{path}: bracket [{left}, {right}] is listed twice")
-        vec = table[j, k] = [PI_ZERO] * len(basis)
+        row = table[j, k] = []
         for name, value in coeffs.items():
             if name not in index:
                 raise Refusal(f"{path}[2]: entry uses unknown basis names ({_shown(name)})")
-            coeff = PiScalar.of(_rational(value, f"{path}[2].{name}", "bad structure constant {} (use int or 'p/q')"))
-            vec[index[name]] = coeff if sign > 0 else -coeff
-    return LieAlgebraSpec(
-        basis=basis,
-        brackets=tuple((pair, tuple(vec)) for pair, vec in sorted(table.items())),
-        check_jacobi=False,
-    )
+            coeff = _rational(value, f"{path}[2].{name}", "bad structure constant {} (use int or 'p/q')")
+            row.append((index[name], sign * coeff))
+    return LieAlgebraSpec(basis=basis, brackets=tuple(table.items()), check_jacobi=False)
 
 
 def chern_poly_coeffs(

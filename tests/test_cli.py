@@ -1761,21 +1761,31 @@ def test_internal_failure_exits_three(capsys, monkeypatch):
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("fault", [ValueError, TypeError, RecursionError, KeyError, ZeroDivisionError])
+PLANTED = {
+    "Edge": ("repvol.jsj.Edge.__post_init__", ("graph", "validate", str(DATA.joinpath("prop73_zero_hv.json")))),
+    "_add_fibre": ("repvol.ehn._add_fibre", ("seifert", "volumes", "(1; 1/2, 1/3)")),
+    "cs_three_form": ("repvol.liecs.cs_three_form", ("cs", "verify", "psl2c")),
+    "_check_pair": ("repvol.seifert._check_pair", ("seifert", "info", "(1; 1/2)")),
+    "_read_int": ("repvol.cli._read_int", ("cs", "jacobi", str(DATA.joinpath("sl2c.json")))),
+}
+
+
 @pytest.mark.parametrize(
-    "target, argv",
+    "target, argv, fault",
     [
-        ("repvol.jsj.Edge.__post_init__", ("graph", "validate", str(DATA.joinpath("prop73_zero_hv.json")))),
-        ("repvol.ehn._add_fibre", ("seifert", "volumes", "(1; 1/2, 1/3)")),
-        ("repvol.liecs.cs_three_form", ("cs", "verify", "psl2c")),
-        ("repvol.seifert._check_pair", ("seifert", "info", "(1; 1/2)")),
+        pytest.param(target, argv, fault, id=f"{name}-{fault.__name__}")
+        for name, (target, argv) in PLANTED.items()
+        for fault in (KeyError, RecursionError, TypeError, ValueError, ZeroDivisionError)
+        # the JSON decoder's own RecursionError, on nesting too deep, is the
+        # input's fault, and one raised inside parse_int is not told apart
+        if (name, fault) != ("_read_int", RecursionError)
     ],
-    ids=["Edge", "_add_fibre", "cs_three_form", "_check_pair"],
 )
 def test_a_planted_fault_is_an_internal_error(capsys, monkeypatch, target, argv, fault):
     # only a Refusal is the input's fault: a builtin exception of any class
-    # raised inside repvol, in a record constructor, ehn's arithmetic or the
-    # form code, exits 3 and is never reported as a malformed entry
+    # raised inside repvol, in a record constructor, ehn's arithmetic, the
+    # form code or the JSON decoder's integer reader, exits 3 and is never
+    # reported as a malformed entry
     def planted(*args):
         raise fault("planted bug")
 

@@ -162,6 +162,16 @@ def test_lie_algebra_spec_rejects_non_jacobi_by_default():
         )
 
 
+def test_an_empty_row_is_a_zero_bracket():
+    # a row lists the nonzero constants of its bracket: an empty row, one of
+    # zeros and a dense zero vector are the same zero bracket, not kept
+    empty = LieAlgebraSpec(basis=("X", "Y"), brackets=(((0, 1), ()),))
+    assert empty.brackets == ()
+    assert empty.bracket(0, 1) == (PI_ZERO, PI_ZERO)
+    for row in (((1, 0), (0, PI_ZERO)), (0, 0)):
+        assert LieAlgebraSpec(basis=("X", "Y"), brackets=(((0, 1), row),)) == empty
+
+
 def test_algebra_from_json_fraction_strings():
     doc = {"basis": ["A", "B"], "brackets": [["B", "A", {"A": "1/2"}]]}
     spec = algebra_from_json(doc)
@@ -422,7 +432,7 @@ def test_public_scalars_stay_pi_scalars():
     spec = iso_sl2r_algebra()
     assert all(type(c) is PiScalar for c in spec.bracket(X, W))
     assert all(type(c) is PiScalar for c in spec.bracket(W, X))
-    assert all(type(c) is PiScalar for _, vec in spec.brackets for c in vec)
+    assert all(type(c) is PiScalar for _, row in spec.brackets for _, c in row)
     violation = validate_jacobi(
         algebra_from_json(
             {"basis": ["X", "Y", "Z"], "brackets": [["X", "Y", {"Y": -2}], ["X", "Z", {"Z": 3}], ["Y", "Z", {"X": -1}]]}
@@ -653,16 +663,20 @@ def test_jacobi_triples_never_exceed_the_nonzero_products():
         assert len(triples) <= nonzero_products(n, brackets)
 
 
-@pytest.mark.parametrize("k", [50, 100, 200])
-def test_sl2_sum_from_json_loads_and_checks_in_work_linear_in_k(k, monkeypatch):
-    # sl2 copied k times: 3k basis vectors and 3k brackets.  The check
-    # visits one triple per copy, and loading builds no scalar, however
-    # long the vectors: algebra_from_json writes each constant once, and
-    # a small int constant is a shared scalar.
+def sl2_sum_text(k):
+    """The JSON text of sl2 copied k times: 3k basis vectors and 3k brackets."""
     doc = {"basis": [f"{c}{b}" for b in range(k) for c in "XYZ"], "brackets": []}
     for b in range(k):
         doc["brackets"] += [[f"X{b}", f"Y{b}", {f"Y{b}": -2}], [f"X{b}", f"Z{b}", {f"Z{b}": 2}], [f"Y{b}", f"Z{b}", {f"X{b}": -1}]]
-    text = json.dumps(doc)
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("k", [50, 100, 200])
+def test_sl2_sum_from_json_loads_and_checks_in_work_linear_in_k(k, monkeypatch):
+    # The check visits one triple per copy, and loading builds no scalar:
+    # algebra_from_json writes each constant once, and a small int
+    # constant is a shared scalar.
+    text = sl2_sum_text(k)
     built = []
     original = PiScalar.__post_init__
 
@@ -682,6 +696,27 @@ def test_sl2_sum_from_json_loads_and_checks_in_work_linear_in_k(k, monkeypatch):
     monkeypatch.setattr(liecs, "_jacobi_triples", spy)
     assert validate_jacobi(spec) is None
     assert visited == [[(3 * b, 3 * b + 1, 3 * b + 2) for b in range(k)]]
+
+
+def test_sl2_sum_from_json_converts_each_constant_once(monkeypatch):
+    # a bracket row holds only its nonzero constants, so loading sl2^k
+    # calls PiScalar.of once per constant listed, 3k times in all; a dense
+    # vector per bracket made that 9k^2 + 3k calls
+    calls = []
+    original = PiScalar.of
+
+    def counted(value, pi_power=0):
+        calls.append(value)
+        return original(value, pi_power)
+
+    monkeypatch.setattr(PiScalar, "of", staticmethod(counted))
+    counts = {}
+    for k in (100, 200, 400, 800):
+        doc = json.loads(sl2_sum_text(k))
+        calls.clear()
+        algebra_from_json(doc)
+        counts[k] = len(calls)
+    assert counts == {k: 3 * k for k in counts}
 
 
 def test_small_int_tables_construct_no_scalars(monkeypatch):
@@ -717,7 +752,8 @@ def test_small_int_tables_construct_no_scalars(monkeypatch):
     assert built == [c for _, c in form.terms]
     monkeypatch.undo()
     assert spec.brackets == tuple(
-        (pair, tuple(PiScalar(GaussianRational(c)) for c in vec)) for pair, vec in sorted(brackets.items())
+        (pair, tuple((i, PiScalar(GaussianRational(c))) for i, c in enumerate(vec) if c))
+        for pair, vec in sorted(brackets.items())
     )
     assert gram_form.entries == tuple(tuple(PiScalar(GaussianRational(x)) for x in row) for row in gram)
     assert is_ad_invariant(spec, gram_form)
@@ -758,6 +794,38 @@ def test_is_ad_invariant_matches_dense_oracle(drawn):
     assert got == dense_ad_invariant(n, dense_constants(n, brackets), f)
     if invariant_by_construction:
         assert got
+
+
+def sparse_spec(n, brackets):
+    """``table_spec`` with each row given by its nonzero (i, c), pairs and
+    indices in reverse order: the constructor sorts both."""
+    return LieAlgebraSpec(
+        basis=tuple(f"e{i}" for i in range(n)),
+        brackets=tuple((pair, tuple(reversed(vec.items()))) for pair, vec in reversed(brackets.items())),
+        check_jacobi=False,
+    )
+
+
+def assert_dense_and_sparse_agree(n, brackets):
+    dense, sparse = table_spec(n, brackets), sparse_spec(n, brackets)
+    assert sparse == dense
+    assert vars(sparse) == vars(dense)
+    assert LieAlgebraSpec(*dense._values()) == dense
+    c = dense_constants(n, brackets)
+    for j, k in itertools.permutations(range(n), 2):
+        assert sparse.bracket(j, k) == tuple(PiScalar.of(c[i][j][k]) for i in range(n))
+
+
+@settings(max_examples=100, deadline=None)
+@given(algebras_with_grams())
+def test_dense_and_sparse_rows_build_equal_specs(drawn):
+    assert_dense_and_sparse_agree(*drawn[:2])
+
+
+def test_dense_and_sparse_rows_agree_on_seeded_rational_tables():
+    rng = random.Random("dense and sparse rows")
+    for _ in range(200):
+        assert_dense_and_sparse_agree(*seeded_algebra(rng))
 
 
 # ---------------------------------------------------------------- 3-form identities

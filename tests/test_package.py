@@ -304,7 +304,8 @@ def test_every_refusal_is_a_refusal_and_only_main_catches_one():
 def test_no_builtin_handler_guards_a_call_into_repvol():
     # a builtin ValueError or TypeError raised inside repvol is a bug, not
     # the input's fault, so no except naming either guards a try body that
-    # calls a function or class repvol defines: a refusal is caught by its
+    # calls a function or class repvol defines, or passes one to a call, as
+    # json.load(..., parse_int=_read_int) does: a refusal is caught by its
     # own class, and such a handler guards only builtin calls (int, hash, ...)
     trees = {path.name: ast.parse(path.read_text("utf-8"), str(path)) for path in sorted((SRC / "repvol").glob("*.py"))}
     defined = {node.name for tree in trees.values() for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
@@ -315,7 +316,8 @@ def test_no_builtin_handler_guards_a_call_into_repvol():
             caught = [getattr(n, "id", None) for h in getattr(node, "handlers", ()) if h.type for n in ast.walk(h.type)]
             if isinstance(node, ast.Try) and {"ValueError", "TypeError"} & set(caught):
                 guarded += 1
-                called = [call.func for stmt in node.body for call in ast.walk(stmt) if isinstance(call, ast.Call)]
+                calls = [call for stmt in node.body for call in ast.walk(stmt) if isinstance(call, ast.Call)]
+                called = [func for call in calls for func in (call.func, *call.args, *(kw.value for kw in call.keywords))]
                 for func in called:
                     if (getattr(func, "id", None) or getattr(func, "attr", None)) in defined:
                         found.append(f"{name}:{owners.get(id(node))}: {ast.unparse(func)}")

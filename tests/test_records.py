@@ -48,7 +48,7 @@ RECORDS = [
         LieAlgebraSpec,
         {
             "basis": ("H", "E", "F"),
-            "brackets": (((0, 1), (PiScalar(0), PiScalar(2), PiScalar(0))),),
+            "brackets": (((0, 1), ((1, PiScalar(2)),)),),
             "check_jacobi": False,
         },
         {"check_jacobi": True},
@@ -164,6 +164,7 @@ def test_records_with_equal_field_values_are_unequal_across_classes():
 def test_keyword_construction_and_defaults(cls, fields, defaults):
     record = cls(**fields)
     assert record == cls(*fields.values())
+    assert cls(*record._values()) == record
     assert all(getattr(record, name) == value for name, value in fields.items())
     required = {name: value for name, value in fields.items() if name not in defaults}
     bare = cls(**required)

@@ -100,6 +100,17 @@ REFUSALS = {
     "bracket_repeated_zeros": (_algebra(((0, 1), (ZERO, ZERO)), ((0, 1), (ZERO, ZERO))), "duplicate bracket entry for (0, 1)"),
     "bracket_vector_length": (_algebra(((0, 1), (ONE,))), "bracket vector for (0, 1) has wrong length"),
     "constant_with_pi": (_algebra(((0, 1), (PiScalar.of(1, pi_power=1), ZERO))), "structure constants must be pi-free"),
+    # a row of (i, c) entries: each index by the integer rule, inside the basis, once per row
+    "entry_constant_with_pi": (_algebra(((0, 1), ((1, PiScalar.of(1, pi_power=1)),))), "structure constants must be pi-free"),
+    "entry_index_float": (_algebra(((0, 1), ((0.0, ONE),))), "brackets[0][1][0][0] 0.0 is not an integer"),
+    "entry_index_bool": (_algebra(((0, 1), ((0, ONE), (True, ONE)))), "brackets[0][1][1][0] True is not an integer"),
+    "entry_index_string": (_algebra(((0, 1), (("1", ONE),))), "brackets[0][1][0][0] '1' is not an integer"),
+    "entry_index_range": (_algebra(((0, 1), ((2, ONE),))), "bracket index 2 for (0, 1) out of range"),
+    "entry_index_negative": (_algebra(((0, 1), ((0, ONE), (-1, ONE)))), "bracket index -1 for (0, 1) out of range"),
+    "entry_index_repeated": (_algebra(((0, 1), ((1, ONE), (1, ONE)))), "duplicate bracket index 1 for (0, 1)"),
+    "entry_index_repeated_zero": (_algebra(((0, 1), ((1, ZERO), (0, ONE), (1, ONE)))), "duplicate bracket index 1 for (0, 1)"),
+    # an empty row is a zero bracket, and still listed
+    "bracket_repeated_empty_row": (_algebra(((0, 1), ()), ((0, 1), ((1, ONE),))), "duplicate bracket entry for (0, 1)"),
     "index_of_unknown_name": (lambda: sl2c_algebra().index_of("Q"), "unknown basis element 'Q'"),
     # index integers by the one integer rule: a float, a bool or a string is refused
     "bracket_pair_float": (_algebra(((0.0, 1), (ONE, ZERO))), "brackets[0][0][0] 0.0 is not an integer"),
