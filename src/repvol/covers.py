@@ -3,6 +3,8 @@
 Everything here is bookkeeping over positive integers: how many times a
 torus or a piece lifts to a finite cover, and how many copies of each
 piece are needed so that matching curves elevate with a common degree.
+A list argument is read whole, by ``exact._rows``, before anything else:
+a list or tuple, so a set, a range or a generator is a ``ShapeRefusal``.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import _HOMES
-from .exact import Refusal, _Record, _positive
+from .exact import Refusal, _Record, _positive, _rows
 
 __all__ = [*_HOMES["covers"]]
 
@@ -76,6 +78,7 @@ def merge_copy_counts(degrees: Sequence[int], m: int) -> MergeCounts:
     torus receives D/m elevations on each side; m must divide every d_i
     for the per-piece elevation counts (d_i/m) to make sense.
     """
+    degrees = _rows(degrees, "degrees {} is not a list of integers")
     if not degrees:
         raise Refusal("at least one cover degree is required")
     degs = [_positive(x, "cover degree") for x in degrees]
@@ -108,6 +111,7 @@ def colored_merge_counts(k: Sequence[int], l: Sequence[int]) -> ColoredMergeCoun
     then corridor i contributes l_i * K matched elevations, the same
     count the K central copies expose on each sign.
     """
+    k, l = _rows(k, "k {} is not a list of integers"), _rows(l, "l {} is not a list of integers")
     if len(k) != len(l):
         raise Refusal("k and l must have the same length")
     if not k:

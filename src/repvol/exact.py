@@ -113,10 +113,20 @@ def _rational(value: object, path: str, problem: str) -> RationalLike:
 
 def _as_fraction(value: object) -> Fraction:
     """The one reader of a library caller's rational: a string by ``_rational``,
-    as the CLI reads an option, and any other value by ``Fraction``."""
+    as the CLI reads an option, and any other value by ``Fraction``.  A value
+    ``Fraction`` cannot read is refused as ``not a rational number: <value>``,
+    shown by ``_shown``: a ``ShapeRefusal`` for a value of no number type, such
+    as ``None``, and a ``Refusal`` for NaN or an infinity."""
     if isinstance(value, str):
         return _rational(value, "not a rational number", "{}")
-    return value if type(value) is Fraction else Fraction(value)
+    if type(value) is Fraction:
+        return value
+    try:
+        return Fraction(value)
+    except TypeError:
+        raise ShapeRefusal(f"not a rational number: {_shown(value)}") from None
+    except (ValueError, OverflowError):  # NaN, or an infinity
+        raise Refusal(f"not a rational number: {_shown(value)}") from None
 
 
 def _shown(value: object) -> str:
@@ -696,7 +706,7 @@ def volume_sum(values: Iterable[VolumeValue]) -> VolumeValue:
             numeric += v.value
             saw_numeric = True
         else:
-            raise ShapeRefusal(f"not a volume value: {v!r}")
+            raise ShapeRefusal(f"not a volume value: {_shown(v)}")
     den = math.lcm(*[c.denominator for c in coeffs])
     exact = ExactVolume(_fraction(sum([c.numerator * (den // c.denominator) for c in coeffs]), den))
     if saw_numeric:
@@ -716,4 +726,4 @@ def render_volume(value: VolumeValue, decimal: bool = False) -> str:
         return text
     if isinstance(value, NumericVolume):
         return f"{value.value:.12g}"
-    raise ShapeRefusal(f"not a volume value: {value!r}")
+    raise ShapeRefusal(f"not a volume value: {_shown(value)}")

@@ -13,8 +13,8 @@ raises ``ShapeRefusal``; names it keeps as given, once ``_hashable`` has
 read them, so every table of names can be built.  The JSON loader hands it
 the values unchanged, and walks a whole list only after the record's rule
 has read it, so library and CLI refuse the same shapes with the same text;
-it also refuses a non-string name by its path (for an endpoint, after the
-``Edge`` has read the other fields).
+it also refuses a non-string name by its path (an endpoint's names are
+read before its ``Edge`` is built, which then reads the other fields).
 """
 
 from __future__ import annotations
@@ -145,7 +145,7 @@ class GraphManifoldSpec(_Record):
         try:
             return first_with_id[piece_id]
         except (KeyError, TypeError):  # a TypeError: an id that cannot be hashed
-            raise Refusal(f"unknown piece {piece_id!r}") from None
+            raise Refusal(f"unknown piece {_shown(piece_id)}") from None
 
 
 def validate_spec(spec: GraphManifoldSpec) -> list[str]:
@@ -259,6 +259,7 @@ class SmallImage(_Record):
 
 
 PieceAssignment = Union[FilledSeifert, DirectVolume, SmallImage]
+_ASSIGNMENTS = (FilledSeifert, DirectVolume, SmallImage)
 
 
 def _normalize_slope(slope: Slope) -> Slope:
@@ -295,10 +296,13 @@ def additivity_sum(spec: GraphManifoldSpec, assignments: Sequence[PieceAssignmen
     Every piece must be assigned exactly once.  A ``FilledSeifert``
     assignment must fill exactly the killed slopes of its incident edges
     (up to sign), and its coefficient must lie in the volume spectrum of
-    the filled closed piece.
+    the filled closed piece.  ``assignments`` is read first, by the
+    whole-list rule: a list or tuple of these three records, or a
+    ``ShapeRefusal``.
     """
     from .ehn import spectrum_contains  # only additivity reads a spectrum, so no other graph command loads ehn
 
+    assignments = _rows(assignments, "assignments {} is not a list of assignments", lambda row: isinstance(row, _ASSIGNMENTS))
     problems, pieces, killed, unglued = _walked(spec)
     if problems:
         raise Refusal("invalid spec: " + "; ".join(problems))
@@ -314,7 +318,7 @@ def additivity_sum(spec: GraphManifoldSpec, assignments: Sequence[PieceAssignmen
             continue  # it contributes 0
         elif isinstance(assignment, DirectVolume):
             contributions.append(assignment.volume)
-        elif isinstance(assignment, FilledSeifert):
+        else:  # a FilledSeifert, the one other row additivity reads
             if piece.kind != "seifert":
                 raise Refusal(f"piece {piece.id} is not a Seifert piece")
             filled_slots = dict(assignment.fillings)
@@ -340,8 +344,6 @@ def additivity_sum(spec: GraphManifoldSpec, assignments: Sequence[PieceAssignmen
                     f"the spectrum of the filled piece {_printed(closed, 'filled piece')}"
                 )
             contributions.append(ExactVolume(assignment.coeff))
-        else:
-            raise ShapeRefusal(f"unknown assignment {assignment!r}")
     return volume_sum(contributions)
 
 
@@ -362,9 +364,8 @@ def _numbered(
     tail and head, ``term[2k]`` and ``term[2k + 1]`` its ratio's numerator
     and denominator.  The name index lives only here.  A name that cannot
     be hashed, a vertex or an edge's end, is refused as a ``Refusal``."""
-    names = iter(vertices)
     try:
-        index = {name: i for i, name in enumerate(dict.fromkeys(names))}
+        index = {name: i for i, name in enumerate(dict.fromkeys(vertices))}
     except TypeError:  # a name that cannot be hashed
         raise Refusal(f"vertices {_shown(vertices)} are not all names") from None
     end: list[int] = []
@@ -542,19 +543,11 @@ def _piece_from_json(entry: Mapping, path: str) -> Piece:
 
 def _edge_from_json(entry: Mapping, path: str) -> Edge:
     a, b, gluing = _field(entry, "a", path), _field(entry, "b", path), _field(entry, "gluing", path)
-    slope, slope_b = entry.get("killed_slope"), entry.get("killed_slope_b")
-    try:
-        edge = Edge(a, b, gluing, slope, slope_b)
-    except ShapeRefusal:
-        # The names are read by their paths below, after every other field:
-        # an endpoint holding a name that is no string stands in as ("", "").
-        held = [("", "") if _is_pair(end) and not (type(end[0]) is str and type(end[1]) is str) else end for end in (a, b)]
-        edge = Edge(held[0], held[1], gluing, slope, slope_b)
-    for side, (piece_id, slot) in (("a", a), ("b", b)):
-        if type(piece_id) is not str or type(slot) is not str:
-            _name(piece_id, "{}.{}[0]", path, side)
-            _name(slot, "{}.{}[1]", path, side)
-    return edge
+    for side, end in (("a", a), ("b", b)):
+        if _is_pair(end) and not (type(end[0]) is str and type(end[1]) is str):
+            _name(end[0], "{}.{}[0]", path, side)
+            _name(end[1], "{}.{}[1]", path, side)
+    return Edge(a, b, gluing, entry.get("killed_slope"), entry.get("killed_slope_b"))
 
 
 def _volume_from_json(entry: Mapping, path: str) -> VolumeValue:
@@ -598,7 +591,7 @@ def _case_from_json(spec: GraphManifoldSpec, case: Mapping, path: str):
             Edge._trusted(a=edge.a, b=edge.b, gluing=edge.gluing, killed_slope=slope, killed_slope_b=None)
             for edge, slope in zip(spec.edges, slopes)
         )
-        spec = GraphManifoldSpec(pieces=spec.pieces, edges=edges)  # without them a case shares the document's spec
+        spec = GraphManifoldSpec._trusted(pieces=spec.pieces, edges=edges)  # without them a case shares the document's spec
     assignments = _entries(case.get("assignments", []), f"{path}.assignments", _assignment_from_json)
     return (name, spec, assignments)
 

@@ -198,7 +198,7 @@ class LieAlgebraSpec(_Record):
         try:
             return self.basis.index(name)
         except ValueError:
-            raise Refusal(f"unknown basis element {name!r}") from None
+            raise Refusal(f"unknown basis element {_shown(name)}") from None
 
 
 def _jacobi_triples(spec: LieAlgebraSpec) -> list[tuple[int, int, int]]:
@@ -720,7 +720,7 @@ def chern_poly_coeffs(
                     raise Refusal("pontrjagin expects an antisymmetric matrix")
         scale, sign = PiScalar(GaussianRational(Fraction(2)), 1), -1  # 2 pi
     else:
-        raise Refusal(f"unknown kind {kind!r} (use 'chern' or 'pontrjagin')")
+        raise Refusal(f"unknown kind {_shown(kind)} (use 'chern' or 'pontrjagin')")
 
     m = [[x / scale for x in row] for row in rows]
     e1 = sum((m[i][i] for i in range(n)), PI_ZERO)

@@ -14,6 +14,7 @@ from repvol.covers import (
     elevation_count,
     merge_copy_counts,
 )
+from repvol.exact import Refusal, ShapeRefusal
 
 
 def test_elevation_count_divides():
@@ -140,6 +141,38 @@ def test_merge_copy_counts_matching_property(degrees, m):
 def test_colored_merge_counts_rejects_length_mismatch():
     with pytest.raises(ValueError, match="same length"):
         colored_merge_counts([2, 3], [1])
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: merge_copy_counts(5, 1), "degrees 5 is not a list of integers"),
+        (lambda: merge_copy_counts({2, 4}, 1), "degrees {2, 4} is not a list of integers"),
+        (lambda: merge_copy_counts(range(1, 3), 1), "degrees range(1, 3) is not a list of integers"),
+        (lambda: colored_merge_counts(5, [1]), "k 5 is not a list of integers"),
+        (lambda: colored_merge_counts([2], {1}), "l {1} is not a list of integers"),
+    ],
+)
+def test_list_arguments_are_read_whole(build, message):
+    # a list argument is a list or tuple, read before its length or items
+    with pytest.raises(ShapeRefusal) as info:
+        build()
+    assert str(info.value) == message
+
+
+def test_a_generator_is_no_list():
+    # a generator or an iterator is refused before the emptiness test, which
+    # cannot see into one, and before len(), which Python refuses for one
+    with pytest.raises(ShapeRefusal, match=r"^degrees <generator object .* is not a list of integers$"):
+        merge_copy_counts((d for d in ()), 1)
+    with pytest.raises(ShapeRefusal, match=r"^degrees <list_iterator object .* is not a list of integers$"):
+        merge_copy_counts(iter([]), 1)
+    with pytest.raises(ShapeRefusal, match=r"^k <list_iterator object .* is not a list of integers$"):
+        colored_merge_counts(iter([2]), [1])
+    with pytest.raises(Refusal, match="^at least one cover degree is required$"):
+        merge_copy_counts((), 1)
+    assert merge_copy_counts((2, 3), 1) == merge_copy_counts([2, 3], 1)
+    assert colored_merge_counts((2, 3), (1, 2)) == colored_merge_counts([2, 3], [1, 2])
 
 
 def test_colored_merge_counts_worked_example():

@@ -14,7 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repvol import jsj, seifert
-from repvol.exact import ExactVolume, NumericVolume, Refusal, _shown
+from repvol.exact import ExactVolume, NumericVolume, Refusal, ShapeRefusal, _shown
 from repvol.jsj import (
     DirectVolume,
     Edge,
@@ -293,12 +293,24 @@ def test_names_of_two_types_are_never_compared():
             "edges[0].b[1]: expected a string, got {'t': 1}",
         ),
         (
-            # the names of an endpoint are read after every other field of its edge
+            # the names of an endpoint are read before its edge is built
             {"pieces": [], "edges": [{"a": [["P"], "t"], "b": ["H", "t"], "gluing": [[0, 1], ["x", 0]]}]},
-            "edges[0]: malformed entry (gluing[1][0] 'x' is not an integer)",
+            "edges[0].a[0]: expected a string, got ['P']",
+        ),
+        (
+            {"pieces": [], "edges": [{"a": [5, "T"], "b": ["H", "t"], "gluing": [[0, 1], [1]]}]},
+            "edges[0].a[0]: expected a string, got 5",
         ),
     ],
-    ids=["piece_id", "case_name", "assignment_piece", "endpoint_list", "endpoint_object", "endpoint_after_gluing"],
+    ids=[
+        "piece_id",
+        "case_name",
+        "assignment_piece",
+        "endpoint_list",
+        "endpoint_object",
+        "endpoint_before_gluing",
+        "hashable_endpoint_before_gluing",
+    ],
 )
 def test_loader_reads_names_as_strings_only(doc, message):
     with pytest.raises(ValueError) as info:
@@ -510,6 +522,10 @@ LIST_READERS = {
     ),
     "pieces": (lambda v: GraphManifoldSpec(v, ()), lambda v: f"pieces {_shown(v)} is not a list of pieces"),
     "edges": (lambda v: GraphManifoldSpec((), v), lambda v: f"edges {_shown(v)} is not a list of edges"),
+    "assignments": (
+        lambda v: additivity_sum(two_piece_spec(), v),
+        lambda v: f"assignments {_shown(v)} is not a list of assignments",
+    ),
 }
 
 
@@ -892,6 +908,20 @@ def test_additivity_rejects_coefficient_outside_spectrum():
         additivity_sum(spec, assignments)
 
 
+def test_additivity_reads_a_generator_of_assignments_as_no_list():
+    # a generator is refused before the cover check, which would use it up
+    # and leave the sum no assignment, so 0 for a coefficient outside the spectrum
+    def assignments(coeff):
+        return [FilledSeifert("P", (("t", (2, 1)),), coeff), SmallImage("Q")]
+
+    with pytest.raises(ShapeRefusal, match=r"^assignments <generator object .* is not a list of assignments$"):
+        additivity_sum(two_piece_spec(), (a for a in assignments(Fraction(1, 3))))
+    with pytest.raises(Refusal, match="coefficient 1/3 is not in the spectrum"):
+        additivity_sum(two_piece_spec(), assignments(Fraction(1, 3)))
+    assert additivity_sum(two_piece_spec(), assignments(Fraction(1, 4))) == ExactVolume(Fraction(1, 4))
+    assert additivity_sum(two_piece_spec(), tuple(assignments(Fraction(1, 4)))) == ExactVolume(Fraction(1, 4))
+
+
 @pytest.mark.parametrize("filled, small", [("P", "Q"), ("Q", "P")])
 def test_additivity_rejects_filled_piece_on_edge_without_slope(filled, small):
     spec = two_piece_spec(killed=None)
@@ -1194,6 +1224,8 @@ def _fraction_forest(vertices, edges):
             ratio = Fraction(ratio)
         except ValueError:  # a string that is no rational, in the library's text
             raise Refusal(f"not a rational number: {ratio!r}") from None
+        except TypeError:  # a value of no number type, such as None, as a ShapeRefusal
+            raise ShapeRefusal(f"not a rational number: {ratio!r}") from None
         try:
             known = u in adjacency and v in adjacency
         except TypeError:  # an end that cannot be hashed names no vertex

@@ -201,8 +201,9 @@ def test_one_exponent_test_and_one_whole_list_writer():
                     guards.append(where)
     assert exponent == ["exact.py:_rational"]
     assert written == [] and guards == []
-    # slots, pairs, both fillings, killed_slopes, pieces, edges, and liecs' basis, brackets, entries and terms
-    assert len(texts) == 11, texts
+    # slots, pairs, both fillings, killed_slopes, pieces, edges, assignments, liecs' basis, brackets,
+    # entries and terms, and covers' degrees, k and l
+    assert len(texts) == 15, texts
 
 
 def test_one_coefficient_reader_and_one_fold_in_ehn():
@@ -263,6 +264,24 @@ def test_one_walk_of_a_graph_spec():
             if isinstance(inner, ast.Attribute) and inner.attr in ("pieces", "edges"):
                 found.append(f"{node.name}:{inner.lineno}: {ast.unparse(inner)}")
     assert found == []
+
+
+def test_each_edge_built_once_and_each_assignment_read_once():
+    # the loader reads an endpoint's names before it builds the edge, so
+    # _edge_from_json builds one Edge and no stand-in; and additivity_sum
+    # reads its assignments by the whole-list rule, so no later branch
+    # meets a row of another kind
+    tree = ast.parse((SRC / "repvol" / "jsj.py").read_text("utf-8"))
+    defs = {node.name: list(ast.walk(node)) for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def called(name):
+        return [getattr(node.func, "id", None) for node in defs[name] if isinstance(node, ast.Call)]
+
+    assert called("_edge_from_json").count("Edge") == 1
+    assert not any(isinstance(node, ast.Try) for node in defs["_edge_from_json"])
+    texts = [node.value for node in defs["additivity_sum"] if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+    assert not [text for text in texts if "unknown assignment" in text]
+    assert "_rows" in called("additivity_sum")
 
 
 def test_int_reads_only_text():

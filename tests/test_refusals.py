@@ -5,12 +5,23 @@ fault."""
 import dataclasses
 import random
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
 from repvol.ehn import VolumeWitness, foliation_exists, spectrum_contains, witnesses_for
-from repvol.exact import ExactVolume, GaussianRational, NumericVolume, PiScalar, Refusal, _shown, render_volume, volume_sum
+from repvol.exact import (
+    ExactVolume,
+    GaussianRational,
+    NumericVolume,
+    PiScalar,
+    Refusal,
+    ShapeRefusal,
+    _shown,
+    render_volume,
+    volume_sum,
+)
 from repvol.jsj import (
     Edge,
     FilledSeifert,
@@ -30,6 +41,7 @@ from repvol.liecs import (
     LieAlgebraSpec,
     algebra_from_json,
     bracket_two_form,
+    chern_poly_coeffs,
     d,
     exactness_split,
     is_ad_invariant,
@@ -112,6 +124,10 @@ REFUSALS = {
     # an empty row is a zero bracket, and still listed
     "bracket_repeated_empty_row": (_algebra(((0, 1), ()), ((0, 1), ((1, ONE),))), "duplicate bracket entry for (0, 1)"),
     "index_of_unknown_name": (lambda: sl2c_algebra().index_of("Q"), "unknown basis element 'Q'"),
+    "index_of_long_name": (
+        lambda: sl2c_algebra().index_of("Q" * 5000),
+        f"unknown basis element '{'Q' * 32}…' (5000 characters)",
+    ),
     # index integers by the one integer rule: a float, a bool or a string is refused
     "bracket_pair_float": (_algebra(((0.0, 1), (ONE, ZERO))), "brackets[0][0][0] 0.0 is not an integer"),
     "bracket_pair_bool": (_algebra(((0, True), (ONE, ZERO))), "brackets[0][0][1] True is not an integer"),
@@ -163,6 +179,7 @@ REFUSALS = {
     "json_coefficient_name": (_json([["X", "Y", {"Q": 1}]]), "brackets[0][2]: entry uses unknown basis names ('Q')"),
     # jsj
     "piece_unknown": (lambda: motegi_spec(2, 3, 2, 5).piece("E3"), "unknown piece 'E3'"),
+    "piece_unknown_long": (lambda: motegi_spec(2, 3, 2, 5).piece("E" * 5000), f"unknown piece '{'E' * 32}…' (5000 characters)"),
     "additivity_fillings": (
         lambda: additivity_sum(
             _filled_pair(),
@@ -170,9 +187,14 @@ REFUSALS = {
         ),
         "piece P: fillings must cover slots ['t']",
     ),
+    # assignments are read whole, by the one whole-list rule, before the spec's walk
     "additivity_unknown_assignment": (
         lambda: additivity_sum(_hyperbolic_pair(killed_slope=(1, 0)), [SmallImage("P"), Unknown("Q")]),
-        "unknown assignment Unknown(piece_id='Q')",
+        "assignments [SmallImage(piece_id='P'), Unknown(piece_id='Q')] is not a list of assignments",
+    ),
+    "additivity_assignments_a_set": (
+        lambda: additivity_sum(_hyperbolic_pair(killed_slope=(1, 0)), {SmallImage("P")}),
+        "assignments {SmallImage(piece_id='P')} is not a list of assignments",
     ),
     "motegi_second_gcd": (lambda: motegi_spec(2, 3, 2, 4), "gcd(p2, q2) must be 1, got gcd(2, 4)"),
     "motegi_case_fraction": (lambda: motegi_case(2.5, 3, 2, 5), "p1 2.5 is not an integer"),
@@ -200,6 +222,21 @@ REFUSALS = {
         "volume is too large for a float: over 1.79769e+308",
     ),
     "render_not_a_volume": (lambda: render_volume(Fraction(1)), "not a volume value: Fraction(1, 1)"),
+    # a long value is shown shortened, as every refusal shows one
+    "volume_sum_long_value": (
+        lambda: volume_sum([ExactVolume(1), [1] * 5000]),
+        "not a volume value: [1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1… (15000 characters)",
+    ),
+    "render_long_value": (
+        lambda: render_volume([1] * 5000),
+        "not a volume value: [1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1… (15000 characters)",
+    ),
+    "chern_long_kind": (
+        lambda: chern_poly_coeffs([[1, 0], [0, -1]], "k" * 5000),
+        f"unknown kind '{'k' * 32}…' (5000 characters) (use 'chern' or 'pontrjagin')",
+    ),
+    # a vertex list that cannot be walked is no list of names
+    "rw_vertices_not_a_list": (lambda: rw_consistency(5, []), "vertices 5 are not all names"),
     # the texts a graph document's direct numeric volume is refused with
     "numeric_volume_nan": (lambda: NumericVolume(float("nan")), "bad numeric nan"),
     "numeric_volume_infinite": (lambda: NumericVolume(float("inf")), "bad numeric inf"),
@@ -341,3 +378,35 @@ def test_one_string_path_for_every_rational_reader(text, value, tail):
     document = refusals.pop("document coeff")
     assert set(refusals.values()) == {f"not a rational number: {tail}"}
     assert document in (f"assignments[0]: malformed entry (bad coeff {tail})", f"assignments[0]: {tail}")
+
+
+@pytest.mark.parametrize(
+    "value, kind",
+    [
+        (float("nan"), Refusal),
+        (float("inf"), Refusal),
+        (float("-inf"), Refusal),
+        (Decimal("NaN"), Refusal),
+        (Decimal("-Infinity"), Refusal),
+        (None, ShapeRefusal),
+        (1j, ShapeRefusal),
+        ([1] * 5000, ShapeRefusal),
+    ],
+    ids=["nan", "inf", "minus_inf", "decimal_nan", "decimal_minus_inf", "none", "complex", "long_list"],
+)
+def test_one_refusal_for_every_value_fraction_cannot_read(value, kind):
+    # a value that is no string and that Fraction cannot read gets one text
+    # in every library reader, a ShapeRefusal for a value of no number type
+    for name, read in {**STRING_READERS, "ExactVolume coeff": ExactVolume}.items():
+        with pytest.raises(kind) as info:
+            read(value)
+        assert str(info.value) == f"not a rational number: {_shown(value)}", name
+        assert (type(info.value) is ShapeRefusal) == (kind is ShapeRefusal), name
+
+
+def test_values_fraction_reads_read_as_before():
+    # a float exactly, a bool as 0 or 1, a Decimal as its value
+    assert ExactVolume(0.1).coeff == Fraction(3602879701896397, 36028797018963968)
+    assert ExactVolume(True).coeff == 1
+    assert ExactVolume(Decimal("0.25")).coeff == Fraction(1, 4)
+    assert GaussianRational(Decimal("-1.5")).re == Fraction(-3, 2)
