@@ -41,11 +41,12 @@ from .exact import (
     Refusal,
     _document,
     _field,
-    _list,
+    _is_row,
     _name,
     _printed,
     _rational,
     _read_int,
+    _rows,
     _shown,
     _too_long,
     render_volume,
@@ -272,12 +273,12 @@ def _ratio_graph(doc) -> tuple[list[str], list[tuple[str, str, int | Fraction]]]
     part, such as ``edges[1]: expected [u, v, ratio]``.
     """
     doc = _document(doc, "vertices", "edges")
-    vertices = _list(_field(doc, "vertices"), "vertices", "names")
-    rows = _list(_field(doc, "edges"), "edges", "[u, v, ratio] rows")
+    vertices = _rows(_field(doc, "vertices"), "vertices: expected a list of names")
+    rows = _rows(_field(doc, "edges"), "edges: expected a list of [u, v, ratio] rows")
     vertices = [_name(name, "vertices[{}]", i) for i, name in enumerate(vertices)]
     edges = []
     for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != 3:
+        if not (_is_row(row) and len(row) == 3):
             raise Refusal(f"edges[{i}]: expected [u, v, ratio], got {_shown(row)}")
         u, v = (_name(row[j], "edges[{}][{}]", i, j) for j in (0, 1))
         edges.append((u, v, _rational(row[2], f"edges[{i}][2]", "bad ratio {}")))

@@ -76,7 +76,7 @@ from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator
 
 from . import _HOMES
-from .exact import MAX_VALUES, Refusal, _Record, _as_fraction, _check_budget, _fraction, _integer, _printed, _set
+from .exact import MAX_VALUES, Refusal, _Record, _as_fraction, _check_budget, _each, _fraction, _integer, _printed, _set
 from .seifert import SeifertInvariants, _over_lcm, _require_closed, euler_number, orbifold_chi
 
 __all__ = [*_HOMES["ehn"]]
@@ -84,10 +84,11 @@ __all__ = [*_HOMES["ehn"]]
 
 def foliation_exists(genus: int, slopes: Iterable[Fraction]) -> bool:
     """Horizontal-foliation test for a closed fibration over genus >= 1: the
-    genus read by ``_integer``, and any iterable of slopes, each by ``_as_fraction``."""
+    genus read by ``_integer``, and any iterable of slopes, read once by
+    ``_each``, each by ``_as_fraction``."""
     if _integer(genus, "genus") < 1:
         raise Refusal("foliation criterion requires base genus >= 1")
-    slopes = tuple(map(_as_fraction, slopes))  # read once, as slopes may be an iterator
+    slopes = tuple(map(_as_fraction, _each(slopes, "slopes")))
     floor_sum = sum(map(math.floor, slopes))
     ceil_sum = sum(map(math.ceil, slopes))
     return floor_sum <= 2 * genus - 2 and ceil_sum >= 2 - 2 * genus
@@ -350,7 +351,9 @@ class VolumeWitness(_Record):
     ``n_values``/``n`` satisfy the two defining inequalities, ``zeta`` is
     the common translation length (sum(n_i/a_i) - n) / e, and each
     ``z_values[i]`` equals n_i/a_i - (b_i/a_i) * zeta.  ``inv`` must have
-    sl2r-tilde geometry and base genus >= 1.
+    sl2r-tilde geometry and base genus >= 1.  ``n_values`` and
+    ``z_values`` are any iterables, each read once by ``_each``, and
+    ``n`` and each of ``n_values`` an integer by ``_integer``.
     """
 
     inv: SeifertInvariants
@@ -362,8 +365,10 @@ class VolumeWitness(_Record):
 
     def __post_init__(self) -> None:
         # tuples, as witnesses_for builds them, so that equality and hash hold
-        _set(self, "n_values", tuple(self.n_values))
-        _set(self, "z_values", tuple(self.z_values))
+        n_values = _each(self.n_values, "n_values")
+        _set(self, "n_values", tuple([_integer(ni, "n_values[{}]", i) for i, ni in enumerate(n_values)]))
+        _set(self, "z_values", tuple(_each(self.z_values, "z_values")))
+        _integer(self.n, "n")
         inv = self.inv
         table = _fibres(inv)
         if len(self.n_values) != len(inv.pairs):

@@ -48,8 +48,11 @@ reader: ``_name`` a name, never coerced; ``_integer`` an integer, an
 ``int`` and nothing else (``_int_pair`` two, ``_positive`` a positive
 one); ``_rational`` a rational, and so every string ``_as_fraction``
 reads for the library.  ``int()`` reads only text, and ``_too_long``
-alone names digits too long to read.  ``_is_pair`` tests a pair,
-``_rows`` a list.
+alone names digits too long to read.  ``_is_row`` tests a row (a list
+or tuple) and ``_is_pair`` a pair.  Two readers own every collection a
+caller or a document hands over: ``_rows`` a list or tuple that may be
+walked more than once, refused whole unless each row passes its test,
+and ``_each`` an iterable read once.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ import sys
 from math import gcd as _gcd
 from collections.abc import Mapping
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from . import _HOMES
 
@@ -236,6 +239,15 @@ def _rows(value: object, refusal: str, row: Callable | None = None, mapping: boo
     return rows
 
 
+def _each(value: object, name: str) -> Iterator:
+    """An iterator over ``value``, an iterable read once; anything else, such
+    as 5 or ``None``, is a ``ShapeRefusal`` reading ``<name> <value> is not iterable``."""
+    try:
+        return iter(value)
+    except TypeError:
+        raise ShapeRefusal(f"{name} {_shown(value)} is not iterable") from None
+
+
 # Work that may exceed this many spectrum values, oracle (tuple, n) pairs
 # or witnesses is refused unless the caller raises the limit (``limit=``
 # in ``ehn``).  The cost grows with the count: (1; 1/571, 1/577), bound
@@ -273,14 +285,6 @@ def _field(entry: Mapping, key: str, path: str = ""):
     return entry[key]
 
 
-def _list(value: object, path: str, of: str) -> Sequence:
-    """``value`` if it is a JSON list; otherwise a ``Refusal`` reading
-    ``<path>: expected a list of <of>``."""
-    if not isinstance(value, (list, tuple)):
-        raise Refusal(f"{path}: expected a list of {of}")
-    return value
-
-
 def _name(value: object, path: str, *at: object) -> str:
     """``value`` if it is a string.  Names are never coerced, so JSON
     ``1``, ``"1"`` and ``null`` cannot read as one name.  A refusal reads
@@ -299,7 +303,7 @@ def _entries(value: object, path: str, parse: Callable[[Mapping, str], object]) 
     passes as it is: a builtin ``TypeError`` there is a fault in repvol.
     """
     parsed = []
-    for i, entry in enumerate(_list(value, path, "objects")):
+    for i, entry in enumerate(_rows(value, f"{path}: expected a list of objects")):
         at = f"{path}[{i}]"
         if type(entry) is not dict and not isinstance(entry, Mapping):  # the ABC check is slow
             raise Refusal(f"{at}: expected an object, got {_shown(entry)}")
@@ -442,8 +446,8 @@ class GaussianRational(_Frozen):
         return bool(self._a or self._b)
 
     def __add__(self, other: "GaussianLike") -> "GaussianRational":
-        if type(other) is not GaussianRational:
-            other = GaussianRational.of(other)
+        if type(other) is not GaussianRational and (other := _operand(other)) is NotImplemented:
+            return NotImplemented
         d, f = self._den, other._den
         return _gaussian(self._a * f + other._a * d, self._b * f + other._b * d, d * f)
 
@@ -453,14 +457,16 @@ class GaussianRational(_Frozen):
         return _gaussian(-self._a, -self._b, self._den)
 
     def __sub__(self, other: "GaussianLike") -> "GaussianRational":
-        return self + -GaussianRational.of(other)
+        if type(other) is not GaussianRational and (other := _operand(other)) is NotImplemented:
+            return NotImplemented
+        return self + -other
 
     def __rsub__(self, other: "GaussianLike") -> "GaussianRational":
         return -self + other
 
     def __mul__(self, other: "GaussianLike") -> "GaussianRational":
-        if type(other) is not GaussianRational:
-            other = GaussianRational.of(other)
+        if type(other) is not GaussianRational and (other := _operand(other)) is NotImplemented:
+            return NotImplemented
         a, b, c, e = self._a, self._b, other._a, other._b
         return _gaussian(a * c - b * e, a * e + b * c, self._den * other._den)
 
@@ -471,8 +477,8 @@ class GaussianRational(_Frozen):
 
     def __truediv__(self, other: "GaussianLike") -> "GaussianRational":
         # ((a + b i) / d) / ((c + e i) / f) = (a + b i)(c - e i) f / (d (c^2 + e^2))
-        if type(other) is not GaussianRational:
-            other = GaussianRational.of(other)
+        if type(other) is not GaussianRational and (other := _operand(other)) is NotImplemented:
+            return NotImplemented
         if not other:
             raise ZeroDivisionError("division by zero gaussian rational")
         a, b, c, e, f = self._a, self._b, other._a, other._b, other._den
@@ -496,6 +502,15 @@ def _ratio(value: RationalLike) -> tuple[int, int]:
         return value, 1
     value = _as_fraction(value)
     return value.numerator, value.denominator
+
+
+def _operand(other: object) -> GaussianRational:
+    """The other operand of a ``GaussianRational`` operator, read by
+    ``GaussianRational.of``; a ``PiScalar`` is ``NotImplemented``, so that
+    the scalar's reflected operator answers in either order."""
+    if isinstance(other, PiScalar):
+        return NotImplemented
+    return GaussianRational.of(other)
 
 
 def _gaussian(a: int, b: int, den: int) -> GaussianRational:
@@ -590,6 +605,9 @@ class PiScalar(_Record):
         if not o:
             raise ZeroDivisionError("division by zero PiScalar")
         return _pi(self.coeff / o.coeff, self.pi_power - o.pi_power)
+
+    def __rtruediv__(self, other: "PiLike") -> "PiScalar":
+        return PiScalar.of(other) / self
 
     def __str__(self) -> str:
         if self.pi_power == 0:
@@ -694,12 +712,13 @@ VolumeValue = Union[ExactVolume, NumericVolume]
 
 
 def volume_sum(values: Iterable[VolumeValue]) -> VolumeValue:
-    """Sum volume values, staying exact when every summand is exact; the
-    exact ones are added as integers over the lcm of their denominators."""
+    """Sum volume values, any iterable of them read once by ``_each``, staying
+    exact when every summand is exact; the exact ones are added as integers
+    over the lcm of their denominators."""
     coeffs = []
     numeric = 0.0
     saw_numeric = False
-    for v in values:
+    for v in _each(values, "values"):
         if isinstance(v, ExactVolume):
             coeffs.append(v.coeff)
         elif isinstance(v, NumericVolume):

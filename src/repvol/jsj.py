@@ -36,6 +36,7 @@ from .exact import (
     _Record,
     _as_fraction,
     _document,
+    _each,
     _entries,
     _field,
     _hashable,
@@ -363,14 +364,20 @@ def _numbered(
     numbers.  Edge k is stored once: ``end[2k]`` and ``end[2k + 1]`` are its
     tail and head, ``term[2k]`` and ``term[2k + 1]`` its ratio's numerator
     and denominator.  The name index lives only here.  A name that cannot
-    be hashed, a vertex or an edge's end, is refused as a ``Refusal``."""
+    be hashed, a vertex or an edge's end, is refused as a ``Refusal``;
+    ``edges`` is read once by ``_each``, and an edge that is not three
+    items as a ``ShapeRefusal``."""
     try:
         index = {name: i for i, name in enumerate(dict.fromkeys(vertices))}
     except TypeError:  # a name that cannot be hashed
         raise Refusal(f"vertices {_shown(vertices)} are not all names") from None
     end: list[int] = []
     term: list[int] = []
-    for u, v, ratio in edges:
+    for edge in _each(edges, "edges"):
+        try:
+            u, v, ratio = edge
+        except (TypeError, ValueError):  # no iterable of three items
+            raise ShapeRefusal(f"edge {_shown(edge)} is not [u, v, ratio]") from None
         if type(ratio) is not Fraction:
             ratio = _as_fraction(ratio)
         try:

@@ -46,7 +46,6 @@ from .exact import (
     _integer,
     _is_pair,
     _is_row,
-    _list,
     _name,
     _pi,
     _pi_power,
@@ -648,16 +647,16 @@ def algebra_from_json(doc: Mapping) -> LieAlgebraSpec:
     part, such as ``brackets[0][2]: expected an object of coefficients``.
     """
     doc = _document(doc, "basis", "brackets")
-    names = _list(_field(doc, "basis"), "basis", "names")
+    names = _rows(_field(doc, "basis"), "basis: expected a list of names")
     basis = tuple(_name(name, "basis[{}]", i) for i, name in enumerate(names))
     if not basis:
         raise Refusal("basis must not be empty")
     index = {name: i for i, name in enumerate(basis)}
-    entries = _list(doc.get("brackets", []), "brackets", "[left, right, coeffs] entries")
+    entries = _rows(doc.get("brackets", []), "brackets: expected a list of [left, right, coeffs] entries")
     table: dict[tuple[int, int], list[tuple[int, Union[int, Fraction]]]] = {}
     for e, entry in enumerate(entries):
         path = f"brackets[{e}]"
-        if not isinstance(entry, (list, tuple)) or len(entry) != 3:
+        if not (_is_row(entry) and len(entry) == 3):
             raise Refusal(f"{path}: bracket entry {_shown(entry)} must be [left, right, coeffs]")
         left, right, coeffs = entry
         for pos, name in ((0, left), (1, right)):
@@ -700,7 +699,7 @@ def chern_poly_coeffs(
     checked against the trace identity: e1 and e3 vanish, and e2 is
     Tr(A^2)/(8 pi^2) for ``chern`` and -Tr(A^2)/(8 pi^2) for ``pontrjagin``.
     """
-    rows = [[PiScalar.of(x) for x in row] for row in matrix]
+    rows = [[PiScalar.of(x) for x in row] for row in _rows(matrix, "matrix {} is not a list of rows", _is_row)]
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise Refusal("matrix must be square")

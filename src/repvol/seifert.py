@@ -17,7 +17,7 @@ from types import SimpleNamespace
 from typing import Sequence
 
 from . import _HOMES
-from .exact import Refusal, _Record, _fraction, _int_pair, _integer, _is_pair, _positive, _rows, _set, _shown, _too_long
+from .exact import Refusal, ShapeRefusal, _Record, _fraction, _int_pair, _integer, _is_pair, _positive, _rows, _set, _shown, _too_long
 
 __all__ = [*_HOMES["seifert"]]
 
@@ -223,9 +223,12 @@ def parse_seifert(text: str) -> SeifertInvariants:
     """Parse ``(g; b1/a1, b2/a2, ...)`` notation for a closed space.
 
     A bare integer entry means b/1.  The base must be orientable, so a
-    negative genus is rejected.  A character outside the notation is
-    refused before the grammar is read.
+    negative genus is rejected.  A value that is no string is a
+    ``ShapeRefusal``, and a character outside the notation is refused
+    before the grammar is read.
     """
+    if not isinstance(text, str):
+        raise ShapeRefusal(f"symbol {_shown(text)} is not a string")
     tokens = []
     for m in _TOKEN.finditer(text):
         if m[3]:

@@ -111,6 +111,31 @@ def test_pi_scalar_mul_adds_powers():
     assert a / b == PiScalar.of(6, pi_power=4)
 
 
+def test_mixed_scalar_operators_answer_in_either_order():
+    # a GaussianRational or a plain number meeting a PiScalar gives what the
+    # two read as PiScalars give, with either operand first: the
+    # GaussianRational's operator hands a PiScalar to the scalar's reflected one
+    assert GaussianRational(1) + PiScalar.of(1) == PiScalar.of(2)
+    assert GaussianRational(1) / PiScalar.of(2) == PiScalar.of(Fraction(1, 2))
+    assert 1 / PiScalar.of(2) == PiScalar.of(Fraction(1, 2))
+    plain = [GaussianRational(Fraction(2, 3), -1), 3, Fraction(-5, 4)]
+    scalars = [PiScalar.of(GaussianRational(1, 2)), PiScalar.of(Fraction(7, 2), pi_power=0), PiScalar.of(0)]
+    ops = [lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y, lambda x, y: x / y]
+    for x in plain:
+        for y in scalars:
+            for op in ops:
+                for left, right in ((x, y), (y, x)):
+                    if not right:
+                        continue
+                    got = op(left, right)
+                    assert type(got) is PiScalar and got == op(PiScalar.of(left), PiScalar.of(right)), (left, right)
+    # a pi power other than 0 is carried, and mismatched powers still refuse a sum
+    assert GaussianRational(2) * PiScalar.of(1, pi_power=1) == PiScalar.of(2, pi_power=1)
+    assert GaussianRational(2) / PiScalar.of(1, pi_power=1) == PiScalar.of(2, pi_power=-1)
+    with pytest.raises(ValueError, match="pi-power mismatch"):
+        GaussianRational(1) - PiScalar.of(1, pi_power=1)
+
+
 def test_pi_scalar_cancellation_to_zero():
     a = PiScalar.of(Fraction(2), pi_power=7)
     assert (a - a) == PI_ZERO

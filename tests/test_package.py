@@ -176,15 +176,16 @@ def _owners(tree):
 def test_one_exponent_test_and_one_whole_list_writer():
     # every string rational passes the one exponent test, in
     # exact._rational; and exact._rows alone writes the refusal of a whole
-    # list value that is no list, its callers passing the refusal's text,
-    # so no loader guards, counts or walks a value before it
+    # list value that is no list, its callers passing the refusal's text
+    # (an f-string's constant parts included), so no loader guards, counts
+    # or walks a value before it
     exponent, texts, written, guards = [], [], [], []
     for path in sorted((SRC / "repvol").glob("*.py")):
         tree = ast.parse(path.read_text("utf-8"), str(path))
         owners = _owners(tree)
         # the refusals handed to _rows, directly or through a module constant
         calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_rows"]
-        passed = {id(arg) for call in calls for arg in call.args[1:2]}
+        passed = {id(part) for call in calls for arg in call.args[1:2] for part in ast.walk(arg)}
         names = {arg.id for call in calls for arg in call.args[1:2] if isinstance(arg, ast.Name)}
         for node in tree.body:
             if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) in names:
@@ -194,7 +195,7 @@ def test_one_exponent_test_and_one_whole_list_writer():
             if isinstance(node, ast.Compare) and isinstance(node.left, ast.Constant) and node.left.value in ("e", "E"):
                 exponent.append(where)
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                if "are not all [" in node.value or "is not a list of " in node.value:
+                if any(text in node.value for text in ("are not all [", "is not a list of ", "expected a list of")):
                     (texts if id(node) in passed else written).append(f"{where}: {node.value}")
             elif isinstance(node, ast.IfExp) and getattr(node.test, "func", None) is not None:
                 if getattr(node.test.func, "id", None) == "isinstance" and ast.unparse(node.test.args[1]) == "(list, tuple)":
@@ -202,8 +203,28 @@ def test_one_exponent_test_and_one_whole_list_writer():
     assert exponent == ["exact.py:_rational"]
     assert written == [] and guards == []
     # slots, pairs, both fillings, killed_slopes, pieces, edges, assignments, liecs' basis, brackets,
-    # entries and terms, and covers' degrees, k and l
-    assert len(texts) == 15, texts
+    # entries, terms and matrix, covers' degrees, k and l, the entries of a document list, and the
+    # basis and brackets of an algebra document and the vertices and edges of a ratio graph
+    assert len(texts) == 21, texts
+
+
+def test_one_row_test_and_one_iterable_reader():
+    # exact._is_row and _is_pair alone test for a list or tuple, and
+    # exact._each alone calls iter(): every other reader of a collection
+    # goes through _rows or _each
+    rows, iters = [], []
+    for path in sorted((SRC / "repvol").glob("*.py")):
+        tree = ast.parse(path.read_text("utf-8"), str(path))
+        owners = _owners(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                where = f"{path.name}:{owners.get(id(node))}"
+                if node.func.id == "isinstance" and ast.unparse(node.args[1]) in ("(list, tuple)", "list"):
+                    rows.append(where)
+                elif node.func.id == "iter":
+                    iters.append(where)
+    assert rows == ["exact.py:_is_row", "exact.py:_is_pair"]
+    assert iters == ["exact.py:_each"]
 
 
 def test_one_coefficient_reader_and_one_fold_in_ehn():

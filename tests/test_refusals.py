@@ -289,6 +289,33 @@ def test_refusal_text(call, message):
     assert str(info.value) == message
 
 
+# A caller's collection of the wrong shape, read by exact's two collection
+# readers (_rows for a list, _each for an iterable read once), or a value
+# of the wrong type: a ShapeRefusal, never Python's own error.
+SHAPE_REFUSALS = {
+    "rw_edge_of_two": (lambda: rw_consistency(["a", "b"], [("a", "b")]), "edge ('a', 'b') is not [u, v, ratio]"),
+    "rw_edge_of_four": (lambda: rw_consistency(["a", "b"], [("a", "b", 2, 3)]), "edge ('a', 'b', 2, 3) is not [u, v, ratio]"),
+    "rw_edge_not_iterable": (lambda: rw_consistency(["a", "b"], [5]), "edge 5 is not [u, v, ratio]"),
+    "rw_edges_not_iterable": (lambda: rw_consistency(["a"], 5), "edges 5 is not iterable"),
+    "foliation_slopes_not_iterable": (lambda: foliation_exists(1, 5), "slopes 5 is not iterable"),
+    "volume_sum_not_iterable": (lambda: volume_sum(5), "values 5 is not iterable"),
+    "chern_matrix_not_a_list": (lambda: chern_poly_coeffs(5, "chern"), "matrix 5 is not a list of rows"),
+    "chern_row_not_a_list": (lambda: chern_poly_coeffs([5, 6], "chern"), "matrix [5, 6] is not a list of rows"),
+    "witness_n_values_not_iterable": (_witness(n_values=5), "n_values 5 is not iterable"),
+    "witness_z_values_not_iterable": (_witness(z_values=5), "z_values 5 is not iterable"),
+    "witness_n_values_float": (_witness(n_values=(1.0, 1)), "n_values[0] 1.0 is not an integer"),
+    "witness_n_string": (_witness(n="x"), "n 'x' is not an integer"),
+    "parse_not_a_string": (lambda: parse_seifert(5), "symbol 5 is not a string"),
+}
+
+
+@pytest.mark.parametrize("call, message", SHAPE_REFUSALS.values(), ids=SHAPE_REFUSALS.keys())
+def test_shape_refusal_text(call, message):
+    with pytest.raises(ShapeRefusal) as info:
+        call()
+    assert type(info.value) is ShapeRefusal and str(info.value) == message
+
+
 def test_validate_spec_lists_the_problems_of_a_piece_and_a_side_b_slope():
     missing = Piece(id="S", kind="seifert", slots=())
     assert validate_spec(GraphManifoldSpec((missing,), ())) == ["piece S: seifert piece without invariants"]
